@@ -27,6 +27,11 @@ service-load SLO ratios — it is *always* armed, even against a
 baseline from a different runner class, and a v5 record missing the
 section is itself a regression.
 
+Records carrying a **service** section gate its warm-cache ratio the
+same always-armed way: hits must resolve ≥10x faster than oracle
+re-execution (``hit_speedup_vs_oracle``; tier-1 asserts only that the
+warm pass is all hits with zero oracle calls).
+
 The remaining parallel-transport numbers are recorded for the
 trajectory but not gated (2-vCPU shared runners make them races).
 
@@ -67,6 +72,11 @@ import sys
 
 #: Schema prefix of the service-load record family.
 SERVICE_LOAD_SCHEMA = "popqc-bench-service-load"
+
+#: Floor on the transport record's ``service.hit_speedup_vs_oracle``:
+#: a warm segment cache must resolve a repeated segment at least this
+#: many times faster than re-running the oracle on it.
+CACHE_HIT_SPEEDUP_MIN = 10.0
 
 #: Per-mix fields a well-formed service-load record must carry.
 _MIX_REQUIRED = (
@@ -395,14 +405,21 @@ def main(argv: list[str] | None = None) -> int:
         )
     service = current.get("service", {})
     if service:
+        speedup = service.get("hit_speedup_vs_oracle", 0.0)
+        verdict = "OK" if speedup >= CACHE_HIT_SPEEDUP_MIN else "REGRESSION"
         print(
             f"segment cache: hits resolve in "
             f"{service.get('cache_hit_seconds_per_segment', 0.0) * 1e6:.0f} "
             f"us/segment vs "
             f"{service.get('oracle_seconds_per_segment', 0.0) * 1e6:.0f} "
-            f"us/segment oracle "
-            f"({service.get('hit_speedup_vs_oracle', 0.0):.1f}x)"
+            f"us/segment oracle ({speedup:.1f}x, floor "
+            f"{CACHE_HIT_SPEEDUP_MIN:.0f}x) -> {verdict}"
         )
+        if speedup < CACHE_HIT_SPEEDUP_MIN:
+            hard.append(
+                f"service: warm cache hits resolve only {speedup:.1f}x faster "
+                f"than oracle re-execution (floor {CACHE_HIT_SPEEDUP_MIN:.0f}x)"
+            )
 
     if regressions and not same_class and not args.strict:
         print(

@@ -37,14 +37,18 @@ from repro.service.loadgen import (
     schedule_manifest,
 )
 
-#: Where the machine-readable record lands (repo root, so CI can
-#: upload it as an artifact without path gymnastics).
-BENCH_JSON = Path(
-    os.environ.get(
-        "BENCH_SERVICE_LOAD_OUT",
-        Path(__file__).resolve().parent.parent / "BENCH_service_load.json",
-    )
-)
+
+@pytest.fixture(scope="module")
+def bench_json(tmp_path_factory) -> Path:
+    """Where the machine-readable record lands:
+    ``$BENCH_SERVICE_LOAD_OUT`` (CI's bench-trend job names the
+    repo-root file it uploads and gates), else a pytest temp dir, so a
+    plain test run leaves the checkout clean."""
+    out = os.environ.get("BENCH_SERVICE_LOAD_OUT")
+    if out:
+        return Path(out)
+    return tmp_path_factory.mktemp("bench") / "BENCH_service_load.json"
+
 
 #: CI smoke runs set this to shrink the suite; the committed baseline
 #: comes from a full run.
@@ -90,7 +94,7 @@ def server_address():
 
 
 @pytest.fixture(scope="module")
-def record(server_address):
+def record(server_address, bench_json):
     """One suite run per module; every test asserts against it."""
     rec = run_slo_suite(
         server_address,
@@ -98,7 +102,7 @@ def record(server_address):
         auth_token=os.environ.get("POPQC_AUTH_TOKEN"),
         smoke=SMOKE,
     )
-    BENCH_JSON.write_text(json.dumps(rec, indent=2, sort_keys=True) + "\n")
+    bench_json.write_text(json.dumps(rec, indent=2, sort_keys=True) + "\n")
     return rec
 
 
@@ -130,10 +134,10 @@ class TestServiceLoadBench:
             f"(SLO <= {INTERACTIVE_P99_OVER_FLOOD_P50_MAX}x)"
         )
 
-    def test_record_is_schema_v1(self, record):
+    def test_record_is_schema_v1(self, record, bench_json):
         assert record["schema"] == SCHEMA
-        assert BENCH_JSON.exists()
-        reread = json.loads(BENCH_JSON.read_text())
+        assert bench_json.exists()
+        reread = json.loads(bench_json.read_text())
         assert reread["schema"] == SCHEMA
         for mix in reread["mixes"].values():
             for key in ("p50", "p90", "p99"):

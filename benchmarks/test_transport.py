@@ -30,6 +30,7 @@ import json
 import os
 import platform
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -59,14 +60,18 @@ SEGMENTS = [
 
 ORACLE = NamOracle()
 
-#: Where the machine-readable benchmark record lands (repo root, so CI
-#: can upload it as an artifact without path gymnastics).
-BENCH_JSON = Path(
-    os.environ.get(
-        "BENCH_TRANSPORT_OUT",
-        Path(__file__).resolve().parent.parent / "BENCH_transport.json",
-    )
-)
+
+@pytest.fixture(scope="module")
+def bench_json(tmp_path_factory) -> Path:
+    """Where the machine-readable benchmark record lands:
+    ``$BENCH_TRANSPORT_OUT`` (CI's bench-trend job names the repo-root
+    file it uploads and gates), else a pytest temp dir, so a plain
+    test run leaves the checkout clean."""
+    out = os.environ.get("BENCH_TRANSPORT_OUT")
+    if out:
+        return Path(out)
+    return tmp_path_factory.mktemp("bench") / "BENCH_transport.json"
+
 
 #: Worker count for the smoke comparison (shared CI runners have 2
 #: vCPUs; the slow acceptance tests use 4 and 8 on real hardware).
@@ -331,28 +336,49 @@ def test_vector_engine_beats_python_engine_per_segment(engine_results):
     )
 
 
+class _CountingOracle:
+    """Oracle spy for the threads transport (which calls it in-process)."""
+
+    def __init__(self, oracle):
+        self._oracle = oracle
+        self._lock = threading.Lock()
+        self.calls = 0
+
+    def __call__(self, segment):
+        with self._lock:
+            self.calls += 1
+        return self._oracle(segment)
+
+
 @pytest.fixture(scope="module")
 def service_results():
     """The segment-cache comparison of the ``service`` record: per-
     segment cost of resolving a cache *hit* (fingerprint + lookup +
     lazy handle, fully warm cache) vs. re-executing the oracle, over
-    the full segment stream.  Measured once per bench run, shared by
-    the acceptance assertion and the emitted JSON.
+    the full segment stream — plus what the warm passes did (oracle
+    calls seen by a spy, results compared with the cold pass).
+    Measured once per bench run, shared by the acceptance assertion
+    and the emitted JSON.
     """
     oracle_best = _serial_time(SEGMENTS, repeats=3)
     cache = SegmentCache()
+    spy = _CountingOracle(ORACLE)
     pm = ProcessMap(2, serial_cutoff=0, transport="threads", cache=cache)
     try:
-        pm.map_segments(ORACLE, SEGMENTS)  # cold pass fills the cache
+        cold = pm.map_segments(spy, SEGMENTS)  # cold pass fills the cache
+        cold_calls = spy.calls
         warm_h0, warm_m0 = pm.cache_hits, pm.cache_misses
         best = float("inf")
         for _ in range(3):
             t0 = time.perf_counter()
-            pm.map_segments(ORACLE, SEGMENTS)
+            warm = pm.map_segments(spy, SEGMENTS)
             best = min(best, time.perf_counter() - t0)
         warm_hits = pm.cache_hits - warm_h0
         warm_misses = pm.cache_misses - warm_m0
         hit_rate = warm_hits / (warm_hits + warm_misses)
+        identical = [r.packed_bytes() for r in warm] == [
+            r.packed_bytes() for r in cold
+        ]
     finally:
         pm.close()
     n = len(SEGMENTS)
@@ -365,22 +391,24 @@ def service_results():
         "oracle_seconds_per_segment": oracle,
         "hit_speedup_vs_oracle": oracle / hit,
         "hit_rate_after_warmup": hit_rate,
+        "cold_oracle_calls": cold_calls,
+        "warm_oracle_calls": spy.calls - cold_calls,
+        "warm_results_identical_to_cold": identical,
         "cache_entries": len(cache),
         "cache_bytes": cache.memory_bytes,
     }
 
 
 def test_cache_hits_resolve_10x_faster_than_oracle(service_results):
-    """Acceptance: a warm cache resolves a repeated segment ≥10x
-    faster than re-running the oracle on it.  Both sides are serial,
-    in-process, min-of-repeats — a ratio stable enough to gate on
-    shared runners, like the rule-engine comparison above."""
-    assert service_results["hit_speedup_vs_oracle"] >= 10.0, (
-        f"cache hit resolution "
-        f"({service_results['cache_hit_seconds_per_segment'] * 1e6:.0f} "
-        f"us/segment) should be ≥10x faster than oracle re-execution "
-        f"({service_results['oracle_seconds_per_segment'] * 1e6:.0f} us/segment)"
-    )
+    """Acceptance, behavioural half: a warm cache answers every
+    repeated segment without the oracle, byte-identically.  The ≥10x
+    wall-clock floor on ``hit_speedup_vs_oracle`` is a timing, so it is
+    gated on the emitted record by ``benchmarks/check_bench_trend.py``
+    (the bench-trend job), not asserted in tier-1."""
+    assert service_results["cold_oracle_calls"] == len(SEGMENTS)
+    assert service_results["hit_rate_after_warmup"] == 1.0
+    assert service_results["warm_oracle_calls"] == 0
+    assert service_results["warm_results_identical_to_cold"]
 
 
 @pytest.fixture(scope="module")
@@ -499,7 +527,7 @@ def _socket_record(smoke_segments, hosts) -> dict:
 
 
 def test_five_way_comparison_emits_bench_json(
-    engine_results, socket_cluster, service_results, cluster_cache_results
+    engine_results, socket_cluster, service_results, cluster_cache_results, bench_json
 ):
     """Measure serial/pickle/encoded/shm/threads/socket round
     throughput at smoke scale (socket against the localhost cluster),
@@ -579,7 +607,7 @@ def test_five_way_comparison_emits_bench_json(
             / engines["vector"]["call_seconds_per_segment"],
         },
     }
-    BENCH_JSON.write_text(json.dumps(record, indent=2) + "\n")
+    bench_json.write_text(json.dumps(record, indent=2) + "\n")
 
     assert all(r["segments_per_s"] > 0 for r in results.values())
     assert set(results) == {

@@ -14,33 +14,18 @@ care about our layering); its output is re-layered before substitution.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..circuits import Circuit, Gate, layers_asap
-from ..parallel import ParallelMap, SerialMap, SimulatedParallelism
-from .fingers import initial_fingers, select_fingers
-from .popqc import CostFn, OracleFn, resolve_segment_transport
-from .stats import (
-    OptimizationStats,
-    RoundStats,
-    finalize_transport,
-    record_transport,
-)
-from .tombstone import TombstoneArray
+from ..parallel import ParallelMap
+from .popqc import CostFn, OracleFn, PopqcResult, _Granularity, _optimize
 
 __all__ = ["layered_popqc", "LayeredPopqcResult", "mixed_cost"]
 
 Layer = tuple[Gate, ...]
 
-
-@dataclass
-class LayeredPopqcResult:
-    """Optimized circuit plus statistics for the layered variant."""
-
-    circuit: Circuit
-    stats: OptimizationStats
+#: The layered variant returns what :func:`repro.core.popqc.popqc` does.
+LayeredPopqcResult = PopqcResult
 
 
 def mixed_cost(depth_weight: float = 10.0) -> CostFn:
@@ -55,21 +40,6 @@ def mixed_cost(depth_weight: float = 10.0) -> CostFn:
         return depth_weight * circuit_depth(gates, n) + len(gates)
 
     return cost
-
-
-class _LayerOracleTask:
-    """Flatten a layer segment, run the oracle, and report raw gates."""
-
-    __slots__ = ("oracle",)
-
-    def __init__(self, oracle: OracleFn):
-        self.oracle = oracle
-
-    def __call__(self, layers: list[Layer]) -> list[Gate]:
-        flat: list[Gate] = []
-        for layer in layers:
-            flat.extend(layer)
-        return self.oracle(flat)
 
 
 def _flatten(layers: Sequence[Layer]) -> list[Gate]:
@@ -87,149 +57,28 @@ def layered_popqc(
     parmap: Optional[ParallelMap] = None,
     cost: Optional[CostFn] = None,
     max_rounds: Optional[int] = None,
-    transport: str = "auto",
 ) -> LayeredPopqcResult:
     """POPQC at layer granularity with a gate-level cost function.
 
     ``omega`` counts *layers* (the paper uses Ω=100 layers for the
     Quartz/depth experiment).  ``cost`` defaults to the paper's mixed
-    cost ``10*depth + gates``.  ``transport`` selects the oracle
-    transport as in :func:`repro.core.popqc.popqc`: layer segments are
-    flattened to gate lists parent-side, shipped through
-    ``pmap.map_segments`` (the oracle never sees our layering anyway),
-    and re-layered on return.
+    cost ``10*depth + gates``.  The round loop is
+    :func:`repro.core.popqc.popqc`'s; only the granularity differs:
+    layer segments are flattened to gate lists before the oracle map
+    (the oracle never sees our layering), and oracle outputs are
+    re-layered before the fit test and the substitution.
     """
-    if omega < 1:
-        raise ValueError("omega must be positive")
-    pmap = parmap if parmap is not None else SerialMap()
-    cost_fn = cost if cost is not None else mixed_cost()
     num_qubits = circuit.num_qubits
-    use_segments = resolve_segment_transport(pmap, transport)
 
-    layers: list[Layer] = [
-        tuple(layer) for layer in layers_asap(circuit.gates, num_qubits)
-    ]
-    stats = OptimizationStats(
-        initial_gates=circuit.num_gates,
-        initial_cost=cost_fn(list(circuit.gates)),
-        workers=getattr(pmap, "workers", 1),
+    def relayer(gates: Sequence[Gate]) -> list[Layer]:
+        return [tuple(layer) for layer in layers_asap(gates, num_qubits)]
+
+    return _optimize(
+        circuit,
+        oracle,
+        omega,
+        _Granularity(to_gates=_flatten, to_items=relayer),
+        parmap=parmap,
+        cost_fn=cost if cost is not None else mixed_cost(),
+        max_rounds=max_rounds,
     )
-    dispatches_before = record_transport(stats, pmap, use_segments)
-    t_start = time.perf_counter()
-
-    array: TombstoneArray[Layer] = TombstoneArray(layers)
-    fingers = initial_fingers(len(layers), omega)
-    task = _LayerOracleTask(oracle)
-    simulated = isinstance(pmap, SimulatedParallelism)
-
-    while fingers:
-        if max_rounds is not None and stats.rounds >= max_rounds:
-            break
-        stats.rounds += 1
-        rstats = RoundStats(fingers=len(fingers))
-        t_round = time.perf_counter()
-
-        fingers = _layered_round(
-            array,
-            fingers,
-            task,
-            omega,
-            pmap,
-            cost_fn,
-            num_qubits,
-            rstats,
-            simulated,
-            use_segments,
-        )
-
-        round_total = time.perf_counter() - t_round
-        rstats.admin_time = max(0.0, round_total - rstats.oracle_time)
-        stats.oracle_calls += rstats.selected
-        stats.oracle_accepted += rstats.accepted
-        stats.oracle_time += rstats.oracle_time
-        stats.admin_time += rstats.admin_time
-        stats.serialization_time += rstats.serialization_time
-        stats.simulated_oracle_time += rstats.oracle_makespan
-        stats.per_round.append(rstats)
-
-    final_gates = _flatten(array.items())
-    stats.final_gates = len(final_gates)
-    stats.final_cost = cost_fn(final_gates)
-    stats.total_time = time.perf_counter() - t_start
-    finalize_transport(stats, pmap, dispatches_before)
-    return LayeredPopqcResult(Circuit(final_gates, num_qubits), stats)
-
-
-def _layered_round(
-    array: TombstoneArray[Layer],
-    fingers: list[int],
-    task: _LayerOracleTask,
-    omega: int,
-    pmap: ParallelMap,
-    cost_fn: CostFn,
-    num_qubits: int,
-    rstats: RoundStats,
-    simulated: bool,
-    use_segments: bool = False,
-) -> list[int]:
-    total_live = array.live_count
-    if total_live == 0:
-        return []
-
-    ranks = [array.before(f) for f in fingers]
-    selected_pos, remaining_pos = select_fingers(ranks, omega)
-    kept_remaining = [fingers[p] for p in remaining_pos]
-
-    seg_slots: list[list[int]] = []
-    seg_layers: list[list[Layer]] = []
-    seg_bounds: list[tuple[int, int]] = []
-    for p in selected_pos:
-        rank = min(ranks[p], total_live)
-        lo = max(0, rank - omega)
-        hi = min(total_live, rank + omega)
-        slots, seg = array.segment(lo, hi)
-        seg_slots.append(slots)
-        seg_layers.append(seg)
-        seg_bounds.append((lo, hi))
-
-    makespan_before = (
-        pmap.simulated_elapsed if simulated else 0.0  # type: ignore[attr-defined]
-    )
-    t_oracle = time.perf_counter()
-    if use_segments:
-        # flatten parent-side: the persistent-worker transport carries
-        # gate segments, and the oracle is layering-agnostic anyway
-        results = pmap.map_segments(  # type: ignore[attr-defined]
-            task.oracle, [_flatten(seg) for seg in seg_layers]
-        )
-        rstats.serialization_time = getattr(pmap, "last_serialization_time", 0.0)
-    else:
-        results = pmap.map(task, seg_layers)
-    rstats.oracle_time = time.perf_counter() - t_oracle
-    if simulated:
-        rstats.oracle_makespan = (
-            pmap.simulated_elapsed - makespan_before  # type: ignore[attr-defined]
-        )
-    rstats.selected = len(seg_layers)
-
-    updates: list[tuple[int, Optional[Layer]]] = []
-    new_fingers: list[int] = []
-    for slots, seg, (lo, hi), opt_gates in zip(
-        seg_slots, seg_layers, seg_bounds, results
-    ):
-        if not slots:
-            continue
-        old_gates = _flatten(seg)
-        opt_layers = [tuple(layer) for layer in layers_asap(opt_gates, num_qubits)]
-        if len(opt_layers) <= len(slots) and cost_fn(opt_gates) < cost_fn(old_gates):
-            rstats.accepted += 1
-            for i, slot in enumerate(slots):
-                updates.append((slot, opt_layers[i] if i < len(opt_layers) else None))
-            if lo > 0:
-                new_fingers.append(slots[0])
-            if hi < total_live:
-                new_fingers.append(array.index_of(hi))
-
-    if updates:
-        array.substitute(updates)
-    return sorted(set(kept_remaining) | set(new_fingers))

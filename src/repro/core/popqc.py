@@ -16,17 +16,24 @@ might still be optimizable contains a finger.  Each round it:
 The output circuit is locally optimal with respect to the oracle and Ω
 (Theorem 7) whenever the oracle is *well-behaved* — our rule-based
 oracles achieve this by running their rewrite passes to a fixpoint.
+
+This module holds the only implementation of that loop
+(:func:`_optimize`).  :func:`popqc` runs it over gates,
+:func:`repro.core.layered.layered_popqc` over ASAP layers (a
+:class:`_Granularity` says how array items become the gates the oracle
+sees, and back), and :func:`repro.core.trace.popqc_traced` listens to
+its per-round callback.  The oracle wire format is the executor's
+business (``ProcessMap(transport=...)``), not the driver's.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from ..circuits import Circuit, Gate
-from ..parallel import TRANSPORTS, ParallelMap, SerialMap, SimulatedParallelism
-from ..parallel.executor import _PickledOracleCall
+from ..parallel import ParallelMap, SerialMap
 from .fingers import initial_fingers, select_fingers
 from .index_tree import IndexTree
 from .stats import (
@@ -43,7 +50,6 @@ __all__ = [
     "OracleFn",
     "CostFn",
     "OracleContractViolation",
-    "resolve_segment_transport",
 ]
 
 
@@ -61,6 +67,14 @@ OracleFn = Callable[[list[Gate]], list[Gate]]
 #: A cost maps a gate segment to a comparable number (default: length).
 CostFn = Callable[[Sequence[Gate]], float]
 
+#: Per-round observer, called with the fields of
+#: :class:`repro.core.trace.RoundTrace` in order: ``(round_index,
+#: live_before, live_after, finger_ranks, selected_ranks,
+#: accepted_regions)``.
+RoundCallback = Callable[
+    [int, int, int, list[int], list[int], list[tuple[int, int]]], None
+]
+
 
 @dataclass
 class PopqcResult:
@@ -74,48 +88,23 @@ def _gate_count_cost(segment: Sequence[Gate]) -> float:
     return float(len(segment))
 
 
-#: Picklable oracle-application task for process-pool executors; shared
-#: with the pickle transport so both legacy paths stay identical.
-_OracleTask = _PickledOracleCall
+def _same(x: Any) -> Any:
+    return x
 
 
-def resolve_segment_transport(pmap: ParallelMap, transport: str) -> bool:
-    """Whether a driver should route oracle maps through
-    ``pmap.map_segments`` for the requested ``transport``.
+@dataclass(frozen=True)
+class _Granularity:
+    """What one tombstone-array item is, relative to the oracle's gates.
 
-    ``"auto"`` uses the executor's persistent-worker transport when it
-    offers one; ``"pickle"`` forces the legacy object-map path.  A
-    concrete wire format
-    (``"encoded"``/``"shm"``/``"threads"``/``"socket"``)
-    requires a transport-capable executor configured for that format —
-    except that requesting ``"shm"`` from an executor that *fell back*
-    to ``"encoded"`` (platform without shared memory) is accepted, so
-    one call site works everywhere.  Raises :class:`ValueError`
-    otherwise.
+    ``to_gates`` turns a run of items into the flat gate list the oracle
+    and the cost function see; ``to_items`` turns a gate sequence (the
+    input circuit, an oracle output) into the items written back.  Both
+    are the identity at gate granularity, so a lazy oracle result is
+    only decoded when an accepted rewrite reads its gates.
     """
-    valid_transports = ("auto", *TRANSPORTS)
-    if transport not in valid_transports:
-        raise ValueError(
-            f"unknown transport {transport!r}; expected one of {valid_transports}"
-        )
-    supports_segments = hasattr(pmap, "map_segments")
-    if transport == "pickle":
-        return False
-    if transport == "auto":
-        return supports_segments
-    if not supports_segments:
-        raise ValueError(
-            f"transport={transport!r} requires an executor with map_segments; "
-            f"{pmap!r} has none"
-        )
-    configured = getattr(pmap, "transport", transport)
-    requested = getattr(pmap, "requested_transport", configured)
-    if transport not in (configured, requested):
-        raise ValueError(
-            f"transport={transport!r} conflicts with the executor's own wire "
-            f"format ({pmap!r})"
-        )
-    return True
+
+    to_gates: Callable[[list], list[Gate]] = _same
+    to_items: Callable[[Sequence[Gate]], Sequence] = _same
 
 
 def popqc(
@@ -130,7 +119,6 @@ def popqc(
     check_invariants: bool = False,
     validate_oracle: bool = False,
     validation_max_qubits: int = 12,
-    transport: str = "auto",
 ) -> PopqcResult:
     """Optimize ``circuit`` to local optimality w.r.t. ``oracle`` and Ω.
 
@@ -146,7 +134,13 @@ def popqc(
     omega:
         Segment-size parameter Ω (paper default: 200).
     parmap:
-        Parallel-map executor; defaults to :class:`SerialMap`.
+        Parallel-map executor; defaults to :class:`SerialMap`.  An
+        executor offering ``map_segments(oracle, segments)`` (currently
+        :class:`~repro.parallel.ProcessMap`, which also picks the wire
+        format) is driven through it, any other through
+        ``map(oracle, segments)``.  ``map_segments`` results decode
+        lazily: only accepted rewrites are ever unpacked into gates
+        (``stats.skipped_decode_bytes`` reports the savings).
     cost:
         Acceptance cost; defaults to gate count, matching Algorithm 3's
         ``|optSegment| < |segment|`` test.  The depth-aware experiment
@@ -168,26 +162,46 @@ def popqc(
         :class:`OracleContractViolation`.  Intended for integrating
         untrusted oracles; costs one small simulation per accepted
         call.
-    transport:
-        How oracle segments reach the executor's workers.  ``"auto"``
-        (default) uses the executor's persistent-worker transport when
-        it offers one (``map_segments``, currently
-        :class:`~repro.parallel.ProcessMap`) and plain ``map``
-        otherwise.  ``"encoded"``, ``"shm"``, ``"threads"`` and
-        ``"socket"`` (distributed worker hosts over TCP, see
-        :mod:`repro.parallel.dist`) require
-        a transport-capable executor configured for that wire format
-        (raises :class:`ValueError` otherwise; see
-        :func:`resolve_segment_transport`); ``"pickle"`` forces the
-        legacy path that re-pickles the oracle and the gate objects
-        every round, kept for benchmarking.  Results from
-        ``map_segments`` decode lazily: only accepted rewrites are
-        ever unpacked into gates (``stats.skipped_decode_bytes``
-        reports the savings).
 
     Returns
     -------
     PopqcResult with the optimized :class:`Circuit` and statistics.
+    """
+    return _optimize(
+        circuit,
+        oracle,
+        omega,
+        _Granularity(),
+        parmap=parmap,
+        cost_fn=cost if cost is not None else _gate_count_cost,
+        tree_factory=tree_factory,
+        max_rounds=max_rounds,
+        check_invariants=check_invariants,
+        validate_oracle=validate_oracle,
+        validation_max_qubits=validation_max_qubits,
+    )
+
+
+def _optimize(
+    circuit: Circuit | Sequence[Gate],
+    oracle: OracleFn,
+    omega: int,
+    granularity: _Granularity,
+    *,
+    parmap: Optional[ParallelMap],
+    cost_fn: CostFn,
+    tree_factory: Callable[[Sequence[int]], IndexTree] = IndexTree,
+    max_rounds: Optional[int] = None,
+    check_invariants: bool = False,
+    validate_oracle: bool = False,
+    validation_max_qubits: int = 12,
+    on_round: Optional[RoundCallback] = None,
+) -> PopqcResult:
+    """The round loop of Algorithm 2, shared by every public driver.
+
+    Ω counts tombstone-array items (gates, or layers under a layered
+    ``granularity``); ``cost_fn`` always sees gates.  ``on_round`` is
+    called once per counted round, after its substitutions.
     """
     if omega < 1:
         raise ValueError("omega must be positive")
@@ -198,145 +212,133 @@ def popqc(
         gates = list(circuit)
         num_qubits = None
     pmap = parmap if parmap is not None else SerialMap()
-    cost_fn = cost if cost is not None else _gate_count_cost
-
-    use_segments = resolve_segment_transport(pmap, transport)
+    # the one executor seam: the oracle-transport extension when the
+    # executor has it, the protocol's plain map otherwise
+    oracle_map = getattr(pmap, "map_segments", None) or pmap.map
 
     stats = OptimizationStats(
         initial_gates=len(gates),
         initial_cost=cost_fn(gates),
         workers=getattr(pmap, "workers", 1),
     )
-    dispatches_before = record_transport(stats, pmap, use_segments)
+    counters_before = record_transport(stats, pmap)
     t_start = time.perf_counter()
 
-    array: TombstoneArray[Gate] = TombstoneArray(gates, tree_factory)
-    fingers = initial_fingers(len(gates), omega)
-    task = _OracleTask(oracle)
-    simulated = isinstance(pmap, SimulatedParallelism)
+    array: TombstoneArray = TombstoneArray(granularity.to_items(gates), tree_factory)
+    fingers = initial_fingers(len(array), omega)
 
-    while fingers:
-        if max_rounds is not None and stats.rounds >= max_rounds:
-            break
-        stats.rounds += 1
+    while fingers and (max_rounds is None or stats.rounds < max_rounds):
         rstats = RoundStats(fingers=len(fingers))
+        live_before = array.live_count
         t_round = time.perf_counter()
-
-        fingers = _run_round(
+        fingers, *observed = _run_round(
             array,
             fingers,
-            task,
+            oracle,
             omega,
+            granularity,
             pmap,
+            oracle_map,
             cost_fn,
             rstats,
-            simulated,
             check_invariants,
             validate_oracle,
             validation_max_qubits,
-            use_segments,
         )
-
         round_total = time.perf_counter() - t_round
         rstats.admin_time = max(0.0, round_total - rstats.oracle_time)
-        stats.oracle_calls += rstats.selected
-        stats.oracle_accepted += rstats.accepted
-        stats.oracle_time += rstats.oracle_time
-        stats.admin_time += rstats.admin_time
-        stats.serialization_time += rstats.serialization_time
-        stats.simulated_oracle_time += rstats.oracle_makespan
-        stats.per_round.append(rstats)
+        stats.add_round(rstats)
+        if on_round is not None:
+            on_round(stats.rounds, live_before, array.live_count, *observed)
 
-    final_gates = array.items()
+    final_gates = granularity.to_gates(array.items())
     stats.final_gates = len(final_gates)
     stats.final_cost = cost_fn(final_gates)
     stats.total_time = time.perf_counter() - t_start
-    finalize_transport(stats, pmap, dispatches_before)
+    finalize_transport(stats, pmap, counters_before)
     return PopqcResult(Circuit(final_gates, num_qubits), stats)
 
 
 def _run_round(
-    array: TombstoneArray[Gate],
+    array: TombstoneArray,
     fingers: list[int],
-    task: _OracleTask,
+    oracle: OracleFn,
     omega: int,
+    granularity: _Granularity,
     pmap: ParallelMap,
+    oracle_map: Callable[[OracleFn, list[list[Gate]]], Sequence[Sequence[Gate]]],
     cost_fn: CostFn,
     rstats: RoundStats,
-    simulated: bool,
     check_invariants: bool,
-    validate_oracle: bool = False,
-    validation_max_qubits: int = 12,
-    use_segments: bool = False,
-) -> list[int]:
+    validate_oracle: bool,
+    validation_max_qubits: int,
+) -> tuple[list[int], list[int], list[int], list[tuple[int, int]]]:
     """One iteration of ``optimizeSegments`` (Algorithm 3).
 
-    Returns the next round's sorted finger list.
+    Returns the next round's sorted finger list, plus what a round
+    observer wants to see: this round's finger ranks, the selected
+    ones among them, and the accepted ``(lo, hi)`` rank regions.
     """
     total_live = array.live_count
     if total_live == 0:
-        return []
+        return [], [], [], []
 
     # Rank every finger.  Fingers are array indices, so sorted finger
     # order implies sorted rank order (before() is monotone).
     ranks = [array.before(f) for f in fingers]
     selected_pos, remaining_pos = select_fingers(ranks, omega)
+    selected_ranks = [ranks[p] for p in selected_pos]
 
     if check_invariants:
-        _assert_non_interfering([ranks[p] for p in selected_pos], omega)
+        _assert_non_interfering(selected_ranks, omega)
 
     # Extract the 2Ω-segment centered on each selected finger.
     seg_slots: list[list[int]] = []
     seg_gates: list[list[Gate]] = []
     seg_bounds: list[tuple[int, int]] = []
     kept_remaining = [fingers[p] for p in remaining_pos]
-    for p in selected_pos:
-        rank = min(ranks[p], total_live)
+    for finger_rank in selected_ranks:
+        rank = min(finger_rank, total_live)
         lo = max(0, rank - omega)
         hi = min(total_live, rank + omega)
         slots, seg = array.segment(lo, hi)
         seg_slots.append(slots)
-        seg_gates.append(seg)
+        seg_gates.append(granularity.to_gates(seg))
         seg_bounds.append((lo, hi))
 
     if check_invariants:
         _assert_disjoint_slots(seg_slots)
 
     # Parallel oracle map (the only source of parallelism, per Sec. 2.4).
-    makespan_before = (
-        pmap.simulated_elapsed if simulated else 0.0  # type: ignore[attr-defined]
-    )
+    # ``simulated_elapsed`` exists on SimulatedParallelism only.
+    makespan_before = getattr(pmap, "simulated_elapsed", 0.0)
     t_oracle = time.perf_counter()
-    if use_segments:
-        results = pmap.map_segments(  # type: ignore[attr-defined]
-            task.oracle, seg_gates
-        )
-        rstats.serialization_time = getattr(pmap, "last_serialization_time", 0.0)
-    else:
-        results = pmap.map(task, seg_gates)
+    results = oracle_map(oracle, seg_gates)
     rstats.oracle_time = time.perf_counter() - t_oracle
-    if simulated:
-        rstats.oracle_makespan = (
-            pmap.simulated_elapsed - makespan_before  # type: ignore[attr-defined]
-        )
+    rstats.serialization_time = getattr(pmap, "last_serialization_time", 0.0)
+    rstats.oracle_makespan = getattr(pmap, "simulated_elapsed", 0.0) - makespan_before
     rstats.selected = len(seg_gates)
 
     # Accept / reject, build the batched substitution and new fingers.
-    updates: list[tuple[int, Optional[Gate]]] = []
+    updates: list[tuple[int, Any]] = []
     new_fingers: list[int] = []
-    for slots, seg, (lo, hi), opt in zip(seg_slots, seg_gates, seg_bounds, results):
+    accepted_regions: list[tuple[int, int]] = []
+    for slots, seg, bounds, opt in zip(seg_slots, seg_gates, seg_bounds, results):
         if not slots:
             continue
-        if len(opt) <= len(slots) and cost_fn(opt) < cost_fn(seg):
+        opt_items = granularity.to_items(opt)
+        if len(opt_items) <= len(slots) and cost_fn(opt) < cost_fn(seg):
             if validate_oracle:
                 _validate_oracle_output(seg, opt, validation_max_qubits)
             rstats.accepted += 1
+            accepted_regions.append(bounds)
             for i, slot in enumerate(slots):
-                updates.append((slot, opt[i] if i < len(opt) else None))
+                updates.append((slot, opt_items[i] if i < len(opt_items) else None))
             # Boundary fingers (Lemma 6): the first slot of the optimized
             # region covers segments crossing its left boundary; the first
             # live gate after the region covers the right boundary.  Both
             # are computed before the substitution shifts ranks.
+            lo, hi = bounds
             if lo > 0:
                 new_fingers.append(slots[0])
             if hi < total_live:
@@ -348,7 +350,7 @@ def _run_round(
 
     # mergeAndDeduplicate: both lists hold array indices; keep sorted order.
     merged = sorted(set(kept_remaining) | set(new_fingers))
-    return merged
+    return merged, ranks, selected_ranks, accepted_regions
 
 
 def _validate_oracle_output(

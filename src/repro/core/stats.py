@@ -235,6 +235,17 @@ class OptimizationStats:
             return 1.0
         return self.total_time / par
 
+    def add_round(self, r: RoundStats) -> None:
+        """Count one finished round into the run totals."""
+        self.rounds += 1
+        self.oracle_calls += r.selected
+        self.oracle_accepted += r.accepted
+        self.oracle_time += r.oracle_time
+        self.admin_time += r.admin_time
+        self.serialization_time += r.serialization_time
+        self.simulated_oracle_time += r.oracle_makespan
+        self.per_round.append(r)
+
     def summary(self) -> str:
         """One-line human-readable summary."""
         return (
@@ -273,22 +284,15 @@ _TRANSPORT_COUNTERS = (
 _HOST_COUNTERS = ("socket_host_segments", "socket_host_seconds")
 
 
-def record_transport(
-    stats: OptimizationStats, pmap: object, use_segments: bool = False
-) -> object:
-    """Label ``stats.transport`` for the oracle path a driver is about
-    to take, and snapshot the executor's transport counters.
+def record_transport(stats: OptimizationStats, pmap: object) -> object:
+    """Label ``stats.transport`` with the executor's wire format
+    (``"inline"`` for executors that have none) and snapshot the
+    executor's transport counters.
 
-    ``use_segments`` marks drivers that route through
-    ``pmap.map_segments``; legacy drivers mapping gate objects over a
-    segment-capable executor are labelled ``"pickle"``.  The returned
-    snapshot goes to :func:`finalize_transport`, which turns the
-    counter deltas into per-run statistics.
+    The returned snapshot goes to :func:`finalize_transport`, which
+    turns the counter deltas into per-run statistics.
     """
-    if use_segments:
-        stats.transport = getattr(pmap, "transport", "encoded")
-    elif hasattr(pmap, "map_segments"):
-        stats.transport = "pickle"
+    stats.transport = getattr(pmap, "transport", "inline")
     snapshot = {
         name: getattr(pmap, name)
         for name in _TRANSPORT_COUNTERS

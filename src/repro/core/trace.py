@@ -20,22 +20,15 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..circuits import Circuit, Gate
-from ..parallel import ParallelMap, SerialMap
-from .fingers import initial_fingers, select_fingers
+from ..parallel import ParallelMap
 from .popqc import (
     CostFn,
     OracleFn,
     PopqcResult,
-    _OracleTask,
-    resolve_segment_transport,
+    _gate_count_cost,
+    _Granularity,
+    _optimize,
 )
-from .stats import (
-    OptimizationStats,
-    RoundStats,
-    finalize_transport,
-    record_transport,
-)
-from .tombstone import TombstoneArray
 
 __all__ = ["RoundTrace", "popqc_traced", "render_trace"]
 
@@ -61,117 +54,25 @@ def popqc_traced(
     parmap: Optional[ParallelMap] = None,
     cost: Optional[CostFn] = None,
     max_rounds: Optional[int] = None,
-    transport: str = "auto",
 ) -> tuple[PopqcResult, list[RoundTrace]]:
     """Run POPQC while recording a :class:`RoundTrace` per round.
 
-    A transparent reimplementation of the driver loop (same round
-    semantics as :func:`repro.core.popqc.popqc`; the agreement is pinned
-    by tests) that additionally snapshots each round.  ``transport``
-    selects the oracle transport exactly as in the main driver.
+    The run *is* :func:`repro.core.popqc.popqc` — same loop, same
+    result, same statistics — observed through its per-round callback,
+    so there is one trace entry per counted round.
     """
-    import time
-
-    if omega < 1:
-        raise ValueError("omega must be positive")
-    if isinstance(circuit, Circuit):
-        gates = list(circuit.gates)
-        num_qubits: Optional[int] = circuit.num_qubits
-    else:
-        gates = list(circuit)
-        num_qubits = None
-    pmap = parmap if parmap is not None else SerialMap()
-    cost_fn = cost if cost is not None else (lambda seg: float(len(seg)))
-    use_segments = resolve_segment_transport(pmap, transport)
-
-    stats = OptimizationStats(
-        initial_gates=len(gates),
-        initial_cost=cost_fn(gates),
-        workers=getattr(pmap, "workers", 1),
-    )
-    dispatches_before = record_transport(stats, pmap, use_segments)
-    t_start = time.perf_counter()
-    array: TombstoneArray[Gate] = TombstoneArray(gates)
-    fingers = initial_fingers(len(gates), omega)
-    task = _OracleTask(oracle)
     trace: list[RoundTrace] = []
-
-    while fingers:
-        if max_rounds is not None and stats.rounds >= max_rounds:
-            break
-        stats.rounds += 1
-        rstats = RoundStats(fingers=len(fingers))
-        total_live = array.live_count
-        if total_live == 0:
-            break
-
-        ranks = [array.before(f) for f in fingers]
-        selected_pos, remaining_pos = select_fingers(ranks, omega)
-        kept_remaining = [fingers[p] for p in remaining_pos]
-
-        seg_slots, seg_gates, seg_bounds = [], [], []
-        for p in selected_pos:
-            rank = min(ranks[p], total_live)
-            lo = max(0, rank - omega)
-            hi = min(total_live, rank + omega)
-            slots, seg = array.segment(lo, hi)
-            seg_slots.append(slots)
-            seg_gates.append(seg)
-            seg_bounds.append((lo, hi))
-
-        t_oracle = time.perf_counter()
-        if use_segments:
-            results = pmap.map_segments(  # type: ignore[attr-defined]
-                task.oracle, seg_gates
-            )
-            rstats.serialization_time = getattr(pmap, "last_serialization_time", 0.0)
-        else:
-            results = pmap.map(task, seg_gates)
-        rstats.oracle_time = time.perf_counter() - t_oracle
-        rstats.selected = len(seg_gates)
-
-        updates: list[tuple[int, Optional[Gate]]] = []
-        new_fingers: list[int] = []
-        accepted_regions: list[tuple[int, int]] = []
-        for slots, seg, (lo, hi), opt in zip(seg_slots, seg_gates, seg_bounds, results):
-            if not slots:
-                continue
-            if len(opt) <= len(slots) and cost_fn(opt) < cost_fn(seg):
-                rstats.accepted += 1
-                accepted_regions.append((lo, hi))
-                for i, slot in enumerate(slots):
-                    updates.append((slot, opt[i] if i < len(opt) else None))
-                if lo > 0:
-                    new_fingers.append(slots[0])
-                if hi < total_live:
-                    new_fingers.append(array.index_of(hi))
-        if updates:
-            array.substitute(updates)
-
-        trace.append(
-            RoundTrace(
-                round_index=stats.rounds,
-                live_before=total_live,
-                live_after=array.live_count,
-                finger_ranks=list(ranks),
-                selected_ranks=[ranks[p] for p in selected_pos],
-                accepted_regions=accepted_regions,
-            )
-        )
-        stats.oracle_calls += rstats.selected
-        stats.oracle_accepted += rstats.accepted
-        stats.oracle_time += rstats.oracle_time
-        stats.serialization_time += rstats.serialization_time
-        stats.per_round.append(rstats)
-        fingers = sorted(set(kept_remaining) | set(new_fingers))
-
-    final_gates = array.items()
-    stats.final_gates = len(final_gates)
-    stats.final_cost = cost_fn(final_gates)
-    stats.total_time = time.perf_counter() - t_start
-    stats.admin_time = max(0.0, stats.total_time - stats.oracle_time)
-    finalize_transport(stats, pmap, dispatches_before)
-    return PopqcResult(Circuit(final_gates, num_qubits), stats), trace
+    result = _optimize(
+        circuit,
+        oracle,
+        omega,
+        _Granularity(),
+        parmap=parmap,
+        cost_fn=cost if cost is not None else _gate_count_cost,
+        max_rounds=max_rounds,
+        on_round=lambda *fields: trace.append(RoundTrace(*fields)),
+    )
+    return result, trace
 
 
 def render_trace(trace: Sequence[RoundTrace], width: int = 72) -> str:

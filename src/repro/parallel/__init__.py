@@ -38,11 +38,10 @@ header), so rejected oracle outputs are never decoded.  The skipped
 work is tracked by :class:`DecodeStats` and surfaced as
 ``OptimizationStats.skipped_decode_bytes``.
 
-The POPQC driver talks to executors through ``map``; executors that
-also provide ``map_segments(oracle, segments)`` (currently
-:class:`ProcessMap`) opt into the persistent-worker transport and the
-driver will use it unless told otherwise (``popqc(...,
-transport="pickle")``).
+The POPQC driver reaches an executor through one seam:
+``map_segments(oracle, segments)`` when the executor provides it
+(currently :class:`ProcessMap`, whose ``transport=`` picks the wire
+format), ``map(oracle, segments)`` otherwise.
 
 The fifth transport completes the ladder: ``"socket"``
 (:mod:`repro.parallel.dist`) carries the same packed bytes as

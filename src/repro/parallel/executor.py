@@ -380,8 +380,7 @@ class _PickledOracleCall:
     """Picklable oracle-application wrapper.
 
     The pickle transport ships one of these with every chunk (the seed
-    behaviour); the POPQC driver reuses it (as ``_OracleTask``) for the
-    legacy ``pmap.map`` path so both baselines stay identical.
+    behaviour, kept as the benchmark baseline).
     """
 
     __slots__ = ("oracle",)

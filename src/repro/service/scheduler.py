@@ -367,8 +367,8 @@ class FleetView:
 
     Implements just enough of the executor surface for the POPQC
     driver: ``map_segments`` (routed through
-    :meth:`FleetScheduler.run_round`), a serial ``map`` fallback, and
-    the per-job cache counters the stats layer snapshots
+    :meth:`FleetScheduler.run_round`) and the per-job cache counters
+    the stats layer snapshots
     (``cache_hits`` / ``cache_misses`` / ``cache_bytes_saved`` /
     ``cache_lookup_seconds``), so ``OptimizationStats.cache_hit_rate``
     and the lookup-cost accounting are exact for *this* job even while
@@ -383,7 +383,6 @@ class FleetView:
         self.cache_misses = 0
         self.cache_bytes_saved = 0
         self.cache_lookup_seconds = 0.0
-        self.last_serialization_time = 0.0
 
     @property
     def workers(self) -> int:
@@ -409,10 +408,6 @@ class FleetView:
         self.cache_bytes_saved += saved
         self.cache_lookup_seconds += lookup
         return results
-
-    def map(self, fn, items):
-        """Serial fallback map (jobs parallelize through segments only)."""
-        return [fn(item) for item in items]
 
     def close(self) -> None:
         """No-op: the scheduler owns the fleet's lifetime."""

@@ -1,11 +1,25 @@
 """Tests for the layered POPQC variant (Section 7.8)."""
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.circuits import Circuit, H, X, random_redundant_circuit
-from repro.core import layered_popqc, mixed_cost
+from repro.circuits import RZ, Circuit, H, X, random_redundant_circuit
+from repro.core import layered_popqc, mixed_cost, popqc
 from repro.oracles import MixedCost, NamOracle, SearchOracle
 from repro.sim import circuits_equivalent
+
+from ..conftest import ANGLES
+
+#: One-qubit circuits: every ASAP layer holds exactly one gate, so a
+#: layer *is* a gate and the two drivers must coincide.
+single_qubit_circuits = st.lists(
+    st.one_of(
+        st.just(H(0)),
+        st.just(X(0)),
+        st.sampled_from(ANGLES).map(lambda angle: RZ(0, angle)),
+    ),
+    max_size=60,
+).map(lambda gates: Circuit(gates, 1))
 
 
 class TestMixedCost:
@@ -62,3 +76,17 @@ class TestLayeredPopqc:
         assert res.stats.rounds >= 1
         assert res.stats.initial_gates == c.num_gates
         assert res.stats.final_gates == res.circuit.num_gates
+
+
+class TestGranularityIsTheOnlyDifference:
+    @given(single_qubit_circuits, st.integers(1, 8))
+    def test_one_gate_layers_match_the_gate_driver(self, c, omega):
+        layered = layered_popqc(c, NamOracle(), omega, cost=len)
+        plain = popqc(c, NamOracle(), omega)
+        assert layered.circuit.gates == plain.circuit.gates
+        assert layered.stats.rounds == plain.stats.rounds
+        assert layered.stats.oracle_calls == plain.stats.oracle_calls
+        assert layered.stats.oracle_accepted == plain.stats.oracle_accepted
+        assert [
+            (r.fingers, r.selected, r.accepted) for r in layered.stats.per_round
+        ] == [(r.fingers, r.selected, r.accepted) for r in plain.stats.per_round]

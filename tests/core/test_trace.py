@@ -8,19 +8,35 @@ from repro.oracles import IdentityOracle, NamOracle
 from repro.sim import circuits_equivalent
 
 
+#: Circuits that cancel to empty: their last round finds fingers but
+#: no live gate, and still counts (popqc's round count is the reference).
+CANCEL_TO_EMPTY = [
+    (Circuit([H(0)] * n, 1), omega) for n in (4, 10, 38) for omega in (1, 2, 4)
+]
+
+
 class TestTracedRun:
     def test_matches_untraced_result(self):
-        c = random_redundant_circuit(4, 200, seed=1, redundancy=0.6)
-        traced, trace = popqc_traced(c, NamOracle(), 15)
-        plain = popqc(c, NamOracle(), 15)
-        assert traced.circuit.gates == plain.circuit.gates
-        assert traced.stats.rounds == plain.stats.rounds
-        assert traced.stats.oracle_calls == plain.stats.oracle_calls
+        cases = [(random_redundant_circuit(4, 200, seed=1, redundancy=0.6), 15)]
+        for c, omega in cases + CANCEL_TO_EMPTY:
+            traced, trace = popqc_traced(c, NamOracle(), omega)
+            plain = popqc(c, NamOracle(), omega)
+            where = f"{c.num_gates} gates, omega={omega}"
+            assert traced.circuit.gates == plain.circuit.gates, where
+            assert traced.stats.rounds == plain.stats.rounds, where
+            assert traced.stats.oracle_calls == plain.stats.oracle_calls, where
+            assert len(traced.stats.per_round) == len(plain.stats.per_round), where
+            assert len(trace) == plain.stats.rounds, where
 
     def test_one_trace_entry_per_round(self):
-        c = random_redundant_circuit(4, 150, seed=2)
-        res, trace = popqc_traced(c, NamOracle(), 10)
-        assert len(trace) == res.stats.rounds
+        cases = [(random_redundant_circuit(4, 150, seed=2), 10)]
+        for c, omega in cases + CANCEL_TO_EMPTY:
+            res, trace = popqc_traced(c, NamOracle(), omega)
+            where = f"{c.num_gates} gates, omega={omega}"
+            assert len(trace) == res.stats.rounds == len(res.stats.per_round), where
+            assert [rt.round_index for rt in trace] == list(
+                range(1, res.stats.rounds + 1)
+            ), where
 
     def test_live_counts_monotone(self):
         c = random_redundant_circuit(4, 200, seed=3, redundancy=0.7)

@@ -82,10 +82,10 @@ class TestProcessMap:
     def test_picklable_oracle_roundtrip(self):
         # the actual POPQC use case: a NamOracle crossing process bounds
         from repro.circuits import H
-        from repro.core.popqc import _OracleTask
         from repro.oracles import NamOracle
+        from repro.parallel.executor import _PickledOracleCall
 
-        task = _OracleTask(NamOracle())
+        task = _PickledOracleCall(NamOracle())
         clone = pickle.loads(pickle.dumps(task))
         assert clone([H(0), H(0)]) == []
 

@@ -189,7 +189,7 @@ class TestShmFallback:
             pm = ProcessMap(2, serial_cutoff=0, transport="shm")
         try:
             circuit = Circuit(sum(_segments(20), []), 2)
-            res = popqc(circuit, NamOracle(), 4, parmap=pm, transport="shm")
+            res = popqc(circuit, NamOracle(), 4, parmap=pm)
             assert res.stats.transport == "encoded"  # what actually ran
         finally:
             pm.close()

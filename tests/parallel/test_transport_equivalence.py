@@ -27,12 +27,23 @@ SUITE = [
 ]
 
 
-def _run_suite(parmap, **popqc_kwargs):
+def _run_suite(parmap):
     oracle = NamOracle()
     try:
-        return [popqc(c, oracle, OMEGA, parmap=parmap, **popqc_kwargs) for c in SUITE]
+        return [popqc(c, oracle, OMEGA, parmap=parmap) for c in SUITE]
     finally:
         parmap.close()
+
+
+class _MapOnly:
+    """A process pool reachable through ``map`` alone (what a
+    third-party executor without ``map_segments`` looks like)."""
+
+    def __init__(self, pool):
+        self._pool = pool
+        self.workers = pool.workers
+        self.map = pool.map
+        self.close = pool.close
 
 
 @pytest.fixture(scope="module")
@@ -48,17 +59,14 @@ def socket_hosts():
 
 
 @pytest.mark.parametrize(
-    "make_parmap,kwargs",
+    "make_parmap",
     [
-        (lambda: ThreadMap(2), {}),
-        (lambda: ProcessMap(2, serial_cutoff=0, transport="encoded"), {}),
-        (lambda: ProcessMap(2, serial_cutoff=0, transport="shm"), {}),
-        (lambda: ProcessMap(2, serial_cutoff=0, transport="threads"), {}),
-        (lambda: ProcessMap(2, serial_cutoff=0, transport="pickle"), {}),
-        (
-            lambda: ProcessMap(2, serial_cutoff=0),
-            {"transport": "pickle"},  # legacy driver path over pmap.map
-        ),
+        lambda: ThreadMap(2),
+        lambda: ProcessMap(2, serial_cutoff=0, transport="encoded"),
+        lambda: ProcessMap(2, serial_cutoff=0, transport="shm"),
+        lambda: ProcessMap(2, serial_cutoff=0, transport="threads"),
+        lambda: ProcessMap(2, serial_cutoff=0, transport="pickle"),
+        lambda: _MapOnly(ProcessMap(2, serial_cutoff=0)),  # the driver's map seam
     ],
     ids=[
         "thread",
@@ -69,8 +77,8 @@ def socket_hosts():
         "process-legacy-map",
     ],
 )
-def test_executors_match_serial(serial_results, make_parmap, kwargs):
-    results = _run_suite(make_parmap(), **kwargs)
+def test_executors_match_serial(serial_results, make_parmap):
+    results = _run_suite(make_parmap())
     for got, want in zip(results, serial_results):
         # byte-identical circuits ...
         assert got.circuit.gates == want.circuit.gates
@@ -200,33 +208,13 @@ def test_threads_equivalence_with_vector_oracle():
     assert res.stats.results_returned > 0
 
 
-@pytest.mark.parametrize("transport", ["auto", "pickle"])
-def test_inline_fallback_reported_when_nothing_dispatched(transport):
+def test_inline_fallback_reported_when_nothing_dispatched():
     # a round never exceeding serial_cutoff stays in the parent, and the
     # stats must say so instead of claiming a wire format was used
     pm = ProcessMap(2, serial_cutoff=10_000)
     try:
-        res = popqc(SUITE[0], NamOracle(), OMEGA, parmap=pm, transport=transport)
+        res = popqc(SUITE[0], NamOracle(), OMEGA, parmap=pm)
     finally:
         pm.close()
     assert res.stats.transport == "inline"
     assert res.stats.serialization_time == 0.0
-
-
-def test_encoded_request_conflicts_with_pickle_executor():
-    pm = ProcessMap(2, transport="pickle")
-    try:
-        with pytest.raises(ValueError, match="conflicts"):
-            popqc(SUITE[0], NamOracle(), OMEGA, parmap=pm, transport="encoded")
-    finally:
-        pm.close()
-
-
-def test_encoded_transport_requires_capable_executor():
-    with pytest.raises(ValueError, match="map_segments"):
-        popqc(SUITE[0], NamOracle(), OMEGA, parmap=SerialMap(), transport="encoded")
-
-
-def test_unknown_transport_rejected():
-    with pytest.raises(ValueError, match="unknown transport"):
-        popqc(SUITE[0], NamOracle(), OMEGA, transport="zeromq")

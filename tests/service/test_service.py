@@ -319,7 +319,6 @@ def test_fleet_view_label_and_serial_map():
         view = sched.view()
         assert view.workers == 2
         assert view.transport == "threads"
-        assert view.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
         res = popqc(Circuit([H(0), H(0)] * 30, 1), NamOracle(), 8, parmap=view)
         assert res.stats.transport in ("threads", "inline")
         assert res.circuit.num_gates == 0

@@ -114,6 +114,17 @@ class TestTransportGate:
         base = write("base.json", _transport_record(socket=500.0))
         assert trend.main([cur, base, "--tolerance", "0.2"]) == 0
 
+    def test_cache_hit_speedup_floor_armed_cross_class(self, write):
+        # the >=10x warm-cache floor lives here, not in tier-1 timing
+        def with_service(speedup):
+            record = _transport_record(cpus=2)
+            record["service"] = {"hit_speedup_vs_oracle": speedup}
+            return record
+
+        base = write("base.json", _transport_record(cpus=64))
+        assert trend.main([write("ok.json", with_service(12.6)), base]) == 0
+        assert trend.main([write("slow.json", with_service(9.0)), base]) == 1
+
     def test_validate_only_rejected_for_transport(self, write):
         cur = write("cur.json", _transport_record())
         assert trend.main([cur, "--validate-only"]) == 2

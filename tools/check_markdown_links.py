@@ -10,8 +10,7 @@ anchored file links (``FILE.md#section``) are checked for the file
 part only.
 
 Exit status 1 when any link is dead — CI's ``docs`` job runs this on
-every push so README/ARCHITECTURE/ROADMAP file pointers cannot rot
-silently.
+every push so README/ARCHITECTURE file pointers cannot rot silently.
 
 Usage::
 
@@ -38,11 +37,12 @@ _SKIP_DIRS = {".git", "__pycache__", ".venv", "venv", "node_modules", ".ruff_cac
 
 #: Harness-generated inputs, not repo documentation: their shorthand
 #: pointers (and upstream image links) are outside our control.
-_SKIP_FILES = {"ISSUE.md", "SNIPPETS.md", "PAPER.md", "PAPERS.md"}
+_SKIP_FILES = {"ISSUE.md", "ROADMAP.md", "SNIPPETS.md", "PAPER.md", "PAPERS.md"}
 
-#: Backticked paths that name generated artifacts rather than committed
-#: files are allowed to be absent.
-_GENERATED_OK = ("results/", "out/", "build/", "dist/", "figures/")
+#: Backticked paths that name generated artifacts (or sit under a
+#: ``DIR`` placeholder) rather than committed files are allowed to be
+#: absent.
+_GENERATED_OK = ("results/", "out/", "build/", "dist/", "figures/", "DIR/")
 
 
 def iter_markdown(root: Path):
