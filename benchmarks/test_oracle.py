@@ -6,15 +6,22 @@ dominant constant; these benchmarks pin down our W for the default
 """
 
 from repro.circuits import random_circuit, random_redundant_circuit
+import pytest
+
 from repro.oracles import (
     NamOracle,
     SearchOracle,
     cancellation_pass,
+    cnot_chain_pass,
+    hadamard_gadget_pass,
+    hadamard_reduction_pass,
     rotation_merge_pass,
 )
 
 SEGMENT = list(random_redundant_circuit(8, 200, seed=0).gates)
 CLEAN_SEGMENT = list(random_circuit(8, 200, seed=1).gates)
+#: A fixpoint of the default pipeline: every pass finds nothing to do.
+SETTLED = NamOracle()(CLEAN_SEGMENT)
 
 
 def test_nam_oracle_fixpoint_redundant(benchmark):
@@ -26,9 +33,8 @@ def test_nam_oracle_fixpoint_redundant(benchmark):
 def test_nam_oracle_fixpoint_clean(benchmark):
     """Cost of a rejected oracle call (the common case at convergence)."""
     oracle = NamOracle()
-    settled = oracle(list(CLEAN_SEGMENT))
-    out = benchmark(lambda: oracle(list(settled)))
-    assert out == settled
+    out = benchmark(lambda: oracle(list(SETTLED)))
+    assert out == SETTLED
 
 
 def test_cancellation_pass(benchmark):
@@ -39,6 +45,18 @@ def test_cancellation_pass(benchmark):
 def test_rotation_merge_pass(benchmark):
     out, _ = benchmark(lambda: rotation_merge_pass(list(SEGMENT)))
     assert len(out) <= len(SEGMENT)
+
+
+@pytest.mark.parametrize(
+    "list_pass",
+    [cnot_chain_pass, hadamard_reduction_pass, hadamard_gadget_pass],
+    ids=lambda fn: fn.__name__,
+)
+def test_pattern_pass_with_nothing_to_do(benchmark, list_pass):
+    """The pattern passes' scan cost when no pattern fits — the common
+    case, and where ``cnot_chain_pass`` once hid 30 % of oracle time."""
+    out, changed = benchmark(lambda: list_pass(list(SETTLED)))
+    assert out == SETTLED and not changed
 
 
 def test_search_oracle(benchmark):

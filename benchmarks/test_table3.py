@@ -23,10 +23,16 @@ def test_table3(benchmark, bench_families, bench_sizes):
 
 def test_table3_popqc_overtakes_with_size(benchmark):
     def run():
-        rows, _ = run_table3(size_indices=(0, 2), families=["VQE"])
-        return rows
+        # min-of-3 per side: the small instance runs in ~25 ms, where one
+        # scheduler or GC hiccup mid-suite is a 40 % error on the ratio
+        samples = [
+            run_table3(size_indices=(0, 2), families=["VQE"])[0] for _ in range(3)
+        ]
+        return [
+            min(r.oac_time for r in rows) / min(r.popqc_time for r in rows)
+            for rows in zip(*samples)
+        ]
 
-    rows = benchmark.pedantic(run, iterations=1, rounds=1)
-    small, large = rows
+    small, large = benchmark.pedantic(run, iterations=1, rounds=1)
     # the time ratio moves in POPQC's favour as circuits grow
-    assert large.speedup >= small.speedup * 0.8
+    assert large >= small * 0.8

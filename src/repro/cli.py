@@ -206,9 +206,9 @@ def main(argv: list[str] | None = None) -> int:
         "--oracle-engine",
         default="python",
         choices=["python", "vector"],
-        help="rule-engine implementation: python (reference gate-list "
-        "passes) or vector (numpy passes on the packed layout; "
-        "GIL-releasing, pairs with --transport threads)",
+        help="rule-engine implementation: python (in-place gate-list "
+        "sweeps; faster per segment) or vector (numpy passes on the packed "
+        "layout; GIL-releasing, pairs with --transport threads)",
     )
 
     p_bench = sub.add_parser(

@@ -25,9 +25,9 @@ import math
 from typing import Optional
 
 from ..circuits import Gate, RZ
-from .rule_engine import WireIndex, _next_live
+from .rule_engine import WorkSegment, next_live, run_sweep
 
-__all__ = ["hadamard_gadget_pass"]
+__all__ = ["sweep_hadamard_gadgets", "hadamard_gadget_pass"]
 
 _HALF_PI = math.pi / 2
 _NEG_HALF_PI = 3 * math.pi / 2  # normalized -pi/2
@@ -41,152 +41,129 @@ def _is_sdg(g: Gate) -> bool:
     return g.name == "rz" and abs(g.param - _NEG_HALF_PI) < 1e-9  # type: ignore[operator]
 
 
-def hadamard_gadget_pass(gates: list[Gate]) -> tuple[list[Gate], bool]:
+def sweep_hadamard_gadgets(seg: WorkSegment) -> bool:
     """One sweep of the four Hadamard-reduction rules."""
-    arr: list[Optional[Gate]] = list(gates)
-    index = WireIndex(gates)
+    arr, wires, pos0, pos1 = seg.indexed()
     changed = False
-    n = len(arr)
-    for i in range(n):
-        a = arr[i]
+    for i, a in enumerate(arr):
         if a is None or a.name != "h":
             continue
         q = a.qubits[0]
+        lst = wires[q]
+        pj = next_live(arr, lst, pos0[i])
+        if pj == len(lst):
+            continue
+        j = lst[pj]
+        b = arr[j]
 
         # --- rule 4: H(a) H(b) CNOT(a,b) H(a) H(b) -> CNOT(b,a) --------
-        j = _next_live(index, arr, i, (q,))
-        if j is None:
-            continue
-        b = arr[j]
-        assert b is not None
-        if b.name == "cnot" and _try_rule4(arr, index, i, j):
-            changed = True
+        if b.name == "cnot":
+            changed |= _try_rule4(arr, wires, pos0, pos1, i, j, q)
             continue
 
-        if b.arity != 1 or b.qubits[0] != q:
+        middle_is_s = _is_s(b)
+        if not (middle_is_s or _is_sdg(b)):
             continue
+        pk = next_live(arr, lst, pj)
+        if pk == len(lst):
+            continue
+        c = arr[lst[pk]]
 
         # --- rule 3: H S CNOT Sdg H (target wire) -----------------------
-        if (_is_s(b) or _is_sdg(b)) and _try_rule3(arr, index, i, j, q, _is_s(b)):
-            changed = True
+        if c.name == "cnot":
+            if c.qubits[1] == q:
+                changed |= _try_rule3(arr, lst, i, j, pk, q, middle_is_s)
             continue
 
         # --- rules 1-2: H (S|Sdg) H -------------------------------------
-        if _is_s(b) or _is_sdg(b):
-            k = _next_live(index, arr, j, (q,))
-            if k is None:
-                continue
-            c = arr[k]
-            assert c is not None
-            if c.name != "h" or c.qubits[0] != q:
-                continue
-            flip = _NEG_HALF_PI if _is_s(b) else _HALF_PI
-            arr[i] = RZ(q, flip)
-            arr[j] = Gate("h", (q,))
-            arr[k] = RZ(q, flip)
-            changed = True
-    out = [g for g in arr if g is not None]
-    return out, changed
+        if c.name != "h":
+            continue
+        flip = _NEG_HALF_PI if middle_is_s else _HALF_PI
+        arr[i] = RZ(q, flip)
+        arr[j] = Gate("h", (q,))
+        arr[lst[pk]] = RZ(q, flip)
+        changed = True
+    return changed
+
+
+def hadamard_gadget_pass(gates: list[Gate]) -> tuple[list[Gate], bool]:
+    """:func:`sweep_hadamard_gadgets` on a gate list."""
+    return run_sweep(sweep_hadamard_gadgets, gates)
 
 
 def _try_rule3(
     arr: list[Optional[Gate]],
-    index: WireIndex,
+    lst: list[int],
     i: int,
     j: int,
+    pk: int,
     q: int,
     middle_is_s: bool,
 ) -> bool:
-    """Match H . (S|Sdg) . CNOT(c,q) . (Sdg|S) . H on wire ``q``."""
-    k = _next_live(index, arr, j, (q,))
-    if k is None:
+    """Match H . (S|Sdg) . CNOT(c,q) . (Sdg|S) . H on wire ``q``.
+
+    ``i`` and ``j`` hold the H and the phase gate, position ``pk`` of
+    the wire's list ``lst`` the CNOT targeting ``q``.
+    """
+    pm = next_live(arr, lst, pk)
+    if pm == len(lst):
         return False
-    cnot = arr[k]
-    assert cnot is not None
-    if cnot.name != "cnot" or cnot.qubits[1] != q:
+    d = arr[lst[pm]]
+    if not (_is_sdg(d) if middle_is_s else _is_s(d)):
         return False
-    m = _next_live(index, arr, k, (q,))
-    if m is None:
-        return False
-    d = arr[m]
-    assert d is not None
-    want_d = _is_sdg if middle_is_s else _is_s
-    if d.arity != 1 or d.qubits[0] != q or not want_d(d):
-        return False
-    p = _next_live(index, arr, m, (q,))
-    if p is None:
-        return False
-    e = arr[p]
-    assert e is not None
-    if e.name != "h" or e.qubits[0] != q:
+    pe = next_live(arr, lst, pm)
+    if pe == len(lst) or arr[lst[pe]].name != "h":
         return False
     # H S CNOT Sdg H -> Sdg CNOT S   (and the mirrored variant)
     first = _NEG_HALF_PI if middle_is_s else _HALF_PI
     last = _HALF_PI if middle_is_s else _NEG_HALF_PI
     arr[i] = RZ(q, first)
     arr[j] = None
-    # cnot stays at k
-    arr[m] = RZ(q, last)
-    arr[p] = None
+    arr[lst[pm]] = RZ(q, last)
+    arr[lst[pe]] = None
     return True
 
 
 def _try_rule4(
-    arr: list[Optional[Gate]], index: WireIndex, i: int, j: int
+    arr: list[Optional[Gate]],
+    wires: dict[int, list[int]],
+    pos0: list[int],
+    pos1: list[int],
+    i: int,
+    j: int,
+    h_q: int,
 ) -> bool:
     """Match the HH-CNOT-HH sandwich around the CNOT at ``j``.
 
-    ``i`` holds an H on one of the CNOT's wires; require the H on the
-    other wire immediately before the CNOT (per-wire), and H's on both
-    wires immediately after.
+    ``i`` holds an H on ``h_q``, one of the CNOT's wires, directly
+    before it; require the H on the other wire immediately before the
+    CNOT (per-wire), and H's on both wires immediately after.
     """
-    cnot = arr[j]
-    assert cnot is not None and cnot.name == "cnot"
-    a_w, b_w = cnot.qubits
-    h_q = arr[i].qubits[0]  # type: ignore[union-attr]
-    other = b_w if h_q == a_w else a_w
-
-    # the partner H must be the previous gate on the other wire
-    partner = _prev_live_on_wire(arr, index, j, other)
-    if partner is None:
+    a_w, b_w = arr[j].qubits  # type: ignore[union-attr]
+    lst_a = wires[a_w]
+    lst_b = wires[b_w]
+    # the partner H must be the previous live gate on the other wire
+    lst, p = (lst_b, pos1[j]) if h_q == a_w else (lst_a, pos0[j])
+    p -= 1
+    while p >= 0 and arr[lst[p]] is None:
+        p -= 1
+    if p < 0 or arr[lst[p]].name != "h":
         return False
-    pg = arr[partner]
-    assert pg is not None
-    if pg.name != "h" or pg.qubits[0] != other:
-        return False
+    partner = lst[p]
     # and the next gate on each wire after the CNOT must be an H
-    after_a = _next_live(index, arr, j, (a_w,))
-    after_b = _next_live(index, arr, j, (b_w,))
-    if after_a is None or after_b is None or after_a == after_b:
+    pa = next_live(arr, lst_a, pos0[j])
+    pb = next_live(arr, lst_b, pos1[j])
+    if pa == len(lst_a) or pb == len(lst_b):
         return False
-    ga, gb = arr[after_a], arr[after_b]
-    assert ga is not None and gb is not None
-    if ga.name != "h" or ga.qubits[0] != a_w:
-        return False
-    if gb.name != "h" or gb.qubits[0] != b_w:
+    after_a = lst_a[pa]
+    after_b = lst_b[pb]
+    if arr[after_a].name != "h" or arr[after_b].name != "h":
         return False
     arr[i] = None
     arr[partner] = None
-    arr[j] = Gate("cnot", (b_w, a_w))
     arr[after_a] = None
     arr[after_b] = None
+    # same wires, swapped roles: swap the slot's positions to match
+    arr[j] = Gate("cnot", (b_w, a_w))
+    pos0[j], pos1[j] = pos1[j], pos0[j]
     return True
-
-
-def _prev_live_on_wire(
-    arr: list[Optional[Gate]], index: WireIndex, before: int, wire: int
-) -> Optional[int]:
-    """Index of the last live gate before ``before`` touching ``wire``."""
-    lst = index.wires.get(wire, [])
-    # binary search for position of `before` in the wire list
-    lo, hi = 0, len(lst)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if lst[mid] < before:
-            lo = mid + 1
-        else:
-            hi = mid
-    for p in range(lo - 1, -1, -1):
-        if arr[lst[p]] is not None:
-            return lst[p]
-    return None

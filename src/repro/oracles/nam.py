@@ -16,17 +16,21 @@ primary oracle.  :class:`NamOracle` composes the rewrite passes of
   applicable in the whole segment), which Theorem 7's local-optimality
   guarantee requires.
 
-Two interchangeable engines run the pipeline:
+Two interchangeable engines run the pipeline, driven by one loop
+(:meth:`NamOracle._drive`):
 
-* ``engine="python"`` (default) — the reference gate-list passes of
-  :mod:`repro.oracles.rule_engine`.
+* ``engine="python"`` (default) — the in-place sweeps of
+  :mod:`repro.oracles.rule_engine` over one work segment per call.
+  The faster engine per segment at every Ω measured (see
+  ``benchmarks/e2e``'s ``oracles.*.seg_us`` probes).
 * ``engine="vector"`` — the numpy struct-of-arrays passes of
   :mod:`repro.oracles.vector_engine`: the same rule set as whole-array
-  kernels, several times faster per segment and GIL-releasing, which
-  is what makes thread-based oracle workers viable
-  (``ProcessMap(transport="threads")``).  Segments containing gates
-  outside the {h, x, cnot, rz} base set fall back to the reference
-  engine transparently.
+  kernels.  Slower per segment at POPQC's segment sizes, but it spends
+  its time in GIL-releasing numpy, which is what thread-based oracle
+  workers need (``ProcessMap(transport="threads")``), and it works on
+  the packed layout directly.  Segments containing gates outside the
+  {h, x, cnot, rz} base set fall back to the python engine
+  transparently.
 
 The oracle is a picklable callable so ``ProcessMap`` can ship it to
 worker processes.  It additionally implements the transport protocol
@@ -38,23 +42,25 @@ vector engine is active.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Sequence
 
 from ..circuits import Gate
 from ..circuits.encoding import EncodedSegment, decode_segment, encode_segment
-from .hadamard_gadgets import hadamard_gadget_pass
-from .resynth import resynthesis_pass
-from .rotation_merge import rotation_merge_pass
+from .hadamard_gadgets import sweep_hadamard_gadgets
+from .resynth import sweep_resynthesis
+from .rotation_merge import sweep_rotation_merge
 from .rule_engine import (
-    cancellation_pass,
-    cnot_chain_pass,
-    hadamard_reduction_pass,
-    remove_identities,
+    Sweep,
+    WorkSegment,
+    run_sweep,
+    sweep_cancellation,
+    sweep_cnot_chain,
+    sweep_hadamard_reduction,
+    sweep_remove_identities,
 )
 
-__all__ = ["NamOracle", "DEFAULT_PASSES", "EXTENDED_PASSES", "PassFn"]
-
-PassFn = Callable[[list[Gate]], tuple[list[Gate], bool]]
+__all__ = ["NamOracle", "DEFAULT_PASSES", "EXTENDED_PASSES"]
 
 #: The default pass pipeline, in VOQC's spirit: cheap cancellations
 #: first, then the pattern rules that expose more cancellations.
@@ -81,7 +87,7 @@ EXTENDED_PASSES: tuple[str, ...] = (
 #: The pass list used by the whole-circuit (VOQC-role) baseline: a fixed
 #: single-run pipeline with interleaved cancellation sweeps, the way
 #: VOQC sequences its verified passes.  The fixpoint oracle does not
-#: need the interleaving (its outer loop reruns the whole list anyway).
+#: need the interleaving (its loop keeps cycling through the list anyway).
 BASELINE_PASSES: tuple[str, ...] = (
     "remove_identities",
     "cancellation",
@@ -95,14 +101,14 @@ BASELINE_PASSES: tuple[str, ...] = (
     "cancellation",
 )
 
-_PASS_TABLE: dict[str, PassFn] = {
-    "remove_identities": remove_identities,
-    "cancellation": cancellation_pass,
-    "hadamard_reduction": hadamard_reduction_pass,
-    "hadamard_gadgets": hadamard_gadget_pass,
-    "rotation_merge": rotation_merge_pass,
-    "resynthesis": resynthesis_pass,
-    "cnot_chain": cnot_chain_pass,
+_PASS_TABLE: dict[str, Sweep] = {
+    "remove_identities": sweep_remove_identities,
+    "cancellation": sweep_cancellation,
+    "hadamard_reduction": sweep_hadamard_reduction,
+    "hadamard_gadgets": sweep_hadamard_gadgets,
+    "rotation_merge": sweep_rotation_merge,
+    "resynthesis": sweep_resynthesis,
+    "cnot_chain": sweep_cnot_chain,
 }
 
 #: Vector pipelines cached per pass tuple (kept out of oracle instances
@@ -116,7 +122,10 @@ def _vector_pipeline(passes: tuple[str, ...]) -> list:
     if pipeline is None:
         from .vector_engine import vector_pass_for
 
-        pipeline = [vector_pass_for(name, _PASS_TABLE[name]) for name in passes]
+        pipeline = [
+            vector_pass_for(name, partial(run_sweep, _PASS_TABLE[name]))
+            for name in passes
+        ]
         _VECTOR_PIPELINES[passes] = pipeline
     return pipeline
 
@@ -137,11 +146,11 @@ class NamOracle:
         strictly shrinks the list or strictly reduces a bounded
         potential, so this should never bind in practice).
     engine:
-        ``"python"`` (default) runs the reference gate-list passes;
-        ``"vector"`` runs the numpy passes of
-        :mod:`repro.oracles.vector_engine` on the packed layout,
-        falling back to the reference engine for segments outside the
-        base gate set.  The two engines apply the same rules but in a
+        ``"python"`` (default) runs the in-place sweeps of
+        :mod:`repro.oracles.rule_engine`; ``"vector"`` runs the numpy
+        passes of :mod:`repro.oracles.vector_engine` on the packed
+        layout, falling back to the python engine for segments outside
+        the base gate set.  The two engines apply the same rules but in a
         different sweep order, so their outputs are equivalent (same
         unitary, both locally unimprovable) without being identical
         gate for gate.
@@ -174,7 +183,7 @@ class NamOracle:
             vec = VectorSegment.from_gates(gates)
             if vec is not None:
                 return self._run_vector(vec).to_gates()
-        return self._run_python(list(gates))
+        return self._run_python(gates)
 
     @property
     def packed_native(self) -> bool:
@@ -203,54 +212,55 @@ class NamOracle:
                 return self._run_vector(vec).to_encoded()
         return encode_segment(self._run_python(decode_segment(encoded)))
 
-    def _run_python(self, current: list[Gate]) -> list[Gate]:
-        """The reference gate-list pipeline."""
-        for _ in range(self.max_iterations):
-            changed = False
-            for name in self.passes:
-                current, c = _PASS_TABLE[name](current)
-                changed = changed or c
-            if not self.fixpoint or not changed:
-                return current
-        return current  # pragma: no cover - max_iterations safeguard
+    def _drive(self, steps: Sequence[Callable[[], bool]]) -> None:
+        """Run the pipeline ``steps`` (one call per pass, each returning
+        whether it changed the engine's state) to completion.
+
+        ``fixpoint=False`` is one ordered sweep.  The fixpoint is a
+        circular worklist: passes run in pipeline order, wrapping
+        around, until every pass in a row reports no change.  That is
+        the pass sequence of "rerun the whole pipeline until a sweep is
+        quiet" cut short — a pass that reports no change left the state
+        as it was, so the passes it skips would all have been no-ops.
+        """
+        k = len(steps)
+        if not self.fixpoint:
+            for step in steps:
+                step()
+            return
+        quiet = i = 0
+        limit = self.max_iterations * k
+        while quiet < k and i < limit:
+            quiet = 0 if steps[i % k]() else quiet + 1
+            i += 1
+
+    def _run_python(self, gates: Sequence[Gate]) -> list[Gate]:
+        """The in-place sweeps over one :class:`WorkSegment`."""
+        seg = WorkSegment(gates)
+        self._drive([partial(_PASS_TABLE[name], seg) for name in self.passes])
+        return seg.gates()
 
     def _run_vector(self, vec):
         """The vectorized pipeline on a :class:`VectorSegment`.
 
-        The fixpoint is driven as a circular worklist: passes run in
-        pipeline order, wrapping around, until every pass in a row
-        reports no change — the same terminal states as re-running the
-        whole pipeline, without re-sweeping passes that cannot have new
-        opportunities.  The wire-occurrence structure is rebuilt only
-        after a pass actually changed the segment, so quiescent sweeps
-        share one build.
+        The wire-occurrence structure is rebuilt only after a pass
+        actually changed the segment, so quiescent passes share one
+        build.
         """
         from .vector_engine import _occurrences
 
-        pipeline = _vector_pipeline(self.passes)
         occ = None
-        if not self.fixpoint:  # single ordered sweep (VOQC-role baseline)
-            for vpass in pipeline:
-                if occ is None:
-                    occ = _occurrences(vec)
-                vec, c = vpass(vec, occ)
-                if c:
-                    occ = None
-            return vec
-        k = len(pipeline)
-        quiescent = 0
-        i = 0
-        max_steps = self.max_iterations * k
-        while quiescent < k and i < max_steps:
+
+        def step(vpass) -> bool:
+            nonlocal vec, occ
             if occ is None:
                 occ = _occurrences(vec)
-            vec, c = pipeline[i % k](vec, occ)
-            if c:
+            vec, changed = vpass(vec, occ)
+            if changed:
                 occ = None
-                quiescent = 0
-            else:
-                quiescent += 1
-            i += 1
+            return changed
+
+        self._drive([partial(step, vpass) for vpass in _vector_pipeline(self.passes)])
         return vec
 
     def __repr__(self) -> str:  # pragma: no cover

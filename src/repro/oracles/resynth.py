@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Optional
 
 import numpy as np
 
 from ..circuits import Gate, H, RZ, X, is_zero_angle, normalize_angle
+from .rule_engine import WorkSegment, run_sweep
 
-__all__ = ["synthesize_1q", "resynthesis_pass"]
+__all__ = ["synthesize_1q", "sweep_resynthesis", "resynthesis_pass"]
 
 _ATOL = 1e-10
 
@@ -88,7 +88,7 @@ def _run_matrix(gates: list[Gate]) -> np.ndarray:
     return m
 
 
-def resynthesis_pass(gates: list[Gate]) -> tuple[list[Gate], bool]:
+def sweep_resynthesis(seg: WorkSegment) -> bool:
     """Collapse maximal per-wire-adjacent single-qubit runs.
 
     A run on wire ``q`` is a maximal set of consecutive (per-wire)
@@ -96,13 +96,7 @@ def resynthesis_pass(gates: list[Gate]) -> tuple[list[Gate], bool]:
     and the replacement written over the run's slots (left-aligned,
     remaining slots dropped) when strictly shorter.
     """
-    arr: list[Optional[Gate]] = list(gates)
-    n = len(arr)
-    # Per-wire occurrence lists.
-    wires: dict[int, list[int]] = {}
-    for i, g in enumerate(gates):
-        for q in g.qubits:
-            wires.setdefault(q, []).append(i)
+    arr, wires, _, _ = seg.indexed()
     changed = False
     for q, occ in wires.items():
         i = 0
@@ -130,5 +124,9 @@ def resynthesis_pass(gates: list[Gate]) -> tuple[list[Gate], bool]:
                         )
                     changed = True
             i = max(j, i + 1)
-    out = [g for g in arr if g is not None]
-    return out, changed
+    return changed
+
+
+def resynthesis_pass(gates: list[Gate]) -> tuple[list[Gate], bool]:
+    """:func:`sweep_resynthesis` on a gate list."""
+    return run_sweep(sweep_resynthesis, gates)

@@ -34,87 +34,84 @@ Soundness is property-tested against the statevector simulator in
 
 from __future__ import annotations
 
-from typing import Optional
+from ..circuits import Gate, normalize_angle
+from .rule_engine import WorkSegment, run_sweep
 
-from ..circuits import Gate, is_zero_angle, normalize_angle
-
-__all__ = ["rotation_merge_pass"]
+__all__ = ["sweep_rotation_merge", "rotation_merge_pass"]
 
 
-def rotation_merge_pass(gates: list[Gate]) -> tuple[list[Gate], bool]:
+def sweep_rotation_merge(seg: WorkSegment) -> bool:
     """One sweep of phase-polynomial rotation merging.
 
-    Returns the rewritten gate list and whether anything merged.
-    Merged-away rotations vanish; a representative whose accumulated
-    angle cancels to zero is dropped as well.
+    Merged-away rotations vanish; the representative takes the summed
+    angle in place, or vanishes too when that cancels to zero.  Needs
+    no wire index, and only deletes or re-angles rotations, so it keeps
+    a built one valid.
     """
-    arr: list[Optional[Gate]] = list(gates)
+    arr = seg.arr
     changed = False
-
-    next_var = 0
-    label_mask: dict[int, int] = {}  # wire -> affine linear part (bitmask)
-    label_const: dict[int, int] = {}  # wire -> affine constant term (0/1)
-    # pending[mask] = (index of representative RZ, const at representative)
+    # wire -> affine function it carries: (linear bitmask << 1) | constant
+    label: dict[int, int] = {}
+    fresh = 2  # the next unused variable's bit
+    # linear part -> (slot of the representative RZ, its affine function)
     pending: dict[int, tuple[int, int]] = {}
     # accumulated angle (in the representative's frame) per representative
     accum: dict[int, float] = {}
 
-    def fresh(q: int) -> None:
-        nonlocal next_var
-        label_mask[q] = 1 << next_var
-        label_const[q] = 0
-        next_var += 1
-
-    def ensure(q: int) -> None:
-        if q not in label_mask:
-            fresh(q)
-
     for i, g in enumerate(arr):
-        assert g is not None
+        if g is None:
+            continue
         name = g.name
         if name == "cnot":
             c, t = g.qubits
-            ensure(c)
-            ensure(t)
-            label_mask[t] ^= label_mask[c]
-            label_const[t] ^= label_const[c]
+            fc = label.get(c)
+            if fc is None:
+                fc = label[c] = fresh
+                fresh <<= 1
+            ft = label.get(t)
+            if ft is None:
+                ft = fresh
+                fresh <<= 1
+            label[t] = ft ^ fc
         elif name == "x":
             q = g.qubits[0]
-            ensure(q)
-            label_const[q] ^= 1
+            f = label.get(q)
+            if f is None:
+                f = fresh
+                fresh <<= 1
+            label[q] = f ^ 1
         elif name == "rz":
             q = g.qubits[0]
-            ensure(q)
-            mask = label_mask[q]
-            const = label_const[q]
-            assert g.param is not None
-            entry = pending.get(mask)
+            f = label.get(q)
+            if f is None:
+                f = label[q] = fresh
+                fresh <<= 1
+            entry = pending.get(f | 1)
             if entry is None:
-                pending[mask] = (i, const)
+                pending[f | 1] = (i, f)
                 accum[i] = g.param
             else:
-                rep, rep_const = entry
-                delta = g.param if const == rep_const else -g.param
+                rep, rep_f = entry
+                delta = g.param if f == rep_f else -g.param
                 accum[rep] = normalize_angle(accum[rep] + delta)
                 arr[i] = None
                 changed = True
         else:
             # Non-region gate (Hadamard): the wire leaves the region.
             for q in g.qubits:
-                fresh(q)
+                label[q] = fresh
+                fresh <<= 1
 
-    out: list[Gate] = []
-    for i, g in enumerate(arr):
-        if g is None:
-            continue
-        if i in accum and g.name == "rz":
-            theta = accum[i]
-            if is_zero_angle(theta):
-                changed = True
-                continue
-            if theta != g.param:
-                g = Gate("rz", g.qubits, theta)
-            out.append(g)
-        else:
-            out.append(g)
-    return out, changed
+    # angles are stored normalized, so the identity is exactly 0.0
+    for i, theta in accum.items():
+        if theta == 0.0:
+            arr[i] = None
+            changed = True
+        elif theta != arr[i].param:
+            arr[i] = Gate("rz", arr[i].qubits, theta)
+    return changed
+
+
+def rotation_merge_pass(gates: list[Gate]) -> tuple[list[Gate], bool]:
+    """:func:`sweep_rotation_merge` on a gate list."""
+    return run_sweep(sweep_rotation_merge, gates)

@@ -1,117 +1,143 @@
-"""Nam-style rewrite engine on gate lists.
+"""Nam-style rewrite engine: one work segment, one wire index, in-place sweeps.
 
-Implements the optimization routines of Nam et al. (2018) — the rule set
-VOQC verifies — specialized to the {H, X, CNOT, RZ} set:
+The routines of Nam et al. (2018) — the rule set VOQC verifies — on
+{H, X, CNOT, RZ}.  An oracle call builds one :class:`WorkSegment` (gate
+slots with ``None`` tombstones plus a lazily built per-wire index) and
+threads it through *sweeps* that rewrite it in place and report whether
+they changed anything:
 
-* :func:`cancellation_pass` — gate cancellation and rotation merging
-  with commutation scans: each gate walks rightward past commuting gates
-  looking for a partner it cancels or merges with.
-* :func:`hadamard_reduction_pass` — per-wire ``H X H -> RZ(pi)`` and
-  ``H RZ(pi) H -> X`` triples (three gates become one).
-* :func:`cnot_chain_pass` — shared-wire CNOT chain reductions
-  (``CNOT(p,q) CNOT(q,r) CNOT(p,q) -> CNOT(q,r) CNOT(p,r)``).
-* :func:`repro.oracles.rotation_merge.rotation_merge_pass` — phase
-  polynomial rotation merging (separate module).
+* :func:`sweep_cancellation` — each gate walks rightward past commuting
+  gates looking for a partner it cancels or merges with.
+* :func:`sweep_hadamard_reduction` — per-wire ``H X H -> RZ(pi)`` and
+  ``H RZ(pi) H -> X`` triples.
+* :func:`sweep_cnot_chain` — ``CNOT(p,q) CNOT(q,r) CNOT(p,q) ->
+  CNOT(q,r) CNOT(p,r)`` and its shared-target mirror.
+* the gadget, rotation-merge and resynthesis sweeps of the sibling
+  modules, on the same segment.
 
-Every pass takes and returns a plain ``list[Gate]`` and reports whether
-it changed anything, so passes compose into pipelines and fixpoints
-(see :mod:`repro.oracles.nam`).  All passes preserve the segment's
-unitary up to global phase (property-tested against the simulator).
-
-The scans are *wire-threaded*: each gate only visits later gates that
-share a qubit with it (gates on disjoint wires commute trivially, so
-skipping them never changes the outcome, only the constant factor).
-Worst-case cost remains O(L^2) in the segment length L, the bound Nam
-et al. give; POPQC feeds 2Ω-length segments here, so L is a few
-hundred gates, while the whole-circuit baseline pays the same scans at
-full circuit length.
+Deleting a gate or replacing it by one on the same wires keeps the
+index valid, so sweeps share it; the one rewrite that moves a gate to
+other wires (the CNOT chain) invalidates it.  A sweep's outcome depends
+only on the live gates in order, never on the tombstones between them.
+``*_pass(gates) -> (gates, changed)`` runs one sweep on a fresh
+segment; :mod:`repro.oracles.nam` composes pipelines and fixpoints.
+Scans are wire-threaded (a gate only visits later gates sharing a
+qubit), so the worst case stays Nam et al.'s O(L^2), L = 2Ω in POPQC.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..circuits import Gate, normalize_angle
-from .commutation import commutes
-from .rules import hadamard_triple, try_merge
+from .rules import hadamard_triple
 
 __all__ = [
+    "WorkSegment",
+    "Sweep",
+    "run_sweep",
+    "next_live",
+    "sweep_remove_identities",
+    "sweep_cancellation",
+    "sweep_hadamard_reduction",
+    "sweep_cnot_chain",
+    "remove_identities",
     "cancellation_pass",
     "hadamard_reduction_pass",
     "cnot_chain_pass",
-    "remove_identities",
-    "WireIndex",
 ]
 
 
-def remove_identities(gates: list[Gate]) -> tuple[list[Gate], bool]:
-    """Drop rz(0) identity rotations."""
-    out = [g for g in gates if not g.is_identity]
-    return out, len(out) != len(gates)
+class WorkSegment:
+    """The state of one oracle call: gate slots and their wire index.
 
-
-class WireIndex:
-    """Per-wire occurrence lists for wire-threaded forward scans.
-
-    For each qubit, the (static) ordered list of gate indices touching
-    it, plus each gate's position within its wires' lists.  Tombstoned
-    entries are skipped at scan time, so passes can delete/replace gates
-    without rebuilding the index (replacements must keep the original
-    gate's qubits, which all our pair rules do).
+    ``arr`` holds the gates, ``None`` where a sweep deleted one.  The
+    index gives, per qubit, the ordered slots touching it (``wires``)
+    and each slot's position in the list of its gate's first / second
+    qubit (``pos0`` / ``pos1``, ``-1`` where absent).  It stays valid
+    while slots are only tombstoned or overwritten by a gate on the
+    same qubits in the same order; a sweep that does anything else
+    calls :meth:`invalidate` (or repairs the entry, as the gadget
+    sweep's CNOT flip does).
     """
 
-    __slots__ = ("wires", "pos")
+    __slots__ = ("arr", "_index")
 
     def __init__(self, gates: Sequence[Gate]):
-        wires: dict[int, list[int]] = {}
-        pos: dict[tuple[int, int], int] = {}
-        for i, g in enumerate(gates):
-            for q in g.qubits:
-                lst = wires.setdefault(q, [])
-                pos[(q, i)] = len(lst)
+        self.arr: list[Optional[Gate]] = list(gates)
+        self._index: Optional[tuple[dict[int, list[int]], list[int], list[int]]] = None
+
+    def indexed(
+        self,
+    ) -> tuple[list[Optional[Gate]], dict[int, list[int]], list[int], list[int]]:
+        """``(arr, wires, pos0, pos1)``, compacting and indexing if stale."""
+        if self._index is None:
+            arr = self.arr = self.gates()
+            wires: dict[int, list[int]] = {}
+            pos0: list[int] = []
+            pos1: list[int] = []
+            for i, g in enumerate(arr):
+                qubits = g.qubits
+                lst = wires.get(qubits[0])
+                if lst is None:
+                    lst = wires[qubits[0]] = []
+                pos0.append(len(lst))
                 lst.append(i)
-        self.wires = wires
-        self.pos = pos
+                if len(qubits) == 1:
+                    pos1.append(-1)
+                    continue
+                lst = wires.get(qubits[1])
+                if lst is None:
+                    lst = wires[qubits[1]] = []
+                pos1.append(len(lst))
+                lst.append(i)
+                for q in qubits[2:]:
+                    wires.setdefault(q, []).append(i)
+            self._index = (wires, pos0, pos1)
+        return (self.arr, *self._index)
 
-    def successors(self, arr: list[Optional[Gate]], i: int, qubits: tuple[int, ...]):
-        """Yield indices of live gates after ``i`` touching any of
-        ``qubits``, in global order, until the caller stops iterating."""
-        ptrs = {q: self.pos[(q, i)] + 1 if (q, i) in self.pos else 0 for q in qubits}
-        # For wires the start gate does not touch, begin after index i.
-        for q in qubits:
-            if (q, i) not in self.pos:
-                lst = self.wires.get(q, [])
-                lo, hi = 0, len(lst)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if lst[mid] <= i:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                ptrs[q] = lo
-        while True:
-            j: Optional[int] = None
-            for q in qubits:
-                lst = self.wires.get(q, [])
-                p = ptrs[q]
-                while p < len(lst) and arr[lst[p]] is None:
-                    p += 1
-                ptrs[q] = p
-                if p < len(lst):
-                    cand = lst[p]
-                    if j is None or cand < j:
-                        j = cand
-            if j is None:
-                return
-            yield j
-            for q in qubits:
-                lst = self.wires.get(q, [])
-                p = ptrs[q]
-                if p < len(lst) and lst[p] == j:
-                    ptrs[q] = p + 1
+    def invalidate(self) -> None:
+        """Drop the index after a rewrite that changed a slot's qubits."""
+        self._index = None
+
+    def gates(self) -> list[Gate]:
+        """The live gates, in order."""
+        return [g for g in self.arr if g is not None]
 
 
-def cancellation_pass(gates: list[Gate]) -> tuple[list[Gate], bool]:
+#: An in-place rewrite over a work segment; returns whether it changed it.
+Sweep = Callable[[WorkSegment], bool]
+
+
+def run_sweep(sweep: Sweep, gates: Sequence[Gate]) -> tuple[list[Gate], bool]:
+    """One ``sweep`` over a fresh segment of ``gates``: ``(gates, changed)``."""
+    seg = WorkSegment(gates)
+    changed = sweep(seg)
+    return seg.gates(), changed
+
+
+def next_live(arr: list[Optional[Gate]], lst: list[int], p: int) -> int:
+    """Position in wire list ``lst`` of the first live slot after
+    position ``p`` (``len(lst)`` when there is none)."""
+    p += 1
+    n = len(lst)
+    while p < n and arr[lst[p]] is None:
+        p += 1
+    return p
+
+
+def sweep_remove_identities(seg: WorkSegment) -> bool:
+    """Drop rz(0) identity rotations."""
+    arr = seg.arr
+    changed = False
+    for i, g in enumerate(arr):
+        if g is not None and g.name == "rz" and g.param == 0.0:
+            arr[i] = None
+            changed = True
+    return changed
+
+
+def sweep_cancellation(seg: WorkSegment) -> bool:
     """One sweep of cancellation/merging with commutation scans.
 
     For each live gate ``g`` (left to right), walk the later gates that
@@ -128,20 +154,9 @@ def cancellation_pass(gates: list[Gate]) -> tuple[list[Gate], bool]:
     Semantic equivalence with the generic predicates is pinned by
     ``tests/oracles/test_rule_engine.py``.
     """
-    arr: list[Optional[Gate]] = list(gates)
-    n = len(arr)
+    arr, wires, pos0, pos1 = seg.indexed()
     changed = False
-    # Per-wire occurrence lists + each gate's position in its wires' lists.
-    wires: dict[int, list[int]] = {}
-    pos: dict[tuple[int, int], int] = {}
-    for i, g in enumerate(gates):
-        for q in g.qubits:
-            lst = wires.setdefault(q, [])
-            pos[(q, i)] = len(lst)
-            lst.append(i)
-
-    for i in range(n):
-        g = arr[i]
+    for i, g in enumerate(arr):
         if g is None:
             continue
         gname = g.name
@@ -153,7 +168,7 @@ def cancellation_pass(gates: list[Gate]) -> tuple[list[Gate], bool]:
             # --- single-qubit walk along the gate's wire -----------------
             q = g.qubits[0]
             lst = wires[q]
-            p = pos[(q, i)] + 1
+            p = pos0[i] + 1
             length = len(lst)
             while p < length:
                 j = lst[p]
@@ -186,8 +201,8 @@ def cancellation_pass(gates: list[Gate]) -> tuple[list[Gate], bool]:
             c0, t0 = g.qubits
             lst_c = wires[c0]
             lst_t = wires[t0]
-            pc = pos[(c0, i)] + 1
-            pt = pos[(t0, i)] + 1
+            pc = pos0[i] + 1
+            pt = pos1[i] + 1
             len_c = len(lst_c)
             len_t = len(lst_t)
             while True:
@@ -202,7 +217,6 @@ def cancellation_pass(gates: list[Gate]) -> tuple[list[Gate], bool]:
                 else:
                     break
                 h = arr[j]
-                assert h is not None
                 if h.name == "cnot":
                     hc, ht = h.qubits
                     if hc == c0 and ht == t0:
@@ -224,11 +238,10 @@ def cancellation_pass(gates: list[Gate]) -> tuple[list[Gate], bool]:
                     pc += 1
                 if pt < len_t and lst_t[pt] == j:
                     pt += 1
-    out = [g for g in arr if g is not None]
-    return out, changed
+    return changed
 
 
-def hadamard_reduction_pass(gates: list[Gate]) -> tuple[list[Gate], bool]:
+def sweep_hadamard_reduction(seg: WorkSegment) -> bool:
     """Rewrite per-wire-adjacent H·(X|RZ(pi))·H triples to a single gate.
 
     Adjacency is per wire: the three gates are single-qubit gates on the
@@ -236,106 +249,115 @@ def hadamard_reduction_pass(gates: list[Gate]) -> tuple[list[Gate], bool]:
     in between commutes with the whole triple and the replacement can be
     written at the first gate's position.
     """
-    arr: list[Optional[Gate]] = list(gates)
-    index = WireIndex(gates)
+    arr, wires, pos0, _ = seg.indexed()
     changed = False
-    for i in range(len(arr)):
-        a = arr[i]
+    for i, a in enumerate(arr):
         if a is None or a.name != "h":
             continue
-        q = a.qubits[0]
-        j = _next_live(index, arr, i, (q,))
-        if j is None:
+        lst = wires[a.qubits[0]]
+        pj = next_live(arr, lst, pos0[i])
+        if pj == len(lst):
             continue
-        b = arr[j]
-        assert b is not None
-        if b.arity != 1:
+        b = arr[lst[pj]]
+        if len(b.qubits) != 1:
             continue
-        k = _next_live(index, arr, j, (q,))
-        if k is None:
+        pk = next_live(arr, lst, pj)
+        if pk == len(lst):
             continue
-        c = arr[k]
-        assert c is not None
-        replacement = hadamard_triple(a, b, c)
+        replacement = hadamard_triple(a, b, arr[lst[pk]])
         if replacement is None:
             continue
         arr[i] = replacement[0]
-        arr[j] = None
-        arr[k] = None
+        arr[lst[pj]] = None
+        arr[lst[pk]] = None
         changed = True
-    out = [g for g in arr if g is not None]
-    return out, changed
+    return changed
 
 
-def cnot_chain_pass(gates: list[Gate]) -> tuple[list[Gate], bool]:
+def sweep_cnot_chain(seg: WorkSegment) -> bool:
     """Shared-wire CNOT chain reduction (3 CNOTs -> 2).
 
     Pattern: ``a = CNOT(p,q)``, then (past gates disjoint from {p,q}) a
     middle CNOT ``b`` sharing exactly one wire with ``a`` in the
     control-of-one-is-target-of-the-other configuration, then (past
-    gates disjoint from {p,q,r}) ``c == a``.  The two replacement CNOTs
-    are written at ``b``'s and ``c``'s positions, which is sound because
-    ``a`` commutes past everything before ``b``.
+    gates disjoint from {p,q,r}) ``c == a``.  ``a`` is deleted, ``b``
+    stays and ``c``'s slot takes the CNOT onto ``b``'s other wire, which
+    is sound because ``a`` commutes past everything before ``b``.  That
+    slot changes wires, so each rewrite invalidates the index and the
+    scan restarts (chain rewrites are rare; a scan that finds none
+    writes nothing).
     """
-    current = list(gates)
     changed = False
-    # The replacement written at position k changes that gate's qubit
-    # set, which would stale a static wire index; apply one rewrite per
-    # scan and restart (chain rewrites are rare, so the restarts are
-    # cheap in practice).
-    while True:
-        applied = _cnot_chain_once(current)
-        if applied is None:
-            return current, changed
-        current = applied
+    while _cnot_chain_once(seg):
         changed = True
+    return changed
 
 
-def _cnot_chain_once(gates: list[Gate]) -> Optional[list[Gate]]:
-    """Apply the first applicable chain rewrite, or None if none fits."""
-    arr: list[Optional[Gate]] = list(gates)
-    index = WireIndex(gates)
-    for i in range(len(arr)):
-        a = arr[i]
+def _cnot_chain_once(seg: WorkSegment) -> bool:
+    """Apply the first applicable chain rewrite; False if none fits."""
+    arr, wires, pos0, pos1 = seg.indexed()
+    end = len(arr)
+    for i, a in enumerate(arr):
         if a is None or a.name != "cnot":
             continue
         p, q = a.qubits
-        j = _next_live(index, arr, i, (p, q))
-        if j is None:
+        lst_p = wires[p]
+        lst_q = wires[q]
+        len_p = len(lst_p)
+        len_q = len(lst_q)
+        pp = next_live(arr, lst_p, pos0[i])
+        pq = next_live(arr, lst_q, pos1[i])
+        on_p = lst_p[pp] if pp < len_p else end
+        on_q = lst_q[pq] if pq < len_q else end
+        j = on_p if on_p < on_q else on_q
+        if j == end:
             continue
         b = arr[j]
-        assert b is not None
         if b.name != "cnot":
             continue
         bc, bt = b.qubits
-        if not ((bc == q and bt != p) or (bt == p and bc != q)):
+        # k = first live gate after b on p, q or b's other wire r; b sits
+        # on exactly one of a's wires, the other's next gate is known
+        if bc == q and bt != p:
+            r, pr = bt, pos1[j]
+            pq = next_live(arr, lst_q, pq)
+            on_q = lst_q[pq] if pq < len_q else end
+        elif bt == p and bc != q:
+            r, pr = bc, pos0[j]
+            pp = next_live(arr, lst_p, pp)
+            on_p = lst_p[pp] if pp < len_p else end
+        else:
             continue
-        union = tuple({p, q, bc, bt})
-        k = _next_live(index, arr, j, union)
-        if k is None:
+        lst_r = wires[r]
+        pr = next_live(arr, lst_r, pr)
+        k = min(on_p, on_q, lst_r[pr] if pr < len(lst_r) else end)
+        if k == end:
             continue
         c = arr[k]
-        assert c is not None
         if c.name != "cnot" or c.qubits != a.qubits:
             continue
-        if bc == q:
-            first, second = Gate("cnot", (q, bt)), Gate("cnot", (p, bt))
-        else:
-            first, second = Gate("cnot", (bc, p)), Gate("cnot", (bc, q))
         arr[i] = None
-        arr[j] = first
-        arr[k] = second
-        return [g for g in arr if g is not None]
-    return None
+        arr[k] = Gate("cnot", (p, r) if bc == q else (r, q))
+        seg.invalidate()
+        return True
+    return False
 
 
-def _next_live(
-    index: WireIndex,
-    arr: list[Optional[Gate]],
-    start: int,
-    qubits: tuple[int, ...],
-) -> Optional[int]:
-    """Index of the first live gate after ``start`` touching ``qubits``."""
-    for j in index.successors(arr, start, qubits):
-        return j
-    return None
+def remove_identities(gates: list[Gate]) -> tuple[list[Gate], bool]:
+    """:func:`sweep_remove_identities` on a gate list."""
+    return run_sweep(sweep_remove_identities, gates)
+
+
+def cancellation_pass(gates: list[Gate]) -> tuple[list[Gate], bool]:
+    """:func:`sweep_cancellation` on a gate list."""
+    return run_sweep(sweep_cancellation, gates)
+
+
+def hadamard_reduction_pass(gates: list[Gate]) -> tuple[list[Gate], bool]:
+    """:func:`sweep_hadamard_reduction` on a gate list."""
+    return run_sweep(sweep_hadamard_reduction, gates)
+
+
+def cnot_chain_pass(gates: list[Gate]) -> tuple[list[Gate], bool]:
+    """:func:`sweep_cnot_chain` on a gate list."""
+    return run_sweep(sweep_cnot_chain, gates)

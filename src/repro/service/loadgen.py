@@ -90,7 +90,10 @@ SCHEMA = "popqc-bench-service-load/v1"
 #: Gated SLO: the warm mix's duplicate (cache-hit) traffic must show
 #: a p50 at least this many times lower than the cold mix's p50 (the
 #: segment cache's latency benefit as a hardware-independent ratio).
-WARM_P50_SPEEDUP_MIN = 2.0
+#: A hit saves the oracle's share of a job, so the floor follows the
+#: oracle's cost: 2.0 while that share was ~85 %, 1.3 since the
+#: one-index rule engine brought it to ~55-65 % (measured 2.0-3.3x).
+WARM_P50_SPEEDUP_MIN = 1.3
 
 #: Gated SLO: high-priority interactive submits injected during a
 #: batch flood must keep their p99 below this multiple of the flood

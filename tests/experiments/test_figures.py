@@ -69,8 +69,9 @@ class TestFigure8:
         points, text = run_figure8(families=FAMS, size_indices=(0,))
         assert "Figure 8" in text
         for p in points:
-            # paper: >90% at scale; allow slack at tiny sizes
-            assert p.oracle_fraction > 0.5
+            # paper: >90% at scale; allow slack at tiny sizes (0.5 while
+            # the oracle's share was 87-93 %; 66-79 % since it got faster)
+            assert p.oracle_fraction > 0.3
 
 
 class TestFigure9:

@@ -6,6 +6,8 @@ from hypothesis import given
 
 from repro.circuits import CNOT, RZ, H, X
 from repro.oracles import hadamard_gadget_pass
+from repro.oracles.hadamard_gadgets import sweep_hadamard_gadgets
+from repro.oracles.rule_engine import WorkSegment, sweep_cancellation
 from repro.sim import segments_equivalent
 
 from ..conftest import gate_list_strategy
@@ -97,6 +99,27 @@ class TestRule4:
         gates = [H(0), H(1), X(1), CNOT(0, 1), H(0), H(1)]
         out, changed = hadamard_gadget_pass(gates)
         assert not changed
+
+
+class TestSharedIndex:
+    def test_rule4_flip_keeps_the_index_valid(self):
+        # CNOT(0,1) becomes CNOT(1,0) in its slot: same wires, so the
+        # index survives, but the slot's per-qubit positions must swap
+        # with the qubits or the next sweep walks the wrong lists (here
+        # the flipped CNOT has to commute past RZ on its new control
+        # and cancel with the trailing CNOT(1,0)).
+        gates = [
+            RZ(1, 0.3), X(1), H(0), H(1), CNOT(0, 1), H(0), H(1),
+            RZ(1, 0.7), CNOT(1, 0),
+        ]  # fmt: skip
+        seg = WorkSegment(gates)
+        index = seg.indexed()
+        assert sweep_hadamard_gadgets(seg)
+        assert seg.gates() == [RZ(1, 0.3), X(1), CNOT(1, 0), RZ(1, 0.7), CNOT(1, 0)]
+        assert seg.indexed()[1] is index[1]  # not rebuilt
+        assert sweep_cancellation(seg)
+        assert seg.gates() == [RZ(1, 0.3), X(1), RZ(1, 0.7)]
+        assert segments_equivalent(gates, seg.gates())
 
 
 class TestProperties:

@@ -10,16 +10,28 @@ specification.
 import math
 from typing import Optional
 
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from repro.circuits import CNOT, RZ, Gate, H, X
 from repro.oracles import (
+    NamOracle,
     cancellation_pass,
     cnot_chain_pass,
     commutes,
     hadamard_reduction_pass,
     remove_identities,
     try_merge,
+)
+from repro.oracles.hadamard_gadgets import sweep_hadamard_gadgets
+from repro.oracles.resynth import sweep_resynthesis
+from repro.oracles.rotation_merge import sweep_rotation_merge
+from repro.oracles.rule_engine import (
+    WorkSegment,
+    run_sweep,
+    sweep_cancellation,
+    sweep_cnot_chain,
+    sweep_hadamard_reduction,
+    sweep_remove_identities,
 )
 from repro.sim import segments_equivalent
 
@@ -184,3 +196,69 @@ class TestCnotChain:
     def test_never_grows(self, gates):
         out, _ = cnot_chain_pass(list(gates))
         assert len(out) <= len(gates)
+
+
+SWEEPS = [
+    sweep_remove_identities,
+    sweep_cancellation,
+    sweep_hadamard_reduction,
+    sweep_hadamard_gadgets,
+    sweep_rotation_merge,
+    sweep_resynthesis,
+    sweep_cnot_chain,
+]
+
+
+class TestSharedIndex:
+    """A sweep handed a segment other sweeps already indexed, tombstoned
+    and rewrote behaves exactly as on a fresh copy of its live gates."""
+
+    @given(
+        gate_list_strategy(num_qubits=4, max_gates=30),
+        st.lists(st.sampled_from(SWEEPS), min_size=1, max_size=6),
+    )
+    def test_sweeps_on_one_segment_match_fresh_segments(self, gates, sweeps):
+        shared = WorkSegment(gates)
+        shared.indexed()
+        current = list(gates)
+        for sweep in sweeps:
+            current, changed = run_sweep(sweep, current)
+            assert sweep(shared) == changed
+            assert shared.gates() == current
+
+    @given(
+        gate_list_strategy(num_qubits=4, max_gates=30),
+        st.sets(st.integers(0, 29)),
+        st.sampled_from(SWEEPS),
+    )
+    def test_pre_existing_tombstones_are_invisible(self, gates, dead, sweep):
+        seg = WorkSegment(gates)
+        arr = seg.indexed()[0]
+        for i in dead:
+            if i < len(arr):
+                arr[i] = None
+        expected = run_sweep(sweep, seg.gates())
+        assert (sweep(seg), seg.gates()) == (expected[1], expected[0])
+
+    def test_chain_rewrite_then_cancellation_sees_the_new_wires(self):
+        # The chain moves slot 2 from wires {0,1} to {0,2}.  An index
+        # built before the rewrite does not list that slot on wire 2,
+        # so a cancellation reusing it would walk CNOT(0,2) past H(2)
+        # and cancel it against the last gate.
+        oracle = NamOracle(["cnot_chain", "cancellation"], fixpoint=False)
+        blocked = [CNOT(0, 1), CNOT(1, 2), CNOT(0, 1), H(2), CNOT(0, 2)]
+        assert oracle(blocked) == [CNOT(1, 2), CNOT(0, 2), H(2), CNOT(0, 2)]
+        # ...and it does cancel across the rewritten wires when it may
+        free = [CNOT(0, 1), CNOT(1, 2), CNOT(0, 1), RZ(0, 0.3), CNOT(0, 2)]
+        assert oracle(free) == [CNOT(1, 2), RZ(0, 0.3)]
+        assert segments_equivalent(free, oracle(free))
+
+    def test_chain_rewrite_invalidates_and_rebuild_compacts(self):
+        seg = WorkSegment([CNOT(0, 1), CNOT(1, 2), CNOT(0, 1), H(2)])
+        before = seg.indexed()
+        assert sweep_cnot_chain(seg)
+        arr, wires, pos0, pos1 = seg.indexed()
+        assert wires is not before[1]
+        assert arr == [CNOT(1, 2), CNOT(0, 2), H(2)]
+        assert wires == {1: [0], 2: [0, 1, 2], 0: [1]}
+        assert (pos0, pos1) == ([0, 0, 2], [0, 1, -1])

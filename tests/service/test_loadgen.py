@@ -316,7 +316,7 @@ class TestEndToEnd:
             assert section["jobs_completed"] == section["jobs_scheduled"]
         assert record["derived"]["warm_p50_speedup_vs_cold"] > 0
         assert record["derived"]["interactive_p99_over_flood_p50"] > 0
-        assert record["slo"]["warm_p50_speedup_min"] == 2.0
+        assert record["slo"]["warm_p50_speedup_min"] == 1.3
         # warm duplicates exist and the cache served them
         warm = record["mixes"]["warm"]
         assert warm["duplicate_latency_seconds"]["count"] > 0

@@ -115,15 +115,15 @@ class TestTransportGate:
         assert trend.main([cur, base, "--tolerance", "0.2"]) == 0
 
     def test_cache_hit_speedup_floor_armed_cross_class(self, write):
-        # the >=10x warm-cache floor lives here, not in tier-1 timing
+        # the >=3x warm-cache floor lives here, not in tier-1 timing
         def with_service(speedup):
             record = _transport_record(cpus=2)
             record["service"] = {"hit_speedup_vs_oracle": speedup}
             return record
 
         base = write("base.json", _transport_record(cpus=64))
-        assert trend.main([write("ok.json", with_service(12.6)), base]) == 0
-        assert trend.main([write("slow.json", with_service(9.0)), base]) == 1
+        assert trend.main([write("ok.json", with_service(3.5)), base]) == 0
+        assert trend.main([write("slow.json", with_service(2.5)), base]) == 1
 
     def test_validate_only_rejected_for_transport(self, write):
         cur = write("cur.json", _transport_record())
@@ -240,7 +240,8 @@ def _transport_record_v5(speedup=4.0, cpus=2, **kwargs):
     record["schema"] = "popqc-bench-transport/v5"
     record["cluster_cache"] = {
         "segments": 24,
-        "remote_hit_speedup_vs_oracle": speedup,
+        "remote_hit_speedup_vs_oracle": 1.1,  # printed, not gated
+        "remote_hit_speedup_vs_cold": speedup,
         "host_a": {"hits": 0, "misses": 24, "stores": 24, "errors": 0},
         "host_b": {"hits": 24, "misses": 0, "stores": 0, "errors": 0},
     }
