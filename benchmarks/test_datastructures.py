@@ -7,7 +7,8 @@ end-to-end effect).
 
 import random
 
-from repro.core import FenwickTree, IndexTree, TombstoneArray
+from repro.circuits import CNOT, RZ, GateTable, H, X, encode_segment
+from repro.core import FenwickTree, GateStore, IndexTree, TombstoneArray
 
 N = 1 << 15
 
@@ -79,3 +80,81 @@ def test_tombstone_segment_extraction(benchmark):
 
     indices, items = benchmark(run)
     assert len(items) == 400
+
+
+# -- the id-column store and the gate table (what popqc runs on) ---------------
+
+
+def _repetitive_gates(n: int, seed: int = 3):
+    """``n`` gates over a few dozen distinct values, like a Table-1 circuit."""
+    rng = random.Random(seed)
+    values = (
+        [H(q) for q in range(8)]
+        + [X(q) for q in range(8)]
+        + [CNOT(q, (q + 1) % 8) for q in range(8)]
+        + [RZ(q, 0.25 * k) for q in range(8) for k in range(1, 4)]
+    )
+    return [rng.choice(values) for _ in range(n)]
+
+
+def _half_dead_store():
+    store = GateStore(_repetitive_gates(N))
+    rng = random.Random(2)
+    store.rewrite(([i], []) for i in rng.sample(range(N), N // 2))
+    return store
+
+
+def test_gate_store_segment_extraction(benchmark):
+    """Same shape as ``test_tombstone_segment_extraction``: 400 live
+    gates out of a half-tombstoned array."""
+    store = _half_dead_store()
+    mid = store.live_count // 2
+
+    slots, segment = benchmark(lambda: store.segment(mid - 200, mid + 200))
+    assert len(slots) == len(segment) == 400
+
+
+def test_gate_store_rewrite(benchmark):
+    """Write a 150-gate replacement over a 200-gate segment and back:
+    two column writes and two batched tree updates per call."""
+    store = GateStore(_repetitive_gates(N))
+    slots, segment = store.segment(N // 2, N // 2 + 200)
+    full = segment.gates()
+
+    def run():
+        store.rewrite([(slots, full[:150])])
+        store.rewrite([(slots, full)])
+
+    benchmark(run)
+    assert store.live_count == N
+
+
+def test_tombstone_substitute(benchmark):
+    """The same write on the reference array (the layered driver's)."""
+    arr = TombstoneArray(_repetitive_gates(N))
+    slots, full = arr.segment(N // 2, N // 2 + 200)
+
+    def run():
+        arr.rewrite([(slots, full[:150])])
+        arr.rewrite([(slots, full)])
+
+    benchmark(run)
+    assert arr.live_count == N
+
+
+def test_gate_table_encoded(benchmark):
+    """200 ids to the canonical wire arrays, by gathers."""
+    table = GateTable()
+    ids = table.intern(_repetitive_gates(200))
+    encoded = benchmark(table.encoded, ids)
+    assert encoded == encode_segment(table.gates_of(ids))
+
+
+def test_gate_table_ids_from_encoded(benchmark):
+    """200 wire gates back to ids in a warm table: one probe each."""
+    table = GateTable()
+    gates = _repetitive_gates(200)
+    encoded = encode_segment(gates)
+    table.ids_from_encoded(encoded)
+    ids = benchmark(table.ids_from_encoded, encoded)
+    assert table.gates_of(ids) == gates

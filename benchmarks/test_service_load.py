@@ -7,16 +7,21 @@ the schema-v1 record at the repo root so CI can upload it and gate it
 against `benchmarks/BENCH_service_load_baseline.json` via
 `check_bench_trend.py`.
 
-The assertions here are the PR's acceptance criteria, enforced at
-benchmark time as well as at gate time:
+The assertions here are behavioural — they hold or fail whatever the
+machine's speed, so tier-1 can run them:
 
 * every scheduled job of every mix completes (no errors, no dropped
   BUSY retries);
-* the warm mix's duplicate traffic shows the cache's latency benefit
-  (p50 speedup over cold >= the gated SLO);
-* interactive submits injected during the batch flood meet the
-  starvation bound (p99 <= the gated multiple of flood p50);
+* the warm mix's duplicate traffic is really served by the cache (hit
+  rate, a trajectory that warms up), and both SLO ratios are recorded
+  beside their floors;
 * the seeded schedule manifest is byte-reproducible.
+
+The two latency SLOs themselves — warm-duplicate p50 speedup over cold
+>= ``WARM_P50_SPEEDUP_MIN``, interactive p99 <= the gated multiple of
+flood p50 — are wall-clock ratios and are gated where the record is
+gated: ``check_bench_trend.py`` (always armed, also under
+``--validate-only``; pinned in ``tests/test_check_bench_trend.py``).
 """
 
 import json
@@ -114,11 +119,11 @@ class TestServiceLoadBench:
             assert mix["jobs_completed"] == mix["jobs_scheduled"]
 
     def test_warm_cache_latency_benefit(self, record):
-        speedup = record["derived"]["warm_p50_speedup_vs_cold"]
-        assert speedup >= WARM_P50_SPEEDUP_MIN, (
-            f"warm duplicate p50 only {speedup:.2f}x faster than cold "
-            f"(SLO >= {WARM_P50_SPEEDUP_MIN}x)"
-        )
+        """The benefit's cause is asserted here — duplicates hit the
+        cache, and more of them as it warms; its size (the p50 ratio)
+        is recorded with its floor for the trend gate to judge."""
+        assert record["derived"]["warm_p50_speedup_vs_cold"] > 0
+        assert record["slo"]["warm_p50_speedup_min"] == WARM_P50_SPEEDUP_MIN
         warm = record["mixes"]["warm"]
         assert warm["duplicate_latency_seconds"]["count"] > 0
         assert warm["cache"]["hit_rate"] > 0.3
@@ -128,10 +133,17 @@ class TestServiceLoadBench:
         assert trajectory[-1]["hit_rate"] > trajectory[0]["hit_rate"]
 
     def test_interactive_starvation_bound(self, record):
-        ratio = record["derived"]["interactive_p99_over_flood_p50"]
-        assert 0 < ratio <= INTERACTIVE_P99_OVER_FLOOD_P50_MAX, (
-            f"interactive p99 is {ratio:.2f}x the flood p50 "
-            f"(SLO <= {INTERACTIVE_P99_OVER_FLOOD_P50_MAX}x)"
+        """Every interactive submit injected into the flood completed,
+        none was refused for good, and the starvation ratio is recorded
+        with its ceiling; whether it is met is the trend gate's call."""
+        interactive = record["mixes"]["interactive"]
+        assert interactive["jobs_scheduled"] > 0
+        assert interactive["jobs_completed"] == interactive["jobs_scheduled"]
+        assert interactive["latency_seconds"]["p99"] > 0
+        assert record["derived"]["interactive_p99_over_flood_p50"] > 0
+        assert (
+            record["slo"]["interactive_p99_over_flood_p50_max"]
+            == INTERACTIVE_P99_OVER_FLOOD_P50_MAX
         )
 
     def test_record_is_schema_v1(self, record, bench_json):

@@ -6,6 +6,7 @@ from .encoding import (
     decode_segment,
     encode_segment,
     encoded_nbytes,
+    pack_segment,
     pack_segment_into,
     packed_segment_nbytes,
     segment_fingerprint,
@@ -24,6 +25,7 @@ from .gate import (
     is_zero_angle,
     normalize_angle,
 )
+from .intern import GateTable
 from .layering import (
     circuit_depth,
     flatten_layers,
@@ -49,6 +51,7 @@ __all__ = [
     "encode_segment",
     "encoded_nbytes",
     "Gate",
+    "GateTable",
     "H",
     "QasmError",
     "RZ",
@@ -62,6 +65,7 @@ __all__ = [
     "layers_asap",
     "left_justified",
     "normalize_angle",
+    "pack_segment",
     "pack_segment_into",
     "packed_segment_nbytes",
     "parse_qasm",

@@ -48,6 +48,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -60,6 +61,7 @@ __all__ = [
     "decode_segment",
     "encoded_nbytes",
     "packed_segment_nbytes",
+    "pack_segment",
     "pack_segment_into",
     "unpack_segment_from",
     "packed_segment_span",
@@ -204,7 +206,8 @@ def _align(offset: int, alignment: int) -> int:
     return (offset + alignment - 1) & ~(alignment - 1)
 
 
-def _names_blob(names: Sequence[str]) -> bytes:
+@lru_cache(maxsize=256)  # a run's segments share a handful of name tuples
+def _names_blob(names: tuple[str, ...]) -> bytes:
     parts = []
     for name in names:
         raw = name.encode("utf-8")
@@ -215,44 +218,29 @@ def _names_blob(names: Sequence[str]) -> bytes:
 
 def packed_segment_nbytes(encoded: EncodedSegment) -> int:
     """Size of ``encoded`` in the flat wire format (8-byte aligned)."""
-    size = _PACK_HEADER.size + len(_names_blob(encoded.names))
-    size = _align(size, 8)
-    size += encoded.params.nbytes
-    size += encoded.qubits.nbytes
-    size = _align(size, 4) + encoded.ops.nbytes
-    size = _align(size, 4) + encoded.arities.nbytes
-    size += encoded.param_mask.nbytes
-    return _align(size, 8)
+    return len(pack_segment(encoded))
 
 
-def pack_segment_into(encoded: EncodedSegment, buf, offset: int = 0) -> int:
-    """Write ``encoded`` into ``buf`` at ``offset``; return the end offset.
+def pack_segment(encoded: EncodedSegment) -> bytes:
+    """``encoded`` in the flat wire format, as one byte string.
 
-    ``buf`` is any writable contiguous buffer (``bytearray``,
-    ``memoryview``, ``SharedMemory.buf``).  Array payloads are written
-    in place — no intermediate pickle, no per-array allocation beyond
-    the small header.
+    The one writer of the layout above; pad bytes are zero, so the
+    result is canonical (see :func:`segment_fingerprint`).
     """
-    names = _names_blob(encoded.names)
     flags = 0
     if encoded.ops.dtype == np.int32:
         flags |= _FLAG_OPS_I32
     if encoded.arities.dtype == np.int32:
         flags |= _FLAG_ARITIES_I32
-    mv = memoryview(buf)
-    pos = offset
-    _PACK_HEADER.pack_into(
-        mv,
-        pos,
+    head = _PACK_HEADER.pack(
         encoded.length,
         len(encoded.names),
         encoded.qubits.size,
         encoded.params.size,
         flags,
     )
-    pos += _PACK_HEADER.size
-    mv[pos : pos + len(names)] = names
-    pos = _align(pos + len(names), 8)
+    parts = [head, _names_blob(tuple(encoded.names))]
+    pos = len(head) + len(parts[1])
     for arr, alignment in (
         (encoded.params, 8),
         (encoded.qubits, 4),
@@ -260,11 +248,23 @@ def pack_segment_into(encoded: EncodedSegment, buf, offset: int = 0) -> int:
         (encoded.arities, 4),
         (encoded.param_mask, 1),
     ):
-        pos = _align(pos, alignment)
-        if arr.size:
-            np.frombuffer(mv, dtype=arr.dtype, count=arr.size, offset=pos)[:] = arr
-        pos += arr.nbytes
-    return _align(pos, 8)
+        gap = -pos % alignment
+        parts += (bytes(gap), arr.tobytes())
+        pos += gap + arr.nbytes
+    parts.append(bytes(-pos % 8))
+    return b"".join(parts)
+
+
+def pack_segment_into(encoded: EncodedSegment, buf, offset: int = 0) -> int:
+    """Write ``encoded`` into ``buf`` at ``offset``; return the end offset.
+
+    ``buf`` is any writable contiguous buffer (``bytearray``,
+    ``memoryview``, ``SharedMemory.buf``).
+    """
+    packed = pack_segment(encoded)
+    end = offset + len(packed)
+    memoryview(buf)[offset:end] = packed
+    return end
 
 
 def packed_segment_span(buf, offset: int = 0) -> tuple[int, int]:

@@ -1,0 +1,206 @@
+"""Interned gates: a circuit as a column of small integer ids.
+
+The circuits POPQC optimizes are long but repetitive (an 11k-38k-gate
+Table-1 instance holds a few hundred *distinct* gate values), and every
+per-gate cost the driver and the workers used to pay — building a
+``Gate``, flattening it into wire arrays, hashing it — was paid again
+for a value the process had already seen.  A :class:`GateTable` pays it
+once per distinct value: each gets a small id and a row of numpy
+columns, a segment is an int32 id array, :meth:`GateTable.encoded`
+gathers the canonical :class:`~repro.circuits.encoding.EncodedSegment`
+of one (the packed bytes of ``encode_segment`` on the gates), and
+:meth:`GateTable.ids_from_encoded` reads wire arrays back as ids.
+
+A table is a *cache*: ids never reach a wire byte, a cache key or an
+output, so dropping one — or using another on the far side of a pipe —
+changes nothing observable.  Tables are not thread-safe.
+"""
+
+from __future__ import annotations
+
+import threading
+from operator import attrgetter
+from typing import Sequence
+
+import numpy as np
+
+from . import encoding
+from .gate import Gate
+
+__all__ = ["TABLE_CAP", "GateTable", "thread_table"]
+
+#: Entries a worker thread's table may reach before it is replaced (as a
+#: whole, between segments).  Table-1 circuits stay far below it; at
+#: ~500 bytes an entry it bounds a table near 4 MB.
+TABLE_CAP = 8192
+
+#: What makes two gates the same gate: the by-value key of a table row.
+_VALUE = attrgetter("name", "qubits", "param")
+
+
+def _narrow(arity: np.ndarray) -> bool:
+    """Whether every gate acts on one or two qubits: what the gathered
+    paths handle (anything else goes through the per-gate codec)."""
+    return len(arity) == 0 or (arity.min() >= 1 and arity.max() <= 2)
+
+
+class GateTable:
+    """Distinct gate values, each with an id and a row of numpy columns.
+
+    ``gates[i]`` is *the* ``Gate`` object of id ``i``: the one
+    :meth:`gates_of` hands out for that value, so a gate an oracle
+    passed through unchanged comes back to :meth:`intern` by identity.
+    Three maps lead to an id: by ``id()`` of an object the table owns,
+    by value for any other ``Gate``, by wire key (see
+    :meth:`ids_from_encoded`) for a gate still in its encoded arrays.
+    """
+
+    def __init__(self) -> None:
+        self.gates: list[Gate] = []
+        self._by_object: dict[int, int] = {}
+        self._by_value: dict[tuple, int] = {}
+        self._by_key: dict[tuple, int] = {}
+        self._names: list[str] = []
+        self._name_ids: dict[str, int] = {}
+        #: per id: name id, arity, first two qubits, has-param; and the param
+        self._rows = np.empty((64, 5), dtype=np.int32)
+        self._param = np.empty(64, dtype=np.float64)
+
+    def __len__(self) -> int:
+        return len(self.gates)
+
+    def intern(self, gates: Sequence[Gate]) -> np.ndarray:
+        """The ids of ``gates``, adding a row for every unseen value."""
+        if not isinstance(gates, (list, tuple)):
+            gates = list(gates)
+        ids = list(map(self._by_object.get, map(id, gates)))
+        if None in ids:
+            strangers = [g for g, gid in zip(gates, ids) if gid is None]
+            values = list(map(_VALUE, strangers))
+            # one row per unseen value (its first stranger becomes the
+            # table's object for it), then every stranger resolves by value
+            firsts = dict(zip(reversed(values), reversed(strangers)))
+            for value, gate in firsts.items():
+                if value not in self._by_value:
+                    self._add(gate, value)
+            found = map(self._by_value.__getitem__, values)
+            ids = [next(found) if gid is None else gid for gid in ids]
+        return np.array(ids, dtype=np.int32)
+
+    def _add(self, gate: Gate, value: tuple) -> int:
+        """Give the unseen ``gate`` the next id and fill in its row."""
+        gid = len(self.gates)
+        if gid == len(self._rows):
+            self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
+            self._param = np.concatenate([self._param, np.empty_like(self._param)])
+        qubits, param = gate.qubits, gate.param
+        name_id = self._name_id(gate.name)
+        q0, q1 = (tuple(qubits[:2]) + (0, 0))[:2]
+        self._rows[gid] = (name_id, len(qubits), q0, q1, param is not None)
+        self._param[gid] = param or 0.0
+        self.gates.append(gate)
+        self._by_object[id(gate)] = gid
+        self._by_value[value] = gid
+        if 1 <= len(qubits) <= 2:  # its canonical wire key
+            head = (name_id << 3) | (len(qubits) << 1) | (param is not None)
+            self._by_key[head, qubits[0], qubits[-1], param or 0.0] = gid
+        return gid
+
+    def _name_id(self, name: str) -> int:
+        name_id = self._name_ids.get(name)
+        if name_id is None:
+            name_id = self._name_ids[name] = len(self._names)
+            self._names.append(name)
+        return name_id
+
+    def gates_of(self, ids: np.ndarray) -> list[Gate]:
+        """The (shared) ``Gate`` objects of ``ids``, as a fresh list."""
+        return list(map(self.gates.__getitem__, ids.tolist()))
+
+    def encoded(self, ids: np.ndarray) -> encoding.EncodedSegment:
+        """``encode_segment(self.gates_of(ids))`` without touching a ``Gate``.
+
+        Array for array what the reference encoder returns (opcode
+        table in first-use order, the same dtype choices), so the
+        packed bytes and every fingerprint taken of them are equal.
+        """
+        n = len(ids)
+        rows = self._rows[ids]
+        name, arity, has_param = rows[:, 0], rows[:, 1], rows[:, 4].astype(bool)
+        if not _narrow(arity):
+            return encoding.encode_segment(self.gates_of(ids))
+        used = list(dict.fromkeys(name.tolist()))  # distinct, in first-use order
+        opcode = np.empty(
+            len(self._names), dtype=np.uint8 if len(used) <= 256 else np.int32
+        )
+        opcode[used] = np.arange(len(used))
+        real = np.ones(2 * n, dtype=bool)  # of (q0, q1) per gate, flat
+        real[1::2] = arity == 2
+        return encoding.EncodedSegment(
+            names=tuple(map(self._names.__getitem__, used)),
+            ops=opcode[name],
+            arities=arity.astype(np.uint8),
+            qubits=rows[:, 2:4].reshape(-1)[real],
+            param_mask=np.packbits(has_param),
+            params=self._param[ids][has_param],
+            length=n,
+        )
+
+    def ids_from_encoded(self, encoded: encoding.EncodedSegment) -> np.ndarray:
+        """The ids of ``decode_segment(encoded)``, one dict probe per gate.
+
+        The probe key is ``(name id << 3 | arity << 1 | has param, first
+        qubit, last qubit, param or 0.0)``.  A ``Gate`` is constructed
+        only for a key met for the first time — validated and
+        angle-normalized as the reference decoder would.
+        """
+        n = encoded.length
+        arity = encoded.arities.astype(np.int64)
+        if not _narrow(arity):
+            return self.intern(encoding.decode_segment(encoded))
+        name = np.array(
+            [self._name_id(name) for name in encoded.names], dtype=np.int64
+        )[encoded.ops]
+        has_param = np.unpackbits(encoded.param_mask, count=n)
+        param = np.zeros(n)
+        param[has_param.view(bool)] = encoded.params
+        end = np.cumsum(arity)
+        keys = list(
+            zip(
+                ((name << 3) | (arity << 1) | has_param).tolist(),
+                encoded.qubits[end - arity].tolist(),
+                encoded.qubits[end - 1].tolist(),
+                param.tolist(),
+            )
+        )
+        ids = list(map(self._by_key.get, keys))
+        if None in ids:  # wire values met for the first time: once each
+            for key in dict.fromkeys(k for k, gid in zip(keys, ids) if gid is None):
+                self._by_key[key] = self._wire_value(*key)
+            ids = list(map(self._by_key.__getitem__, keys))
+        return np.array(ids, dtype=np.int32)
+
+    def _wire_value(self, head: int, first: int, last: int, param: float) -> int:
+        """The id of one wire value, by way of the ``Gate`` it decodes to."""
+        qubits = (first, last)[: (head >> 1) & 3]
+        gate = Gate(self._names[head >> 3], qubits, param if head & 1 else None)
+        value = _VALUE(gate)
+        gid = self._by_value.get(value)
+        return self._add(gate, value) if gid is None else gid
+
+
+_THREAD = threading.local()
+
+
+def thread_table() -> GateTable:
+    """The calling thread's bounded scratch table.
+
+    For code that sees one segment at a time and keeps no ids between
+    segments (an oracle worker): once the table has outgrown
+    :data:`TABLE_CAP` the next call starts a fresh one, so call this
+    once per segment.
+    """
+    table = getattr(_THREAD, "table", None)
+    if table is None or len(table) > TABLE_CAP:
+        table = _THREAD.table = GateTable()
+    return table

@@ -1,8 +1,9 @@
-"""POPQC core: index tree, tombstone array, fingers, driver, verification."""
+"""POPQC core: index tree, circuit stores, fingers, driver, verification."""
 
 from .adaptive import SlidingProfile, popqc_adaptive, sliding_distances, suggest_omega
 from .fenwick import FenwickTree
 from .fingers import initial_fingers, select_fingers
+from .gate_store import GateStore
 from .greedy import popqc_greedy
 from .index_tree import IndexTree
 from .naive_index import NaiveIndex
@@ -26,6 +27,7 @@ __all__ = [
     "sliding_distances",
     "suggest_omega",
     "FenwickTree",
+    "GateStore",
     "IndexTree",
     "LayeredPopqcResult",
     "LocalOptimalityViolation",

@@ -1,0 +1,104 @@
+"""The circuit as an id column — ``popqc``'s store at gate granularity.
+
+Same shape as :class:`~repro.core.tombstone.TombstoneArray` (a slot
+array plus a rank/select tree, Algorithm 1's interface and bounds), but
+a slot holds the *id* of a gate in a :class:`~repro.circuits.intern.
+GateTable`, ``-1`` for a tombstone, so the round loop's data-structure
+steps are array operations: a segment is two ``select`` calls and a
+``flatnonzero`` over the id window between them, an accepted result is
+a column assignment, and the tree is updated once per round.  The table
+lives and dies with the store, i.e. with one ``popqc`` call; ``Gate``
+objects exist on the way in, on the way out, and wherever a caller asks
+a segment for them.
+"""
+
+from __future__ import annotations
+
+from itertools import repeat
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
+
+from ..circuits.gate import Gate
+from ..circuits.intern import GateTable
+from ..parallel.results import LazySegmentResult
+from .index_tree import IndexTree
+
+__all__ = ["GateStore"]
+
+
+class GateStore:
+    """Sparse array of interned gates with O(lg n) rank/select.
+
+    ``tree_factory`` is as for :class:`~repro.core.tombstone.
+    TombstoneArray`; only the interface the three trees share is used.
+    """
+
+    def __init__(
+        self,
+        gates: Sequence[Gate],
+        tree_factory: Callable[[Sequence[int]], IndexTree] = IndexTree,
+    ):
+        self.table = GateTable()
+        self._ids = self.table.intern(gates)  # -1 marks a tombstone
+        self._tree = tree_factory(np.ones(len(self._ids), dtype=np.int8))
+
+    def __len__(self) -> int:
+        """Number of array slots, including tombstones."""
+        return len(self._ids)
+
+    @property
+    def live_count(self) -> int:
+        """Number of live (non-tombstone) gates."""
+        return self._tree.total
+
+    def before(self, index: int) -> int:
+        """Number of live gates strictly before array ``index``."""
+        return self._tree.before(index)
+
+    def index_of(self, rank: int) -> int:
+        """Array index of the live gate with the given rank."""
+        return self._tree.select(rank)
+
+    def segment(
+        self, rank_lo: int, rank_hi: int
+    ) -> tuple[np.ndarray, LazySegmentResult]:
+        """Live gates with ranks in ``[rank_lo, rank_hi)``: their array
+        indices, and the gates as a lazy segment over this store's table."""
+        rank_lo = max(rank_lo, 0)
+        rank_hi = min(rank_hi, self._tree.total)
+        first, window = 0, self._ids[:0]
+        if rank_lo < rank_hi:
+            first = self._tree.select(rank_lo)
+            window = self._ids[first : self._tree.select(rank_hi - 1) + 1]
+        live = np.flatnonzero(window >= 0)
+        return live + first, LazySegmentResult.from_ids(window[live], self.table)
+
+    def rewrite(self, runs: Iterable[tuple[Sequence[int], Sequence[Gate]]]) -> None:
+        """Overwrite each run of slots with its replacement gates.
+
+        A run is ``(slots, gates)`` with ``len(gates) <= len(slots)``:
+        the gates go into the first slots, the rest become tombstones.
+        A replacement still in wire form (an undecoded oracle result)
+        becomes ids straight from its arrays.  Runs apply in order; the
+        tree sees one batched update, for the slots that died or came
+        back.
+        """
+        ids = self._ids
+        flips: dict[int, bool] = {}  # slot -> liveness it ends the batch in
+        for slots, gates in runs:
+            slots = np.asarray(slots)
+            if isinstance(gates, LazySegmentResult) and not gates.decoded:
+                new = self.table.ids_from_encoded(gates.encoded())
+            else:
+                new = self.table.intern(gates)
+            kept, dropped = slots[: len(new)], slots[len(new) :]
+            flips.update(zip(kept[ids[kept] < 0].tolist(), repeat(True)))
+            flips.update(zip(dropped[ids[dropped] >= 0].tolist(), repeat(False)))
+            ids[kept] = new
+            ids[dropped] = -1
+        self._tree.set_live_batch(flips.items())
+
+    def items(self) -> list[Gate]:
+        """All live gates in array order."""
+        return self.table.gates_of(self._ids[self._ids >= 0])

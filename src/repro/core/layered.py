@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 from ..circuits import Circuit, Gate, layers_asap
 from ..parallel import ParallelMap
 from .popqc import CostFn, OracleFn, PopqcResult, _Granularity, _optimize
+from .tombstone import TombstoneArray
 
 __all__ = ["layered_popqc", "LayeredPopqcResult", "mixed_cost"]
 
@@ -77,7 +78,7 @@ def layered_popqc(
         circuit,
         oracle,
         omega,
-        _Granularity(to_gates=_flatten, to_items=relayer),
+        _Granularity(array=TombstoneArray, to_gates=_flatten, to_items=relayer),
         parmap=parmap,
         cost_fn=cost if cost is not None else mixed_cost(),
         max_rounds=max_rounds,

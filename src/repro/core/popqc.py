@@ -35,6 +35,7 @@ from typing import Any, Callable, Optional, Sequence
 from ..circuits import Circuit, Gate
 from ..parallel import ParallelMap, SerialMap
 from .fingers import initial_fingers, select_fingers
+from .gate_store import GateStore
 from .index_tree import IndexTree
 from .stats import (
     OptimizationStats,
@@ -94,16 +95,21 @@ def _same(x: Any) -> Any:
 
 @dataclass(frozen=True)
 class _Granularity:
-    """What one tombstone-array item is, relative to the oracle's gates.
+    """What one array item is, relative to the oracle's gates.
 
-    ``to_gates`` turns a run of items into the flat gate list the oracle
-    and the cost function see; ``to_items`` turns a gate sequence (the
-    input circuit, an oracle output) into the items written back.  Both
-    are the identity at gate granularity, so a lazy oracle result is
-    only decoded when an accepted rewrite reads its gates.
+    ``array`` builds the rank/select store from the input's items;
+    ``to_gates`` turns a run of items into the flat gate sequence the
+    oracle and the cost function see; ``to_items`` turns a gate
+    sequence (the input circuit, an oracle output) into the items
+    written back.  At gate granularity the store is a
+    :class:`~repro.core.gate_store.GateStore` and both functions are the
+    identity: segments leave the store as lazy gate sequences and a
+    lazy oracle result goes back in still packed, so nothing is decoded
+    that no caller reads.
     """
 
-    to_gates: Callable[[list], list[Gate]] = _same
+    array: Callable[[Sequence, Callable], Any] = GateStore
+    to_gates: Callable[[Sequence], Sequence[Gate]] = _same
     to_items: Callable[[Sequence[Gate]], Sequence] = _same
 
 
@@ -137,16 +143,17 @@ def popqc(
         Parallel-map executor; defaults to :class:`SerialMap`.  An
         executor offering ``map_segments(oracle, segments)`` (currently
         :class:`~repro.parallel.ProcessMap`, which also picks the wire
-        format) is driven through it, any other through
-        ``map(oracle, segments)``.  ``map_segments`` results decode
-        lazily: only accepted rewrites are ever unpacked into gates
+        format) is driven through it with lazy ``Sequence[Gate]``
+        segments, any other through ``map(oracle, segments)`` with real
+        gate lists.  ``map_segments`` results decode lazily: only
+        accepted rewrites are ever unpacked
         (``stats.skipped_decode_bytes`` reports the savings).
     cost:
         Acceptance cost; defaults to gate count, matching Algorithm 3's
         ``|optSegment| < |segment|`` test.  The depth-aware experiment
         passes a mixed cost here.
     tree_factory:
-        Rank/select structure for the tombstone array (IndexTree or
+        Rank/select structure for the gate store (IndexTree or
         FenwickTree).
     max_rounds:
         Optional safety cap on the number of rounds.
@@ -213,8 +220,11 @@ def _optimize(
         num_qubits = None
     pmap = parmap if parmap is not None else SerialMap()
     # the one executor seam: the oracle-transport extension when the
-    # executor has it, the protocol's plain map otherwise
-    oracle_map = getattr(pmap, "map_segments", None) or pmap.map
+    # executor has it, the protocol's plain map — over real gate lists,
+    # not the store's lazy segments — otherwise
+    oracle_map = getattr(pmap, "map_segments", None) or (
+        lambda fn, segments: pmap.map(fn, [list(seg) for seg in segments])
+    )
 
     stats = OptimizationStats(
         initial_gates=len(gates),
@@ -224,7 +234,7 @@ def _optimize(
     counters_before = record_transport(stats, pmap)
     t_start = time.perf_counter()
 
-    array: TombstoneArray = TombstoneArray(granularity.to_items(gates), tree_factory)
+    array = granularity.array(granularity.to_items(gates), tree_factory)
     fingers = initial_fingers(len(array), omega)
 
     while fingers and (max_rounds is None or stats.rounds < max_rounds):
@@ -260,13 +270,13 @@ def _optimize(
 
 
 def _run_round(
-    array: TombstoneArray,
+    array: GateStore | TombstoneArray,
     fingers: list[int],
     oracle: OracleFn,
     omega: int,
     granularity: _Granularity,
     pmap: ParallelMap,
-    oracle_map: Callable[[OracleFn, list[list[Gate]]], Sequence[Sequence[Gate]]],
+    oracle_map: Callable[[OracleFn, list[Sequence[Gate]]], Sequence[Sequence[Gate]]],
     cost_fn: CostFn,
     rstats: RoundStats,
     check_invariants: bool,
@@ -293,8 +303,8 @@ def _run_round(
         _assert_non_interfering(selected_ranks, omega)
 
     # Extract the 2Ω-segment centered on each selected finger.
-    seg_slots: list[list[int]] = []
-    seg_gates: list[list[Gate]] = []
+    seg_slots: list[Sequence[int]] = []
+    seg_gates: list[Sequence[Gate]] = []
     seg_bounds: list[tuple[int, int]] = []
     kept_remaining = [fingers[p] for p in remaining_pos]
     for finger_rank in selected_ranks:
@@ -320,11 +330,11 @@ def _run_round(
     rstats.selected = len(seg_gates)
 
     # Accept / reject, build the batched substitution and new fingers.
-    updates: list[tuple[int, Any]] = []
+    rewrites: list[tuple[Sequence[int], Sequence]] = []
     new_fingers: list[int] = []
     accepted_regions: list[tuple[int, int]] = []
     for slots, seg, bounds, opt in zip(seg_slots, seg_gates, seg_bounds, results):
-        if not slots:
+        if not len(slots):
             continue
         opt_items = granularity.to_items(opt)
         if len(opt_items) <= len(slots) and cost_fn(opt) < cost_fn(seg):
@@ -332,21 +342,20 @@ def _run_round(
                 _validate_oracle_output(seg, opt, validation_max_qubits)
             rstats.accepted += 1
             accepted_regions.append(bounds)
-            for i, slot in enumerate(slots):
-                updates.append((slot, opt_items[i] if i < len(opt_items) else None))
+            rewrites.append((slots, opt_items))
             # Boundary fingers (Lemma 6): the first slot of the optimized
             # region covers segments crossing its left boundary; the first
             # live gate after the region covers the right boundary.  Both
             # are computed before the substitution shifts ranks.
             lo, hi = bounds
             if lo > 0:
-                new_fingers.append(slots[0])
+                new_fingers.append(int(slots[0]))
             if hi < total_live:
                 new_fingers.append(array.index_of(hi))
         # else: oracle found nothing (or result does not fit) — finger drops.
 
-    if updates:
-        array.substitute(updates)
+    if rewrites:
+        array.rewrite(rewrites)
 
     # mergeAndDeduplicate: both lists hold array indices; keep sorted order.
     merged = sorted(set(kept_remaining) | set(new_fingers))
@@ -354,7 +363,7 @@ def _run_round(
 
 
 def _validate_oracle_output(
-    segment: list[Gate], output: list[Gate], max_qubits: int
+    segment: Sequence[Gate], output: Sequence[Gate], max_qubits: int
 ) -> None:
     """Enforce the oracle contract on one accepted rewrite.
 
@@ -391,10 +400,10 @@ def _assert_non_interfering(selected_ranks: list[int], omega: int) -> None:
             )
 
 
-def _assert_disjoint_slots(seg_slots: list[list[int]]) -> None:
+def _assert_disjoint_slots(seg_slots: list[Sequence[int]]) -> None:
     seen: set[int] = set()
     for slots in seg_slots:
-        for s in slots:
+        for s in map(int, slots):
             if s in seen:
                 raise AssertionError(f"slot {s} appears in two segments")
             seen.add(s)

@@ -15,6 +15,7 @@ operation              meaning                        cost
 ``before(i)``          live items before index i      O(lg n)
 ``get(r)``             r-th live item                 O(lg n)
 ``substitute(pairs)``  replace items, None removes    O(l lg n)
+``rewrite(runs)``      substitute whole slot runs     O(l lg n)
 ``items()``            all live items, in order       O(n)
 =====================  =============================  =================
 """
@@ -135,12 +136,31 @@ class TombstoneArray(Generic[T]):
         """Replace slot contents; ``None`` writes a tombstone.
 
         Mirrors the paper's ``substitute``: O(l lg n) for ``l`` updates.
+        The tree hears only about slots whose liveness changed (either
+        way), in one batch.
         """
-        tree = self._tree
         slots = self._slots
+        flips: list[tuple[int, bool]] = []
         for index, item in updates:
+            live = item is not None
+            if (slots[index] is not None) != live:
+                flips.append((index, live))
             slots[index] = item
-            tree.set_live(index, item is not None)
+        if flips:
+            self._tree.set_live_batch(flips)
+
+    def rewrite(self, runs: Iterable[tuple[Sequence[int], Sequence[T]]]) -> None:
+        """Overwrite each run of slots with its (no longer) replacement.
+
+        ``runs`` holds ``(slots, items)`` pairs; the items go into the
+        first slots and the rest of the run is tombstoned.  One
+        :meth:`substitute` for all of them.
+        """
+        self.substitute(
+            (slot, items[i] if i < len(items) else None)
+            for slots, items in runs
+            for i, slot in enumerate(slots)
+        )
 
     # -- bulk views ----------------------------------------------------------------
 

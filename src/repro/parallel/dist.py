@@ -125,12 +125,11 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from ..circuits.encoding import (
     EncodedSegment,
-    pack_segment_into,
-    packed_segment_nbytes,
+    pack_segment,
     packed_segment_span,
     unpack_segment_from,
 )
-from .executor import StaleOracleError, _oracle_encoded_result, _pack_to_bytes
+from .executor import StaleOracleError, _oracle_encoded_result
 
 __all__ = [
     "BUSY_MAX_ACTIVE",
@@ -165,6 +164,8 @@ __all__ = [
     "SocketHostPool",
     "WorkerHost",
     "WorkerUnavailableError",
+    "iter_results_payload",
+    "join_segments_payload",
     "local_cluster",
     "pack_busy_payload",
     "pack_cache_lookup_payload",
@@ -403,13 +404,17 @@ def pack_segments_payload(
     generation: int, batch_id: int, encoded: Sequence[EncodedSegment]
 ) -> bytes:
     """SEGMENTS payload: header + the batch in the flat wire format."""
-    sizes = [packed_segment_nbytes(enc) for enc in encoded]
-    buf = bytearray(_SEGMENTS_HEADER.size + sum(sizes))
-    _SEGMENTS_HEADER.pack_into(buf, 0, generation, batch_id, len(encoded))
-    pos = _SEGMENTS_HEADER.size
-    for enc in encoded:
-        pos = pack_segment_into(enc, buf, pos)
-    return bytes(buf)
+    return join_segments_payload(
+        generation, batch_id, [pack_segment(enc) for enc in encoded]
+    )
+
+
+def join_segments_payload(
+    generation: int, batch_id: int, packed: Sequence[bytes]
+) -> bytes:
+    """SEGMENTS payload of segments that are packed already."""
+    head = _SEGMENTS_HEADER.pack(generation, batch_id, len(packed))
+    return head + b"".join(packed)
 
 
 def unpack_segments_payload(
@@ -449,21 +454,29 @@ def split_results_payload(payload: bytes) -> tuple[int, list[bytes]]:
     Splits on :func:`packed_segment_span` header reads only — no
     per-gate decoding, preserving result laziness end to end.
     """
+    blobs = [blob for _, blob in iter_results_payload(payload)]
+    return _RESULTS_HEADER.unpack_from(payload, 0)[0], blobs
+
+
+def iter_results_payload(payload: bytes) -> Iterator[tuple[int, bytes]]:
+    """``(gate count, packed blob)`` of each result in a RESULTS payload.
+
+    The gate count is what the header walk reads anyway; handing it on
+    spares :meth:`LazySegmentResult.from_packed` a second parse.
+    """
     if len(payload) < _RESULTS_HEADER.size:
         raise FrameProtocolError("RESULTS payload shorter than its header")
-    batch_id, count = _RESULTS_HEADER.unpack_from(payload, 0)
+    _batch_id, count = _RESULTS_HEADER.unpack_from(payload, 0)
     pos = _RESULTS_HEADER.size
-    blobs: list[bytes] = []
     try:
         for _ in range(count):
-            _, end = packed_segment_span(payload, pos)
+            length, end = packed_segment_span(payload, pos)
             if end > len(payload):
                 raise FrameProtocolError("RESULTS payload truncated mid-segment")
-            blobs.append(payload[pos:end])
+            yield length, payload[pos:end]
             pos = end
     except struct.error as exc:
         raise FrameProtocolError(f"torn RESULTS payload: {exc}") from exc
-    return batch_id, blobs
 
 
 def pack_error_payload(kind: int, message: str) -> bytes:
@@ -516,10 +529,7 @@ def pack_job_payload(
         0 if max_rounds is None else max_rounds + 1,
         min(MAX_PRIORITY, max(1, priority)),
     )
-    buf = bytearray(len(head) + packed_segment_nbytes(encoded))
-    buf[: len(head)] = head
-    pack_segment_into(encoded, buf, len(head))
-    return bytes(buf)
+    return head + pack_segment(encoded)
 
 
 def unpack_job_payload(
@@ -563,13 +573,8 @@ def pack_result_payload(
     alignment.
     """
     head = _RESULT_HEADER.pack(job_tag, len(stats_json))
-    pos = _RESULT_HEADER.size + len(stats_json)
-    start = pos + (-pos) % 8
-    buf = bytearray(start + packed_segment_nbytes(encoded))
-    buf[: _RESULT_HEADER.size] = head
-    buf[_RESULT_HEADER.size : pos] = stats_json
-    pack_segment_into(encoded, buf, start)
-    return bytes(buf)
+    gap = bytes(-(_RESULT_HEADER.size + len(stats_json)) % 8)
+    return head + stats_json + gap + pack_segment(encoded)
 
 
 def unpack_result_payload(
@@ -1155,7 +1160,7 @@ class WorkerHost:
         cached: Optional[list[Optional[bytes]]] = None
         packed_in: list[bytes] = []
         if self._cache is not None and namespace is not None:
-            packed_in = [_pack_to_bytes(segment) for segment in segments]
+            packed_in = [pack_segment(segment) for segment in segments]
             cached = self._cache_lookup(namespace, packed_in)
         try:
             results: list[bytes] = []
@@ -1165,7 +1170,7 @@ class WorkerHost:
                 if hit is not None:
                     results.append(hit)
                     continue
-                out = _pack_to_bytes(_oracle_encoded_result(oracle, segment))
+                out = pack_segment(_oracle_encoded_result(oracle, segment))
                 results.append(out)
                 if cached is not None:
                     store_entries.append((packed_in[i], out))

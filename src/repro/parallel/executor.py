@@ -14,25 +14,14 @@ an abstract :class:`ParallelMap` with four implementations:
   oracle callable is registered **once per worker** through a pool
   initializer (tagged with a generation token so a swapped oracle can
   never be silently applied by a stale worker), and gate segments cross
-  the process boundary in one of three wire formats:
-
-  - ``"encoded"`` — each segment travels as compact numpy arrays
-    (:mod:`repro.circuits.encoding`) through the executor pipe;
-  - ``"shm"`` — all of a round's segments are packed into one pooled
-    shared-memory arena (:mod:`repro.parallel.shm`) with a
-    segment-directory header, tasks carry only ``(arena, start, end)``
-    descriptors batched by :func:`~repro.parallel.scheduling.batch_segments`,
-    workers slice zero-copy views out of the arena and write encoded
-    results into a second arena — the pipe never carries segment bytes;
-  - ``"pickle"`` — the seed behaviour (re-pickle oracle + gate objects
-    every call), kept as the benchmark baseline;
-  - ``"socket"`` — the same packed bytes as length-prefixed frames
-    over TCP to remote ``popqc worker`` hosts
-    (:mod:`repro.parallel.dist`), for cluster-scale sweeps.
-
-  This is the CPython analogue of Rayon handing a borrowed slice to a
-  worker: the per-round IPC cost is a few index tuples, not
-  ``O(gates)`` pickle opcodes plus a fresh copy of the oracle.
+  the process boundary in the wire format ``transport=`` names — one
+  packed blob per batch through the pipe (``"encoded"``), a pooled
+  shared-memory arena (``"shm"``), TCP frames (``"socket"``), nothing at
+  all (``"threads"``), or re-pickled gate objects (``"pickle"``, the
+  seed behaviour).  The class docstring describes each.  This is the
+  CPython analogue of Rayon handing a borrowed slice to a worker: the
+  per-round IPC cost is a few buffers, not ``O(gates)`` pickle opcodes
+  plus a fresh copy of the oracle.
 * :class:`~repro.parallel.simulated.SimulatedParallelism` — executes
   serially, times each task, and reports the *makespan* a p-worker
   machine would achieve.  This is the executor the scaling experiments
@@ -54,14 +43,12 @@ from typing import Callable, Protocol, Sequence, TypeVar
 
 from ..circuits.encoding import (
     EncodedSegment,
-    decode_segment,
-    encode_segment,
-    pack_segment_into,
-    packed_segment_nbytes,
+    pack_segment,
     packed_segment_span,
     unpack_segment_from,
 )
 from ..circuits.gate import Gate
+from ..circuits.intern import thread_table
 from . import shm
 from .results import DecodeStats, LazySegmentResult
 from .scheduling import adaptive_chunksize, batch_segments
@@ -243,35 +230,33 @@ def _require_worker_oracle(
 def _oracle_encoded_result(oracle, encoded: EncodedSegment) -> EncodedSegment:
     """Run ``oracle`` on a packed segment, staying packed when possible.
 
-    Oracles implementing the ``run_packed`` protocol hook (e.g.
-    :class:`repro.oracles.NamOracle` with the vector engine) transform
-    the wire format directly; everything else round-trips through
-    ``Gate`` objects.
+    Natively packed oracles (:class:`repro.oracles.NamOracle` with the
+    vector engine) transform the wire format directly.  Everything
+    else sees a gate list and returns one, both through the calling
+    thread's bounded :class:`~repro.circuits.intern.GateTable`: a
+    ``Gate`` is built only for a wire value this thread has not met,
+    and the gates the oracle passed through re-encode by identity.  An
+    oracle that found nothing to rewrite is answered with its input.
     """
-    run_packed = getattr(oracle, "run_packed", None)
-    if run_packed is not None:
-        return run_packed(encoded)
-    return encode_segment(oracle(decode_segment(encoded)))
+    if getattr(oracle, "packed_native", False):
+        return oracle.run_packed(encoded)
+    table = thread_table()
+    gates = table.gates_of(table.ids_from_encoded(encoded))
+    out = oracle(gates)
+    if out == gates:
+        return encoded
+    return table.encoded(table.intern(out))
 
 
-def _pack_to_bytes(encoded: EncodedSegment) -> bytes:
-    """One packed segment as a standalone byte string."""
-    buf = bytearray(packed_segment_nbytes(encoded))
-    pack_segment_into(encoded, buf, 0)
-    return bytes(buf)
-
-
-def _result_wire_bytes(result) -> bytes:
-    """One oracle result as standalone packed bytes (for cache storage).
-
-    Lazy handles answer from their wire payload without decoding;
-    plain gate lists (inline fallbacks below the serial cutoff, or
-    oracles returning lists directly) are encoded and packed here.
-    """
-    packed_bytes = getattr(result, "packed_bytes", None)
-    if packed_bytes is not None:
-        return packed_bytes()
-    return _pack_to_bytes(encode_segment(list(result)))
+def _as_segment(segment: Sequence[Gate]) -> LazySegmentResult:
+    """``segment`` behind the lazy-segment interface (``gates()``,
+    ``encoded()``, ``packed_bytes()``): itself if it already is one —
+    the driver's id-backed handles, an oracle result — else wrapped."""
+    if isinstance(segment, LazySegmentResult):
+        return segment
+    return LazySegmentResult.from_gates(
+        segment if isinstance(segment, list) else list(segment)
+    )
 
 
 def _cached_round(cache, namespace, segments, dispatch, decode_stats=None):
@@ -282,16 +267,17 @@ def _cached_round(cache, namespace, segments, dispatch, decode_stats=None):
     by ``namespace``, answers hits as lazy handles over the stored
     packed results, routes the misses (in order) through ``dispatch``
     — a callable taking the missing segments and returning their
-    results — and stores the miss results on the way out.  Returns
+    results — and stores the miss results on the way out.  The misses
+    travel as lazy segments that keep the bytes their key was taken
+    from, so a byte transport behind ``dispatch`` does not encode them
+    a second time.  Returns
     ``(results, hits, misses, bytes served from cache, lookup
     seconds)``; results are in segment order and byte-identical to an
     uncached round.
     """
     t0 = time.perf_counter()
-    keys = [
-        cache.key_for(_pack_to_bytes(encode_segment(seg)), extra=namespace)
-        for seg in segments
-    ]
+    segments = [_as_segment(seg) for seg in segments]
+    keys = [cache.key_for(seg.packed_bytes(), extra=namespace) for seg in segments]
     cached = [cache.get(key) for key in keys]
     lookup = time.perf_counter() - t0
     miss_idx = [i for i, hit in enumerate(cached) if hit is None]
@@ -305,20 +291,28 @@ def _cached_round(cache, namespace, segments, dispatch, decode_stats=None):
         missed = dispatch([segments[i] for i in miss_idx])
         for i, res in zip(miss_idx, missed):
             results[i] = res
-            cache.put(keys[i], _result_wire_bytes(res))
+            cache.put(keys[i], _as_segment(res).packed_bytes())
     hits = len(segments) - len(miss_idx)
     return results, hits, len(miss_idx), bytes_saved, lookup
 
 
-def _apply_registered_oracle(generation: int, encoded: EncodedSegment) -> bytes:
-    """Worker task of the encoded transport.
+def _apply_registered_oracle(payload: bytes) -> bytes:
+    """Worker task of the encoded transport: one batch, blob to blob.
 
-    Returns the oracle's output in the flat wire format so the parent
-    can defer (and usually skip) decoding — see
+    ``payload`` is a SEGMENTS payload (generation token, batch id, the
+    batch's packed segments back to back); the reply is the RESULTS
+    payload of the oracle's outputs, still in the flat wire format so
+    the parent can defer (and usually skip) decoding — see
     :class:`repro.parallel.results.LazySegmentResult`.
     """
+    from .dist import pack_results_payload, unpack_segments_payload  # import cycle
+
+    generation, batch_id, segments = unpack_segments_payload(payload)
     oracle = _require_worker_oracle(generation)
-    return _pack_to_bytes(_oracle_encoded_result(oracle, encoded))
+    return pack_results_payload(
+        batch_id,
+        [pack_segment(_oracle_encoded_result(oracle, seg)) for seg in segments],
+    )
 
 
 def _attach_worker_arena(name: str, keep: tuple[str, ...] = ()):
@@ -366,13 +360,13 @@ def _apply_oracle_shm(
     results: list[bytes | None] = []
     for i in range(start, end):
         encoded, _ = unpack_segment_from(in_buf, int(offsets[i]))
-        out = _oracle_encoded_result(oracle, encoded)
+        out = pack_segment(_oracle_encoded_result(oracle, encoded))
         offset, capacity = int(regions[i, 0]), int(regions[i, 1])
-        if packed_segment_nbytes(out) <= capacity:
-            pack_segment_into(out, out_buf, offset)
+        if len(out) <= capacity:
+            out_buf[offset : offset + len(out)] = out
             results.append(None)
         else:  # oracle grew the segment past the reserved slack
-            results.append(_pack_to_bytes(out))
+            results.append(out)
     return results
 
 
@@ -408,8 +402,10 @@ class ProcessMap:
         Batches of at most this many items run inline in the parent.
     transport:
         Wire format for :meth:`map_segments`.  ``"encoded"`` (default)
-        registers the oracle once per worker and ships segments as
-        compact numpy arrays; ``"shm"`` additionally packs every
+        registers the oracle once per worker and ships each
+        :func:`~repro.parallel.scheduling.batch_segments` batch as one
+        contiguous blob of packed segments, each way (the socket
+        transport's SEGMENTS/RESULTS payloads); ``"shm"`` instead packs every
         round's segments into one pooled shared-memory arena
         (:mod:`repro.parallel.shm`) and dispatches batched
         ``(arena, start, end)`` descriptors, so the pipe never carries
@@ -467,11 +463,12 @@ class ProcessMap:
         actually crossed into a pool (batches at or below
         ``serial_cutoff`` run inline and don't count).
     batch_dispatches / segments_batched:
-        Pool tasks dispatched and segments carried by the shm
-        transport's batched dispatch; their ratio is the mean batch
-        width.
+        Pool tasks dispatched and segments carried by the batched
+        dispatch of the encoded, shm and socket transports; their
+        ratio is the mean batch width.
     last_batch_sizes:
-        Batch widths of the most recent shm :meth:`map_segments` call.
+        Batch widths of the most recent batched :meth:`map_segments`
+        call.
     thread_task_seconds / thread_wall_seconds:
         Summed per-task oracle seconds vs. wall-clock seconds of the
         threads transport's pool maps; their ratio estimates effective
@@ -635,7 +632,13 @@ class ProcessMap:
         from it and only the misses reach the transport (see
         :meth:`_map_segments_cached`); the result contents are
         byte-identical either way.
+
+        Segments are any ``Sequence[Gate]``.  The driver's id-backed
+        lazy segments (:meth:`LazySegmentResult.from_ids`) reach a byte
+        transport without a ``Gate`` being looked up; plain gate lists
+        are wrapped in the same interface here, once.
         """
+        segments = [_as_segment(seg) for seg in segments]
         if self.cache is not None:
             return self._map_segments_cached(oracle, segments)
         return self._map_segments_dispatch(oracle, segments)
@@ -690,13 +693,14 @@ class ProcessMap:
     def _map_segments_dispatch(
         self,
         oracle: Callable[[list[Gate]], list[Gate]],
-        segments: Sequence[list[Gate]],
+        segments: Sequence[LazySegmentResult],
     ) -> list:
-        """Transport dispatch of :meth:`map_segments` (cache already consulted)."""
+        """Transport dispatch of :meth:`map_segments` (cache already
+        consulted, segments already behind the segment interface)."""
         self.last_serialization_time = 0.0
         self.last_batch_sizes = []
         if len(segments) <= self.serial_cutoff:
-            return [oracle(seg) for seg in segments]
+            return [oracle(seg.gates()) for seg in segments]
 
         if self.transport == "shm":
             return self._map_segments_shm(oracle, segments)
@@ -704,43 +708,97 @@ class ProcessMap:
             return self._map_segments_threads(oracle, segments)
         if self.transport == "socket":
             return self._map_segments_socket(oracle, segments)
+        if self.transport == "pickle":
+            return self._map_segments_pickle(oracle, segments)
+        return self._map_segments_encoded(oracle, segments)
 
+    def _map_segments_pickle(
+        self,
+        oracle: Callable[[list[Gate]], list[Gate]],
+        segments: Sequence[LazySegmentResult],
+    ) -> list:
+        """One round of the seed behaviour: oracle and gate lists pickled."""
         chunk = adaptive_chunksize(len(segments), self.workers, self._task_seconds_est)
         self.pool_dispatches += 1
-        prev_pool = self._pool
-        was_warm = prev_pool is not None
-        t_map = time.perf_counter()
-        if self.transport == "pickle":
-            results = [
-                LazySegmentResult.from_gates(out)
-                for out in self._ensure().map(
-                    _PickledOracleCall(oracle), segments, chunksize=chunk
-                )
-            ]
-            if was_warm:
-                self._observe(time.perf_counter() - t_map, len(segments), chunk)
-            return results
-
-        t0 = time.perf_counter()
-        encoded = [encode_segment(seg) for seg in segments]
-        ser = time.perf_counter() - t0
-        pool = self._ensure_registered(oracle)
-        was_warm = was_warm and pool is prev_pool  # oracle swap rebuilds cold
-        generations = [self._oracle_generation] * len(encoded)
+        was_warm = self._pool is not None
         t_map = time.perf_counter()
         results = [
-            LazySegmentResult.from_packed(payload, self._decode_stats)
-            for payload in pool.map(
-                _apply_registered_oracle, generations, encoded, chunksize=chunk
+            LazySegmentResult.from_gates(out)
+            for out in self._ensure().map(
+                _PickledOracleCall(oracle),
+                [seg.gates() for seg in segments],
+                chunksize=chunk,
             )
         ]
+        if was_warm:
+            self._observe(time.perf_counter() - t_map, len(segments), chunk)
+        return results
+
+    def _pack_batches(
+        self, segments: Sequence[LazySegmentResult]
+    ) -> list[tuple[int, int, bytes]]:
+        """Plan a round's batches: ``(batch id, width, SEGMENTS payload)``.
+
+        Shared by the two transports that ship packed bytes by value
+        (``"encoded"`` through the pool pipe, ``"socket"`` over TCP):
+        :func:`batch_segments` decides the widths, and a batch's
+        payload is its segments' packed bytes — the ones a cache front
+        already took their keys from — joined behind one header.
+        """
+        from .dist import join_segments_payload  # local: avoid import cycle
+
+        batches = batch_segments(len(segments), self.workers, self._task_seconds_est)
+        self.pool_dispatches += 1
+        self.batch_dispatches += len(batches)
+        self.segments_batched += len(segments)
+        self.last_batch_sizes = [end - start for start, end in batches]
+        return [
+            (
+                batch_id,
+                end - start,
+                join_segments_payload(
+                    self._oracle_generation,
+                    batch_id,
+                    [seg.packed_bytes() for seg in segments[start:end]],
+                ),
+            )
+            for batch_id, (start, end) in enumerate(batches)
+        ]
+
+    def _map_segments_encoded(
+        self,
+        oracle: Callable[[list[Gate]], list[Gate]],
+        segments: Sequence[LazySegmentResult],
+    ) -> list:
+        """One round over the persistent-worker pool, a blob per batch.
+
+        Each batch crosses the pipe as one ``bytes`` object each way —
+        one pickle of one buffer per pool task, whatever the batch
+        holds — and the reply is split on header reads alone, so
+        results stay packed for lazy decoding.
+        """
+        from .dist import iter_results_payload  # local: avoid import cycle
+
+        prev_pool = self._pool
+        pool = self._ensure_registered(oracle)
+        was_warm = prev_pool is not None and pool is prev_pool
+        t0 = time.perf_counter()
+        payloads = [payload for _, _, payload in self._pack_batches(segments)]
+        ser = time.perf_counter() - t0
+        t_map = time.perf_counter()
+        replies = list(pool.map(_apply_registered_oracle, payloads))
         pool_elapsed = time.perf_counter() - t_map
+        results = [
+            LazySegmentResult.from_packed(blob, self._decode_stats, length)
+            for reply in replies
+            for length, blob in iter_results_payload(reply)
+        ]
         self.last_serialization_time = ser
         self.serialization_time += ser
         if was_warm:
             # only the pool interval: parent-side encoding is
             # serialization, not task time
-            self._observe(pool_elapsed, len(segments), chunk)
+            self._observe(pool_elapsed, len(segments), max(self.last_batch_sizes))
         return results
 
     def _ensure_threads(self) -> ThreadPoolExecutor:
@@ -779,7 +837,7 @@ class ProcessMap:
         t_round = time.perf_counter()
         if run_packed is not None:
             t0 = time.perf_counter()
-            encoded = [encode_segment(seg) for seg in segments]
+            encoded = [seg.encoded() for seg in segments]
             ser = time.perf_counter() - t0
 
             def task(enc: EncodedSegment) -> tuple[EncodedSegment, float]:
@@ -800,7 +858,7 @@ class ProcessMap:
                 out = oracle(seg)
                 return out, time.perf_counter() - t
 
-            outs = list(pool.map(task, segments))
+            outs = list(pool.map(task, [seg.gates() for seg in segments]))
             results = [LazySegmentResult.from_gates(out) for out, _ in outs]
         wall = time.perf_counter() - t_round - ser
         self.thread_task_seconds += sum(dt for _, dt in outs)
@@ -866,8 +924,6 @@ class ProcessMap:
         per host per registration (generation-tagged, exactly like the
         process-pool initializer protocol).
         """
-        from .dist import pack_segments_payload  # local: avoid import cycle
-
         n = len(segments)
         pool = self._ensure_socket_pool()
         was_warm = self._socket_oracle is oracle
@@ -879,24 +935,8 @@ class ProcessMap:
             pool.ensure_ready()
 
         t0 = time.perf_counter()
-        encoded = [encode_segment(seg) for seg in segments]
-        batches = batch_segments(n, self.workers, self._task_seconds_est)
-        payloads = [
-            (
-                batch_id,
-                end - start,
-                pack_segments_payload(
-                    self._oracle_generation, batch_id, encoded[start:end]
-                ),
-            )
-            for batch_id, (start, end) in enumerate(batches)
-        ]
+        payloads = self._pack_batches(segments)
         ser = time.perf_counter() - t0
-
-        self.pool_dispatches += 1
-        self.batch_dispatches += len(batches)
-        self.segments_batched += n
-        self.last_batch_sizes = [end - start for start, end in batches]
 
         t_map = time.perf_counter()
         blobs_per_batch = pool.run_round(payloads)
@@ -927,7 +967,7 @@ class ProcessMap:
         """
         n = len(segments)
         t0 = time.perf_counter()
-        encoded = [encode_segment(seg) for seg in segments]
+        encoded = [seg.encoded() for seg in segments]
         sizes = shm.packed_sizes(encoded)
         ser = time.perf_counter() - t0
 
@@ -988,12 +1028,12 @@ class ProcessMap:
             out_buf = out_block.buf
             for marker, (offset, _) in zip(markers, out_regions):
                 if marker is None:
-                    _, end = packed_segment_span(out_buf, offset)
+                    length, end = packed_segment_span(out_buf, offset)
                     payload = bytes(out_buf[offset:end])
                 else:  # overflow fallback: result came through the pipe
-                    payload = marker
+                    length, payload = None, marker
                 results.append(
-                    LazySegmentResult.from_packed(payload, self._decode_stats)
+                    LazySegmentResult.from_packed(payload, self._decode_stats, length)
                 )
             ser += time.perf_counter() - t0
             round_ok = True

@@ -7,8 +7,11 @@ rejected result into ``Gate`` objects is therefore pure waste, and on
 converged workloads most results are rejected.  This module makes the
 waste structural instead of accidental: every transport returns
 :class:`LazySegmentResult` handles, ``len()`` answers from the packed
-header, and the per-gate decode runs only when a driver actually
-indexes or iterates the result — i.e. only for segments it accepted.
+header, and a result is unpacked only when a driver actually reads it —
+i.e. only for segments it accepted.  ``popqc`` reads an accepted result
+as wire arrays (:meth:`LazySegmentResult.encoded`) and interns them, so
+even then no ``Gate`` is built for a value the run has already seen;
+indexing or iterating a handle decodes it into gates as before.
 
 The handles are plain ``Sequence[Gate]`` objects, so drivers and tests
 that treated results as gate lists keep working unchanged; comparing a
@@ -26,8 +29,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import Iterator, Optional
 
+import numpy as np
+
 from ..circuits import encoding
 from ..circuits.gate import Gate
+from ..circuits.intern import GateTable
 
 __all__ = ["DecodeStats", "LazySegmentResult"]
 
@@ -68,9 +74,10 @@ class DecodeStats:
 
 
 class LazySegmentResult(Sequence):
-    """An oracle result that decodes its gates only on first access.
+    """A gate segment that turns into gates only on first access.
 
-    Three birth states, one per transport situation:
+    Oracle results are born in one of three states, one per transport
+    situation:
 
     * :meth:`from_packed` — the flat wire format as bytes (encoded and
       shm transports); ``len()`` reads the packed header.
@@ -79,12 +86,22 @@ class LazySegmentResult(Sequence):
     * :meth:`from_gates` — an already-decoded gate list (pickle
       transport, inline fallbacks); nothing left to skip.
 
+    The same handle carries segments the other way: :meth:`from_ids`
+    is what ``popqc`` hands ``map_segments`` — ids into its
+    :class:`~repro.circuits.intern.GateTable`, whose wire form is a
+    gather and whose gates are looked up only on request — and
+    ``from_gates`` is how a plain gate list joins it.  Either way
+    :meth:`gates`, :meth:`encoded` and :meth:`packed_bytes` each derive
+    their form at most once.
+
     All decoding routes through the :mod:`repro.circuits.encoding`
     module attributes, so tests can spy on ``decode_segment`` /
     ``unpack_segment_from`` to prove rejected results never decode.
     """
 
-    __slots__ = ("_gates", "_packed", "_encoded", "_length", "_nbytes", "_stats")
+    __slots__ = (
+        "_gates", "_packed", "_encoded", "_interned", "_length", "_nbytes", "_stats"
+    )
 
     def __init__(
         self,
@@ -92,6 +109,7 @@ class LazySegmentResult(Sequence):
         gates: Optional[list[Gate]] = None,
         packed: Optional[bytes] = None,
         encoded: Optional[encoding.EncodedSegment] = None,
+        interned: Optional[tuple[np.ndarray, GateTable]] = None,
         length: int = 0,
         nbytes: int = 0,
         stats: Optional[DecodeStats] = None,
@@ -99,6 +117,7 @@ class LazySegmentResult(Sequence):
         self._gates = gates
         self._packed = packed
         self._encoded = encoded
+        self._interned = interned
         self._length = length
         self._nbytes = nbytes
         self._stats = stats
@@ -107,10 +126,19 @@ class LazySegmentResult(Sequence):
 
     @classmethod
     def from_packed(
-        cls, payload: bytes, stats: Optional[DecodeStats] = None
+        cls,
+        payload: bytes,
+        stats: Optional[DecodeStats] = None,
+        length: Optional[int] = None,
     ) -> "LazySegmentResult":
-        """Wrap one packed segment (the whole ``payload``)."""
-        length, _end = encoding.packed_segment_span(payload, 0)
+        """Wrap one packed segment (the whole ``payload``).
+
+        ``length`` is the gate count when the caller has already read
+        the header (splitting a batch reply does); otherwise it is read
+        here.
+        """
+        if length is None:
+            length, _end = encoding.packed_segment_span(payload, 0)
         result = cls(
             packed=payload, length=length, nbytes=len(payload), stats=stats
         )
@@ -140,39 +168,60 @@ class LazySegmentResult(Sequence):
         """Wrap an already-decoded gate list (no bytes to skip)."""
         return cls(gates=gates, length=len(gates))
 
+    @classmethod
+    def from_ids(cls, ids: np.ndarray, table: GateTable) -> "LazySegmentResult":
+        """Wrap a segment held as ``ids`` into ``table``."""
+        return cls(interned=(ids, table), length=len(ids))
+
     # -- lazy decode ---------------------------------------------------------
 
-    def gates(self) -> list[Gate]:
-        """The decoded gate list (decoded once, then cached)."""
-        if self._gates is None:
-            if self._encoded is None:
-                assert self._packed is not None
+    def _arrays(self) -> encoding.EncodedSegment:
+        if self._encoded is None:
+            if self._packed is not None:
                 self._encoded, _ = encoding.unpack_segment_from(self._packed, 0)
-            self._gates = encoding.decode_segment(self._encoded)
-            self._packed = None
-            self._encoded = None
-            if self._stats is not None:
-                self._stats.note_decoded(self._nbytes)
+            elif self._interned is not None:
+                ids, table = self._interned
+                self._encoded = table.encoded(ids)
+            else:
+                self._encoded = encoding.encode_segment(self._gates)
+        return self._encoded
+
+    def encoded(self) -> encoding.EncodedSegment:
+        """The segment as wire arrays (derived once, then kept).
+
+        For an oracle result this is the read an accepting driver
+        makes, so it is what :class:`DecodeStats` counts as the
+        result's decode — once, whether or not :meth:`gates` follows.
+        """
+        if self._stats is not None:
+            self._stats.note_decoded(self._nbytes)
+            self._stats = None
+        return self._arrays()
+
+    def gates(self) -> list[Gate]:
+        """The gate list (decoded or looked up once, then kept)."""
+        if self._gates is None:
+            if self._interned is not None:
+                ids, table = self._interned
+                self._gates = table.gates_of(ids)
+            else:
+                self._gates = encoding.decode_segment(self.encoded())
+                self._packed = None
+                self._encoded = None
         return self._gates
 
     def packed_bytes(self) -> bytes:
-        """The result in the flat wire format (for the segment cache).
+        """The segment in the flat wire format: cache key, cache value
+        and wire payload (packed once, then kept).
 
-        Byte-carrying births return their payload as-is; encoded and
-        gate-list births pack on demand.  This is a *serialization*, not
-        a decode — it never materializes gates and is not counted by
-        :class:`DecodeStats`, so caching a rejected result keeps the
-        lazy-decode guarantee intact.
+        This is a *serialization*, not a decode — it never
+        materializes gates and is not counted by :class:`DecodeStats`,
+        so caching a rejected result keeps the lazy-decode guarantee
+        intact.
         """
-        if self._packed is not None:
-            return self._packed
-        encoded = self._encoded
-        if encoded is None:
-            assert self._gates is not None
-            encoded = encoding.encode_segment(self._gates)
-        buf = bytearray(encoding.packed_segment_nbytes(encoded))
-        encoding.pack_segment_into(encoded, buf, 0)
-        return bytes(buf)
+        if self._packed is None:
+            self._packed = encoding.pack_segment(self._arrays())
+        return self._packed
 
     @property
     def decoded(self) -> bool:

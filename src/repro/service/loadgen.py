@@ -58,8 +58,7 @@ from ..benchgen import generate, generate_params
 from ..circuits import Circuit
 from ..circuits.encoding import (
     encode_segment,
-    pack_segment_into,
-    packed_segment_nbytes,
+    pack_segment,
     segment_fingerprint,
 )
 from .client import ServiceClient
@@ -280,10 +279,7 @@ def circuit_digest(circuit: Circuit) -> str:
     lists hash equal on every platform, making schedule manifests
     byte-comparable across runs and machines.
     """
-    encoded = encode_segment(list(circuit.gates))
-    buf = bytearray(packed_segment_nbytes(encoded))
-    pack_segment_into(encoded, buf)
-    return segment_fingerprint(buf)
+    return segment_fingerprint(pack_segment(encode_segment(list(circuit.gates))))
 
 
 def schedule_manifest(mixes: Sequence[TrafficMix], seed: int) -> str:

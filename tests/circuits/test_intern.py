@@ -1,0 +1,209 @@
+"""Property tests for interned gates (:mod:`repro.circuits.intern`).
+
+The table is only a cache if nothing observable depends on it: the wire
+arrays it gathers for an id array must be *the* canonical encoding —
+equal packed bytes, hence equal cache keys — and wire arrays must come
+back as the gates the reference decoder would build, whatever the table
+had seen before.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.circuits import CNOT, RZ, Gate, H, X, encoding
+from repro.circuits import intern
+from repro.circuits.encoding import (
+    decode_segment,
+    encode_segment,
+    pack_segment,
+    segment_fingerprint,
+)
+from repro.circuits.gate import ANGLE_TOL, TWO_PI
+from repro.circuits.intern import GateTable, thread_table
+
+#: Angles at the edges of ``normalize_angle``: both sides of 0 and of
+#: 2*pi, inside and outside the tolerance, negative, and many turns out.
+EDGE_ANGLES = (
+    0.0,
+    -0.0,
+    ANGLE_TOL / 2,
+    -ANGLE_TOL / 2,
+    2 * ANGLE_TOL,
+    -2 * ANGLE_TOL,
+    TWO_PI,
+    TWO_PI - ANGLE_TOL / 2,
+    TWO_PI - 2 * ANGLE_TOL,
+    TWO_PI + 0.25,
+    -0.25,
+    math.pi,
+    7 * math.pi / 4,
+    1e6,
+)
+
+
+@st.composite
+def any_gate(draw, num_qubits: int = 6):
+    """A gate from well outside the base set: any arity 0-3, many names."""
+    kind = draw(st.integers(0, 7))
+    qubits = st.lists(
+        st.integers(0, num_qubits - 1), min_size=0, max_size=3, unique=True
+    )
+    if kind == 0:
+        return H(draw(st.integers(0, num_qubits - 1)))
+    if kind == 1:
+        return X(draw(st.integers(0, num_qubits - 1)))
+    if kind == 2:
+        a, b = draw(st.permutations(range(num_qubits)))[:2]
+        return CNOT(a, b)
+    if kind in (3, 4):
+        angle = draw(st.one_of(st.sampled_from(EDGE_ANGLES), st.floats(-50, 50)))
+        return RZ(draw(st.integers(0, num_qubits - 1)), angle)
+    if kind == 5:
+        a, b = draw(st.permutations(range(num_qubits)))[:2]
+        return Gate("swap", (a, b))
+    if kind == 6:
+        return Gate("ccx", tuple(draw(st.permutations(range(num_qubits)))[:3]))
+    return Gate(f"g{draw(st.integers(0, 5))}", tuple(draw(qubits)))
+
+
+any_gates = st.lists(any_gate(), max_size=40)
+#: Segments of arity <= 2 only: these take the gathered path for sure.
+narrow_gates = any_gates.map(lambda gates: [g for g in gates if g.arity <= 2])
+
+
+def _same_wire(table, gates):
+    ids = table.intern(gates)
+    want = encode_segment(gates)
+    got = table.encoded(ids)
+    assert pack_segment(got) == pack_segment(want)
+    assert segment_fingerprint(pack_segment(got)) == segment_fingerprint(
+        pack_segment(want)
+    )
+    # array for array, dtype for dtype
+    assert got == want and got.names == want.names
+    assert got.ops.dtype == want.ops.dtype and got.arities.dtype == want.arities.dtype
+    assert got.qubits.dtype == want.qubits.dtype
+    return ids
+
+
+class TestEncodedIsCanonical:
+    @given(any_gates)
+    def test_packed_bytes_equal_reference(self, gates):
+        _same_wire(GateTable(), gates)
+
+    @given(narrow_gates, narrow_gates)
+    def test_independent_of_what_the_table_saw_before(self, earlier, gates):
+        table = GateTable()
+        table.intern(earlier)
+        _same_wire(table, gates)
+
+    def test_empty_segment(self):
+        table = GateTable()
+        assert len(_same_wire(table, [])) == 0
+        table.intern([H(0), RZ(1, 0.5)])
+        _same_wire(table, [])
+
+    def test_more_than_256_names(self):
+        gates = [Gate(f"u{i}", (i % 5,)) for i in range(300)] + [H(0), CNOT(0, 1)]
+        table = GateTable()
+        _same_wire(table, gates)
+        assert table.encoded(table.intern(gates)).ops.dtype == np.int32
+        # ... while a narrow slice of the same table is back to uint8
+        assert table.encoded(table.intern(gates[:10])).ops.dtype == np.uint8
+
+    def test_swap_and_three_qubit_gates(self):
+        ccx = Gate("ccx", (2, 0, 1))
+        gates = [Gate("swap", (0, 3)), ccx, H(4), Gate("ccx", (2, 0, 1))]
+        ids = _same_wire(GateTable(), gates)
+        assert ids[1] == ids[3]
+
+    @pytest.mark.parametrize("angle", EDGE_ANGLES)
+    def test_angle_edges(self, angle):
+        _same_wire(GateTable(), [RZ(0, angle), H(0), RZ(0, angle + TWO_PI)])
+
+    def test_equal_gates_share_an_id_and_an_object(self):
+        table = GateTable()
+        ids = table.intern([H(0), H(0), RZ(1, 0.25), RZ(1, 0.25 + TWO_PI)])
+        assert ids[0] == ids[1] != ids[2] == ids[3] and len(table) == 2
+        first, second = table.gates_of(ids)[:2]
+        assert first is second
+
+
+class TestIdsFromEncoded:
+    @given(any_gates)
+    def test_round_trip_through_a_fresh_table(self, gates):
+        table = GateTable()
+        ids = table.ids_from_encoded(encode_segment(gates))
+        assert table.gates_of(ids) == gates
+        assert ids.dtype == np.int32
+
+    @given(narrow_gates, narrow_gates)
+    def test_agrees_with_intern(self, earlier, gates):
+        """Wire values and gate objects of equal value meet in one id."""
+        table = GateTable()
+        table.ids_from_encoded(encode_segment(earlier))
+        by_value = table.intern(gates)
+        from_wire = table.ids_from_encoded(encode_segment(gates))
+        assert from_wire.tolist() == by_value.tolist()
+
+    def test_builds_a_gate_only_for_a_first_seen_value(self, monkeypatch):
+        built = []
+        real = intern.Gate
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(intern, "Gate", counting)
+        table = GateTable()
+        segment = encode_segment([H(0), CNOT(0, 1), RZ(1, 0.5)] * 20)
+        table.ids_from_encoded(segment)
+        assert len(built) == 3
+        table.ids_from_encoded(segment)
+        table.ids_from_encoded(encode_segment([RZ(1, 0.5), H(0), X(2)]))
+        assert len(built) == 4  # only x(2) was new
+
+    def test_wire_values_are_validated_and_normalized(self):
+        """Like the reference decoder: a raw wire angle is normalized,
+        an rz without an angle is refused."""
+        raw = encode_segment([RZ(0, 0.5)])
+        unnormalized = encoding.EncodedSegment(
+            raw.names, raw.ops, raw.arities, raw.qubits, raw.param_mask,
+            np.array([0.5 + TWO_PI]), 1,
+        )
+        table = GateTable()
+        ids = table.ids_from_encoded(unnormalized)
+        assert table.gates_of(ids) == decode_segment(unnormalized)
+        assert table.ids_from_encoded(raw).tolist() == ids.tolist()
+        broken = encoding.EncodedSegment(
+            raw.names, raw.ops, raw.arities, raw.qubits, np.zeros(1, np.uint8),
+            np.empty(0), 1,
+        )
+        with pytest.raises(ValueError):
+            GateTable().ids_from_encoded(broken)
+
+
+class TestThreadTable:
+    def test_replaced_as_a_whole_once_over_the_cap(self, monkeypatch):
+        monkeypatch.setattr(intern, "TABLE_CAP", 8)
+        monkeypatch.setattr(intern, "_THREAD", type(intern._THREAD)())
+        table = thread_table()
+        table.intern([RZ(0, 0.01 * k) for k in range(1, 9)])
+        assert thread_table() is table and len(table) == 8  # at the cap: kept
+        table.intern([H(0)])
+        fresh = thread_table()  # over it: a new table, nothing carried over
+        assert fresh is not table and len(fresh) == 0 and not fresh._by_key
+        assert thread_table() is fresh
+        _same_wire(fresh, [H(0), RZ(0, 0.02)])
+
+    def test_one_table_per_thread(self):
+        import threading
+
+        seen = []
+        worker = threading.Thread(target=lambda: seen.append(thread_table()))
+        worker.start()
+        worker.join()
+        assert seen[0] is not thread_table()

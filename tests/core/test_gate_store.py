@@ -1,0 +1,163 @@
+"""GateStore: popqc's id-column store, and what the driver still promises.
+
+The stateful model (``test_tombstone_stateful.py``) covers the
+rank/select bookkeeping; these tests cover the store's gate-facing
+edges — lazy segments out, wire-form results in — and the driver
+features that must keep seeing real gate sequences through it.
+"""
+
+import numpy as np
+import pytest
+
+from repro.circuits import CNOT, RZ, Circuit, Gate, H, X, random_redundant_circuit
+from repro.circuits import intern
+from repro.circuits.encoding import encode_segment, pack_segment
+from repro.core import FenwickTree, GateStore, IndexTree, NaiveIndex, popqc
+from repro.core.popqc import OracleContractViolation
+from repro.oracles import NamOracle
+from repro.parallel import LazySegmentResult, ProcessMap
+from repro.parallel.results import DecodeStats
+
+GATES = [H(0), CNOT(0, 1), RZ(1, 0.5), X(2), H(0), CNOT(0, 1), RZ(1, 0.5), X(2)]
+
+
+class TestStore:
+    @pytest.mark.parametrize("tree_factory", [IndexTree, FenwickTree, NaiveIndex])
+    def test_segment_rewrite_items(self, tree_factory):
+        store = GateStore(GATES, tree_factory)
+        assert len(store) == store.live_count == 8
+        assert len(store.table) == 4  # distinct values, not gates
+        slots, segment = store.segment(2, 6)
+        assert isinstance(segment, LazySegmentResult) and not segment.decoded
+        assert slots.tolist() == [2, 3, 4, 5] and segment == GATES[2:6]
+        store.rewrite([(slots, [X(1)])])
+        assert store.live_count == 5 and len(store) == 8
+        assert store.items() == GATES[:2] + [X(1)] + GATES[6:]
+        assert store.before(6) == 3 and store.index_of(3) == 6
+        slots, segment = store.segment(1, 4)  # spans the tombstone run
+        assert slots.tolist() == [1, 2, 6] and segment == [CNOT(0, 1), X(1), RZ(1, 0.5)]
+
+    def test_segment_clamps_and_may_be_empty(self):
+        store = GateStore(GATES)
+        assert store.segment(-3, 2)[1] == GATES[:2]
+        assert store.segment(6, 99)[1] == GATES[6:]
+        slots, segment = store.segment(5, 5)
+        assert len(slots) == 0 and len(segment) == 0 and segment == []
+        empty = GateStore([])
+        assert empty.live_count == 0 and empty.items() == []
+
+    def test_wire_form_result_goes_in_without_gate_objects(self, monkeypatch):
+        store = GateStore(GATES)
+        slots, _ = store.segment(0, 4)
+        stats = DecodeStats()
+        result = LazySegmentResult.from_packed(
+            pack_segment(encode_segment([X(2), H(0)])), stats
+        )
+        monkeypatch.setattr(
+            intern, "Gate", lambda *a: pytest.fail("both values are in the table")
+        )
+        store.rewrite([(slots, result)])
+        assert not result.decoded  # no gate list was ever built ...
+        assert stats.results_decoded == 1  # ... yet it counts as read
+        assert store.items() == [X(2), H(0)] + GATES[4:]
+
+    def test_a_decoded_result_goes_in_by_identity(self):
+        store = GateStore(GATES)
+        slots, segment = store.segment(0, 4)
+        result = LazySegmentResult.from_gates(segment.gates()[:2])
+        store.rewrite([(slots, result)])
+        assert store.items() == GATES[:2] + GATES[4:]
+        assert len(store.table) == 4
+
+
+class _Spy:
+    def __init__(self, fn):
+        self.fn, self.seen = fn, []
+
+    def __call__(self, arg):
+        self.seen.append(arg)
+        return self.fn(arg)
+
+
+def _cancel_hh(segment):
+    """A tiny oracle that knows nothing but ``h h = 1``."""
+    out = []
+    for g in segment:
+        if out and g.name == "h" and out[-1] == g:
+            out.pop()
+        else:
+            out.append(g)
+    return out
+
+
+CIRCUIT = random_redundant_circuit(5, 400, seed=12, redundancy=0.6)
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return popqc(CIRCUIT, NamOracle(), 12)
+
+
+@pytest.fixture
+def pool():
+    pm = ProcessMap(2, serial_cutoff=0)
+    yield pm
+    pm.close()
+
+
+class TestDriverStillSeesGates:
+    def test_plain_map_gets_real_lists(self, reference):
+        oracle = _Spy(NamOracle())
+        got = popqc(CIRCUIT, oracle, 12)
+        assert got.circuit.gates == reference.circuit.gates
+        assert oracle.seen and all(type(seg) is list for seg in oracle.seen)
+
+    def test_custom_cost_sees_gate_sequences(self, reference, pool):
+        """A cost that iterates, indexes and slices its argument —
+        on the lazy segments a byte transport is handed, too."""
+
+        def cost(gates):
+            assert all(isinstance(g, Gate) for g in gates)
+            assert len(gates[:1]) <= 1
+            assert not len(gates) or gates[0] == list(gates)[0]
+            return float(len(gates))
+
+        for parmap in (None, pool):
+            got = popqc(CIRCUIT, NamOracle(), 12, cost=cost, parmap=parmap)
+            assert got.circuit.gates == reference.circuit.gates
+            assert got.stats.rounds == reference.stats.rounds
+
+    def test_validate_oracle(self, reference, pool):
+        for parmap in (None, pool):
+            got = popqc(CIRCUIT, NamOracle(), 12, validate_oracle=True, parmap=parmap)
+            assert got.circuit.gates == reference.circuit.gates
+
+    def test_validate_oracle_still_catches_a_bad_oracle(self):
+        def drop_one(segment):
+            return list(segment[1:])
+
+        with pytest.raises(OracleContractViolation):
+            popqc(Circuit([H(0), X(1), H(1)] * 4, 2), drop_one, 4, validate_oracle=True)
+
+    def test_gates_outside_the_base_set(self, pool):
+        """swap and three-qubit gates ride through the store, the wire
+        and the workers' tables untouched; what cancels around them
+        still cancels."""
+        gates = []
+        for k in range(40):
+            gates += [H(0), H(0), Gate("swap", (0, 1)), Gate("ccx", (2, 0, 1))]
+            gates.append(X(k % 3))
+
+        want = popqc(gates, _cancel_hh, 6)
+        assert want.circuit.num_gates == 120
+        assert Gate("ccx", (2, 0, 1)) in want.circuit.gates
+        got = popqc(gates, _cancel_hh, 6, parmap=pool)
+        assert got.circuit.gates == want.circuit.gates
+        assert got.stats.oracle_accepted == want.stats.oracle_accepted
+
+    def test_fenwick_factory_on_a_byte_transport(self, reference, pool):
+        got = popqc(CIRCUIT, NamOracle(), 12, tree_factory=FenwickTree, parmap=pool)
+        assert got.circuit.gates == reference.circuit.gates
+
+    def test_store_ids_are_int32(self):
+        assert GateStore(GATES)._ids.dtype == np.int32

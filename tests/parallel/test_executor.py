@@ -180,17 +180,26 @@ class TestMapSegments:
         from repro.oracles import IdentityOracle
         from repro.parallel import StaleOracleError
         from repro.parallel import executor as executor_mod
+        from repro.parallel.dist import pack_segments_payload, split_results_payload
 
         executor_mod._register_worker_oracle(IdentityOracle(), 1)
         try:
             encoded = encode_segment(self._segments(1)[0])
-            # the worker replies in the flat wire format (lazy decode)
-            payload = executor_mod._apply_registered_oracle(1, encoded)
-            assert isinstance(payload, bytes)
-            roundtripped, _ = unpack_segment_from(payload)
-            assert roundtripped == encoded
+            # one batch blob in, one blob back, results still in the
+            # flat wire format (lazy decode)
+            reply = executor_mod._apply_registered_oracle(
+                pack_segments_payload(1, 7, [encoded, encoded])
+            )
+            assert isinstance(reply, bytes)
+            batch_id, blobs = split_results_payload(reply)
+            assert batch_id == 7 and len(blobs) == 2
+            for blob in blobs:
+                roundtripped, _ = unpack_segment_from(blob)
+                assert roundtripped == encoded
             with pytest.raises(StaleOracleError, match="generation 2"):
-                executor_mod._apply_registered_oracle(2, encoded)
+                executor_mod._apply_registered_oracle(
+                    pack_segments_payload(2, 0, [encoded])
+                )
         finally:
             executor_mod._register_worker_oracle(None, -1)
 

@@ -204,9 +204,9 @@ class TestCachePayloads:
 
     @staticmethod
     def _packed(seg):
-        from repro.parallel.executor import _pack_to_bytes
+        from repro.circuits.encoding import pack_segment
 
-        return _pack_to_bytes(encode_segment(seg))
+        return pack_segment(encode_segment(seg))
 
     @given(segments=st.lists(gate_list_strategy(), min_size=0, max_size=4))
     def test_lookup_round_trip(self, segments):

@@ -157,3 +157,34 @@ def test_from_gates_carries_no_decodable_bytes():
 
     result = LazySegmentResult.from_gates([H(0)])
     assert len(result) == 1 and result.decoded and result.nbytes == 0
+
+
+def test_from_ids_is_a_lazy_gate_sequence():
+    """The handle ``popqc`` gives ``map_segments``: ids into a table."""
+    from repro.circuits import CNOT, RZ, GateTable, H
+
+    table = GateTable()
+    gates = [H(0), CNOT(0, 1), RZ(1, 0.5), H(0)]
+    segment = LazySegmentResult.from_ids(table.intern(gates), table)
+    assert len(segment) == 4 and not segment.decoded  # len() looked nothing up
+    assert segment.packed_bytes() == _packed(gates)
+    assert segment.packed_bytes() is segment.packed_bytes()  # packed once
+    assert segment.encoded() is segment.encoded()
+    assert not segment.decoded  # the wire form needed no Gate either
+    assert segment == gates and list(segment) == gates
+    assert segment[1] == CNOT(0, 1) and segment[1:3] == gates[1:3]
+    assert segment.gates() is segment.gates()
+    assert segment.gates()[0] is segment.gates()[3]  # the table's one object
+
+
+def test_packing_an_encoded_result_is_not_a_decode():
+    """``packed_bytes`` (what the cache stores) must not count as one."""
+    from repro.circuits import H, X
+
+    stats = DecodeStats()
+    result = LazySegmentResult.from_encoded(encoding.encode_segment([H(0), X(1)]), stats)
+    assert result.packed_bytes() == _packed([H(0), X(1)])
+    assert stats.results_decoded == 0
+    result.encoded()
+    result.gates()
+    assert stats.results_decoded == 1

@@ -816,9 +816,9 @@ class TestClusterCacheFrames:
     frames from workers are served off its SegmentCache."""
 
     def _packed_segment(self):
-        from repro.parallel.executor import _pack_to_bytes
+        from repro.circuits.encoding import pack_segment
 
-        return _pack_to_bytes(encode_segment([H(0), CNOT(0, 1)]))
+        return pack_segment(encode_segment([H(0), CNOT(0, 1)]))
 
     def test_store_then_lookup_hits_and_counts(self):
         from repro.parallel import CacheClient

@@ -187,6 +187,38 @@ class TestServiceLoadGate:
         cur = write("cur.json", _service_record(interactive_ratio=2.0))
         assert trend.main([cur, "--validate-only"]) == 1
 
+    @pytest.mark.parametrize(
+        "speedup, status", [(2.0, 0), (2.01, 0), (1.99, 1), (0.0, 1)]
+    )
+    def test_warm_speedup_floor_from_both_sides(self, write, speedup, status):
+        """The only home of the warm >= 2x wall-clock ratio (tier-1's
+        ``test_warm_cache_latency_benefit`` asserts hit counts): at the
+        floor passes, a hair under fails, with and without a baseline."""
+        cur = write("cur.json", _service_record(speedup=speedup))
+        base = write("base.json", _service_record(cpus=64))
+        assert trend.main([cur, base]) == status
+        assert trend.main([cur, "--validate-only"]) == status
+
+    @pytest.mark.parametrize(
+        "ratio, status", [(1.0, 0), (0.99, 0), (1.01, 1), (0.0, 1)]
+    )
+    def test_starvation_ceiling_from_both_sides(self, write, ratio, status):
+        """The only home of interactive p99 <= flood p50 (tier-1's
+        ``test_interactive_starvation_bound`` asserts completion): at
+        the ceiling passes, over it fails, and a zero ratio — no
+        interactive sample at all — is a violation, not a pass."""
+        cur = write("cur.json", _service_record(interactive_ratio=ratio))
+        base = write("base.json", _service_record(cpus=64))
+        assert trend.main([cur, base]) == status
+        assert trend.main([cur, "--validate-only"]) == status
+
+    def test_slo_floors_come_from_the_record(self, write):
+        """The record carries the floors it was measured against, so a
+        loosened constant shows up in the diff of the committed JSON."""
+        record = _service_record(speedup=2.5)
+        record["slo"]["warm_p50_speedup_min"] = 3.0
+        assert trend.main([write("cur.json", record), "--validate-only"]) == 1
+
     def test_failed_jobs_fail(self, write):
         cur = write("cur.json", _service_record(failed=1))
         base = write("base.json", _service_record())
@@ -268,6 +300,16 @@ class TestClusterCacheGate:
         cur = write("cur.json", _transport_record_v5(speedup=0.8))
         base = write("base.json", _transport_record_v5())
         assert trend.main([cur, base]) == 1
+
+    @pytest.mark.parametrize("speedup, status", [(1.01, 0), (1.0, 1), (None, 1)])
+    def test_speedup_floor_from_both_sides(self, write, speedup, status):
+        """The only home of ``remote_hit_speedup_vs_cold > 1.0`` (tier-1's
+        ``test_second_host_resolves_warm_segments_remotely`` asserts the
+        hit counts): just over one passes; exactly one and a missing
+        ratio fail."""
+        cur = write("cur.json", _transport_record_v5(speedup=speedup))
+        base = write("base.json", _transport_record_v5())
+        assert trend.main([cur, base]) == status
 
     def test_gate_armed_cross_class(self, write):
         # throughput gates warn cross-class; the ratio gate still fails
