@@ -10,7 +10,7 @@ the threads transport drops pipes and arenas entirely and relies on
 the GIL-releasing vectorized rule engine
 (:mod:`repro.oracles.vector_engine`); the socket transport ships the
 same packed bytes as length-prefixed frames over TCP to worker hosts
-(:mod:`repro.parallel.dist`), measured here against a localhost
+(:mod:`repro.parallel.frames`), measured here against a localhost
 multi-worker cluster.  These benchmarks measure all five wire formats
 on the segment stream of a ≥20k-gate circuit, prove the transports
 byte-identical end to end, compare the two rule-engine
@@ -174,7 +174,7 @@ def _piped_bytes(transport: str) -> tuple[int, int]:
     pm = ProcessMap(2, serial_cutoff=0, transport=transport)
     try:
         pm.map_segments(echo, SEGMENTS[:4])  # spawn the pool
-        real_map = pm._pool.map
+        real_map = pm.wire._pool.map
         piped = []
 
         def spy(fn, tasks, **kwargs):
@@ -185,7 +185,7 @@ def _piped_bytes(transport: str) -> tuple[int, int]:
             )
             return replies
 
-        pm._pool.map = spy
+        pm.wire._pool.map = spy
         pm.map_segments(echo, SEGMENTS)
         assert piped[0][0] == len(pm.last_batch_sizes)  # one task per batch
         return piped[0]
@@ -331,15 +331,17 @@ def _lazy_decode_record() -> dict:
         res = popqc(CIRCUIT, IdentityOracle(), OMEGA, parmap=pm, max_rounds=4)
     finally:
         pm.close()
-    stats = res.stats
+    counters = res.stats.counters
+    returned, decoded = counters["results_returned"], counters["results_decoded"]
     return {
         "workload": "identity-oracle (all results rejected)",
-        "results_returned": stats.results_returned,
-        "results_decoded": stats.results_decoded,
-        "bytes_returned": stats.result_bytes_returned,
-        "bytes_decoded": stats.result_bytes_decoded,
-        "bytes_skipped": stats.skipped_decode_bytes,
-        "decode_skip_fraction": stats.decode_skip_fraction,
+        "results_returned": returned,
+        "results_decoded": decoded,
+        "bytes_returned": counters["result_bytes_returned"],
+        "bytes_decoded": counters["result_bytes_decoded"],
+        "bytes_skipped": counters["result_bytes_returned"]
+        - counters["result_bytes_decoded"],
+        "decode_skip_fraction": 1.0 - decoded / returned if returned else 0.0,
     }
 
 
@@ -393,14 +395,14 @@ def service_results():
     try:
         cold = pm.map_segments(spy, SEGMENTS)  # cold pass fills the cache
         cold_calls = spy.calls
-        warm_h0, warm_m0 = pm.cache_hits, pm.cache_misses
+        before = pm.counters()
         best = float("inf")
         for _ in range(3):
             t0 = time.perf_counter()
             warm = pm.map_segments(spy, SEGMENTS)
             best = min(best, time.perf_counter() - t0)
-        warm_hits = pm.cache_hits - warm_h0
-        warm_misses = pm.cache_misses - warm_m0
+        warm_hits = pm.counters()["cache_hits"] - before["cache_hits"]
+        warm_misses = pm.counters()["cache_misses"] - before["cache_misses"]
         hit_rate = warm_hits / (warm_hits + warm_misses)
         identical = [r.packed_bytes() for r in warm] == [
             r.packed_bytes() for r in cold
@@ -542,13 +544,14 @@ def _socket_record(smoke_segments, hosts) -> dict:
     )
     try:
         pm.map_segments(ORACLE, smoke_segments)
+        counters = pm.counters()
         return {
             "seconds_per_round": best,
             "segments_per_s": len(smoke_segments) / best,
             "hosts": len(hosts),
-            "bytes_sent": pm.socket_bytes_sent,
-            "bytes_received": pm.socket_bytes_received,
-            "reconnects": pm.socket_reconnects,
+            "bytes_sent": counters["socket_bytes_sent"],
+            "bytes_received": counters["socket_bytes_received"],
+            "reconnects": counters["socket_reconnects"],
         }
     finally:
         pm.close()

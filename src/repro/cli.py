@@ -486,8 +486,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "worker":
-        from .parallel import WorkerHost
-        from .parallel.dist import parse_address
+        from .parallel import WorkerHost, parse_address
 
         host, port = parse_address(args.bind)
         worker = WorkerHost(
@@ -523,7 +522,7 @@ def main(argv: list[str] | None = None) -> int:
         import json as _json
         import signal
 
-        from .parallel.dist import parse_address
+        from .parallel import parse_address
         from .service import OptimizationService, SegmentCache
 
         def _sigterm(signum, frame):  # daemon stop must release the fleet

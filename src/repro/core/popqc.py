@@ -33,16 +33,11 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from ..circuits import Circuit, Gate
-from ..parallel import ParallelMap, SerialMap
+from ..parallel import ParallelMap, SegmentExecutor, SerialMap, segment_executor
 from .fingers import initial_fingers, select_fingers
 from .gate_store import GateStore
 from .index_tree import IndexTree
-from .stats import (
-    OptimizationStats,
-    RoundStats,
-    finalize_transport,
-    record_transport,
-)
+from .stats import OptimizationStats, RoundStats
 from .tombstone import TombstoneArray
 
 __all__ = [
@@ -140,14 +135,15 @@ def popqc(
     omega:
         Segment-size parameter Ω (paper default: 200).
     parmap:
-        Parallel-map executor; defaults to :class:`SerialMap`.  An
-        executor offering ``map_segments(oracle, segments)`` (currently
+        Parallel-map executor; defaults to :class:`SerialMap`.  A
+        :class:`~repro.parallel.SegmentExecutor` (currently
         :class:`~repro.parallel.ProcessMap`, which also picks the wire
-        format) is driven through it with lazy ``Sequence[Gate]``
-        segments, any other through ``map(oracle, segments)`` with real
-        gate lists.  ``map_segments`` results decode lazily: only
-        accepted rewrites are ever unpacked
-        (``stats.skipped_decode_bytes`` reports the savings).
+        format) is driven through ``map_segments(oracle, segments)``
+        with lazy ``Sequence[Gate]`` segments, any other through
+        ``map(oracle, segments)`` with real gate lists.
+        ``map_segments`` results decode lazily: only accepted rewrites
+        are ever unpacked (``stats.results_returned`` vs.
+        ``stats.results_decoded`` reports the savings).
     cost:
         Acceptance cost; defaults to gate count, matching Algorithm 3's
         ``|optSegment| < |segment|`` test.  The depth-aware experiment
@@ -218,20 +214,18 @@ def _optimize(
     else:
         gates = list(circuit)
         num_qubits = None
-    pmap = parmap if parmap is not None else SerialMap()
-    # the one executor seam: the oracle-transport extension when the
-    # executor has it, the protocol's plain map — over real gate lists,
-    # not the store's lazy segments — otherwise
-    oracle_map = getattr(pmap, "map_segments", None) or (
-        lambda fn, segments: pmap.map(fn, [list(seg) for seg in segments])
-    )
+    # the one executor seam: an executor with only the protocol's plain
+    # map is adapted here, once (it sees real gate lists, not the
+    # store's lazy segments)
+    pmap = segment_executor(parmap if parmap is not None else SerialMap())
 
     stats = OptimizationStats(
         initial_gates=len(gates),
         initial_cost=cost_fn(gates),
-        workers=getattr(pmap, "workers", 1),
+        transport=pmap.transport,
+        workers=pmap.workers,
     )
-    counters_before = record_transport(stats, pmap)
+    counters_before = pmap.counters()
     t_start = time.perf_counter()
 
     array = granularity.array(granularity.to_items(gates), tree_factory)
@@ -248,7 +242,6 @@ def _optimize(
             omega,
             granularity,
             pmap,
-            oracle_map,
             cost_fn,
             rstats,
             check_invariants,
@@ -265,7 +258,7 @@ def _optimize(
     stats.final_gates = len(final_gates)
     stats.final_cost = cost_fn(final_gates)
     stats.total_time = time.perf_counter() - t_start
-    finalize_transport(stats, pmap, counters_before)
+    stats.record_counters(counters_before, pmap.counters())
     return PopqcResult(Circuit(final_gates, num_qubits), stats)
 
 
@@ -275,8 +268,7 @@ def _run_round(
     oracle: OracleFn,
     omega: int,
     granularity: _Granularity,
-    pmap: ParallelMap,
-    oracle_map: Callable[[OracleFn, list[Sequence[Gate]]], Sequence[Sequence[Gate]]],
+    pmap: SegmentExecutor,
     cost_fn: CostFn,
     rstats: RoundStats,
     check_invariants: bool,
@@ -320,13 +312,20 @@ def _run_round(
         _assert_disjoint_slots(seg_slots)
 
     # Parallel oracle map (the only source of parallelism, per Sec. 2.4).
-    # ``simulated_elapsed`` exists on SimulatedParallelism only.
-    makespan_before = getattr(pmap, "simulated_elapsed", 0.0)
+    # What it cost beyond wall time is whatever the executor counts:
+    # ``serialization_time`` on a ProcessMap, ``simulated_elapsed`` on
+    # a SimulatedParallelism.
+    before = pmap.counters()
     t_oracle = time.perf_counter()
-    results = oracle_map(oracle, seg_gates)
+    results = pmap.map_segments(oracle, seg_gates)
     rstats.oracle_time = time.perf_counter() - t_oracle
-    rstats.serialization_time = getattr(pmap, "last_serialization_time", 0.0)
-    rstats.oracle_makespan = getattr(pmap, "simulated_elapsed", 0.0) - makespan_before
+    after = pmap.counters()
+    rstats.serialization_time = after.get("serialization_time", 0.0) - before.get(
+        "serialization_time", 0.0
+    )
+    rstats.oracle_makespan = after.get("simulated_elapsed", 0.0) - before.get(
+        "simulated_elapsed", 0.0
+    )
     rstats.selected = len(seg_gates)
 
     # Accept / reject, build the batched substitution and new fingers.

@@ -11,12 +11,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = [
-    "RoundStats",
-    "OptimizationStats",
-    "record_transport",
-    "finalize_transport",
-]
+__all__ = ["RoundStats", "OptimizationStats"]
+
+
+def _counter(name: str) -> property:
+    """``OptimizationStats.counters[name]`` as an attribute, 0 when the
+    run's executor does not count it."""
+    return property(lambda stats: stats.counters.get(name, 0))
+
+
+def _delta(after: dict, before: dict) -> dict:
+    return {
+        key: _delta(now, before.get(key, {}))
+        if isinstance(now, dict)
+        else now - before.get(key, 0)
+        for key, now in after.items()
+    }
 
 
 @dataclass
@@ -28,13 +38,14 @@ class RoundStats:
     accepted: int = 0
     oracle_time: float = 0.0
     admin_time: float = 0.0
-    #: Parent-side segment encode/decode time for this round's oracle
-    #: map (persistent-worker encoded transport only; 0 otherwise).
-    #: A *subset* of ``oracle_time``, which times the whole oracle map
-    #: call including this encode/decode.
+    #: Parent-side segment serialization time of this round's oracle
+    #: map: the round's growth of the executor's ``serialization_time``
+    #: counter (byte transports and cache fronts; 0 otherwise).  A
+    #: *subset* of ``oracle_time``, which times the whole map call.
     serialization_time: float = 0.0
-    #: Simulated p-worker makespan of this round's oracle map (only when
-    #: the executor is a SimulatedParallelism; 0 otherwise).
+    #: Simulated p-worker makespan of this round's oracle map: the
+    #: round's growth of the ``simulated_elapsed`` counter
+    #: (SimulatedParallelism only; 0 otherwise).
     oracle_makespan: float = 0.0
 
 
@@ -52,59 +63,25 @@ class OptimizationStats:
     oracle_time: float = 0.0
     admin_time: float = 0.0
     total_time: float = 0.0
-    #: Parent-side segment encode/decode time summed over rounds
-    #: (persistent-worker encoded transport only; 0 otherwise).  A
-    #: *subset* of ``oracle_time``: the oracle map is timed end to end,
-    #: encode/decode included, so ``oracle_fraction`` and
-    #: ``serialization_fraction`` overlap by this amount.
+    #: Parent-side segment serialization time summed over rounds (byte
+    #: transports and cache fronts; 0 otherwise).  A *subset* of
+    #: ``oracle_time``: the oracle map is timed end to end, so
+    #: ``oracle_fraction`` and ``serialization_fraction`` overlap by
+    #: this amount.
     serialization_time: float = 0.0
     #: Oracle transport the run used: ``"inline"`` (objects passed
-    #: within the process), ``"encoded"``, ``"shm"``, ``"threads"`` or
-    #: ``"pickle"``.
+    #: within the process), ``"encoded"``, ``"shm"``, ``"threads"``,
+    #: ``"pickle"`` or ``"socket"``.
     transport: str = "inline"
-    #: Capacity of the executor's shared-memory arena ring when the run
-    #: finished (shm transport only): the memory the run's rounds were
-    #: served from, whether freshly allocated or recycled.
-    shm_arena_bytes: int = 0
-    #: Arena-ring behaviour during the run: blocks created vs. rounds
-    #: served by recycling an existing block.
-    shm_block_allocs: int = 0
-    shm_block_reuses: int = 0
-    #: Batched-dispatch accounting (shm transport only): pool tasks
-    #: dispatched and segments they carried.
-    batch_dispatches: int = 0
-    segments_batched: int = 0
-    #: Lazy-decode accounting (byte-carrying transports): oracle
-    #: results returned vs. results whose gates were ever decoded, and
-    #: the wire bytes of each.  The gap is work the acceptance test
-    #: skipped by rejecting on ``len()`` alone.
-    results_returned: int = 0
-    results_decoded: int = 0
-    result_bytes_returned: int = 0
-    result_bytes_decoded: int = 0
-    #: Threads-transport accounting: summed per-task oracle seconds
-    #: vs. pool wall seconds.  Their ratio estimates effective thread
-    #: concurrency (1.0 = fully GIL-bound).
-    thread_task_seconds: float = 0.0
-    thread_wall_seconds: float = 0.0
-    #: Socket-transport accounting: frame bytes on the wire in each
-    #: direction and reconnect-and-requeue cycles after host failures.
-    socket_bytes_sent: int = 0
-    socket_bytes_received: int = 0
-    socket_reconnects: int = 0
-    #: Per-host throughput of the socket transport: address →
-    #: ``{"segments", "seconds", "segments_per_s", "capacity"}`` for
-    #: this run.
-    socket_hosts: dict = field(default_factory=dict)
-    #: Segment-result-cache accounting (executors constructed with a
-    #: :class:`repro.service.cache.SegmentCache`): segments answered
-    #: from the cache vs. dispatched to the oracle, the packed result
-    #: bytes the hits replayed, and the parent-side seconds spent on
-    #: fingerprints and lookups.  Every hit is an oracle call saved.
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_bytes_saved: int = 0
-    cache_lookup_seconds: float = 0.0
+    #: This run's share of the executor's ``counters()`` — the
+    #: difference between the mapping at the end of the run and at its
+    #: start, so one executor can serve many runs.  Which keys exist
+    #: depends on the executor: dispatch and lazy-decode counts on a
+    #: :class:`~repro.parallel.ProcessMap`, plus its transport's
+    #: (arena reuse, thread seconds, socket bytes and the per-host
+    #: ``{address: n}`` figures) and, with a result cache, the cache
+    #: front's; the properties below name the ones other code reads.
+    counters: dict = field(default_factory=dict)
     #: Sum of per-round simulated makespans (SimulatedParallelism only).
     simulated_oracle_time: float = 0.0
     #: Worker count of the executor used.
@@ -134,37 +111,19 @@ class OptimizationStats:
             return 0.0
         return self.serialization_time / self.total_time
 
-    @property
-    def arena_reuse_rate(self) -> float:
-        """Fraction of arena acquisitions served by recycling a block."""
-        total = self.shm_block_allocs + self.shm_block_reuses
-        if total == 0:
-            return 0.0
-        return self.shm_block_reuses / total
-
-    @property
-    def mean_batch_size(self) -> float:
-        """Average segments per dispatched pool task (shm transport)."""
-        if self.batch_dispatches == 0:
-            return 0.0
-        return self.segments_batched / self.batch_dispatches
-
-    @property
-    def skipped_decode_bytes(self) -> int:
-        """Result wire bytes whose per-gate decode never ran."""
-        return self.result_bytes_returned - self.result_bytes_decoded
-
-    @property
-    def decode_skip_fraction(self) -> float:
-        """Fraction of returned oracle results that were never decoded."""
-        if self.results_returned == 0:
-            return 0.0
-        return 1.0 - self.results_decoded / self.results_returned
-
-    @property
-    def socket_wire_bytes(self) -> int:
-        """Total frame bytes the socket transport moved, both directions."""
-        return self.socket_bytes_sent + self.socket_bytes_received
+    #: Lazy-decode accounting (byte-carrying transports): oracle results
+    #: returned vs. results whose gates were ever decoded.  The gap is
+    #: work the acceptance test skipped by rejecting on ``len()`` alone.
+    results_returned = _counter("results_returned")
+    results_decoded = _counter("results_decoded")
+    #: Segment-result-cache accounting (executors with a cache front):
+    #: segments answered from the cache vs. dispatched to the oracle,
+    #: the packed result bytes the hits replayed, and the seconds spent
+    #: on fingerprints and lookups.
+    cache_hits = _counter("cache_hits")
+    cache_misses = _counter("cache_misses")
+    cache_bytes_saved = _counter("cache_bytes_saved")
+    cache_lookup_seconds = _counter("cache_lookup_seconds")
 
     @property
     def cache_hit_rate(self) -> float:
@@ -185,32 +144,6 @@ class OptimizationStats:
         return self.cache_hits
 
     @property
-    def thread_concurrency(self) -> float:
-        """Effective parallelism of the threads transport.
-
-        Summed per-task oracle seconds divided by pool wall seconds:
-        ~1.0 when the oracle holds the GIL throughout, approaching the
-        worker count when it releases the GIL (numpy-heavy oracles).
-        0.0 when the threads transport was not used.
-        """
-        if self.thread_wall_seconds <= 0.0:
-            return 0.0
-        return self.thread_task_seconds / self.thread_wall_seconds
-
-    @property
-    def gil_release_fraction(self) -> float:
-        """Normalized :attr:`thread_concurrency` in ``[0, 1]``.
-
-        0 means the oracle was fully GIL-bound (or threads were not
-        used / only one worker); 1 means the pool ran at full
-        parallelism.  An estimate, not a measurement of GIL state.
-        """
-        if self.workers <= 1 or self.thread_wall_seconds <= 0.0:
-            return 0.0
-        frac = (self.thread_concurrency - 1.0) / (self.workers - 1.0)
-        return min(1.0, max(0.0, frac))
-
-    @property
     def total_fingers(self) -> int:
         """Sum of finger-set sizes across rounds (Lemma 3's quantity)."""
         return sum(r.fingers for r in self.per_round)
@@ -220,8 +153,8 @@ class OptimizationStats:
         """Estimated p-worker wall time.
 
         Oracle work is charged at its per-round simulated makespan when
-        available; administrative work is charged serially (conservative
-        — see DESIGN.md).  Equals ``total_time`` for serial runs.
+        available; administrative work is charged serially
+        (conservative).  Equals ``total_time`` for serial runs.
         """
         if self.simulated_oracle_time > 0.0:
             return self.admin_time + self.simulated_oracle_time
@@ -246,6 +179,16 @@ class OptimizationStats:
         self.simulated_oracle_time += r.oracle_makespan
         self.per_round.append(r)
 
+    def record_counters(self, before: dict, after: dict) -> None:
+        """Keep this run's share of the executor's counters (``after``
+        minus ``before``, per-host mappings address by address), and
+        correct ``transport`` to ``"inline"`` when every round fell
+        below the executor's serial cutoff and nothing ever crossed a
+        process boundary."""
+        self.counters = _delta(after, before)
+        if self.counters.get("pool_dispatches", 1) == 0:
+            self.transport = "inline"
+
     def summary(self) -> str:
         """One-line human-readable summary."""
         return (
@@ -254,111 +197,3 @@ class OptimizationStats:
             f"{self.rounds} rounds, {self.oracle_calls} oracle calls, "
             f"{self.total_time:.3f}s total ({100.0 * self.oracle_fraction:.0f}% oracle)"
         )
-
-
-#: Executor counters snapshotted around a run so per-run deltas can be
-#: reported even when one executor serves many runs.
-_TRANSPORT_COUNTERS = (
-    "pool_dispatches",
-    "batch_dispatches",
-    "segments_batched",
-    "arena_allocations",
-    "arena_reuses",
-    "results_returned",
-    "results_decoded",
-    "result_bytes_returned",
-    "result_bytes_decoded",
-    "thread_task_seconds",
-    "thread_wall_seconds",
-    "socket_bytes_sent",
-    "socket_bytes_received",
-    "socket_reconnects",
-    "cache_hits",
-    "cache_misses",
-    "cache_bytes_saved",
-    "cache_lookup_seconds",
-)
-
-#: Per-host dict counters snapshotted alongside the scalar ones; the
-#: per-run delta becomes ``OptimizationStats.socket_hosts``.
-_HOST_COUNTERS = ("socket_host_segments", "socket_host_seconds")
-
-
-def record_transport(stats: OptimizationStats, pmap: object) -> object:
-    """Label ``stats.transport`` with the executor's wire format
-    (``"inline"`` for executors that have none) and snapshot the
-    executor's transport counters.
-
-    The returned snapshot goes to :func:`finalize_transport`, which
-    turns the counter deltas into per-run statistics.
-    """
-    stats.transport = getattr(pmap, "transport", "inline")
-    snapshot = {
-        name: getattr(pmap, name)
-        for name in _TRANSPORT_COUNTERS
-        if hasattr(pmap, name)
-    }
-    for name in _HOST_COUNTERS:
-        if hasattr(pmap, name):
-            snapshot[name] = dict(getattr(pmap, name))
-    return snapshot
-
-
-def finalize_transport(
-    stats: OptimizationStats, pmap: object, snapshot: object
-) -> None:
-    """Fold the executor's counter deltas since ``snapshot`` into
-    ``stats``, and correct ``stats.transport`` to ``"inline"`` when
-    every round fell below the executor's serial cutoff and nothing
-    ever crossed a process boundary."""
-    if not isinstance(snapshot, dict):
-        return
-    delta = {
-        name: getattr(pmap, name) - before
-        for name, before in snapshot.items()
-        if name not in _HOST_COUNTERS
-    }
-    if (
-        stats.transport != "inline"
-        and "pool_dispatches" in delta
-        and delta["pool_dispatches"] == 0
-    ):
-        stats.transport = "inline"
-    stats.batch_dispatches = delta.get("batch_dispatches", 0)
-    stats.segments_batched = delta.get("segments_batched", 0)
-    stats.shm_block_allocs = delta.get("arena_allocations", 0)
-    stats.shm_block_reuses = delta.get("arena_reuses", 0)
-    stats.results_returned = delta.get("results_returned", 0)
-    stats.results_decoded = delta.get("results_decoded", 0)
-    stats.result_bytes_returned = delta.get("result_bytes_returned", 0)
-    stats.result_bytes_decoded = delta.get("result_bytes_decoded", 0)
-    stats.thread_task_seconds = delta.get("thread_task_seconds", 0.0)
-    stats.thread_wall_seconds = delta.get("thread_wall_seconds", 0.0)
-    stats.socket_bytes_sent = delta.get("socket_bytes_sent", 0)
-    stats.socket_bytes_received = delta.get("socket_bytes_received", 0)
-    stats.socket_reconnects = delta.get("socket_reconnects", 0)
-    stats.cache_hits = delta.get("cache_hits", 0)
-    stats.cache_misses = delta.get("cache_misses", 0)
-    stats.cache_bytes_saved = delta.get("cache_bytes_saved", 0)
-    stats.cache_lookup_seconds = delta.get("cache_lookup_seconds", 0.0)
-    if "socket_host_segments" in snapshot:
-        seg_before = snapshot["socket_host_segments"]
-        sec_before = snapshot.get("socket_host_seconds", {})
-        seg_now = getattr(pmap, "socket_host_segments", {})
-        sec_now = getattr(pmap, "socket_host_seconds", {})
-        cap_now = getattr(pmap, "socket_host_capacity", {})
-        hosts = {}
-        for addr, segs in seg_now.items():
-            d_segs = segs - seg_before.get(addr, 0)
-            d_secs = sec_now.get(addr, 0.0) - sec_before.get(addr, 0.0)
-            if d_segs or d_secs:
-                hosts[addr] = {
-                    "segments": d_segs,
-                    "seconds": d_secs,
-                    "segments_per_s": d_segs / d_secs if d_secs > 0 else 0.0,
-                    "capacity": cap_now.get(addr, 1),
-                }
-        stats.socket_hosts = hosts
-    # capacity of the executor's arena ring, not a delta: a run served
-    # entirely by recycled blocks still reports the memory it ran in
-    stats.shm_arena_bytes = getattr(pmap, "arena_bytes", 0)

@@ -1,57 +1,64 @@
-"""Parallelism substrate: the parmap protocol, executors and scheduling.
+"""Parallelism substrate: the parmap protocol, executors and transports.
 
 POPQC's only parallel primitive is an order-preserving map over oracle
 segments (paper Section 2.4).  Four executors implement it:
 :class:`SerialMap` (the reference), :class:`ThreadMap`,
 :class:`SimulatedParallelism` (serial execution with p-worker makespan
 accounting, for the scaling experiments) and :class:`ProcessMap`, the
-oracle-transport executor, whose ``transport=`` picks how a segment
-reaches a worker — ``"encoded"`` (default: one packed blob per batch
-through the pool pipe), ``"shm"`` (pooled shared-memory arenas),
-``"threads"``, ``"pickle"`` (the seed behaviour, a benchmark baseline)
-or ``"socket"`` (:mod:`repro.parallel.dist`, TCP frames to ``popqc
-worker`` hosts).  Every rung is byte-identical; the class docstring has
-the details, ``README.md`` the matrix.
+oracle-transport executor, whose ``transport=`` names the
+:class:`Transport` class (:data:`TRANSPORTS`) that carries a segment to
+a worker — ``"encoded"`` (default: one packed blob per batch through
+the pool pipe), ``"shm"`` (pooled shared-memory arenas), ``"threads"``,
+``"pickle"`` (the seed behaviour, a benchmark baseline) or
+``"socket"`` (TCP frames to ``popqc worker`` hosts).  Every rung is
+byte-identical; :mod:`repro.parallel.transports` has the details,
+``README.md`` the matrix.
 
-The POPQC driver reaches an executor through one seam:
-``map_segments(oracle, segments)`` when the executor provides it,
-``map(oracle, segments)`` otherwise.  ``map_segments`` speaks
-:class:`LazySegmentResult` both ways: segments go in as ids into the
-driver's gate table and come back in the wire format, staying there
-until a driver reads them — the acceptance test needs only ``len()``
-(the packed header), so rejected oracle outputs are never decoded
-(:class:`DecodeStats`, ``OptimizationStats.skipped_decode_bytes``).
-Chunk and batch sizes adapt to measured per-segment oracle time
-(:func:`adaptive_chunksize` / :func:`batch_segments`), and every task
-carries an oracle generation token so a stale worker fails loudly
-(:class:`StaleOracleError`).
+The POPQC driver reaches an executor through one seam,
+:class:`SegmentExecutor`: ``map_segments(oracle, segments)``,
+``counters()``, ``transport`` and ``workers``
+(:func:`segment_executor` adapts an executor that only has ``map``).
+``map_segments`` speaks :class:`LazySegmentResult` both ways: segments
+go in as ids into the driver's gate table and come back in the wire
+format, staying there until a driver reads them — the acceptance test
+needs only ``len()`` (the packed header), so rejected oracle outputs
+are never decoded (:class:`DecodeStats`).  Chunk and batch sizes adapt
+to measured per-segment oracle time (:func:`adaptive_chunksize` /
+:func:`batch_segments`), and every task carries an oracle generation
+token so a stale worker fails loudly (:class:`StaleOracleError`).
 
-Above the executors sits the content-addressed segment result cache
-(:mod:`repro.service.cache`): a :class:`ProcessMap` constructed with
-``cache=`` answers repeated segments from it, on every transport
-identically, keyed by :func:`oracle_fingerprint`.
+Modules, bottom up: :mod:`~repro.parallel.frames` (the frame codec,
+:class:`FrameServer`, :class:`FrameConnection`),
+:mod:`~repro.parallel.worker` (:class:`WorkerHost`, the ``popqc
+worker`` daemon) and :mod:`~repro.parallel.hostpool` (its client
+registry), :mod:`~repro.parallel.transports`,
+:mod:`~repro.parallel.executor`.  Nothing here imports
+:mod:`repro.service`; the content-addressed result cache that a
+``ProcessMap(cache=...)`` fronts its rounds with (:class:`CacheFront`)
+is handed in by the caller.
 """
 
-from .dist import (
-    AuthenticationError,
-    CacheClient,
-    FrameProtocolError,
-    RemoteOracleError,
-    SocketHostPool,
-    WorkerHost,
-    WorkerUnavailableError,
-    local_cluster,
-)
 from .executor import (
-    TRANSPORTS,
+    CacheFront,
     ParallelMap,
     ProcessMap,
+    SegmentExecutor,
     SerialMap,
-    StaleOracleError,
     ThreadMap,
     default_workers,
     oracle_fingerprint,
+    segment_executor,
 )
+from .frames import (
+    AuthenticationError,
+    FrameConnection,
+    FrameProtocolError,
+    FrameServer,
+    RemoteOracleError,
+    StaleOracleError,
+    parse_address,
+)
+from .hostpool import SocketHostPool, WorkerUnavailableError
 from .results import DecodeStats, LazySegmentResult
 from .scheduling import (
     adaptive_chunksize,
@@ -62,18 +69,24 @@ from .scheduling import (
 )
 from .shm import HAVE_SHM, ShmArenaPool, StaleArenaError
 from .simulated import SimulatedParallelism
+from .transports import TRANSPORTS, Transport
+from .worker import CacheClient, WorkerHost, local_cluster
 
 __all__ = [
     "HAVE_SHM",
     "TRANSPORTS",
     "AuthenticationError",
     "CacheClient",
+    "CacheFront",
     "DecodeStats",
+    "FrameConnection",
     "FrameProtocolError",
+    "FrameServer",
     "LazySegmentResult",
     "ParallelMap",
     "ProcessMap",
     "RemoteOracleError",
+    "SegmentExecutor",
     "SerialMap",
     "ShmArenaPool",
     "SimulatedParallelism",
@@ -81,6 +94,7 @@ __all__ = [
     "StaleArenaError",
     "StaleOracleError",
     "ThreadMap",
+    "Transport",
     "WorkerHost",
     "WorkerUnavailableError",
     "local_cluster",
@@ -91,4 +105,6 @@ __all__ = [
     "ideal_makespan",
     "lpt_makespan",
     "oracle_fingerprint",
+    "parse_address",
+    "segment_executor",
 ]

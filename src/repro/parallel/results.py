@@ -20,8 +20,8 @@ handle to a list decodes it, as does any element access.
 Decode accounting flows through :class:`DecodeStats` (one per
 executor): how many byte-carrying results came back, how many were ever
 decoded, and the byte volumes of both.  The difference is the work lazy
-decoding skipped; drivers surface it as
-``OptimizationStats.skipped_decode_bytes``.
+decoding skipped; it reaches a run's ``OptimizationStats.counters``
+through the executor's ``counters()``.
 """
 
 from __future__ import annotations
@@ -61,6 +61,10 @@ class DecodeStats:
         self.results_decoded = 0
         self.result_bytes_returned = 0
         self.result_bytes_decoded = 0
+
+    def counters(self) -> dict:
+        """The four counts, under the names ``counters()`` reports."""
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def note_returned(self, nbytes: int) -> None:
         """Record a byte-carrying result crossing back to the driver."""

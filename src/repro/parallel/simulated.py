@@ -17,7 +17,8 @@ shape as the paper's Figures 3 and 5: rising with circuit size, limited
 by round count and by per-round task-count/imbalance.
 
 The executor accumulates simulated time across calls; the POPQC driver
-reads it through :attr:`SimulatedParallelism.simulated_elapsed`.
+reads it as the ``simulated_elapsed`` entry of
+:meth:`SimulatedParallelism.counters`.
 """
 
 from __future__ import annotations
@@ -83,6 +84,14 @@ class SimulatedParallelism:
         if self.record_durations:
             self.durations_log.append(durations)
         return results
+
+    def counters(self) -> dict:
+        """Accumulated simulated and serial task seconds (the
+        :class:`~repro.parallel.SegmentExecutor` counters seam)."""
+        return {
+            "simulated_elapsed": self.simulated_elapsed,
+            "serial_elapsed": self.serial_elapsed,
+        }
 
     def makespan_for(self, workers: int) -> float:
         """Total makespan the recorded rounds would take on ``workers``

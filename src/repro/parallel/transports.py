@@ -1,0 +1,638 @@
+"""The oracle transports: how one planned round reaches the workers.
+
+:class:`~repro.parallel.ProcessMap` decides *whether* a round leaves
+the parent (the inline cutoff), *how it is cut* (the
+:func:`~repro.parallel.scheduling.batch_segments` plan) and what is
+cached; a :class:`Transport` decides *how the bytes travel*.  Each wire
+format is one small class that owns its own state and its own
+counters, and :data:`TRANSPORTS` is the registry ``transport=`` names
+are looked up in:
+
+* ``"encoded"`` (default) — the oracle is registered once per worker
+  process and each batch crosses the pool pipe as one contiguous blob
+  of packed segments, each way (the socket transport's
+  SEGMENTS/RESULTS payloads);
+* ``"shm"`` — every round's segments are packed into one pooled
+  shared-memory arena (:mod:`repro.parallel.shm`) and the pipe carries
+  only ``(arena, start, end)`` descriptors;
+* ``"pickle"`` — the seed behaviour, kept as the benchmark baseline:
+  the oracle and every ``list[Gate]`` are pickled on every call;
+* ``"threads"`` — no pipes, no arenas: oracle calls run on a thread
+  pool over the parent's own buffers, which pays off when the oracle
+  releases the GIL (:mod:`repro.oracles.vector_engine`);
+* ``"socket"`` — the same packed bytes as length-prefixed frames over
+  TCP to ``popqc worker`` hosts (:mod:`repro.parallel.hostpool`), with
+  heartbeat, reconnect-and-requeue on host failure and the
+  generation-token protocol over the wire.
+
+The three pool-backed formats share :class:`WorkerPool`: the pool
+initializer that installs the oracle, the generation token every task
+carries (so a stale worker fails loudly, :class:`StaleOracleError`)
+and the rebuild after a crashed worker.  Every transport returns
+:class:`~repro.parallel.results.LazySegmentResult` handles, so results
+stay in the wire format until a driver reads their gates.
+"""
+
+from __future__ import annotations
+
+import time
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from typing import Callable, Optional, Protocol, Sequence
+
+from ..circuits.encoding import pack_segment, packed_segment_span, unpack_segment_from
+from ..circuits.gate import Gate
+from . import shm
+from .frames import (
+    StaleOracleError,
+    iter_results_payload,
+    join_segments_payload,
+    pack_results_payload,
+    unpack_segments_payload,
+)
+from .hostpool import SocketHostPool
+from .results import DecodeStats, LazySegmentResult
+from .worker import _oracle_encoded_result
+
+__all__ = [
+    "TRANSPORTS",
+    "EncodedTransport",
+    "PickleTransport",
+    "ShmTransport",
+    "SocketTransport",
+    "ThreadsTransport",
+    "Transport",
+    "WorkerPool",
+]
+
+Oracle = Callable[[list[Gate]], list[Gate]]
+
+#: One round's dispatch plan: half-open ``(start, end)`` segment ranges.
+Plan = Sequence[tuple[int, int]]
+
+#: What :meth:`Transport.run_round` returns: the lazy results in
+#: segment order, the parent-side seconds spent serializing, and the
+#: seconds the workers held the round — ``None`` when that interval
+#: says nothing about task time (a cold pool, or no pool).
+RoundResult = tuple[list[LazySegmentResult], float, Optional[float]]
+
+
+class Transport(Protocol):
+    """What :class:`~repro.parallel.ProcessMap` needs from a wire format."""
+
+    workers: int
+
+    def run_round(
+        self, oracle: Oracle, segments: Sequence[LazySegmentResult], plan: Plan
+    ) -> RoundResult:
+        """Apply ``oracle`` to every segment, cut into tasks as ``plan``
+        says, preserving order."""
+        ...  # pragma: no cover - protocol
+
+    def counters(self) -> dict:
+        """This transport's monotone counters (keys fixed for life)."""
+        ...  # pragma: no cover - protocol
+
+    def close(self) -> None:
+        """Release pools, arenas and connections (safe to call twice;
+        a later round rebuilds what it needs)."""
+        ...  # pragma: no cover - protocol
+
+
+# -- worker-process side -------------------------------------------------------
+#
+# With the pool-backed transports the oracle callable is installed once
+# per worker process (pool initializer) together with its generation
+# token; every subsequent task ships only segment descriptors tagged
+# with the expected generation.
+
+_WORKER_ORACLE: Optional[Oracle] = None
+_WORKER_ORACLE_GEN: int = -1
+
+#: Worker-side cache of attached shared-memory arenas, keyed by name.
+#: Arena blocks are reused round over round, so this normally holds the
+#: two or three blocks of the executor's ring.
+_WORKER_ARENAS: dict[str, object] = {}
+
+_WORKER_ARENA_CACHE_LIMIT = 8
+
+
+def _register_worker_oracle(oracle: Optional[Oracle], generation: int) -> None:
+    global _WORKER_ORACLE, _WORKER_ORACLE_GEN
+    _WORKER_ORACLE = oracle
+    _WORKER_ORACLE_GEN = generation
+
+
+def _require_worker_oracle(generation: int) -> Oracle:
+    """The registered oracle, after checking the task's generation token."""
+    if _WORKER_ORACLE is None:
+        raise RuntimeError("worker pool initialized without an oracle")
+    if generation != _WORKER_ORACLE_GEN:
+        raise StaleOracleError(
+            f"task expects oracle generation {generation}, worker has "
+            f"{_WORKER_ORACLE_GEN}"
+        )
+    return _WORKER_ORACLE
+
+
+def _apply_registered_oracle(payload: bytes) -> bytes:
+    """Worker task of the encoded transport: one batch, blob to blob.
+
+    ``payload`` is a SEGMENTS payload (generation token, batch id, the
+    batch's packed segments back to back); the reply is the RESULTS
+    payload of the oracle's outputs, still in the flat wire format so
+    the parent can defer (and usually skip) decoding.
+    """
+    generation, batch_id, segments = unpack_segments_payload(payload)
+    oracle = _require_worker_oracle(generation)
+    return pack_results_payload(
+        batch_id,
+        [pack_segment(_oracle_encoded_result(oracle, seg)) for seg in segments],
+    )
+
+
+def _attach_worker_arena(name: str, keep: tuple[str, ...] = ()):
+    """Attach (or fetch the cached attachment of) arena ``name``.
+
+    ``keep`` names arenas the current task still references; eviction
+    (bounded cache, arena names are never reused) skips them so their
+    mapped buffers stay valid for the rest of the task.
+    """
+    block = _WORKER_ARENAS.get(name)
+    if block is None:
+        if len(_WORKER_ARENAS) >= _WORKER_ARENA_CACHE_LIMIT:
+            for stale_name in list(_WORKER_ARENAS):
+                if stale_name not in keep:
+                    try:
+                        _WORKER_ARENAS.pop(stale_name).close()
+                    except BufferError:  # pragma: no cover - view still alive
+                        pass
+        block = shm.attach_arena(name)
+        _WORKER_ARENAS[name] = block
+    return block
+
+
+def _apply_oracle_shm(
+    task: tuple[str, str, int, int, int, int],
+) -> list[bytes | None]:
+    """Run the registered oracle over one batch of arena segments.
+
+    ``task`` is ``(input arena, result arena, round id, oracle
+    generation, start, end)``.  Inputs are sliced zero-copy out of the
+    input arena; each encoded result is packed into the segment's
+    reserved region of the result arena when it fits (returning
+    ``None`` as an "in the arena" marker) and returned through the pipe
+    as packed bytes only on overflow.
+    """
+    in_name, out_name, round_id, generation, start, end = task
+    oracle = _require_worker_oracle(generation)
+    keep = (in_name, out_name)
+    in_buf = _attach_worker_arena(in_name, keep).buf
+    out_buf = _attach_worker_arena(out_name, keep).buf
+    n = shm.check_round(in_buf, round_id, in_name)
+    shm.check_round(out_buf, round_id, out_name)
+    offsets = shm.read_input_directory(in_buf, n)
+    regions = shm.read_result_directory(out_buf, n)
+    results: list[bytes | None] = []
+    for i in range(start, end):
+        encoded, _ = unpack_segment_from(in_buf, int(offsets[i]))
+        out = pack_segment(_oracle_encoded_result(oracle, encoded))
+        offset, capacity = int(regions[i, 0]), int(regions[i, 1])
+        if len(out) <= capacity:
+            out_buf[offset : offset + len(out)] = out
+            results.append(None)
+        else:  # oracle grew the segment past the reserved slack
+            results.append(out)
+    return results
+
+
+class _PickledOracleCall:
+    """Picklable oracle-application wrapper.
+
+    The pickle transport ships one of these with every chunk (the seed
+    behaviour, kept as the benchmark baseline).
+    """
+
+    __slots__ = ("oracle",)
+
+    def __init__(self, oracle: Oracle):
+        self.oracle = oracle
+
+    def __call__(self, segment: list[Gate]) -> list[Gate]:
+        return self.oracle(segment)
+
+
+# -- parent side ---------------------------------------------------------------
+
+
+def _ship_by_value(
+    segments: Sequence[LazySegmentResult],
+    plan: Plan,
+    generation: int,
+    stats: Optional[DecodeStats],
+    send: Callable[[list[tuple[int, int, bytes]]], Sequence],
+    warm: bool,
+) -> RoundResult:
+    """A round of the two transports that ship packed bytes by value
+    (``"encoded"`` through the pool pipe, ``"socket"`` over TCP).
+
+    Each planned batch becomes a ``(batch id, width, SEGMENTS
+    payload)`` triple — the payload is its segments' packed bytes, the
+    ones a cache front already took their keys from, joined behind one
+    header — ``send`` carries the triples to the workers and returns,
+    per batch, the ``(gate count, packed blob)`` pairs
+    :func:`~repro.parallel.frames.iter_results_payload` reads off its
+    RESULTS payload, and every pair becomes a lazy result.  Only the
+    ``send`` interval of a ``warm`` round is reported as worker time:
+    parent-side encoding is serialization, not task time.
+    """
+    started = time.perf_counter()
+    batches = [
+        (
+            batch_id,
+            end - start,
+            join_segments_payload(
+                generation,
+                batch_id,
+                [seg.packed_bytes() for seg in segments[start:end]],
+            ),
+        )
+        for batch_id, (start, end) in enumerate(plan)
+    ]
+    packed_at = time.perf_counter()
+    replies = send(batches)
+    seconds = time.perf_counter() - packed_at
+    results = [
+        LazySegmentResult.from_packed(blob, stats, length)
+        for reply in replies
+        for length, blob in reply
+    ]
+    return results, packed_at - started, seconds if warm else None
+
+
+class WorkerPool:
+    """A process pool whose workers have (at most) one oracle installed.
+
+    The base of the three pool-backed transports, and on its own the
+    pool behind the generic :meth:`ProcessMap.map`.  Swapping oracles
+    tears the pool down, bumps :attr:`generation` and rebuilds; the
+    POPQC loop uses one oracle for thousands of rounds, so the rebuild
+    is a once-per-run cost.  Every dispatched task carries the
+    generation token and workers refuse mismatches
+    (:class:`StaleOracleError`), so a pool that somehow survives with
+    the old initializer can never silently apply the old oracle.
+    """
+
+    def __init__(self, workers: int, decode_stats: Optional[DecodeStats] = None):
+        self.workers = workers
+        self.generation = 0
+        self._stats = decode_stats
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._oracle: object = None
+
+    def _ensure(self, oracle: object = None) -> bool:
+        """Make the pool's workers serve ``oracle`` (``None``: any pool
+        will do); returns whether it was already warm."""
+        if self._pool is not None:
+            if oracle is None or self._oracle is oracle:
+                return True
+            self._pool.shutdown(wait=True)
+        if oracle is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        else:
+            self.generation += 1
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                initializer=_register_worker_oracle,
+                initargs=(oracle, self.generation),
+            )
+        self._oracle = oracle
+        return False
+
+    def _run(self, fn: Callable, tasks: Sequence, chunksize: int = 1) -> list:
+        """``fn`` over ``tasks`` on the (ensured) pool, in order.
+
+        A :class:`BrokenProcessPool` is permanent for the executor that
+        raised it, so the pool is dropped before the error propagates:
+        a crashed worker is a one-round failure and the next round
+        rebuilds, instead of a dead executor.
+        """
+        try:
+            return list(self._pool.map(fn, tasks, chunksize=chunksize))
+        except BrokenProcessPool:
+            self._pool.shutdown(wait=False)
+            self._pool = self._oracle = None
+            raise
+
+    def map(self, fn: Callable, items: Sequence, chunksize: int = 1) -> list:
+        """Generic ordered map over the pool (no oracle registered)."""
+        self._ensure()
+        return self._run(fn, items, chunksize)
+
+    def counters(self) -> dict:
+        """A bare pool counts nothing of its own."""
+        return {}
+
+    def close(self) -> None:
+        """Shut the pool down (safe to call twice)."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = self._oracle = None
+
+
+class PickleTransport(WorkerPool):
+    """The seed behaviour: oracle and gate lists pickled on every call."""
+
+    def run_round(self, oracle, segments, plan) -> RoundResult:
+        """One pool map of ``oracle`` over gate lists, chunked as wide
+        as the plan's batches."""
+        warm = self._ensure()
+        started = time.perf_counter()
+        outs = self._run(
+            _PickledOracleCall(oracle),
+            [seg.gates() for seg in segments],
+            plan[0][1] - plan[0][0],
+        )
+        results = [LazySegmentResult.from_gates(out) for out in outs]
+        elapsed = time.perf_counter() - started
+        return results, 0.0, elapsed if warm else None
+
+
+class EncodedTransport(WorkerPool):
+    """Persistent workers, one packed blob per batch through the pipe."""
+
+    def run_round(self, oracle, segments, plan) -> RoundResult:
+        """One pool task per batch, a ``bytes`` object each way — one
+        pickle of one buffer, whatever the batch holds — with the reply
+        split on header reads alone, so results stay packed."""
+        warm = self._ensure(oracle)
+
+        def send(batches):
+            payloads = [payload for _, _, payload in batches]
+            replies = self._run(_apply_registered_oracle, payloads)
+            return [
+                iter_results_payload(reply, batch_id)
+                for (batch_id, _, _), reply in zip(batches, replies)
+            ]
+
+        return _ship_by_value(
+            segments, plan, self.generation, self._stats, send, warm
+        )
+
+
+class ShmTransport(WorkerPool):
+    """Zero-copy rounds through a ring of shared-memory arenas.
+
+    Segments are packed into one pooled input arena, results come back
+    through a result arena with parent-reserved regions, and the pool
+    dispatch is one task per batch — the pipe carries only small
+    descriptor tuples.  :attr:`arenas` is the ring
+    (:class:`~repro.parallel.shm.ShmArenaPool`); ``arenas.ring_bytes``
+    is its current capacity.
+    """
+
+    def __init__(self, workers: int, decode_stats: Optional[DecodeStats] = None):
+        super().__init__(workers, decode_stats)
+        self.arenas = shm.ShmArenaPool()
+        self._round_id = 0
+
+    def run_round(self, oracle, segments, plan) -> RoundResult:
+        """One round through a freshly acquired arena pair."""
+        t0 = time.perf_counter()
+        encoded = [seg.encoded() for seg in segments]
+        sizes = shm.packed_sizes(encoded)
+        ser = time.perf_counter() - t0
+
+        in_offsets, in_total = shm.input_arena_layout(sizes)
+        out_regions, out_total = shm.result_arena_layout(sizes)
+        in_block = self.arenas.acquire(in_total)
+        try:
+            out_block = self.arenas.acquire(out_total)
+        except BaseException:
+            # arena exhaustion between the two acquires (e.g. ENOSPC on
+            # /dev/shm): hand the first block back before propagating
+            self.arenas.release(in_block)
+            raise
+        self._round_id += 1
+        round_id = self._round_id
+        round_ok = False
+        try:
+            t0 = time.perf_counter()
+            shm.write_input_arena(in_block.buf, round_id, encoded, in_offsets)
+            shm.write_result_directory(out_block.buf, round_id, out_regions)
+            ser += time.perf_counter() - t0
+
+            warm = self._ensure(oracle)
+            tasks = [
+                (in_block.name, out_block.name, round_id, self.generation, start, end)
+                for start, end in plan
+            ]
+            t_map = time.perf_counter()
+            chunks = self._run(_apply_oracle_shm, tasks)
+            markers = [marker for chunk in chunks for marker in chunk]
+            pool_seconds = time.perf_counter() - t_map
+
+            # Copy each packed result out of the arena (header-sized
+            # span read + one memcpy) so the block can be recycled;
+            # decoding stays lazy and usually never happens.
+            t0 = time.perf_counter()
+            results: list[LazySegmentResult] = []
+            out_buf = out_block.buf
+            for marker, (offset, _) in zip(markers, out_regions):
+                if marker is None:
+                    length, end = packed_segment_span(out_buf, offset)
+                    payload = bytes(out_buf[offset:end])
+                else:  # overflow fallback: result came through the pipe
+                    length, payload = None, marker
+                results.append(
+                    LazySegmentResult.from_packed(payload, self._stats, length)
+                )
+            ser += time.perf_counter() - t0
+            round_ok = True
+        finally:
+            if round_ok:
+                self.arenas.release(in_block)
+                self.arenas.release(out_block)
+            else:
+                # a failed round may leave straggler tasks writing into
+                # the arenas: never recycle them
+                self.arenas.discard(in_block)
+                self.arenas.discard(out_block)
+        return results, ser, pool_seconds if warm else None
+
+    def counters(self) -> dict:
+        """Arena-ring behaviour: blocks created vs. rounds served by
+        recycling an existing block."""
+        return {
+            "arena_allocations": self.arenas.allocations,
+            "arena_reuses": self.arenas.reuses,
+        }
+
+    def close(self) -> None:
+        """Shut the pool down and unlink every arena."""
+        super().close()
+        self.arenas.close()
+
+
+class ThreadsTransport:
+    """Oracle calls on a shared thread pool: no pipes, no arenas.
+
+    Workers share the parent's address space, so nothing is serialized
+    and the oracle needs no registration or generation token; the
+    plan's batch widths are ignored — one pool task per segment.
+    Oracles that are natively packed (``packed_native``) receive the
+    packed layout (built parent-side, counted as serialization time)
+    and their results stay packed for lazy decoding; plain oracles run
+    on the gate lists directly — encoding inputs just to win lazy
+    result decode costs more than it saves here, unlike the process
+    transports, where the bytes must exist anyway.  Per-task durations
+    are summed against pool wall seconds (``thread_task_seconds`` /
+    ``thread_wall_seconds``): their ratio estimates effective thread
+    concurrency, i.e. how much GIL the oracle released.
+    """
+
+    def __init__(self, workers: int, decode_stats: Optional[DecodeStats] = None):
+        self.workers = workers
+        self.task_seconds = 0.0
+        self.wall_seconds = 0.0
+        self._stats = decode_stats
+        self._pool: Optional[ThreadPoolExecutor] = None
+
+    def run_round(self, oracle, segments, plan) -> RoundResult:
+        """One pool task per segment, each timed."""
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(max_workers=self.workers)
+        t_round = time.perf_counter()
+        if getattr(oracle, "packed_native", False):
+            call = oracle.run_packed
+            items = [seg.encoded() for seg in segments]
+            ser = time.perf_counter() - t_round
+
+            def wrap(out):
+                return LazySegmentResult.from_encoded(out, self._stats)
+        else:
+            call, wrap, ser = oracle, LazySegmentResult.from_gates, 0.0
+            items = [seg.gates() for seg in segments]
+
+        def task(item):
+            started = time.perf_counter()
+            out = call(item)
+            return out, time.perf_counter() - started
+
+        outs = list(self._pool.map(task, items))
+        results = [wrap(out) for out, _ in outs]
+        self.wall_seconds += time.perf_counter() - t_round - ser
+        self.task_seconds += sum(seconds for _, seconds in outs)
+        return results, ser, None
+
+    def counters(self) -> dict:
+        """Summed per-task oracle seconds vs. pool wall seconds."""
+        return {
+            "thread_task_seconds": self.task_seconds,
+            "thread_wall_seconds": self.wall_seconds,
+        }
+
+    def close(self) -> None:
+        """Shut the thread pool down (safe to call twice)."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
+
+
+class SocketTransport:
+    """Packed batches as frames over TCP to ``popqc worker`` hosts.
+
+    Batches are round-robined across the connected hosts by
+    :meth:`~repro.parallel.hostpool.SocketHostPool.run_round`; results
+    come back as packed RESULTS frames and wrap into lazy handles like
+    every other transport's.  The oracle crosses the wire once per
+    host per registration (generation-tagged, exactly like the
+    process-pool initializer protocol).  The one elastic transport:
+    :meth:`add_host` / :meth:`remove_host` grow and shrink the fleet —
+    and with it :attr:`workers`, the fan-out rounds are planned for —
+    which is how the optimization service's autoscaler scales.
+    """
+
+    _IDLE_COUNTERS = {
+        "socket_bytes_sent": 0,
+        "socket_bytes_received": 0,
+        "socket_reconnects": 0,
+        "socket_steals": 0,
+        "socket_host_segments": {},
+        "socket_host_seconds": {},
+    }
+
+    def __init__(
+        self,
+        workers: int,
+        decode_stats: Optional[DecodeStats],
+        hosts: list[str],
+        auth_token: Optional[str] = None,
+    ):
+        self.workers = workers
+        #: Worker host addresses; edited in place as hosts join and leave.
+        self.hosts = hosts
+        self.auth_token = auth_token
+        self.generation = 0
+        self._stats = decode_stats
+        self._pool: Optional[SocketHostPool] = None  # built by the first round
+        self._oracle: object = None
+
+    def add_host(self, address: str) -> None:
+        """Add a worker host: it joins the configured list (and the
+        live pool, if one is built) and widens the fan-out, so the next
+        round deals work to it."""
+        self.hosts.append(address)
+        self.workers += 1
+        if self._pool is not None:
+            self._pool.add_host(address)
+
+    def remove_host(self, address: str) -> None:
+        """Retire one worker host from the list and the live pool
+        (closing its connection, so a round in flight drains through
+        the requeue-and-steal path).  The fan-out never drops below one
+        worker."""
+        if address in self.hosts:
+            self.hosts.remove(address)
+            self.workers = max(1, self.workers - 1)
+        if self._pool is not None:
+            self._pool.remove_host(address)
+
+    def run_round(self, oracle, segments, plan) -> RoundResult:
+        """One round of SEGMENTS frames across the live hosts."""
+        if self._pool is None:
+            self._pool = SocketHostPool(self.hosts, auth_token=self.auth_token)
+        warm = self._oracle is oracle
+        if warm:
+            self._pool.ensure_ready()
+        else:
+            self.generation += 1
+            self._pool.register(oracle, self.generation)
+            self._oracle = oracle
+        return _ship_by_value(
+            segments, plan, self.generation, self._stats, self._pool.run_round, warm
+        )
+
+    def counters(self) -> dict:
+        """The host pool's wire and per-host figures (zeros until the
+        first round builds the pool)."""
+        if self._pool is None:
+            return dict(self._IDLE_COUNTERS)
+        return self._pool.counters()
+
+    def close(self) -> None:
+        """Close every host connection and drop the registry (the
+        worker hosts keep running)."""
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = self._oracle = None
+
+
+#: ``transport=`` name → the class that implements it.
+TRANSPORTS: dict[str, type] = {
+    "shm": ShmTransport,
+    "encoded": EncodedTransport,
+    "pickle": PickleTransport,
+    "threads": ThreadsTransport,
+    "socket": SocketTransport,
+}

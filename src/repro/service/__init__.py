@@ -1,29 +1,29 @@
 """The ``popqc serve`` layer: a persistent optimization service.
 
-PRs 1–4 built the per-run hot path — five oracle transports from
-in-process pipes to multi-host sockets, all carrying the same packed
-wire format byte-identically.  This package is the layer above: a
-long-running daemon (``popqc serve``) that multiplexes many concurrent
-optimization *jobs* over one warm worker fleet, and never pays the
-oracle twice for a segment it has already optimized.
-
-Three pieces:
+:mod:`repro.parallel` is the per-run hot path — five oracle transports
+from in-process pipes to multi-host sockets, all carrying the same
+packed wire format byte-identically.  This package is the layer above:
+a long-running daemon (``popqc serve``) that multiplexes many
+concurrent optimization *jobs* over one warm worker fleet, and never
+pays the oracle twice for a segment it has already optimized.
 
 * :mod:`repro.service.cache` — a content-addressed **segment result
   cache**: canonical fingerprint of a segment's packed wire bytes →
   the oracle's packed result bytes, with an in-memory LRU in front of
-  an optional disk store that survives server restarts.  The cache is
-  wired into :class:`repro.parallel.ProcessMap` (``cache=``), so every
-  transport short-circuits repeated segments to a hash lookup.
+  an optional disk store that survives server restarts.
 * :mod:`repro.service.scheduler` — the cross-job round scheduler: each
-  job optimizes through a :class:`~repro.service.scheduler.FleetView`
-  proxy, and segments from concurrently running jobs are merged into
-  shared ``batch_segments`` rounds over the one persistent fleet.
+  job optimizes through a :class:`~repro.service.scheduler.FleetView`,
+  which fronts its rounds with the cache
+  (:class:`repro.parallel.CacheFront`, the front a standalone
+  ``ProcessMap(cache=)`` uses) and queues the misses; segments from
+  concurrently running jobs are merged into shared ``batch_segments``
+  rounds over the one persistent fleet.
+* :mod:`repro.service.frames` — the JOB/RESULT/STATUS/BUSY payloads,
+  spoken only here, on :mod:`repro.parallel.frames`' codec.
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
-  ``popqc serve`` daemon speaking JOB/RESULT/STATUS frames on the
-  same length-prefixed frame protocol as the socket transport
-  (:mod:`repro.parallel.dist`), and the :class:`ServiceClient` /
-  ``popqc submit`` side of it.
+  ``popqc serve`` daemon (a :class:`repro.parallel.FrameServer`) and
+  the :class:`ServiceClient` / ``popqc submit`` side of it (a
+  :class:`repro.parallel.FrameConnection`).
 * :mod:`repro.service.loadgen` — the latency-SLO load harness
   (``popqc bench serve``): deterministic traffic mixes replayed over
   concurrent clients, aggregated into latency percentiles and
@@ -43,13 +43,9 @@ from .loadgen import (
     run_slo_suite,
     schedule_manifest,
 )
+from .frames import ServiceBusyError, ServiceError
 from .scheduler import FleetScheduler, FleetView
-from .server import (
-    OptimizationService,
-    ServiceBusyError,
-    ServiceError,
-    SubprocessWorker,
-)
+from .server import OptimizationService, SubprocessWorker
 
 __all__ = [
     "CacheStats",

@@ -47,7 +47,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..circuits.encoding import segment_fingerprint
-from ..parallel.executor import oracle_fingerprint
+from ..parallel import oracle_fingerprint
 
 __all__ = ["CacheStats", "SegmentCache", "oracle_namespace"]
 
@@ -57,7 +57,7 @@ _DISK_HEADER = struct.Struct("<4sQ")
 _DISK_MAGIC = b"PQCS"
 
 #: A 16-byte digest identifying an oracle for cache scoping — the
-#: service-layer name for :func:`repro.parallel.executor.
+#: service-layer name for :func:`repro.parallel.
 #: oracle_fingerprint` (two oracles share a namespace iff they pickle
 #: identically, i.e. would behave identically on a transport worker).
 oracle_namespace = oracle_fingerprint

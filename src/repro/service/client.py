@@ -12,14 +12,12 @@ protocol: it presents the shared ``auth_token`` in an AUTH frame
 immediately after connecting, and answers BUSY refusals with a bounded
 exponential-backoff retry loop (``busy_retries`` attempts, sleeping
 ``max(server hint, backoff)`` between them) before giving up with
-:class:`~repro.service.server.ServiceBusyError`.
+:class:`~repro.service.ServiceBusyError`.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
-import socket
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -27,29 +25,21 @@ from typing import Optional, Sequence
 from ..circuits import Circuit
 from ..circuits.encoding import decode_segment, encode_segment
 from ..circuits.gate import Gate
-from ..parallel.dist import (
-    ERR_AUTH,
-    FRAME_AUTH,
-    FRAME_AUTH_OK,
+from ..parallel.frames import (
     FRAME_BUSY,
-    FRAME_ERROR,
     FRAME_JOB,
-    FRAME_PING,
-    FRAME_PONG,
     FRAME_RESULT,
     FRAME_STATUS,
-    AuthenticationError,
+    FrameConnection,
     FrameProtocolError,
-    FrameReader,
-    pack_frame,
+)
+from .frames import (
+    ServiceBusyError,
+    ServiceError,
     pack_job_payload,
-    parse_address,
-    recv_frame,
     unpack_busy_payload,
-    unpack_error_payload,
     unpack_result_payload,
 )
-from .server import ServiceBusyError, ServiceError
 
 __all__ = ["JobResult", "ServiceClient"]
 
@@ -92,15 +82,16 @@ class JobResult:
         return float(self.stats.get("cache_hit_rate", 0.0))
 
 
-class ServiceClient:
+class ServiceClient(FrameConnection):
     """Blocking client for one ``popqc serve`` endpoint.
 
-    Usable as a context manager; the connection opens lazily on the
-    first request.  Server-side job failures raise
-    :class:`~repro.service.server.ServiceError`; transport problems
-    raise the frame-protocol errors of :mod:`repro.parallel.dist`; a
-    missing or wrong ``auth_token`` raises
-    :class:`~repro.parallel.dist.AuthenticationError` (never retried).
+    A :class:`~repro.parallel.frames.FrameConnection` (context manager,
+    lazy connect, AUTH on connect) with the service's requests.
+    Server-side job failures raise
+    :class:`~repro.service.ServiceError`; transport problems raise the
+    frame-protocol errors of :mod:`repro.parallel.frames`; a missing or
+    wrong ``auth_token`` raises
+    :class:`~repro.parallel.AuthenticationError` (never retried).
 
     BUSY refusals are retried with exponential backoff, starting at
     ``busy_backoff_seconds`` and doubling up to
@@ -109,6 +100,8 @@ class ServiceClient:
     longer.  ``busy_rejections`` counts every BUSY the client has
     absorbed (retried or not), for tests and capacity dashboards.
     """
+
+    refusal_error = ServiceError
 
     def __init__(
         self,
@@ -122,83 +115,12 @@ class ServiceClient:
     ):
         if busy_retries < 0:
             raise ValueError("busy_retries must be >= 0")
-        self.address = address
-        self.connect_timeout = connect_timeout
-        self.request_timeout = request_timeout
-        self.auth_token = auth_token
+        super().__init__(address, connect_timeout, request_timeout, auth_token)
         self.busy_retries = busy_retries
         self.busy_backoff_seconds = busy_backoff_seconds
         self.busy_backoff_max_seconds = busy_backoff_max_seconds
         self.busy_rejections = 0
-        self._sock: Optional[socket.socket] = None
-        self._reader = FrameReader()
         self._job_tag = 0
-
-    # -- connection ------------------------------------------------------------
-
-    def connect(self) -> "ServiceClient":
-        """Open the TCP connection (no-op when already open)."""
-        if self._sock is None:
-            host, port = parse_address(self.address)
-            self._sock = socket.create_connection(
-                (host, port), timeout=self.connect_timeout
-            )
-            self._sock.settimeout(self.request_timeout)
-            self._reader = FrameReader()
-            if self.auth_token is not None:
-                try:
-                    self._authenticate()
-                except BaseException:
-                    self.close()
-                    raise
-        return self
-
-    def _authenticate(self) -> None:
-        """Present the shared token; AUTH must precede any other frame."""
-        assert self._sock is not None
-        self._sock.sendall(
-            pack_frame(FRAME_AUTH, self.auth_token.encode("utf-8"))
-        )
-        frame_type, payload = recv_frame(self._sock, self._reader)
-        if frame_type == FRAME_ERROR:
-            kind, message = unpack_error_payload(payload)
-            if kind == ERR_AUTH:
-                raise AuthenticationError(message)
-            raise ServiceError(
-                f"server refused the request (kind {kind}): {message}"
-            )
-        if frame_type != FRAME_AUTH_OK:
-            raise FrameProtocolError(
-                f"expected AUTH_OK, got frame type {frame_type}"
-            )
-
-    def close(self) -> None:
-        """Close the connection (idempotent)."""
-        if self._sock is not None:
-            with contextlib.suppress(OSError):
-                self._sock.close()
-            self._sock = None
-
-    def __enter__(self) -> "ServiceClient":
-        return self.connect()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _request(self, frame: bytes) -> tuple[int, bytes]:
-        """Send one frame and block for the server's reply frame."""
-        self.connect()
-        assert self._sock is not None
-        self._sock.sendall(frame)
-        frame_type, payload = recv_frame(self._sock, self._reader)
-        if frame_type == FRAME_ERROR:
-            kind, message = unpack_error_payload(payload)
-            if kind == ERR_AUTH:
-                raise AuthenticationError(message)
-            raise ServiceError(
-                f"server refused the request (kind {kind}): {message}"
-            )
-        return frame_type, payload
 
     # -- requests --------------------------------------------------------------
 
@@ -222,21 +144,15 @@ class ServiceClient:
             gates, num_qubits = list(circuit), None
         self._job_tag += 1
         tag = self._job_tag
-        frame = pack_frame(
-            FRAME_JOB,
-            pack_job_payload(
-                tag,
-                omega,
-                num_qubits,
-                max_rounds,
-                encode_segment(gates),
-                priority=priority,
-            ),
+        job = pack_job_payload(
+            tag, omega, num_qubits, max_rounds, encode_segment(gates), priority
         )
         backoff = self.busy_backoff_seconds
         for attempt in range(self.busy_retries + 1):
-            frame_type, payload = self._request(frame)
-            if frame_type != FRAME_BUSY:
+            frame_type, payload = self.request(
+                FRAME_JOB, job, FRAME_RESULT, FRAME_BUSY
+            )
+            if frame_type == FRAME_RESULT:
                 break
             kind, retry_after, message = unpack_busy_payload(payload)
             retry_after = _clamp_retry_after(retry_after)
@@ -248,10 +164,6 @@ class ServiceClient:
                 )
             time.sleep(min(self.busy_backoff_max_seconds, max(retry_after, backoff)))
             backoff = min(self.busy_backoff_max_seconds, backoff * 2)
-        if frame_type != FRAME_RESULT:
-            raise FrameProtocolError(
-                f"expected RESULT, got frame type {frame_type}"
-            )
         got_tag, stats_json, encoded = unpack_result_payload(payload)
         if got_tag != tag:
             raise FrameProtocolError(
@@ -264,19 +176,5 @@ class ServiceClient:
 
     def status(self) -> dict:
         """The server's status object (jobs, cache, fleet, latency)."""
-        frame_type, payload = self._request(pack_frame(FRAME_STATUS))
-        if frame_type != FRAME_STATUS:
-            raise FrameProtocolError(
-                f"expected STATUS reply, got frame type {frame_type}"
-            )
+        _, payload = self.request(FRAME_STATUS, b"", FRAME_STATUS)
         return json.loads(payload.decode("utf-8"))
-
-    def ping(self) -> None:
-        """Heartbeat round trip; raises if the server is gone."""
-        frame_type, _payload = self._request(pack_frame(FRAME_PING))
-        if frame_type != FRAME_PONG:
-            raise FrameProtocolError(f"expected PONG, got frame type {frame_type}")
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "up" if self._sock is not None else "down"
-        return f"ServiceClient({self.address}, {state})"

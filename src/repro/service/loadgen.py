@@ -62,7 +62,7 @@ from ..circuits.encoding import (
     segment_fingerprint,
 )
 from .client import ServiceClient
-from .server import ServiceBusyError
+from .frames import ServiceBusyError
 
 __all__ = [
     "INTERACTIVE_P99_OVER_FLOOD_P50_MAX",

@@ -6,22 +6,23 @@ expensive thing (spawned workers, registered oracle, pooled arenas,
 connected hosts) that the whole service exists to amortize.  This
 module multiplexes the jobs onto it:
 
-* Each job optimizes through a :class:`FleetView` — an object shaped
-  like a ``ParallelMap`` (it has ``map_segments``), so the unmodified
-  POPQC driver runs against it.
-* Every ``map_segments`` round a job issues becomes a *round request*
-  on the shared :class:`FleetScheduler`.  The scheduler front-ends the
-  request with the content-addressed segment cache (hits are answered
-  immediately and never enter the queue — per-job hit accounting falls
-  out for free), then merges the cache-missing segments of every
-  concurrently pending request into **one** combined
-  ``fleet.map_segments`` call.  The fleet's own
-  :func:`~repro.parallel.scheduling.batch_segments` policy then splits
-  the combined round across workers exactly as it would a single big
-  job — so two half-width jobs fill the fleet as well as one full-width
-  job, instead of each using half of it.
-* Results are split back per request, cache-missing outputs are stored
-  as packed bytes on the way out, and each job's driver resumes.
+* Each job optimizes through a :class:`FleetView` — a
+  :class:`~repro.parallel.SegmentExecutor`, so the unmodified POPQC
+  driver runs against it.
+* Every ``map_segments`` round a job issues first passes the view's own
+  :class:`~repro.parallel.CacheFront` over the shared
+  content-addressed segment cache (hits are answered immediately and
+  never enter the queue — per-job hit accounting falls out for free);
+  the cache-missing segments become a *round request* on the shared
+  :class:`FleetScheduler`, which merges those of every concurrently
+  pending request into **one** combined ``fleet.map_segments`` call.
+  The fleet's own :func:`~repro.parallel.scheduling.batch_segments`
+  policy then splits the combined round across workers exactly as it
+  would a single big job — so two half-width jobs fill the fleet as
+  well as one full-width job, instead of each using half of it.
+* Results are split back per request, each view stores its
+  cache-missing outputs as packed bytes on the way out, and each job's
+  driver resumes.
 
 Merging is opportunistic: the dispatcher grabs whatever requests are
 pending (after a short gather window, giving concurrent jobs that are
@@ -50,7 +51,7 @@ import time
 from typing import Callable, Optional, Sequence
 
 from ..circuits.gate import Gate
-from ..parallel.executor import _cached_round, oracle_cache_namespace
+from ..parallel import CacheFront, segment_executor
 from .cache import SegmentCache
 
 __all__ = ["FleetScheduler", "FleetView"]
@@ -98,13 +99,15 @@ class FleetScheduler:
     Parameters
     ----------
     fleet:
-        The persistent executor (any transport).  The scheduler owns
-        its dispatch: jobs must reach it only through
-        :class:`FleetView`.  Configure the fleet *without* a cache —
-        the scheduler fronts it here so hits are attributed per job.
+        The persistent executor (any transport; one that only has
+        ``map`` is adapted and labelled ``"inline"``, as ``popqc``
+        does).  The scheduler owns its dispatch: jobs must reach it
+        only through :class:`FleetView`.  Configure the fleet
+        *without* a cache — each view fronts it, so hits are
+        attributed per job.
     cache:
-        Optional :class:`~repro.service.cache.SegmentCache` consulted
-        before any segment is queued for dispatch.
+        Optional :class:`~repro.service.cache.SegmentCache` every
+        view consults before any segment is queued for dispatch.
     gather_window_seconds:
         How long the dispatcher waits, after the first pending request,
         for concurrent jobs' rounds to arrive and merge.  The cost of a
@@ -136,7 +139,7 @@ class FleetScheduler:
     ):
         if round_budget_segments is not None and round_budget_segments < 1:
             raise ValueError("round_budget_segments must be positive")
-        self.fleet = fleet
+        self.fleet = segment_executor(fleet)
         self.cache = cache
         self.gather_window_seconds = gather_window_seconds
         self.round_budget_segments = round_budget_segments
@@ -147,12 +150,6 @@ class FleetScheduler:
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
         self._closing = False
-        # oracle digest memoized by identity: one pickle per oracle,
-        # not one per job round.  A single (oracle, digest) tuple —
-        # run_round is called from many connection threads, and a
-        # torn two-field memo could pair one oracle with another's
-        # digest; the tuple makes the worst case a recompute.
-        self._ns_memo: tuple[object, bytes] = (None, b"")
         self._thread = threading.Thread(
             target=self._dispatch_loop, name="fleet-scheduler", daemon=True
         )
@@ -200,58 +197,21 @@ class FleetScheduler:
         self._thread.join(timeout=5.0)
         self.fleet.close()
 
-    # -- job-facing entry point ------------------------------------------------
-
-    def _namespace(self, oracle: object) -> bytes:
-        """Oracle-scoping key material for cache lookups (memoized).
-
-        Tuple-swapped memo: concurrent job threads can at worst
-        recompute the digest, never observe a cross-oracle pairing.
-        """
-        memo_oracle, memo_ns = self._ns_memo
-        if memo_oracle is not oracle:
-            memo_ns = oracle_cache_namespace(oracle)
-            self._ns_memo = (oracle, memo_ns)
-        return memo_ns
+    # -- merged dispatch -------------------------------------------------------
 
     def run_round(
         self,
         oracle: Callable[[list[Gate]], list[Gate]],
-        segments: Sequence[list[Gate]],
+        segments: Sequence[Sequence[Gate]],
         weight: int = 1,
-    ) -> tuple[list, int, int, int, float]:
-        """One job round: cache front, then merged fleet dispatch.
-
-        Returns ``(results, cache hits, cache misses, bytes served
-        from cache, lookup seconds)``; results are in segment order
-        and byte-identical to an uncached, unmerged round.  Without a
-        cache every counter is 0 — segments dispatched straight to the
-        fleet are not "misses", there was no lookup.  The cache
-        protocol is :func:`repro.parallel.executor._cached_round` —
-        the same one ``ProcessMap(cache=...)`` runs, so a disk store
-        is readable by both paths interchangeably — with the
-        merged-dispatch queue as its miss route, so hits never enter
-        the queue at all.  ``weight`` buys the request its
-        weighted-fair share of each merged fleet round.
-        """
-        n = len(segments)
-        if n == 0:
-            return [], 0, 0, 0, 0.0
-        if self.cache is None:
-            return self._dispatch(list(segments), oracle, weight), 0, 0, 0, 0.0
-        return _cached_round(
-            self.cache,
-            self._namespace(oracle),
-            segments,
-            lambda missed: self._dispatch(missed, oracle, weight),
-            getattr(self.fleet, "_decode_stats", None),
-        )
-
-    # -- merged dispatch -------------------------------------------------------
-
-    def _dispatch(self, segments: list, oracle, weight: int = 1) -> list:
-        """Queue one round request and block until the fleet answers."""
-        req = _RoundRequest(oracle, segments, weight)
+    ) -> list:
+        """Queue one job round and block until the fleet has answered
+        all of it; results are in segment order and byte-identical to
+        an unmerged round.  ``weight`` buys the request its
+        weighted-fair share of each merged fleet round."""
+        if not segments:
+            return []
+        req = _RoundRequest(oracle, list(segments), weight)
         with self._wake:
             if self._closing:
                 raise RuntimeError("fleet scheduler closed")
@@ -266,7 +226,7 @@ class FleetScheduler:
         """The segment quantum of one merged fleet round."""
         if self.round_budget_segments is not None:
             return self.round_budget_segments
-        return max(16, 4 * getattr(self.fleet, "workers", 4))
+        return max(16, 4 * self.fleet.workers)
 
     def _take_round(self) -> list[tuple[_RoundRequest, int, int]]:
         """The next merged round as ``(request, start, count)`` slices.
@@ -363,26 +323,26 @@ class FleetScheduler:
 
 
 class FleetView:
-    """A per-job ``ParallelMap`` proxy over the shared scheduler.
+    """A per-job :class:`~repro.parallel.SegmentExecutor` over the
+    shared scheduler.
 
-    Implements just enough of the executor surface for the POPQC
-    driver: ``map_segments`` (routed through
-    :meth:`FleetScheduler.run_round`) and the per-job cache counters
-    the stats layer snapshots
-    (``cache_hits`` / ``cache_misses`` / ``cache_bytes_saved`` /
-    ``cache_lookup_seconds``), so ``OptimizationStats.cache_hit_rate``
-    and the lookup-cost accounting are exact for *this* job even while
-    other jobs share the cache and the fleet.  ``weight`` is the job's
+    ``map_segments`` runs the job's own
+    :class:`~repro.parallel.CacheFront` (when the service has a cache)
+    with the scheduler's merged dispatch as its miss route, so
+    :meth:`counters` — and through it ``OptimizationStats.cache_hit_rate``
+    and the lookup-cost accounting — is exact for *this* job even
+    while other jobs share the cache and the fleet.  Without a cache
+    there are no lookups and nothing is counted: segments dispatched
+    straight to the fleet are not "misses".  ``weight`` is the job's
     priority weight, carried into every round request it issues.
     """
 
     def __init__(self, scheduler: FleetScheduler, weight: int = 1):
         self._scheduler = scheduler
         self.weight = max(1, int(weight))
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_bytes_saved = 0
-        self.cache_lookup_seconds = 0.0
+        self._front = (
+            CacheFront(scheduler.cache) if scheduler.cache is not None else None
+        )
 
     @property
     def workers(self) -> int:
@@ -392,22 +352,25 @@ class FleetView:
     @property
     def transport(self) -> str:
         """The shared fleet's wire format (labels per-job stats)."""
-        return getattr(self._scheduler.fleet, "transport", "encoded")
+        return self._scheduler.fleet.transport
 
     def map_segments(
         self,
         oracle: Callable[[list[Gate]], list[Gate]],
-        segments: Sequence[list[Gate]],
+        segments: Sequence[Sequence[Gate]],
     ) -> list:
         """One oracle round through the cache and the shared fleet."""
-        results, hits, misses, saved, lookup = self._scheduler.run_round(
-            oracle, segments, weight=self.weight
+        if self._front is None:
+            return self._scheduler.run_round(oracle, segments, self.weight)
+        return self._front.run(
+            oracle,
+            segments,
+            lambda missed: self._scheduler.run_round(oracle, missed, self.weight),
         )
-        self.cache_hits += hits
-        self.cache_misses += misses
-        self.cache_bytes_saved += saved
-        self.cache_lookup_seconds += lookup
-        return results
+
+    def counters(self) -> dict:
+        """This job's cache-front counts (nothing without a cache)."""
+        return self._front.counters() if self._front is not None else {}
 
     def close(self) -> None:
         """No-op: the scheduler owns the fleet's lifetime."""

@@ -3,9 +3,11 @@
 One long-running process owns the expensive state — a warm worker
 fleet (any of the five transports), a registered oracle, and the
 content-addressed segment cache — and serves optimization *jobs*
-submitted over TCP.  The wire protocol is the same length-prefixed
-frame codec as the distributed worker transport
-(:mod:`repro.parallel.dist`), extended with three frame types:
+submitted over TCP.  The daemon is a
+:class:`~repro.parallel.FrameServer` — the listener, AUTH gate, idle
+timeout and stop sequence of the ``popqc worker`` host, on the same
+length-prefixed frame codec — whose handler answers three frame types
+of its own (:mod:`repro.service.frames`):
 
 * ``JOB`` — a circuit (as one packed segment) plus Ω and run options;
 * ``RESULT`` — the optimized circuit (packed) plus a per-job stats
@@ -27,7 +29,7 @@ The daemon is also the hub of two cluster-scale features:
   ``CACHE_LOOKUP``/``CACHE_STORE`` frames out of its own
   :class:`~repro.service.cache.SegmentCache`, so ``popqc worker
   --cache`` hosts can serve each other's warm segments instead of
-  re-running the oracle (see :mod:`repro.parallel.dist`).
+  re-running the oracle (see :mod:`repro.parallel.worker`).
 * **Autoscaling** (``--min-workers/--max-workers/--scale-window``,
   socket fleets only) — a background thread reads the scheduler's
   queued-segment backlog and spawns or retires local ``popqc worker``
@@ -39,12 +41,10 @@ The daemon is also the hub of two cluster-scale features:
 from __future__ import annotations
 
 import contextlib
-import hmac
 import json
 import logging
 import os
 import re
-import socket
 import subprocess
 import sys
 import threading
@@ -56,62 +56,37 @@ from typing import Callable, Optional, Sequence
 from ..circuits import Circuit
 from ..circuits.encoding import decode_segment, encode_segment
 from ..core import popqc
-from ..parallel import ProcessMap
-from ..parallel.dist import (
-    BUSY_MAX_ACTIVE,
-    BUSY_PEER_QUOTA,
-    BUSY_QUEUE_FULL,
-    ERR_AUTH,
+from ..parallel import FrameProtocolError, FrameServer, ProcessMap
+from ..parallel.frames import (
     ERR_BAD_FRAME,
     ERR_JOB_FAILED,
-    FRAME_AUTH,
-    FRAME_AUTH_OK,
     FRAME_BUSY,
     FRAME_CACHE_LOOKUP,
     FRAME_CACHE_RESULT,
     FRAME_CACHE_STORE,
-    FRAME_ERROR,
-    FRAME_HEADER_SIZE,
     FRAME_JOB,
-    FRAME_PING,
-    FRAME_PONG,
     FRAME_RESULT,
-    FRAME_SHUTDOWN,
     FRAME_STATUS,
-    ConnectionClosedError,
-    FrameProtocolError,
-    FrameReader,
-    pack_busy_payload,
+    error_frame,
     pack_cache_result_payload,
-    pack_error_payload,
     pack_frame,
-    pack_result_payload,
-    recv_frame,
     unpack_cache_lookup_payload,
     unpack_cache_store_payload,
-    unpack_job_payload,
 )
 from .cache import SegmentCache
+from .frames import (
+    BUSY_MAX_ACTIVE,
+    BUSY_PEER_QUOTA,
+    BUSY_QUEUE_FULL,
+    pack_busy_payload,
+    pack_result_payload,
+    unpack_job_payload,
+)
 from .scheduler import FleetScheduler
 
-__all__ = [
-    "OptimizationService",
-    "ServiceBusyError",
-    "ServiceError",
-    "SubprocessWorker",
-]
+__all__ = ["OptimizationService", "SubprocessWorker"]
 
 _log = logging.getLogger(__name__)
-
-
-class ServiceError(RuntimeError):
-    """A job failed server-side; the message carries the remote repr."""
-
-
-class ServiceBusyError(ServiceError):
-    """The server refused the job with BUSY frames until the client's
-    retry budget ran out (admission control: active-job quota,
-    per-client quota, or a saturated scheduler queue)."""
 
 
 #: Pattern extracting the bound endpoint from the worker CLI banner.
@@ -194,7 +169,7 @@ class SubprocessWorker:
                 self._proc.stdout.close()
 
 
-class OptimizationService:
+class OptimizationService(FrameServer):
     """TCP daemon multiplexing optimization jobs over one warm fleet.
 
     Parameters
@@ -221,11 +196,12 @@ class OptimizationService:
         Weighted-fair quantum of one merged fleet round (see
         :class:`~repro.service.scheduler.FleetScheduler`).
     auth_token:
-        Shared secret demanded of every connection (an AUTH frame
-        before any other; constant-time compare).  For a socket-fleet
-        service the same token is presented to the ``popqc worker``
-        hosts, so one secret covers both rungs of the service.
-        ``None`` serves unauthenticated (trusted networks only).
+        Shared secret demanded of every connection
+        (:class:`~repro.parallel.FrameServer`'s AUTH gate).  For a
+        socket-fleet service the same token is presented to the
+        ``popqc worker`` hosts, so one secret covers both rungs of the
+        service.  ``None`` serves unauthenticated (trusted networks
+        only).
     max_active_jobs / max_jobs_per_peer / max_pending_rounds:
         Admission control, each ``None`` (unlimited) or ``>= 1``: the
         global cap on jobs being optimized at once, the per-client
@@ -254,12 +230,8 @@ class OptimizationService:
 
     Attributes
     ----------
-    jobs_completed / jobs_failed / jobs_rejected:
-        Totals across all connections.
-    auth_failures:
-        Connections refused for a missing or wrong AUTH token.
-    bytes_received / bytes_sent:
-        Frame bytes in and out, payloads included.
+    jobs_completed / jobs_failed / jobs_rejected / jobs_active:
+        Totals across all connections, and jobs being optimized now.
     scale_ups / scale_downs / scale_failures:
         Autoscaler actions (spawn, retire, failed spawn).
     cluster_cache_lookups / cluster_cache_hits / cluster_cache_stores:
@@ -319,13 +291,9 @@ class OptimizationService:
         elif cache is False:
             cache = None
         self.cache = cache
-        self._auth_token = (
-            auth_token.encode("utf-8") if auth_token is not None else None
-        )
         self.max_active_jobs = max_active_jobs
         self.max_jobs_per_peer = max_jobs_per_peer
         self.max_pending_rounds = max_pending_rounds
-        self.idle_timeout_seconds = idle_timeout_seconds
         self.min_workers = min_workers if min_workers is not None else 0
         self.max_workers = max_workers
         self.scale_window_seconds = scale_window_seconds
@@ -337,12 +305,10 @@ class OptimizationService:
         self.cluster_cache_stores = 0
         # the listener binds before any worker spawns: spawned workers
         # point their --cache at this service's own address
-        self._listener = socket.create_server((host, port))
-        self.host, self.port = self._listener.getsockname()[:2]
+        super().__init__(host, port, auth_token, idle_timeout_seconds)
         self._spawned: list = []
         self._scale_lock = threading.Lock()
         self._idle_windows = 0
-        self._closing = threading.Event()
         if worker_spawner is None:
             worker_spawner = self._default_spawner(auth_token)
         self._worker_spawner = worker_spawner
@@ -373,17 +339,10 @@ class OptimizationService:
         self.jobs_completed = 0
         self.jobs_failed = 0
         self.jobs_rejected = 0
-        self.auth_failures = 0
-        self.bytes_received = 0
-        self.bytes_sent = 0
-        self._jobs_active = 0
+        self.jobs_active = 0
         self._peers: dict[str, dict] = {}
         self._latencies: deque[float] = deque(maxlen=256)
         self._started = time.monotonic()
-        self._lock = threading.Lock()
-        self._accept_thread: Optional[threading.Thread] = None
-        self._conn_threads: list[threading.Thread] = []
-        self._conns: list[socket.socket] = []
         self._autoscale_thread: Optional[threading.Thread] = None
         if self.max_workers is not None:
             self._autoscale_thread = threading.Thread(
@@ -403,75 +362,17 @@ class OptimizationService:
 
         return spawn
 
-    @property
-    def address(self) -> str:
-        """The bound endpoint as ``"host:port"``."""
-        return f"{self.host}:{self.port}"
-
-    @property
-    def jobs_active(self) -> int:
-        """Jobs currently being optimized."""
-        return self._jobs_active
-
-    # -- lifecycle (mirrors WorkerHost) ---------------------------------------
-
-    def serve_forever(self) -> None:
-        """Accept and serve connections until :meth:`stop` (blocking)."""
-        while not self._closing.is_set():
-            try:
-                conn, _peer = self._listener.accept()
-            except OSError:  # listener shut down by stop()
-                break
-            if self._closing.is_set():
-                with contextlib.suppress(OSError):
-                    conn.close()
-                break
-            if self.idle_timeout_seconds is not None:
-                conn.settimeout(self.idle_timeout_seconds)
-            thread = threading.Thread(
-                target=self._serve_connection, args=(conn,), daemon=True
-            )
-            # both mutations under the lock: stop() iterates these
-            # lists from another thread, and pruning finished handlers
-            # here keeps a high-churn client from growing them forever
-            with self._lock:
-                self._conns.append(conn)
-                self._conn_threads = [
-                    t for t in self._conn_threads if t.is_alive()
-                ]
-                self._conn_threads.append(thread)
-            thread.start()
-
-    def start(self) -> "OptimizationService":
-        """Serve in a daemon thread (for in-process tests); returns self."""
-        self._accept_thread = threading.Thread(
-            target=self.serve_forever, daemon=True
-        )
-        self._accept_thread.start()
-        return self
+    #: Handler threads may be mid-job when the service stops.
+    _JOIN_SECONDS = 5.0
 
     def stop(self) -> None:
-        """Close the listener, connections, scheduler, fleet and any
-        autoscaler-spawned workers."""
+        """Stop the autoscaler, the listener and connections
+        (:meth:`FrameServer.stop`), then the scheduler, the fleet and
+        any autoscaler-spawned workers."""
         self._closing.set()
         if self._autoscale_thread is not None:
             self._autoscale_thread.join(timeout=self.scale_window_seconds + 5.0)
-        with contextlib.suppress(OSError):
-            self._listener.shutdown(socket.SHUT_RDWR)
-        with contextlib.suppress(OSError):
-            self._listener.close()
-        with self._lock:
-            conns, self._conns = self._conns, []
-            threads = list(self._conn_threads)
-        for conn in conns:
-            with contextlib.suppress(OSError):
-                conn.shutdown(socket.SHUT_RDWR)
-            with contextlib.suppress(OSError):
-                conn.close()
-        for thread in threads:
-            thread.join(timeout=5.0)
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=1.0)
+        super().stop()
         self._scheduler.close()
         with self._scale_lock:
             spawned, self._spawned = self._spawned, []
@@ -503,7 +404,7 @@ class OptimizationService:
                 return None
             self._spawned.append(worker)
             self.scale_ups += 1
-        self._scheduler.fleet.add_socket_host(worker.address)
+        self._scheduler.fleet.wire.add_host(worker.address)
         _log.info("autoscaler added worker %s", worker.address)
         return worker.address
 
@@ -520,7 +421,7 @@ class OptimizationService:
                 return None
             worker = self._spawned.pop()
             self.scale_downs += 1
-        self._scheduler.fleet.remove_socket_host(worker.address)
+        self._scheduler.fleet.wire.remove_host(worker.address)
         worker.stop()
         _log.info("autoscaler retired worker %s", worker.address)
         return worker.address
@@ -546,7 +447,7 @@ class OptimizationService:
             self._idle_windows = 0
             self.scale_up()
             return
-        if backlog == 0 and self._jobs_active == 0:
+        if backlog == 0 and self.jobs_active == 0:
             self._idle_windows += 1
             if self._idle_windows >= 2:
                 if self.scale_down() is not None:
@@ -556,120 +457,46 @@ class OptimizationService:
 
     # -- connection handling ---------------------------------------------------
 
-    def _peer_entry(self, peer: str) -> dict:
-        """The accounting record for one peer address (caller holds
-        the lock)."""
-        entry = self._peers.get(peer)
-        if entry is None:
-            entry = {
-                "connections": 0,
-                "jobs_completed": 0,
-                "jobs_failed": 0,
-                "jobs_active": 0,
-                "rejections": 0,
-                "bytes_received": 0,
-                "bytes_sent": 0,
-            }
-            self._peers[peer] = entry
+    def open_session(self, peer: str) -> dict:
+        """The accounting record of the connection's peer address,
+        shared by all its connections."""
+        with self._lock:
+            entry = self._peers.setdefault(
+                peer,
+                {
+                    "connections": 0,
+                    "jobs_completed": 0,
+                    "jobs_failed": 0,
+                    "jobs_active": 0,
+                    "rejections": 0,
+                    "bytes_received": 0,
+                    "bytes_sent": 0,
+                },
+            )
+            entry["connections"] += 1
         return entry
 
-    def _send(self, conn: socket.socket, frame: bytes, peer: dict) -> None:
-        conn.sendall(frame)
-        with self._lock:
-            self.bytes_sent += len(frame)
-            peer["bytes_sent"] += len(frame)
+    def _count(self, session: dict, name: str, n: int) -> None:
+        """Count for the server and for the peer (to whom an auth
+        failure is one more rejection)."""
+        super()._count(session, name, n)
+        session["rejections" if name == "auth_failures" else name] += n
 
-    def _check_auth(self, payload: bytes) -> bool:
-        """Constant-time validation of one AUTH payload."""
-        if self._auth_token is None:
-            return True  # no token configured: AUTH is a friendly no-op
-        return hmac.compare_digest(payload, self._auth_token)
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        """Serve one client until it disconnects or the service stops."""
-        reader = FrameReader()
-        try:
-            peer_addr = conn.getpeername()[0]
-        except OSError:
-            peer_addr = "unknown"
-        with self._lock:
-            peer = self._peer_entry(peer_addr)
-            peer["connections"] += 1
-        authed = self._auth_token is None
-        try:
-            while True:
-                frame_type, payload = recv_frame(conn, reader)
-                with self._lock:
-                    self.bytes_received += FRAME_HEADER_SIZE + len(payload)
-                    peer["bytes_received"] += FRAME_HEADER_SIZE + len(payload)
-                if frame_type == FRAME_AUTH:
-                    if self._check_auth(payload):
-                        authed = True
-                        self._send(conn, pack_frame(FRAME_AUTH_OK), peer)
-                        continue
-                    with self._lock:
-                        self.auth_failures += 1
-                        peer["rejections"] += 1
-                    self._send(
-                        conn,
-                        pack_frame(
-                            FRAME_ERROR,
-                            pack_error_payload(ERR_AUTH, "invalid auth token"),
-                        ),
-                        peer,
-                    )
-                    return  # wrong secret: drop the connection
-                if not authed:
-                    with self._lock:
-                        self.auth_failures += 1
-                        peer["rejections"] += 1
-                    self._send(
-                        conn,
-                        pack_frame(
-                            FRAME_ERROR,
-                            pack_error_payload(
-                                ERR_AUTH,
-                                "authentication required before any "
-                                "other frame",
-                            ),
-                        ),
-                        peer,
-                    )
-                    return
-                if frame_type == FRAME_JOB:
-                    self._send(conn, self._answer_job(payload, peer), peer)
-                elif frame_type == FRAME_STATUS:
-                    body = json.dumps(self.status()).encode("utf-8")
-                    self._send(conn, pack_frame(FRAME_STATUS, body), peer)
-                elif frame_type == FRAME_CACHE_LOOKUP:
-                    self._send(conn, self._answer_cache_lookup(payload), peer)
-                elif frame_type == FRAME_CACHE_STORE:
-                    self._send(conn, self._answer_cache_store(payload), peer)
-                elif frame_type == FRAME_PING:
-                    self._send(conn, pack_frame(FRAME_PONG), peer)
-                elif frame_type == FRAME_SHUTDOWN:
-                    return
-                else:
-                    self._send(
-                        conn,
-                        pack_frame(
-                            FRAME_ERROR,
-                            pack_error_payload(
-                                ERR_BAD_FRAME,
-                                f"unexpected frame type {frame_type}",
-                            ),
-                        ),
-                        peer,
-                    )
-        except (ConnectionClosedError, FrameProtocolError, OSError):
-            return  # client went away (or went silent past the idle
-            # timeout); nothing to answer
-        finally:
-            with self._lock:
-                if conn in self._conns:
-                    self._conns.remove(conn)
-            with contextlib.suppress(OSError):
-                conn.close()
+    def handle(
+        self, session: dict, frame_type: int, payload: bytes
+    ) -> Optional[bytes]:
+        """JOB, STATUS and the cluster cache tier's two requests."""
+        if frame_type == FRAME_JOB:
+            return self._answer_job(payload, session)
+        if frame_type == FRAME_STATUS:
+            return pack_frame(
+                FRAME_STATUS, json.dumps(self.status()).encode("utf-8")
+            )
+        if frame_type == FRAME_CACHE_LOOKUP:
+            return self._answer_cache_lookup(payload)
+        if frame_type == FRAME_CACHE_STORE:
+            return self._answer_cache_store(payload)
+        return None
 
     # -- cluster cache tier ----------------------------------------------------
 
@@ -685,9 +512,7 @@ class OptimizationService:
         try:
             namespace, packed = unpack_cache_lookup_payload(payload)
         except FrameProtocolError as exc:
-            return pack_frame(
-                FRAME_ERROR, pack_error_payload(ERR_BAD_FRAME, str(exc))
-            )
+            return error_frame(ERR_BAD_FRAME, str(exc))
         cache = self.cache
         if cache is None:
             values: list[Optional[bytes]] = [None] * len(packed)
@@ -716,9 +541,7 @@ class OptimizationService:
         try:
             namespace, entries = unpack_cache_store_payload(payload)
         except FrameProtocolError as exc:
-            return pack_frame(
-                FRAME_ERROR, pack_error_payload(ERR_BAD_FRAME, str(exc))
-            )
+            return error_frame(ERR_BAD_FRAME, str(exc))
         cache = self.cache
         if cache is not None:
             for packed, value in entries:
@@ -748,7 +571,7 @@ class OptimizationService:
             busy = None
             if (
                 self.max_active_jobs is not None
-                and self._jobs_active >= self.max_active_jobs
+                and self.jobs_active >= self.max_active_jobs
             ):
                 busy = (
                     BUSY_MAX_ACTIVE,
@@ -780,7 +603,7 @@ class OptimizationService:
                     FRAME_BUSY,
                     pack_busy_payload(kind, self._retry_after_hint(), message),
                 )
-            self._jobs_active += 1
+            self.jobs_active += 1
             peer["jobs_active"] += 1
             return None
 
@@ -796,9 +619,7 @@ class OptimizationService:
                 priority,
             ) = unpack_job_payload(payload)
         except FrameProtocolError as exc:
-            return pack_frame(
-                FRAME_ERROR, pack_error_payload(ERR_BAD_FRAME, str(exc))
-            )
+            return error_frame(ERR_BAD_FRAME, str(exc))
         refusal = self._admit_job(peer)
         if refusal is not None:
             return refusal
@@ -814,25 +635,16 @@ class OptimizationService:
                 max_rounds=max_rounds,
             )
         except Exception as exc:  # noqa: BLE001 - forwarded to the client
-            with self._lock:
-                self._jobs_active -= 1
-                peer["jobs_active"] -= 1
-                self.jobs_failed += 1
-                peer["jobs_failed"] += 1
-            return pack_frame(
-                FRAME_ERROR, pack_error_payload(ERR_JOB_FAILED, repr(exc))
-            )
+            self._tally(peer, jobs_active=-1, jobs_failed=1)
+            return error_frame(ERR_JOB_FAILED, repr(exc))
         elapsed = time.perf_counter() - t0
         stats_json = json.dumps(
             self._job_stats(result.stats, elapsed, priority)
         ).encode("utf-8")
         out = encode_segment(result.circuit.gates)
         with self._lock:
-            self._jobs_active -= 1
-            peer["jobs_active"] -= 1
-            self.jobs_completed += 1
-            peer["jobs_completed"] += 1
             self._latencies.append(elapsed)
+        self._tally(peer, jobs_active=-1, jobs_completed=1)
         return pack_frame(
             FRAME_RESULT, pack_result_payload(job_tag, stats_json, out)
         )
@@ -868,7 +680,7 @@ class OptimizationService:
                 "uptime_seconds": time.monotonic() - self._started,
                 "jobs_completed": self.jobs_completed,
                 "jobs_failed": self.jobs_failed,
-                "jobs_active": self._jobs_active,
+                "jobs_active": self.jobs_active,
                 "admission": {
                     "auth_required": self._auth_token is not None,
                     "auth_failures": self.auth_failures,
@@ -890,8 +702,8 @@ class OptimizationService:
         fleet = self._scheduler.fleet
         status["fleet"] = {
             "workers": fleet.workers,
-            "transport": getattr(fleet, "transport", "encoded"),
-            "hosts": list(getattr(fleet, "hosts", [])),
+            "transport": fleet.transport,
+            "hosts": list(fleet.hosts),
         }
         status["cache"] = (
             self.cache.stats.as_dict() if self.cache is not None else None
@@ -924,5 +736,5 @@ class OptimizationService:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"OptimizationService({self.address}, "
-            f"jobs={self.jobs_completed}, active={self._jobs_active})"
+            f"jobs={self.jobs_completed}, active={self.jobs_active})"
         )

@@ -1,7 +1,7 @@
 """The distributed socket transport: worker host, registry, executor.
 
 Covers the pieces the frame-codec property tests don't: the
-:class:`~repro.parallel.dist.WorkerHost` request loop, the
+:class:`~repro.parallel.frames.WorkerHost` request loop, the
 generation-token protocol over the wire, the client registry's
 dispatch and statistics, the ``ProcessMap(transport="socket")``
 integration (byte-identical with serial, stats recorded), and the
@@ -30,12 +30,12 @@ from repro.parallel import (
     WorkerUnavailableError,
     local_cluster,
 )
-from repro.parallel.dist import (
-    HostConnection,
+from repro.parallel.frames import (
     RemoteOracleError,
     pack_segments_payload,
     parse_address,
 )
+from repro.parallel.hostpool import HostConnection
 
 
 def _segments(count=8):
@@ -73,9 +73,13 @@ class TestWorkerHostProtocol:
                 payload = pack_segments_payload(
                     1, 0, [encode_segment(seg) for seg in _segments(3)]
                 )
-                blobs = conn.run_batch(0, payload)
-                assert len(blobs) == 3
-                assert all(isinstance(b, bytes) and b for b in blobs)
+                results = conn.run_batch(0, payload)
+                assert len(results) == 3
+                # (gate count, packed blob) pairs, straight off the header walk
+                assert all(isinstance(b, bytes) and b for _, b in results)
+                assert [n for n, _ in results] == [
+                    len(NamOracle()(seg)) for seg in _segments(3)
+                ]
             finally:
                 conn.close()
 
@@ -94,7 +98,7 @@ class TestWorkerHostProtocol:
                 conn.close()
 
     def test_unregistered_connection_refused(self):
-        from repro.parallel.dist import FrameProtocolError
+        from repro.parallel.frames import FrameProtocolError
 
         with local_cluster(1) as hosts:
             conn = HostConnection(hosts[0])
@@ -204,18 +208,15 @@ class TestProcessMapSocket:
                 res = popqc(circuit, NamOracle(), 16, parmap=pm)
             finally:
                 pm.close()
-        stats = res.stats
-        assert stats.transport == "socket"
-        assert stats.socket_bytes_sent > 0
-        assert stats.socket_bytes_received > 0
-        assert stats.socket_wire_bytes == (
-            stats.socket_bytes_sent + stats.socket_bytes_received
-        )
-        assert stats.socket_reconnects == 0
-        assert sum(h["segments"] for h in stats.socket_hosts.values()) > 0
-        assert all(h["segments_per_s"] >= 0 for h in stats.socket_hosts.values())
-        assert stats.batch_dispatches > 0
-        assert stats.mean_batch_size >= 1.0
+        assert res.stats.transport == "socket"
+        counters = res.stats.counters
+        assert counters["socket_bytes_sent"] > 0
+        assert counters["socket_bytes_received"] > 0
+        assert counters["socket_reconnects"] == 0
+        assert sum(counters["socket_host_segments"].values()) > 0
+        assert all(s >= 0 for s in counters["socket_host_seconds"].values())
+        assert counters["batch_dispatches"] > 0
+        assert counters["segments_batched"] >= counters["batch_dispatches"]
 
     def test_heartbeat_pings_idle_connections_between_rounds(self):
         """With a zero heartbeat interval every idle connection is
@@ -227,9 +228,9 @@ class TestProcessMapSocket:
             pm = ProcessMap(serial_cutoff=0, transport="socket", hosts=hosts)
             try:
                 pm.map_segments(oracle, _segments())
-                pm._socket_pool.heartbeat_seconds = 0.0
+                pm.wire._pool.heartbeat_seconds = 0.0
                 pm.map_segments(oracle, _segments())
-                assert pm._socket_pool.heartbeats >= 2  # both conns pinged
+                assert pm.wire._pool.heartbeats >= 2  # both conns pinged
             finally:
                 pm.close()
 
@@ -242,10 +243,10 @@ class TestProcessMapSocket:
             assert [list(r) for r in pm.map_segments(oracle, _segments())]
             host.stop()
             host = WorkerHost(port=port).start()  # same address, fresh server
-            pm._socket_pool.heartbeat_seconds = 0.0
+            pm.wire._pool.heartbeat_seconds = 0.0
             got = pm.map_segments(oracle, _segments())
             assert [list(res) for res in got] == _segments()
-            assert pm.socket_reconnects >= 1
+            assert pm.counters()["socket_reconnects"] >= 1
         finally:
             pm.close()
             host.stop()
@@ -255,9 +256,9 @@ class TestProcessMapSocket:
             pm = ProcessMap(serial_cutoff=0, transport="socket", hosts=hosts)
             try:
                 pm.map_segments(NamOracle(), _segments())
-                gen_first = pm._oracle_generation
+                gen_first = pm.wire.generation
                 pm.map_segments(IdentityOracle(), _segments())
-                assert pm._oracle_generation == gen_first + 1
+                assert pm.wire.generation == gen_first + 1
             finally:
                 pm.close()
 
@@ -387,19 +388,18 @@ class TestCapacityAdvertisement:
                 pool.close()
 
     def test_capacity_reported_in_popqc_stats(self):
+        """The run's stats name every host that served it; a host's
+        advertised capacity is a gauge of the live transport."""
         circuit = random_redundant_circuit(5, 300, seed=103, redundancy=0.6)
         with local_cluster(2, capacities=[2, 1]) as hosts:
             pm = ProcessMap(serial_cutoff=0, transport="socket", hosts=hosts)
             try:
                 res = popqc(circuit, NamOracle(), 16, parmap=pm)
+                capacities = pm.wire._pool.host_capacity
             finally:
                 pm.close()
-        capacities = {
-            addr: entry["capacity"]
-            for addr, entry in res.stats.socket_hosts.items()
-        }
-        for addr, capacity in capacities.items():
-            assert capacity == (2 if addr == hosts[0] else 1)
+        assert set(res.stats.counters["socket_host_segments"]) == set(hosts)
+        assert capacities == {hosts[0]: 2, hosts[1]: 1}
 
     def test_capacities_length_must_match(self):
         with pytest.raises(ValueError, match="capacities"):
@@ -408,69 +408,9 @@ class TestCapacityAdvertisement:
 
 
 class TestWorkerAuth:
-    """The AUTH handshake on the worker protocol: one shared token,
-    presented before any other frame, refused in constant time."""
-
-    def test_token_round_trip(self):
-        host = WorkerHost(auth_token="s3cret").start()
-        try:
-            conn = HostConnection(host.address, auth_token="s3cret")
-            conn.connect()
-            try:
-                conn.register(pickle.dumps(IdentityOracle()), 1)
-                conn.ping()
-            finally:
-                conn.close()
-            assert host.auth_failures == 0
-        finally:
-            host.stop()
-
-    def test_wrong_token_refused_and_never_retried(self):
-        from repro.parallel.dist import AuthenticationError
-
-        host = WorkerHost(auth_token="s3cret").start()
-        try:
-            conn = HostConnection(host.address, auth_token="wrong")
-            with pytest.raises(AuthenticationError, match="invalid auth token"):
-                conn.connect()
-            assert not conn.connected  # the failed socket was torn down
-            assert host.auth_failures == 1
-        finally:
-            host.stop()
-
-    def test_unauthenticated_frame_refused_with_typed_error(self):
-        """A client that skips AUTH gets a typed ERROR on its first
-        frame — never service, never a hang."""
-        from repro.parallel.dist import AuthenticationError
-
-        host = WorkerHost(auth_token="s3cret").start()
-        try:
-            conn = HostConnection(host.address)  # no token configured
-            conn.connect()
-            try:
-                with pytest.raises(
-                    AuthenticationError, match="authentication required"
-                ):
-                    conn.register(pickle.dumps(IdentityOracle()), 1)
-            finally:
-                conn.close()
-            assert host.auth_failures == 1
-        finally:
-            host.stop()
-
-    def test_auth_is_noop_on_open_host(self):
-        """Presenting a token to a host that demands none still gets
-        AUTH_OK, so one client config works against both."""
-        host = WorkerHost().start()
-        try:
-            conn = HostConnection(host.address, auth_token="anything")
-            conn.connect()
-            try:
-                conn.ping()
-            finally:
-                conn.close()
-        finally:
-            host.stop()
+    """The shared token through the client registry and the executor
+    (the AUTH gate itself is pinned for both daemons in
+    ``tests/test_endpoints.py``)."""
 
     def test_socket_pool_authenticates_every_host(self):
         with local_cluster(2, auth_token="s3cret") as hosts:
@@ -501,42 +441,6 @@ class TestWorkerAuth:
             finally:
                 pm.close()
         assert to_qasm(res.circuit) == to_qasm(reference.circuit)
-
-
-class TestIdleTimeout:
-    def test_silent_connection_is_dropped(self):
-        """A connected client that never sends a frame is cut loose
-        after the idle timeout instead of pinning a handler thread."""
-        import socket as socket_mod
-
-        host = WorkerHost(idle_timeout_seconds=0.2).start()
-        try:
-            sock = socket_mod.create_connection(
-                (host.host, host.port), timeout=5.0
-            )
-            sock.settimeout(5.0)
-            try:
-                assert sock.recv(1) == b""  # server closed on us
-            finally:
-                sock.close()
-        finally:
-            host.stop()
-
-    def test_active_connection_outlives_the_timeout(self):
-        import time as time_mod
-
-        host = WorkerHost(idle_timeout_seconds=0.3).start()
-        try:
-            conn = HostConnection(host.address)
-            conn.connect()
-            try:
-                for _ in range(3):
-                    time_mod.sleep(0.15)
-                    conn.ping()  # traffic resets the idle clock
-            finally:
-                conn.close()
-        finally:
-            host.stop()
 
 
 class SleepyIdentityOracle:
@@ -646,7 +550,7 @@ class TestCapacityZeroAdvertisement:
                     if conn.address == hosts[1]:
                         conn.capacity = 0
                 with caplog.at_level(
-                    logging.WARNING, logger="repro.parallel.dist"
+                    logging.WARNING, logger="repro.parallel.hostpool"
                 ):
                     results = pool.run_round(_single_segment_batches(8))
                 assert [len(blobs) for blobs in results] == [1] * 8

@@ -68,7 +68,7 @@ class TestProcessMap:
         try:
             # below cutoff: no pool is spawned
             assert pm.map(square, [1, 2]) == [1, 4]
-            assert pm._pool is None
+            assert pm._map_pool is None
         finally:
             pm.close()
 
@@ -83,7 +83,7 @@ class TestProcessMap:
         # the actual POPQC use case: a NamOracle crossing process bounds
         from repro.circuits import H
         from repro.oracles import NamOracle
-        from repro.parallel.executor import _PickledOracleCall
+        from repro.parallel.transports import _PickledOracleCall
 
         task = _PickledOracleCall(NamOracle())
         clone = pickle.loads(pickle.dumps(task))
@@ -108,7 +108,7 @@ class TestMapSegments:
         pm = ProcessMap(2, serial_cutoff=8)
         try:
             out = pm.map_segments(NamOracle(), self._segments(3))
-            assert pm._pool is None  # never escalated to processes
+            assert pm.wire._pool is None  # never escalated to processes
         finally:
             pm.close()
         assert all(len(seg) < 4 for seg in out)
@@ -133,10 +133,10 @@ class TestMapSegments:
         pm = ProcessMap(2, serial_cutoff=0)
         try:
             pm.map_segments(oracle, self._segments())
-            pool = pm._pool
+            pool = pm.wire._pool
             pm.map_segments(oracle, self._segments())
-            assert pm._pool is pool  # same workers, no re-registration
-            assert pm._registered_oracle is oracle
+            assert pm.wire._pool is pool  # same workers, no re-registration
+            assert pm.wire._oracle is oracle
         finally:
             pm.close()
 
@@ -146,9 +146,9 @@ class TestMapSegments:
         pm = ProcessMap(2, serial_cutoff=0)
         try:
             pm.map_segments(NamOracle(), self._segments())
-            pool = pm._pool
+            pool = pm.wire._pool
             out = pm.map_segments(IdentityOracle(), self._segments())
-            assert pm._pool is not pool
+            assert pm.wire._pool is not pool
             assert out == self._segments()  # identity oracle is a no-op
         finally:
             pm.close()
@@ -163,9 +163,9 @@ class TestMapSegments:
         pm = ProcessMap(2, serial_cutoff=0, transport=transport)
         try:
             pm.map_segments(NamOracle(), self._segments())
-            gen_a = pm._oracle_generation
+            gen_a = pm.wire.generation
             out = pm.map_segments(IdentityOracle(), self._segments())
-            assert pm._oracle_generation > gen_a
+            assert pm.wire.generation > gen_a
             assert out == self._segments()  # the *new* oracle's results
         finally:
             pm.close()
@@ -179,8 +179,8 @@ class TestMapSegments:
         from repro.circuits.encoding import unpack_segment_from
         from repro.oracles import IdentityOracle
         from repro.parallel import StaleOracleError
-        from repro.parallel import executor as executor_mod
-        from repro.parallel.dist import pack_segments_payload, split_results_payload
+        from repro.parallel import transports as executor_mod
+        from repro.parallel.frames import iter_results_payload, pack_segments_payload
 
         executor_mod._register_worker_oracle(IdentityOracle(), 1)
         try:
@@ -191,8 +191,8 @@ class TestMapSegments:
                 pack_segments_payload(1, 7, [encoded, encoded])
             )
             assert isinstance(reply, bytes)
-            batch_id, blobs = split_results_payload(reply)
-            assert batch_id == 7 and len(blobs) == 2
+            blobs = [blob for _, blob in iter_results_payload(reply, 7)]
+            assert len(blobs) == 2
             for blob in blobs:
                 roundtripped, _ = unpack_segment_from(blob)
                 assert roundtripped == encoded
@@ -241,11 +241,11 @@ class TestThreadsTransport:
         pm = ProcessMap(2, serial_cutoff=0, transport="threads")
         try:
             pm.map_segments(NamOracle(), self._segments(8))
-            assert pm._pool is None  # no process pool, only threads
-            assert pm._thread_pool is not None
+            assert pm._map_pool is None  # no process pool, only threads
+            assert pm.wire._pool is not None
         finally:
             pm.close()
-        assert pm._thread_pool is None  # close() shut the thread pool
+        assert pm.wire._pool is None  # close() shut the thread pool
 
     def test_thread_pool_reused_across_rounds(self):
         from repro.oracles import NamOracle
@@ -253,9 +253,9 @@ class TestThreadsTransport:
         pm = ProcessMap(2, serial_cutoff=0, transport="threads")
         try:
             pm.map_segments(NamOracle(), self._segments(8))
-            pool = pm._thread_pool
+            pool = pm.wire._pool
             pm.map_segments(NamOracle(), self._segments(8))
-            assert pm._thread_pool is pool
+            assert pm.wire._pool is pool
         finally:
             pm.close()
 
@@ -269,11 +269,11 @@ class TestThreadsTransport:
             out = pm.map_segments(oracle, self._segments(8))
             assert all(isinstance(r, LazySegmentResult) for r in out)
             assert all(not r.decoded for r in out)  # still packed
-            assert pm.results_returned == 8
-            assert pm.results_decoded == 0
+            assert pm.counters()["results_returned"] == 8
+            assert pm.counters()["results_decoded"] == 0
             # reading the gates decodes, once
             assert out[0] == oracle(self._segments(1)[0])
-            assert pm.results_decoded == 1
+            assert pm.counters()["results_decoded"] == 1
         finally:
             pm.close()
 
@@ -284,10 +284,10 @@ class TestThreadsTransport:
         try:
             pm.map_segments(NamOracle(), self._segments(8))
             # no packed bytes exist for a plain gate-list oracle
-            assert pm.results_returned == 0
+            assert pm.counters()["results_returned"] == 0
             assert pm.last_serialization_time == 0.0
-            assert pm.thread_wall_seconds > 0.0
-            assert pm.thread_task_seconds > 0.0
+            assert pm.counters()["thread_wall_seconds"] > 0.0
+            assert pm.counters()["thread_task_seconds"] > 0.0
         finally:
             pm.close()
 

@@ -27,7 +27,7 @@ from repro.parallel import (
     local_cluster,
 )
 from repro.parallel import shm as shm_mod
-from repro.parallel.dist import (
+from repro.parallel.frames import (
     FRAME_PING,
     FRAME_PONG,
     FRAME_REGISTER,
@@ -168,7 +168,7 @@ def test_exhaustion_between_acquires_returns_first_block(monkeypatch):
     pm = ProcessMap(2, serial_cutoff=0, transport="shm")
     try:
         pm.map_segments(NamOracle(), _segments())  # populate the ring
-        pool = pm._arenas
+        pool = pm.wire.arenas
         free_before = len(pool._free)
         calls = {"n": 0}
         real_acquire = pool.acquire
@@ -226,7 +226,7 @@ def test_host_killed_mid_round_requeues_to_survivor():
         pm.close()
         h1.stop()
         h2.stop()
-    assert pm._socket_pool is None  # close() dropped the registry
+    assert pm.wire._pool is None  # close() dropped the registry
 
 
 def test_all_hosts_down_is_a_typed_error_then_recovers():
@@ -246,7 +246,7 @@ def test_all_hosts_down_is_a_typed_error_then_recovers():
         host = WorkerHost(port=port).start()  # same address, new process-alike
         got = pm.map_segments(oracle, segments)
         assert [list(res) for res in got] == segments
-        assert pm.socket_reconnects >= 1
+        assert pm.counters()["socket_reconnects"] >= 1
     finally:
         pm.close()
         host.stop()
@@ -271,7 +271,7 @@ class TornResultServer:
         self._thread.start()
 
     def _serve(self):
-        from repro.parallel.dist import ConnectionClosedError
+        from repro.parallel.frames import ConnectionClosedError
 
         conn, _ = self._listener.accept()
         self._listener.close()  # one victim is enough; reconnects are refused
@@ -345,7 +345,7 @@ def test_no_dangling_sockets_after_close():
     with local_cluster(2) as hosts:
         pm = ProcessMap(serial_cutoff=0, transport="socket", hosts=hosts)
         pm.map_segments(IdentityOracle(), _segments())
-        pool = pm._socket_pool
+        pool = pm.wire._pool
         conns = list(pool._conns)
         assert all(conn.connected for conn in conns)
         pm.close()
@@ -380,13 +380,12 @@ class BusyServiceImpostor:
         self._thread.start()
 
     def _serve(self):
-        from repro.parallel.dist import (
-            BUSY_MAX_ACTIVE,
+        from repro.parallel.frames import (
             FRAME_BUSY,
             FRAME_JOB,
             ConnectionClosedError,
-            pack_busy_payload,
         )
+        from repro.service.frames import BUSY_MAX_ACTIVE, pack_busy_payload
 
         conn, _ = self._listener.accept()
         self._listener.close()
@@ -455,7 +454,7 @@ def test_busy_flood_exhausts_client_retry_budget():
 
 def test_torn_busy_payload_is_a_typed_protocol_error():
     from repro.circuits import Circuit
-    from repro.parallel.dist import FrameProtocolError
+    from repro.parallel.frames import FrameProtocolError
     from repro.service import ServiceClient
 
     impostor = BusyServiceImpostor(torn=True)
@@ -477,7 +476,7 @@ def test_host_killed_mid_steal_drains_through_survivor():
     the round completes and the steal counter proves the path ran."""
     from repro.circuits.encoding import encode_segment
     from repro.parallel import SocketHostPool
-    from repro.parallel.dist import pack_segments_payload
+    from repro.parallel.frames import pack_segments_payload
 
     deep = WorkerHost(capacity=6).start()
     survivor = WorkerHost(capacity=1).start()
@@ -540,7 +539,7 @@ class TornCacheServer:
     def _serve(self):
         import struct
 
-        from repro.parallel.dist import (
+        from repro.parallel.frames import (
             FRAME_CACHE_LOOKUP,
             FRAME_CACHE_RESULT,
             ConnectionClosedError,

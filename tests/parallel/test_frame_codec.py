@@ -1,14 +1,20 @@
-"""Property tests for the socket transport's frame codec.
+"""Property and golden-byte tests for the frame codec.
 
 The distributed transport's correctness rests on one invariant: a
 segment batch framed on one host and parsed on another — through any
 sequence of partial ``recv`` chunks TCP happens to deliver — must
 reproduce the original segments byte for byte, and a *torn* stream
-must raise a typed :class:`~repro.parallel.dist.FrameProtocolError`
+must raise a typed :class:`~repro.parallel.frames.FrameProtocolError`
 rather than yield a short or corrupt message.  Hypothesis drives the
 codec with arbitrary gate lists (including zero-gate segments),
 arbitrary generation/batch tokens, and arbitrary chunk splits; the
 nightly workflow re-runs it at the raised example budget.
+
+:class:`TestGoldenFrames` pins the bytes themselves: one frame of each
+of the 17 types, built at the commit before the codec was split into
+:mod:`repro.parallel.frames` and :mod:`repro.service.frames`, must be
+produced and parsed unchanged — an older ``popqc worker`` or ``popqc
+serve`` still interoperates.
 """
 
 import socket
@@ -18,7 +24,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.circuits.encoding import decode_segment, encode_segment
-from repro.parallel.dist import (
+from repro.parallel.frames import (
     FRAME_MAGIC,
     FRAME_PING,
     FRAME_RESULTS,
@@ -26,11 +32,11 @@ from repro.parallel.dist import (
     ConnectionClosedError,
     FrameProtocolError,
     FrameReader,
+    iter_results_payload,
     pack_frame,
     pack_results_payload,
     pack_segments_payload,
     recv_frame,
-    split_results_payload,
     unpack_segments_payload,
 )
 
@@ -154,9 +160,16 @@ class TestResultsPayload:
             buf = bytearray(enc.packed_segment_nbytes(encoded))
             enc.pack_segment_into(encoded, buf, 0)
             blobs.append(bytes(buf))
-        batch_id, got = split_results_payload(pack_results_payload(11, blobs))
-        assert batch_id == 11
-        assert got == blobs
+        got = list(iter_results_payload(pack_results_payload(11, blobs), 11))
+        assert [blob for _, blob in got] == blobs
+        # the gate count rides along, read off the same header walk
+        assert [length for length, _ in got] == [len(gates) for gates in batches]
+
+    def test_reply_to_another_batch_rejected(self):
+        """Pipe and TCP replies alike are checked against the batch id
+        that was asked for."""
+        with pytest.raises(FrameProtocolError, match="does not match"):
+            list(iter_results_payload(pack_results_payload(11, []), 12))
 
     def test_truncated_results_rejected(self):
         from repro.circuits import H
@@ -168,7 +181,7 @@ class TestResultsPayload:
         enc.pack_segment_into(encoded, buf, 0)
         payload = pack_results_payload(0, [bytes(buf)])
         with pytest.raises(FrameProtocolError):
-            split_results_payload(payload[: len(payload) - 4])
+            list(iter_results_payload(payload[: len(payload) - 4], 0))
 
 
 class TestRecvFrame:
@@ -210,7 +223,7 @@ class TestCachePayloads:
 
     @given(segments=st.lists(gate_list_strategy(), min_size=0, max_size=4))
     def test_lookup_round_trip(self, segments):
-        from repro.parallel.dist import (
+        from repro.parallel.frames import (
             pack_cache_lookup_payload,
             unpack_cache_lookup_payload,
         )
@@ -224,7 +237,7 @@ class TestCachePayloads:
 
     def test_lookup_truncated_rejected(self):
         from repro.circuits import H
-        from repro.parallel.dist import (
+        from repro.parallel.frames import (
             pack_cache_lookup_payload,
             unpack_cache_lookup_payload,
         )
@@ -243,7 +256,7 @@ class TestCachePayloads:
         )
     )
     def test_result_round_trip_with_misses(self, values):
-        from repro.parallel.dist import (
+        from repro.parallel.frames import (
             pack_cache_result_payload,
             unpack_cache_result_payload,
         )
@@ -252,7 +265,7 @@ class TestCachePayloads:
         assert unpack_cache_result_payload(payload) == list(values)
 
     def test_empty_result_is_the_store_ack(self):
-        from repro.parallel.dist import (
+        from repro.parallel.frames import (
             pack_cache_result_payload,
             unpack_cache_result_payload,
         )
@@ -264,7 +277,7 @@ class TestCachePayloads:
         """The lenient unpacker: any truncation of a valid CACHE_RESULT
         yields only ``None`` (miss) or the original value per entry —
         no exception, no fabricated bytes."""
-        from repro.parallel.dist import (
+        from repro.parallel.frames import (
             pack_cache_result_payload,
             unpack_cache_result_payload,
         )
@@ -282,7 +295,7 @@ class TestCachePayloads:
         reader caps it by what the payload could physically hold."""
         import struct as _struct
 
-        from repro.parallel.dist import unpack_cache_result_payload
+        from repro.parallel.frames import unpack_cache_result_payload
 
         forged = _struct.pack("<Q", 1 << 60) + b"\x00" * 64
         got = unpack_cache_result_payload(forged)
@@ -295,7 +308,7 @@ class TestCachePayloads:
         )
     )
     def test_store_round_trip(self, entries):
-        from repro.parallel.dist import (
+        from repro.parallel.frames import (
             pack_cache_store_payload,
             unpack_cache_store_payload,
         )
@@ -309,7 +322,7 @@ class TestCachePayloads:
 
     def test_store_truncated_rejected(self):
         from repro.circuits import H
-        from repro.parallel.dist import (
+        from repro.parallel.frames import (
             pack_cache_store_payload,
             unpack_cache_store_payload,
         )
@@ -325,7 +338,7 @@ class TestCachePayloads:
             unpack_cache_store_payload(payload[:5])
 
     def test_cache_frames_are_known_to_the_reader(self):
-        from repro.parallel.dist import (
+        from repro.parallel.frames import (
             FRAME_CACHE_LOOKUP,
             FRAME_CACHE_RESULT,
             FRAME_CACHE_STORE,
@@ -341,3 +354,200 @@ class TestCachePayloads:
             got_type, payload = reader.next_frame()
             assert got_type == frame_type
             assert payload == b"x" * 8
+
+
+#: One frame of every type, as hex, built by the commit that preceded
+#: the split of ``repro/parallel/dist.py`` (PR 17, 1368a6e) from the
+#: inputs ``TestGoldenFrames._build`` repeats.
+GOLDEN_FRAMES = {
+    "REGISTER": (
+        "50514346010000001c0000000000000007000000000000008002580500000070"
+        "6f70716371004b078671012e"
+    ),
+    "REGISTER_OK": (
+        "5051434602000000100000000000000007000000000000000400000000000000"
+    ),
+    "SEGMENTS": (
+        "5051434603000000a80000000000000007000000000000000300000000000000"
+        "0200000000000000030000000300000004000000010000000000000001006804"
+        "00636e6f740200727a00000000000000000000000000d03f0000000000000000"
+        "0100000001000000000102000102012003000000030000000400000001000000"
+        "000000000100680400636e6f740200727a00000000000000000000000000d03f"
+        "000000000000000001000000010000000001020001020120"
+    ),
+    "RESULTS": (
+        "5051434604000000a00000000000000003000000000000000200000000000000"
+        "03000000030000000400000001000000000000000100680400636e6f74020072"
+        "7a00000000000000000000000000d03f00000000000000000100000001000000"
+        "0001020001020120030000000300000004000000010000000000000001006804"
+        "00636e6f740200727a00000000000000000000000000d03f0000000000000000"
+        "01000000010000000001020001020120"
+    ),
+    "ERROR": (
+        "50514346050000000600000000000000017374616c65"
+    ),
+    "PING": (
+        "50514346060000000000000000000000"
+    ),
+    "PONG": (
+        "50514346070000000000000000000000"
+    ),
+    "SHUTDOWN": (
+        "50514346080000000000000000000000"
+    ),
+    "JOB": (
+        "5051434609000000680000000000000009000000000000006400000003000000"
+        "0000000000000000030000000000000003000000030000000400000001000000"
+        "000000000100680400636e6f740200727a00000000000000000000000000d03f"
+        "000000000000000001000000010000000001020001020120"
+    ),
+    "RESULT": (
+        "505143460a000000600000000000000009000000000000000c0000007b22726f"
+        "756e6473223a317d030000000300000004000000010000000000000001006804"
+        "00636e6f740200727a00000000000000000000000000d03f0000000000000000"
+        "01000000010000000001020001020120"
+    ),
+    "STATUS": (
+        "505143460b0000000a000000000000007b226a6f6273223a307d"
+    ),
+    "AUTH": (
+        "505143460c0000000600000000000000733363726574"
+    ),
+    "AUTH_OK": (
+        "505143460d0000000000000000000000"
+    ),
+    "BUSY": (
+        "505143460e000000160000000000000003000000000000000000d03f71756575"
+        "652066756c6c"
+    ),
+    "CACHE_LOOKUP": (
+        "505143460f000000680000000000000001000000000000001000000000000000"
+        "0101010101010101010101010101010103000000030000000400000001000000"
+        "000000000100680400636e6f740200727a00000000000000000000000000d03f"
+        "000000000000000001000000010000000001020001020120"
+    ),
+    "CACHE_RESULT": (
+        "5051434610000000200000000000000002000000000000000500000000000000"
+        "76616c7565000000ffffffffffffffff"
+    ),
+    "CACHE_STORE": (
+        "5051434611000000780000000000000001000000000000001000000000000000"
+        "0101010101010101010101010101010103000000030000000400000001000000"
+        "000000000100680400636e6f740200727a00000000000000000000000000d03f"
+        "0000000000000000010000000100000000010200010201200500000000000000"
+        "76616c7565000000"
+    ),
+}
+
+
+class TestGoldenFrames:
+    """Every byte on every wire stays what it was."""
+
+    BLOB = bytes.fromhex("80025805000000706f70716371004b078671012e")  # pickle v2
+    NAMESPACE = b"\x01" * 16
+
+    @staticmethod
+    def _segment():
+        from repro.circuits import CNOT, RZ, H
+
+        return encode_segment([H(0), CNOT(0, 1), RZ(1, 0.25)])
+
+    def _build(self):
+        from repro.circuits.encoding import pack_segment
+        from repro.parallel import frames as f
+        from repro.service import frames as sf
+
+        seg = self._segment()
+        packed = pack_segment(seg)
+        ns = self.NAMESPACE
+        return {
+            "REGISTER": pack_frame(
+                f.FRAME_REGISTER, f.pack_register_payload(self.BLOB, 7)
+            ),
+            "REGISTER_OK": pack_frame(
+                f.FRAME_REGISTER_OK, f.pack_register_ok_payload(7, 4)
+            ),
+            "SEGMENTS": pack_frame(
+                f.FRAME_SEGMENTS, f.pack_segments_payload(7, 3, [seg, seg])
+            ),
+            "RESULTS": pack_frame(
+                f.FRAME_RESULTS, f.pack_results_payload(3, [packed, packed])
+            ),
+            "ERROR": f.error_frame(f.ERR_STALE_ORACLE, "stale"),
+            "PING": pack_frame(f.FRAME_PING),
+            "PONG": pack_frame(f.FRAME_PONG),
+            "SHUTDOWN": pack_frame(f.FRAME_SHUTDOWN),
+            "JOB": pack_frame(
+                f.FRAME_JOB, sf.pack_job_payload(9, 100, 2, None, seg, priority=3)
+            ),
+            "RESULT": pack_frame(
+                f.FRAME_RESULT, sf.pack_result_payload(9, b'{"rounds":1}', seg)
+            ),
+            "STATUS": pack_frame(f.FRAME_STATUS, b'{"jobs":0}'),
+            "AUTH": pack_frame(f.FRAME_AUTH, b"s3cret"),
+            "AUTH_OK": pack_frame(f.FRAME_AUTH_OK),
+            "BUSY": pack_frame(
+                f.FRAME_BUSY,
+                sf.pack_busy_payload(sf.BUSY_QUEUE_FULL, 0.25, "queue full"),
+            ),
+            "CACHE_LOOKUP": pack_frame(
+                f.FRAME_CACHE_LOOKUP, f.pack_cache_lookup_payload(ns, [packed])
+            ),
+            "CACHE_RESULT": pack_frame(
+                f.FRAME_CACHE_RESULT, f.pack_cache_result_payload([b"value", None])
+            ),
+            "CACHE_STORE": pack_frame(
+                f.FRAME_CACHE_STORE,
+                f.pack_cache_store_payload(ns, [(packed, b"value")]),
+            ),
+        }
+
+    def test_every_frame_type_is_produced_unchanged(self):
+        built = self._build()
+        assert list(built) == list(GOLDEN_FRAMES) and len(built) == 17
+        for name, frame in built.items():
+            assert frame.hex() == GOLDEN_FRAMES[name], name
+
+    def test_every_frame_type_is_parsed_unchanged(self):
+        from repro.circuits.encoding import pack_segment
+        from repro.parallel import frames as f
+        from repro.service import frames as sf
+
+        seg, ns = self._segment(), self.NAMESPACE
+        packed = pack_segment(seg)
+        reader = FrameReader()
+        reader.feed(b"".join(bytes.fromhex(h) for h in GOLDEN_FRAMES.values()))
+        parsed = {}
+        for number, name in enumerate(GOLDEN_FRAMES, start=1):
+            frame_type, parsed[name] = reader.next_frame()
+            assert frame_type == number == getattr(f, f"FRAME_{name}")
+        assert reader.pending_bytes == 0
+        assert f.unpack_register_payload(parsed["REGISTER"]) == (
+            7, ("popqc", 7), self.BLOB
+        )
+        assert f.unpack_register_ok_payload(parsed["REGISTER_OK"]) == (7, 4)
+        assert f.unpack_segments_payload(parsed["SEGMENTS"]) == (7, 3, [seg, seg])
+        assert list(f.iter_results_payload(parsed["RESULTS"], 3)) == [
+            (3, packed), (3, packed)
+        ]
+        assert f.unpack_error_payload(parsed["ERROR"]) == (f.ERR_STALE_ORACLE, "stale")
+        with pytest.raises(f.StaleOracleError, match="stale"):
+            f.raise_remote_error(parsed["ERROR"])
+        for empty in ("PING", "PONG", "SHUTDOWN", "AUTH_OK"):
+            assert parsed[empty] == b""
+        assert sf.unpack_job_payload(parsed["JOB"]) == (9, 100, 2, None, seg, 3)
+        assert sf.unpack_result_payload(parsed["RESULT"]) == (
+            9, b'{"rounds":1}', seg
+        )
+        assert parsed["STATUS"] == b'{"jobs":0}'
+        assert parsed["AUTH"] == b"s3cret"
+        assert sf.unpack_busy_payload(parsed["BUSY"]) == (
+            sf.BUSY_QUEUE_FULL, 0.25, "queue full"
+        )
+        assert f.unpack_cache_lookup_payload(parsed["CACHE_LOOKUP"]) == (ns, [packed])
+        assert f.unpack_cache_result_payload(parsed["CACHE_RESULT"]) == [
+            b"value", None
+        ]
+        assert f.unpack_cache_store_payload(parsed["CACHE_STORE"]) == (
+            ns, [(packed, b"value")]
+        )

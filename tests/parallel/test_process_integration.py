@@ -38,4 +38,4 @@ def test_process_map_small_batch_fallback():
     finally:
         pm.close()
     assert res.circuit.num_gates <= c.num_gates
-    assert pm._pool is None  # never escalated to processes
+    assert pm.wire._pool is None  # never escalated to processes

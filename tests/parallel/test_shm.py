@@ -132,7 +132,7 @@ class TestShmTransportLifecycle:
         try:
             with pytest.raises(ValueError, match="boom"):
                 pm.map_segments(RaisingOracle(), _segments())
-            assert pm.arena_bytes == 0  # ring emptied, nothing recycled
+            assert pm.wire.arenas.ring_bytes == 0  # ring emptied, nothing recycled
             assert _shm_entries() - before == set()  # and nothing leaked
             oracle = NamOracle()
             want = [oracle(list(s)) for s in _segments()]
@@ -146,12 +146,12 @@ class TestShmTransportLifecycle:
         try:
             oracle = NamOracle()
             pm.map_segments(oracle, _segments())
-            allocs_after_first = pm.arena_allocations
+            allocs_after_first = pm.counters()["arena_allocations"]
             for _ in range(3):
                 pm.map_segments(oracle, _segments())
-            assert pm.arena_allocations == allocs_after_first
-            assert pm.arena_reuses >= 6  # 3 rounds x 2 arenas
-            assert pm.arena_bytes > 0
+            assert pm.counters()["arena_allocations"] == allocs_after_first
+            assert pm.counters()["arena_reuses"] >= 6  # 3 rounds x 2 arenas
+            assert pm.wire.arenas.ring_bytes > 0
         finally:
             pm.close()
 

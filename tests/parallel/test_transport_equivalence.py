@@ -108,13 +108,13 @@ def test_socket_transport_recorded_in_stats(socket_hosts):
     results = _run_suite(pm)
     assert all(r.stats.transport == "socket" for r in results)
     # wire accounting flows into the run stats ...
-    assert all(r.stats.socket_bytes_sent > 0 for r in results)
-    assert all(r.stats.socket_bytes_received > 0 for r in results)
-    assert all(r.stats.socket_reconnects == 0 for r in results)
+    assert all(r.stats.counters["socket_bytes_sent"] > 0 for r in results)
+    assert all(r.stats.counters["socket_bytes_received"] > 0 for r in results)
+    assert all(r.stats.counters["socket_reconnects"] == 0 for r in results)
     # ... including per-host throughput over the cluster
     for r in results:
-        assert sum(h["segments"] for h in r.stats.socket_hosts.values()) > 0
-    assert all(r.stats.batch_dispatches > 0 for r in results)
+        assert sum(r.stats.counters["socket_host_segments"].values()) > 0
+    assert all(r.stats.counters["batch_dispatches"] > 0 for r in results)
 
 
 def test_socket_results_stay_lazy(socket_hosts, monkeypatch):
@@ -144,7 +144,8 @@ def test_socket_results_stay_lazy(socket_hosts, monkeypatch):
     assert res.stats.oracle_accepted == 0
     assert res.stats.results_returned > 0
     assert res.stats.results_decoded == 0
-    assert res.stats.skipped_decode_bytes > 0
+    counters = res.stats.counters
+    assert counters["result_bytes_returned"] - counters["result_bytes_decoded"] > 0
     assert calls["unpack"] == 0
     assert calls["decode"] == 0
     assert list(res.circuit.gates) == list(SUITE[0].gates)
@@ -163,11 +164,13 @@ def test_shm_transport_recorded_in_stats():
     results = _run_suite(pm)
     assert all(r.stats.transport == "shm" for r in results)
     # batched dispatch + arena accounting flow into the run stats
-    assert all(r.stats.batch_dispatches > 0 for r in results)
-    assert all(r.stats.mean_batch_size >= 1.0 for r in results)
-    assert all(r.stats.shm_arena_bytes > 0 for r in results)
+    counters = [r.stats.counters for r in results]
+    assert all(c["batch_dispatches"] > 0 for c in counters)
+    assert all(c["segments_batched"] / c["batch_dispatches"] >= 1.0 for c in counters)
+    assert all(c["arena_allocations"] + c["arena_reuses"] > 0 for c in counters)
     # the second and third runs recycle the first run's arena ring
-    assert results[-1].stats.arena_reuse_rate > 0.5
+    last = counters[-1]
+    assert last["arena_reuses"] / (last["arena_allocations"] + last["arena_reuses"]) > 0.5
 
 
 def test_threads_transport_recorded_in_stats():
@@ -175,13 +178,12 @@ def test_threads_transport_recorded_in_stats():
     results = _run_suite(pm)
     assert all(r.stats.transport == "threads" for r in results)
     # per-task and wall accounting flow into the run stats ...
-    assert all(r.stats.thread_wall_seconds > 0.0 for r in results)
-    assert all(r.stats.thread_task_seconds > 0.0 for r in results)
-    assert all(0.0 <= r.stats.gil_release_fraction <= 1.0 for r in results)
+    assert all(r.stats.counters["thread_wall_seconds"] > 0.0 for r in results)
+    assert all(r.stats.counters["thread_task_seconds"] > 0.0 for r in results)
     # ... and lazy-decode accounting reports what was skipped (a plain
     # gate-list oracle on threads has no bytes to skip, so use stats
     # only where defined)
-    assert all(r.stats.decode_skip_fraction >= 0.0 for r in results)
+    assert all(r.stats.results_decoded <= r.stats.results_returned for r in results)
 
 
 def test_threads_equivalence_with_vector_oracle():

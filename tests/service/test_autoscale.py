@@ -24,7 +24,7 @@ from repro.circuits import random_redundant_circuit, to_qasm
 from repro.core import popqc
 from repro.oracles import NamOracle
 from repro.parallel import WorkerHost
-from repro.parallel.dist import parse_address
+from repro.parallel.frames import parse_address
 from repro.service import OptimizationService, ServiceClient
 
 CIRCUIT = random_redundant_circuit(6, 900, seed=31, redundancy=0.5)

@@ -137,7 +137,7 @@ def test_cache_with_unpicklable_oracle_on_threads_transport():
         pm.close()
     assert [list(r) for r in first] == [list(r) for r in second]
     assert len(calls) == before  # second round fully cached
-    assert pm.cache_hits == len(segments)
+    assert pm.counters()["cache_hits"] == len(segments)
 
 
 def test_unpicklable_oracles_get_distinct_namespaces():
@@ -161,4 +161,4 @@ def test_cache_serves_below_serial_cutoff():
     finally:
         pm.close()
     assert [list(r) for r in first] == [list(r) for r in second]
-    assert pm.cache_hits == len(segments)
+    assert pm.counters()["cache_hits"] == len(segments)

@@ -16,15 +16,13 @@ import pytest
 from repro.circuits import CNOT, Circuit, H, random_redundant_circuit, to_qasm
 from repro.core import popqc
 from repro.oracles import NamOracle
-from repro.parallel.dist import (
-    FRAME_SEGMENTS,
-    FrameProtocolError,
-    pack_frame,
+from repro.parallel.frames import FRAME_SEGMENTS, FrameProtocolError
+from repro.circuits.encoding import encode_segment
+from repro.service.frames import (
     pack_job_payload,
     unpack_job_payload,
     unpack_result_payload,
 )
-from repro.circuits.encoding import encode_segment
 from repro.service import (
     FleetScheduler,
     OptimizationService,
@@ -83,7 +81,7 @@ class TestJobProtocol:
         """Priority is untrusted wire input: out-of-band values are
         clamped into [1, MAX_PRIORITY] at pack AND unpack time, so a
         hostile client cannot buy an unbounded scheduler share."""
-        from repro.parallel.dist import MAX_PRIORITY
+        from repro.service.frames import MAX_PRIORITY
 
         for asked, expect in ((0, 1), (-7, 1), (10**6, MAX_PRIORITY)):
             payload = pack_job_payload(
@@ -101,7 +99,7 @@ class TestJobProtocol:
             unpack_job_payload(payload[:cut])
 
     def test_torn_result_payload_raises(self):
-        from repro.parallel.dist import pack_result_payload
+        from repro.service.frames import pack_result_payload
 
         payload = pack_result_payload(3, b'{"x":1}', encode_segment([H(0)]))
         with pytest.raises(FrameProtocolError):
@@ -162,17 +160,17 @@ class TestSingleJob:
         client = ServiceClient(service.address)
         try:
             with pytest.raises(ServiceError, match="unexpected frame type"):
-                client._request(pack_frame(FRAME_SEGMENTS, b""))
+                client.request(FRAME_SEGMENTS)
         finally:
             client.close()
 
     def test_torn_job_frame_answered_with_typed_error(self, service):
-        from repro.parallel.dist import FRAME_JOB
+        from repro.parallel.frames import FRAME_JOB
 
         client = ServiceClient(service.address)
         try:
             with pytest.raises(ServiceError, match="JOB payload"):
-                client._request(pack_frame(FRAME_JOB, b"\x00" * 8))
+                client.request(FRAME_JOB, b"\x00" * 8)
         finally:
             client.close()
 
@@ -304,12 +302,6 @@ class TestServerLifecycle:
             sched.run_round(NamOracle(), [CIRCUIT_B.gates[:10]] * 4)
         sched.close()  # idempotent
 
-    def test_stop_is_idempotent(self):
-        srv = OptimizationService(NamOracle(), workers=2, transport="threads")
-        srv.start()
-        srv.stop()
-        srv.stop()
-
 
 def test_fleet_view_label_and_serial_map():
     from repro.parallel import ProcessMap
@@ -371,7 +363,7 @@ class RecordingFleet:
 
 class TestBusyProtocol:
     def test_busy_payload_round_trip(self):
-        from repro.parallel.dist import (
+        from repro.service.frames import (
             BUSY_PEER_QUOTA,
             pack_busy_payload,
             unpack_busy_payload,
@@ -382,7 +374,7 @@ class TestBusyProtocol:
         assert (kind, retry_after, message) == (BUSY_PEER_QUOTA, 0.25, "slow down")
 
     def test_torn_busy_payload_raises(self):
-        from repro.parallel.dist import unpack_busy_payload
+        from repro.service.frames import unpack_busy_payload
 
         with pytest.raises(FrameProtocolError, match="BUSY payload"):
             unpack_busy_payload(b"\x01\x00")
@@ -421,7 +413,7 @@ class TestWeightedFairScheduler:
                     break
                 time.sleep(0.001)
             rounds_before = sched.rounds_dispatched
-            results, *_ = sched.run_round(oracle, [[CNOT(0, 1)]] * 2, weight=1)
+            results = sched.run_round(oracle, [[CNOT(0, 1)]] * 2, weight=1)
             rounds_used = sched.rounds_dispatched - rounds_before
             assert results == [[CNOT(0, 1)], [CNOT(0, 1)]]
             # budget 8 split over two weight-1 requests: the 2-segment
@@ -487,64 +479,6 @@ class TestWeightedFairScheduler:
             srv.stop()
         assert job.circuit.gates == reference_a.circuit.gates
         assert job.stats["priority"] == 5
-
-
-class TestServiceAuth:
-    def test_token_round_trip(self):
-        srv = OptimizationService(
-            NamOracle(), workers=2, transport="threads", auth_token="hush"
-        ).start()
-        try:
-            with ServiceClient(srv.address, auth_token="hush") as client:
-                client.ping()
-                job = client.optimize(SMALL, omega=8)
-            assert job.circuit.num_gates == 0
-            assert srv.auth_failures == 0
-        finally:
-            srv.stop()
-
-    def test_wrong_token_refused_on_connect(self):
-        from repro.parallel import AuthenticationError
-
-        srv = OptimizationService(
-            NamOracle(), workers=2, transport="threads", auth_token="hush"
-        ).start()
-        try:
-            with pytest.raises(AuthenticationError, match="invalid auth token"):
-                ServiceClient(srv.address, auth_token="wrong").connect()
-            assert srv.auth_failures == 1
-            status = srv.status()
-            assert status["admission"]["auth_required"] is True
-            assert status["admission"]["auth_failures"] == 1
-        finally:
-            srv.stop()
-
-    def test_unauthenticated_job_refused_with_typed_error(self):
-        """A client that skips AUTH and goes straight to JOB gets a
-        typed ERROR — never service, never a hang — and the server
-        keeps serving authenticated clients."""
-        from repro.parallel import AuthenticationError
-
-        srv = OptimizationService(
-            NamOracle(), workers=2, transport="threads", auth_token="hush"
-        ).start()
-        try:
-            bare = ServiceClient(srv.address)  # no token configured
-            try:
-                with pytest.raises(
-                    AuthenticationError, match="authentication required"
-                ):
-                    bare.optimize(SMALL, omega=8)
-            finally:
-                bare.close()
-            with ServiceClient(srv.address, auth_token="hush") as client:
-                client.ping()  # still healthy
-        finally:
-            srv.stop()
-
-    def test_token_is_noop_on_open_server(self, service):
-        with ServiceClient(service.address, auth_token="anything") as client:
-            client.ping()
 
 
 class TestAdmissionControl:
@@ -685,54 +619,16 @@ class TestAdmissionControl:
 
 
 class TestAdversarialClients:
-    def test_oversized_frame_length_at_cap_drops_connection(self, service):
-        """A header claiming a payload over MAX_FRAME_BYTES gets the
-        connection dropped — and the server keeps serving others."""
-        import socket as socket_mod
-
-        from repro.parallel.dist import _FRAME_HEADER, FRAME_JOB, MAX_FRAME_BYTES
-
-        sock = socket_mod.create_connection(
-            (service.host, service.port), timeout=5.0
-        )
-        sock.settimeout(5.0)
-        try:
-            sock.sendall(_FRAME_HEADER.pack(b"PQCF", FRAME_JOB, MAX_FRAME_BYTES + 1))
-            assert sock.recv(1) == b""  # server hung up on us
-        finally:
-            sock.close()
-        with ServiceClient(service.address) as client:
-            client.ping()
-
     def test_garbage_job_payload_answered_with_typed_error(self, service):
-        from repro.parallel.dist import FRAME_JOB
+        from repro.parallel.frames import FRAME_JOB
 
         client = ServiceClient(service.address)
         try:
             with pytest.raises(ServiceError):
-                client._request(pack_frame(FRAME_JOB, b"\xff" * 64))
+                client.request(FRAME_JOB, b"\xff" * 64)
             client.ping()  # the connection survives
         finally:
             client.close()
-
-    def test_idle_connection_dropped_after_timeout(self):
-        import socket as socket_mod
-
-        srv = OptimizationService(
-            NamOracle(),
-            workers=2,
-            transport="threads",
-            idle_timeout_seconds=0.2,
-        ).start()
-        try:
-            sock = socket_mod.create_connection((srv.host, srv.port), timeout=5.0)
-            sock.settimeout(5.0)
-            try:
-                assert sock.recv(1) == b""  # slow-loris gets cut loose
-            finally:
-                sock.close()
-        finally:
-            srv.stop()
 
     def test_mid_job_disconnect_leaks_nothing(self):
         """A client that vanishes mid-job: the slot is released, the
@@ -763,7 +659,7 @@ class TestAdversarialClients:
             t.join(timeout=30)
             for _ in range(1000):
                 with srv._lock:
-                    drained = srv._jobs_active == 0 and not srv._conns
+                    drained = srv.jobs_active == 0 and not srv._conns
                 if drained:
                     break
                 time.sleep(0.005)
@@ -863,7 +759,7 @@ class TestClusterCacheFrames:
 
     def test_auth_gate_covers_cache_frames(self):
         from repro.parallel import CacheClient
-        from repro.parallel.dist import AuthenticationError
+        from repro.parallel.frames import AuthenticationError
 
         srv = OptimizationService(
             NamOracle(), workers=1, transport="threads", auth_token="secret"

@@ -1,0 +1,74 @@
+"""Dependency direction, checked on the source text.
+
+An ``ast`` scan (no module is imported, so nothing can hide behind an
+import that happens to succeed): ``repro.parallel`` sits below
+``repro.service`` and never imports it; inside ``repro/parallel`` every
+import of a sibling module is at module level (a function-level import
+is how an import cycle gets papered over); and
+``repro.service.client`` — what a ``popqc submit`` user imports — does
+not import ``repro.service.server`` and with it the daemon, the driver
+and the scheduler.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+def _imports(path: pathlib.Path):
+    """``(absolute module name, node, is at module level)`` for every
+    import statement in ``path``."""
+    tree = ast.parse(path.read_text())
+    package = ["repro", *path.relative_to(SRC).parts[:-1]]
+    top_level = set(tree.body)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, node, node in top_level
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            # ``from . import shm`` names the sibling in the alias
+            for alias in node.names:
+                yield f"{module}.{alias.name}", node, node in top_level
+            yield module, node, node in top_level
+
+
+def test_parallel_never_imports_service():
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "parallel").glob("*.py"))
+        for module, node, _ in _imports(path)
+        if module == "repro.service" or module.startswith("repro.service.")
+    ]
+    assert offenders == []
+
+
+def test_parallel_has_no_function_level_sibling_imports():
+    siblings = {
+        f"repro.parallel.{path.stem}" for path in (SRC / "parallel").glob("*.py")
+    }
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "parallel").glob("*.py"))
+        for module, node, top_level in _imports(path)
+        if not top_level
+        and (module in siblings or module.rpartition(".")[0] in siblings)
+    ]
+    assert offenders == []
+
+
+def test_service_client_does_not_import_the_server():
+    modules = {module for module, _, _ in _imports(SRC / "service" / "client.py")}
+    assert not any(m.startswith("repro.service.server") for m in modules)
+    assert not any(m.startswith("repro.core") for m in modules)
+
+
+def test_the_scan_sees_what_it_should():
+    """Guard the guard: the scan resolves relative imports and nesting."""
+    modules = {m: top for m, _, top in _imports(SRC / "parallel" / "executor.py")}
+    assert modules["repro.parallel.transports"] is True
+    assert modules["repro.parallel.shm"] is True  # ``from . import shm``
+    lazy = {m: top for m, _, top in _imports(SRC / "core" / "popqc.py")}
+    assert lazy["repro.sim"] is False  # popqc's function-level sim import
