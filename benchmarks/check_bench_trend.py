@@ -36,7 +36,9 @@ re-execution (``hit_speedup_vs_oracle``; tier-1 asserts only that the
 warm pass is all hits with zero oracle calls).
 
 The remaining parallel-transport numbers are recorded for the
-trajectory but not gated (2-vCPU shared runners make them races).
+trajectory but not gated (2-vCPU shared runners make them races); a
+record's ``dispatch`` section — where a default ``ProcessMap`` ran its
+rounds and the per-width cost table it learned — is printed beside them.
 
 **Service-load records** (``BENCH_service_load.json``, schema
 ``popqc-bench-service-load/v1``) gate four things:
@@ -410,6 +412,21 @@ def main(argv: list[str] | None = None) -> int:
             f"{lazy.get('bytes_skipped', 0)} bytes skipped, "
             f"skip fraction {lazy.get('decode_skip_fraction', 0.0):.2f}"
         )
+    dispatch = current.get("dispatch", {})
+    if dispatch:
+        print(
+            f"measured dispatch (ungated): {dispatch.get('inline_rounds', 0)} "
+            f"rounds inline / {dispatch.get('pool_rounds', 0)} pooled above "
+            f"the floor of {dispatch.get('floor', 0)}"
+        )
+        for width, row in dispatch.get("per_class", {}).items():
+            sides = ", ".join(
+                f"{side} {row[f'{side}_us_per_gate']:.2f} us/gate x "
+                f"{row[f'{side}_rounds']}"
+                for side in ("inline", "pool")
+                if f"{side}_rounds" in row
+            )
+            print(f"  width class {width:>2}: {sides}")
     service = current.get("service", {})
     if service:
         speedup = service.get("hit_speedup_vs_oracle", 0.0)

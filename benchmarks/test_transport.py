@@ -14,7 +14,8 @@ same packed bytes as length-prefixed frames over TCP to worker hosts
 multi-worker cluster.  These benchmarks measure all five wire formats
 on the segment stream of a ≥20k-gate circuit, prove the transports
 byte-identical end to end, compare the two rule-engine
-implementations, record what lazy result decode skipped, and emit a
+implementations, record what lazy result decode skipped and where a
+default-constructed ``ProcessMap`` chose to run its rounds, and emit a
 machine-readable ``BENCH_transport.json`` (schema v5) that CI uploads
 on every push and diffs against the committed baseline (see
 ``benchmarks/README.md``).
@@ -345,6 +346,39 @@ def _lazy_decode_record() -> dict:
     }
 
 
+#: Round widths of the ``dispatch`` record: one class of the cost model
+#: each, from the whole 100-segment stream down to just above the floor;
+#: enough passes that every class has probed its dearer side once.
+DISPATCH_WIDTHS = (100, 48, 24, 12, 6, 3)
+DISPATCH_PASSES = 20
+
+
+def _dispatch_record() -> dict:
+    """Where a default-constructed ``ProcessMap`` (no ``serial_cutoff``:
+    rounds above the floor of 2 are placed by measured cost) sent the
+    rounds of ``DISPATCH_PASSES`` passes over prefixes of the segment
+    stream, and the per-class table its cost model learned on this
+    host — the input a calibrated ``SimulatedParallelism`` projection
+    needs.  A timing, so recorded and printed, never gated."""
+    pm = ProcessMap(SMOKE_WORKERS, transport="encoded")
+    try:
+        for _ in range(DISPATCH_PASSES):
+            for width in DISPATCH_WIDTHS:
+                pm.map_segments(ORACLE, SEGMENTS[:width])
+        counters = pm.counters()
+        return {
+            "workload": "prefixes of the segment stream, widest first, "
+            f"{DISPATCH_PASSES} passes, default ProcessMap",
+            "floor": pm.serial_cutoff,
+            "rounds": DISPATCH_PASSES * len(DISPATCH_WIDTHS),
+            "inline_rounds": counters["inline_rounds"],
+            "pool_rounds": counters["pool_dispatches"],
+            "per_class": pm.cost_model.table(),  # JSON turns the widths into strings
+        }
+    finally:
+        pm.close()
+
+
 def test_engines_agree_on_fixpoints_per_segment():
     """Acceptance, behavioural: on every segment of the stream the two
     rule engines stop at fixpoints of equal length that the simulator
@@ -592,6 +626,7 @@ def test_five_way_comparison_emits_bench_json(
 
     engines = engine_results
     lazy = _lazy_decode_record()
+    dispatch = _dispatch_record()
 
     record = {
         "schema": "popqc-bench-transport/v5",
@@ -611,6 +646,7 @@ def test_five_way_comparison_emits_bench_json(
         "results": results,
         "oracle_engine": engines,
         "lazy_decode": lazy,
+        "dispatch": dispatch,
         "service": service_results,
         "cluster_cache": cluster_cache_results,
         "derived": {
@@ -660,6 +696,11 @@ def test_five_way_comparison_emits_bench_json(
     # skipped decode bytes
     assert lazy["bytes_skipped"] > 0
     assert lazy["results_decoded"] == 0
+    # every round above the floor ran on exactly one side, the first in
+    # the pool, and each width landed in a class of its own
+    assert dispatch["inline_rounds"] + dispatch["pool_rounds"] == dispatch["rounds"]
+    assert dispatch["pool_rounds"] >= 1
+    assert len(dispatch["per_class"]) == len(DISPATCH_WIDTHS)
     # the service section must come from a fully warm cache
     assert service_results["hit_rate_after_warmup"] == 1.0
     assert service_results["cache_entries"] > 0

@@ -22,8 +22,10 @@ The POPQC driver reaches an executor through one seam,
 go in as ids into the driver's gate table and come back in the wire
 format, staying there until a driver reads them — the acceptance test
 needs only ``len()`` (the packed header), so rejected oracle outputs
-are never decoded (:class:`DecodeStats`).  Chunk and batch sizes adapt
-to measured per-segment oracle time (:func:`adaptive_chunksize` /
+are never decoded (:class:`DecodeStats`).  Whether a round leaves the
+parent at all is measured, not configured (:class:`RoundCostModel`:
+placement follows the clock, output never does); chunk and batch sizes
+adapt to the same measurements (:func:`adaptive_chunksize` /
 :func:`batch_segments`), and every task carries an oracle generation
 token so a stale worker fails loudly (:class:`StaleOracleError`).
 
@@ -61,6 +63,7 @@ from .frames import (
 from .hostpool import SocketHostPool, WorkerUnavailableError
 from .results import DecodeStats, LazySegmentResult
 from .scheduling import (
+    RoundCostModel,
     adaptive_chunksize,
     batch_segments,
     greedy_makespan,
@@ -86,6 +89,7 @@ __all__ = [
     "ParallelMap",
     "ProcessMap",
     "RemoteOracleError",
+    "RoundCostModel",
     "SegmentExecutor",
     "SerialMap",
     "ShmArenaPool",

@@ -10,10 +10,10 @@ the :class:`ParallelMap` protocol, with these implementations:
   useful when the oracle releases the GIL (numpy-heavy cost functions).
 * :class:`ProcessMap` — real multicore (or multi-host) execution.
   Beyond the generic :meth:`ProcessMap.map` it has the *oracle
-  transport* seam, :meth:`ProcessMap.map_segments`: rounds below the
-  inline cutoff stay in the parent, the rest are cut into batches and
-  handed to the :class:`~repro.parallel.transports.Transport` that
-  ``transport=`` names.  This is the CPython analogue of Rayon handing
+  transport* seam, :meth:`ProcessMap.map_segments`: a round runs in
+  the parent when that is measured to be cheaper, else it is cut into
+  batches and handed to the :class:`~repro.parallel.transports.Transport`
+  that ``transport=`` names.  This is the CPython analogue of Rayon handing
   a borrowed slice to a worker: the per-round IPC cost is a few
   buffers, not ``O(gates)`` pickle opcodes plus a fresh copy of the
   oracle.
@@ -42,7 +42,7 @@ from ..circuits.gate import Gate
 from . import shm
 from .frames import oracle_blob_digest
 from .results import DecodeStats, LazySegmentResult
-from .scheduling import adaptive_chunksize, batch_segments
+from .scheduling import RoundCostModel, adaptive_chunksize, batch_segments
 from .transports import TRANSPORTS, Transport, WorkerPool
 
 T = TypeVar("T")
@@ -329,9 +329,14 @@ class ProcessMap:
     """Process-pool map for genuine multicore execution.
 
     Tasks and results cross process boundaries, so ``fn`` and the items
-    must be picklable.  Small batches fall back to serial execution to
-    avoid paying IPC costs for trivial rounds (the same adaptive idea as
-    Rayon's loop splitting, which the paper relies on).
+    must be picklable.  A round leaves the parent only when that pays:
+    :meth:`map_segments` times every round it runs, inline or through
+    the transport, and asks a :class:`~repro.parallel.scheduling.
+    RoundCostModel` which side is cheaper for a round of that width
+    (the grain control the paper gets from Rayon's loop splitting).
+    Placement therefore depends on the clock and differs run to run;
+    the results never do — a segment's result is the same bytes
+    wherever it is computed.
 
     Parameters
     ----------
@@ -340,7 +345,11 @@ class ProcessMap:
         count — one dispatcher per connection — on the socket
         transport).
     serial_cutoff:
-        Batches of at most this many items run inline in the parent.
+        ``None`` (default): rounds of at most 2 segments run inline and
+        every wider one where the cost model predicts it cheaper.  An
+        int fixes the rule — at most this many items inline, the rest
+        through the pool — and the model is never asked.  The attribute
+        is always the int floor.
     transport:
         Wire format for :meth:`map_segments`, a key of
         :data:`~repro.parallel.transports.TRANSPORTS` (that module
@@ -385,10 +394,17 @@ class ProcessMap:
         it packs the same bytes the wire would carry.  Result
         *decoding* is lazy and attributed to whoever reads the gates,
         not counted here.
+    cost_model:
+        The :class:`~repro.parallel.scheduling.RoundCostModel` every
+        timed round feeds; also the per-segment time estimate behind
+        the batch plan.
     pool_dispatches:
         Number of :meth:`map` / :meth:`map_segments` calls that
-        actually crossed into a pool (batches at or below
-        ``serial_cutoff`` run inline and don't count).
+        actually crossed into a pool.
+    inline_rounds / inline_segments:
+        :meth:`map_segments` rounds wider than ``serial_cutoff`` that
+        ran in the parent all the same, and the segments they held
+        (rounds at or below the floor count as neither).
     batch_dispatches / segments_batched:
         Batches the round plans cut and segments they carried; their
         ratio is the mean batch width.  A batch is one pool task on
@@ -404,7 +420,7 @@ class ProcessMap:
     def __init__(
         self,
         workers: int | None = None,
-        serial_cutoff: int = 2,
+        serial_cutoff: int | None = None,
         transport: str = "encoded",
         hosts: Sequence[str] | None = None,
         cache: object | None = None,
@@ -435,16 +451,19 @@ class ProcessMap:
         #: The socket transport's host list (it edits this very list as
         #: hosts join and leave); empty on every other transport.
         self.hosts = list(hosts or ())
-        self.serial_cutoff = serial_cutoff
+        self.serial_cutoff = 2 if serial_cutoff is None else serial_cutoff
+        self._measured = serial_cutoff is None
+        self.cost_model = RoundCostModel()
         self.transport = transport
         self.cache = cache
         self.serialization_time = 0.0
         self.last_serialization_time = 0.0
         self.pool_dispatches = 0
+        self.inline_rounds = 0
+        self.inline_segments = 0
         self.batch_dispatches = 0
         self.segments_batched = 0
         self.last_batch_sizes: list[int] = []
-        self._task_seconds_est = 0.0
         self._decode_stats = DecodeStats()
         self._front = (
             CacheFront(cache, self._decode_stats) if cache is not None else None
@@ -526,12 +545,23 @@ class ProcessMap:
         oracle: Callable[[list[Gate]], list[Gate]],
         segments: Sequence[LazySegmentResult],
     ) -> list:
-        """Inline under the cutoff; else plan the round's batches, hand
-        them to the transport and book what it reports."""
+        """Run the round in the parent — at or below the cutoff, or
+        where the cost model says so — or plan its batches and hand them
+        to the transport; either way, time it and tell the model."""
         n = len(segments)
-        if n <= self.serial_cutoff:
-            return [oracle(seg.gates()) for seg in segments]
-        plan = batch_segments(n, self.workers, self._task_seconds_est)
+        gates = sum(map(len, segments))
+        model = self.cost_model
+        above = n > self.serial_cutoff
+        started = time.perf_counter()
+        if not above or (self._measured and model.choose(n) == "inline"):
+            results = [oracle(seg.gates()) for seg in segments]
+            model.observe("inline", n, gates, time.perf_counter() - started)
+            if above:
+                self.inline_rounds += 1
+                self.inline_segments += n
+            return results
+        task_seconds = (model.estimate("inline", n) or 0.0) * gates / n
+        plan = batch_segments(n, self.workers, task_seconds)
         self.last_batch_sizes = [end - start for start, end in plan]
         self.pool_dispatches += 1
         self.batch_dispatches += len(plan)
@@ -540,26 +570,9 @@ class ProcessMap:
             oracle, segments, plan
         )
         self._note_serialization(serialization)
-        if pool_seconds is not None:
-            self._observe(pool_seconds, n, max(self.last_batch_sizes))
+        if pool_seconds is not None:  # a cold pool's spawn is not a round's cost
+            model.observe("pool", n, gates, time.perf_counter() - started)
         return results
-
-    def _observe(self, elapsed: float, items: int, chunk: int) -> None:
-        """Feed the adaptive chunking policy with measured per-task time.
-
-        ``elapsed`` is parallel wall-clock, so one task's duration is
-        roughly ``elapsed × parallelism / items``; parallelism is
-        bounded by both the pool size and the number of chunks.  Using
-        the bound errs toward over-estimating task time, i.e. toward
-        the balance-oriented chunk — the safe direction.  Cold-pool
-        calls (worker spawn inflates ``elapsed``) are not observed.
-        """
-        parallelism = min(self.workers, -(-items // max(1, chunk)))
-        per_task = elapsed * parallelism / items
-        if self._task_seconds_est == 0.0:
-            self._task_seconds_est = per_task
-        else:
-            self._task_seconds_est = 0.7 * self._task_seconds_est + 0.3 * per_task
 
     def counters(self) -> dict:
         """Every counter of this executor in one mapping: dispatch and
@@ -567,6 +580,8 @@ class ProcessMap:
         ``cache`` — the cache front's."""
         return {
             "pool_dispatches": self.pool_dispatches,
+            "inline_rounds": self.inline_rounds,
+            "inline_segments": self.inline_segments,
             "batch_dispatches": self.batch_dispatches,
             "segments_batched": self.segments_batched,
             "serialization_time": self.serialization_time,

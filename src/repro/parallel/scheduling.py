@@ -1,6 +1,6 @@
 """Scheduling policies for the parallel executors.
 
-Two concerns live here:
+Three concerns live here:
 
 * **Makespan models** for the simulated-parallelism executor.  Greedy
   (Graham) list scheduling assigns each task, in arrival order, to the
@@ -8,14 +8,18 @@ Two concerns live here:
   and — more importantly for our purposes — it models what a
   work-stealing fork-join runtime (Rayon in the paper's implementation)
   achieves on a parallel map whose iterations have heterogeneous costs.
-* **Adaptive chunking** for the real process pool.  A chunk must be
-  large enough that per-chunk dispatch overhead (pickle + pipe + wakeup)
-  is amortized by useful oracle work, yet small enough that every
-  worker gets several chunks for load balancing — the same trade-off
-  Rayon's adaptive loop splitting resolves dynamically.
-  :func:`adaptive_chunksize` resolves it from a measured per-task time
-  estimate fed back by the executor.  :func:`batch_segments` is the
-  same policy expressed as an explicit plan: it partitions a round's
+* **Grain control** for the real process pool, the job Rayon's adaptive
+  loop splitting does for the paper: :class:`RoundCostModel` learns what
+  a round costs in the parent and what it costs through the pool, per
+  round width, and says which is cheaper.  Where a round runs depends
+  on measured time and is not reproducible; what it returns does not.
+* **Adaptive chunking** of the rounds that do go to the pool.  A chunk
+  must be large enough that per-chunk dispatch overhead (pickle + pipe
+  + wakeup) is amortized by useful oracle work, yet small enough that
+  every worker gets several chunks for load balancing.
+  :func:`adaptive_chunksize` resolves it from the model's measured
+  inline seconds per segment.  :func:`batch_segments` is the same
+  policy expressed as an explicit plan: it partitions a round's
   segment indices into contiguous per-task batches, which the
   shared-memory transport ships as ``(arena, start, end)`` descriptors
   — one pool task per batch instead of one per segment, cutting
@@ -25,9 +29,10 @@ Two concerns live here:
 from __future__ import annotations
 
 import heapq
-from typing import Sequence
+from typing import Optional, Sequence
 
 __all__ = [
+    "RoundCostModel",
     "adaptive_chunksize",
     "batch_segments",
     "greedy_makespan",
@@ -44,6 +49,81 @@ DISPATCH_OVERHEAD_SECONDS = 5e-4
 #: slack to balance heterogeneous oracle calls (Graham's bound improves
 #: as the longest chunk shrinks relative to the makespan).
 CHUNKS_PER_WORKER = 4
+
+#: Rounds of a width class between two probes of its dearer side: the
+#: first interval, and the cap it doubles up to while the dearer side
+#: stays dearer.
+PROBE_INTERVAL = 16
+MAX_PROBE_INTERVAL = 256
+
+
+class RoundCostModel:
+    """Where a round is cheaper: ``"inline"`` in the parent or through
+    the ``"pool"``.
+
+    Rounds are classed by width (``segments.bit_length()``).  Per class
+    and side the model keeps an exponentially weighted mean of measured
+    seconds per gate (:meth:`observe`) and how many rounds fed it;
+    :meth:`choose` names the cheaper side, except that the dearer one is
+    re-measured once every :data:`PROBE_INTERVAL` rounds of the class —
+    an interval that doubles, up to :data:`MAX_PROBE_INTERVAL`, for as
+    long as the same side stays dearer.  A class with no measurement of
+    a side borrows the nearest class that has one; while no class has
+    one, the pool goes first and inline second, so an executor's first
+    wide round is what starts its workers.
+    """
+
+    def __init__(self) -> None:
+        #: side -> width class -> [seconds per gate, rounds observed]
+        self._cost: dict[str, dict[int, list]] = {"inline": {}, "pool": {}}
+        #: width class -> [dearer side, rounds until its probe, interval]
+        self._probe: dict[int, list] = {}
+
+    def estimate(self, where: str, segments: int) -> Optional[float]:
+        """Seconds per gate of a ``segments``-wide round run ``where``
+        (the nearest measured class's), ``None`` with nothing measured."""
+        costs, width = self._cost[where], segments.bit_length()
+        if not costs:
+            return None
+        return costs[min(costs, key=lambda c: (abs(c - width), c))][0]
+
+    def choose(self, segments: int) -> str:
+        """The side a ``segments``-wide round should run on."""
+        inline = self.estimate("inline", segments)
+        pool = self.estimate("pool", segments)
+        if pool is None or inline is None:
+            return "pool" if pool is None else "inline"
+        cheaper, dearer = ("inline", "pool") if inline <= pool else ("pool", "inline")
+        width = segments.bit_length()
+        probe = self._probe.get(width)
+        if probe is None or probe[0] != dearer:  # the sides swapped: start over
+            probe = self._probe[width] = [dearer, PROBE_INTERVAL, PROBE_INTERVAL]
+        probe[1] -= 1
+        if probe[1] > 0:
+            return cheaper
+        probe[1] = probe[2] = min(2 * probe[2], MAX_PROBE_INTERVAL)
+        return dearer
+
+    def observe(self, where: str, segments: int, gates: int, seconds: float) -> None:
+        """Record that a round of ``segments`` segments holding ``gates``
+        gates took ``seconds`` on side ``where``."""
+        if gates <= 0:
+            return
+        entry = self._cost[where].setdefault(segments.bit_length(), [None, 0])
+        per_gate = seconds / gates
+        entry[0] = per_gate if entry[0] is None else 0.7 * entry[0] + 0.3 * per_gate
+        entry[1] += 1
+
+    def table(self) -> dict[int, dict]:
+        """What was learned, per width class: ``<side>_us_per_gate`` and
+        ``<side>_rounds`` for each side the class has run on."""
+        rows: dict[int, dict] = {}
+        for side, costs in self._cost.items():
+            for width, (per_gate, rounds) in costs.items():
+                row = rows.setdefault(width, {})
+                row[f"{side}_us_per_gate"] = per_gate * 1e6
+                row[f"{side}_rounds"] = rounds
+        return dict(sorted(rows.items()))
 
 
 def adaptive_chunksize(

@@ -1,9 +1,10 @@
 """The oracle transports: how one planned round reaches the workers.
 
 :class:`~repro.parallel.ProcessMap` decides *whether* a round leaves
-the parent (the inline cutoff), *how it is cut* (the
-:func:`~repro.parallel.scheduling.batch_segments` plan) and what is
-cached; a :class:`Transport` decides *how the bytes travel*.  Each wire
+the parent (the inline floor, and above it the measured
+:class:`~repro.parallel.scheduling.RoundCostModel`), *how it is cut*
+(the :func:`~repro.parallel.scheduling.batch_segments` plan) and what
+is cached; a :class:`Transport` decides *how the bytes travel*.  Each wire
 format is one small class that owns its own state and its own
 counters, and :data:`TRANSPORTS` is the registry ``transport=`` names
 are looked up in:
@@ -72,8 +73,8 @@ Plan = Sequence[tuple[int, int]]
 
 #: What :meth:`Transport.run_round` returns: the lazy results in
 #: segment order, the parent-side seconds spent serializing, and the
-#: seconds the workers held the round — ``None`` when that interval
-#: says nothing about task time (a cold pool, or no pool).
+#: seconds the workers held the round — ``None`` when the round had to
+#: start its pool, so its duration says nothing about a round's cost.
 RoundResult = tuple[list[LazySegmentResult], float, Optional[float]]
 
 
@@ -500,7 +501,8 @@ class ThreadsTransport:
 
     def run_round(self, oracle, segments, plan) -> RoundResult:
         """One pool task per segment, each timed."""
-        if self._pool is None:
+        warm = self._pool is not None
+        if not warm:
             self._pool = ThreadPoolExecutor(max_workers=self.workers)
         t_round = time.perf_counter()
         if getattr(oracle, "packed_native", False):
@@ -521,9 +523,10 @@ class ThreadsTransport:
 
         outs = list(self._pool.map(task, items))
         results = [wrap(out) for out, _ in outs]
-        self.wall_seconds += time.perf_counter() - t_round - ser
+        wall = time.perf_counter() - t_round - ser
+        self.wall_seconds += wall
         self.task_seconds += sum(seconds for _, seconds in outs)
-        return results, ser, None
+        return results, ser, wall if warm else None
 
     def counters(self) -> dict:
         """Summed per-task oracle seconds vs. pool wall seconds."""

@@ -24,10 +24,10 @@ module multiplexes the jobs onto it:
   cache-missing outputs as packed bytes on the way out, and each job's
   driver resumes.
 
-Merging is opportunistic: the dispatcher grabs whatever requests are
-pending (after a short gather window, giving concurrent jobs that are
-mid-round a beat to arrive) and never delays a lone request by more
-than that window.
+Merging is opportunistic: an idle dispatcher runs a lone request at
+once, and whatever arrives while that fleet round is in flight merges
+into the next one.  (A positive ``gather_window_seconds`` makes it
+linger that long before every round instead.)
 
 Merged rounds are **weighted-fair**, not all-you-can-eat: each fleet
 round carries at most ``round_budget_segments`` segments, split
@@ -110,9 +110,9 @@ class FleetScheduler:
         view consults before any segment is queued for dispatch.
     gather_window_seconds:
         How long the dispatcher waits, after the first pending request,
-        for concurrent jobs' rounds to arrive and merge.  The cost of a
-        lone job's round is bounded by this; the win is whole-fleet
-        batching for overlapping jobs.
+        for concurrent jobs' rounds to arrive and merge.  Every fleet
+        round pays it, so the default is 0: requests that arrive during
+        a round merge into the next one anyway.
     round_budget_segments:
         The most segments one merged fleet round may carry — the
         weighted-fair quantum.  ``None`` (default) computes
@@ -134,7 +134,7 @@ class FleetScheduler:
         self,
         fleet,
         cache: Optional[SegmentCache] = None,
-        gather_window_seconds: float = 0.002,
+        gather_window_seconds: float = 0.0,
         round_budget_segments: Optional[int] = None,
     ):
         if round_budget_segments is not None and round_budget_segments < 1:
@@ -222,8 +222,10 @@ class FleetScheduler:
             raise req.error
         return req.results
 
-    def _round_budget(self) -> int:
-        """The segment quantum of one merged fleet round."""
+    @property
+    def round_budget(self) -> int:
+        """The segment quantum of one merged fleet round (also the
+        backlog past which the service's autoscaler adds a worker)."""
         if self.round_budget_segments is not None:
             return self.round_budget_segments
         return max(16, 4 * self.fleet.workers)
@@ -255,7 +257,7 @@ class FleetScheduler:
                 return []
             lead = self._pending[0].oracle
             group = [r for r in self._pending if r.oracle is lead]
-            budget = self._round_budget()
+            budget = self.round_budget
             total_weight = sum(r.weight for r in group)
             parts: list[tuple[_RoundRequest, int, int]] = []
             left = budget

@@ -191,7 +191,8 @@ class OptimizationService(FrameServer):
         (or its disk store) needs no namespace of its own and is
         interchangeable with the ``ProcessMap(cache=...)`` path.
     gather_window_seconds:
-        Cross-job merge window of the round scheduler.
+        Cross-job merge window of the round scheduler (default 0:
+        dispatch at once, merge what arrives during a round).
     round_budget_segments:
         Weighted-fair quantum of one merged fleet round (see
         :class:`~repro.service.scheduler.FleetScheduler`).
@@ -248,7 +249,7 @@ class OptimizationService(FrameServer):
         transport: str = "encoded",
         hosts: Optional[Sequence[str]] = None,
         cache: object = None,
-        gather_window_seconds: float = 0.002,
+        gather_window_seconds: float = 0.0,
         round_budget_segments: Optional[int] = None,
         auth_token: Optional[str] = None,
         max_active_jobs: Optional[int] = None,
@@ -319,6 +320,7 @@ class OptimizationService(FrameServer):
             all_hosts += [worker.address for worker in self._spawned]
             fleet = ProcessMap(
                 workers,
+                serial_cutoff=2,  # fixed: inline work would stall the one dispatcher
                 transport=transport,
                 hosts=all_hosts if transport == "socket" else hosts,
                 auth_token=auth_token if transport == "socket" else None,
@@ -440,10 +442,8 @@ class OptimizationService(FrameServer):
         queue and no active jobs, so a short lull between rounds of
         one job never churns the fleet.
         """
-        fleet = self._scheduler.fleet
         backlog = self._scheduler.pending_segments
-        round_budget = max(16, 4 * fleet.workers)
-        if backlog > round_budget:
+        if backlog > self._scheduler.round_budget:
             self._idle_windows = 0
             self.scale_up()
             return

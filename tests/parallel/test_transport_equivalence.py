@@ -9,10 +9,20 @@ byte-identical optimized circuits plus identical round/oracle
 accounting.  The socket transport additionally gets the lazy-decode
 spy pin of ``tests/parallel/test_lazy_decode.py``: results crossing a
 TCP wire must stay packed until a rewrite is actually accepted.
+
+Above its floor a default ``ProcessMap`` places each round by measured
+time, so which rounds cross the wire differs run to run; the property
+at the end of this file replaces the clock with drawn placement
+patterns and requires the same bytes and the same dynamics under every
+one of them.
 """
 
-import pytest
+import functools
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.benchgen import generate
 from repro.circuits import encoding, random_redundant_circuit, to_qasm
 from repro.core import popqc
 from repro.oracles import IdentityOracle, NamOracle
@@ -220,3 +230,91 @@ def test_inline_fallback_reported_when_nothing_dispatched():
         pm.close()
     assert res.stats.transport == "inline"
     assert res.stats.serialization_time == 0.0
+
+
+# -- placement never changes output --------------------------------------------
+
+
+class _PatternModel:
+    """Stands in for the executor's cost model: the i-th round it is
+    asked about goes where bit ``i`` (cyclically) of ``bits`` says."""
+
+    def __init__(self, bits):
+        self.bits = bits
+        self.placed = []
+
+    def choose(self, segments):
+        side = "pool" if self.bits[len(self.placed) % len(self.bits)] else "inline"
+        self.placed.append(side)
+        return side
+
+    def observe(self, where, segments, gates, seconds):
+        pass
+
+    def estimate(self, where, segments):
+        return None
+
+
+@pytest.fixture(scope="module")
+def measured_map():
+    """One default-cutoff pool for every example (its workers stay up)."""
+    pm = ProcessMap(2, transport="encoded")
+    yield pm
+    pm.close()
+
+
+def _drawn_circuit(which):
+    if isinstance(which, str):
+        return generate(which, 0, seed=0)
+    qubits, gates, seed = which
+    return random_redundant_circuit(qubits, gates, seed=seed, redundancy=0.5)
+
+
+@functools.lru_cache(maxsize=None)
+def _serial_run(which, omega):
+    return popqc(_drawn_circuit(which), NamOracle(), omega)
+
+
+_CIRCUITS = st.one_of(
+    st.sampled_from(["Grover", "Shor"]),
+    st.tuples(st.integers(3, 7), st.integers(40, 400), st.integers(0, 10**6)),
+)
+_PATTERNS = st.one_of(
+    st.just([0]), st.just([1]), st.lists(st.integers(0, 1), min_size=2, max_size=24)
+)
+
+
+@settings(max_examples=25)
+@given(_CIRCUITS, _PATTERNS, st.sampled_from([8, 25]))
+@example("Grover", [0], 25)
+@example("Grover", [1], 25)
+@example("Shor", [0, 1, 1, 0, 0, 0, 1], 25)
+def test_placement_pattern_never_changes_output(measured_map, which, bits, omega):
+    """All-inline, all-pool or any mix of the two: same QASM, same
+    rounds, same per-round dynamics as ``SerialMap``, every round above
+    the floor counted on exactly one side, and only the accepted pooled
+    results ever decoded."""
+    want = _serial_run(which, omega)
+    measured_map.cost_model = model = _PatternModel(bits)
+    got = popqc(_drawn_circuit(which), NamOracle(), omega, parmap=measured_map)
+
+    assert to_qasm(got.circuit) == to_qasm(want.circuit)
+    assert got.stats.rounds == want.stats.rounds
+    assert got.stats.oracle_calls == want.stats.oracle_calls
+
+    def dynamics(stats):
+        return [(r.fingers, r.selected, r.accepted) for r in stats.per_round]
+
+    assert dynamics(got.stats) == dynamics(want.stats)
+    above = [r for r in got.stats.per_round if r.selected > measured_map.serial_cutoff]
+    counters = got.stats.counters
+    assert len(model.placed) == len(above)
+    assert counters["inline_rounds"] == model.placed.count("inline")
+    assert counters["pool_dispatches"] == model.placed.count("pool")
+    assert counters["inline_segments"] == sum(
+        r.selected for r, side in zip(above, model.placed) if side == "inline"
+    )
+    assert counters["results_decoded"] == sum(
+        r.accepted for r, side in zip(above, model.placed) if side == "pool"
+    )
+    assert got.stats.transport == ("encoded" if "pool" in model.placed else "inline")

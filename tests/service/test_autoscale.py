@@ -225,6 +225,24 @@ class TestAutoscalePolicy:
             srv.stop()
 
 
+    def test_scale_up_threshold_is_the_round_budget(self, monkeypatch):
+        """The backlog that adds a worker is the fair-share quantum the
+        scheduler was configured with, not a second copy of its default."""
+        srv = _elastic_service(round_budget_segments=64)
+        backlog = [40]
+        monkeypatch.setattr(
+            type(srv._scheduler), "pending_segments", property(lambda _: backlog[0])
+        )
+        try:
+            srv._autoscale_tick()
+            assert srv.scale_ups == 0  # under one budget: the fleet is keeping up
+            backlog[0] = 65
+            srv._autoscale_tick()
+            assert srv.scale_ups == 1
+        finally:
+            srv.stop()
+
+
 @pytest.mark.service
 class TestSubprocessSpawner:
     def test_default_spawner_runs_real_workers(self):

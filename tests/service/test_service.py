@@ -296,7 +296,7 @@ class TestServerLifecycle:
     def test_scheduler_close_fails_pending_cleanly(self):
         from repro.parallel import ProcessMap
 
-        sched = FleetScheduler(ProcessMap(2, transport="threads"))
+        sched = FleetScheduler(ProcessMap(2, serial_cutoff=2, transport="threads"))
         sched.close()
         with pytest.raises(RuntimeError, match="closed"):
             sched.run_round(NamOracle(), [CIRCUIT_B.gates[:10]] * 4)
@@ -306,7 +306,7 @@ class TestServerLifecycle:
 def test_fleet_view_label_and_serial_map():
     from repro.parallel import ProcessMap
 
-    sched = FleetScheduler(ProcessMap(2, transport="threads"))
+    sched = FleetScheduler(ProcessMap(2, serial_cutoff=2, transport="threads"))
     try:
         view = sched.view()
         assert view.workers == 2

@@ -125,6 +125,25 @@ class TestTransportGate:
         assert trend.main([write("ok.json", with_service(3.5)), base]) == 0
         assert trend.main([write("slow.json", with_service(2.5)), base]) == 1
 
+    def test_dispatch_section_is_printed_never_gated(self, write, capsys):
+        record = _transport_record()
+        record["dispatch"] = {
+            "floor": 2,
+            "inline_rounds": 110,
+            "pool_rounds": 10,
+            "per_class": {
+                "3": {"inline_us_per_gate": 2.0, "inline_rounds": 19},
+                "7": {"inline_us_per_gate": 9.0, "inline_rounds": 1,
+                      "pool_us_per_gate": 4.5, "pool_rounds": 19},
+            },
+        }
+        base = write("base.json", _transport_record())
+        assert trend.main([write("cur.json", record), base]) == 0
+        out = capsys.readouterr().out
+        assert "110 rounds inline / 10 pooled above the floor of 2" in out
+        assert "width class  3: inline 2.00 us/gate x 19\n" in out
+        assert "width class  7: inline 9.00 us/gate x 1, pool 4.50 us/gate x 19" in out
+
     def test_validate_only_rejected_for_transport(self, write):
         cur = write("cur.json", _transport_record())
         assert trend.main([cur, "--validate-only"]) == 2

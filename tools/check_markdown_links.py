@@ -36,8 +36,12 @@ _BACKTICK_PATH = re.compile(
 _SKIP_DIRS = {".git", "__pycache__", ".venv", "venv", "node_modules", ".ruff_cache"}
 
 #: Harness-generated inputs, not repo documentation: their shorthand
-#: pointers (and upstream image links) are outside our control.
-_SKIP_FILES = {"ISSUE.md", "ROADMAP.md", "SNIPPETS.md", "PAPER.md", "PAPERS.md"}
+#: pointers (and upstream image links) are outside our control.  And the
+#: change log, whose entries name files as they were when written —
+#: package-relative, and including ones later PRs deleted.
+_SKIP_FILES = {
+    "ISSUE.md", "ROADMAP.md", "SNIPPETS.md", "PAPER.md", "PAPERS.md", "CHANGES.md",
+}
 
 #: Backticked paths that name generated artifacts (or sit under a
 #: ``DIR`` placeholder) rather than committed files are allowed to be
