@@ -66,7 +66,7 @@ ORACLE = NamOracle()
 @pytest.fixture(scope="module")
 def bench_json(tmp_path_factory) -> Path:
     """Where the machine-readable benchmark record lands:
-    ``$BENCH_TRANSPORT_OUT`` (CI's bench-trend job names the repo-root
+    ``$BENCH_TRANSPORT_OUT`` (CI's transport-trend job names the repo-root
     file it uploads and gates), else a pytest temp dir, so a plain
     test run leaves the checkout clean."""
     out = os.environ.get("BENCH_TRANSPORT_OUT")
@@ -466,7 +466,7 @@ def test_cache_hits_resolve_10x_faster_than_oracle(service_results):
     repeated segment without the oracle, byte-identically.  The ≥10x
     wall-clock floor on ``hit_speedup_vs_oracle`` is a timing, so it is
     gated on the emitted record by ``benchmarks/check_bench_trend.py``
-    (the bench-trend job), not asserted in tier-1."""
+    (the transport-trend job), not asserted in tier-1."""
     assert service_results["cold_oracle_calls"] == len(SEGMENTS)
     assert service_results["hit_rate_after_warmup"] == 1.0
     assert service_results["warm_oracle_calls"] == 0

@@ -4,10 +4,6 @@ Subcommands:
 
 * ``optimize FILE.qasm`` — optimize a QASM circuit and write the result;
 * ``bench FAMILY`` — generate and optimize a benchmark instance;
-* ``bench serve`` — replay the deterministic latency-SLO load suite
-  against a live daemon and emit ``BENCH_service_load.json``
-  (:mod:`repro.service.loadgen`); ``--print-schedule`` dumps the
-  seed's canonical traffic manifest offline;
 * ``worker`` — serve oracle segments over TCP for the distributed
   socket transport (``--transport socket --hosts ...`` on the driver
   side);
@@ -101,6 +97,17 @@ def _make_parmap(spec: str, transport: str | None = None, hosts: str | None = No
     raise SystemExit(f"unknown executor spec: {spec!r}")
 
 
+def _run_popqc(circuit, args):
+    """``popqc`` on the executor ``args`` names, closed before returning."""
+    parmap = _make_parmap(args.executor, args.transport, args.hosts)
+    try:
+        return popqc(
+            circuit, NamOracle(engine=args.oracle_engine), args.omega, parmap=parmap
+        )
+    finally:
+        parmap.close()
+
+
 def _load_circuit(spec: str):
     """Load ``FAMILY[:size]`` from the registry or a QASM path."""
     if ":" in spec or spec in family_names():
@@ -108,65 +115,6 @@ def _load_circuit(spec: str):
         if name in family_names():
             return generate(name, int(size) if size else 0)
     return read_qasm(spec)
-
-
-def _bench_serve(args) -> int:
-    """Run ``popqc bench serve``: the latency-SLO load harness.
-
-    ``--print-schedule`` dumps the seed's canonical traffic manifest
-    (no server needed); otherwise the three-phase SLO suite replays
-    against ``--server`` and the schema-v1 record lands at ``--out``.
-    """
-    import json
-
-    from .service.loadgen import (
-        default_mixes,
-        run_slo_suite,
-        schedule_manifest,
-    )
-
-    if args.print_schedule:
-        mixes = default_mixes(args.smoke, clients=args.clients)
-        sys.stdout.write(schedule_manifest(list(mixes.values()), args.seed))
-        return 0
-    if not args.server:
-        print(
-            "bench serve needs --server HOST:PORT "
-            "(or --print-schedule for the offline manifest)",
-            file=sys.stderr,
-        )
-        return 2
-    record = run_slo_suite(
-        args.server,
-        seed=args.seed,
-        auth_token=args.auth_token,
-        smoke=args.smoke,
-        time_scale=args.time_scale,
-        clients=args.clients,
-    )
-    with open(args.out, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    for name, mix in record["mixes"].items():
-        lat = mix["latency_seconds"]
-        print(
-            f"{name:>12}: {mix['jobs_completed']}/{mix['jobs_scheduled']} jobs"
-            f"  p50={lat['p50'] * 1000:.1f}ms p99={lat['p99'] * 1000:.1f}ms"
-            f"  hit_rate={mix['cache']['hit_rate']:.2f}"
-            f"  busy={mix['busy_rejections']}"
-        )
-    derived = record["derived"]
-    print(
-        f"warm p50 speedup vs cold: {derived['warm_p50_speedup_vs_cold']:.2f}x"
-        f"  (SLO >= {record['slo']['warm_p50_speedup_min']:.1f}x)"
-    )
-    print(
-        "interactive p99 / flood p50: "
-        f"{derived['interactive_p99_over_flood_p50']:.3f}"
-        f"  (SLO <= {record['slo']['interactive_p99_over_flood_p50_max']:.1f})"
-    )
-    print(f"wrote {args.out}")
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -211,12 +159,8 @@ def main(argv: list[str] | None = None) -> int:
         "layout; GIL-releasing, pairs with --transport threads)",
     )
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="optimize a generated benchmark, or (`bench serve`) replay "
-        "the latency-SLO load suite against a live popqc serve daemon",
-    )
-    p_bench.add_argument("family", choices=[*family_names(), "serve"])
+    p_bench = sub.add_parser("bench", help="optimize a generated benchmark")
+    p_bench.add_argument("family", choices=family_names())
     p_bench.add_argument("--size", type=int, default=1, choices=range(4))
     p_bench.add_argument("--omega", type=int, default=100)
     p_bench.add_argument("--executor", default="serial")
@@ -228,58 +172,6 @@ def main(argv: list[str] | None = None) -> int:
     p_bench.add_argument(
         "--baseline", action="store_true", help="also run the whole-circuit baseline"
     )
-    g_load = p_bench.add_argument_group(
-        "bench serve (latency-SLO load harness)"
-    )
-    g_load.add_argument(
-        "--server",
-        default=None,
-        help="HOST:PORT of the live popqc serve daemon to load",
-    )
-    g_load.add_argument(
-        "--clients",
-        type=int,
-        default=2,
-        help="concurrent client connections per mix (interactive probe "
-        "always uses 1)",
-    )
-    g_load.add_argument(
-        "--seed",
-        type=int,
-        default=7,
-        help="master seed; the same seed replays byte-identical traffic",
-    )
-    g_load.add_argument(
-        "--smoke",
-        action="store_true",
-        help="shrunken mixes for a ~10 s CI soak (same structure and "
-        "schema as the full suite)",
-    )
-    g_load.add_argument(
-        "--time-scale",
-        type=float,
-        default=1.0,
-        help="multiply every arrival offset (e.g. 0.5 compresses a "
-        "recorded schedule to half its wall time)",
-    )
-    g_load.add_argument(
-        "--out",
-        default="BENCH_service_load.json",
-        help="where to write the schema-v1 load record",
-    )
-    g_load.add_argument(
-        "--auth-token",
-        default=os.environ.get("POPQC_AUTH_TOKEN"),
-        help="shared secret for the daemon (defaults to $POPQC_AUTH_TOKEN)",
-    )
-    g_load.add_argument(
-        "--print-schedule",
-        action="store_true",
-        help="print the canonical schedule manifest (the exact traffic "
-        "this seed submits, with circuit digests) and exit without "
-        "touching any server",
-    )
-
     p_worker = sub.add_parser(
         "worker",
         help="serve oracle segments over TCP (distributed socket transport)",
@@ -603,32 +495,18 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "optimize":
-        circuit = read_qasm(args.input)
-        res = popqc(
-            circuit,
-            NamOracle(engine=args.oracle_engine),
-            args.omega,
-            parmap=_make_parmap(args.executor, args.transport, args.hosts),
-        )
+        res = _run_popqc(read_qasm(args.input), args)
         print(res.stats.summary())
         if args.output:
             write_qasm(res.circuit, args.output)
             print(f"wrote {args.output}")
         return 0
 
-    if args.command == "bench" and args.family == "serve":
-        return _bench_serve(args)
-
     if args.command == "bench":
         circuit = generate(args.family, args.size)
         print(f"{args.family}[{args.size}]: {circuit.num_gates} gates, "
               f"{circuit.num_qubits} qubits")
-        res = popqc(
-            circuit,
-            NamOracle(engine=args.oracle_engine),
-            args.omega,
-            parmap=_make_parmap(args.executor, args.transport, args.hosts),
-        )
+        res = _run_popqc(circuit, args)
         print("popqc:   ", res.stats.summary())
         if args.baseline:
             base = optimize_whole_circuit(circuit)

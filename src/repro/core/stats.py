@@ -144,11 +144,6 @@ class OptimizationStats:
         return self.cache_hits
 
     @property
-    def total_fingers(self) -> int:
-        """Sum of finger-set sizes across rounds (Lemma 3's quantity)."""
-        return sum(r.fingers for r in self.per_round)
-
-    @property
     def parallel_time(self) -> float:
         """Estimated p-worker wall time.
 

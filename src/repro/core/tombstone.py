@@ -72,10 +72,6 @@ class TombstoneArray(Generic[T]):
         """Number of live items strictly before array ``index``."""
         return self._tree.before(index)
 
-    def rank_of(self, index: int) -> int:
-        """Rank a finger at array ``index`` maps to (alias of ``before``)."""
-        return self._tree.before(index)
-
     def get(self, rank: int) -> T:
         """The live item with the given rank (tombstones excluded)."""
         item = self._slots[self._tree.select(rank)]

@@ -24,25 +24,10 @@ pays the oracle twice for a segment it has already optimized.
   ``popqc serve`` daemon (a :class:`repro.parallel.FrameServer`) and
   the :class:`ServiceClient` / ``popqc submit`` side of it (a
   :class:`repro.parallel.FrameConnection`).
-* :mod:`repro.service.loadgen` — the latency-SLO load harness
-  (``popqc bench serve``): deterministic traffic mixes replayed over
-  concurrent clients, aggregated into latency percentiles and
-  cache-hit trajectories (``BENCH_service_load.json``, gated in CI).
 """
 
 from .cache import CacheStats, SegmentCache, oracle_namespace
 from .client import JobResult, ServiceClient
-from .loadgen import (
-    LoadReport,
-    MixReport,
-    ScheduledJob,
-    TrafficMix,
-    build_schedule,
-    default_mixes,
-    run_load,
-    run_slo_suite,
-    schedule_manifest,
-)
 from .frames import ServiceBusyError, ServiceError
 from .scheduler import FleetScheduler, FleetView
 from .server import OptimizationService, SubprocessWorker
@@ -52,20 +37,11 @@ __all__ = [
     "FleetScheduler",
     "FleetView",
     "JobResult",
-    "LoadReport",
-    "MixReport",
     "OptimizationService",
-    "ScheduledJob",
     "SegmentCache",
     "ServiceBusyError",
     "ServiceClient",
     "ServiceError",
     "SubprocessWorker",
-    "TrafficMix",
-    "build_schedule",
-    "default_mixes",
     "oracle_namespace",
-    "run_load",
-    "run_slo_suite",
-    "schedule_manifest",
 ]

@@ -26,8 +26,7 @@ module multiplexes the jobs onto it:
 
 Merging is opportunistic: an idle dispatcher runs a lone request at
 once, and whatever arrives while that fleet round is in flight merges
-into the next one.  (A positive ``gather_window_seconds`` makes it
-linger that long before every round instead.)
+into the next one.
 
 Merged rounds are **weighted-fair**, not all-you-can-eat: each fleet
 round carries at most ``round_budget_segments`` segments, split
@@ -47,7 +46,6 @@ merged, split across fleet rounds, or from the cache.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Callable, Optional, Sequence
 
 from ..circuits.gate import Gate
@@ -108,11 +106,6 @@ class FleetScheduler:
     cache:
         Optional :class:`~repro.service.cache.SegmentCache` every
         view consults before any segment is queued for dispatch.
-    gather_window_seconds:
-        How long the dispatcher waits, after the first pending request,
-        for concurrent jobs' rounds to arrive and merge.  Every fleet
-        round pays it, so the default is 0: requests that arrive during
-        a round merge into the next one anyway.
     round_budget_segments:
         The most segments one merged fleet round may carry — the
         weighted-fair quantum.  ``None`` (default) computes
@@ -134,14 +127,12 @@ class FleetScheduler:
         self,
         fleet,
         cache: Optional[SegmentCache] = None,
-        gather_window_seconds: float = 0.0,
         round_budget_segments: Optional[int] = None,
     ):
         if round_budget_segments is not None and round_budget_segments < 1:
             raise ValueError("round_budget_segments must be positive")
         self.fleet = segment_executor(fleet)
         self.cache = cache
-        self.gather_window_seconds = gather_window_seconds
         self.round_budget_segments = round_budget_segments
         self.rounds_dispatched = 0
         self.requests_merged = 0
@@ -233,9 +224,9 @@ class FleetScheduler:
     def _take_round(self) -> list[tuple[_RoundRequest, int, int]]:
         """The next merged round as ``(request, start, count)`` slices.
 
-        Blocks until at least one request is queued, lingers for the
-        gather window, then allocates the round budget across every
-        pending request sharing the first one's oracle (the fleet
+        Blocks until at least one request is queued (empty once the
+        scheduler is closing), then allocates the round budget across
+        every pending request sharing the first one's oracle (the fleet
         registers one oracle per round; a job running a different
         oracle simply waits one round) by weighted share: request
         ``i`` gets ``max(1, budget * weight_i / sum(weights))``
@@ -249,11 +240,6 @@ class FleetScheduler:
             while not self._pending and not self._closing:
                 self._wake.wait()
             if self._closing:
-                return []
-        if self.gather_window_seconds > 0:
-            time.sleep(self.gather_window_seconds)
-        with self._wake:
-            if not self._pending:
                 return []
             lead = self._pending[0].oracle
             group = [r for r in self._pending if r.oracle is lead]
@@ -288,10 +274,7 @@ class FleetScheduler:
         while True:
             parts = self._take_round()
             if not parts:
-                with self._lock:
-                    if self._closing:
-                        return
-                continue
+                return
             merged: list = []
             for req, start, count in parts:
                 merged.extend(req.segments[start : start + count])

@@ -98,20 +98,13 @@ class SubprocessWorker:
 
     The default ``worker_spawner`` of :class:`OptimizationService`:
     launches ``python -m repro.cli worker --bind 127.0.0.1:0`` (plus
-    the service's auth token and, when the service has a cache, a
-    ``--cache`` pointing back at the service itself, so every spawned
-    worker joins the cluster cache tier), blocks until the worker
-    prints its bound address, and exposes it as :attr:`address`.
+    the service's auth token), blocks until the worker prints its
+    bound address, and exposes it as :attr:`address`.
     :meth:`stop` terminates the subprocess and reaps it, so a stopped
     service never leaks workers.
     """
 
-    def __init__(
-        self,
-        auth_token: Optional[str] = None,
-        cache_address: Optional[str] = None,
-        capacity: int = 1,
-    ):
+    def __init__(self, auth_token: Optional[str] = None, capacity: int = 1):
         src_root = str(Path(__file__).resolve().parents[2])
         env = dict(os.environ)
         env["PYTHONPATH"] = (
@@ -131,8 +124,6 @@ class SubprocessWorker:
         ]
         if auth_token is not None:
             cmd += ["--auth-token", auth_token]
-        if cache_address is not None:
-            cmd += ["--cache", cache_address]
         self._proc = subprocess.Popen(
             cmd,
             stdout=subprocess.PIPE,
@@ -190,9 +181,6 @@ class OptimizationService(FrameServer):
         oracle by the scheduler's lookup protocol itself, so a cache
         (or its disk store) needs no namespace of its own and is
         interchangeable with the ``ProcessMap(cache=...)`` path.
-    gather_window_seconds:
-        Cross-job merge window of the round scheduler (default 0:
-        dispatch at once, merge what arrives during a round).
     round_budget_segments:
         Weighted-fair quantum of one merged fleet round (see
         :class:`~repro.service.scheduler.FleetScheduler`).
@@ -223,7 +211,8 @@ class OptimizationService(FrameServer):
         backlog exceeds one round budget, or retires the youngest
         spawned worker (down to ``min_workers``) after two consecutive
         idle windows.  Spawned workers present the service's auth
-        token and join the cluster cache tier automatically.
+        token and stay out of the cluster cache tier: a segment only
+        reaches them after the job's own cache front missed on it here.
     worker_spawner:
         Factory for spawned workers — any callable returning an object
         with ``.address`` and ``.stop()``.  Defaults to
@@ -249,7 +238,6 @@ class OptimizationService(FrameServer):
         transport: str = "encoded",
         hosts: Optional[Sequence[str]] = None,
         cache: object = None,
-        gather_window_seconds: float = 0.0,
         round_budget_segments: Optional[int] = None,
         auth_token: Optional[str] = None,
         max_active_jobs: Optional[int] = None,
@@ -304,18 +292,16 @@ class OptimizationService(FrameServer):
         self.cluster_cache_lookups = 0
         self.cluster_cache_hits = 0
         self.cluster_cache_stores = 0
-        # the listener binds before any worker spawns: spawned workers
-        # point their --cache at this service's own address
         super().__init__(host, port, auth_token, idle_timeout_seconds)
         self._spawned: list = []
         self._scale_lock = threading.Lock()
         self._idle_windows = 0
-        if worker_spawner is None:
-            worker_spawner = self._default_spawner(auth_token)
-        self._worker_spawner = worker_spawner
+        self._worker_spawner = worker_spawner or (
+            lambda: SubprocessWorker(auth_token)
+        )
         try:
             for _ in range(self.min_workers):
-                self._spawned.append(worker_spawner())
+                self._spawned.append(self._worker_spawner())
             all_hosts = list(hosts) if hosts else []
             all_hosts += [worker.address for worker in self._spawned]
             fleet = ProcessMap(
@@ -326,10 +312,7 @@ class OptimizationService(FrameServer):
                 auth_token=auth_token if transport == "socket" else None,
             )
             self._scheduler = FleetScheduler(
-                fleet,
-                cache=cache,
-                gather_window_seconds=gather_window_seconds,
-                round_budget_segments=round_budget_segments,
+                fleet, cache=cache, round_budget_segments=round_budget_segments
             )
         except BaseException:
             for worker in self._spawned:
@@ -351,18 +334,6 @@ class OptimizationService(FrameServer):
                 target=self._autoscale_loop, name="autoscaler", daemon=True
             )
             self._autoscale_thread.start()
-
-    def _default_spawner(self, auth_token: Optional[str]) -> Callable[[], object]:
-        """The production worker factory: local subprocesses that share
-        the service's token and (when it has a cache) its cache tier."""
-
-        def spawn() -> SubprocessWorker:
-            return SubprocessWorker(
-                auth_token=auth_token,
-                cache_address=self.address if self.cache is not None else None,
-            )
-
-        return spawn
 
     #: Handler threads may be mid-job when the service stops.
     _JOIN_SECONDS = 5.0

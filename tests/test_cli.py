@@ -34,7 +34,15 @@ class TestOptimizeCommand:
         with pytest.raises(SystemExit):
             main(["optimize", qasm_file, "--executor", "gpu"])
 
-    def test_process_executor_with_transport(self, qasm_file, capsys):
+    def test_process_executor_with_transport(self, qasm_file, capsys,
+                                             monkeypatch):
+        from repro.parallel import ProcessMap
+
+        closed = []
+        real_close = ProcessMap.close
+        monkeypatch.setattr(
+            ProcessMap, "close", lambda pm: (closed.append(pm), real_close(pm))
+        )
         for transport in ("encoded", "pickle"):
             rc = main(
                 ["optimize", qasm_file, "--executor", "process:2",
@@ -42,6 +50,9 @@ class TestOptimizeCommand:
             )
             assert rc == 0
             assert "reduction" in capsys.readouterr().out
+            # the executor the CLI built is closed, once, before it returns
+            assert len(closed) == 1
+            closed.clear()
 
     def test_transport_rejected_for_non_process_executor(self, qasm_file):
         with pytest.raises(SystemExit, match="process executors"):
@@ -86,80 +97,9 @@ class TestBenchCommand:
         assert "baseline" in capsys.readouterr().out
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["bench", "Nope"])
-
-
-class TestBenchServeCommand:
-    def test_print_schedule_is_byte_reproducible(self, capsys):
-        assert main(["bench", "serve", "--print-schedule", "--smoke"]) == 0
-        first = capsys.readouterr().out
-        assert main(["bench", "serve", "--print-schedule", "--smoke"]) == 0
-        assert capsys.readouterr().out == first
-
-    def test_print_schedule_carries_digests(self, capsys):
-        import json
-
-        assert main(["bench", "serve", "--print-schedule", "--smoke"]) == 0
-        manifest = json.loads(capsys.readouterr().out)
-        assert manifest["schema"].startswith("popqc-bench-service-load")
-        assert {"cold", "warm", "flood", "interactive"} <= set(
-            manifest["mixes"]
-        )
-        assert all(
-            job["digest"]
-            for jobs in manifest["mixes"].values()
-            for job in jobs
-        )
-
-    def test_seed_changes_schedule(self, capsys):
-        assert main(
-            ["bench", "serve", "--print-schedule", "--smoke", "--seed", "1"]
-        ) == 0
-        first = capsys.readouterr().out
-        assert main(
-            ["bench", "serve", "--print-schedule", "--smoke", "--seed", "2"]
-        ) == 0
-        assert capsys.readouterr().out != first
-
-    def test_server_required_without_print_schedule(self, capsys):
-        assert main(["bench", "serve"]) == 2
-        assert "--server" in capsys.readouterr().err
-
-    def test_load_run_against_in_process_server(self, tmp_path, capsys):
-        from repro.oracles import NamOracle
-        from repro.service import OptimizationService
-
-        out = str(tmp_path / "BENCH_service_load.json")
-        srv = OptimizationService(
-            NamOracle(), workers=2, transport="threads"
-        ).start()
-        try:
-            rc = main(
-                [
-                    "bench",
-                    "serve",
-                    "--server",
-                    srv.address,
-                    "--smoke",
-                    "--time-scale",
-                    "0.2",
-                    "--out",
-                    out,
-                ]
-            )
-        finally:
-            srv.stop()
-        assert rc == 0
-        printed = capsys.readouterr().out
-        assert "warm p50 speedup vs cold" in printed
-        import json
-
-        record = json.loads(open(out).read())
-        assert record["schema"] == "popqc-bench-service-load/v1"
-        assert all(
-            m["jobs_failed"] == 0 for m in record["mixes"].values()
-        )
+        for family in ("Nope", "serve"):
+            with pytest.raises(SystemExit):
+                main(["bench", family])
 
 
 class TestTablesCommand:

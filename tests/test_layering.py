@@ -4,10 +4,12 @@ An ``ast`` scan (no module is imported, so nothing can hide behind an
 import that happens to succeed): ``repro.parallel`` sits below
 ``repro.service`` and never imports it; inside ``repro/parallel`` every
 import of a sibling module is at module level (a function-level import
-is how an import cycle gets papered over); and
+is how an import cycle gets papered over);
 ``repro.service.client`` — what a ``popqc submit`` user imports — does
 not import ``repro.service.server`` and with it the daemon, the driver
-and the scheduler.
+and the scheduler; and nothing in ``repro/service`` imports the circuit
+generators or the experiment drivers (the service serves circuits, it
+does not generate them).
 """
 
 import ast
@@ -63,6 +65,17 @@ def test_service_client_does_not_import_the_server():
     modules = {module for module, _, _ in _imports(SRC / "service" / "client.py")}
     assert not any(m.startswith("repro.service.server") for m in modules)
     assert not any(m.startswith("repro.core") for m in modules)
+
+
+def test_service_never_imports_benchgen():
+    generators = ("repro.benchgen", "repro.experiments", "repro.baselines")
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "service").glob("*.py"))
+        for module, node, _ in _imports(path)
+        if any(module == g or module.startswith(g + ".") for g in generators)
+    ]
+    assert offenders == []
 
 
 def test_the_scan_sees_what_it_should():
