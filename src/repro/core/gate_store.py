@@ -8,8 +8,9 @@ steps are array operations: a segment is two ``select`` calls and a
 ``flatnonzero`` over the id window between them, an accepted result is
 a column assignment, and the tree is updated once per round.  The table
 lives and dies with the store, i.e. with one ``popqc`` call; ``Gate``
-objects exist on the way in, on the way out, and wherever a caller asks
-a segment for them.
+objects exist where the input brought them, once per distinct value of
+an input still in wire form, and wherever a caller asks a segment (or
+:meth:`GateStore.items`) for them.
 """
 
 from __future__ import annotations
@@ -40,8 +41,15 @@ class GateStore:
         tree_factory: Callable[[Sequence[int]], IndexTree] = IndexTree,
     ):
         self.table = GateTable()
-        self._ids = self.table.intern(gates)  # -1 marks a tombstone
+        self._ids = self._ids_of(gates)  # -1 marks a tombstone
         self._tree = tree_factory(np.ones(len(self._ids), dtype=np.int8))
+
+    def _ids_of(self, gates: Sequence[Gate]) -> np.ndarray:
+        """The ids of ``gates``: straight from the wire arrays of a
+        sequence still in wire form, by interning the objects otherwise."""
+        if isinstance(gates, LazySegmentResult) and not gates.decoded:
+            return self.table.ids_from_encoded(gates.encoded())
+        return self.table.intern(gates)
 
     def __len__(self) -> int:
         """Number of array slots, including tombstones."""
@@ -88,10 +96,7 @@ class GateStore:
         flips: dict[int, bool] = {}  # slot -> liveness it ends the batch in
         for slots, gates in runs:
             slots = np.asarray(slots)
-            if isinstance(gates, LazySegmentResult) and not gates.decoded:
-                new = self.table.ids_from_encoded(gates.encoded())
-            else:
-                new = self.table.intern(gates)
+            new = self._ids_of(gates)
             kept, dropped = slots[: len(new)], slots[len(new) :]
             flips.update(zip(kept[ids[kept] < 0].tolist(), repeat(True)))
             flips.update(zip(dropped[ids[dropped] >= 0].tolist(), repeat(False)))
@@ -99,6 +104,7 @@ class GateStore:
             ids[dropped] = -1
         self._tree.set_live_batch(flips.items())
 
-    def items(self) -> list[Gate]:
-        """All live gates in array order."""
-        return self.table.gates_of(self._ids[self._ids >= 0])
+    def items(self) -> LazySegmentResult:
+        """All live gates in array order, as a lazy segment over this
+        store's table (a copy of the live id column)."""
+        return LazySegmentResult.from_ids(self._ids[self._ids >= 0], self.table)

@@ -112,4 +112,4 @@ def popqc_greedy(
             admin_time=stats.admin_time,
         )
     )
-    return PopqcResult(Circuit(final_gates, num_qubits), stats)
+    return PopqcResult(final_gates, stats, num_qubits)

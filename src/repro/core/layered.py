@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..circuits import Circuit, Gate, layers_asap
+from ..circuits import Circuit, Gate, circuit_depth, gates_qubit_span, layers_asap
 from ..parallel import ParallelMap
 from .popqc import CostFn, OracleFn, PopqcResult, _Granularity, _optimize
 from .tombstone import TombstoneArray
@@ -31,8 +31,6 @@ LayeredPopqcResult = PopqcResult
 
 def mixed_cost(depth_weight: float = 10.0) -> CostFn:
     """The paper's depth-aware cost: ``depth_weight * depth + gates``."""
-    from ..circuits import circuit_depth, gates_qubit_span
-
     def cost(gates: Sequence[Gate]) -> float:
         gates = list(gates)
         if not gates:
@@ -51,7 +49,7 @@ def _flatten(layers: Sequence[Layer]) -> list[Gate]:
 
 
 def layered_popqc(
-    circuit: Circuit,
+    circuit: Circuit | Sequence[Gate],
     oracle: OracleFn,
     omega: int,
     *,
@@ -69,7 +67,10 @@ def layered_popqc(
     (the oracle never sees our layering), and oracle outputs are
     re-layered before the fit test and the substitution.
     """
-    num_qubits = circuit.num_qubits
+    if isinstance(circuit, Circuit):
+        num_qubits = circuit.num_qubits
+    else:
+        num_qubits = gates_qubit_span(circuit)
 
     def relayer(gates: Sequence[Gate]) -> list[Layer]:
         return [tuple(layer) for layer in layers_asap(gates, num_qubits)]

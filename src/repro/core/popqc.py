@@ -29,8 +29,10 @@ business (``ProcessMap(transport=...)``), not the driver's.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from functools import cached_property
+from typing import Any, Callable, Optional
 
 from ..circuits import Circuit, Gate
 from ..parallel import ParallelMap, SegmentExecutor, SerialMap, segment_executor
@@ -74,10 +76,22 @@ RoundCallback = Callable[
 
 @dataclass
 class PopqcResult:
-    """Optimized circuit plus run statistics."""
+    """Optimized circuit plus run statistics.
 
-    circuit: Circuit
+    ``gates`` is the output as the driver left it — from :func:`popqc`
+    a lazy segment over the run's id column, whose ``encoded()`` is the
+    wire form with no ``Gate`` built — and ``circuit`` is made of it,
+    on the input's register, on first read.
+    """
+
+    gates: Sequence[Gate]
     stats: OptimizationStats
+    num_qubits: Optional[int] = None
+
+    @cached_property
+    def circuit(self) -> Circuit:
+        """The optimized :class:`Circuit`."""
+        return Circuit(self.gates, self.num_qubits)
 
 
 def _gate_count_cost(segment: Sequence[Gate]) -> float:
@@ -126,7 +140,10 @@ def popqc(
     Parameters
     ----------
     circuit:
-        Input circuit or raw gate sequence.
+        Input circuit or raw gate sequence.  A sequence still in wire
+        form (an undecoded :class:`~repro.parallel.LazySegmentResult`)
+        becomes ids straight from its arrays: one ``Gate`` per distinct
+        value, none per gate.
     oracle:
         The external optimizer applied to 2Ω-segments.  Must return a
         gate sequence equivalent to its input; only outputs that
@@ -168,7 +185,8 @@ def popqc(
 
     Returns
     -------
-    PopqcResult with the optimized :class:`Circuit` and statistics.
+    PopqcResult with the optimized :class:`Circuit` (materialised on
+    first read of ``.circuit``) and statistics.
     """
     return _optimize(
         circuit,
@@ -209,10 +227,10 @@ def _optimize(
     if omega < 1:
         raise ValueError("omega must be positive")
     if isinstance(circuit, Circuit):
-        gates: list[Gate] = list(circuit.gates)
+        gates: Sequence[Gate] = circuit.gates
         num_qubits: Optional[int] = circuit.num_qubits
     else:
-        gates = list(circuit)
+        gates = circuit if isinstance(circuit, Sequence) else list(circuit)
         num_qubits = None
     # the one executor seam: an executor with only the protocol's plain
     # map is adapted here, once (it sees real gate lists, not the
@@ -259,7 +277,7 @@ def _optimize(
     stats.final_cost = cost_fn(final_gates)
     stats.total_time = time.perf_counter() - t_start
     stats.record_counters(counters_before, pmap.counters())
-    return PopqcResult(Circuit(final_gates, num_qubits), stats)
+    return PopqcResult(final_gates, stats, num_qubits)
 
 
 def _run_round(

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..circuits import Circuit
-from ..circuits.encoding import decode_segment, encode_segment
+from ..circuits.encoding import encode_segment
 from ..circuits.gate import Gate
+from ..circuits.intern import GateTable
 from ..parallel.frames import (
     FRAME_BUSY,
     FRAME_JOB,
@@ -169,8 +170,10 @@ class ServiceClient(FrameConnection):
             raise FrameProtocolError(
                 f"result tag {got_tag} does not match job tag {tag}"
             )
+        table = GateTable()  # one Gate per distinct value of the result
+        gates = table.gates_of(table.ids_from_encoded(encoded))
         return JobResult(
-            circuit=Circuit(decode_segment(encoded), num_qubits),
+            circuit=Circuit(gates, num_qubits),
             stats=json.loads(stats_json.decode("utf-8")),
         )
 

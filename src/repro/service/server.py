@@ -53,10 +53,10 @@ from collections import deque
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from ..circuits import Circuit
-from ..circuits.encoding import decode_segment, encode_segment
+import numpy as np
+
 from ..core import popqc
-from ..parallel import FrameProtocolError, FrameServer, ProcessMap
+from ..parallel import FrameProtocolError, FrameServer, LazySegmentResult, ProcessMap
 from ..parallel.frames import (
     ERR_BAD_FRAME,
     ERR_JOB_FAILED,
@@ -579,7 +579,14 @@ class OptimizationService(FrameServer):
             return None
 
     def _answer_job(self, payload: bytes, peer: dict) -> bytes:
-        """The reply frame for one JOB request."""
+        """The reply frame for one JOB request.
+
+        The circuit is arrays on both sides of the driver (wire arrays
+        -> ids -> rounds -> ids -> wire arrays).  What ``Gate`` rejects
+        is rejected when the driver interns the job's distinct wire
+        values, one ``Gate`` each; what it lets through is checked
+        here, on whole arrays.
+        """
         try:
             (
                 job_tag,
@@ -596,23 +603,26 @@ class OptimizationService(FrameServer):
             return refusal
         t0 = time.perf_counter()
         try:
-            circuit = Circuit(decode_segment(encoded), num_qubits)
-            view = self._scheduler.view(weight=priority)
+            qubits, top = encoded.qubits, np.inf if num_qubits is None else num_qubits
+            if qubits.size and not 0 <= qubits.min() <= qubits.max() < top:
+                raise ValueError(f"a qubit is outside the register ({num_qubits=})")
+            if not np.isfinite(encoded.params).all():
+                raise ValueError("a rotation angle is not a finite number")
             result = popqc(
-                circuit,
+                LazySegmentResult.from_encoded(encoded),
                 self.oracle,
                 omega,
-                parmap=view,
+                parmap=self._scheduler.view(weight=priority),
                 max_rounds=max_rounds,
             )
+            out = result.gates.encoded()
         except Exception as exc:  # noqa: BLE001 - forwarded to the client
             self._tally(peer, jobs_active=-1, jobs_failed=1)
             return error_frame(ERR_JOB_FAILED, repr(exc))
-        elapsed = time.perf_counter() - t0
+        elapsed = time.perf_counter() - t0  # admission to reply arrays ready
         stats_json = json.dumps(
             self._job_stats(result.stats, elapsed, priority)
         ).encode("utf-8")
-        out = encode_segment(result.circuit.gates)
         with self._lock:
             self._latencies.append(elapsed)
         self._tally(peer, jobs_active=-1, jobs_completed=1)

@@ -8,6 +8,7 @@ had seen before.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -148,6 +149,60 @@ class TestIdsFromEncoded:
         by_value = table.intern(gates)
         from_wire = table.ids_from_encoded(encode_segment(gates))
         assert from_wire.tolist() == by_value.tolist()
+
+    @given(narrow_gates, narrow_gates)
+    def test_grouped_and_per_gate_probes_agree(self, earlier, gates):
+        """From ``GROUP_FROM`` gates up, equal wire values are grouped
+        in numpy and probed once each: the same gates come back, from
+        the same rows, as one probe per gate finds."""
+        encoded = encode_segment(gates)
+        probed, grouped = GateTable(), GateTable()
+        for table in (probed, grouped):
+            table.intern(earlier)
+        with mock.patch.object(intern, "GROUP_FROM", 1):
+            ids = grouped.ids_from_encoded(encoded)
+            assert ids.tolist() == grouped.ids_from_encoded(encoded).tolist()
+        assert grouped.gates_of(ids) == gates == decode_segment(encoded)
+        assert ids.dtype == np.int32 and len(grouped) == len(set(earlier + gates))
+        assert ids.tolist() == grouped.intern(gates).tolist()
+        assert probed.gates_of(probed.ids_from_encoded(encoded)) == gates
+        assert len(probed) == len(grouped)
+
+    @pytest.mark.parametrize(
+        "gates",
+        [
+            # a key too wide for one int64 (radix overflow), a negative
+            # qubit: no grouping, one probe per gate
+            [Gate(f"u{k}", (2**31 - 1 - k, k)) for k in range(40)] * 2,
+            [Gate("h", (-1,)), Gate("cnot", (3, -2)), Gate("h", (-1,))],
+        ],
+    )
+    def test_grouping_steps_aside_when_a_key_does_not_fit(self, gates, monkeypatch):
+        monkeypatch.setattr(intern, "GROUP_FROM", 1)
+        table = GateTable()
+        ids = table.ids_from_encoded(encode_segment(gates))
+        assert table.gates_of(ids) == gates and len(table) == len(set(gates))
+
+    def test_a_whole_circuit_groups(self, monkeypatch):
+        """Past ``GROUP_FROM`` by itself: a benchmark instance, with
+        ``-0.0`` and ``0.0`` angles thrown in (one wire value)."""
+        from repro.benchgen import generate
+
+        gates = list(generate("StateVec", 0, seed=1).gates) + [RZ(0, -0.0), RZ(0, 0.0)]
+        assert len(gates) > intern.GROUP_FROM
+        probes = []
+        real_get = dict.get
+
+        class Counting(dict):
+            def get(self, key):
+                probes.append(key)
+                return real_get(self, key)
+
+        table = GateTable()
+        table._by_key = Counting()
+        ids = table.ids_from_encoded(encode_segment(gates))
+        assert table.gates_of(ids) == gates
+        assert len(probes) == len(table) == len(set(gates)) < len(gates) // 2
 
     def test_builds_a_gate_only_for_a_first_seen_value(self, monkeypatch):
         built = []

@@ -8,14 +8,33 @@ features that must keep seeing real gate sequences through it.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.circuits import CNOT, RZ, Circuit, Gate, H, X, random_redundant_circuit
+from repro.circuits import (
+    CNOT,
+    RZ,
+    Circuit,
+    Gate,
+    H,
+    X,
+    random_redundant_circuit,
+    to_qasm,
+)
 from repro.circuits import intern
 from repro.circuits.encoding import encode_segment, pack_segment
-from repro.core import FenwickTree, GateStore, IndexTree, NaiveIndex, popqc
+from repro.core import (
+    FenwickTree,
+    GateStore,
+    IndexTree,
+    NaiveIndex,
+    layered_popqc,
+    popqc,
+)
 from repro.core.popqc import OracleContractViolation
+from repro.core.trace import popqc_traced
 from repro.oracles import NamOracle
-from repro.parallel import LazySegmentResult, ProcessMap
+from repro.parallel import LazySegmentResult, ProcessMap, SerialMap
 from repro.parallel.results import DecodeStats
 
 GATES = [H(0), CNOT(0, 1), RZ(1, 0.5), X(2), H(0), CNOT(0, 1), RZ(1, 0.5), X(2)]
@@ -161,3 +180,130 @@ class TestDriverStillSeesGates:
 
     def test_store_ids_are_int32(self):
         assert GateStore(GATES)._ids.dtype == np.int32
+
+
+# -- wire-form input: just another Sequence[Gate] -------------------------------
+
+_ANGLES = (0.25, 0.5, -0.25, 3.0)
+
+
+@st.composite
+def _redundant_gates(draw):
+    """Base-set circuits on four qubits that do cancel and merge, with
+    the odd ``ccx`` (outside the narrow wire path) thrown in."""
+    gates = []
+    for kind, a, b, c in draw(
+        st.lists(
+            st.tuples(st.integers(0, 8), *[st.integers(0, 3)] * 3),
+            min_size=1,
+            max_size=90,
+        )
+    ):
+        if kind <= 1:
+            gates.append(H(a))
+        elif kind == 2:
+            gates.append(X(a))
+        elif kind <= 4 and a != b:
+            gates.append(CNOT(a, b))
+        elif kind <= 7:
+            gates.append(RZ(a, _ANGLES[b]))
+        elif len({a, b, c}) == 3:
+            gates.append(Gate("ccx", (a, b, c)))
+    return gates
+
+
+def _wire(gates):
+    return LazySegmentResult.from_encoded(encode_segment(gates))
+
+
+def _account(result):
+    stats = result.stats
+    return (
+        result.circuit.num_qubits,
+        result.circuit.gates,
+        stats.rounds,
+        stats.oracle_calls,
+        [(r.fingers, r.selected, r.accepted) for r in stats.per_round],
+    )
+
+
+@pytest.fixture(scope="module")
+def shared_pool():
+    pm = ProcessMap(2, serial_cutoff=0)
+    yield pm
+    pm.close()
+
+
+class TestWireFormInput:
+    """A circuit still in wire arrays goes in like any gate sequence:
+    same output, same rounds, same calls — and no ``Gate`` per gate."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_redundant_gates(), st.sampled_from([4, 8, 25]))
+    def test_popqc_layered_and_traced_agree_with_gate_input(
+        self, shared_pool, gates, omega
+    ):
+        for parmap in (SerialMap(), shared_pool):
+            want = popqc(Circuit(gates), NamOracle(), omega, parmap=parmap)
+            got = popqc(_wire(gates), NamOracle(), omega, parmap=parmap)
+            assert _account(got)[1:] == _account(want)[1:]
+            assert _account(got) == _account(popqc(gates, NamOracle(), omega))
+            assert got.circuit is got.circuit  # built once, on first read
+            if all(g.name != "ccx" for g in gates):  # which QASM cannot say
+                assert to_qasm(Circuit(got.gates, want.circuit.num_qubits)) == to_qasm(
+                    want.circuit
+                )
+        # (a raw sequence carries no register: its output's is inferred)
+        want = layered_popqc(Circuit(gates), NamOracle(), omega)
+        got = layered_popqc(_wire(gates), NamOracle(), omega)
+        assert _account(got)[1:] == _account(want)[1:]
+        want, want_trace = popqc_traced(Circuit(gates), NamOracle(), omega)
+        got, got_trace = popqc_traced(_wire(gates), NamOracle(), omega)
+        assert got.circuit.gates == want.circuit.gates and got_trace == want_trace
+
+    @settings(max_examples=40, deadline=None)
+    @given(_redundant_gates())
+    def test_items_pack_to_the_reference_bytes(self, gates):
+        for source in (gates, _wire(gates)):
+            store = GateStore(source)
+            items = store.items()
+            assert not items.decoded
+            assert items.packed_bytes() == pack_segment(encode_segment(gates))
+            assert items == gates
+            slots, segment = store.segment(0, 2)
+            store.rewrite([(slots, segment[:1])])
+            assert store.items().packed_bytes() == pack_segment(
+                encode_segment(gates[:1] + gates[2:])
+            )
+            assert items == gates  # a copy of the column, not a view
+
+    def test_wire_input_builds_gates_per_distinct_value(self, monkeypatch):
+        from repro.circuits import gate as gate_module
+
+        built = []
+        real_init = Gate.__post_init__
+        source = _wire(CIRCUIT.gates)
+        monkeypatch.setattr(
+            gate_module.Gate,
+            "__post_init__",
+            lambda self: (built.append(self), real_init(self))[1],
+        )
+        store = GateStore(source)
+        encoded = store.items().encoded()
+        monkeypatch.undo()
+        assert len(built) == len(store.table) == len(set(CIRCUIT.gates)) < 60
+        assert pack_segment(encoded) == pack_segment(encode_segment(CIRCUIT.gates))
+
+    def test_iterating_cost_and_validate_oracle_on_wire_input(self, reference):
+        seen = []
+
+        def cost(gates):
+            seen.append(gates)
+            return float(sum(1 for g in gates if isinstance(g, Gate)))
+
+        got = popqc(_wire(CIRCUIT.gates), NamOracle(), 12, cost=cost)
+        assert got.circuit.gates == reference.circuit.gates
+        assert got.stats.rounds == reference.stats.rounds
+        assert got.stats.initial_cost == len(CIRCUIT.gates) and len(seen) > 2
+        got = popqc(_wire(CIRCUIT.gates), NamOracle(), 12, validate_oracle=True)
+        assert got.circuit.gates == reference.circuit.gates

@@ -9,7 +9,10 @@ is how an import cycle gets papered over);
 not import ``repro.service.server`` and with it the daemon, the driver
 and the scheduler; and nothing in ``repro/service`` imports the circuit
 generators or the experiment drivers (the service serves circuits, it
-does not generate them).
+does not generate them); and the daemon (``repro.service.server``)
+imports neither the per-gate codec nor ``Circuit`` — a served job is
+wire arrays -> ids -> wire arrays, and a ``decode_segment`` /
+``encode_segment`` pair in ``_answer_job`` is a 2 x per-gate loop.
 """
 
 import ast
@@ -78,6 +81,16 @@ def test_service_never_imports_benchgen():
     assert offenders == []
 
 
+def test_the_daemon_imports_no_per_gate_codec():
+    banned = ("decode_segment", "encode_segment", "Circuit")
+    offenders = [
+        f"server.py:{node.lineno} {module}"
+        for module, node, _ in _imports(SRC / "service" / "server.py")
+        if module.rpartition(".")[2] in banned
+    ]
+    assert offenders == []
+
+
 def test_the_scan_sees_what_it_should():
     """Guard the guard: the scan resolves relative imports and nesting."""
     modules = {m: top for m, _, top in _imports(SRC / "parallel" / "executor.py")}
@@ -85,3 +98,5 @@ def test_the_scan_sees_what_it_should():
     assert modules["repro.parallel.shm"] is True  # ``from . import shm``
     lazy = {m: top for m, _, top in _imports(SRC / "core" / "popqc.py")}
     assert lazy["repro.sim"] is False  # popqc's function-level sim import
+    client = {m for m, _, _ in _imports(SRC / "service" / "client.py")}
+    assert "repro.circuits.encoding.encode_segment" in client  # names, too
