@@ -32,6 +32,14 @@ same always-armed way: hits must resolve ≥3x faster than oracle
 re-execution (``hit_speedup_vs_oracle``; tier-1 asserts only that the
 warm pass is all hits with zero oracle calls).
 
+``--shapes FILE`` names a pytest-benchmark JSON (``pytest
+benchmarks/test_table3.py benchmarks/test_figure8.py
+--benchmark-json FILE``): the paper-shape ratios those benchmarks
+record in ``extra_info`` — Table 3's OAC/POPQC time ratio at two sizes,
+Figure 8's oracle share per family by size — are two wall clocks each,
+so tier-1 asserts only their behavioural halves and this script prints
+them, says whether the paper's shape showed, and never gates on them.
+
 The remaining parallel-transport numbers are recorded for the
 trajectory but not gated (2-vCPU shared runners make them races); a
 record's ``dispatch`` section — where a default ``ProcessMap`` ran its
@@ -40,7 +48,8 @@ rounds and the per-width cost table it learned — is printed beside them.
 Usage::
 
     python benchmarks/check_bench_trend.py BENCH_transport.json \
-        benchmarks/BENCH_transport_baseline.json [--tolerance 0.2]
+        benchmarks/BENCH_transport_baseline.json [--tolerance 0.2] \
+        [--shapes BENCH_shapes.json]
 
 Exit status 1 on regression.  To re-baseline after an intentional
 change, copy the fresh JSON over the baseline file in the same PR.
@@ -58,6 +67,28 @@ import sys
 #: oracle call cost ~1 ms; the one-index rule engine cut that to ~0.3 ms
 #: against an unchanged ~65 us hit).
 CACHE_HIT_SPEEDUP_MIN = 3.0
+
+
+def print_shapes(record: dict) -> None:
+    """The informational lines for a pytest-benchmark record's
+    paper-shape ratios (whatever of them it carries)."""
+    for bench in record.get("benchmarks", []):
+        info = bench.get("extra_info", {})
+        ratio = info.get("oac_over_popqc_time_ratio")
+        if ratio:
+            shape = "as" if ratio["large"] >= ratio["small"] else "NOT as"
+            print(
+                f"table 3 (informational): OAC/POPQC time ratio "
+                f"{ratio['small']:.2f} small -> {ratio['large']:.2f} large "
+                f"({shape} in the paper: POPQC overtakes with size)"
+            )
+        for family, shares in sorted(info.get("oracle_fraction_by_size", {}).items()):
+            shape = "as" if shares[-1] >= shares[0] and min(shares) > 0.5 else "NOT as"
+            print(
+                f"figure 8 (informational): {family} oracle share "
+                + " -> ".join(f"{share:.2f}" for share in shares)
+                + f" by size ({shape} in the paper: most of the time, rising)"
+            )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -80,8 +111,16 @@ def main(argv: list[str] | None = None) -> int:
         "different hardware (default: warn-only in that case, since "
         "absolute throughput does not compare across hosts)",
     )
+    parser.add_argument(
+        "--shapes",
+        help="pytest-benchmark JSON of benchmarks/test_table3.py and "
+        "test_figure8.py; its wall-clock shape ratios are printed, never gated",
+    )
     args = parser.parse_args(argv)
 
+    if args.shapes:
+        with open(args.shapes) as fh:
+            print_shapes(json.load(fh))
     with open(args.current) as fh:
         current = json.load(fh)
     with open(args.baseline) as fh:

@@ -11,28 +11,48 @@ gathers the canonical :class:`~repro.circuits.encoding.EncodedSegment`
 of one (the packed bytes of ``encode_segment`` on the gates), and
 :meth:`GateTable.ids_from_encoded` reads wire arrays back as ids.
 
-A table is a *cache*: ids never reach a wire byte, a cache key or an
-output, so dropping one — or using another on the far side of a pipe —
-changes nothing observable.  Tables are not thread-safe.
+A table is a *cache*: ids never reach a wire byte, a content-cache key
+or an output, so dropping one — or using another on the far side of a
+pipe — changes nothing observable.
+
+A table may be shared between threads (a ``popqc serve`` daemon's jobs
+share one).  Rows are only ever appended: a row or a name is created
+under the table's lock, with the not-there-yet check repeated inside
+it, and a row's columns are filled before any map leads to its id; the
+columns grow by copy-then-swap, so a reader's array always holds every
+id that reader can know.  Reads take no lock.
+
+A table built with ``memo_cap`` also carries a **memo**, ``(oracle
+namespace, ids.tobytes()) -> (result ids, packed result length)``: what
+an oracle answered for a segment *of this table's ids*, the in-process
+shortcut in front of the content-addressed result cache
+(:class:`repro.parallel.CacheFront` probes and fills it).  It is the one
+place ids are a key, and it lives and dies with its table.
 """
 
 from __future__ import annotations
 
 import threading
 from operator import attrgetter
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import encoding
 from .gate import Gate
 
-__all__ = ["TABLE_CAP", "GateTable", "thread_table"]
+__all__ = ["MEMO_CAP", "TABLE_CAP", "GateTable", "thread_table"]
 
-#: Entries a worker thread's table may reach before it is replaced (as a
-#: whole, between segments).  Table-1 circuits stay far below it; at
-#: ~500 bytes an entry it bounds a table near 4 MB.
+#: Entries a long-lived table — a worker thread's, a daemon's — may
+#: reach before it is replaced (as a whole, between segments or jobs).
+#: Table-1 circuits stay far below it; at ~500 bytes an entry it bounds
+#: a table near 4 MB.
 TABLE_CAP = 8192
+
+#: Memo entries a daemon's table holds before it stops taking more (and
+#: is replaced at the next job).  An entry is a segment's ids, its
+#: result's ids and a 16-byte namespace: ~2 KB at omega 100, so ~32 MB.
+MEMO_CAP = 16384
 
 #: Gates from which :meth:`GateTable.ids_from_encoded` groups equal wire
 #: values in numpy before probing: grouping costs ~60 us flat, a probe
@@ -58,9 +78,15 @@ class GateTable:
     Three maps lead to an id: by ``id()`` of an object the table owns,
     by value for any other ``Gate``, by wire key (see
     :meth:`ids_from_encoded`) for a gate still in its encoded arrays.
+
+    ``memo_cap`` > 0 gives the table a memo of at most that many
+    entries (see the module docstring); ``memo`` is ``None`` otherwise.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, memo_cap: int = 0) -> None:
+        self.memo_cap = memo_cap
+        self.memo: Optional[dict] = {} if memo_cap else None
+        self._lock = threading.RLock()  # row, name and memo-entry creation
         self.gates: list[Gate] = []
         self._by_object: dict[int, int] = {}
         self._by_value: dict[tuple, int] = {}
@@ -74,6 +100,24 @@ class GateTable:
     def __len__(self) -> int:
         return len(self.gates)
 
+    @property
+    def full(self) -> bool:
+        """Whether a long-lived owner should start a fresh table: rows
+        or names past :data:`TABLE_CAP`, or the memo at its bound."""
+        return (
+            max(len(self.gates), len(self._names)) > TABLE_CAP
+            or self.memo is not None
+            and len(self.memo) >= self.memo_cap
+        )
+
+    def remember(self, key: tuple, result_ids: np.ndarray, nbytes: int) -> None:
+        """Memoize ``result_ids`` (ids of this table, kept read-only) as
+        the answer to ``key``, unless the memo is at its bound."""
+        result_ids.flags.writeable = False
+        with self._lock:
+            if len(self.memo) < self.memo_cap:
+                self.memo[key] = (result_ids, nbytes)
+
     def intern(self, gates: Sequence[Gate]) -> np.ndarray:
         """The ids of ``gates``, adding a row for every unseen value."""
         if not isinstance(gates, (list, tuple)):
@@ -85,15 +129,17 @@ class GateTable:
             # one row per unseen value (its first stranger becomes the
             # table's object for it), then every stranger resolves by value
             firsts = dict(zip(reversed(values), reversed(strangers)))
-            for value, gate in firsts.items():
-                if value not in self._by_value:
-                    self._add(gate, value)
+            with self._lock:
+                for value, gate in firsts.items():
+                    if value not in self._by_value:
+                        self._add(gate, value)
             found = map(self._by_value.__getitem__, values)
             ids = [next(found) if gid is None else gid for gid in ids]
         return np.array(ids, dtype=np.int32)
 
     def _add(self, gate: Gate, value: tuple) -> int:
-        """Give the unseen ``gate`` the next id and fill in its row."""
+        """Give the unseen ``gate`` the next id and fill in its row
+        (caller holds the lock; the maps learn the id last)."""
         gid = len(self.gates)
         if gid == len(self._rows):
             self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
@@ -114,8 +160,12 @@ class GateTable:
     def _name_id(self, name: str) -> int:
         name_id = self._name_ids.get(name)
         if name_id is None:
-            name_id = self._name_ids[name] = len(self._names)
-            self._names.append(name)
+            with self._lock:
+                name_id = self._name_ids.get(name)
+                if name_id is None:
+                    name_id = len(self._names)
+                    self._names.append(name)
+                    self._name_ids[name] = name_id
         return name_id
 
     def gates_of(self, ids: np.ndarray) -> list[Gate]:
@@ -199,8 +249,10 @@ class GateTable:
         )
         ids = list(map(self._by_key.get, keys))
         if None in ids:  # wire values met for the first time: once each
-            for key in dict.fromkeys(k for k, gid in zip(keys, ids) if gid is None):
-                self._by_key[key] = self._wire_value(*key)
+            with self._lock:
+                for key in dict.fromkeys(k for k, gid in zip(keys, ids) if gid is None):
+                    if key not in self._by_key:
+                        self._by_key[key] = self._wire_value(*key)
             ids = list(map(self._by_key.__getitem__, keys))
         return np.array(ids, dtype=np.int32)[group]
 

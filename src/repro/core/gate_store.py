@@ -7,10 +7,11 @@ GateTable`, ``-1`` for a tombstone, so the round loop's data-structure
 steps are array operations: a segment is two ``select`` calls and a
 ``flatnonzero`` over the id window between them, an accepted result is
 a column assignment, and the tree is updated once per round.  The table
-lives and dies with the store, i.e. with one ``popqc`` call; ``Gate``
-objects exist where the input brought them, once per distinct value of
-an input still in wire form, and wherever a caller asks a segment (or
-:meth:`GateStore.items`) for them.
+is the one an id-backed input brings (a daemon hands every job its
+shared table that way) and otherwise the store's own, living and dying
+with one ``popqc`` call; ``Gate`` objects exist where the input brought
+them, once per distinct value of an input still in wire form, and
+wherever a caller asks a segment (or :meth:`GateStore.items`) for them.
 """
 
 from __future__ import annotations
@@ -40,15 +41,20 @@ class GateStore:
         gates: Sequence[Gate],
         tree_factory: Callable[[Sequence[int]], IndexTree] = IndexTree,
     ):
-        self.table = GateTable()
-        self._ids = self._ids_of(gates)  # -1 marks a tombstone
+        interned = gates.interned if isinstance(gates, LazySegmentResult) else None
+        self.table = interned[1] if interned is not None else GateTable()
+        self._ids = self._ids_of(gates).copy()  # -1 marks a tombstone
         self._tree = tree_factory(np.ones(len(self._ids), dtype=np.int8))
 
     def _ids_of(self, gates: Sequence[Gate]) -> np.ndarray:
-        """The ids of ``gates``: straight from the wire arrays of a
-        sequence still in wire form, by interning the objects otherwise."""
-        if isinstance(gates, LazySegmentResult) and not gates.decoded:
-            return self.table.ids_from_encoded(gates.encoded())
+        """The ids of ``gates``: the ids themselves of a sequence held as
+        ids of this store's table, straight from the wire arrays of one
+        still in wire form, by interning the objects otherwise."""
+        if isinstance(gates, LazySegmentResult):
+            if gates.interned is not None and gates.interned[1] is self.table:
+                return gates.interned[0]
+            if not gates.decoded:
+                return self.table.ids_from_encoded(gates.encoded())
         return self.table.intern(gates)
 
     def __len__(self) -> int:

@@ -143,7 +143,10 @@ def popqc(
         Input circuit or raw gate sequence.  A sequence still in wire
         form (an undecoded :class:`~repro.parallel.LazySegmentResult`)
         becomes ids straight from its arrays: one ``Gate`` per distinct
-        value, none per gate.
+        value, none per gate.  One already held as ids
+        (:meth:`~repro.parallel.LazySegmentResult.from_ids`) is run on
+        the table those ids are of — which is how a daemon's jobs share
+        one table, and its memo of earlier answers.
     oracle:
         The external optimizer applied to 2Ω-segments.  Must return a
         gate sequence equivalent to its input; only outputs that

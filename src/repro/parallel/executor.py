@@ -247,6 +247,9 @@ class CacheFront:
     hits / misses:
         Segment lookups answered by / past the cache.  Every hit is an
         oracle call that was never made.
+    memo_hits:
+        The hits among them that a table's id-keyed memo answered, in
+        front of the content cache (see :meth:`run`).
     bytes_saved:
         Packed result bytes served from the cache instead of a
         transport round trip.
@@ -258,6 +261,7 @@ class CacheFront:
     def __init__(self, cache, decode_stats: Optional[DecodeStats] = None):
         self.cache = cache
         self.hits = 0
+        self.memo_hits = 0
         self.misses = 0
         self.bytes_saved = 0
         self.lookup_seconds = 0.0
@@ -280,45 +284,71 @@ class CacheFront:
         """One round through the cache; results in segment order and
         byte-identical to an uncached round.
 
-        Derives every segment's key from its canonical packed bytes
-        scoped by the oracle's namespace, answers hits as lazy handles
-        over the stored packed results, routes the misses (in order)
-        through ``dispatch`` — a callable taking the missing segments
-        and returning their results — and stores the miss results on
-        the way out.  The misses travel as lazy segments that keep the
-        bytes their key was taken from, so a byte transport behind
-        ``dispatch`` does not encode them a second time.
+        The lookup has two levels.  A segment held as ids of a table
+        that carries a memo (a daemon's jobs) is first looked up *as
+        ids*: a memo hit is one ``tobytes()`` and one dict probe, and
+        its result is ids of the same table, so the driver's rewrite is
+        a column assignment.  Everything else derives the segment's key
+        from its canonical packed bytes scoped by the oracle's
+        namespace and asks the content cache; a content hit is a lazy
+        handle over the stored packed result — converted to ids and
+        memoized, once per table, when the segment had a memo to ask.
+        The misses go (in order) through ``dispatch`` — a callable
+        taking the missing segments and returning their results — and
+        their results are stored on the way out.  They travel as lazy
+        segments that keep the bytes their key was taken from, so a
+        byte transport behind ``dispatch`` does not encode them again.
         """
         cache, namespace = self.cache, self.namespace(oracle)
         t0 = time.perf_counter()
         segments = [_as_segment(seg) for seg in segments]
-        keys = [cache.key_for(seg.packed_bytes(), extra=namespace) for seg in segments]
-        cached = [cache.get(key) for key in keys]
-        lookup = time.perf_counter() - t0
         results: list = [None] * len(segments)
-        miss_idx = []
-        bytes_saved = 0
-        for i, hit in enumerate(cached):
+        miss_idx, miss_keys = [], []
+        memo_hits = memo_bytes = bytes_saved = 0
+        for i, seg in enumerate(segments):
+            ids, table = seg.interned or (None, None)
+            memo_key = None
+            if table is not None and table.memo is not None:
+                memo_key = (namespace, ids.tobytes())
+                known = table.memo.get(memo_key)
+                if known is not None:
+                    results[i] = LazySegmentResult.from_ids(known[0], table)
+                    memo_hits += 1
+                    memo_bytes += known[1]
+                    continue
+            key = cache.key_for(seg.packed_bytes(), extra=namespace)
+            hit = cache.get(key)
             if hit is None:
                 miss_idx.append(i)
-            else:
-                bytes_saved += len(hit)
-                results[i] = LazySegmentResult.from_packed(hit, self._decode_stats)
+                miss_keys.append(key)
+                continue
+            bytes_saved += len(hit)
+            result = LazySegmentResult.from_packed(hit, self._decode_stats)
+            if memo_key is not None:  # second sight: packed -> ids, once per table
+                hit_ids = table.ids_from_encoded(result.encoded())
+                table.remember(memo_key, hit_ids, len(hit))
+                result = LazySegmentResult.from_ids(hit_ids, table)
+            results[i] = result
+        if memo_hits:
+            cache.note_hits(memo_hits, memo_bytes)
+        lookup = time.perf_counter() - t0
         if miss_idx:
             missed = dispatch([segments[i] for i in miss_idx])
-            for i, res in zip(miss_idx, missed):
+            for i, key, res in zip(miss_idx, miss_keys, missed):
                 results[i] = res
-                cache.put(keys[i], _as_segment(res).packed_bytes())
+                cache.put(key, _as_segment(res).packed_bytes())
         self.hits += len(segments) - len(miss_idx)
+        self.memo_hits += memo_hits
         self.misses += len(miss_idx)
-        self.bytes_saved += bytes_saved
+        self.bytes_saved += bytes_saved + memo_bytes
         self.lookup_seconds += lookup
         return results
 
     def counters(self) -> dict:
-        """The four counts, under the names ``counters()`` reports."""
+        """The five counts, under the names ``counters()`` reports."""
         return {
             "cache_hits": self.hits,
+            "cache_memo_hits": self.memo_hits,
             "cache_misses": self.misses,
             "cache_bytes_saved": self.bytes_saved,
             "cache_lookup_seconds": self.lookup_seconds,
@@ -370,7 +400,8 @@ class ProcessMap:
         touching the oracle or the transport, only the misses are
         dispatched, and their packed results are stored — so a repeated
         segment costs one hash and one lookup instead of an oracle
-        call, on every transport identically.
+        call, on every transport identically (and one dict probe when
+        the segment is ids of a memo-carrying table).
     auth_token:
         Shared secret presented to the socket transport's worker hosts.
 

@@ -233,6 +233,11 @@ class LazySegmentResult(Sequence):
         return self._gates is not None
 
     @property
+    def interned(self) -> Optional[tuple[np.ndarray, GateTable]]:
+        """``(ids, table)`` of a segment born :meth:`from_ids`, else ``None``."""
+        return self._interned
+
+    @property
     def nbytes(self) -> int:
         """Wire size of the result (0 for gate-list births)."""
         return self._nbytes

@@ -34,6 +34,15 @@ Storage is two-level:
 Values are packed result bytes, so a cache hit feeds straight into
 :meth:`repro.parallel.results.LazySegmentResult.from_packed` — the
 same lazy handle an oracle round would have produced, byte for byte.
+
+This cache is the only tier that is shared: on disk, with worker hosts
+(the cluster tier) and across a daemon's gate-table generations.  In
+front of it, inside one process, a :class:`~repro.circuits.intern.
+GateTable` may carry an id-keyed memo of what this cache answered
+(:meth:`repro.parallel.CacheFront.run`); a lookup the memo answers
+never gets here and is counted here all the same
+(:meth:`SegmentCache.note_hits`), so ``stats`` describe the segments
+asked about, not the level that knew.
 """
 
 from __future__ import annotations
@@ -222,6 +231,14 @@ class SegmentCache:
             self.stats.bytes_saved += len(value)
             self._install(key, value)
         return value
+
+    def note_hits(self, hits: int, nbytes: int) -> None:
+        """Count ``hits`` lookups (``nbytes`` of packed results) that a
+        :class:`~repro.circuits.intern.GateTable` memo answered in front
+        of this cache: a hit is a hit wherever it was resolved."""
+        with self._lock:
+            self.stats.hits += hits
+            self.stats.bytes_saved += nbytes
 
     def put(self, key: str, value: bytes) -> None:
         """Store packed result bytes under ``key`` in both levels."""

@@ -11,7 +11,8 @@ module multiplexes the jobs onto it:
   driver runs against it.
 * Every ``map_segments`` round a job issues first passes the view's own
   :class:`~repro.parallel.CacheFront` over the shared
-  content-addressed segment cache (hits are answered immediately and
+  content-addressed segment cache and, before it, the memo of the
+  daemon's gate table (hits are answered immediately and
   never enter the queue — per-job hit accounting falls out for free);
   the cache-missing segments become a *round request* on the shared
   :class:`FleetScheduler`, which merges those of every concurrently

@@ -20,6 +20,11 @@ per connection; *across* connections, jobs run concurrently and their
 oracle rounds are merged into shared fleet rounds by the
 :class:`~repro.service.scheduler.FleetScheduler`, with the segment
 cache short-circuiting any segment the service has optimized before.
+Every job's gates are ids of one daemon-wide
+:class:`~repro.circuits.intern.GateTable`, so from its second repeat a
+known segment is answered by that table's memo without being encoded,
+packed or hashed; the table and its memo are bounded and replaced as a
+whole between jobs, which no output can see.
 A job's output is byte-identical to a standalone ``popqc`` run of the
 same circuit with the same oracle and Ω.
 
@@ -55,6 +60,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ..circuits.intern import MEMO_CAP, GateTable
 from ..core import popqc
 from ..parallel import FrameProtocolError, FrameServer, LazySegmentResult, ProcessMap
 from ..parallel.frames import (
@@ -325,6 +331,9 @@ class OptimizationService(FrameServer):
         self.jobs_failed = 0
         self.jobs_rejected = 0
         self.jobs_active = 0
+        #: Every job's ids are ids of this table, so a segment a job has
+        #: seen is a memo key for the next (replaced when full, at admission).
+        self._table = GateTable(MEMO_CAP)
         self._peers: dict[str, dict] = {}
         self._latencies: deque[float] = deque(maxlen=256)
         self._started = time.monotonic()
@@ -576,16 +585,19 @@ class OptimizationService(FrameServer):
                 )
             self.jobs_active += 1
             peer["jobs_active"] += 1
+            if self._table.full:  # jobs in flight finish on the one they have
+                self._table = GateTable(MEMO_CAP)
             return None
 
     def _answer_job(self, payload: bytes, peer: dict) -> bytes:
         """The reply frame for one JOB request.
 
         The circuit is arrays on both sides of the driver (wire arrays
-        -> ids -> rounds -> ids -> wire arrays).  What ``Gate`` rejects
-        is rejected when the driver interns the job's distinct wire
-        values, one ``Gate`` each; what it lets through is checked
-        here, on whole arrays.
+        -> ids of the daemon's table -> rounds -> ids -> wire arrays).
+        What ``Gate`` rejects is rejected when the job's wire values
+        the table has not seen are interned, one ``Gate`` each — a
+        rejected value gets no row; what ``Gate`` lets through is
+        checked first, on whole arrays.
         """
         try:
             (
@@ -601,6 +613,7 @@ class OptimizationService(FrameServer):
         refusal = self._admit_job(peer)
         if refusal is not None:
             return refusal
+        table = self._table
         t0 = time.perf_counter()
         try:
             qubits, top = encoded.qubits, np.inf if num_qubits is None else num_qubits
@@ -609,7 +622,7 @@ class OptimizationService(FrameServer):
             if not np.isfinite(encoded.params).all():
                 raise ValueError("a rotation angle is not a finite number")
             result = popqc(
-                LazySegmentResult.from_encoded(encoded),
+                LazySegmentResult.from_ids(table.ids_from_encoded(encoded), table),
                 self.oracle,
                 omega,
                 parmap=self._scheduler.view(weight=priority),

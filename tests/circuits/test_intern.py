@@ -262,3 +262,90 @@ class TestThreadTable:
         worker.start()
         worker.join()
         assert seen[0] is not thread_table()
+
+
+class TestSharedBetweenThreads:
+    """A daemon's job threads intern into one table: rows are created
+    under its lock, read without one."""
+
+    @pytest.mark.parametrize("attempt", range(4))  # a race needs its chances
+    def test_hammer_one_id_per_value_and_canonical_bytes(self, attempt):
+        """Six threads walk overlapping value sets, alternating the two
+        ways in, across several doublings of the columns (64 rows to
+        start with); four of them meet every new value at once."""
+        import sys
+        import threading
+
+        values = [RZ(q, 0.001 * k) for k in range(1, 301) for q in range(3)]
+        values += [Gate(f"u{k}", (k % 4,)) for k in range(40)]  # new names too
+        values += [CNOT(a, b) for a in range(6) for b in range(6) if a != b]
+        table = GateTable()
+        start = threading.Barrier(6)
+        outcome = {}
+
+        def work(t):
+            mine = values if t < 4 else values[t * 40 :] + values[: t * 40]
+            start.wait()
+            seen = []
+            for lo in range(0, len(mine), 40):
+                chunk = mine[lo : lo + 40]
+                if (lo // 40 + t) % 2:
+                    ids = table.intern([Gate(g.name, g.qubits, g.param) for g in chunk])
+                else:
+                    ids = table.ids_from_encoded(encode_segment(chunk))
+                seen.append((chunk, ids))
+                # what this thread just learned is readable at once
+                assert pack_segment(table.encoded(ids)) == pack_segment(
+                    encode_segment(chunk)
+                )
+            outcome[t] = seen
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(switch)
+        assert sorted(outcome) == list(range(6))  # nobody raised
+        assert len(table) == len(values) == len(set(table.gates)) > 64 * 8
+        assert len(table._names) == len(set(table._names)) == 42
+        for seen in outcome.values():
+            for chunk, ids in seen:
+                assert table.gates_of(ids) == chunk
+                _same_wire(table, chunk)
+                assert table.intern(chunk).tolist() == ids.tolist()
+
+    def test_a_memo_stops_at_its_bound_and_keeps_its_arrays_read_only(self):
+        table = GateTable(memo_cap=2)
+        assert GateTable().memo is None and table.memo == {} and not table.full
+        ids = table.intern([H(0), X(1)])
+        for k in range(3):
+            table.remember((b"ns", bytes([k])), ids.copy(), 10)
+        assert sorted(table.memo) == [(b"ns", b"\x00"), (b"ns", b"\x01")]
+        assert table.full  # its owner starts a fresh one
+        kept, nbytes = table.memo[b"ns", b"\x00"]
+        assert kept.tolist() == ids.tolist() and nbytes == 10
+        with pytest.raises(ValueError):
+            kept[0] = 5
+
+    def test_full_past_the_row_or_name_cap(self, monkeypatch):
+        monkeypatch.setattr(intern, "TABLE_CAP", 4)
+        rows, names = GateTable(), GateTable()
+        rows.intern([RZ(0, 0.1 * k) for k in range(1, 5)])
+        assert not rows.full
+        rows.intern([H(0)])
+        assert rows.full
+        # names arrive before the values that use them are validated
+        with pytest.raises(ValueError):
+            names.ids_from_encoded(
+                encoding.EncodedSegment(
+                    ("rz", "n1", "n2", "n3", "n4"),  # ... and an rz with no angle
+                    np.zeros(1, np.uint8), np.ones(1, np.uint8),
+                    np.zeros(1, np.int32), np.zeros(1, np.uint8), np.empty(0), 1,
+                )
+            )
+        assert len(names) == 0 and names.full

@@ -307,3 +307,71 @@ class TestWireFormInput:
         assert got.stats.initial_cost == len(CIRCUIT.gates) and len(seen) > 2
         got = popqc(_wire(CIRCUIT.gates), NamOracle(), 12, validate_oracle=True)
         assert got.circuit.gates == reference.circuit.gates
+
+
+# -- id-backed input: the store adopts the table the ids are of ----------------
+
+
+@pytest.fixture(scope="module")
+def cached_pool():
+    from repro.service import SegmentCache
+
+    pm = ProcessMap(2, serial_cutoff=0, cache=SegmentCache())
+    yield pm
+    pm.close()
+
+
+#: One memo-carrying table for every example below, as a daemon's jobs
+#: share one: what an earlier example left in it must never show.
+SHARED = intern.GateTable(memo_cap=1 << 20)
+
+
+def _as_ids(gates):
+    return LazySegmentResult.from_ids(SHARED.intern(gates), SHARED)
+
+
+class TestIdBackedInput:
+    """A circuit held as ids of a shared, memo-carrying table goes in
+    like any gate sequence — on its first run (oracle calls), its second
+    (content hits, memo fills) and its third (memo hits)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_redundant_gates(), st.sampled_from([4, 8, 25]))
+    def test_popqc_layered_and_traced_agree_with_gate_input(
+        self, cached_pool, gates, omega
+    ):
+        for parmap in (SerialMap(), cached_pool):
+            want = popqc(Circuit(gates), NamOracle(), omega, parmap=parmap)
+            for _ in range(3):
+                source = _as_ids(gates)
+                got = popqc(source, NamOracle(), omega, parmap=parmap)
+                assert _account(got)[1:] == _account(want)[1:]
+                assert got.gates.interned[1] is SHARED
+                assert source == gates  # the input's ids are not the store's column
+            if parmap is cached_pool:
+                assert got.stats.counters["cache_memo_hits"] == got.stats.oracle_calls
+        want = layered_popqc(Circuit(gates), NamOracle(), omega)
+        got = layered_popqc(_as_ids(gates), NamOracle(), omega, parmap=cached_pool)
+        assert _account(got)[1:] == _account(want)[1:]
+        want, want_trace = popqc_traced(Circuit(gates), NamOracle(), omega)
+        got, got_trace = popqc_traced(
+            _as_ids(gates), NamOracle(), omega, parmap=cached_pool
+        )
+        assert got.circuit.gates == want.circuit.gates and got_trace == want_trace
+
+    def test_the_store_adopts_the_table_and_takes_its_ids_without_a_codec(
+        self, monkeypatch
+    ):
+        table = intern.GateTable()
+        source = LazySegmentResult.from_ids(table.intern(GATES), table)
+        store = GateStore(source)
+        assert store.table is table and len(GateStore(GATES).table) == len(table)
+        for name in ("intern", "ids_from_encoded", "encoded"):
+            monkeypatch.setattr(
+                intern.GateTable, name, lambda *args: pytest.fail("codec")
+            )
+        slots, segment = store.segment(0, 4)
+        store.rewrite([(slots, LazySegmentResult.from_ids(segment.interned[0][:2], table))])
+        assert store.live_count == len(GATES) - 2
+        monkeypatch.undo()
+        assert store.items() == GATES[:2] + GATES[4:] and source == GATES

@@ -10,9 +10,11 @@ a spy oracle that counts its own invocations, not by derived stats.
 import pytest
 
 from repro.circuits import random_redundant_circuit, to_qasm
+from repro.circuits.intern import GateTable
 from repro.core import popqc
 from repro.oracles import NamOracle
-from repro.parallel import ProcessMap, local_cluster
+from repro.parallel import LazySegmentResult, ProcessMap, local_cluster
+from repro.parallel.executor import oracle_cache_namespace
 from repro.service import SegmentCache
 
 CIRCUIT = random_redundant_circuit(8, 1500, seed=23, redundancy=0.5)
@@ -162,3 +164,78 @@ def test_cache_serves_below_serial_cutoff():
         pm.close()
     assert [list(r) for r in first] == [list(r) for r in second]
     assert pm.counters()["cache_hits"] == len(segments)
+
+
+# -- the id-keyed memo in front of the content cache ---------------------------
+
+
+def _as_ids(table):
+    """``CIRCUIT`` held as ids of ``table`` (what a daemon hands ``popqc``)."""
+    return LazySegmentResult.from_ids(table.intern(CIRCUIT.gates), table)
+
+
+def test_memo_hits_count_where_content_hits_count():
+    """First pass misses, the second is answered by the content cache
+    (and fills the table's memo), the third by the memo — and the cache's
+    own statistics, the run's and the bytes saved read the same for both."""
+    cache = SegmentCache()
+    table = GateTable(memo_cap=4096)
+    pm = ProcessMap(2, serial_cutoff=0, transport="encoded", cache=cache)
+    try:
+        runs = [popqc(_as_ids(table), NamOracle(), OMEGA, parmap=pm) for _ in range(3)]
+    finally:
+        pm.close()
+    want = popqc(CIRCUIT, NamOracle(), OMEGA)
+    first, second, third = (run.stats for run in runs)
+    assert all(run.circuit.gates == want.circuit.gates for run in runs)
+    assert all(run.stats.rounds == want.stats.rounds for run in runs)
+    assert second.cache_hits == third.cache_hits == want.stats.oracle_calls
+    assert second.cache_bytes_saved == third.cache_bytes_saved > 0
+    assert first.counters["cache_memo_hits"] <= first.cache_hits
+    assert second.counters["cache_memo_hits"] < second.cache_hits
+    assert third.counters["cache_memo_hits"] == third.cache_hits
+    assert third.cache_misses == 0 and cache.stats.misses == first.cache_misses
+    total = first.cache_hits + second.cache_hits + third.cache_hits
+    assert cache.stats.hits == total and cache.stats.hit_rate == total / (
+        total + first.cache_misses
+    )
+    assert cache.stats.bytes_saved == sum(
+        stats.cache_bytes_saved for stats in (first, second, third)
+    )
+    assert 0 < len(table.memo) <= want.stats.oracle_calls
+
+
+def test_two_oracles_never_answer_each_other_from_the_memo():
+    """One executor, one cache, one table: the memo key carries the
+    oracle's namespace exactly as the content key does."""
+    light = NamOracle(passes=("cancellation",))
+    want = [popqc(CIRCUIT, oracle, OMEGA) for oracle in (NamOracle(), light)]
+    assert want[0].circuit.gates != want[1].circuit.gates
+    table = GateTable(memo_cap=4096)
+    pm = ProcessMap(2, serial_cutoff=0, transport="threads", cache=SegmentCache())
+    try:
+        for _ in range(3):  # miss, content hit, memo hit — interleaved
+            for oracle, expected in zip((NamOracle(), light), want):
+                got = popqc(_as_ids(table), oracle, OMEGA, parmap=pm)
+                assert got.circuit.gates == expected.circuit.gates
+                assert got.stats.rounds == expected.stats.rounds
+        assert got.stats.counters["cache_memo_hits"] == got.stats.oracle_calls
+    finally:
+        pm.close()
+    assert {key[0] for key in table.memo} == {
+        oracle_cache_namespace(NamOracle()),
+        oracle_cache_namespace(light),
+    }
+
+
+def test_a_table_without_a_memo_is_never_asked():
+    """``popqc``'s own table carries none: a content hit stays packed
+    (and unread when rejected), as the lazy-decode pins above demand."""
+    pm = ProcessMap(2, serial_cutoff=0, transport="threads", cache=SegmentCache())
+    try:
+        for _ in range(3):
+            got = popqc(_as_ids(GateTable()), NamOracle(), OMEGA, parmap=pm)
+        assert got.stats.cache_hit_rate == 1.0
+        assert got.stats.counters["cache_memo_hits"] == 0
+    finally:
+        pm.close()

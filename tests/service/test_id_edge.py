@@ -17,7 +17,13 @@ import pytest
 from repro.benchgen import family_names, generate
 from repro.circuits import CNOT, RZ, Circuit, Gate, H, X
 from repro.circuits import gate as gate_module
-from repro.circuits.encoding import EncodedSegment, encode_segment, pack_segment
+from repro.circuits import intern
+from repro.circuits.encoding import (
+    EncodedSegment,
+    decode_segment,
+    encode_segment,
+    pack_segment,
+)
 from repro.core import GateStore, popqc
 from repro.oracles import NamOracle
 from repro.parallel.frames import (
@@ -152,24 +158,203 @@ class TestHostileContent:
         assert Gate("ccx", (2, 0, 1)) in job.circuit.gates
 
 
+def _result_bytes(client, circuit, omega):
+    job = pack_job_payload(
+        1, omega, circuit.num_qubits, None, encode_segment(circuit.gates)
+    )
+    _, payload = client.request(FRAME_JOB, job, FRAME_RESULT)
+    return pack_segment(unpack_result_payload(payload)[2])
+
+
+def _standalone_bytes(circuit, omega):
+    return pack_segment(
+        encode_segment(popqc(circuit, NamOracle(), omega).circuit.gates)
+    )
+
+
+@pytest.fixture
+def job_stats(monkeypatch):
+    """The ``OptimizationStats`` of every job the daemons in this
+    process finish, in order (``cache_memo_hits`` is in no frame)."""
+    seen = []
+
+    def watched(*args, **kwargs):
+        result = popqc(*args, **kwargs)
+        seen.append(result.stats)
+        return result
+
+    monkeypatch.setattr(server_module, "popqc", watched)
+    return seen
+
+
 class TestByteIdentity:
     """RESULT circuit bytes are the reference encoder's on a standalone
-    ``popqc`` output: all eight families, cold then warm, two Ω."""
+    ``popqc`` output: all eight families, two Ω, on the first submission
+    (oracle calls), the second (content hits, which fill the shared
+    table's memo) and the third (memo hits)."""
 
     @pytest.mark.parametrize("omega", [25, 100])
     @pytest.mark.parametrize("family", family_names())
-    def test_result_bytes_equal_standalone_popqc(self, service, family, omega):
+    def test_result_bytes_equal_standalone_popqc(
+        self, service, job_stats, family, omega
+    ):
         circuit = generate(family, 0, seed=3)
-        want = pack_segment(
-            encode_segment(popqc(circuit, NamOracle(), omega).circuit.gates)
-        )
-        job = pack_job_payload(
-            1, omega, circuit.num_qubits, None, encode_segment(circuit.gates)
-        )
+        want = _standalone_bytes(circuit, omega)
         with ServiceClient(service.address) as client:
-            for _ in ("cold", "warm"):
-                _, payload = client.request(FRAME_JOB, job, FRAME_RESULT)
-                assert pack_segment(unpack_result_payload(payload)[2]) == want
+            for _ in ("miss", "content hit", "memo hit"):
+                assert _result_bytes(client, circuit, omega) == want
+        first, second, third = job_stats
+        calls = first.oracle_calls
+        assert second.oracle_calls == third.oracle_calls == calls > 0
+        # a hit on the first pass is a segment the job itself repeats;
+        # only such a segment is in the memo before the second pass has
+        # met it, and a job that repeats none reads 0, 0, calls
+        memo = [stats.counters["cache_memo_hits"] for stats in job_stats]
+        assert memo[0] <= first.cache_hits < calls
+        assert second.cache_hits == calls
+        assert first.cache_hits <= memo[1] < calls
+        assert third.cache_hits == memo[2] == calls
+        if family in ("Grover", "HHL", "VQE") and omega == 100:
+            assert memo[:2] == [0, 0] and first.cache_hits == 0
+        assert third.cache_bytes_saved == second.cache_bytes_saved > 0
+
+
+class FailsOnDemand(NamOracle):
+    """Raises on its ``fail_at``-th call from now (a class attribute:
+    the oracle's pickle, hence its cache namespace, never changes)."""
+
+    fail_at = None
+
+    def __call__(self, gates):
+        cls = type(self)
+        if cls.fail_at is not None:
+            cls.fail_at -= 1
+            if cls.fail_at <= 0:
+                cls.fail_at = None
+                raise RuntimeError("oracle fell over")
+        return super().__call__(gates)
+
+
+class TestSharedTable:
+    """Every job of a daemon interns into one table and asks its memo:
+    a bad job leaves nothing in either, and replacing them is invisible."""
+
+    def test_hostile_jobs_leave_no_row_key_or_memo_entry(self, service):
+        table = service._table
+
+        def state():
+            return len(table), len(table._by_key), len(table._by_value), len(table.memo)
+
+        with ServiceClient(service.address) as client:
+            client.optimize(GOOD, omega=4)
+            # h() on no qubit is a value ``Gate`` takes (it is the oracle
+            # that does not): it may have its row, here it gets it first
+            with pytest.raises(ServiceError):
+                client.request(FRAME_JOB, HOSTILE["arity 0"][0], FRAME_RESULT)
+            for case in sorted(HOSTILE):
+                before, failed = state(), service.jobs_failed
+                payload, kind = HOSTILE[case]
+                with pytest.raises(ServiceError, match=rf"\(kind {kind}\)"):
+                    client.request(FRAME_JOB, payload, FRAME_RESULT)
+                assert state() == before, case
+                assert service.jobs_failed == failed + (kind == ERR_JOB_FAILED)
+            assert service._table is table
+            # every row is still a gate the reference codec round-trips ...
+            ids = np.arange(len(table), dtype=np.int32)
+            assert decode_segment(table.encoded(ids)) == table.gates
+            assert set(table._by_key.values()) <= set(range(len(table)))
+            # ... and the next job is served from it, byte for byte
+            circuit = generate("Sqrt", 0, seed=11)
+            want = _standalone_bytes(circuit, 25)
+            assert [_result_bytes(client, circuit, 25) for _ in range(3)] == [want] * 3
+
+    def test_a_job_that_raises_mid_run_leaves_the_table_usable(self, job_stats):
+        circuit = generate("Grover", 0, seed=2)
+        want = _standalone_bytes(circuit, 25)
+        srv = OptimizationService(FailsOnDemand(), workers=2, transport="threads")
+        srv.start()
+        try:
+            table = srv._table
+            with ServiceClient(srv.address) as client:
+                FailsOnDemand.fail_at = 30  # a few rounds in
+                with pytest.raises(ServiceError, match=rf"\(kind {ERR_JOB_FAILED}\)"):
+                    _result_bytes(client, circuit, 25)
+                assert FailsOnDemand.fail_at is None and len(table) > 0
+                assert srv.jobs_failed == 1 and srv.jobs_active == 0
+                assert [_result_bytes(client, circuit, 25) for _ in range(3)] == [want] * 3
+            assert srv._table is table
+            *_, last = job_stats
+            assert last.counters["cache_memo_hits"] == last.oracle_calls > 0
+        finally:
+            FailsOnDemand.fail_at = None
+            srv.stop()
+
+    def test_rotation_is_invisible_and_the_memo_keeps_to_its_bound(self, monkeypatch):
+        """Small caps: a replay stream crosses table generations and
+        every RESULT is still the standalone bytes; a memo stops at its
+        bound and the next admission replaces table and memo together."""
+        monkeypatch.setattr(intern, "TABLE_CAP", 400)
+        monkeypatch.setattr(server_module, "MEMO_CAP", 150)
+        suite = [(generate(f, 0, seed=4), 25) for f in ("Grover", "HHL", "VQE", "Shor")]
+        want = [_standalone_bytes(circuit, omega) for circuit, omega in suite]
+        srv = OptimizationService(NamOracle(), workers=2, transport="threads").start()
+        generations, memo_sizes = [srv._table], []
+        try:
+            with ServiceClient(srv.address) as client:
+                for _ in range(4):
+                    for (circuit, omega), expected in zip(suite, want):
+                        assert _result_bytes(client, circuit, omega) == expected
+                        if srv._table is not generations[-1]:
+                            generations.append(srv._table)
+                        memo_sizes.append(len(generations[-1].memo))
+        finally:
+            srv.stop()
+        assert len(generations) > 3 and srv.jobs_completed == 16
+        assert max(memo_sizes) == 150  # reached, never passed
+        assert all(len(table.memo) <= 150 for table in generations)
+        assert srv.cache.stats.hits > srv.cache.stats.misses  # still a warm stream
+
+    def test_an_in_flight_job_finishes_on_the_table_it_started_on(self, monkeypatch):
+        monkeypatch.setattr(intern, "TABLE_CAP", 8)  # every job fills its table
+        slow, quick = generate("HHL", 0, seed=6), generate("VQE", 0, seed=6)
+        started, resume = threading.Event(), threading.Event()
+        tables = {}
+
+        def watched(circuit, oracle, omega, **kwargs):
+            _, table = circuit.interned
+            if omega == 25:  # the slow job: parked until the quick one is done
+                started.set()
+                assert resume.wait(30)
+            result = popqc(circuit, oracle, omega, **kwargs)
+            assert result.gates.interned[1] is table
+            tables[omega] = table
+            return result
+
+        monkeypatch.setattr(server_module, "popqc", watched)
+        srv = OptimizationService(NamOracle(), workers=2, transport="threads").start()
+        try:
+            first, got = srv._table, {}
+
+            def submit_slow():
+                with ServiceClient(srv.address) as client:
+                    got["slow"] = _result_bytes(client, slow, 25)
+
+            worker = threading.Thread(target=submit_slow)
+            worker.start()
+            assert started.wait(30)
+            with ServiceClient(srv.address) as client:
+                got["quick"] = _result_bytes(client, quick, 24)
+            assert srv._table is not first  # replaced at the quick job's admission
+            resume.set()
+            worker.join(30)
+        finally:
+            resume.set()
+            srv.stop()
+        assert tables[25] is first and tables[24] is not first
+        assert got == {
+            "slow": _standalone_bytes(slow, 25),
+            "quick": _standalone_bytes(quick, 24),
+        }
 
 
 class TestNeverBuildsAGatePerGate:

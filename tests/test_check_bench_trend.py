@@ -105,6 +105,61 @@ class TestTransportGate:
         assert "width class  7: inline 9.00 us/gate x 1, pool 4.50 us/gate x 19" in out
 
 
+class TestPaperShapes:
+    """Table 3's and Figure 8's wall-clock ratios left tier-1 for
+    ``--shapes``: printed with a verdict on the paper's shape, and no
+    reading of them changes the exit status."""
+
+    @staticmethod
+    def _shapes(small, large, shares):
+        return {
+            "benchmarks": [
+                {"name": "test_table3", "extra_info": {}},
+                {
+                    "name": "test_table3_popqc_overtakes_with_size",
+                    "extra_info": {
+                        "oac_over_popqc_time_ratio": {"small": small, "large": large}
+                    },
+                },
+                {
+                    "name": "test_figure8",
+                    "extra_info": {"oracle_fraction_by_size": shares},
+                },
+            ]
+        }
+
+    def test_printed_never_gated(self, write, capsys):
+        cur = write("cur.json", _transport_record())
+        base = write("base.json", _transport_record())
+        good = write("good.json", self._shapes(0.99, 1.45, {"VQE": [0.80, 0.83]}))
+        assert trend.main([cur, base, "--shapes", good]) == 0
+        out = capsys.readouterr().out
+        assert "OAC/POPQC time ratio 0.99 small -> 1.45 large (as in the paper" in out
+        assert "VQE oracle share 0.80 -> 0.83 by size (as in the paper" in out
+        bad = write(
+            "bad.json",
+            self._shapes(1.4, 0.7, {"HHL": [0.6, 0.2], "Shor": [0.3, 0.4]}),
+        )
+        assert trend.main([cur, base, "--shapes", bad]) == 0
+        out = capsys.readouterr().out
+        assert "1.40 small -> 0.70 large (NOT as in the paper" in out
+        assert "HHL oracle share 0.60 -> 0.20 by size (NOT as" in out
+        assert "Shor oracle share 0.30 -> 0.40 by size (NOT as" in out  # below half
+
+    def test_a_regression_still_fails_beside_them(self, write):
+        cur = write("cur.json", _transport_record(serial=700.0))
+        base = write("base.json", _transport_record(serial=1000.0))
+        shapes = write("shapes.json", self._shapes(1.0, 2.0, {}))
+        assert trend.main([cur, base, "--shapes", shapes]) == 1
+
+    def test_the_real_benchmarks_record_what_is_printed(self):
+        """The two halves meet: the names the benchmarks write are the
+        names this script reads."""
+        bench = Path(_SCRIPT).parent
+        assert '"oac_over_popqc_time_ratio"' in (bench / "test_table3.py").read_text()
+        assert '"oracle_fraction_by_size"' in (bench / "test_figure8.py").read_text()
+
+
 def _transport_record_v5(speedup=4.0, cpus=2, **kwargs):
     record = _transport_record(**kwargs, cpus=cpus)
     record["schema"] = "popqc-bench-transport/v5"
