@@ -16,21 +16,12 @@ script.  Two sections are gated against the baseline:
   catch protocol-level regressions (an extra copy per frame, a lost
   pipelining opportunity), not percent-level drift.
 
-Records of schema ``popqc-bench-transport/v5`` and later additionally
-gate the **cluster cache** section: a second host resolving the warm
-segment stream from the shared cache tier must beat the cold pass that
-executed the oracle behind the same socket path
-(``remote_hit_speedup_vs_cold > 1.0``; the ratio against the
-*in-process* oracle, ``remote_hit_speedup_vs_oracle``, is printed but
-hovers around 1 since the rule engine got faster).  The gate is a
-ratio of two measurements on the same machine, so it is *always*
-armed, even against a baseline from a different runner class, and a v5
-record missing the section is itself a regression.
-
-Records carrying a **service** section gate its warm-cache ratio the
-same always-armed way: hits must resolve ≥3x faster than oracle
-re-execution (``hit_speedup_vs_oracle``; tier-1 asserts only that the
-warm pass is all hits with zero oracle calls).
+Records carrying a **service** section gate its warm-cache ratio:
+hits must resolve ≥3x faster than oracle re-execution
+(``hit_speedup_vs_oracle``; tier-1 asserts only that the warm pass is
+all hits with zero oracle calls).  The gate is a ratio of two
+measurements on the same machine, so it is *always* armed, even
+against a baseline from a different runner class.
 
 ``--shapes FILE`` names a pytest-benchmark JSON (``pytest
 benchmarks/test_table3.py benchmarks/test_figure8.py
@@ -134,37 +125,6 @@ def main(argv: list[str] | None = None) -> int:
 
     regressions: list[str] = []  # hardware-dependent: warn-only cross-class
     hard: list[str] = []  # ratio gates: armed regardless of runner class
-
-    schema = str(current.get("schema", ""))
-    try:
-        version = int(schema.rsplit("/v", 1)[1])
-    except (IndexError, ValueError):
-        version = 0
-    if version >= 5:
-        cluster = current.get("cluster_cache")
-        if not isinstance(cluster, dict):
-            hard.append(
-                "cluster_cache: section missing from the fresh record "
-                f"(required by schema {schema})"
-            )
-        else:
-            ratio = cluster.get("remote_hit_speedup_vs_cold")
-            gated = isinstance(ratio, (int, float)) and ratio > 1.0
-            verdict = "OK" if gated else "REGRESSION"
-            print(
-                f"cluster cache: remote hits resolve "
-                f"{ratio if isinstance(ratio, (int, float)) else 0.0:.2f}x "
-                f"faster than the cold pass (floor 1.0) -> {verdict}; "
-                f"{cluster.get('remote_hit_speedup_vs_oracle', 0.0):.2f}x "
-                "vs the in-process oracle (ungated)"
-            )
-            if not gated:
-                hard.append(
-                    f"cluster_cache: remote_hit_speedup_vs_cold {ratio!r} "
-                    "is not > 1.0 — a second host must resolve warm "
-                    "segments from the shared cache faster than the host "
-                    "that ran the oracle on them"
-                )
 
     def gate(name: str, tolerance: float) -> None:
         got = current["results"].get(name, {}).get("segments_per_s")

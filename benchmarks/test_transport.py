@@ -16,7 +16,7 @@ on the segment stream of a ≥20k-gate circuit, prove the transports
 byte-identical end to end, compare the two rule-engine
 implementations, record what lazy result decode skipped and where a
 default-constructed ``ProcessMap`` chose to run its rounds, and emit a
-machine-readable ``BENCH_transport.json`` (schema v5) that CI uploads
+machine-readable ``BENCH_transport.json`` (schema v6) that CI uploads
 on every push and diffs against the committed baseline (see
 ``benchmarks/README.md``).
 
@@ -473,95 +473,6 @@ def test_cache_hits_resolve_10x_faster_than_oracle(service_results):
     assert service_results["warm_results_identical_to_cold"]
 
 
-@pytest.fixture(scope="module")
-def cluster_cache_results():
-    """The cluster-shared cache tier measured across *hosts*: a
-    ``popqc serve`` daemon is the cache, two worker hosts consult it
-    (``--cache``), and two drivers run the same segment stream — the
-    first against host A (all misses, publishes every result), the
-    second against host B (never saw the work, resolves every segment
-    as a remote hit).  Records how much faster the warm remote pass is
-    than re-executing the oracle in-process (``..._vs_oracle``) and than
-    the cold pass, which executed it behind the same socket path
-    (``..._vs_cold``).
-    """
-    from repro.parallel import WorkerHost
-    from repro.service import OptimizationService
-
-    smoke_segments = SEGMENTS[:24]
-    tier = OptimizationService(ORACLE, workers=1, transport="threads").start()
-    host_a = WorkerHost(capacity=2, cache_address=tier.address).start()
-    host_b = WorkerHost(capacity=2, cache_address=tier.address).start()
-    try:
-        pm = ProcessMap(
-            1, serial_cutoff=0, transport="socket", hosts=[host_a.address]
-        )
-        try:
-            t0 = time.perf_counter()
-            cold_results = pm.map_segments(ORACLE, smoke_segments)
-            cold = time.perf_counter() - t0
-        finally:
-            pm.close()
-        pm = ProcessMap(
-            1, serial_cutoff=0, transport="socket", hosts=[host_b.address]
-        )
-        try:
-            t0 = time.perf_counter()
-            warm_results = pm.map_segments(ORACLE, smoke_segments)
-            warm = time.perf_counter() - t0
-        finally:
-            pm.close()
-        counters = {
-            name: {
-                "hits": host.cache_hits,
-                "misses": host.cache_misses,
-                "stores": host.cache_stores,
-                "errors": host.cache_errors,
-            }
-            for name, host in (("host_a", host_a), ("host_b", host_b))
-        }
-        tier_stats = tier.status()["cluster_cache"]
-    finally:
-        host_a.stop()
-        host_b.stop()
-        tier.stop()
-    assert warm_results == cold_results  # shared cache is transparent
-    oracle_best = _serial_time(smoke_segments, repeats=2)
-    n = len(smoke_segments)
-    return {
-        "workload": "same segment stream through two hosts sharing one "
-        "cache tier (cold publish on A, warm remote hits on B)",
-        "segments": n,
-        "cold_seconds": cold,
-        "warm_remote_seconds": warm,
-        "remote_hit_seconds_per_segment": warm / n,
-        "oracle_seconds_per_segment": oracle_best / n,
-        "remote_hit_speedup_vs_oracle": oracle_best / warm,
-        "remote_hit_speedup_vs_cold": cold / warm,
-        "tier": tier_stats,
-        **counters,
-    }
-
-
-def test_second_host_resolves_warm_segments_remotely(cluster_cache_results):
-    """Acceptance: a host that never ran a segment resolves the whole
-    warm stream from the cluster cache — every lookup a hit, no oracle
-    re-execution.  That it is also *faster* than the cold pass that ran
-    the oracle behind the same socket path (``remote_hit_speedup_vs_cold
-    > 1.0``) is a wall-clock ratio: recorded here, gated by
-    ``check_bench_trend.py``.  (Against the *in-process* oracle a
-    remote hit is a coin toss, 0.8-1.3x; that ratio is only recorded.)"""
-    r = cluster_cache_results
-    assert r["host_a"]["misses"] == r["segments"]  # cold pass paid the oracle
-    assert r["host_a"]["stores"] == r["segments"]  # ...and published it all
-    assert r["host_b"]["hits"] == r["segments"]  # warm pass was all remote hits
-    assert r["host_b"]["misses"] == 0
-    assert r["host_a"]["errors"] == 0 and r["host_b"]["errors"] == 0
-    assert r["tier"]["stores"] == r["segments"]
-    assert r["tier"]["hits"] == r["segments"]
-    assert r["remote_hit_speedup_vs_cold"] > 0 and r["warm_remote_seconds"] > 0
-
-
 def _socket_record(smoke_segments, hosts) -> dict:
     """Throughput + wire accounting of one socket-transport round over
     the localhost cluster (the BENCH_transport.json `socket` section).
@@ -592,13 +503,13 @@ def _socket_record(smoke_segments, hosts) -> dict:
 
 
 def test_five_way_comparison_emits_bench_json(
-    engine_results, socket_cluster, service_results, cluster_cache_results, bench_json
+    engine_results, socket_cluster, service_results, bench_json
 ):
     """Measure serial/pickle/encoded/shm/threads/socket round
     throughput at smoke scale (socket against the localhost cluster),
     the rule-engine comparison, the lazy-decode stats and the
-    segment-cache comparisons (in-process and cluster-shared), and
-    write ``BENCH_transport.json`` (schema v5) for the CI trend job.
+    segment-cache comparison, and write ``BENCH_transport.json``
+    (schema v6) for the CI trend job.
 
     This test only asserts sanity (positive throughputs, complete
     record, lazy decode skipping bytes on a rejecting workload); the
@@ -629,7 +540,7 @@ def test_five_way_comparison_emits_bench_json(
     dispatch = _dispatch_record()
 
     record = {
-        "schema": "popqc-bench-transport/v5",
+        "schema": "popqc-bench-transport/v6",
         "generated_unix": time.time(),
         "workload": {
             "circuit_gates": CIRCUIT.num_gates,
@@ -648,13 +559,9 @@ def test_five_way_comparison_emits_bench_json(
         "lazy_decode": lazy,
         "dispatch": dispatch,
         "service": service_results,
-        "cluster_cache": cluster_cache_results,
         "derived": {
             "cache_hit_speedup_vs_oracle": service_results[
                 "hit_speedup_vs_oracle"
-            ],
-            "remote_cache_hit_speedup_vs_oracle": cluster_cache_results[
-                "remote_hit_speedup_vs_oracle"
             ],
             "encoded_speedup_vs_pickle": results["pickle"]["seconds_per_round"]
             / results["encoded"]["seconds_per_round"],

@@ -108,6 +108,18 @@ def _run_popqc(circuit, args):
         parmap.close()
 
 
+def _stop_on_sigterm() -> None:
+    """Turn SIGTERM into ``KeyboardInterrupt`` so a daemon subcommand
+    leaves ``serve_forever`` through its ``finally``: the endpoint is
+    stopped (fleet released) and the summary printed, as on Ctrl-C."""
+    import signal
+
+    def _sigterm(signum, frame):
+        raise KeyboardInterrupt
+
+    signal.signal(signal.SIGTERM, _sigterm)
+
+
 def _load_circuit(spec: str):
     """Load ``FAMILY[:size]`` from the registry or a QASM path."""
     if ":" in spec or spec in family_names():
@@ -196,17 +208,6 @@ def main(argv: list[str] | None = None) -> int:
         help="shared secret demanded of every driver connection (AUTH "
         "frame before any other; defaults to $POPQC_AUTH_TOKEN; omit "
         "to serve unauthenticated)",
-    )
-    p_worker.add_argument(
-        "--cache",
-        default=None,
-        metavar="HOST:PORT",
-        help="address of a popqc serve daemon to use as a cluster-shared "
-        "segment cache: the worker looks warm segments up before running "
-        "the oracle and publishes fresh results back, so a second host "
-        "resolves segments the first already paid for (the same "
-        "--auth-token is presented; a dead cache degrades to misses, "
-        "never failures)",
     )
 
     p_serve = sub.add_parser(
@@ -380,48 +381,36 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "worker":
         from .parallel import WorkerHost, parse_address
 
+        _stop_on_sigterm()
         host, port = parse_address(args.bind)
         worker = WorkerHost(
             host,
             port,
             capacity=args.capacity,
             auth_token=args.auth_token,
-            cache_address=args.cache,
         )
-        print(f"popqc worker listening on {worker.address}", flush=True)
-        try:
+        try:  # from the banner on, a SIGTERM still gets the summary
+            print(f"popqc worker listening on {worker.address}", flush=True)
             worker.serve_forever()
         except KeyboardInterrupt:  # pragma: no cover - interactive stop
             pass
         finally:
             worker.stop()
-            cache_note = (
-                f", cluster cache {worker.cache_hits} hits / "
-                f"{worker.cache_misses} misses / {worker.cache_stores} stores"
-                if args.cache
-                else ""
-            )
             print(
                 f"popqc worker served {worker.segments_served} segments in "
                 f"{worker.batches_served} batches "
-                f"({worker.bytes_received} B in, {worker.bytes_sent} B out"
-                f"{cache_note})",
+                f"({worker.bytes_received} B in, {worker.bytes_sent} B out)",
                 flush=True,
             )
         return 0
 
     if args.command == "serve":
         import json as _json
-        import signal
 
         from .parallel import parse_address
         from .service import OptimizationService, SegmentCache
 
-        def _sigterm(signum, frame):  # daemon stop must release the fleet
-            raise KeyboardInterrupt
-
-        signal.signal(signal.SIGTERM, _sigterm)
-
+        _stop_on_sigterm()
         oracle = NamOracle(engine=args.oracle_engine)
         cache: object = (
             False
@@ -455,8 +444,8 @@ def main(argv: list[str] | None = None) -> int:
             max_workers=args.max_workers,
             scale_window_seconds=args.scale_window,
         )
-        print(f"popqc serve listening on {service.address}", flush=True)
         try:
+            print(f"popqc serve listening on {service.address}", flush=True)
             service.serve_forever()
         except KeyboardInterrupt:  # pragma: no cover - interactive stop
             pass

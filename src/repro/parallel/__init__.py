@@ -73,13 +73,12 @@ from .scheduling import (
 from .shm import HAVE_SHM, ShmArenaPool, StaleArenaError
 from .simulated import SimulatedParallelism
 from .transports import TRANSPORTS, Transport
-from .worker import CacheClient, WorkerHost, local_cluster
+from .worker import WorkerHost, local_cluster
 
 __all__ = [
     "HAVE_SHM",
     "TRANSPORTS",
     "AuthenticationError",
-    "CacheClient",
     "CacheFront",
     "DecodeStats",
     "FrameConnection",

@@ -240,7 +240,10 @@ class CacheFront:
     optimization service one per job
     (:class:`~repro.service.FleetView`), so a disk store is readable
     by both interchangeably and the hit accounting is exact for
-    whoever owns the front.
+    whoever owns the front.  It is also the cache's only writer:
+    :meth:`run` stores what its own ``dispatch`` returned and nothing
+    else does, so every entry is the output of an oracle the cache's
+    owner ran.
 
     Attributes
     ----------

@@ -1,8 +1,8 @@
 """Length-prefixed frames: the codec and the two endpoints built on it.
 
 Everything that crosses a TCP connection in this repository — the
-socket transport's segment batches, the cluster cache tier, the
-``popqc serve`` job protocol — is one *frame*: a fixed 16-byte header
+socket transport's segment batches, the ``popqc serve`` job
+protocol — is one *frame*: a fixed 16-byte header
 (magic, frame type, payload length) followed by the payload.  This
 module is the bottom of that stack and imports nothing from the
 executors above it:
@@ -41,22 +41,12 @@ Frame layout (all integers little-endian)::
     SHUTDOWN   empty payload
     AUTH       the shared secret as utf-8 bytes  (client -> server)
     AUTH_OK    empty payload                     (server -> client)
-    CACHE_LOOKUP <QQ: count, namespace nbytes> + namespace
-               -- pad to 8 -- + count packed segments
-    CACHE_RESULT <Q count> + count of (<Q value nbytes> + value
-               -- pad to 8 --); a miss wires nbytes = CACHE_MISS
-    CACHE_STORE  <QQ: count, namespace nbytes> + namespace
-               -- pad to 8 -- + count of (one packed segment +
-               <Q value nbytes> + value -- pad to 8 --)
 
 JOB, RESULT, STATUS and BUSY have their numbers in the table below and
 their payloads in :mod:`repro.service.frames`, the only package that
-speaks them.  CACHE_* is the **cluster cache tier**: a ``popqc worker
---cache HOST:PORT`` asks the optimization service's segment cache
-before running the oracle on a batch and publishes what it had to
-compute (:class:`~repro.parallel.worker.CacheClient`); a CACHE_STORE is
-acknowledged with an empty CACHE_RESULT, so a publish is visible
-before the worker's RESULTS frame reaches the driver.
+speaks them.  No frame reads or writes a cache: a result cache belongs
+to the process that runs the driver, and only that process's own
+oracle dispatches fill it.
 """
 
 from __future__ import annotations
@@ -79,14 +69,10 @@ from ..circuits.encoding import (
 )
 
 __all__ = [
-    "CACHE_MISS",
     "CONNECTION_FAILURES",
     "FRAME_AUTH",
     "FRAME_AUTH_OK",
     "FRAME_BUSY",
-    "FRAME_CACHE_LOOKUP",
-    "FRAME_CACHE_RESULT",
-    "FRAME_CACHE_STORE",
     "FRAME_ERROR",
     "FRAME_HEADER_SIZE",
     "FRAME_JOB",
@@ -111,9 +97,6 @@ __all__ = [
     "iter_results_payload",
     "join_segments_payload",
     "oracle_blob_digest",
-    "pack_cache_lookup_payload",
-    "pack_cache_result_payload",
-    "pack_cache_store_payload",
     "pack_frame",
     "pack_register_ok_payload",
     "pack_register_payload",
@@ -122,9 +105,6 @@ __all__ = [
     "parse_address",
     "raise_remote_error",
     "recv_frame",
-    "unpack_cache_lookup_payload",
-    "unpack_cache_result_payload",
-    "unpack_cache_store_payload",
     "unpack_error_payload",
     "unpack_register_ok_payload",
     "unpack_register_payload",
@@ -160,28 +140,23 @@ FRAME_STATUS = 11
 FRAME_AUTH = 12
 FRAME_AUTH_OK = 13
 FRAME_BUSY = 14
-FRAME_CACHE_LOOKUP = 15
-FRAME_CACHE_RESULT = 16
-FRAME_CACHE_STORE = 17
 
-_KNOWN_FRAMES = range(FRAME_REGISTER, FRAME_CACHE_STORE + 1)
+_KNOWN_FRAMES = range(FRAME_REGISTER, FRAME_BUSY + 1)
 
 #: Upper bound on a frame payload (1 GiB); a corrupt length field must
 #: fail loudly instead of waiting forever for bytes that never come.
 MAX_FRAME_BYTES = 1 << 30
+
+#: The cap a server that demands a token applies until the connection
+#: has presented it: an AUTH payload is a token, so a peer that has
+#: proved nothing cannot make the reader buffer more than this.
+PRE_AUTH_FRAME_BYTES = 4096
 
 _SEGMENTS_HEADER = struct.Struct("<QQQ")  # generation, batch id, count
 _RESULTS_HEADER = struct.Struct("<QQ")  # batch id, count
 _REGISTER_HEADER = struct.Struct("<Q")  # generation
 _REGISTER_OK_HEADER = struct.Struct("<QQ")  # generation, capacity
 _ERROR_HEADER = struct.Struct("<B")  # error kind
-_CACHE_BATCH_HEADER = struct.Struct("<QQ")  # entry count, namespace nbytes
-_CACHE_VALUE_HEADER = struct.Struct("<Q")  # value nbytes (or CACHE_MISS)
-
-#: Value-length sentinel in a CACHE_RESULT entry meaning "miss": the
-#: cache tier has no bytes for that segment and the worker must run
-#: the oracle itself.
-CACHE_MISS = (1 << 64) - 1
 
 #: Error kinds carried by ERROR frames.
 ERR_STALE_ORACLE = 1
@@ -240,10 +215,13 @@ class FrameReader:
     drives this with every possible chunking of a frame stream.
     """
 
-    __slots__ = ("_buf",)
+    __slots__ = ("_buf", "max_frame_bytes")
 
     def __init__(self) -> None:
         self._buf = bytearray()
+        #: Largest payload a header may declare (a server lowers it
+        #: until its peer has authenticated).
+        self.max_frame_bytes = MAX_FRAME_BYTES
 
     def feed(self, data: bytes) -> None:
         """Append raw received bytes to the parse buffer."""
@@ -266,7 +244,7 @@ class FrameReader:
             raise FrameProtocolError(f"bad frame magic {magic!r}")
         if frame_type not in _KNOWN_FRAMES:
             raise FrameProtocolError(f"unknown frame type {frame_type}")
-        if length > MAX_FRAME_BYTES:
+        if length > self.max_frame_bytes:
             raise FrameProtocolError(f"frame length {length} exceeds the cap")
         end = _FRAME_HEADER.size + length
         if len(self._buf) < end:
@@ -311,8 +289,7 @@ def parse_address(spec: str) -> tuple[str, int]:
 
 def oracle_blob_digest(oracle_blob: bytes) -> bytes:
     """The 16-byte cache namespace of a pickled oracle: what scopes its
-    cache keys on the driver (which pickles the oracle) and on a worker
-    host (which hashes the REGISTER blob it was sent) alike."""
+    cache keys on the driver."""
     return hashlib.blake2b(oracle_blob, digest_size=16).digest()
 
 
@@ -321,12 +298,10 @@ def pack_register_payload(oracle_blob: bytes, generation: int) -> bytes:
     return _REGISTER_HEADER.pack(generation) + oracle_blob
 
 
-def unpack_register_payload(payload: bytes) -> tuple[int, object, bytes]:
-    """(generation, oracle, the raw pickled-oracle blob) from a
-    REGISTER payload."""
+def unpack_register_payload(payload: bytes) -> tuple[int, object]:
+    """(generation, oracle) from a REGISTER payload."""
     (generation,) = _REGISTER_HEADER.unpack_from(payload, 0)
-    blob = payload[_REGISTER_HEADER.size :]
-    return generation, pickle.loads(blob), blob
+    return generation, pickle.loads(payload[_REGISTER_HEADER.size :])
 
 
 def pack_register_ok_payload(generation: int, capacity: int) -> bytes:
@@ -447,162 +422,6 @@ def raise_remote_error(payload: bytes, refusal: type = FrameProtocolError) -> No
     raise refusal(f"peer refused the frame (kind {kind}): {message}")
 
 
-def _cache_batch_head(payload: bytes, what: str) -> tuple[int, bytes, int]:
-    """(entry count, namespace, first entry offset) of a CACHE_LOOKUP or
-    CACHE_STORE payload."""
-    if len(payload) < _CACHE_BATCH_HEADER.size:
-        raise FrameProtocolError(f"{what} payload shorter than its header")
-    count, ns_len = _CACHE_BATCH_HEADER.unpack_from(payload, 0)
-    pos = _CACHE_BATCH_HEADER.size
-    if pos + ns_len > len(payload):
-        raise FrameProtocolError(f"{what} payload truncated in its namespace")
-    return count, bytes(payload[pos : pos + ns_len]), pos + ns_len + (-ns_len) % 8
-
-
-def _padded(value: bytes) -> tuple[bytes, bytes, bytes]:
-    """A value as it rides a CACHE_* payload: length, bytes, pad to 8."""
-    return _CACHE_VALUE_HEADER.pack(len(value)), value, bytes((-len(value)) % 8)
-
-
-def pack_cache_lookup_payload(
-    namespace: bytes, packed_segments: Sequence[bytes]
-) -> bytes:
-    """CACHE_LOOKUP payload: batch header + namespace + packed segments.
-
-    The namespace is the oracle's cache namespace (the blake2b digest
-    of the pickled-oracle REGISTER blob), so two workers registered
-    with byte-identical oracles share cache lines and any other oracle
-    cannot collide with them.  Key derivation stays server-side — the
-    payload carries raw packed segment bytes, never keys.
-    """
-    head = _CACHE_BATCH_HEADER.pack(len(packed_segments), len(namespace))
-    return b"".join(
-        [head, namespace, bytes((-len(namespace)) % 8), *packed_segments]
-    )
-
-
-def unpack_cache_lookup_payload(payload: bytes) -> tuple[bytes, list[bytes]]:
-    """(namespace, packed segments) from a CACHE_LOOKUP payload.
-
-    Raises :class:`FrameProtocolError` on a torn payload — a lookup
-    request the server cannot parse is refused, not guessed at.
-    """
-    count, namespace, pos = _cache_batch_head(payload, "CACHE_LOOKUP")
-    packed: list[bytes] = []
-    try:
-        for _ in range(count):
-            _, end = packed_segment_span(payload, pos)
-            if end > len(payload):
-                raise FrameProtocolError(
-                    "CACHE_LOOKUP payload truncated mid-segment"
-                )
-            packed.append(bytes(payload[pos:end]))
-            pos = end
-    except struct.error as exc:
-        raise FrameProtocolError(f"torn CACHE_LOOKUP payload: {exc}") from exc
-    return namespace, packed
-
-
-def pack_cache_result_payload(values: Sequence[Optional[bytes]]) -> bytes:
-    """CACHE_RESULT payload: count + each value (``None`` wires a miss).
-
-    An empty payload (count 0) doubles as the CACHE_STORE acknowledge.
-    """
-    parts = [_CACHE_VALUE_HEADER.pack(len(values))]
-    for value in values:
-        if value is None:
-            parts.append(_CACHE_VALUE_HEADER.pack(CACHE_MISS))
-        else:
-            parts.extend(_padded(value))
-    return b"".join(parts)
-
-
-def unpack_cache_result_payload(payload: bytes) -> list[Optional[bytes]]:
-    """Cached values (``None`` per miss) from a CACHE_RESULT payload.
-
-    Deliberately lenient where every other unpacker is strict: the
-    cache tier is an optimization, so a torn CACHE_RESULT must read as
-    *misses*, never as an error that fails the batch.  A truncated
-    entry — and everything after it, since nothing beyond a tear is
-    trustworthy — comes back as ``None`` and the worker simply runs
-    the oracle for those segments.
-    """
-    if len(payload) < _CACHE_VALUE_HEADER.size:
-        return []
-    (count,) = _CACHE_VALUE_HEADER.unpack_from(payload, 0)
-    # A forged count cannot cost memory: every wired entry takes at
-    # least one value header, so cap by what the payload could hold.
-    limit = (len(payload) - _CACHE_VALUE_HEADER.size) // _CACHE_VALUE_HEADER.size
-    count = min(count, max(0, limit))
-    values: list[Optional[bytes]] = []
-    pos = _CACHE_VALUE_HEADER.size
-    for _ in range(count):
-        if pos + _CACHE_VALUE_HEADER.size > len(payload):
-            values.append(None)  # torn: reads as a miss
-            continue
-        (nbytes,) = _CACHE_VALUE_HEADER.unpack_from(payload, pos)
-        pos += _CACHE_VALUE_HEADER.size
-        if nbytes == CACHE_MISS:
-            values.append(None)
-            continue
-        end = pos + nbytes
-        if nbytes > MAX_FRAME_BYTES or end > len(payload):
-            values.append(None)
-            pos = len(payload)  # torn mid-value: the rest is garbage
-            continue
-        values.append(bytes(payload[pos:end]))
-        pos = end + (-nbytes) % 8
-    return values
-
-
-def pack_cache_store_payload(
-    namespace: bytes, entries: Sequence[tuple[bytes, bytes]]
-) -> bytes:
-    """CACHE_STORE payload: header + namespace + (segment, value) pairs.
-
-    Each entry is the packed segment the worker was asked about
-    followed by the packed result bytes its oracle produced, so the
-    server derives the cache key exactly as the daemon-side cache
-    front does and the stored bytes are byte-identical either way.
-    """
-    head = _CACHE_BATCH_HEADER.pack(len(entries), len(namespace))
-    parts = [head, namespace, bytes((-len(namespace)) % 8)]
-    for packed, value in entries:
-        parts.append(packed)
-        parts.extend(_padded(value))
-    return b"".join(parts)
-
-
-def unpack_cache_store_payload(
-    payload: bytes,
-) -> tuple[bytes, list[tuple[bytes, bytes]]]:
-    """(namespace, (segment, value) pairs) from a CACHE_STORE payload.
-
-    Strict: a torn store is refused with
-    :class:`FrameProtocolError` — the server must never insert bytes
-    it cannot account for into the shared cache.
-    """
-    count, namespace, pos = _cache_batch_head(payload, "CACHE_STORE")
-    entries: list[tuple[bytes, bytes]] = []
-    try:
-        for _ in range(count):
-            _, end = packed_segment_span(payload, pos)
-            if end + _CACHE_VALUE_HEADER.size > len(payload):
-                raise FrameProtocolError(
-                    "CACHE_STORE payload truncated mid-segment"
-                )
-            packed = bytes(payload[pos:end])
-            (nbytes,) = _CACHE_VALUE_HEADER.unpack_from(payload, end)
-            pos = end + _CACHE_VALUE_HEADER.size
-            if nbytes > MAX_FRAME_BYTES or pos + nbytes > len(payload):
-                raise FrameProtocolError("CACHE_STORE payload truncated mid-value")
-            entries.append((packed, bytes(payload[pos : pos + nbytes])))
-            pos += nbytes + (-nbytes) % 8
-    except struct.error as exc:
-        raise FrameProtocolError(f"torn CACHE_STORE payload: {exc}") from exc
-    return namespace, entries
-
-
 # -- the server endpoint -------------------------------------------------------
 
 
@@ -618,12 +437,16 @@ class FrameServer:
     ``auth_token`` demands an AUTH frame carrying the shared secret
     before any other frame is accepted on a connection; the compare is
     constant-time, and a missing or wrong token is refused with a typed
-    ``ERR_AUTH`` error and a closed connection.  Without a token AUTH
-    is a friendly no-op, so one client configuration works against
-    both.  ``idle_timeout_seconds`` bounds how long a handler thread
-    blocks waiting for a client's next frame, so a slow-loris
-    connection (opened, then silent) cannot pin a thread for the life
-    of the process; ``None`` disables it.  PING is answered with PONG,
+    ``ERR_AUTH`` error and a closed connection; until the token has
+    been presented a header declaring more than
+    ``PRE_AUTH_FRAME_BYTES`` is hung up on like any oversized frame, so
+    a peer that has proved nothing cannot make the server buffer a
+    payload.  Without a token AUTH is a friendly no-op, so one client
+    configuration works against both.  ``idle_timeout_seconds`` bounds
+    how long a handler thread blocks waiting for a client's next frame,
+    so a slow-loris connection (opened, then silent) cannot pin a
+    thread for the life of the process; ``None`` disables it.  PING is
+    answered with PONG,
     SHUTDOWN closes the connection, and a frame :meth:`handle` does
     not know is refused with a typed ``ERR_BAD_FRAME`` error.
 
@@ -772,6 +595,8 @@ class FrameServer:
             peer = "unknown"
         session = self.open_session(peer)
         authed = self._auth_token is None
+        if not authed:
+            reader.max_frame_bytes = PRE_AUTH_FRAME_BYTES
         try:
             while True:
                 frame_type, payload = recv_frame(conn, reader)
@@ -784,6 +609,7 @@ class FrameServer:
                         payload, self._auth_token
                     ):
                         authed = True
+                        reader.max_frame_bytes = MAX_FRAME_BYTES
                         reply = pack_frame(FRAME_AUTH_OK)
                     else:
                         refusal = "invalid auth token"
@@ -890,19 +716,6 @@ class FrameConnection:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def exchange(self, frame: bytes) -> tuple[int, bytes]:
-        """Send one frame and block for the peer's reply frame, whatever
-        its type (an ERROR reply is returned, not raised)."""
-        sock = self.connect()._sock
-        if sock is None:  # closed from another thread since connect()
-            raise ConnectionClosedError(f"{self.address} was closed")
-        sock.sendall(frame)
-        self.bytes_sent += len(frame)
-        frame_type, payload = recv_frame(sock, self._reader)
-        self.bytes_received += FRAME_HEADER_SIZE + len(payload)
-        self.last_used = time.monotonic()
-        return frame_type, payload
-
     def request(
         self, frame_type: int, payload: bytes = b"", *expect: int
     ) -> tuple[int, bytes]:
@@ -913,7 +726,15 @@ class FrameConnection:
         :attr:`refusal_error`); a reply of a type not in ``expect``
         raises :class:`FrameProtocolError`.
         """
-        got, reply = self.exchange(pack_frame(frame_type, payload))
+        sock = self.connect()._sock
+        if sock is None:  # closed from another thread since connect()
+            raise ConnectionClosedError(f"{self.address} was closed")
+        frame = pack_frame(frame_type, payload)
+        sock.sendall(frame)
+        self.bytes_sent += len(frame)
+        got, reply = recv_frame(sock, self._reader)
+        self.bytes_received += FRAME_HEADER_SIZE + len(reply)
+        self.last_used = time.monotonic()
         if got == FRAME_ERROR:
             raise_remote_error(reply, self.refusal_error)
         if got not in expect:

@@ -35,10 +35,13 @@ Values are packed result bytes, so a cache hit feeds straight into
 :meth:`repro.parallel.results.LazySegmentResult.from_packed` — the
 same lazy handle an oracle round would have produced, byte for byte.
 
-This cache is the only tier that is shared: on disk, with worker hosts
-(the cluster tier) and across a daemon's gate-table generations.  In
-front of it, inside one process, a :class:`~repro.circuits.intern.
-GateTable` may carry an id-keyed memo of what this cache answered
+This cache is the only level that is shared: on disk (several drivers
+on one ``disk_dir``) and across a daemon's gate-table generations.  It
+is not on the wire — its owner is the process that runs the driver, and
+entries are written only by that process's cache front, from oracle
+results it dispatched itself.  In front of it, inside one process, a
+:class:`~repro.circuits.intern.GateTable` may carry an id-keyed memo
+of what this cache answered
 (:meth:`repro.parallel.CacheFront.run`); a lookup the memo answers
 never gets here and is counted here all the same
 (:meth:`SegmentCache.note_hits`), so ``stats`` describe the segments

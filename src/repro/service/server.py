@@ -28,19 +28,17 @@ whole between jobs, which no output can see.
 A job's output is byte-identical to a standalone ``popqc`` run of the
 same circuit with the same oracle and Ω.
 
-The daemon is also the hub of two cluster-scale features:
+The cache has one owner and one writer path: only this process's
+cache front (:meth:`repro.parallel.CacheFront.run`) reads or fills it,
+with values an oracle the daemon dispatched produced — no frame type
+touches it, so no peer can put bytes where a later job will read them.
 
-* **Cluster cache tier** — the service answers
-  ``CACHE_LOOKUP``/``CACHE_STORE`` frames out of its own
-  :class:`~repro.service.cache.SegmentCache`, so ``popqc worker
-  --cache`` hosts can serve each other's warm segments instead of
-  re-running the oracle (see :mod:`repro.parallel.worker`).
-* **Autoscaling** (``--min-workers/--max-workers/--scale-window``,
-  socket fleets only) — a background thread reads the scheduler's
-  queued-segment backlog and spawns or retires local ``popqc worker``
-  subprocesses through the ordinary REGISTER/capacity handshake;
-  retiring drains through the pool's reconnect-and-requeue path, so
-  scale-down never loses a round.
+**Autoscaling** (``--min-workers/--max-workers/--scale-window``,
+socket fleets only): a background thread reads the scheduler's
+queued-segment backlog and spawns or retires local ``popqc worker``
+subprocesses through the ordinary REGISTER/capacity handshake;
+retiring drains through the pool's reconnect-and-requeue path, so
+scale-down never loses a round.
 """
 
 from __future__ import annotations
@@ -67,17 +65,11 @@ from ..parallel.frames import (
     ERR_BAD_FRAME,
     ERR_JOB_FAILED,
     FRAME_BUSY,
-    FRAME_CACHE_LOOKUP,
-    FRAME_CACHE_RESULT,
-    FRAME_CACHE_STORE,
     FRAME_JOB,
     FRAME_RESULT,
     FRAME_STATUS,
     error_frame,
-    pack_cache_result_payload,
     pack_frame,
-    unpack_cache_lookup_payload,
-    unpack_cache_store_payload,
 )
 from .cache import SegmentCache
 from .frames import (
@@ -217,8 +209,7 @@ class OptimizationService(FrameServer):
         backlog exceeds one round budget, or retires the youngest
         spawned worker (down to ``min_workers``) after two consecutive
         idle windows.  Spawned workers present the service's auth
-        token and stay out of the cluster cache tier: a segment only
-        reaches them after the job's own cache front missed on it here.
+        token.
     worker_spawner:
         Factory for spawned workers — any callable returning an object
         with ``.address`` and ``.stop()``.  Defaults to
@@ -230,9 +221,6 @@ class OptimizationService(FrameServer):
         Totals across all connections, and jobs being optimized now.
     scale_ups / scale_downs / scale_failures:
         Autoscaler actions (spawn, retire, failed spawn).
-    cluster_cache_lookups / cluster_cache_hits / cluster_cache_stores:
-        CACHE_LOOKUP segments answered (and the hit subset) and
-        CACHE_STORE entries accepted from worker hosts.
     """
 
     def __init__(
@@ -295,9 +283,6 @@ class OptimizationService(FrameServer):
         self.scale_ups = 0
         self.scale_downs = 0
         self.scale_failures = 0
-        self.cluster_cache_lookups = 0
-        self.cluster_cache_hits = 0
-        self.cluster_cache_stores = 0
         super().__init__(host, port, auth_token, idle_timeout_seconds)
         self._spawned: list = []
         self._scale_lock = threading.Lock()
@@ -465,70 +450,14 @@ class OptimizationService(FrameServer):
     def handle(
         self, session: dict, frame_type: int, payload: bytes
     ) -> Optional[bytes]:
-        """JOB, STATUS and the cluster cache tier's two requests."""
+        """JOB and STATUS."""
         if frame_type == FRAME_JOB:
             return self._answer_job(payload, session)
         if frame_type == FRAME_STATUS:
             return pack_frame(
                 FRAME_STATUS, json.dumps(self.status()).encode("utf-8")
             )
-        if frame_type == FRAME_CACHE_LOOKUP:
-            return self._answer_cache_lookup(payload)
-        if frame_type == FRAME_CACHE_STORE:
-            return self._answer_cache_store(payload)
         return None
-
-    # -- cluster cache tier ----------------------------------------------------
-
-    def _answer_cache_lookup(self, payload: bytes) -> bytes:
-        """The CACHE_RESULT reply for one worker's CACHE_LOOKUP.
-
-        Keys are derived server-side from the raw packed bytes plus
-        the request's namespace — the same derivation the scheduler's
-        own cache front uses, so a segment stored by either path is a
-        hit for both.  A service running without a cache answers every
-        entry as a miss (the tier degrades, it never errors).
-        """
-        try:
-            namespace, packed = unpack_cache_lookup_payload(payload)
-        except FrameProtocolError as exc:
-            return error_frame(ERR_BAD_FRAME, str(exc))
-        cache = self.cache
-        if cache is None:
-            values: list[Optional[bytes]] = [None] * len(packed)
-        else:
-            values = [
-                cache.get(cache.key_for(blob, extra=namespace))
-                for blob in packed
-            ]
-        with self._lock:
-            self.cluster_cache_lookups += len(packed)
-            self.cluster_cache_hits += sum(
-                1 for value in values if value is not None
-            )
-        return pack_frame(
-            FRAME_CACHE_RESULT, pack_cache_result_payload(values)
-        )
-
-    def _answer_cache_store(self, payload: bytes) -> bytes:
-        """The acknowledge (empty CACHE_RESULT) for one CACHE_STORE.
-
-        The ack is what makes cache sharing deterministic: a worker's
-        publish is durably in the shared cache before its RESULTS
-        frame reaches the driver, so any host asked for the same
-        segment afterwards observes the hit.
-        """
-        try:
-            namespace, entries = unpack_cache_store_payload(payload)
-        except FrameProtocolError as exc:
-            return error_frame(ERR_BAD_FRAME, str(exc))
-        cache = self.cache
-        if cache is not None:
-            for packed, value in entries:
-                cache.put(cache.key_for(packed, extra=namespace), value)
-        with self._lock:
-            self.cluster_cache_stores += len(entries)
-        return pack_frame(FRAME_CACHE_RESULT, pack_cache_result_payload([]))
 
     # -- job execution ---------------------------------------------------------
 
@@ -713,11 +642,6 @@ class OptimizationService(FrameServer):
             "scale_ups": self.scale_ups,
             "scale_downs": self.scale_downs,
             "scale_failures": self.scale_failures,
-        }
-        status["cluster_cache"] = {
-            "lookups": self.cluster_cache_lookups,
-            "hits": self.cluster_cache_hits,
-            "stores": self.cluster_cache_stores,
         }
         status["job_latency"] = {
             "count": len(latencies),

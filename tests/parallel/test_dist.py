@@ -560,88 +560,3 @@ class TestCapacityZeroAdvertisement:
                 )
             finally:
                 pool.close()
-
-
-class TestCacheClient:
-    def test_dead_cache_degrades_to_misses_with_backoff(self):
-        from repro.parallel import CacheClient
-
-        client = CacheClient(
-            "127.0.0.1:1", connect_timeout=0.2, retry_seconds=30.0
-        )
-        try:
-            packed = [b"\x00" * 16, b"\x01" * 16]
-            assert client.lookup(b"ns", packed) == [None, None]
-            assert client.errors == 1
-            assert client.store(b"ns", [(packed[0], b"v")]) is False
-            # the backoff window absorbed the second attempt: no new
-            # connect timeout was paid, no new error counted
-            assert client.errors == 1
-        finally:
-            client.close()
-
-    def test_empty_batch_is_free(self):
-        from repro.parallel import CacheClient
-
-        client = CacheClient("127.0.0.1:1", connect_timeout=0.2)
-        try:
-            assert client.lookup(b"ns", []) == []
-            assert client.store(b"ns", []) is True
-            assert client.errors == 0
-        finally:
-            client.close()
-
-    def test_non_cache_server_reads_as_miss(self):
-        """A CACHE_LOOKUP sent to a plain worker host draws a typed
-        BAD_FRAME refusal — which the client absorbs as misses, because
-        the cache tier degrades, it never fails a batch."""
-        from repro.parallel import CacheClient
-
-        host = WorkerHost().start()
-        try:
-            client = CacheClient(host.address)
-            try:
-                assert client.lookup(b"ns", [b"\x00" * 16]) == [None]
-                assert client.errors == 1
-            finally:
-                client.close()
-        finally:
-            host.stop()
-
-    def test_auth_refusal_raises_for_the_caller(self):
-        from repro.parallel import AuthenticationError, CacheClient
-
-        host = WorkerHost(auth_token="s3cret").start()
-        try:
-            client = CacheClient(host.address)  # no token presented
-            try:
-                with pytest.raises(AuthenticationError):
-                    client.lookup(b"ns", [b"\x00" * 16])
-            finally:
-                client.close()
-        finally:
-            host.stop()
-
-
-class TestWorkerClusterCache:
-    def test_worker_disables_cache_on_auth_refusal_and_still_serves(self):
-        """A worker pointed at a cache tier that refuses its token must
-        not fail batches: it permanently disables the tier (a bad token
-        fails identically forever) and serves from its own oracle."""
-        cache_tier = WorkerHost(auth_token="right-token").start()
-        try:
-            worker = WorkerHost(cache_address=cache_tier.address).start()
-            try:
-                pool = SocketHostPool([worker.address])
-                try:
-                    pool.register(IdentityOracle(), 1)
-                    results = pool.run_round(_single_segment_batches(4))
-                    assert [len(blobs) for blobs in results] == [1] * 4
-                finally:
-                    pool.close()
-                assert worker.cache_errors >= 1
-                assert worker._cache is None  # permanently disabled
-            finally:
-                worker.stop()
-        finally:
-            cache_tier.stop()

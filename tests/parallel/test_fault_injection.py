@@ -467,7 +467,7 @@ def test_torn_busy_payload_is_a_typed_protocol_error():
         impostor.stop()
 
 
-# -- socket transport: elastic fleet and cluster cache faults ------------------
+# -- socket transport: elastic fleet faults ------------------------------------
 
 
 def test_host_killed_mid_steal_drains_through_survivor():
@@ -523,88 +523,3 @@ def test_host_killed_mid_steal_is_byte_identical_through_the_executor():
         pm.close()
         deep.stop()
         survivor.stop()
-
-
-class TornCacheServer:
-    """A cache-tier impostor: answers the first CACHE_LOOKUP with a
-    CACHE_RESULT whose payload is garbage, and tears the connection
-    mid-frame on the second."""
-
-    def __init__(self):
-        self._listener = socket.create_server(("127.0.0.1", 0))
-        self.address = "127.0.0.1:%d" % self._listener.getsockname()[1]
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
-
-    def _serve(self):
-        import struct
-
-        from repro.parallel.frames import (
-            FRAME_CACHE_LOOKUP,
-            FRAME_CACHE_RESULT,
-            ConnectionClosedError,
-        )
-
-        conn, _ = self._listener.accept()
-        reader = FrameReader()
-        lookups = 0
-        try:
-            while True:
-                frame_type, _payload = recv_frame(conn, reader)
-                if frame_type != FRAME_CACHE_LOOKUP:
-                    continue
-                lookups += 1
-                if lookups == 1:
-                    # a VALID frame around an untrustworthy payload:
-                    # count claims 2 entries, the bytes are garbage
-                    garbage = struct.pack("<Q", 2) + b"\xff" * 24
-                    conn.sendall(pack_frame(FRAME_CACHE_RESULT, garbage))
-                else:
-                    torn = pack_frame(FRAME_CACHE_RESULT, b"\x00" * 64)
-                    conn.sendall(torn[: len(torn) // 2])
-                    break
-        except (ConnectionClosedError, OSError):
-            pass
-        finally:
-            conn.close()
-            self._listener.close()
-
-    def stop(self):
-        self._thread.join(timeout=2.0)
-
-
-def test_torn_cache_result_reads_as_misses_never_raises():
-    """Both tiers of CACHE_RESULT damage — garbage inside a valid
-    frame, and a frame torn mid-stream — must come back as misses."""
-    from repro.parallel import CacheClient
-
-    torn = TornCacheServer()
-    client = CacheClient(torn.address, connect_timeout=2.0, retry_seconds=0.0)
-    try:
-        packed = [b"\x00" * 16, b"\x01" * 16]
-        # garbage payload: lenient unpack yields only misses
-        assert client.lookup(b"ns", packed) == [None, None]
-        assert client.hits == 0
-        # torn frame: transport failure, absorbed as misses
-        assert client.lookup(b"ns", packed) == [None, None]
-        assert client.errors >= 1
-    finally:
-        client.close()
-        torn.stop()
-
-
-def test_worker_with_dead_cache_tier_is_byte_identical():
-    """A worker whose --cache endpoint is down must serve every batch
-    from its own oracle — same bytes, no exception, errors counted."""
-    oracle = IdentityOracle()
-    segments = _segments(8)
-    worker = WorkerHost(cache_address="127.0.0.1:1").start()
-    pm = ProcessMap(serial_cutoff=0, transport="socket", hosts=[worker.address])
-    try:
-        got = pm.map_segments(oracle, segments)
-        assert [list(res) for res in got] == segments
-        assert worker.cache_errors >= 1
-        assert worker.cache_hits == 0
-    finally:
-        pm.close()
-        worker.stop()

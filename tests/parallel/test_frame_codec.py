@@ -11,7 +11,7 @@ arbitrary generation/batch tokens, and arbitrary chunk splits; the
 nightly workflow re-runs it at the raised example budget.
 
 :class:`TestGoldenFrames` pins the bytes themselves: one frame of each
-of the 17 types, built at the commit before the codec was split into
+of the 14 types, built at the commit before the codec was split into
 :mod:`repro.parallel.frames` and :mod:`repro.service.frames`, must be
 produced and parsed unchanged — an older ``popqc worker`` or ``popqc
 serve`` still interoperates.
@@ -212,150 +212,6 @@ class TestRecvFrame:
             b.close()
 
 
-class TestCachePayloads:
-    """The cluster-cache frames: strict requests, lenient replies."""
-
-    @staticmethod
-    def _packed(seg):
-        from repro.circuits.encoding import pack_segment
-
-        return pack_segment(encode_segment(seg))
-
-    @given(segments=st.lists(gate_list_strategy(), min_size=0, max_size=4))
-    def test_lookup_round_trip(self, segments):
-        from repro.parallel.frames import (
-            pack_cache_lookup_payload,
-            unpack_cache_lookup_payload,
-        )
-
-        packed = [self._packed(seg) for seg in segments]
-        ns = b"namespace-16byte"
-        payload = pack_cache_lookup_payload(ns, packed)
-        got_ns, got = unpack_cache_lookup_payload(payload)
-        assert got_ns == ns
-        assert got == packed
-
-    def test_lookup_truncated_rejected(self):
-        from repro.circuits import H
-        from repro.parallel.frames import (
-            pack_cache_lookup_payload,
-            unpack_cache_lookup_payload,
-        )
-
-        payload = pack_cache_lookup_payload(
-            b"n" * 16, [self._packed([H(0)])]
-        )
-        with pytest.raises(FrameProtocolError):
-            unpack_cache_lookup_payload(payload[: len(payload) - 4])
-        with pytest.raises(FrameProtocolError):
-            unpack_cache_lookup_payload(payload[:3])
-
-    @given(
-        values=st.lists(
-            st.one_of(st.none(), st.binary(max_size=64)), max_size=6
-        )
-    )
-    def test_result_round_trip_with_misses(self, values):
-        from repro.parallel.frames import (
-            pack_cache_result_payload,
-            unpack_cache_result_payload,
-        )
-
-        payload = pack_cache_result_payload(values)
-        assert unpack_cache_result_payload(payload) == list(values)
-
-    def test_empty_result_is_the_store_ack(self):
-        from repro.parallel.frames import (
-            pack_cache_result_payload,
-            unpack_cache_result_payload,
-        )
-
-        assert unpack_cache_result_payload(pack_cache_result_payload([])) == []
-
-    @given(cut=st.integers(min_value=0, max_value=200))
-    def test_torn_result_reads_as_misses_never_raises(self, cut):
-        """The lenient unpacker: any truncation of a valid CACHE_RESULT
-        yields only ``None`` (miss) or the original value per entry —
-        no exception, no fabricated bytes."""
-        from repro.parallel.frames import (
-            pack_cache_result_payload,
-            unpack_cache_result_payload,
-        )
-
-        values = [b"A" * 20, None, b"B" * 3, b"C" * 40]
-        payload = pack_cache_result_payload(values)
-        torn = payload[: min(cut, len(payload))]
-        got = unpack_cache_result_payload(torn)
-        assert len(got) <= len(values)
-        for original, read in zip(values, got):
-            assert read is None or read == original
-
-    def test_forged_huge_count_is_bounded(self):
-        """A count field claiming 2^60 entries must not allocate: the
-        reader caps it by what the payload could physically hold."""
-        import struct as _struct
-
-        from repro.parallel.frames import unpack_cache_result_payload
-
-        forged = _struct.pack("<Q", 1 << 60) + b"\x00" * 64
-        got = unpack_cache_result_payload(forged)
-        assert len(got) <= 8
-
-    @given(
-        entries=st.lists(
-            st.tuples(gate_list_strategy(), st.binary(max_size=64)),
-            max_size=4,
-        )
-    )
-    def test_store_round_trip(self, entries):
-        from repro.parallel.frames import (
-            pack_cache_store_payload,
-            unpack_cache_store_payload,
-        )
-
-        pairs = [(self._packed(seg), value) for seg, value in entries]
-        ns = b"ns"
-        payload = pack_cache_store_payload(ns, pairs)
-        got_ns, got = unpack_cache_store_payload(payload)
-        assert got_ns == ns
-        assert got == pairs
-
-    def test_store_truncated_rejected(self):
-        from repro.circuits import H
-        from repro.parallel.frames import (
-            pack_cache_store_payload,
-            unpack_cache_store_payload,
-        )
-
-        payload = pack_cache_store_payload(
-            b"n" * 16, [(self._packed([H(0)]), b"value")]
-        )
-        # "value" is 5 bytes + 3 padding: cut past the padding into the
-        # value bytes themselves
-        with pytest.raises(FrameProtocolError):
-            unpack_cache_store_payload(payload[: len(payload) - 4])
-        with pytest.raises(FrameProtocolError):
-            unpack_cache_store_payload(payload[:5])
-
-    def test_cache_frames_are_known_to_the_reader(self):
-        from repro.parallel.frames import (
-            FRAME_CACHE_LOOKUP,
-            FRAME_CACHE_RESULT,
-            FRAME_CACHE_STORE,
-        )
-
-        reader = FrameReader()
-        for frame_type in (
-            FRAME_CACHE_LOOKUP,
-            FRAME_CACHE_RESULT,
-            FRAME_CACHE_STORE,
-        ):
-            reader.feed(pack_frame(frame_type, b"x" * 8))
-            got_type, payload = reader.next_frame()
-            assert got_type == frame_type
-            assert payload == b"x" * 8
-
-
 #: One frame of every type, as hex, built by the commit that preceded
 #: the split of ``repro/parallel/dist.py`` (PR 17, 1368a6e) from the
 #: inputs ``TestGoldenFrames._build`` repeats.
@@ -420,23 +276,6 @@ GOLDEN_FRAMES = {
         "505143460e000000160000000000000003000000000000000000d03f71756575"
         "652066756c6c"
     ),
-    "CACHE_LOOKUP": (
-        "505143460f000000680000000000000001000000000000001000000000000000"
-        "0101010101010101010101010101010103000000030000000400000001000000"
-        "000000000100680400636e6f740200727a00000000000000000000000000d03f"
-        "000000000000000001000000010000000001020001020120"
-    ),
-    "CACHE_RESULT": (
-        "5051434610000000200000000000000002000000000000000500000000000000"
-        "76616c7565000000ffffffffffffffff"
-    ),
-    "CACHE_STORE": (
-        "5051434611000000780000000000000001000000000000001000000000000000"
-        "0101010101010101010101010101010103000000030000000400000001000000"
-        "000000000100680400636e6f740200727a00000000000000000000000000d03f"
-        "0000000000000000010000000100000000010200010201200500000000000000"
-        "76616c7565000000"
-    ),
 }
 
 
@@ -444,7 +283,6 @@ class TestGoldenFrames:
     """Every byte on every wire stays what it was."""
 
     BLOB = bytes.fromhex("80025805000000706f70716371004b078671012e")  # pickle v2
-    NAMESPACE = b"\x01" * 16
 
     @staticmethod
     def _segment():
@@ -459,7 +297,6 @@ class TestGoldenFrames:
 
         seg = self._segment()
         packed = pack_segment(seg)
-        ns = self.NAMESPACE
         return {
             "REGISTER": pack_frame(
                 f.FRAME_REGISTER, f.pack_register_payload(self.BLOB, 7)
@@ -490,21 +327,11 @@ class TestGoldenFrames:
                 f.FRAME_BUSY,
                 sf.pack_busy_payload(sf.BUSY_QUEUE_FULL, 0.25, "queue full"),
             ),
-            "CACHE_LOOKUP": pack_frame(
-                f.FRAME_CACHE_LOOKUP, f.pack_cache_lookup_payload(ns, [packed])
-            ),
-            "CACHE_RESULT": pack_frame(
-                f.FRAME_CACHE_RESULT, f.pack_cache_result_payload([b"value", None])
-            ),
-            "CACHE_STORE": pack_frame(
-                f.FRAME_CACHE_STORE,
-                f.pack_cache_store_payload(ns, [(packed, b"value")]),
-            ),
         }
 
     def test_every_frame_type_is_produced_unchanged(self):
         built = self._build()
-        assert list(built) == list(GOLDEN_FRAMES) and len(built) == 17
+        assert list(built) == list(GOLDEN_FRAMES) and len(built) == 14
         for name, frame in built.items():
             assert frame.hex() == GOLDEN_FRAMES[name], name
 
@@ -513,7 +340,7 @@ class TestGoldenFrames:
         from repro.parallel import frames as f
         from repro.service import frames as sf
 
-        seg, ns = self._segment(), self.NAMESPACE
+        seg = self._segment()
         packed = pack_segment(seg)
         reader = FrameReader()
         reader.feed(b"".join(bytes.fromhex(h) for h in GOLDEN_FRAMES.values()))
@@ -522,9 +349,7 @@ class TestGoldenFrames:
             frame_type, parsed[name] = reader.next_frame()
             assert frame_type == number == getattr(f, f"FRAME_{name}")
         assert reader.pending_bytes == 0
-        assert f.unpack_register_payload(parsed["REGISTER"]) == (
-            7, ("popqc", 7), self.BLOB
-        )
+        assert f.unpack_register_payload(parsed["REGISTER"]) == (7, ("popqc", 7))
         assert f.unpack_register_ok_payload(parsed["REGISTER_OK"]) == (7, 4)
         assert f.unpack_segments_payload(parsed["SEGMENTS"]) == (7, 3, [seg, seg])
         assert list(f.iter_results_payload(parsed["RESULTS"], 3)) == [
@@ -543,11 +368,4 @@ class TestGoldenFrames:
         assert parsed["AUTH"] == b"s3cret"
         assert sf.unpack_busy_payload(parsed["BUSY"]) == (
             sf.BUSY_QUEUE_FULL, 0.25, "queue full"
-        )
-        assert f.unpack_cache_lookup_payload(parsed["CACHE_LOOKUP"]) == (ns, [packed])
-        assert f.unpack_cache_result_payload(parsed["CACHE_RESULT"]) == [
-            b"value", None
-        ]
-        assert f.unpack_cache_store_payload(parsed["CACHE_STORE"]) == (
-            ns, [(packed, b"value")]
         )

@@ -37,10 +37,8 @@ class InProcessWorker:
 
     instances: list = []
 
-    def __init__(self, auth_token=None, cache_address=None):
-        self.host = WorkerHost(
-            capacity=1, auth_token=auth_token, cache_address=cache_address
-        ).start()
+    def __init__(self, auth_token=None):
+        self.host = WorkerHost(capacity=1, auth_token=auth_token).start()
         self.address = self.host.address
         self.stopped = False
         type(self).instances.append(self)
@@ -268,19 +266,3 @@ class TestSubprocessSpawner:
             srv.stop()
         assert worker._proc.poll() is not None  # subprocess is gone
         assert _port_is_closed(worker.address)
-
-    def test_spawned_workers_stay_out_of_the_cache_tier(self):
-        """A segment reaches a spawned worker only after the job's own
-        cache front missed on it, so the worker must not ask the daemon
-        again or store the result a second time."""
-        srv = OptimizationService(
-            NamOracle(), transport="socket", min_workers=1
-        ).start()
-        try:
-            with ServiceClient(srv.address) as client:
-                result = client.optimize(CIRCUIT, omega=OMEGA)
-            assert srv.status()["cluster_cache"]["lookups"] == 0
-            assert result.stats["cache_misses"] > 0
-            assert srv.cache.stats.stores == result.stats["cache_misses"]
-        finally:
-            srv.stop()

@@ -16,6 +16,7 @@ import pytest
 from repro.circuits import CNOT, Circuit, H, random_redundant_circuit, to_qasm
 from repro.core import popqc
 from repro.oracles import NamOracle
+from repro.parallel import local_cluster
 from repro.parallel.frames import FRAME_SEGMENTS, FrameProtocolError
 from repro.circuits.encoding import encode_segment
 from repro.service.frames import (
@@ -155,6 +156,27 @@ class TestSingleJob:
         assert status["job_latency"]["last_seconds"] > 0.0
         assert status["scheduler"]["segments_dispatched"] > 0
         json.dumps(status)  # the whole object is JSON-serializable
+
+    def test_status_cache_counts_are_the_jobs_own_over_a_socket_fleet(self):
+        """Worker hosts hold no cache and ask none, so what STATUS says
+        the cache saw is exactly what the jobs' RESULT frames say their
+        fronts asked it: every segment looked up once, every miss
+        stored once (a host that asked again would double the misses)."""
+        with local_cluster(2) as hosts:
+            srv = OptimizationService(
+                NamOracle(), transport="socket", hosts=hosts
+            ).start()
+            try:
+                with ServiceClient(srv.address) as client:
+                    jobs = [client.optimize(CIRCUIT_B, omega=OMEGA) for _ in range(2)]
+                    cache = client.status()["cache"]
+            finally:
+                srv.stop()
+        cold, warm = (job.stats for job in jobs)
+        assert cold["cache_misses"] > 0 and warm["cache_misses"] == 0
+        assert cache["hits"] == cold["cache_hits"] + warm["cache_hits"]
+        assert cache["misses"] == cold["cache_misses"] + warm["cache_misses"]
+        assert cache["stores"] == cold["cache_misses"]
 
     def test_unexpected_frame_answered_with_typed_error(self, service):
         client = ServiceClient(service.address)
@@ -671,6 +693,47 @@ class TestAdversarialClients:
             gate.set()
             srv.stop()
 
+    def test_a_peer_cannot_write_the_cache_a_job_reads(self, service):
+        """Frame type 17 used to store caller-chosen bytes under a
+        caller-chosen oracle namespace: one such frame naming a 6-gate
+        circuit's only segment made the daemon answer that job with
+        ``h(0)``, booked as a cache hit.  Now the frame is an unknown
+        type and the job's bytes are the standalone run's."""
+        import socket
+        import struct
+
+        from repro.circuits import RZ, X
+        from repro.circuits.encoding import pack_segment
+        from repro.parallel.frames import pack_frame, parse_address
+        from repro.service import oracle_namespace
+
+        gates = [H(0), CNOT(0, 1), RZ(1, 0.25), CNOT(1, 2), H(2), X(0)]
+        segment = pack_segment(encode_segment(gates))
+        poison = pack_segment(encode_segment([H(0)]))
+        namespace = oracle_namespace(service.oracle)
+        payload = b"".join(
+            [
+                struct.pack("<QQ", 1, len(namespace)),  # one entry
+                namespace,
+                segment,  # the key: this segment under that oracle
+                struct.pack("<Q", len(poison)),
+                poison,  # the value, padded to 8
+                bytes(-len(poison) % 8),
+            ]
+        )
+        address = parse_address(service.address)
+        with socket.create_connection(address, timeout=5.0) as sock:
+            sock.settimeout(5.0)
+            sock.sendall(pack_frame(17, payload))
+            assert sock.recv(1) == b""  # hung up on, not acknowledged
+        assert service.cache.stats.stores == 0
+        with ServiceClient(service.address) as client:
+            result = client.optimize(Circuit(gates, 3), omega=8)
+        assert result.stats["cache_hits"] == 0
+        reference = popqc(Circuit(gates, 3), NamOracle(), 8)
+        assert to_qasm(result.circuit) == to_qasm(reference.circuit)
+        assert result.circuit.num_gates > 1
+
     def test_connection_churn_keeps_thread_list_bounded(self, service):
         import time
 
@@ -707,75 +770,6 @@ class TestRetryAfterClamp:
         clamped = _clamp_retry_after(raw)
         assert clamped == expected
         assert 0.0 <= clamped <= MAX_RETRY_AFTER_SECONDS
-
-
-class TestClusterCacheFrames:
-    """The service is the cluster cache tier: CACHE_LOOKUP/CACHE_STORE
-    frames from workers are served off its SegmentCache."""
-
-    def _packed_segment(self):
-        from repro.circuits.encoding import pack_segment
-
-        return pack_segment(encode_segment([H(0), CNOT(0, 1)]))
-
-    def test_store_then_lookup_hits_and_counts(self):
-        from repro.parallel import CacheClient
-
-        srv = OptimizationService(
-            NamOracle(), workers=1, transport="threads"
-        ).start()
-        try:
-            namespace = b"\x01" * 16
-            packed = self._packed_segment()
-            client = CacheClient(srv.address)
-            assert client.lookup(namespace, [packed]) == [None]
-            assert client.store(namespace, [(packed, b"cached-bytes")]) is True
-            assert client.lookup(namespace, [packed]) == [b"cached-bytes"]
-            # a different namespace is a different oracle: no hit
-            assert client.lookup(b"\x02" * 16, [packed]) == [None]
-            stats = srv.status()["cluster_cache"]
-            assert stats == {"lookups": 3, "hits": 1, "stores": 1}
-            assert client.errors == 0
-        finally:
-            srv.stop()
-
-    def test_cacheless_service_degrades_to_misses(self):
-        from repro.parallel import CacheClient
-
-        srv = OptimizationService(
-            NamOracle(), workers=1, transport="threads", cache=False
-        ).start()
-        try:
-            namespace = b"\x01" * 16
-            packed = self._packed_segment()
-            client = CacheClient(srv.address)
-            # stores are acked (and dropped), lookups answer all-miss:
-            # the tier degrades, it never errors
-            assert client.store(namespace, [(packed, b"v")]) is True
-            assert client.lookup(namespace, [packed]) == [None]
-            assert client.errors == 0
-            stats = srv.status()["cluster_cache"]
-            assert stats["hits"] == 0
-        finally:
-            srv.stop()
-
-    def test_auth_gate_covers_cache_frames(self):
-        from repro.parallel import CacheClient
-        from repro.parallel.frames import AuthenticationError
-
-        srv = OptimizationService(
-            NamOracle(), workers=1, transport="threads", auth_token="secret"
-        ).start()
-        try:
-            packed = self._packed_segment()
-            bad = CacheClient(srv.address, auth_token="wrong")
-            with pytest.raises(AuthenticationError):
-                bad.lookup(b"\x01" * 16, [packed])
-            good = CacheClient(srv.address, auth_token="secret")
-            assert good.store(b"\x01" * 16, [(packed, b"v")]) is True
-            assert good.lookup(b"\x01" * 16, [packed]) == [b"v"]
-        finally:
-            srv.stop()
 
 
 class TestIntervalTimeSources:

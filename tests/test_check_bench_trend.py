@@ -5,8 +5,8 @@ now nothing tested the gate — a bug there silently disarms CI.  These
 tests import the script as a module (it lives outside the package) and
 drive `main()` with synthetic records on disk, asserting exit statuses
 for: healthy runs, transport throughput regressions (warn-only
-cross-runner-class unless --strict) and the always-armed ratio floors
-(warm-cache hit speedup, cluster-cache remote hits).
+cross-runner-class unless --strict) and the always-armed ratio floor
+(warm-cache hit speedup).
 """
 
 import importlib.util
@@ -158,60 +158,3 @@ class TestPaperShapes:
         bench = Path(_SCRIPT).parent
         assert '"oac_over_popqc_time_ratio"' in (bench / "test_table3.py").read_text()
         assert '"oracle_fraction_by_size"' in (bench / "test_figure8.py").read_text()
-
-
-def _transport_record_v5(speedup=4.0, cpus=2, **kwargs):
-    record = _transport_record(**kwargs, cpus=cpus)
-    record["schema"] = "popqc-bench-transport/v5"
-    record["cluster_cache"] = {
-        "segments": 24,
-        "remote_hit_speedup_vs_oracle": 1.1,  # printed, not gated
-        "remote_hit_speedup_vs_cold": speedup,
-        "host_a": {"hits": 0, "misses": 24, "stores": 24, "errors": 0},
-        "host_b": {"hits": 24, "misses": 0, "stores": 0, "errors": 0},
-    }
-    return record
-
-
-class TestClusterCacheGate:
-    """Schema v5 transport records must carry a healthy cluster_cache
-    section; the ratio gate is armed regardless of runner class."""
-
-    def test_healthy_v5_passes(self, write):
-        cur = write("cur.json", _transport_record_v5())
-        base = write("base.json", _transport_record_v5())
-        assert trend.main([cur, base]) == 0
-
-    def test_missing_section_is_a_regression(self, write):
-        record = _transport_record_v5()
-        del record["cluster_cache"]
-        cur = write("cur.json", record)
-        base = write("base.json", _transport_record_v5())
-        assert trend.main([cur, base]) == 1
-
-    def test_speedup_at_or_below_one_fails(self, write):
-        cur = write("cur.json", _transport_record_v5(speedup=0.8))
-        base = write("base.json", _transport_record_v5())
-        assert trend.main([cur, base]) == 1
-
-    @pytest.mark.parametrize("speedup, status", [(1.01, 0), (1.0, 1), (None, 1)])
-    def test_speedup_floor_from_both_sides(self, write, speedup, status):
-        """The only home of ``remote_hit_speedup_vs_cold > 1.0`` (tier-1's
-        ``test_second_host_resolves_warm_segments_remotely`` asserts the
-        hit counts): just over one passes; exactly one and a missing
-        ratio fail."""
-        cur = write("cur.json", _transport_record_v5(speedup=speedup))
-        base = write("base.json", _transport_record_v5())
-        assert trend.main([cur, base]) == status
-
-    def test_gate_armed_cross_class(self, write):
-        # throughput gates warn cross-class; the ratio gate still fails
-        cur = write("cur.json", _transport_record_v5(speedup=0.8, cpus=2))
-        base = write("base.json", _transport_record_v5(cpus=64))
-        assert trend.main([cur, base]) == 1
-
-    def test_v4_records_stay_ungated(self, write):
-        # pre-v5 baselines and records carry no cluster_cache section
-        cur = write("cur.json", _transport_record())
-        base = write("base.json", _transport_record())
-        assert trend.main([cur, base]) == 0

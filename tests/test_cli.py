@@ -142,3 +142,43 @@ class TestSuiteCommand:
         import os
 
         assert os.path.exists(os.path.join(out, "manifest.csv"))
+
+
+class TestWorkerCommand:
+    def test_sigterm_stops_the_host_and_prints_the_summary(self):
+        """SIGTERM is how ``SubprocessWorker.stop()`` and CI end a
+        worker: it must leave through ``worker.stop()`` and say what it
+        served, exactly as ``popqc serve`` does."""
+        import os
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(repro.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "worker", "--bind", "127.0.0.1:0"],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            assert "listening on" in proc.stdout.readline()
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=15)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=5)
+        assert proc.returncode == 0
+        assert "popqc worker served 0 segments in 0 batches" in out
+
+    def test_the_cache_tier_flag_is_gone(self):
+        with pytest.raises(SystemExit) as refused:
+            main(["worker", "--cache", "127.0.0.1:1"])
+        assert refused.value.code == 2

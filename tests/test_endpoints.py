@@ -23,10 +23,13 @@ from repro.parallel.frames import (
     _FRAME_HEADER,
     FRAME_JOB,
     FRAME_MAGIC,
+    FRAME_PING,
+    FRAME_PONG,
     FRAME_REGISTER,
     FRAME_REGISTER_OK,
     FRAME_RESULT,
     MAX_FRAME_BYTES,
+    PRE_AUTH_FRAME_BYTES,
     pack_register_payload,
     unpack_register_ok_payload,
 )
@@ -66,6 +69,15 @@ ENDPOINTS = {
         and len(unpack_result_payload(reply)[2]) == 0,
     ),
 }
+
+
+def _hung_up_on(server, data: bytes) -> bool:
+    """Whether ``server`` answers ``data``, sent raw on a fresh
+    connection, with nothing but a closed connection."""
+    with socket.create_connection((server.host, server.port), timeout=5.0) as sock:
+        sock.settimeout(5.0)
+        sock.sendall(data)
+        return sock.recv(1) == b""
 
 
 @pytest.fixture(params=list(ENDPOINTS))
@@ -152,18 +164,29 @@ class TestEndpoints:
 
     def test_oversized_frame_header_is_hung_up_on(self, endpoint):
         """A header claiming a payload over ``MAX_FRAME_BYTES`` gets the
-        connection dropped — and the endpoint keeps serving others."""
+        connection dropped — over ``PRE_AUTH_FRAME_BYTES`` on a
+        connection that still owes a token, which lifts the cap once
+        presented — and the endpoint keeps serving others."""
         start, (frame_type, _, _), _ = endpoint
+        for token, cap in ((None, MAX_FRAME_BYTES), ("s3cret", PRE_AUTH_FRAME_BYTES)):
+            server = start(auth_token=token)
+            header = _FRAME_HEADER.pack(FRAME_MAGIC, frame_type, cap + 1)
+            assert _hung_up_on(server, header)
+            with FrameConnection(server.address, auth_token=token) as conn:
+                conn.request(FRAME_PING, bytes(PRE_AUTH_FRAME_BYTES + 1), FRAME_PONG)
+
+    @pytest.mark.parametrize("frame_type", [15, 16, 17, 99])
+    def test_retired_cache_frame_types_are_unknown_types(self, endpoint, frame_type):
+        """15-17 were the cache lookup / result / store frames: a peer
+        that sends one is hung up on at the header like any number
+        outside the table, and nobody's cache is asked or written."""
+        start, _, _ = endpoint
         server = start()
-        sock = socket.create_connection((server.host, server.port), timeout=5.0)
-        sock.settimeout(5.0)
-        try:
-            sock.sendall(
-                _FRAME_HEADER.pack(FRAME_MAGIC, frame_type, MAX_FRAME_BYTES + 1)
-            )
-            assert sock.recv(1) == b""  # server hung up on us
-        finally:
-            sock.close()
+        cache = getattr(server, "cache", None)
+        frame = _FRAME_HEADER.pack(FRAME_MAGIC, frame_type, 8) + bytes(8)
+        assert _hung_up_on(server, frame)  # no reply frame at all
+        if cache is not None:
+            assert cache.stats.lookups == 0 and cache.stats.stores == 0
         with FrameConnection(server.address) as conn:
             conn.ping()
 
