@@ -106,14 +106,3 @@ def test_greedy_matches_rounds_quality():
     rounds = popqc(CIRCUIT, NamOracle(), OMEGA)
     gap = abs(greedy.circuit.num_gates - rounds.circuit.num_gates)
     assert gap <= 0.02 * CIRCUIT.num_gates
-
-
-def test_popqc_adaptive_omega(benchmark):
-    """Section A.4's circuit-specific omega heuristic end to end."""
-    from repro.core import popqc_adaptive
-
-    res, profile = benchmark.pedantic(
-        lambda: popqc_adaptive(CIRCUIT, NamOracle()), iterations=1, rounds=2
-    )
-    assert res.circuit.num_gates < CIRCUIT.num_gates
-    assert profile.suggested_omega >= 50

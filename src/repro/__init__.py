@@ -37,7 +37,7 @@ from .core import (
     popqc,
 )
 from .oracles import GateCount, MixedCost, NamOracle, SearchOracle
-from .parallel import ProcessMap, SerialMap, SimulatedParallelism, ThreadMap
+from .parallel import ProcessMap, SerialMap, SimulatedParallelism
 
 __version__ = "1.0.0"
 
@@ -56,7 +56,6 @@ __all__ = [
     "SearchOracle",
     "SerialMap",
     "SimulatedParallelism",
-    "ThreadMap",
     "X",
     "__version__",
     "assert_locally_optimal",

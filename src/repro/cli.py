@@ -4,9 +4,8 @@ Subcommands:
 
 * ``optimize FILE.qasm`` — optimize a QASM circuit and write the result;
 * ``bench FAMILY`` — generate and optimize a benchmark instance;
-* ``worker`` — serve oracle segments over TCP for the distributed
-  socket transport (``--transport socket --hosts ...`` on the driver
-  side);
+* ``worker`` — serve oracle segments over TCP to drivers started with
+  ``--hosts``;
 * ``serve`` — run the persistent optimization service: many concurrent
   jobs over one warm fleet, fronted by the content-addressed segment
   cache (:mod:`repro.service`);
@@ -18,92 +17,77 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
 from .analysis import analyze
 from .baselines import optimize_whole_circuit
-from .benchgen import family_names, generate
+from .benchgen import family_names, generate, write_suite
 from .circuits import read_qasm, write_qasm
+from .circuits.qasm import QasmError
 from .core import popqc, popqc_traced, render_trace
-from .experiments import (
-    run_figure3,
-    run_figure4,
-    run_figure5,
-    run_figure6,
-    run_figure7,
-    run_figure8,
-    run_figure9,
-    run_table1,
-    run_table2,
-    run_table3,
-    run_table4,
-)
+from . import experiments
 from .oracles import NamOracle
 from .parallel import (
-    TRANSPORTS,
     ProcessMap,
     SerialMap,
     SimulatedParallelism,
-    ThreadMap,
+    WorkerHost,
+    parse_address,
 )
 
 __all__ = ["main"]
 
-_TABLES = {"1": run_table1, "2": run_table2, "3": run_table3, "4": run_table4}
-_FIGURES = {
-    "3": run_figure3,
-    "4": run_figure4,
-    "5": run_figure5,
-    "6": run_figure6,
-    "7": run_figure7,
-    "8": run_figure8,
-    "9": run_figure9,
-}
+_TABLES = {n: getattr(experiments, f"run_table{n}") for n in "1234"}
+_FIGURES = {n: getattr(experiments, f"run_figure{n}") for n in "3456789"}
 
 
-def _make_parmap(spec: str, transport: str | None = None, hosts: str | None = None):
-    if hosts is not None and transport != "socket":
-        raise SystemExit("--hosts requires --transport socket")
-    if transport == "socket" and hosts is None:
-        raise SystemExit(
-            "--transport socket requires --hosts HOST:PORT[,HOST:PORT...] "
-            "(start workers with `popqc worker --bind HOST:PORT`)"
-        )
-    if spec.startswith("process"):
-        _, _, count = spec.partition(":")
-        return ProcessMap(
-            int(count) if count else None,
-            transport=transport or "encoded",
-            hosts=[h.strip() for h in hosts.split(",") if h.strip()]
-            if hosts
-            else None,
-            # socket workers may demand the shared secret; other
-            # transports must not care that the env var is set
-            auth_token=os.environ.get("POPQC_AUTH_TOKEN")
-            if transport == "socket"
-            else None,
-        )
-    if transport is not None:
-        raise SystemExit(f"--transport only applies to process executors, not {spec!r}")
+def _fail(message: str):
+    """End the run the way argparse does for a bad flag: one line on
+    stderr, exit status 2, no traceback."""
+    print(f"popqc: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _host_list(hosts: str | None) -> list[str] | None:
+    return [h.strip() for h in hosts.split(",") if h.strip()] if hosts else None
+
+
+def _make_parmap(spec: str, hosts: str | None = None):
+    """The executor ``--executor SPEC`` names.  How segments travel is
+    not a choice: to ``popqc worker`` hosts over TCP when ``--hosts``
+    names some, else to local worker processes as packed bytes."""
+    name, _, count = spec.partition(":")
+    if count and not count.isdigit():
+        _fail(f"bad worker count {count!r} in executor spec {spec!r}")
+    workers = int(count) if count else None
+    if hosts is not None and name != "process":
+        _fail(f"--hosts only applies to process executors, not {spec!r}")
     if spec == "serial":
         return SerialMap()
-    if spec.startswith("thread"):
-        _, _, count = spec.partition(":")
-        return ThreadMap(int(count) if count else None)
-    if spec.startswith("simulated"):
-        _, _, count = spec.partition(":")
-        return SimulatedParallelism(int(count) if count else 64)
-    raise SystemExit(f"unknown executor spec: {spec!r}")
+    if name == "simulated":
+        return SimulatedParallelism(workers or 64)
+    if name == "process":
+        return ProcessMap(
+            workers,
+            transport="socket" if hosts else "encoded",
+            hosts=_host_list(hosts),
+            # workers may demand the shared secret; local processes must
+            # not care that the env var is set
+            auth_token=os.environ.get("POPQC_AUTH_TOKEN") if hosts else None,
+        )
+    _fail(
+        f"unknown executor spec {spec!r} "
+        "(expected serial | process[:N] | simulated[:N])"
+    )
 
 
 def _run_popqc(circuit, args):
     """``popqc`` on the executor ``args`` names, closed before returning."""
-    parmap = _make_parmap(args.executor, args.transport, args.hosts)
+    parmap = _make_parmap(args.executor, args.hosts)
     try:
-        return popqc(
-            circuit, NamOracle(engine=args.oracle_engine), args.omega, parmap=parmap
-        )
+        return popqc(circuit, NamOracle(), args.omega, parmap=parmap)
     finally:
         parmap.close()
 
@@ -120,13 +104,22 @@ def _stop_on_sigterm() -> None:
     signal.signal(signal.SIGTERM, _sigterm)
 
 
+def _read_circuit(path: str):
+    try:
+        return read_qasm(path)
+    except (OSError, QasmError) as exc:
+        _fail(f"cannot read circuit {path!r}: {exc}")
+
+
 def _load_circuit(spec: str):
     """Load ``FAMILY[:size]`` from the registry or a QASM path."""
-    if ":" in spec or spec in family_names():
-        name, _, size = spec.partition(":")
-        if name in family_names():
-            return generate(name, int(size) if size else 0)
-    return read_qasm(spec)
+    name, _, size = spec.partition(":")
+    if name not in family_names():
+        return _read_circuit(spec)
+    try:
+        return generate(name, int(size) if size else 0)
+    except ValueError:
+        _fail(f"bad size index {size!r} in {spec!r} (expected {name}[:0..3])")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -135,64 +128,47 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_opt = sub.add_parser("optimize", help="optimize an OpenQASM 2.0 file")
-    p_opt.add_argument("input")
-    p_opt.add_argument("-o", "--output", help="output QASM path")
-    p_opt.add_argument("--omega", type=int, default=100)
-    p_opt.add_argument(
+    run_flags = argparse.ArgumentParser(add_help=False)
+    run_flags.add_argument("--omega", type=int, default=100)
+    run_flags.add_argument(
         "--executor",
         default="serial",
-        help="serial | thread[:N] | process[:N] | simulated[:N]",
+        help="serial | process[:N] | simulated[:N]",
     )
-    p_opt.add_argument(
-        "--transport",
-        default=None,
-        choices=list(TRANSPORTS),
-        help="segment wire format, process executors only "
-        "(encoded: persistent workers + numpy arrays, the default; "
-        "shm: zero-copy shared-memory arenas with batched dispatch, "
-        "falls back to encoded where unsupported; threads: shared-"
-        "memory thread pool, best with GIL-releasing oracles such as "
-        "the vectorized rule engine; socket: distributed worker hosts "
-        "over TCP, needs --hosts; pickle: legacy)",
-    )
-    p_opt.add_argument(
+    run_flags.add_argument(
         "--hosts",
-        default=None,
-        help="comma-separated worker host addresses (HOST:PORT) for "
-        "--transport socket; start each with `popqc worker --bind HOST:PORT`",
-    )
-    p_opt.add_argument(
-        "--oracle-engine",
-        default="python",
-        choices=["python", "vector"],
-        help="rule-engine implementation: python (in-place gate-list "
-        "sweeps; faster per segment) or vector (numpy passes on the packed "
-        "layout; GIL-releasing, pairs with --transport threads)",
+        help="comma-separated worker host addresses (HOST:PORT) a process "
+        "executor sends its segments to instead of local worker processes; "
+        "start each with `popqc worker --bind HOST:PORT`",
     )
 
-    p_bench = sub.add_parser("bench", help="optimize a generated benchmark")
+    p_opt = sub.add_parser(
+        "optimize", parents=[run_flags], help="optimize an OpenQASM 2.0 file"
+    )
+    p_opt.add_argument("input")
+    p_opt.add_argument("-o", "--output", help="output QASM path")
+
+    p_bench = sub.add_parser(
+        "bench", parents=[run_flags], help="optimize a generated benchmark"
+    )
     p_bench.add_argument("family", choices=family_names())
     p_bench.add_argument("--size", type=int, default=1, choices=range(4))
-    p_bench.add_argument("--omega", type=int, default=100)
-    p_bench.add_argument("--executor", default="serial")
-    p_bench.add_argument("--transport", default=None, choices=list(TRANSPORTS))
-    p_bench.add_argument("--hosts", default=None)
-    p_bench.add_argument(
-        "--oracle-engine", default="python", choices=["python", "vector"]
-    )
     p_bench.add_argument(
         "--baseline", action="store_true", help="also run the whole-circuit baseline"
     )
-    p_worker = sub.add_parser(
-        "worker",
-        help="serve oracle segments over TCP (distributed socket transport)",
-    )
-    p_worker.add_argument(
+
+    bind_flag = argparse.ArgumentParser(add_help=False)
+    bind_flag.add_argument(
         "--bind",
         default="127.0.0.1:0",
         help="HOST:PORT to listen on (port 0 picks an ephemeral port, "
         "printed on startup)",
+    )
+
+    p_worker = sub.add_parser(
+        "worker",
+        parents=[bind_flag],
+        help="serve oracle segments over TCP (what a driver's --hosts names)",
     )
     p_worker.add_argument(
         "--capacity",
@@ -212,35 +188,18 @@ def main(argv: list[str] | None = None) -> int:
 
     p_serve = sub.add_parser(
         "serve",
+        parents=[bind_flag],
         help="run the persistent optimization service (jobs over TCP, "
         "shared worker fleet, content-addressed segment cache)",
     )
-    p_serve.add_argument(
-        "--bind",
-        default="127.0.0.1:0",
-        help="HOST:PORT to listen on (port 0 picks an ephemeral port, "
-        "printed on startup)",
-    )
-    p_serve.add_argument(
-        "--workers", type=int, default=None, help="fleet worker count"
-    )
-    p_serve.add_argument(
-        "--transport",
-        default="encoded",
-        choices=list(TRANSPORTS),
-        help="fleet wire format (socket needs --hosts)",
-    )
+    p_serve.add_argument("--workers", type=int, help="fleet worker count")
     p_serve.add_argument(
         "--hosts",
-        default=None,
-        help="comma-separated worker host addresses for --transport socket",
-    )
-    p_serve.add_argument(
-        "--oracle-engine", default="python", choices=["python", "vector"]
+        help="comma-separated popqc worker addresses to use as the fleet "
+        "instead of local worker processes",
     )
     p_serve.add_argument(
         "--cache-dir",
-        default=None,
         help="directory of the persistent segment-result cache "
         "(shared across restarts; omit for a memory-only cache)",
     )
@@ -253,7 +212,6 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument(
         "--cache-disk-bytes",
         type=int,
-        default=None,
         help="bound on the on-disk cache store in bytes; oldest entries "
         "are pruned first once the bound is exceeded (default: unbounded; "
         "needs --cache-dir)",
@@ -273,39 +231,32 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument(
         "--max-active-jobs",
         type=int,
-        default=None,
         help="global cap on jobs optimizing at once; excess JOBs get a "
         "typed BUSY refusal (default: unlimited)",
     )
     p_serve.add_argument(
         "--max-jobs-per-peer",
         type=int,
-        default=None,
         help="per-client-address cap on concurrent jobs (default: unlimited)",
     )
     p_serve.add_argument(
         "--max-pending-rounds",
         type=int,
-        default=None,
         help="scheduler queue depth past which new jobs are refused "
         "with BUSY (default: unlimited)",
     )
     p_serve.add_argument(
         "--min-workers",
         type=int,
-        default=None,
         help="autoscale floor: spawn this many local popqc worker "
-        "subprocesses at startup and never retire below it "
-        "(needs --transport socket)",
+        "subprocesses at startup and never retire below it",
     )
     p_serve.add_argument(
         "--max-workers",
         type=int,
-        default=None,
         help="autoscale ceiling: grow the fleet with local popqc worker "
         "subprocesses while the scheduler backlog is deep, up to this "
-        "many spawned workers; retire them when the queue stays empty "
-        "(needs --transport socket)",
+        "many spawned workers; retire them when the queue stays empty",
     )
     p_serve.add_argument(
         "--scale-window",
@@ -379,8 +330,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "worker":
-        from .parallel import WorkerHost, parse_address
-
         _stop_on_sigterm()
         host, port = parse_address(args.bind)
         worker = WorkerHost(
@@ -402,16 +351,11 @@ def main(argv: list[str] | None = None) -> int:
                 f"({worker.bytes_received} B in, {worker.bytes_sent} B out)",
                 flush=True,
             )
-        return 0
 
-    if args.command == "serve":
-        import json as _json
-
-        from .parallel import parse_address
+    elif args.command == "serve":
         from .service import OptimizationService, SegmentCache
 
         _stop_on_sigterm()
-        oracle = NamOracle(engine=args.oracle_engine)
         cache: object = (
             False
             if args.no_cache
@@ -422,17 +366,17 @@ def main(argv: list[str] | None = None) -> int:
             )
         )
         host, port = parse_address(args.bind)
-        hosts = (
-            [h.strip() for h in args.hosts.split(",") if h.strip()]
-            if args.hosts
-            else None
-        )
+        hosts = _host_list(args.hosts)
+        spawns = args.min_workers is not None or args.max_workers is not None
+        if spawns and not (hosts or args.min_workers):
+            _fail("--max-workers needs a fleet to grow: add --min-workers N or --hosts")
         service = OptimizationService(
-            oracle,
+            NamOracle(),
             host,
             port,
             workers=args.workers,
-            transport=args.transport,
+            # named and spawned workers are both reached over TCP
+            transport="socket" if hosts or spawns else "encoded",
             hosts=hosts,
             cache=cache,
             auth_token=args.auth_token,
@@ -451,16 +395,13 @@ def main(argv: list[str] | None = None) -> int:
             pass
         finally:
             service.stop()
-            print(_json.dumps(service.status(), indent=2), flush=True)
-        return 0
+            print(json.dumps(service.status(), indent=2), flush=True)
 
-    if args.command == "submit":
-        import json as _json
-
+    elif args.command == "submit":
         from .service import ServiceClient
 
         if args.input is None and not args.status:
-            raise SystemExit("submit needs an input circuit (or --status)")
+            _fail("submit needs an input circuit (or --status)")
         with ServiceClient(args.server, auth_token=args.auth_token) as client:
             if args.input is not None:
                 circuit = _load_circuit(args.input)
@@ -480,18 +421,16 @@ def main(argv: list[str] | None = None) -> int:
                     write_qasm(job.circuit, args.output)
                     print(f"wrote {args.output}")
             if args.status:
-                print(_json.dumps(client.status(), indent=2))
-        return 0
+                print(json.dumps(client.status(), indent=2))
 
-    if args.command == "optimize":
-        res = _run_popqc(read_qasm(args.input), args)
+    elif args.command == "optimize":
+        res = _run_popqc(_read_circuit(args.input), args)
         print(res.stats.summary())
         if args.output:
             write_qasm(res.circuit, args.output)
             print(f"wrote {args.output}")
-        return 0
 
-    if args.command == "bench":
+    elif args.command == "bench":
         circuit = generate(args.family, args.size)
         print(f"{args.family}[{args.size}]: {circuit.num_gates} gates, "
               f"{circuit.num_qubits} qubits")
@@ -503,46 +442,37 @@ def main(argv: list[str] | None = None) -> int:
                 f"baseline: {circuit.num_gates} -> {base.num_gates} gates, "
                 f"{base.time_seconds:.3f}s"
             )
-        return 0
 
-    if args.command == "analyze":
-        circuit = _load_circuit(args.input)
-        print(analyze(circuit).render())
-        return 0
+    elif args.command == "analyze":
+        print(analyze(_load_circuit(args.input)).render())
 
-    if args.command == "trace":
+    elif args.command == "trace":
         circuit = _load_circuit(args.input)
         res, trace = popqc_traced(circuit, NamOracle(), args.omega)
         print(render_trace(trace, width=args.width))
         print(res.stats.summary())
-        return 0
 
-    if args.command == "suite":
-        from .benchgen import write_suite
-
+    elif args.command == "suite":
         entries = write_suite(
             args.out, families=args.families, size_indices=tuple(args.sizes)
         )
         for e in entries:
             print(f"{e.path}: {e.num_gates} gates, {e.num_qubits} qubits")
         print(f"wrote {len(entries)} circuits + manifest.csv to {args.out}")
-        return 0
 
-    if args.command == "tables":
+    elif args.command == "tables":
         for which in args.which:
             _, text = _TABLES[which](size_indices=tuple(args.sizes))
             print(text)
             print()
-        return 0
 
-    if args.command == "figures":
+    elif args.command == "figures":
         for which in args.which:
             _, text = _FIGURES[which]()
             print(text)
             print()
-        return 0
 
-    return 1  # pragma: no cover
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

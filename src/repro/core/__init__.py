@@ -1,6 +1,5 @@
 """POPQC core: index tree, circuit stores, fingers, driver, verification."""
 
-from .adaptive import SlidingProfile, popqc_adaptive, sliding_distances, suggest_omega
 from .fenwick import FenwickTree
 from .fingers import initial_fingers, select_fingers
 from .gate_store import GateStore
@@ -21,11 +20,7 @@ from .verify import (
 
 __all__ = [
     "CostFn",
-    "SlidingProfile",
-    "popqc_adaptive",
     "popqc_greedy",
-    "sliding_distances",
-    "suggest_omega",
     "FenwickTree",
     "GateStore",
     "IndexTree",

@@ -26,18 +26,17 @@ Two interchangeable engines run the pipeline, driven by one loop
 * ``engine="vector"`` — the numpy struct-of-arrays passes of
   :mod:`repro.oracles.vector_engine`: the same rule set as whole-array
   kernels.  Slower per segment at POPQC's segment sizes, but it spends
-  its time in GIL-releasing numpy, which is what thread-based oracle
-  workers need (``ProcessMap(transport="threads")``), and it works on
-  the packed layout directly.  Segments containing gates outside the
-  {h, x, cnot, rz} base set fall back to the python engine
+  its time in GIL-releasing numpy and works on the packed layout
+  directly (:meth:`NamOracle.run_packed`).  Segments containing gates
+  outside the {h, x, cnot, rz} base set fall back to the python engine
   transparently.
 
 The oracle is a picklable callable so ``ProcessMap`` can ship it to
-worker processes.  It additionally implements the transport protocol
-hook :meth:`NamOracle.run_packed` — optimize a segment directly in the
-:class:`repro.circuits.encoding.EncodedSegment` wire format — which the
-oracle transports use to skip gate-object round-trips entirely when the
-vector engine is active.
+worker processes.  :meth:`NamOracle.run_packed` optimizes a segment
+directly in the :class:`repro.circuits.encoding.EncodedSegment` wire
+format; no transport calls it (a worker decodes through its thread's
+:class:`~repro.circuits.intern.GateTable`), the end-to-end referee
+times it.
 """
 
 from __future__ import annotations
@@ -185,24 +184,12 @@ class NamOracle:
                 return self._run_vector(vec).to_gates()
         return self._run_python(gates)
 
-    @property
-    def packed_native(self) -> bool:
-        """Whether :meth:`run_packed` avoids ``Gate`` round-trips.
-
-        True for the vector engine; the threads transport only feeds
-        the packed layout to natively packed oracles (for others the
-        encode would be pure overhead).
-        """
-        return self.engine == "vector"
-
     def run_packed(self, encoded: EncodedSegment) -> EncodedSegment:
         """Optimize a segment in the packed wire format.
 
         With the vector engine this never materializes ``Gate``
         objects; otherwise (python engine, or a segment outside the
-        base set) it decodes, optimizes and re-encodes.  Oracle
-        transports call this when present so results stay packed for
-        lazy decoding.
+        base set) it decodes, optimizes and re-encodes.
         """
         if self.engine == "vector":
             from .vector_engine import VectorSegment

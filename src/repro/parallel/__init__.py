@@ -1,18 +1,17 @@
 """Parallelism substrate: the parmap protocol, executors and transports.
 
 POPQC's only parallel primitive is an order-preserving map over oracle
-segments (paper Section 2.4).  Four executors implement it:
-:class:`SerialMap` (the reference), :class:`ThreadMap`,
-:class:`SimulatedParallelism` (serial execution with p-worker makespan
-accounting, for the scaling experiments) and :class:`ProcessMap`, the
-oracle-transport executor, whose ``transport=`` names the
-:class:`Transport` class (:data:`TRANSPORTS`) that carries a segment to
-a worker — ``"encoded"`` (default: one packed blob per batch through
-the pool pipe), ``"shm"`` (pooled shared-memory arenas), ``"threads"``,
+segments (paper Section 2.4).  Three executors implement it:
+:class:`SerialMap` (the reference), :class:`SimulatedParallelism`
+(serial execution with p-worker makespan accounting, for the scaling
+experiments) and :class:`ProcessMap`, the oracle-transport executor,
+whose ``transport=`` names the :class:`Transport` class
+(:data:`TRANSPORTS`) that carries a segment to a worker —
+``"encoded"`` (default: one packed blob per batch through the pool
+pipe), ``"shm"`` (pooled shared-memory arenas), ``"threads"``,
 ``"pickle"`` (the seed behaviour, a benchmark baseline) or
 ``"socket"`` (TCP frames to ``popqc worker`` hosts).  Every rung is
-byte-identical; :mod:`repro.parallel.transports` has the details,
-``README.md`` the matrix.
+byte-identical; :mod:`repro.parallel.transports` has the details.
 
 The POPQC driver reaches an executor through one seam,
 :class:`SegmentExecutor`: ``map_segments(oracle, segments)``,
@@ -46,7 +45,6 @@ from .executor import (
     ProcessMap,
     SegmentExecutor,
     SerialMap,
-    ThreadMap,
     default_workers,
     oracle_fingerprint,
     segment_executor,
@@ -67,8 +65,6 @@ from .scheduling import (
     adaptive_chunksize,
     batch_segments,
     greedy_makespan,
-    ideal_makespan,
-    lpt_makespan,
 )
 from .shm import HAVE_SHM, ShmArenaPool, StaleArenaError
 from .simulated import SimulatedParallelism
@@ -96,7 +92,6 @@ __all__ = [
     "SocketHostPool",
     "StaleArenaError",
     "StaleOracleError",
-    "ThreadMap",
     "Transport",
     "WorkerHost",
     "WorkerUnavailableError",
@@ -105,8 +100,6 @@ __all__ = [
     "batch_segments",
     "default_workers",
     "greedy_makespan",
-    "ideal_makespan",
-    "lpt_makespan",
     "oracle_fingerprint",
     "parse_address",
     "segment_executor",

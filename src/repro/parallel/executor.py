@@ -1,32 +1,23 @@
 """The ``parmap`` primitive (paper Section 2.4).
 
 POPQC exposes parallelism only through a parallel map over a collection.
-The paper implements it with Rust/Rayon fork-join; here the primitive is
-the :class:`ParallelMap` protocol, with these implementations:
+The paper implements it with Rust/Rayon fork-join; here a driver talks
+to the :class:`SegmentExecutor` seam (``map_segments``, ``counters()``,
+``transport``, ``workers``), results in input order:
 
-* :class:`SerialMap` — plain sequential map (the 1-thread configuration).
-* :class:`ThreadMap` — ``concurrent.futures.ThreadPoolExecutor``.  Under
-  CPython's GIL this gives little speedup for pure-Python oracles but is
-  useful when the oracle releases the GIL (numpy-heavy cost functions).
-* :class:`ProcessMap` — real multicore (or multi-host) execution.
-  Beyond the generic :meth:`ProcessMap.map` it has the *oracle
-  transport* seam, :meth:`ProcessMap.map_segments`: a round runs in
-  the parent when that is measured to be cheaper, else it is cut into
-  batches and handed to the :class:`~repro.parallel.transports.Transport`
-  that ``transport=`` names.  This is the CPython analogue of Rayon handing
-  a borrowed slice to a worker: the per-round IPC cost is a few
-  buffers, not ``O(gates)`` pickle opcodes plus a fresh copy of the
-  oracle.
-* :class:`~repro.parallel.simulated.SimulatedParallelism` — executes
-  serially, times each task, and reports the *makespan* a p-worker
-  machine would achieve.  This is the executor the scaling experiments
-  use.
-
-All implementations preserve input order in the result list, which the
-POPQC driver relies on.  What a driver actually talks to is the
-narrower :class:`SegmentExecutor` seam (``map_segments``,
-``counters()``, ``transport``, ``workers``); :func:`segment_executor`
-puts an executor that only has ``map`` behind it.
+* :class:`ProcessMap` — real multicore (or multi-host) execution: a
+  round runs in the parent when that is measured to be cheaper, else
+  it is cut into batches and handed to the
+  :class:`~repro.parallel.transports.Transport` that ``transport=``
+  names.  This is the CPython analogue of Rayon handing a borrowed
+  slice to a worker: the per-round IPC cost is a few buffers, not
+  ``O(gates)`` pickle opcodes plus a fresh copy of the oracle.
+* anything with an order-preserving ``map`` (:class:`ParallelMap`),
+  which :func:`segment_executor` puts behind the seam:
+  :class:`SerialMap`, the reference and the 1-thread configuration, and
+  :class:`~repro.parallel.simulated.SimulatedParallelism`, which runs
+  serially, times each task and reports the *makespan* a p-worker
+  machine would achieve (the scaling experiments' executor).
 """
 
 from __future__ import annotations
@@ -35,15 +26,14 @@ import os
 import pickle
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Protocol, Sequence, TypeVar
 
 from ..circuits.gate import Gate
 from . import shm
 from .frames import oracle_blob_digest
 from .results import DecodeStats, LazySegmentResult
-from .scheduling import RoundCostModel, adaptive_chunksize, batch_segments
-from .transports import TRANSPORTS, Transport, WorkerPool
+from .scheduling import RoundCostModel, batch_segments
+from .transports import TRANSPORTS, Transport
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -53,7 +43,6 @@ __all__ = [
     "ParallelMap",
     "SegmentExecutor",
     "SerialMap",
-    "ThreadMap",
     "ProcessMap",
     "default_workers",
     "oracle_fingerprint",
@@ -168,7 +157,7 @@ class _MapOnly:
 def segment_executor(pmap: object) -> SegmentExecutor:
     """``pmap`` behind the :class:`SegmentExecutor` seam: itself when it
     has ``map_segments``, else adapted from its ``map`` (:class:`SerialMap`,
-    :class:`ThreadMap`, ``SimulatedParallelism``, a user's object)."""
+    ``SimulatedParallelism``, a user's object)."""
     return pmap if hasattr(pmap, "map_segments") else _MapOnly(pmap)
 
 
@@ -187,38 +176,6 @@ class SerialMap:
 
     def __repr__(self) -> str:  # pragma: no cover
         return "SerialMap()"
-
-
-class ThreadMap:
-    """Thread-pool map.
-
-    A shared pool is kept alive across calls so repeated rounds of the
-    POPQC loop do not pay thread startup costs.
-    """
-
-    def __init__(self, workers: int | None = None):
-        self.workers = workers or default_workers()
-        self._pool: ThreadPoolExecutor | None = None
-
-    def _ensure(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.workers)
-        return self._pool
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-        """Apply ``fn`` over the shared thread pool, preserving order."""
-        if len(items) <= 1:
-            return [fn(item) for item in items]
-        return list(self._ensure().map(fn, items))
-
-    def close(self) -> None:
-        """Shut the shared pool down (a later ``map`` re-creates it)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"ThreadMap(workers={self.workers})"
 
 
 def _as_segment(segment: Sequence[Gate]) -> LazySegmentResult:
@@ -359,10 +316,10 @@ class CacheFront:
 
 
 class ProcessMap:
-    """Process-pool map for genuine multicore execution.
+    """Process-pool segment executor for genuine multicore execution.
 
-    Tasks and results cross process boundaries, so ``fn`` and the items
-    must be picklable.  A round leaves the parent only when that pays:
+    Oracle and segments cross process boundaries, so the oracle must be
+    picklable.  A round leaves the parent only when that pays:
     :meth:`map_segments` times every round it runs, inline or through
     the transport, and asks a :class:`~repro.parallel.scheduling.
     RoundCostModel` which side is cheaper for a round of that width
@@ -433,8 +390,8 @@ class ProcessMap:
         timed round feeds; also the per-segment time estimate behind
         the batch plan.
     pool_dispatches:
-        Number of :meth:`map` / :meth:`map_segments` calls that
-        actually crossed into a pool.
+        Number of :meth:`map_segments` calls that actually crossed
+        into a pool.
     inline_rounds / inline_segments:
         :meth:`map_segments` rounds wider than ``serial_cutoff`` that
         ran in the parent all the same, and the segments they held
@@ -502,7 +459,6 @@ class ProcessMap:
         self._front = (
             CacheFront(cache, self._decode_stats) if cache is not None else None
         )
-        self._map_pool: Optional[WorkerPool] = None
         # cluster parallelism is one dispatcher per host
         self.wire: Transport = TRANSPORTS[transport](
             workers or len(self.hosts) or default_workers(),
@@ -522,20 +478,6 @@ class ProcessMap:
         """Wire bytes of all returned results — ``counters()``'s figure
         of that name, as the attribute ``benchmarks/e2e`` reads."""
         return self._decode_stats.result_bytes_returned
-
-    # -- generic map ---------------------------------------------------------
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-        """Apply ``fn`` over a process pool (inline under the cutoff)."""
-        if len(items) <= self.serial_cutoff:
-            return [fn(item) for item in items]
-        if self._map_pool is None:
-            self._map_pool = WorkerPool(self.workers)
-        # balance-only chunking: the learned task-time estimate belongs
-        # to oracle segments (map_segments), not arbitrary callables
-        chunk = adaptive_chunksize(len(items), self.workers, 0.0)
-        self.pool_dispatches += 1
-        return self._map_pool.map(fn, items, chunk)
 
     # -- oracle transport -----------------------------------------------------
 
@@ -627,9 +569,6 @@ class ProcessMap:
     def close(self) -> None:
         """Shut down pools and release arenas and connections (safe to
         call twice)."""
-        if self._map_pool is not None:
-            self._map_pool.close()
-            self._map_pool = None
         self.wire.close()
 
     def __repr__(self) -> str:  # pragma: no cover

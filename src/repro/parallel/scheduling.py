@@ -13,17 +13,13 @@ Three concerns live here:
   a round costs in the parent and what it costs through the pool, per
   round width, and says which is cheaper.  Where a round runs depends
   on measured time and is not reproducible; what it returns does not.
-* **Adaptive chunking** of the rounds that do go to the pool.  A chunk
-  must be large enough that per-chunk dispatch overhead (pickle + pipe
-  + wakeup) is amortized by useful oracle work, yet small enough that
-  every worker gets several chunks for load balancing.
-  :func:`adaptive_chunksize` resolves it from the model's measured
-  inline seconds per segment.  :func:`batch_segments` is the same
-  policy expressed as an explicit plan: it partitions a round's
-  segment indices into contiguous per-task batches, which the
-  shared-memory transport ships as ``(arena, start, end)`` descriptors
-  — one pool task per batch instead of one per segment, cutting
-  dispatch count by the batch width.
+* **Batching** of the rounds that do go to the pool.  A batch must be
+  large enough that its dispatch overhead (pickle + pipe + wakeup) is
+  amortized by useful oracle work, yet small enough that every worker
+  gets several for load balancing.  :func:`adaptive_chunksize` resolves
+  the width from the model's measured inline seconds per segment and
+  :func:`batch_segments` cuts the round into contiguous batches of it —
+  one pool task per batch instead of one per segment.
 """
 
 from __future__ import annotations
@@ -36,8 +32,6 @@ __all__ = [
     "adaptive_chunksize",
     "batch_segments",
     "greedy_makespan",
-    "lpt_makespan",
-    "ideal_makespan",
 ]
 
 #: Estimated fixed cost of dispatching one chunk to a pool worker
@@ -126,19 +120,12 @@ class RoundCostModel:
         return dict(sorted(rows.items()))
 
 
-def adaptive_chunksize(
-    num_items: int,
-    workers: int,
-    est_task_seconds: float,
-    *,
-    dispatch_overhead_seconds: float = DISPATCH_OVERHEAD_SECONDS,
-    chunks_per_worker: int = CHUNKS_PER_WORKER,
-) -> int:
-    """Chunk size for a pool map over ``num_items`` tasks.
+def adaptive_chunksize(num_items: int, workers: int, est_task_seconds: float) -> int:
+    """Batch width for a pooled round of ``num_items`` segments.
 
     ``est_task_seconds`` is the executor's running estimate of one
     task's duration (0 when unknown).  The returned size is the
-    balance-oriented chunk (``num_items / (chunks_per_worker *
+    balance-oriented chunk (``num_items / (CHUNKS_PER_WORKER *
     workers)``) enlarged, when tasks are measurably short, so each
     chunk carries at least ~10x the dispatch overhead of useful work —
     but never beyond ``num_items / workers``, which would idle workers.
@@ -147,10 +134,10 @@ def adaptive_chunksize(
         raise ValueError("workers must be positive")
     if num_items <= 0:
         return 1
-    balance = -(-num_items // (chunks_per_worker * workers))  # ceil div
+    balance = -(-num_items // (CHUNKS_PER_WORKER * workers))  # ceil div
     chunk = balance
     if est_task_seconds > 0.0:
-        target = 10.0 * dispatch_overhead_seconds
+        target = 10.0 * DISPATCH_OVERHEAD_SECONDS
         if target >= est_task_seconds * num_items:
             chunk = num_items  # even one chunk per worker can't amortize
         else:
@@ -160,12 +147,7 @@ def adaptive_chunksize(
 
 
 def batch_segments(
-    num_segments: int,
-    workers: int,
-    est_task_seconds: float,
-    *,
-    dispatch_overhead_seconds: float = DISPATCH_OVERHEAD_SECONDS,
-    chunks_per_worker: int = CHUNKS_PER_WORKER,
+    num_segments: int, workers: int, est_task_seconds: float
 ) -> list[tuple[int, int]]:
     """Partition ``range(num_segments)`` into contiguous dispatch batches.
 
@@ -173,7 +155,7 @@ def batch_segments(
     task.  Batch width follows :func:`adaptive_chunksize` on the
     executor's measured per-segment oracle time, so cheap segments are
     coalesced until a task carries ~10x its dispatch overhead of work,
-    while expensive segments stay spread ``chunks_per_worker`` batches
+    while expensive segments stay spread :data:`CHUNKS_PER_WORKER` batches
     per worker for load balancing.  On a 20k-gate circuit with Ω=100
     (≈100 segments/round of sub-millisecond oracle calls) this cuts
     per-round task dispatches by roughly an order of magnitude versus
@@ -181,13 +163,7 @@ def batch_segments(
     """
     if num_segments <= 0:
         return []
-    width = adaptive_chunksize(
-        num_segments,
-        workers,
-        est_task_seconds,
-        dispatch_overhead_seconds=dispatch_overhead_seconds,
-        chunks_per_worker=chunks_per_worker,
-    )
+    width = adaptive_chunksize(num_segments, workers, est_task_seconds)
     return [
         (start, min(start + width, num_segments))
         for start in range(0, num_segments, width)
@@ -212,22 +188,3 @@ def greedy_makespan(durations: Sequence[float], workers: int) -> float:
         if end > finish:
             finish = end
     return finish
-
-
-def lpt_makespan(durations: Sequence[float], workers: int) -> float:
-    """Longest-processing-time-first makespan (a tighter schedule).
-
-    Used as the optimistic bound in sensitivity checks; the simulated
-    executor defaults to :func:`greedy_makespan` which is closer to what
-    a dynamic scheduler achieves.
-    """
-    return greedy_makespan(sorted(durations, reverse=True), workers)
-
-
-def ideal_makespan(durations: Sequence[float], workers: int) -> float:
-    """The trivial lower bound: max(total/p, longest task)."""
-    if not durations:
-        return 0.0
-    total = float(sum(durations))
-    longest = float(max(durations))
-    return max(total / workers, longest)

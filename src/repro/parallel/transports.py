@@ -19,8 +19,8 @@ are looked up in:
 * ``"pickle"`` — the seed behaviour, kept as the benchmark baseline:
   the oracle and every ``list[Gate]`` are pickled on every call;
 * ``"threads"`` — no pipes, no arenas: oracle calls run on a thread
-  pool over the parent's own buffers, which pays off when the oracle
-  releases the GIL (:mod:`repro.oracles.vector_engine`);
+  pool over the parent's own gate lists, which pays off only when
+  the oracle releases the GIL;
 * ``"socket"`` — the same packed bytes as length-prefixed frames over
   TCP to ``popqc worker`` hosts (:mod:`repro.parallel.hostpool`), with
   heartbeat, reconnect-and-requeue on host failure and the
@@ -118,7 +118,7 @@ _WORKER_ARENAS: dict[str, object] = {}
 _WORKER_ARENA_CACHE_LIMIT = 8
 
 
-def _register_worker_oracle(oracle: Optional[Oracle], generation: int) -> None:
+def _register_worker_oracle(oracle: Oracle, generation: int) -> None:
     global _WORKER_ORACLE, _WORKER_ORACLE_GEN
     _WORKER_ORACLE = oracle
     _WORKER_ORACLE_GEN = generation
@@ -272,10 +272,9 @@ def _ship_by_value(
 
 
 class WorkerPool:
-    """A process pool whose workers have (at most) one oracle installed.
+    """A process pool whose workers have one oracle installed.
 
-    The base of the three pool-backed transports, and on its own the
-    pool behind the generic :meth:`ProcessMap.map`.  Swapping oracles
+    The base of the three pool-backed transports.  Swapping oracles
     tears the pool down, bumps :attr:`generation` and rebuilds; the
     POPQC loop uses one oracle for thousands of rounds, so the rebuild
     is a once-per-run cost.  Every dispatched task carries the
@@ -291,22 +290,19 @@ class WorkerPool:
         self._pool: Optional[ProcessPoolExecutor] = None
         self._oracle: object = None
 
-    def _ensure(self, oracle: object = None) -> bool:
-        """Make the pool's workers serve ``oracle`` (``None``: any pool
-        will do); returns whether it was already warm."""
+    def _ensure(self, oracle: object) -> bool:
+        """Make the pool's workers serve ``oracle``; returns whether it
+        was already warm."""
         if self._pool is not None:
-            if oracle is None or self._oracle is oracle:
+            if self._oracle is oracle:
                 return True
             self._pool.shutdown(wait=True)
-        if oracle is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        else:
-            self.generation += 1
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_register_worker_oracle,
-                initargs=(oracle, self.generation),
-            )
+        self.generation += 1
+        self._pool = ProcessPoolExecutor(
+            max_workers=self.workers,
+            initializer=_register_worker_oracle,
+            initargs=(oracle, self.generation),
+        )
         self._oracle = oracle
         return False
 
@@ -325,11 +321,6 @@ class WorkerPool:
             self._pool = self._oracle = None
             raise
 
-    def map(self, fn: Callable, items: Sequence, chunksize: int = 1) -> list:
-        """Generic ordered map over the pool (no oracle registered)."""
-        self._ensure()
-        return self._run(fn, items, chunksize)
-
     def counters(self) -> dict:
         """A bare pool counts nothing of its own."""
         return {}
@@ -342,12 +333,13 @@ class WorkerPool:
 
 
 class PickleTransport(WorkerPool):
-    """The seed behaviour: oracle and gate lists pickled on every call."""
+    """The seed behaviour: oracle and gate lists pickled on every call
+    (the copy the pool installs at start-up goes unused)."""
 
     def run_round(self, oracle, segments, plan) -> RoundResult:
         """One pool map of ``oracle`` over gate lists, chunked as wide
         as the plan's batches."""
-        warm = self._ensure()
+        warm = self._ensure(oracle)
         started = time.perf_counter()
         outs = self._run(
             _PickledOracleCall(oracle),
@@ -480,12 +472,9 @@ class ThreadsTransport:
 
     Workers share the parent's address space, so nothing is serialized
     and the oracle needs no registration or generation token; the
-    plan's batch widths are ignored — one pool task per segment.
-    Oracles that are natively packed (``packed_native``) receive the
-    packed layout (built parent-side, counted as serialization time)
-    and their results stay packed for lazy decoding; plain oracles run
-    on the gate lists directly — encoding inputs just to win lazy
-    result decode costs more than it saves here, unlike the process
+    plan's batch widths are ignored — one pool task per segment, on
+    the gate lists directly: encoding inputs just to win lazy result
+    decode costs more than it saves here, unlike the process
     transports, where the bytes must exist anyway.  Per-task durations
     are summed against pool wall seconds (``thread_task_seconds`` /
     ``thread_wall_seconds``): their ratio estimates effective thread
@@ -496,7 +485,6 @@ class ThreadsTransport:
         self.workers = workers
         self.task_seconds = 0.0
         self.wall_seconds = 0.0
-        self._stats = decode_stats
         self._pool: Optional[ThreadPoolExecutor] = None
 
     def run_round(self, oracle, segments, plan) -> RoundResult:
@@ -505,28 +493,18 @@ class ThreadsTransport:
         if not warm:
             self._pool = ThreadPoolExecutor(max_workers=self.workers)
         t_round = time.perf_counter()
-        if getattr(oracle, "packed_native", False):
-            call = oracle.run_packed
-            items = [seg.encoded() for seg in segments]
-            ser = time.perf_counter() - t_round
 
-            def wrap(out):
-                return LazySegmentResult.from_encoded(out, self._stats)
-        else:
-            call, wrap, ser = oracle, LazySegmentResult.from_gates, 0.0
-            items = [seg.gates() for seg in segments]
-
-        def task(item):
+        def task(gates):
             started = time.perf_counter()
-            out = call(item)
+            out = oracle(gates)
             return out, time.perf_counter() - started
 
-        outs = list(self._pool.map(task, items))
-        results = [wrap(out) for out, _ in outs]
-        wall = time.perf_counter() - t_round - ser
+        outs = list(self._pool.map(task, [seg.gates() for seg in segments]))
+        results = [LazySegmentResult.from_gates(out) for out, _ in outs]
+        wall = time.perf_counter() - t_round
         self.wall_seconds += wall
         self.task_seconds += sum(seconds for _, seconds in outs)
-        return results, ser, wall if warm else None
+        return results, 0.0, wall if warm else None
 
     def counters(self) -> dict:
         """Summed per-task oracle seconds vs. pool wall seconds."""

@@ -50,17 +50,13 @@ def _oracle_encoded_result(oracle, encoded: EncodedSegment) -> EncodedSegment:
     """Run ``oracle`` on a packed segment, staying packed when possible.
 
     What every worker — a pool process, a ``popqc worker`` handler
-    thread — does with one segment.  Natively packed oracles
-    (:class:`repro.oracles.NamOracle` with the vector engine) transform
-    the wire format directly.  Everything else sees a gate list and
+    thread — does with one segment.  The oracle sees a gate list and
     returns one, both through the calling thread's bounded
     :class:`~repro.circuits.intern.GateTable`: a ``Gate`` is built only
     for a wire value this thread has not met, and the gates the oracle
     passed through re-encode by identity.  An oracle that found nothing
     to rewrite is answered with its input.
     """
-    if getattr(oracle, "packed_native", False):
-        return oracle.run_packed(encoded)
     table = thread_table()
     gates = table.gates_of(table.ids_from_encoded(encoded))
     out = oracle(gates)

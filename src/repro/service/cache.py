@@ -153,11 +153,6 @@ class SegmentCache:
         long-lived daemon must never fill the disk.  ``None`` leaves
         the store unbounded (the pre-bound behavior, reasonable only
         for short-lived or externally rotated stores).
-    namespace:
-        Key material mixed into every fingerprint, normally
-        :func:`oracle_namespace` of the oracle being fronted.  Entries
-        from different namespaces can share both levels safely.
-
     All methods are thread-safe; the server's connection handlers and
     the fleet scheduler hit one shared instance concurrently.
     """
@@ -167,7 +162,6 @@ class SegmentCache:
         max_entries: int = 65536,
         max_bytes: int = 256 * 1024 * 1024,
         disk_dir: Optional[str | Path] = None,
-        namespace: bytes = b"",
         max_disk_bytes: Optional[int] = None,
     ):
         if max_entries < 1:
@@ -179,7 +173,6 @@ class SegmentCache:
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.max_disk_bytes = max_disk_bytes
-        self.namespace = namespace
         self.stats = CacheStats()
         self._lock = threading.Lock()
         self._memory: OrderedDict[str, bytes] = OrderedDict()
@@ -200,13 +193,13 @@ class SegmentCache:
     def key_for(self, packed, extra: bytes = b"") -> str:
         """The cache key of one canonically packed segment.
 
-        ``extra`` is additional key material appended to the cache's
-        own namespace — the executor's cache hook passes the digest of
-        the oracle currently being mapped, so even a cache constructed
-        without a namespace can never serve one oracle's results to
+        ``extra`` is key material mixed into the hash — the executor's
+        cache hook passes the digest (:func:`oracle_namespace`) of the
+        oracle currently being mapped, so entries of different oracles
+        share both levels and one oracle's results are never served to
         another.
         """
-        return segment_fingerprint(packed, namespace=self.namespace + extra)
+        return segment_fingerprint(packed, namespace=extra)
 
     # -- lookup / store --------------------------------------------------------
 

@@ -90,6 +90,9 @@ _log = logging.getLogger(__name__)
 #: Pattern extracting the bound endpoint from the worker CLI banner.
 _WORKER_BANNER = re.compile(r"listening on (\S+)")
 
+#: Seconds a spawned worker has to print that banner.
+SPAWN_TIMEOUT_SECONDS = 30.0
+
 
 class SubprocessWorker:
     """One autoscaler-spawned ``popqc worker`` subprocess.
@@ -97,29 +100,20 @@ class SubprocessWorker:
     The default ``worker_spawner`` of :class:`OptimizationService`:
     launches ``python -m repro.cli worker --bind 127.0.0.1:0`` (plus
     the service's auth token), blocks until the worker prints its
-    bound address, and exposes it as :attr:`address`.
+    bound address — for at most :data:`SPAWN_TIMEOUT_SECONDS`, then the
+    child is stopped and the spawn fails — and exposes it as
+    :attr:`address`.
     :meth:`stop` terminates the subprocess and reaps it, so a stopped
     service never leaks workers.
     """
 
-    def __init__(self, auth_token: Optional[str] = None, capacity: int = 1):
+    def __init__(self, auth_token: Optional[str] = None):
         src_root = str(Path(__file__).resolve().parents[2])
         env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            src_root + os.pathsep + env["PYTHONPATH"]
-            if env.get("PYTHONPATH")
-            else src_root
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src_root, env.get("PYTHONPATH")])
         )
-        cmd = [
-            sys.executable,
-            "-m",
-            "repro.cli",
-            "worker",
-            "--bind",
-            "127.0.0.1:0",
-            "--capacity",
-            str(capacity),
-        ]
+        cmd = [sys.executable, "-m", "repro.cli", "worker", "--bind", "127.0.0.1:0"]
         if auth_token is not None:
             cmd += ["--auth-token", auth_token]
         self._proc = subprocess.Popen(
@@ -129,13 +123,22 @@ class SubprocessWorker:
             text=True,
             env=env,
         )
-        assert self._proc.stdout is not None
-        banner = self._proc.stdout.readline()
-        match = _WORKER_BANNER.search(banner)
+        # readline on a helper thread: a child that never prints costs
+        # the deadline, not a caller stuck holding the scale lock
+        banner: list[str] = []
+        reader = threading.Thread(
+            target=lambda: banner.append(self._proc.stdout.readline()), daemon=True
+        )
+        reader.start()
+        reader.join(SPAWN_TIMEOUT_SECONDS)
+        match = _WORKER_BANNER.search(banner[0] if banner else "")
         if match is None:
+            self._proc.terminate()  # EOF releases a reader still waiting
+            reader.join(5.0)
             self.stop()
             raise RuntimeError(
-                f"spawned worker printed no address banner: {banner!r}"
+                f"spawned worker printed no address banner within "
+                f"{SPAWN_TIMEOUT_SECONDS:g} s: {banner!r}"
             )
         self.address = match.group(1)
 

@@ -11,7 +11,7 @@ from repro.core import (
     popqc,
 )
 from repro.oracles import GateCount, IdentityOracle, NamOracle
-from repro.parallel import SerialMap, SimulatedParallelism, ThreadMap
+from repro.parallel import SerialMap, SimulatedParallelism
 from repro.sim import circuits_equivalent
 
 from ..conftest import circuit_strategy
@@ -111,14 +111,14 @@ class TestOracleCallBound:
 class TestExecutorIndependence:
     """The result must not depend on the parmap implementation."""
 
-    def test_serial_vs_thread_vs_simulated(self):
+    def test_serial_vs_simulated(self):
         c = random_redundant_circuit(4, 150, seed=5)
         oracle = NamOracle()
-        results = [
+        serial, simulated = (
             popqc(c, oracle, 8, parmap=pmap).circuit.gates
-            for pmap in (SerialMap(), ThreadMap(4), SimulatedParallelism(8))
-        ]
-        assert results[0] == results[1] == results[2]
+            for pmap in (SerialMap(), SimulatedParallelism(8))
+        )
+        assert serial == simulated
 
     def test_deterministic_across_runs(self):
         c = random_redundant_circuit(4, 100, seed=9)

@@ -239,11 +239,6 @@ def test_run_packed_matches_call():
         assert packed == oracle(list(gates))
 
 
-def test_packed_native_flag():
-    assert NamOracle(engine="vector").packed_native
-    assert not NamOracle().packed_native
-
-
 def test_unknown_engine_rejected():
     with pytest.raises(ValueError, match="engine"):
         NamOracle(engine="fortran")

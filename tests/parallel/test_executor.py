@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.parallel import ProcessMap, SerialMap, ThreadMap, default_workers
+from repro.parallel import ProcessMap, SerialMap, default_workers
 
 
 def square(x: int) -> int:
@@ -25,60 +25,7 @@ class TestSerialMap:
         SerialMap().close()
 
 
-class TestThreadMap:
-    def test_order_preserved(self):
-        tm = ThreadMap(4)
-        try:
-            assert tm.map(square, list(range(20))) == [i * i for i in range(20)]
-        finally:
-            tm.close()
-
-    def test_single_item_serial_path(self):
-        tm = ThreadMap(4)
-        assert tm.map(square, [5]) == [25]
-        tm.close()
-
-    def test_pool_reused_across_calls(self):
-        tm = ThreadMap(2)
-        try:
-            tm.map(square, [1, 2, 3])
-            pool = tm._pool
-            tm.map(square, [4, 5, 6])
-            assert tm._pool is pool
-        finally:
-            tm.close()
-
-    def test_close_and_reopen(self):
-        tm = ThreadMap(2)
-        tm.map(square, [1, 2, 3])
-        tm.close()
-        assert tm._pool is None
-        assert tm.map(square, [1, 2, 3]) == [1, 4, 9]
-        tm.close()
-
-    def test_default_worker_count(self):
-        tm = ThreadMap()
-        assert tm.workers == default_workers()
-        tm.close()
-
-
 class TestProcessMap:
-    def test_small_batches_run_serial(self):
-        pm = ProcessMap(2, serial_cutoff=4)
-        try:
-            # below cutoff: no pool is spawned
-            assert pm.map(square, [1, 2]) == [1, 4]
-            assert pm._map_pool is None
-        finally:
-            pm.close()
-
-    def test_parallel_path(self):
-        pm = ProcessMap(2, serial_cutoff=1)
-        try:
-            assert pm.map(square, list(range(10))) == [i * i for i in range(10)]
-        finally:
-            pm.close()
-
     def test_picklable_oracle_roundtrip(self):
         # the actual POPQC use case: a NamOracle crossing process bounds
         from repro.circuits import H
@@ -236,13 +183,15 @@ class TestThreadsTransport:
             pm.close()
 
     def test_no_process_pool_spawned(self):
+        from concurrent.futures import ThreadPoolExecutor
+
         from repro.oracles import NamOracle
 
         pm = ProcessMap(2, serial_cutoff=0, transport="threads")
         try:
             pm.map_segments(NamOracle(), self._segments(8))
-            assert pm._map_pool is None  # no process pool, only threads
-            assert pm.wire._pool is not None
+            # no process pool, only threads
+            assert isinstance(pm.wire._pool, ThreadPoolExecutor)
         finally:
             pm.close()
         assert pm.wire._pool is None  # close() shut the thread pool
@@ -256,24 +205,6 @@ class TestThreadsTransport:
             pool = pm.wire._pool
             pm.map_segments(NamOracle(), self._segments(8))
             assert pm.wire._pool is pool
-        finally:
-            pm.close()
-
-    def test_packed_native_oracle_returns_lazy_results(self):
-        from repro.oracles import NamOracle
-        from repro.parallel import LazySegmentResult
-
-        oracle = NamOracle(engine="vector")
-        pm = ProcessMap(2, serial_cutoff=0, transport="threads")
-        try:
-            out = pm.map_segments(oracle, self._segments(8))
-            assert all(isinstance(r, LazySegmentResult) for r in out)
-            assert all(not r.decoded for r in out)  # still packed
-            assert pm.counters()["results_returned"] == 8
-            assert pm.counters()["results_decoded"] == 0
-            # reading the gates decodes, once
-            assert out[0] == oracle(self._segments(1)[0])
-            assert pm.counters()["results_decoded"] == 1
         finally:
             pm.close()
 

@@ -110,19 +110,6 @@ def test_worker_killed_mid_round_raises_then_recovers(transport):
     assert _shm_entries() - before == set()
 
 
-def test_generic_map_recovers_after_crash():
-    """The plain ``map`` path heals from a broken pool the same way."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    pm = ProcessMap(2, serial_cutoff=0)
-    try:
-        with pytest.raises(BrokenProcessPool):
-            pm.map(os._exit, [7, 7, 7, 7])
-        assert pm.map(abs, [-1, -2, -3, -4]) == [1, 2, 3, 4]
-    finally:
-        pm.close()
-
-
 # -- shm transport: arena exhaustion and result overflow -----------------------
 
 

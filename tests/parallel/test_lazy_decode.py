@@ -72,26 +72,6 @@ def test_rejected_results_never_unpacked(transport, decode_spies):
     assert list(res.circuit.gates) == list(CIRCUIT.gates)
 
 
-def test_rejected_results_never_unpacked_threads(decode_spies):
-    """The threads transport with a packed-native oracle: rejections
-    stay packed (the vector oracle itself never touches the decoders)."""
-    unpack, decode = decode_spies
-    oracle = NamOracle(engine="vector")
-    already_optimal = popqc(CIRCUIT, oracle, OMEGA).circuit
-    pm = ProcessMap(2, serial_cutoff=0, transport="threads")
-    try:
-        res = popqc(already_optimal, oracle, OMEGA, parmap=pm)
-    finally:
-        pm.close()
-    # a second run over a fixpoint rejects everything
-    assert res.stats.oracle_accepted == 0
-    assert res.stats.results_decoded == 0
-    counters = res.stats.counters
-    assert counters["result_bytes_returned"] - counters["result_bytes_decoded"] > 0
-    assert unpack.calls == 0
-    assert decode.calls == 0
-
-
 @pytest.mark.parametrize("transport", BYTE_TRANSPORTS)
 def test_accepting_runs_decode_only_accepted(transport):
     """A mixed workload decodes exactly the accepted results."""

@@ -2,8 +2,8 @@
 
 POPQC's output must be a pure function of (circuit, oracle, Ω) no
 matter which executor or wire format carried the segments.  This suite
-runs a fixed set of seeded circuits through SerialMap, ThreadMap and
-ProcessMap with all five transports — encoded, shm, threads, pickle,
+runs a fixed set of seeded circuits through SerialMap, a map-only
+process pool and ProcessMap with all five transports — encoded, shm, threads, pickle,
 and socket (against a localhost worker cluster) — and requires
 byte-identical optimized circuits plus identical round/oracle
 accounting.  The socket transport additionally gets the lazy-decode
@@ -18,6 +18,7 @@ one of them.
 """
 
 import functools
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,7 +27,7 @@ from repro.benchgen import generate
 from repro.circuits import encoding, random_redundant_circuit, to_qasm
 from repro.core import popqc
 from repro.oracles import IdentityOracle, NamOracle
-from repro.parallel import ProcessMap, SerialMap, ThreadMap, local_cluster
+from repro.parallel import ProcessMap, SerialMap, local_cluster
 
 OMEGA = 16
 
@@ -49,11 +50,16 @@ class _MapOnly:
     """A process pool reachable through ``map`` alone (what a
     third-party executor without ``map_segments`` looks like)."""
 
-    def __init__(self, pool):
-        self._pool = pool
-        self.workers = pool.workers
-        self.map = pool.map
-        self.close = pool.close
+    workers = 2
+
+    def __init__(self):
+        self._pool = ProcessPoolExecutor(self.workers)
+
+    def map(self, fn, items):
+        return list(self._pool.map(fn, items))
+
+    def close(self):
+        self._pool.shutdown()
 
 
 @pytest.fixture(scope="module")
@@ -71,15 +77,13 @@ def socket_hosts():
 @pytest.mark.parametrize(
     "make_parmap",
     [
-        lambda: ThreadMap(2),
         lambda: ProcessMap(2, serial_cutoff=0, transport="encoded"),
         lambda: ProcessMap(2, serial_cutoff=0, transport="shm"),
         lambda: ProcessMap(2, serial_cutoff=0, transport="threads"),
         lambda: ProcessMap(2, serial_cutoff=0, transport="pickle"),
-        lambda: _MapOnly(ProcessMap(2, serial_cutoff=0)),  # the driver's map seam
+        _MapOnly,  # the driver's map seam
     ],
     ids=[
-        "thread",
         "process-encoded",
         "process-shm",
         "process-threads",
@@ -197,8 +201,8 @@ def test_threads_transport_recorded_in_stats():
 
 
 def test_threads_equivalence_with_vector_oracle():
-    """threads + the packed-native vector oracle == pickle + the same
-    oracle, byte for byte (the acceptance pin for the threads wire)."""
+    """threads + the vector oracle == pickle + the same oracle, byte
+    for byte (the acceptance pin for the threads wire)."""
     oracle = NamOracle(engine="vector")
     want = [popqc(c, oracle, OMEGA) for c in SUITE]
     for transport in ("pickle", "threads"):
@@ -211,13 +215,6 @@ def test_threads_equivalence_with_vector_oracle():
             assert g.circuit.gates == w.circuit.gates
             assert to_qasm(g.circuit) == to_qasm(w.circuit)
             assert g.stats.rounds == w.stats.rounds
-    # the packed-native path reports skipped decodes on threads
-    pm = ProcessMap(2, serial_cutoff=0, transport="threads")
-    try:
-        res = popqc(SUITE[0], oracle, OMEGA, parmap=pm)
-    finally:
-        pm.close()
-    assert res.stats.results_returned > 0
 
 
 def test_inline_fallback_reported_when_nothing_dispatched():

@@ -266,3 +266,39 @@ class TestSubprocessSpawner:
             srv.stop()
         assert worker._proc.poll() is not None  # subprocess is gone
         assert _port_is_closed(worker.address)
+
+    def test_a_silent_child_fails_the_spawn_not_the_service(self, monkeypatch):
+        """A spawned worker that never prints its banner is stopped at
+        the deadline and counted as a failed scale-up; the scale lock
+        it was spawned under is free again, so STATUS still answers."""
+        import subprocess
+        import sys
+
+        from repro.service import server
+
+        children = []
+        real_popen = subprocess.Popen
+
+        def silent_child(cmd, **kwargs):
+            children.append(
+                real_popen(
+                    [sys.executable, "-c", "import time; time.sleep(60)"], **kwargs
+                )
+            )
+            return children[-1]
+
+        srv = _elastic_service()
+        monkeypatch.setattr(server.subprocess, "Popen", silent_child)
+        monkeypatch.setattr(server, "SPAWN_TIMEOUT_SECONDS", 0.5)
+        srv._worker_spawner = server.SubprocessWorker
+        try:
+            with pytest.raises(RuntimeError, match="no address banner within 0.5 s"):
+                server.SubprocessWorker()
+            started = time.monotonic()
+            assert srv.scale_up() is None
+            assert time.monotonic() - started < 10.0
+            assert srv.status()["autoscale"]["scale_failures"] == 1
+        finally:
+            srv.stop()
+        assert len(children) == 2
+        assert all(child.poll() is not None for child in children)

@@ -83,7 +83,7 @@ class TestFingerprint:
         assert oracle_namespace(NamOracle()) == oracle_namespace(NamOracle())
 
     def test_cache_key_for_appends_extra_material(self):
-        cache = SegmentCache(namespace=b"ns")
+        cache = SegmentCache()
         packed = _packed([X(2)])
         assert cache.key_for(packed) != cache.key_for(packed, extra=b"oracle")
 

@@ -65,8 +65,6 @@ class TestServeSubprocess:
                 "127.0.0.1:0",
                 "--workers",
                 "2",
-                "--transport",
-                "threads",
                 "--max-active-jobs",
                 "2",
             ],

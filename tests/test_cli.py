@@ -6,6 +6,54 @@ from repro.circuits import Circuit, H, X, read_qasm, write_qasm
 from repro.cli import main
 
 
+def _one_line(err: str) -> str:
+    """``err`` if it is a single line and no traceback, else fail."""
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    return err
+
+
+#: Every option string of every subcommand.  A new flag is a deliberate
+#: one-line diff here; a mechanism knob (how bytes travel, which engine
+#: runs the rules) does not come back by accident.
+FLAGS = {
+    "optimize": {"-h", "--help", "--omega", "--executor", "--hosts", "-o", "--output"},
+    "bench": {"-h", "--help", "--omega", "--executor", "--hosts", "--size",
+              "--baseline"},
+    "worker": {"-h", "--help", "--bind", "--capacity", "--auth-token"},
+    "serve": {"-h", "--help", "--bind", "--workers", "--hosts", "--cache-dir",
+              "--cache-entries", "--cache-disk-bytes", "--no-cache", "--auth-token",
+              "--max-active-jobs", "--max-jobs-per-peer", "--max-pending-rounds",
+              "--min-workers", "--max-workers", "--scale-window", "--idle-timeout"},
+    "submit": {"-h", "--help", "--server", "--omega", "-o", "--output",
+               "--auth-token", "--priority", "--status"},
+    "analyze": {"-h", "--help"},
+    "trace": {"-h", "--help", "--omega", "--width"},
+    "suite": {"-h", "--help", "--out", "--sizes", "--families"},
+    "tables": {"-h", "--help", "--sizes"},
+    "figures": {"-h", "--help"},
+}
+
+
+def test_flag_census(monkeypatch):
+    import argparse
+
+    seen = {}
+    real_parse = argparse.ArgumentParser.parse_args
+
+    def capture(parser, argv=None):
+        (subparsers,) = (
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        for name, sub in subparsers.choices.items():
+            seen[name] = {opt for a in sub._actions for opt in a.option_strings}
+        return real_parse(parser, argv)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", capture)
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert seen == FLAGS
+
+
 @pytest.fixture
 def qasm_file(tmp_path):
     path = str(tmp_path / "in.qasm")
@@ -30,12 +78,14 @@ class TestOptimizeCommand:
         rc = main(["optimize", qasm_file, "--executor", "simulated:8"])
         assert rc == 0
 
-    def test_bad_executor(self, qasm_file):
-        with pytest.raises(SystemExit):
-            main(["optimize", qasm_file, "--executor", "gpu"])
+    def test_bad_executor(self, qasm_file, capsys):
+        for spec in ("gpu", "thread:2", "process:x", "serial:2"):
+            with pytest.raises(SystemExit) as refused:
+                main(["optimize", qasm_file, "--executor", spec])
+            assert refused.value.code == 2
+            assert repr(spec) in _one_line(capsys.readouterr().err)
 
-    def test_process_executor_with_transport(self, qasm_file, capsys,
-                                             monkeypatch):
+    def test_process_executor_with_transport(self, qasm_file, capsys, monkeypatch):
         from repro.parallel import ProcessMap
 
         closed = []
@@ -43,44 +93,49 @@ class TestOptimizeCommand:
         monkeypatch.setattr(
             ProcessMap, "close", lambda pm: (closed.append(pm), real_close(pm))
         )
-        for transport in ("encoded", "pickle"):
-            rc = main(
-                ["optimize", qasm_file, "--executor", "process:2",
-                 "--transport", transport]
-            )
-            assert rc == 0
-            assert "reduction" in capsys.readouterr().out
-            # the executor the CLI built is closed, once, before it returns
-            assert len(closed) == 1
-            closed.clear()
+        assert main(["optimize", qasm_file, "--executor", "process:2"]) == 0
+        assert "reduction" in capsys.readouterr().out
+        # the executor the CLI built ships packed bytes to local workers
+        # and is closed, once, before it returns
+        assert [pm.transport for pm in closed] == ["encoded"]
 
-    def test_transport_rejected_for_non_process_executor(self, qasm_file):
-        with pytest.raises(SystemExit, match="process executors"):
+    @pytest.mark.parametrize(
+        "flag", [["--transport", "encoded"], ["--oracle-engine", "vector"]]
+    )
+    @pytest.mark.parametrize("command", ["optimize", "bench", "serve"])
+    def test_the_mechanism_flags_are_gone(self, command, flag, qasm_file):
+        positional = {"optimize": [qasm_file], "bench": ["VQE"], "serve": []}
+        with pytest.raises(SystemExit) as refused:
+            main([command, *positional[command], *flag])
+        assert refused.value.code == 2
+
+    def test_hosts_refused_for_non_process_executor(self, qasm_file, capsys):
+        with pytest.raises(SystemExit) as refused:
             main(["optimize", qasm_file, "--executor", "serial",
-                  "--transport", "pickle"])
+                  "--hosts", "127.0.0.1:9001"])
+        assert refused.value.code == 2
+        assert "process executors" in _one_line(capsys.readouterr().err)
 
-    def test_socket_transport_requires_hosts(self, qasm_file):
-        with pytest.raises(SystemExit, match="--hosts"):
-            main(["optimize", qasm_file, "--executor", "process:2",
-                  "--transport", "socket"])
-
-    def test_hosts_requires_socket_transport(self, qasm_file):
-        with pytest.raises(SystemExit, match="--transport socket"):
-            main(["optimize", qasm_file, "--executor", "process:2",
-                  "--transport", "encoded", "--hosts", "127.0.0.1:9001"])
-
-    def test_socket_transport_against_local_cluster(self, qasm_file, tmp_path,
-                                                    capsys):
+    def test_socket_transport_against_local_cluster(self, qasm_file, tmp_path, capsys):
+        """``--hosts`` alone selects the wire: the run goes to the two
+        workers and writes the file the serial run writes."""
         from repro.parallel import local_cluster
 
-        out = str(tmp_path / "out.qasm")
+        serial, remote = str(tmp_path / "serial.qasm"), str(tmp_path / "out.qasm")
+        assert main(["optimize", qasm_file, "-o", serial, "--omega", "4"]) == 0
         with local_cluster(2) as hosts:
-            rc = main(["optimize", qasm_file, "-o", out, "--omega", "4",
-                       "--executor", "process:2", "--transport", "socket",
-                       "--hosts", ",".join(hosts)])
+            rc = main(["optimize", qasm_file, "-o", remote, "--omega", "4",
+                       "--executor", "process:2", "--hosts", ",".join(hosts)])
         assert rc == 0
         assert "reduction" in capsys.readouterr().out
-        assert read_qasm(out).num_gates == 1
+        assert open(remote).read() == open(serial).read()
+        assert read_qasm(remote).num_gates == 1
+
+    def test_missing_input_file_is_one_line(self, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(["optimize", "/nonexistent.qasm"])
+        assert refused.value.code == 2
+        assert "'/nonexistent.qasm'" in _one_line(capsys.readouterr().err)
 
 
 class TestBenchCommand:
@@ -124,6 +179,13 @@ class TestAnalyzeCommand:
     def test_qasm_path(self, qasm_file, capsys):
         assert main(["analyze", qasm_file]) == 0
         assert "depth" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spec", ["Grover:abc", "Grover:9"])
+    def test_bad_size_index_is_one_line(self, spec, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(["analyze", spec])
+        assert refused.value.code == 2
+        assert repr(spec) in _one_line(capsys.readouterr().err)
 
 
 class TestTraceCommand:

@@ -13,6 +13,9 @@ does not generate them); and the daemon (``repro.service.server``)
 imports neither the per-gate codec nor ``Circuit`` — a served job is
 wire arrays -> ids -> wire arrays, and a ``decode_segment`` /
 ``encode_segment`` pair in ``_answer_job`` is a 2 x per-gate loop.
+``repro.cli`` imports no transport registry and no thread executor
+(the wire is derived from ``--hosts``), and no package ``__all__``
+names a second path that was deleted for having no caller.
 """
 
 import ast
@@ -100,3 +103,35 @@ def test_the_scan_sees_what_it_should():
     assert lazy["repro.sim"] is False  # popqc's function-level sim import
     client = {m for m, _, _ in _imports(SRC / "service" / "client.py")}
     assert "repro.circuits.encoding.encode_segment" in client  # names, too
+
+
+#: Names of second paths deleted for having no caller, each spelled in
+#: two halves so that a grep for one finds live references only.
+GONE = {
+    "Thread" "Map",
+    "popqc_" "adaptive",
+    "suggest_" "omega",
+    "Sliding" "Profile",
+    "sliding_" "distances",
+    "lpt_" "makespan",
+    "ideal_" "makespan",
+}
+
+
+def test_the_cli_names_no_mechanism():
+    """``popqc`` derives the wire from ``--hosts``; it has no registry
+    of transports to offer and no thread executor to build."""
+    names = {m.rpartition(".")[2] for m, _, _ in _imports(SRC / "cli.py")}
+    assert names.isdisjoint({"TRANSPORTS"} | GONE)
+
+
+def test_deleted_second_paths_are_exported_nowhere():
+    exported = {}
+    for init in sorted(SRC.rglob("__init__.py")):
+        for node in ast.parse(init.read_text()).body:
+            if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__" for target in node.targets
+            ):
+                exported[str(init.relative_to(SRC))] = set(ast.literal_eval(node.value))
+    assert "ProcessMap" in exported["parallel/__init__.py"]  # the scan sees __all__
+    assert {init: names & GONE for init, names in exported.items() if names & GONE} == {}
