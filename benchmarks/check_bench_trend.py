@@ -24,12 +24,14 @@ measurements on the same machine, so it is *always* armed, even
 against a baseline from a different runner class.
 
 ``--shapes FILE`` names a pytest-benchmark JSON (``pytest
-benchmarks/test_table3.py benchmarks/test_figure8.py
---benchmark-json FILE``): the paper-shape ratios those benchmarks
-record in ``extra_info`` — Table 3's OAC/POPQC time ratio at two sizes,
-Figure 8's oracle share per family by size — are two wall clocks each,
-so tier-1 asserts only their behavioural halves and this script prints
-them, says whether the paper's shape showed, and never gates on them.
+benchmarks/test_table2.py benchmarks/test_table3.py
+benchmarks/test_figure8.py --benchmark-json FILE``): the paper-shape
+ratios those benchmarks record in ``extra_info`` — Table 2's
+POPQC-vs-baseline speedup and Table 3's OAC/POPQC time ratio at two
+sizes, Figure 8's oracle share per family by size — are two wall clocks
+each, so tier-1 asserts only their behavioural halves and this script
+prints them, says whether the paper's shape showed, and never gates on
+them.
 
 The remaining parallel-transport numbers are recorded for the
 trajectory but not gated (2-vCPU shared runners make them races); a
@@ -65,6 +67,14 @@ def print_shapes(record: dict) -> None:
     paper-shape ratios (whatever of them it carries)."""
     for bench in record.get("benchmarks", []):
         info = bench.get("extra_info", {})
+        speedup = info.get("popqc_speedup_by_size")
+        if speedup:
+            shape = "as" if speedup["large"] > speedup["small"] else "NOT as"
+            print(
+                f"table 2 (informational): POPQC/baseline speedup "
+                f"{speedup['small']:.2f} small -> {speedup['large']:.2f} large "
+                f"({shape} in the paper: the advantage grows with size)"
+            )
         ratio = info.get("oac_over_popqc_time_ratio")
         if ratio:
             shape = "as" if ratio["large"] >= ratio["small"] else "NOT as"
@@ -104,8 +114,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--shapes",
-        help="pytest-benchmark JSON of benchmarks/test_table3.py and "
-        "test_figure8.py; its wall-clock shape ratios are printed, never gated",
+        help="pytest-benchmark JSON of benchmarks/test_table2.py, "
+        "test_table3.py and test_figure8.py; its wall-clock shape ratios "
+        "are printed, never gated",
     )
     args = parser.parse_args(argv)
 

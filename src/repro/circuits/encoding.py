@@ -33,6 +33,11 @@ Layout of an :class:`EncodedSegment` with ``n`` gates:
     float64 array holding, in gate order, the parameters of exactly
     the gates whose mask bit is set.
 
+:func:`encode_columns` builds the same arrays from per-gate columns (a
+:class:`~repro.circuits.intern.GateTable`'s rows, the rule engine's
+slots) and :func:`wire_columns` reads per-gate columns back, both in
+numpy, so neither side builds a ``Gate`` to cross the wire.
+
 Beyond the in-process dataclass, this module defines the segment *wire
 format*: :func:`pack_segment_into` lays an :class:`EncodedSegment` out
 as one contiguous, self-describing byte block, and
@@ -58,7 +63,9 @@ from .gate import Gate
 __all__ = [
     "EncodedSegment",
     "encode_segment",
+    "encode_columns",
     "decode_segment",
+    "wire_columns",
     "encoded_nbytes",
     "packed_segment_nbytes",
     "pack_segment",
@@ -148,6 +155,54 @@ def encode_segment(segment: Sequence[Gate]) -> EncodedSegment:
         params=np.asarray(param_values, dtype=np.float64),
         length=n,
     )
+
+
+def encode_columns(
+    names: Sequence[str],
+    name_ids: np.ndarray,
+    arity: np.ndarray,
+    pairs: np.ndarray,
+    has_param: np.ndarray,
+    param: np.ndarray,
+) -> EncodedSegment:
+    """The :class:`EncodedSegment` of gates held as columns, array for
+    array what :func:`encode_segment` returns on those gates (opcode
+    table in first-use order, the same dtype choices).
+
+    Gate ``i`` is ``names[name_ids[i]]`` on the first ``arity[i]`` (one
+    or two) qubits of ``pairs[i]``, with ``param[i]`` where
+    ``has_param[i]``.
+    """
+    used = list(dict.fromkeys(name_ids.tolist()))  # distinct, in first-use order
+    opcode = np.empty(len(names), dtype=np.uint8 if len(used) <= 256 else np.int32)
+    opcode[used] = np.arange(len(used))
+    real = np.ones((len(arity), 2), dtype=bool)  # of (q0, q1) per gate
+    real[:, 1] = arity == 2
+    return EncodedSegment(
+        names=tuple(map(names.__getitem__, used)),
+        ops=opcode[name_ids],
+        arities=arity.astype(np.uint8),
+        qubits=pairs.reshape(-1)[real.reshape(-1)],
+        param_mask=np.packbits(has_param),
+        params=param[has_param],
+        length=len(arity),
+    )
+
+
+def wire_columns(encoded: EncodedSegment) -> tuple[np.ndarray, ...]:
+    """``(arity, first qubit, last qubit, has param, param or 0.0)`` per
+    gate of ``encoded`` — whose gates must each act on one or two
+    qubits — read in numpy.  ``ValueError`` when the parameter count
+    disagrees with the mask."""
+    n = encoded.length
+    arity = encoded.arities.astype(np.int64)
+    has_param = np.unpackbits(encoded.param_mask, count=n).view(bool)
+    if len(encoded.params) != np.count_nonzero(has_param):
+        raise ValueError("parameter count differs from the mask's")  # no broadcast
+    param = np.zeros(n)
+    param[has_param] = encoded.params
+    end = np.cumsum(arity)
+    return arity, encoded.qubits[end - arity], encoded.qubits[end - 1], has_param, param
 
 
 def decode_segment(encoded: EncodedSegment) -> list[Gate]:

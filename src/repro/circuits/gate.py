@@ -47,6 +47,9 @@ TWO_PI = 2.0 * math.pi
 #: The base gate set (paper Section 7.2).
 GATE_NAMES = ("h", "x", "cnot", "rz")
 
+#: Qubit count of each base-set name.
+_BASE_ARITY = {"h": 1, "x": 1, "cnot": 2, "rz": 1}
+
 _H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
 _X_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
@@ -82,10 +85,12 @@ class Gate:
     ----------
     name:
         Lower-case gate name, one of :data:`GATE_NAMES` for circuits fed
-        to the optimizers.
+        to the optimizers.  Any other name is an *opaque* gate, which
+        the rule-based oracles pass through untouched.
     qubits:
         The qubits the gate acts on.  For ``cnot`` the order is
-        ``(control, target)``.
+        ``(control, target)``; a base-set name takes exactly its own
+        count (one, two for ``cnot``).
     param:
         Rotation angle for ``rz``; ``None`` for parameter-free gates.
     """
@@ -101,6 +106,11 @@ class Gate:
             object.__setattr__(self, "param", normalize_angle(self.param))
         elif self.param is not None:
             raise ValueError(f"gate {self.name!r} does not take a parameter")
+        arity = _BASE_ARITY.get(self.name)
+        if arity is not None and len(self.qubits) != arity:
+            raise ValueError(
+                f"gate {self.name!r} acts on {arity} qubit(s), got {self.qubits}"
+            )
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"duplicate qubits in gate: {self.qubits}")
 

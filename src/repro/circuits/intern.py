@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import encoding
-from .gate import Gate
+from .gate import GATE_NAMES, Gate
 
 __all__ = ["MEMO_CAP", "TABLE_CAP", "GateTable", "thread_table"]
 
@@ -81,6 +81,10 @@ class GateTable:
 
     ``memo_cap`` > 0 gives the table a memo of at most that many
     entries (see the module docstring); ``memo`` is ``None`` otherwise.
+
+    Name ids 0-3 are the base set in :data:`~repro.circuits.gate.
+    GATE_NAMES` order in every table, so a row's name id is also the
+    rule engine's opcode (:mod:`repro.oracles.rule_engine`).
     """
 
     def __init__(self, memo_cap: int = 0) -> None:
@@ -91,8 +95,8 @@ class GateTable:
         self._by_object: dict[int, int] = {}
         self._by_value: dict[tuple, int] = {}
         self._by_key: dict[tuple, int] = {}
-        self._names: list[str] = []
-        self._name_ids: dict[str, int] = {}
+        self._names: list[str] = list(GATE_NAMES)
+        self._name_ids: dict[str, int] = {n: i for i, n in enumerate(GATE_NAMES)}
         #: per id: name id, arity, first two qubits, has-param; and the param
         self._rows = np.empty((64, 5), dtype=np.int32)
         self._param = np.empty(64, dtype=np.float64)
@@ -172,6 +176,39 @@ class GateTable:
         """The (shared) ``Gate`` objects of ``ids``, as a fresh list."""
         return list(map(self.gates.__getitem__, ids.tolist()))
 
+    @property
+    def names(self) -> list[str]:
+        """Gate names by name id (append-only; the first four are
+        :data:`~repro.circuits.gate.GATE_NAMES`)."""
+        return self._names
+
+    def columns(
+        self, ids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(name id, first qubit, second qubit, param)`` of ``ids``: a
+        row gather.  The second qubit of a one-qubit gate and the param
+        of an unparametrised one read 0."""
+        rows = self._rows[ids]
+        return rows[:, 0], rows[:, 2], rows[:, 3], self._param[ids]
+
+    def value_ids(self, values: Sequence[tuple]) -> list[int]:
+        """The ids of gate values ``(name, qubits, param)``; a ``Gate``
+        is built, and a row added, only for a value not seen before."""
+        ids = list(map(self._by_value.get, values))
+        if None in ids:
+            with self._lock:
+                for k, value in enumerate(values):
+                    if ids[k] is None:
+                        gid = self._by_value.get(value)
+                        if gid is None:  # the built gate has the canonical value
+                            gate = Gate(*value)
+                            value = _VALUE(gate)
+                            gid = self._by_value.get(value)
+                            if gid is None:
+                                gid = self._add(gate, value)
+                        ids[k] = gid
+        return ids
+
     def encoded(self, ids: np.ndarray) -> encoding.EncodedSegment:
         """``encode_segment(self.gates_of(ids))`` without touching a ``Gate``.
 
@@ -179,26 +216,16 @@ class GateTable:
         table in first-use order, the same dtype choices), so the
         packed bytes and every fingerprint taken of them are equal.
         """
-        n = len(ids)
         rows = self._rows[ids]
-        name, arity, has_param = rows[:, 0], rows[:, 1], rows[:, 4].astype(bool)
-        if not _narrow(arity):
+        if not _narrow(rows[:, 1]):
             return encoding.encode_segment(self.gates_of(ids))
-        used = list(dict.fromkeys(name.tolist()))  # distinct, in first-use order
-        opcode = np.empty(
-            len(self._names), dtype=np.uint8 if len(used) <= 256 else np.int32
-        )
-        opcode[used] = np.arange(len(used))
-        real = np.ones(2 * n, dtype=bool)  # of (q0, q1) per gate, flat
-        real[1::2] = arity == 2
-        return encoding.EncodedSegment(
-            names=tuple(map(self._names.__getitem__, used)),
-            ops=opcode[name],
-            arities=arity.astype(np.uint8),
-            qubits=rows[:, 2:4].reshape(-1)[real],
-            param_mask=np.packbits(has_param),
-            params=self._param[ids][has_param],
-            length=n,
+        return encoding.encode_columns(
+            self._names,
+            rows[:, 0],
+            rows[:, 1],
+            rows[:, 2:4],
+            rows[:, 4].astype(bool),
+            self._param[ids],
         )
 
     def ids_from_encoded(self, encoded: encoding.EncodedSegment) -> np.ndarray:
@@ -213,20 +240,13 @@ class GateTable:
         validated and angle-normalized as the reference decoder would.
         """
         n = encoded.length
-        arity = encoded.arities.astype(np.int64)
-        if not _narrow(arity):
+        if not _narrow(encoded.arities):
             return self.intern(encoding.decode_segment(encoded))
         name = np.array(
             [self._name_id(name) for name in encoded.names], dtype=np.int64
         )[encoded.ops]
-        has_param = np.unpackbits(encoded.param_mask, count=n)
-        if len(encoded.params) != np.count_nonzero(has_param):
-            raise ValueError("parameter count differs from the mask's")  # no broadcast
-        param = np.zeros(n)
-        param[has_param.view(bool)] = encoded.params
-        end = np.cumsum(arity)
+        arity, first, last, has_param, param = encoding.wire_columns(encoded)
         head = (name << 3) | (arity << 1) | has_param
-        first, last = encoded.qubits[end - arity], encoded.qubits[end - 1]
         rows = group = slice(None)  # one probe per gate, unless they group
         if n >= GROUP_FROM:
             _, rank = np.unique(param, return_inverse=True)

@@ -156,7 +156,8 @@ def popqc(
         Segment-size parameter Ω (paper default: 200).
     parmap:
         Parallel-map executor; defaults to :class:`SerialMap`.  A
-        :class:`~repro.parallel.SegmentExecutor` (currently
+        :class:`~repro.parallel.SegmentExecutor` (:class:`SerialMap`,
+        which hands an oracle with an id entry the segments' ids, or
         :class:`~repro.parallel.ProcessMap`, which also picks the wire
         format) is driven through ``map_segments(oracle, segments)``
         with lazy ``Sequence[Gate]`` segments, any other through

@@ -22,10 +22,9 @@ even though rules 1-2 preserve total gate count.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
-from ..circuits import Gate, RZ
-from .rule_engine import WorkSegment, next_live, run_sweep
+from ..circuits import Gate
+from .rule_engine import CNOT, DEAD, H, RZ, WorkSegment, next_live, run_sweep
 
 __all__ = ["sweep_hadamard_gadgets", "hadamard_gadget_pass"]
 
@@ -33,55 +32,49 @@ _HALF_PI = math.pi / 2
 _NEG_HALF_PI = 3 * math.pi / 2  # normalized -pi/2
 
 
-def _is_s(g: Gate) -> bool:
-    return g.name == "rz" and abs(g.param - _HALF_PI) < 1e-9  # type: ignore[operator]
-
-
-def _is_sdg(g: Gate) -> bool:
-    return g.name == "rz" and abs(g.param - _NEG_HALF_PI) < 1e-9  # type: ignore[operator]
-
-
 def sweep_hadamard_gadgets(seg: WorkSegment) -> bool:
     """One sweep of the four Hadamard-reduction rules."""
-    arr, wires, pos0, pos1 = seg.indexed()
+    wires, pos0, pos1 = seg.indexed()
+    op, q0, q1, ang, src = seg.op, seg.q0, seg.q1, seg.ang, seg.src
     changed = False
-    for i, a in enumerate(arr):
-        if a is None or a.name != "h":
+    for i, o in enumerate(op):
+        if o != H:
             continue
-        q = a.qubits[0]
+        q = q0[i]
         lst = wires[q]
-        pj = next_live(arr, lst, pos0[i])
+        pj = next_live(op, lst, pos0[i])
         if pj == len(lst):
             continue
         j = lst[pj]
-        b = arr[j]
 
         # --- rule 4: H(a) H(b) CNOT(a,b) H(a) H(b) -> CNOT(b,a) --------
-        if b.name == "cnot":
-            changed |= _try_rule4(arr, wires, pos0, pos1, i, j, q)
+        if op[j] == CNOT:
+            changed |= _try_rule4(seg, wires, pos0, pos1, i, j, q)
             continue
 
-        middle_is_s = _is_s(b)
-        if not (middle_is_s or _is_sdg(b)):
+        if op[j] != RZ:
             continue
-        pk = next_live(arr, lst, pj)
+        middle_is_s = abs(ang[j] - _HALF_PI) < 1e-9
+        if not (middle_is_s or abs(ang[j] - _NEG_HALF_PI) < 1e-9):
+            continue
+        pk = next_live(op, lst, pj)
         if pk == len(lst):
             continue
-        c = arr[lst[pk]]
+        k = lst[pk]
 
         # --- rule 3: H S CNOT Sdg H (target wire) -----------------------
-        if c.name == "cnot":
-            if c.qubits[1] == q:
-                changed |= _try_rule3(arr, lst, i, j, pk, q, middle_is_s)
+        if op[k] == CNOT:
+            if q1[k] == q:
+                changed |= _try_rule3(seg, lst, i, j, pk, middle_is_s)
             continue
 
         # --- rules 1-2: H (S|Sdg) H -------------------------------------
-        if c.name != "h":
+        if op[k] != H:
             continue
         flip = _NEG_HALF_PI if middle_is_s else _HALF_PI
-        arr[i] = RZ(q, flip)
-        arr[j] = Gate("h", (q,))
-        arr[lst[pk]] = RZ(q, flip)
+        op[i], ang[i], src[i] = RZ, flip, -1
+        op[j], ang[j], src[j] = H, 0.0, -1
+        op[k], ang[k], src[k] = RZ, flip, -1
         changed = True
     return changed
 
@@ -92,12 +85,11 @@ def hadamard_gadget_pass(gates: list[Gate]) -> tuple[list[Gate], bool]:
 
 
 def _try_rule3(
-    arr: list[Optional[Gate]],
+    seg: WorkSegment,
     lst: list[int],
     i: int,
     j: int,
     pk: int,
-    q: int,
     middle_is_s: bool,
 ) -> bool:
     """Match H . (S|Sdg) . CNOT(c,q) . (Sdg|S) . H on wire ``q``.
@@ -105,27 +97,26 @@ def _try_rule3(
     ``i`` and ``j`` hold the H and the phase gate, position ``pk`` of
     the wire's list ``lst`` the CNOT targeting ``q``.
     """
-    pm = next_live(arr, lst, pk)
+    op, ang, src = seg.op, seg.ang, seg.src
+    pm = next_live(op, lst, pk)
     if pm == len(lst):
         return False
-    d = arr[lst[pm]]
-    if not (_is_sdg(d) if middle_is_s else _is_s(d)):
+    m, phase = lst[pm], _NEG_HALF_PI if middle_is_s else _HALF_PI
+    if op[m] != RZ or not abs(ang[m] - phase) < 1e-9:
         return False
-    pe = next_live(arr, lst, pm)
-    if pe == len(lst) or arr[lst[pe]].name != "h":
+    pe = next_live(op, lst, pm)
+    if pe == len(lst) or op[lst[pe]] != H:
         return False
     # H S CNOT Sdg H -> Sdg CNOT S   (and the mirrored variant)
-    first = _NEG_HALF_PI if middle_is_s else _HALF_PI
-    last = _HALF_PI if middle_is_s else _NEG_HALF_PI
-    arr[i] = RZ(q, first)
-    arr[j] = None
-    arr[lst[pm]] = RZ(q, last)
-    arr[lst[pe]] = None
+    op[i], ang[i], src[i] = RZ, phase, -1
+    op[j] = DEAD
+    ang[m], src[m] = _HALF_PI if middle_is_s else _NEG_HALF_PI, -1
+    op[lst[pe]] = DEAD
     return True
 
 
 def _try_rule4(
-    arr: list[Optional[Gate]],
+    seg: WorkSegment,
     wires: dict[int, list[int]],
     pos0: list[int],
     pos1: list[int],
@@ -139,31 +130,32 @@ def _try_rule4(
     before it; require the H on the other wire immediately before the
     CNOT (per-wire), and H's on both wires immediately after.
     """
-    a_w, b_w = arr[j].qubits  # type: ignore[union-attr]
+    op, q0, q1 = seg.op, seg.q0, seg.q1
+    a_w, b_w = q0[j], q1[j]
     lst_a = wires[a_w]
     lst_b = wires[b_w]
     # the partner H must be the previous live gate on the other wire
     lst, p = (lst_b, pos1[j]) if h_q == a_w else (lst_a, pos0[j])
     p -= 1
-    while p >= 0 and arr[lst[p]] is None:
+    while p >= 0 and op[lst[p]] < 0:
         p -= 1
-    if p < 0 or arr[lst[p]].name != "h":
+    if p < 0 or op[lst[p]] != H:
         return False
     partner = lst[p]
     # and the next gate on each wire after the CNOT must be an H
-    pa = next_live(arr, lst_a, pos0[j])
-    pb = next_live(arr, lst_b, pos1[j])
+    pa = next_live(op, lst_a, pos0[j])
+    pb = next_live(op, lst_b, pos1[j])
     if pa == len(lst_a) or pb == len(lst_b):
         return False
     after_a = lst_a[pa]
     after_b = lst_b[pb]
-    if arr[after_a].name != "h" or arr[after_b].name != "h":
+    if op[after_a] != H or op[after_b] != H:
         return False
-    arr[i] = None
-    arr[partner] = None
-    arr[after_a] = None
-    arr[after_b] = None
+    op[i] = DEAD
+    op[partner] = DEAD
+    op[after_a] = DEAD
+    op[after_b] = DEAD
     # same wires, swapped roles: swap the slot's positions to match
-    arr[j] = Gate("cnot", (b_w, a_w))
+    q0[j], q1[j], seg.src[j] = b_w, a_w, -1
     pos0[j], pos1[j] = pos1[j], pos0[j]
     return True

@@ -20,23 +20,23 @@ Two interchangeable engines run the pipeline, driven by one loop
 (:meth:`NamOracle._drive`):
 
 * ``engine="python"`` (default) — the in-place sweeps of
-  :mod:`repro.oracles.rule_engine` over one work segment per call.
-  The faster engine per segment at every Ω measured (see
+  :mod:`repro.oracles.rule_engine` over one work segment of columns per
+  call.  The faster engine per segment at every Ω measured (see
   ``benchmarks/e2e``'s ``oracles.*.seg_us`` probes).
 * ``engine="vector"`` — the numpy struct-of-arrays passes of
   :mod:`repro.oracles.vector_engine`: the same rule set as whole-array
   kernels.  Slower per segment at POPQC's segment sizes, but it spends
-  its time in GIL-releasing numpy and works on the packed layout
-  directly (:meth:`NamOracle.run_packed`).  Segments containing gates
-  outside the {h, x, cnot, rz} base set fall back to the python engine
+  its time in GIL-releasing numpy.  Segments containing gates outside
+  the {h, x, cnot, rz} base set fall back to the python engine
   transparently.
 
-The oracle is a picklable callable so ``ProcessMap`` can ship it to
-worker processes.  :meth:`NamOracle.run_packed` optimizes a segment
-directly in the :class:`repro.circuits.encoding.EncodedSegment` wire
-format; no transport calls it (a worker decodes through its thread's
-:class:`~repro.circuits.intern.GateTable`), the end-to-end referee
-times it.
+The oracle is a picklable callable (gates in, gates out) with two more
+entries that give the same gates: :meth:`NamOracle.run_packed` (wire
+arrays in and out, no ``Gate`` built), which every byte worker calls,
+and :meth:`NamOracle.run_ids` (ids of a
+:class:`~repro.circuits.intern.GateTable` in and out), which every
+inline round calls.  A subclass that overrides ``__call__`` must
+override both.
 """
 
 from __future__ import annotations
@@ -44,8 +44,11 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Sequence
 
+import numpy as np
+
 from ..circuits import Gate
-from ..circuits.encoding import EncodedSegment, decode_segment, encode_segment
+from ..circuits.encoding import EncodedSegment
+from ..circuits.intern import GateTable
 from .hadamard_gadgets import sweep_hadamard_gadgets
 from .resynth import sweep_resynthesis
 from .rotation_merge import sweep_rotation_merge
@@ -182,14 +185,16 @@ class NamOracle:
             vec = VectorSegment.from_gates(gates)
             if vec is not None:
                 return self._run_vector(vec).to_gates()
-        return self._run_python(gates)
+        seg = WorkSegment.from_gates(gates)
+        self._run(seg)
+        return seg.gates()
 
     def run_packed(self, encoded: EncodedSegment) -> EncodedSegment:
-        """Optimize a segment in the packed wire format.
+        """Optimize a segment in the wire format, without a ``Gate``.
 
-        With the vector engine this never materializes ``Gate``
-        objects; otherwise (python engine, or a segment outside the
-        base set) it decodes, optimizes and re-encodes.
+        The result is array for array ``encode_segment`` of what
+        ``__call__`` returns on the decoded gates, and the input itself
+        when no pass changed anything.
         """
         if self.engine == "vector":
             from .vector_engine import VectorSegment
@@ -197,11 +202,23 @@ class NamOracle:
             vec = VectorSegment.from_encoded(encoded)
             if vec is not None:
                 return self._run_vector(vec).to_encoded()
-        return encode_segment(self._run_python(decode_segment(encoded)))
+        seg = WorkSegment.from_encoded(encoded)
+        return seg.encoded() if self._run(seg) else encoded
 
-    def _drive(self, steps: Sequence[Callable[[], bool]]) -> None:
+    def run_ids(self, ids: np.ndarray, table: GateTable) -> np.ndarray:
+        """Optimize a segment held as ``ids`` of ``table``; the result is
+        ids of the same table (``ids`` itself when no pass changed
+        anything).  A ``Gate`` is built only for a rewritten value the
+        table has not seen."""
+        if self.engine == "vector":
+            return table.intern(self(table.gates_of(ids)))
+        seg = WorkSegment.from_ids(ids, table)
+        return seg.ids(table, ids) if self._run(seg) else ids
+
+    def _drive(self, steps: Sequence[Callable[[], bool]]) -> bool:
         """Run the pipeline ``steps`` (one call per pass, each returning
-        whether it changed the engine's state) to completion.
+        whether it changed the engine's state) to completion; return
+        whether any did.
 
         ``fixpoint=False`` is one ordered sweep.  The fixpoint is a
         circular worklist: passes run in pipeline order, wrapping
@@ -212,20 +229,18 @@ class NamOracle:
         """
         k = len(steps)
         if not self.fixpoint:
-            for step in steps:
-                step()
-            return
-        quiet = i = 0
+            return any([step() for step in steps])  # a list: every step runs
+        changed = quiet = i = 0
         limit = self.max_iterations * k
         while quiet < k and i < limit:
             quiet = 0 if steps[i % k]() else quiet + 1
+            changed |= quiet == 0
             i += 1
+        return bool(changed)
 
-    def _run_python(self, gates: Sequence[Gate]) -> list[Gate]:
-        """The in-place sweeps over one :class:`WorkSegment`."""
-        seg = WorkSegment(gates)
-        self._drive([partial(_PASS_TABLE[name], seg) for name in self.passes])
-        return seg.gates()
+    def _run(self, seg: WorkSegment) -> bool:
+        """The in-place sweeps over one segment; whether any changed it."""
+        return self._drive([partial(_PASS_TABLE[name], seg) for name in self.passes])
 
     def _run_vector(self, vec):
         """The vectorized pipeline on a :class:`VectorSegment`.

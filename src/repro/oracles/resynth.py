@@ -28,7 +28,8 @@ import math
 import numpy as np
 
 from ..circuits import Gate, H, RZ, X, is_zero_angle, normalize_angle
-from .rule_engine import WorkSegment, run_sweep
+from ..circuits.gate import GATE_NAMES, gate_matrix
+from .rule_engine import CNOT, DEAD, OPAQUE, WorkSegment, run_sweep
 
 __all__ = ["synthesize_1q", "sweep_resynthesis", "resynthesis_pass"]
 
@@ -80,11 +81,12 @@ def synthesize_1q(matrix: np.ndarray, qubit: int) -> list[Gate]:
     return gates
 
 
-def _run_matrix(gates: list[Gate]) -> np.ndarray:
-    """Product matrix of a single-wire gate run (circuit order)."""
+def _run_matrix(op: list[int], ang: list[float], slots: list[int]) -> np.ndarray:
+    """Product matrix of a single-wire run of base gates (circuit order)."""
     m = np.eye(2, dtype=np.complex128)
-    for g in gates:
-        m = g.matrix() @ m
+    for i in slots:
+        name = GATE_NAMES[op[i]]
+        m = gate_matrix(name, ang[i] if name == "rz" else None) @ m
     return m
 
 
@@ -92,36 +94,39 @@ def sweep_resynthesis(seg: WorkSegment) -> bool:
     """Collapse maximal per-wire-adjacent single-qubit runs.
 
     A run on wire ``q`` is a maximal set of consecutive (per-wire)
-    single-qubit gates on ``q``; its product unitary is resynthesized
-    and the replacement written over the run's slots (left-aligned,
-    remaining slots dropped) when strictly shorter.
+    single-qubit base gates on ``q`` (an opaque gate ends it, like a
+    multi-qubit one); its product unitary is resynthesized and the
+    replacement written over the run's slots (left-aligned, remaining
+    slots dropped) when strictly shorter.
     """
-    arr, wires, _, _ = seg.indexed()
+    wires, _, _ = seg.indexed()
+    op, ang, src = seg.op, seg.ang, seg.src
     changed = False
     for q, occ in wires.items():
         i = 0
         while i < len(occ):
-            # collect a maximal run of live 1q gates on this wire
+            # collect a maximal run of live 1q base gates on this wire
             run_positions: list[int] = []
             j = i
             while j < len(occ):
-                g = arr[occ[j]]
-                if g is None:
+                o = op[occ[j]]
+                if o < 0:
                     j += 1
                     continue
-                if g.arity != 1 or g.qubits[0] != q:
+                if o == CNOT or o >= OPAQUE:
                     break
                 run_positions.append(occ[j])
                 j += 1
             if len(run_positions) >= 2:
-                run_gates = [arr[p] for p in run_positions]
-                matrix = _run_matrix(run_gates)  # type: ignore[arg-type]
-                replacement = synthesize_1q(matrix, q)
+                replacement = synthesize_1q(_run_matrix(op, ang, run_positions), q)
                 if len(replacement) < len(run_positions):
                     for k, pos in enumerate(run_positions):
-                        arr[pos] = (
-                            replacement[k] if k < len(replacement) else None
-                        )
+                        if k < len(replacement):
+                            g = replacement[k]
+                            op[pos] = GATE_NAMES.index(g.name)
+                            ang[pos], src[pos] = g.param or 0.0, -1
+                        else:
+                            op[pos] = DEAD
                     changed = True
             i = max(j, i + 1)
     return changed

@@ -35,7 +35,7 @@ Soundness is property-tested against the statevector simulator in
 from __future__ import annotations
 
 from ..circuits import Gate, normalize_angle
-from .rule_engine import WorkSegment, run_sweep
+from .rule_engine import CNOT, DEAD, OPAQUE, RZ, X, WorkSegment, run_sweep
 
 __all__ = ["sweep_rotation_merge", "rotation_merge_pass"]
 
@@ -48,7 +48,7 @@ def sweep_rotation_merge(seg: WorkSegment) -> bool:
     no wire index, and only deletes or re-angles rotations, so it keeps
     a built one valid.
     """
-    arr = seg.arr
+    op, q0, q1, ang, src = seg.op, seg.q0, seg.q1, seg.ang, seg.src
     changed = False
     # wire -> affine function it carries: (linear bitmask << 1) | constant
     label: dict[int, int] = {}
@@ -58,12 +58,11 @@ def sweep_rotation_merge(seg: WorkSegment) -> bool:
     # accumulated angle (in the representative's frame) per representative
     accum: dict[int, float] = {}
 
-    for i, g in enumerate(arr):
-        if g is None:
+    for i, o in enumerate(op):
+        if o < 0:
             continue
-        name = g.name
-        if name == "cnot":
-            c, t = g.qubits
+        if o == CNOT:
+            c, t = q0[i], q1[i]
             fc = label.get(c)
             if fc is None:
                 fc = label[c] = fresh
@@ -73,15 +72,15 @@ def sweep_rotation_merge(seg: WorkSegment) -> bool:
                 ft = fresh
                 fresh <<= 1
             label[t] = ft ^ fc
-        elif name == "x":
-            q = g.qubits[0]
+        elif o == X:
+            q = q0[i]
             f = label.get(q)
             if f is None:
                 f = fresh
                 fresh <<= 1
             label[q] = f ^ 1
-        elif name == "rz":
-            q = g.qubits[0]
+        elif o == RZ:
+            q = q0[i]
             f = label.get(q)
             if f is None:
                 f = label[q] = fresh
@@ -89,26 +88,26 @@ def sweep_rotation_merge(seg: WorkSegment) -> bool:
             entry = pending.get(f | 1)
             if entry is None:
                 pending[f | 1] = (i, f)
-                accum[i] = g.param
+                accum[i] = ang[i]
             else:
                 rep, rep_f = entry
-                delta = g.param if f == rep_f else -g.param
+                delta = ang[i] if f == rep_f else -ang[i]
                 accum[rep] = normalize_angle(accum[rep] + delta)
-                arr[i] = None
+                op[i] = DEAD
                 changed = True
         else:
-            # Non-region gate (Hadamard): the wire leaves the region.
-            for q in g.qubits:
+            # Non-region gate (Hadamard, opaque): its wires leave the region.
+            for q in seg.opaque[src[i]] if o >= OPAQUE else (q0[i],):
                 label[q] = fresh
                 fresh <<= 1
 
     # angles are stored normalized, so the identity is exactly 0.0
     for i, theta in accum.items():
         if theta == 0.0:
-            arr[i] = None
+            op[i] = DEAD
             changed = True
-        elif theta != arr[i].param:
-            arr[i] = Gate("rz", arr[i].qubits, theta)
+        elif theta != ang[i]:
+            ang[i], src[i] = theta, -1
     return changed
 
 

@@ -1,8 +1,7 @@
-"""Nam-style rewrite engine: one work segment, one wire index, in-place sweeps.
+"""Nam-style rewrite engine: one segment of columns, one wire index, in-place sweeps.
 
 The routines of Nam et al. (2018) — the rule set VOQC verifies — on
-{H, X, CNOT, RZ}.  An oracle call builds one :class:`WorkSegment` (gate
-slots with ``None`` tombstones plus a lazily built per-wire index) and
+{H, X, CNOT, RZ}.  An oracle call builds one :class:`WorkSegment` and
 threads it through *sweeps* that rewrite it in place and report whether
 they changed anything:
 
@@ -14,6 +13,16 @@ they changed anything:
   CNOT(q,r) CNOT(p,r)`` and its shared-target mirror.
 * the gadget, rotation-merge and resynthesis sweeps of the sibling
   modules, on the same segment.
+
+**Columns, not gates.**  A segment is per-slot lists — ``op`` (a small
+name code: a :class:`~repro.circuits.intern.GateTable` name id, so the
+base set first; :data:`DEAD` for a tombstone), ``q0`` / ``q1``, ``ang``
+and ``src`` (see :class:`WorkSegment`) — built from wire arrays, from
+ids of a table or from gates, and read back the same three ways; no
+``Gate`` exists while the sweeps run.  Only ``h``, ``x`` and ``cnot``
+self-cancel and only ``rz`` merges: a gate of any other name and arity
+(0 included) is *opaque* — it never starts a walk, blocks every walk
+that meets it and passes through unchanged.
 
 Deleting a gate or replacing it by one on the same wires keeps the
 index valid, so sweeps share it; the one rewrite that moves a gate to
@@ -27,10 +36,23 @@ qubit), so the worst case stays Nam et al.'s O(L^2), L = 2Ω in POPQC.
 
 from __future__ import annotations
 
+import math
+from itertools import compress
+from operator import attrgetter, itemgetter
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from ..circuits import Gate, normalize_angle
-from .rules import hadamard_triple
+from ..circuits.encoding import (
+    EncodedSegment,
+    decode_segment,
+    encode_columns,
+    encode_segment,
+    wire_columns,
+)
+from ..circuits.gate import ANGLE_TOL, GATE_NAMES, TWO_PI
+from ..circuits.intern import GateTable
 
 __all__ = [
     "WorkSegment",
@@ -47,62 +69,194 @@ __all__ = [
     "cnot_chain_pass",
 ]
 
+#: Slot codes: the base set in ``GATE_NAMES`` order, opaque names from
+#: ``OPAQUE`` up, ``DEAD`` for a tombstone.
+H, X, CNOT, RZ = range(4)
+OPAQUE = 4
+DEAD = -1
+
+_CODE = {name: code for code, name in enumerate(GATE_NAMES)}
+_NAME, _QUBITS, _PARAM = attrgetter("name"), attrgetter("qubits"), attrgetter("param")
+_FIRST, _LAST = itemgetter(0), itemgetter(-1)
+
 
 class WorkSegment:
-    """The state of one oracle call: gate slots and their wire index.
+    """The state of one oracle call: per-slot columns and their wire index.
 
-    ``arr`` holds the gates, ``None`` where a sweep deleted one.  The
-    index gives, per qubit, the ordered slots touching it (``wires``)
-    and each slot's position in the list of its gate's first / second
-    qubit (``pos0`` / ``pos1``, ``-1`` where absent).  It stays valid
-    while slots are only tombstoned or overwritten by a gate on the
-    same qubits in the same order; a sweep that does anything else
+    Columns: ``op`` (the slot's code), ``q0`` / ``q1`` (its qubits;
+    ``q1`` is read for ``cnot`` only), ``ang`` (an ``rz``'s normalized
+    angle, else 0.0) and ``src`` (the slot's input position, ``-1`` once
+    a sweep rewrote its value).  ``names`` maps a code to its name,
+    ``opaque`` an opaque slot's input position to its qubits, ``origin``
+    an input position to the input's ``Gate`` (a segment built from
+    gates).  The index gives, per qubit, the ordered slots touching it
+    (``wires``) and each slot's position in the list of its first /
+    second qubit (``pos0`` / ``pos1``, ``-1`` where absent).  It stays
+    valid while slots are only tombstoned or overwritten by a gate on
+    the same qubits in the same order; a sweep that does anything else
     calls :meth:`invalidate` (or repairs the entry, as the gadget
     sweep's CNOT flip does).
     """
 
-    __slots__ = ("arr", "_index")
+    __slots__ = ("op", "q0", "q1", "ang", "src", "names", "opaque", "origin", "_index")
 
-    def __init__(self, gates: Sequence[Gate]):
-        self.arr: list[Optional[Gate]] = list(gates)
+    def __init__(self, op, q0, q1, ang, names=GATE_NAMES, opaque=None, origin=None):
+        self.op, self.q0, self.q1, self.ang = op, q0, q1, ang
+        self.src = list(range(len(op)))
+        self.names, self.opaque, self.origin = names, opaque or {}, origin
         self._index: Optional[tuple[dict[int, list[int]], list[int], list[int]]] = None
 
-    def indexed(
-        self,
-    ) -> tuple[list[Optional[Gate]], dict[int, list[int]], list[int], list[int]]:
-        """``(arr, wires, pos0, pos1)``, compacting and indexing if stale."""
+    @classmethod
+    def from_gates(cls, gates: Sequence[Gate]) -> "WorkSegment":
+        """A segment of ``gates``; a slot that keeps its value leaves as
+        its input object."""
+        gates = list(gates)
+        op = list(map(_CODE.get, map(_NAME, gates)))
+        qubits = list(map(_QUBITS, gates))
+        names, opaque = GATE_NAMES, {}
+        if None in op:
+            names = list(GATE_NAMES)
+            for i, gate in enumerate(gates):
+                if op[i] is None:
+                    if gate.name not in names:
+                        names.append(gate.name)
+                    op[i] = names.index(gate.name)
+                    opaque[i], qubits[i] = qubits[i], (0,)  # columns unread
+        q0, q1 = list(map(_FIRST, qubits)), list(map(_LAST, qubits))
+        ang = [param or 0.0 for param in map(_PARAM, gates)]
+        return cls(op, q0, q1, ang, names, opaque, gates)
+
+    @classmethod
+    def from_encoded(cls, encoded: EncodedSegment) -> "WorkSegment":
+        """A segment of wire arrays, read in numpy and checked as the
+        reference decoder checks them (``ValueError`` for arrays no gate
+        list encodes to; a raw angle is normalized).  One naming an
+        opaque gate is read through the reference decoder."""
+        n = encoded.length
+        codes = [_CODE.get(name, DEAD) for name in encoded.names]
+        if DEAD in codes or not n:
+            return cls.from_gates(decode_segment(encoded))
+        op = np.array(codes)[encoded.ops]
+        arity, q0, q1, rz, ang = wire_columns(encoded)
+        two = op == CNOT
+        if not (
+            len(op) == n
+            and (arity == two + 1).all()
+            and arity.sum() == len(encoded.qubits)
+            and (rz == (op == RZ)).all()
+            and not (two & (q0 == q1)).any()
+        ):
+            raise ValueError("wire arrays that no base-set gate list encodes to")
+        raw = np.flatnonzero(rz & ~((ang >= ANGLE_TOL) & (TWO_PI - ang >= ANGLE_TOL)))
+        ang = ang.tolist()
+        for i in raw.tolist():
+            ang[i] = normalize_angle(ang[i])
+        return cls(op.tolist(), q0.tolist(), q1.tolist(), ang)
+
+    @classmethod
+    def from_ids(cls, ids: np.ndarray, table: GateTable) -> "WorkSegment":
+        """A segment of ``ids`` of ``table``: a gather of its rows."""
+        name, q0, q1, param = table.columns(ids)
+        opaque = {}
+        if len(name) and name.max() >= OPAQUE:
+            for i in np.flatnonzero(name >= OPAQUE).tolist():
+                opaque[i] = table.gates[ids[i]].qubits
+        columns = (name.tolist(), q0.tolist(), q1.tolist(), param.tolist())
+        return cls(*columns, table.names, opaque)
+
+    def _value(self, i: int) -> tuple:
+        """``(name, qubits, param)`` of the base gate in slot ``i``."""
+        o = self.op[i]
+        if o == CNOT:
+            return "cnot", (self.q0[i], self.q1[i]), None
+        return GATE_NAMES[o], (self.q0[i],), self.ang[i] if o == RZ else None
+
+    def gates(self) -> list[Gate]:
+        """The live gates, in order: the input's objects where a slot
+        kept its value, new ones where a sweep rewrote it."""
+        out = []
+        for i, o in enumerate(self.op):
+            if o < 0:
+                continue
+            s = self.src[i]
+            if s >= 0 and self.origin is not None:
+                out.append(self.origin[s])
+            elif o >= OPAQUE:
+                out.append(Gate(self.names[o], self.opaque[s]))
+            else:
+                out.append(Gate(*self._value(i)))
+        return out
+
+    def encoded(self) -> EncodedSegment:
+        """The live gates as wire arrays, array for array what
+        ``encode_segment(self.gates())`` gives; no ``Gate`` is built
+        unless an opaque one is live."""
+        op = np.array(self.op, dtype=np.int64)
+        keep = op >= 0
+        op = op[keep]
+        if len(op) and op.max() >= OPAQUE:
+            return encode_segment(self.gates())
+        pairs = np.empty((len(keep), 2), dtype=np.int32)
+        pairs[:, 0], pairs[:, 1] = self.q0, self.q1
+        two, ang = op == CNOT, np.array(self.ang)[keep]
+        return encode_columns(GATE_NAMES, op, two + 1, pairs[keep], op == RZ, ang)
+
+    def ids(self, table: GateTable, ids: np.ndarray) -> np.ndarray:
+        """The live gates as ids of ``table``, for a segment built from
+        its ``ids``: a slot that kept its value keeps its id, a rewritten
+        value is interned (a ``Gate`` built only if it is new there)."""
+        slots = np.flatnonzero(np.array(self.op, dtype=np.int64) >= 0)
+        src = np.array(self.src, dtype=np.intp)[slots]
+        out = ids[src]
+        fresh = np.flatnonzero(src < 0)
+        if len(fresh):
+            out[fresh] = table.value_ids(list(map(self._value, slots[fresh].tolist())))
+        return out
+
+    # -- the wire index --------------------------------------------------------
+
+    def indexed(self) -> tuple[dict[int, list[int]], list[int], list[int]]:
+        """``(wires, pos0, pos1)``, compacting and indexing if stale."""
         if self._index is None:
-            arr = self.arr = self.gates()
+            live = [o >= 0 for o in self.op]
+            if not all(live):
+                for column in ("op", "q0", "q1", "ang", "src"):
+                    setattr(self, column, list(compress(getattr(self, column), live)))
+            q0, q1, src, opaque = self.q0, self.q1, self.src, self.opaque
             wires: dict[int, list[int]] = {}
             pos0: list[int] = []
             pos1: list[int] = []
-            for i, g in enumerate(arr):
-                qubits = g.qubits
-                lst = wires.get(qubits[0])
+            for i, o in enumerate(self.op):
+                if o >= OPAQUE:
+                    at = []
+                    for q in opaque[src[i]]:
+                        lst = wires.get(q)
+                        if lst is None:
+                            lst = wires[q] = []
+                        at.append(len(lst))
+                        lst.append(i)
+                    pos0.append(at[0] if at else -1)
+                    pos1.append(at[1] if len(at) > 1 else -1)
+                    continue
+                lst = wires.get(q0[i])
                 if lst is None:
-                    lst = wires[qubits[0]] = []
+                    lst = wires[q0[i]] = []
                 pos0.append(len(lst))
                 lst.append(i)
-                if len(qubits) == 1:
+                if o != CNOT:
                     pos1.append(-1)
                     continue
-                lst = wires.get(qubits[1])
+                lst = wires.get(q1[i])
                 if lst is None:
-                    lst = wires[qubits[1]] = []
+                    lst = wires[q1[i]] = []
                 pos1.append(len(lst))
                 lst.append(i)
-                for q in qubits[2:]:
-                    wires.setdefault(q, []).append(i)
             self._index = (wires, pos0, pos1)
-        return (self.arr, *self._index)
+        return self._index
 
     def invalidate(self) -> None:
         """Drop the index after a rewrite that changed a slot's qubits."""
         self._index = None
-
-    def gates(self) -> list[Gate]:
-        """The live gates, in order."""
-        return [g for g in self.arr if g is not None]
 
 
 #: An in-place rewrite over a work segment; returns whether it changed it.
@@ -111,28 +265,28 @@ Sweep = Callable[[WorkSegment], bool]
 
 def run_sweep(sweep: Sweep, gates: Sequence[Gate]) -> tuple[list[Gate], bool]:
     """One ``sweep`` over a fresh segment of ``gates``: ``(gates, changed)``."""
-    seg = WorkSegment(gates)
+    seg = WorkSegment.from_gates(gates)
     changed = sweep(seg)
     return seg.gates(), changed
 
 
-def next_live(arr: list[Optional[Gate]], lst: list[int], p: int) -> int:
+def next_live(op: list[int], lst: list[int], p: int) -> int:
     """Position in wire list ``lst`` of the first live slot after
     position ``p`` (``len(lst)`` when there is none)."""
     p += 1
     n = len(lst)
-    while p < n and arr[lst[p]] is None:
+    while p < n and op[lst[p]] < 0:
         p += 1
     return p
 
 
 def sweep_remove_identities(seg: WorkSegment) -> bool:
     """Drop rz(0) identity rotations."""
-    arr = seg.arr
+    op, ang = seg.op, seg.ang
     changed = False
-    for i, g in enumerate(arr):
-        if g is not None and g.name == "rz" and g.param == 0.0:
-            arr[i] = None
+    for i, o in enumerate(op):
+        if o == RZ and ang[i] == 0.0:
+            op[i] = DEAD
             changed = True
     return changed
 
@@ -140,12 +294,12 @@ def sweep_remove_identities(seg: WorkSegment) -> bool:
 def sweep_cancellation(seg: WorkSegment) -> bool:
     """One sweep of cancellation/merging with commutation scans.
 
-    For each live gate ``g`` (left to right), walk the later gates that
-    overlap ``g``'s wires: skip those that commute with ``g``; on
+    For each live base gate ``g`` (left to right), walk the later gates
+    that overlap ``g``'s wires: skip those that commute with ``g``; on
     meeting a gate ``h`` that ``g`` merges with, apply the pair rule
     (cancel both, or write the merged rotation at ``h``'s position so it
     stays behind everything ``g`` commuted past); on meeting a blocking
-    gate, stop and move on.
+    gate — an opaque one always blocks — stop and move on.
 
     The single- and two-qubit walks are hand-inlined versions of
     :func:`repro.oracles.commutation.commutes` restricted to overlapping
@@ -154,51 +308,47 @@ def sweep_cancellation(seg: WorkSegment) -> bool:
     Semantic equivalence with the generic predicates is pinned by
     ``tests/oracles/test_rule_engine.py``.
     """
-    arr, wires, pos0, pos1 = seg.indexed()
+    wires, pos0, pos1 = seg.indexed()
+    op, q0, q1, ang, src = seg.op, seg.q0, seg.q1, seg.ang, seg.src
     changed = False
-    for i, g in enumerate(arr):
-        if g is None:
+    for i, o in enumerate(op):
+        if o < 0 or o >= OPAQUE:
             continue
-        gname = g.name
-        if gname == "rz" and g.param == 0.0:
-            arr[i] = None
+        if o == RZ and ang[i] == 0.0:
+            op[i] = DEAD
             changed = True
             continue
-        if gname != "cnot":
+        if o != CNOT:
             # --- single-qubit walk along the gate's wire -----------------
-            q = g.qubits[0]
+            q = q0[i]
             lst = wires[q]
             p = pos0[i] + 1
             length = len(lst)
             while p < length:
                 j = lst[p]
-                h = arr[j]
-                if h is None:
+                h = op[j]
+                if h < 0:
                     p += 1
                     continue
-                hname = h.name
-                if hname == gname and h.qubits == g.qubits:
-                    # mergeable pair (hh/xx cancel, rz+rz merge)
-                    if gname == "rz":
-                        theta = normalize_angle(g.param + h.param)  # type: ignore[operator]
-                        arr[j] = None if theta == 0.0 else Gate("rz", h.qubits, theta)
+                if h == o:
+                    # mergeable pair: hh/xx cancel, rz+rz merge (or cancel)
+                    theta = normalize_angle(ang[i] + ang[j]) if o == RZ else 0.0
+                    if theta == 0.0:
+                        op[j] = DEAD
                     else:
-                        arr[j] = None
-                    arr[i] = None
+                        ang[j], src[j] = theta, -1
+                    op[i] = DEAD
                     changed = True
                     break
-                if hname == "cnot":
-                    hq = h.qubits
-                    if (gname == "rz" and q == hq[0]) or (
-                        gname == "x" and q == hq[1]
-                    ):
+                if h == CNOT:
+                    if (o == RZ and q == q0[j]) or (o == X and q == q1[j]):
                         p += 1
                         continue
                     break
-                break  # overlapping 1q gate of a different kind blocks
+                break  # an overlapping 1q gate of another kind blocks
         else:
             # --- two-qubit walk merging both wires' lists -----------------
-            c0, t0 = g.qubits
+            c0, t0 = q0[i], q1[i]
             lst_c = wires[c0]
             lst_t = wires[t0]
             pc = pos0[i] + 1
@@ -206,9 +356,9 @@ def sweep_cancellation(seg: WorkSegment) -> bool:
             len_c = len(lst_c)
             len_t = len(lst_t)
             while True:
-                while pc < len_c and arr[lst_c[pc]] is None:
+                while pc < len_c and op[lst_c[pc]] < 0:
                     pc += 1
-                while pt < len_t and arr[lst_t[pt]] is None:
+                while pt < len_t and op[lst_t[pt]] < 0:
                     pt += 1
                 if pc < len_c:
                     j = lst_c[pc] if pt >= len_t or lst_c[pc] <= lst_t[pt] else lst_t[pt]
@@ -216,24 +366,19 @@ def sweep_cancellation(seg: WorkSegment) -> bool:
                     j = lst_t[pt]
                 else:
                     break
-                h = arr[j]
-                if h.name == "cnot":
-                    hc, ht = h.qubits
+                h = op[j]
+                if h == CNOT:
+                    hc, ht = q0[j], q1[j]
                     if hc == c0 and ht == t0:
-                        arr[i] = None
-                        arr[j] = None
+                        op[i] = DEAD
+                        op[j] = DEAD
                         changed = True
                         break
                     if hc == t0 or ht == c0:
                         break  # control/target collision blocks
                     # shares only a control and/or only a target: commutes
-                else:
-                    hq = h.qubits[0]
-                    if not (
-                        (h.name == "rz" and hq == c0)
-                        or (h.name == "x" and hq == t0)
-                    ):
-                        break
+                elif not ((h == RZ and q0[j] == c0) or (h == X and q0[j] == t0)):
+                    break
                 if pc < len_c and lst_c[pc] == j:
                     pc += 1
                 if pt < len_t and lst_t[pt] == j:
@@ -242,34 +387,37 @@ def sweep_cancellation(seg: WorkSegment) -> bool:
 
 
 def sweep_hadamard_reduction(seg: WorkSegment) -> bool:
-    """Rewrite per-wire-adjacent H·(X|RZ(pi))·H triples to a single gate.
+    """Rewrite per-wire-adjacent H·(X|RZ(pi))·H triples to a single gate
+    (the rules of :func:`repro.oracles.rules.hadamard_triple`).
 
     Adjacency is per wire: the three gates are single-qubit gates on the
     same qubit and no gate in between touches that qubit, so everything
     in between commutes with the whole triple and the replacement can be
     written at the first gate's position.
     """
-    arr, wires, pos0, _ = seg.indexed()
+    wires, pos0, _ = seg.indexed()
+    op, q0, ang, src = seg.op, seg.q0, seg.ang, seg.src
     changed = False
-    for i, a in enumerate(arr):
-        if a is None or a.name != "h":
+    for i, o in enumerate(op):
+        if o != H:
             continue
-        lst = wires[a.qubits[0]]
-        pj = next_live(arr, lst, pos0[i])
+        lst = wires[q0[i]]
+        pj = next_live(op, lst, pos0[i])
         if pj == len(lst):
             continue
-        b = arr[lst[pj]]
-        if len(b.qubits) != 1:
+        b = lst[pj]
+        if op[b] == X:
+            new, theta = RZ, math.pi  # H X H = Z = RZ(pi)
+        elif op[b] == RZ and abs(ang[b] - math.pi) < 1e-9:
+            new, theta = X, 0.0
+        else:
             continue
-        pk = next_live(arr, lst, pj)
-        if pk == len(lst):
+        pk = next_live(op, lst, pj)
+        if pk == len(lst) or op[lst[pk]] != H:
             continue
-        replacement = hadamard_triple(a, b, arr[lst[pk]])
-        if replacement is None:
-            continue
-        arr[i] = replacement[0]
-        arr[lst[pj]] = None
-        arr[lst[pk]] = None
+        op[i], ang[i], src[i] = new, theta, -1
+        op[b] = DEAD
+        op[lst[pk]] = DEAD
         changed = True
     return changed
 
@@ -295,49 +443,45 @@ def sweep_cnot_chain(seg: WorkSegment) -> bool:
 
 def _cnot_chain_once(seg: WorkSegment) -> bool:
     """Apply the first applicable chain rewrite; False if none fits."""
-    arr, wires, pos0, pos1 = seg.indexed()
-    end = len(arr)
-    for i, a in enumerate(arr):
-        if a is None or a.name != "cnot":
+    wires, pos0, pos1 = seg.indexed()
+    op, q0, q1 = seg.op, seg.q0, seg.q1
+    end = len(op)
+    for i, o in enumerate(op):
+        if o != CNOT:
             continue
-        p, q = a.qubits
+        p, q = q0[i], q1[i]
         lst_p = wires[p]
         lst_q = wires[q]
         len_p = len(lst_p)
         len_q = len(lst_q)
-        pp = next_live(arr, lst_p, pos0[i])
-        pq = next_live(arr, lst_q, pos1[i])
+        pp = next_live(op, lst_p, pos0[i])
+        pq = next_live(op, lst_q, pos1[i])
         on_p = lst_p[pp] if pp < len_p else end
         on_q = lst_q[pq] if pq < len_q else end
         j = on_p if on_p < on_q else on_q
-        if j == end:
+        if j == end or op[j] != CNOT:
             continue
-        b = arr[j]
-        if b.name != "cnot":
-            continue
-        bc, bt = b.qubits
+        bc, bt = q0[j], q1[j]
         # k = first live gate after b on p, q or b's other wire r; b sits
         # on exactly one of a's wires, the other's next gate is known
         if bc == q and bt != p:
             r, pr = bt, pos1[j]
-            pq = next_live(arr, lst_q, pq)
+            pq = next_live(op, lst_q, pq)
             on_q = lst_q[pq] if pq < len_q else end
         elif bt == p and bc != q:
             r, pr = bc, pos0[j]
-            pp = next_live(arr, lst_p, pp)
+            pp = next_live(op, lst_p, pp)
             on_p = lst_p[pp] if pp < len_p else end
         else:
             continue
         lst_r = wires[r]
-        pr = next_live(arr, lst_r, pr)
+        pr = next_live(op, lst_r, pr)
         k = min(on_p, on_q, lst_r[pr] if pr < len(lst_r) else end)
-        if k == end:
+        if k == end or op[k] != CNOT or q0[k] != p or q1[k] != q:
             continue
-        c = arr[k]
-        if c.name != "cnot" or c.qubits != a.qubits:
-            continue
-        arr[i] = None
-        arr[k] = Gate("cnot", (p, r) if bc == q else (r, q))
+        op[i] = DEAD
+        q0[k], q1[k] = (p, r) if bc == q else (r, q)
+        seg.src[k] = -1
         seg.invalidate()
         return True
     return False

@@ -18,8 +18,9 @@ The POPQC driver reaches an executor through one seam,
 ``counters()``, ``transport`` and ``workers``
 (:func:`segment_executor` adapts an executor that only has ``map``).
 ``map_segments`` speaks :class:`LazySegmentResult` both ways: segments
-go in as ids into the driver's gate table and come back in the wire
-format, staying there until a driver reads them — the acceptance test
+go in as ids into the driver's gate table and come back as ids of it
+(an inline round) or in the wire format, staying there until a driver
+reads them — the acceptance test
 needs only ``len()`` (the packed header), so rejected oracle outputs
 are never decoded (:class:`DecodeStats`).  Whether a round leaves the
 parent at all is measured, not configured (:class:`RoundCostModel`:

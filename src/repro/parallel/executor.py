@@ -12,12 +12,15 @@ to the :class:`SegmentExecutor` seam (``map_segments``, ``counters()``,
   names.  This is the CPython analogue of Rayon handing a borrowed
   slice to a worker: the per-round IPC cost is a few buffers, not
   ``O(gates)`` pickle opcodes plus a fresh copy of the oracle.
+* :class:`SerialMap`, the reference and the 1-thread configuration,
+  which is also how a :class:`ProcessMap` runs a round inline: a
+  segment held as ids meets the oracle's id entry (``run_ids``).
 * anything with an order-preserving ``map`` (:class:`ParallelMap`),
   which :func:`segment_executor` puts behind the seam:
-  :class:`SerialMap`, the reference and the 1-thread configuration, and
   :class:`~repro.parallel.simulated.SimulatedParallelism`, which runs
   serially, times each task and reports the *makespan* a p-worker
-  machine would achieve (the scaling experiments' executor).
+  machine would achieve (the scaling experiments' executor), or a
+  user's executor.  These see real gate lists.
 """
 
 from __future__ import annotations
@@ -156,8 +159,9 @@ class _MapOnly:
 
 def segment_executor(pmap: object) -> SegmentExecutor:
     """``pmap`` behind the :class:`SegmentExecutor` seam: itself when it
-    has ``map_segments``, else adapted from its ``map`` (:class:`SerialMap`,
-    ``SimulatedParallelism``, a user's object)."""
+    has ``map_segments`` (:class:`ProcessMap`, :class:`SerialMap`), else
+    adapted from its ``map`` (``SimulatedParallelism``, a user's
+    object)."""
     return pmap if hasattr(pmap, "map_segments") else _MapOnly(pmap)
 
 
@@ -165,10 +169,30 @@ class SerialMap:
     """Sequential map; the reference executor and the 1-thread setting."""
 
     workers = 1
+    transport = "inline"
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         """Apply ``fn`` to every item, in order, in the calling thread."""
         return [fn(item) for item in items]
+
+    def map_segments(self, oracle, segments: Sequence) -> list:
+        """One round in the calling thread, in order.  A segment held as
+        ids of a table goes to the oracle's id entry (``run_ids``) when
+        it has one and comes back as ids of the same table; otherwise
+        the oracle gets the segment's gates."""
+        run_ids = getattr(oracle, "run_ids", None)
+        results = []
+        for seg in map(_as_segment, segments):
+            if run_ids is None or seg.interned is None:
+                results.append(oracle(seg.gates()))
+            else:
+                ids, table = seg.interned
+                results.append(LazySegmentResult.from_ids(run_ids(ids, table), table))
+        return results
+
+    def counters(self) -> dict:
+        """Nothing is counted: no wire, no cache."""
+        return {}
 
     def close(self) -> None:
         """No pooled resources; nothing to release."""
@@ -530,7 +554,7 @@ class ProcessMap:
         above = n > self.serial_cutoff
         started = time.perf_counter()
         if not above or (self._measured and model.choose(n) == "inline"):
-            results = [oracle(seg.gates()) for seg in segments]
+            results = SerialMap().map_segments(oracle, segments)
             model.observe("inline", n, gates, time.perf_counter() - started)
             if above:
                 self.inline_rounds += 1

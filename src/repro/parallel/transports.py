@@ -53,7 +53,7 @@ from .frames import (
 )
 from .hostpool import SocketHostPool
 from .results import DecodeStats, LazySegmentResult
-from .worker import _oracle_encoded_result
+from .worker import wire_entry
 
 __all__ = [
     "TRANSPORTS",
@@ -102,12 +102,13 @@ class Transport(Protocol):
 
 # -- worker-process side -------------------------------------------------------
 #
-# With the pool-backed transports the oracle callable is installed once
-# per worker process (pool initializer) together with its generation
-# token; every subsequent task ships only segment descriptors tagged
-# with the expected generation.
+# With the pool-backed transports the oracle is installed once per
+# worker process (pool initializer) together with its generation token,
+# as the per-segment callable :func:`~repro.parallel.worker.wire_entry`
+# picks for it; every subsequent task ships only segment descriptors
+# tagged with the expected generation.
 
-_WORKER_ORACLE: Optional[Oracle] = None
+_WORKER_ENTRY: Optional[Callable] = None
 _WORKER_ORACLE_GEN: int = -1
 
 #: Worker-side cache of attached shared-memory arenas, keyed by name.
@@ -118,22 +119,23 @@ _WORKER_ARENAS: dict[str, object] = {}
 _WORKER_ARENA_CACHE_LIMIT = 8
 
 
-def _register_worker_oracle(oracle: Oracle, generation: int) -> None:
-    global _WORKER_ORACLE, _WORKER_ORACLE_GEN
-    _WORKER_ORACLE = oracle
+def _register_worker_oracle(oracle: Optional[Oracle], generation: int) -> None:
+    global _WORKER_ENTRY, _WORKER_ORACLE_GEN
+    _WORKER_ENTRY = wire_entry(oracle)
     _WORKER_ORACLE_GEN = generation
 
 
-def _require_worker_oracle(generation: int) -> Oracle:
-    """The registered oracle, after checking the task's generation token."""
-    if _WORKER_ORACLE is None:
+def _require_worker_oracle(generation: int) -> Callable:
+    """The registered oracle's wire entry, after checking the task's
+    generation token."""
+    if _WORKER_ENTRY is None:
         raise RuntimeError("worker pool initialized without an oracle")
     if generation != _WORKER_ORACLE_GEN:
         raise StaleOracleError(
             f"task expects oracle generation {generation}, worker has "
             f"{_WORKER_ORACLE_GEN}"
         )
-    return _WORKER_ORACLE
+    return _WORKER_ENTRY
 
 
 def _apply_registered_oracle(payload: bytes) -> bytes:
@@ -145,10 +147,9 @@ def _apply_registered_oracle(payload: bytes) -> bytes:
     the parent can defer (and usually skip) decoding.
     """
     generation, batch_id, segments = unpack_segments_payload(payload)
-    oracle = _require_worker_oracle(generation)
+    entry = _require_worker_oracle(generation)
     return pack_results_payload(
-        batch_id,
-        [pack_segment(_oracle_encoded_result(oracle, seg)) for seg in segments],
+        batch_id, [pack_segment(entry(seg)) for seg in segments]
     )
 
 
@@ -186,7 +187,7 @@ def _apply_oracle_shm(
     as packed bytes only on overflow.
     """
     in_name, out_name, round_id, generation, start, end = task
-    oracle = _require_worker_oracle(generation)
+    entry = _require_worker_oracle(generation)
     keep = (in_name, out_name)
     in_buf = _attach_worker_arena(in_name, keep).buf
     out_buf = _attach_worker_arena(out_name, keep).buf
@@ -197,7 +198,7 @@ def _apply_oracle_shm(
     results: list[bytes | None] = []
     for i in range(start, end):
         encoded, _ = unpack_segment_from(in_buf, int(offsets[i]))
-        out = pack_segment(_oracle_encoded_result(oracle, encoded))
+        out = pack_segment(entry(encoded))
         offset, capacity = int(regions[i, 0]), int(regions[i, 1])
         if len(out) <= capacity:
             out_buf[offset : offset + len(out)] = out

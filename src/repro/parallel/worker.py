@@ -10,6 +10,9 @@ batched ``RESULTS`` frames.  A worker host runs the oracle, full stop:
 it holds no cache and asks none — a segment only reaches it after the
 driver's own cache front (:class:`~repro.parallel.CacheFront`) missed.
 
+What a worker runs per segment is chosen when an oracle is registered
+(:func:`wire_entry`): its wire entry (``NamOracle.run_packed``, no
+``Gate`` built) if it has one, else a gate-list round trip.
 Worker-side code calls the codec through *direct* imports rather than
 module attributes, so the parent-side decode spies of
 ``tests/parallel/test_lazy_decode.py`` observe only what the driver
@@ -19,8 +22,9 @@ decodes, even with in-process test clusters.
 from __future__ import annotations
 
 import contextlib
+from functools import partial
 from types import SimpleNamespace
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from ..circuits.encoding import EncodedSegment, pack_segment
 from ..circuits.intern import thread_table
@@ -43,19 +47,27 @@ from .frames import (
     unpack_segments_payload,
 )
 
-__all__ = ["WorkerHost", "local_cluster"]
+__all__ = ["WorkerHost", "local_cluster", "wire_entry"]
+
+
+def wire_entry(oracle) -> Optional[Callable[[EncodedSegment], EncodedSegment]]:
+    """What a byte worker calls per segment for ``oracle``: its
+    ``run_packed`` when it has one, else :func:`_oracle_encoded_result`
+    (``None`` for no oracle)."""
+    if oracle is None:
+        return None
+    native = getattr(oracle, "run_packed", None)
+    return native if native is not None else partial(_oracle_encoded_result, oracle)
 
 
 def _oracle_encoded_result(oracle, encoded: EncodedSegment) -> EncodedSegment:
-    """Run ``oracle`` on a packed segment, staying packed when possible.
+    """Run an oracle without a wire entry on a packed segment.
 
-    What every worker — a pool process, a ``popqc worker`` handler
-    thread — does with one segment.  The oracle sees a gate list and
-    returns one, both through the calling thread's bounded
-    :class:`~repro.circuits.intern.GateTable`: a ``Gate`` is built only
-    for a wire value this thread has not met, and the gates the oracle
-    passed through re-encode by identity.  An oracle that found nothing
-    to rewrite is answered with its input.
+    The oracle sees a gate list and returns one, both through the
+    calling thread's bounded :class:`~repro.circuits.intern.GateTable`:
+    a ``Gate`` is built only for a wire value this thread has not met,
+    and the gates the oracle passed through re-encode by identity.  An
+    oracle that found nothing to rewrite is answered with its input.
     """
     table = thread_table()
     gates = table.gates_of(table.ids_from_encoded(encoded))
@@ -109,7 +121,7 @@ class WorkerHost(FrameServer):
 
     def open_session(self, peer: str) -> SimpleNamespace:
         """A connection's registration: no oracle until REGISTER."""
-        return SimpleNamespace(oracle=None, generation=-1)
+        return SimpleNamespace(entry=None, generation=-1)
 
     def handle(
         self, session: SimpleNamespace, frame_type: int, payload: bytes
@@ -124,7 +136,7 @@ class WorkerHost(FrameServer):
         except Exception as exc:  # torn header / corrupt pickle
             # the previous registration stays in force
             return error_frame(ERR_BAD_FRAME, f"bad REGISTER payload: {exc!r}")
-        session.generation, session.oracle = generation, oracle
+        session.generation, session.entry = generation, wire_entry(oracle)
         return pack_frame(
             FRAME_REGISTER_OK, pack_register_ok_payload(generation, self.capacity)
         )
@@ -135,7 +147,7 @@ class WorkerHost(FrameServer):
             generation, batch_id, segments = unpack_segments_payload(payload)
         except FrameProtocolError as exc:
             return error_frame(ERR_BAD_FRAME, str(exc))
-        if session.oracle is None:
+        if session.entry is None:
             return error_frame(
                 ERR_NO_ORACLE, "no oracle registered on this connection"
             )
@@ -146,10 +158,7 @@ class WorkerHost(FrameServer):
                 f"connection registered {session.generation}",
             )
         try:
-            results = [
-                pack_segment(_oracle_encoded_result(session.oracle, segment))
-                for segment in segments
-            ]
+            results = [pack_segment(session.entry(segment)) for segment in segments]
         except Exception as exc:  # noqa: BLE001 - forwarded to the client
             return error_frame(ERR_ORACLE_FAILED, repr(exc))
         with self._lock:

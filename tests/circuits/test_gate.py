@@ -53,6 +53,25 @@ class TestConstructors:
         with pytest.raises(ValueError):
             Gate("cnot", (1, 1))
 
+    @pytest.mark.parametrize(
+        "name,qubits,param",
+        [
+            ("h", (0, 1), None),
+            ("h", (), None),
+            ("x", (0, 1, 2), None),
+            ("rz", (0, 1), 0.5),
+            ("cnot", (0,), None),
+            ("cnot", (0, 1, 2), None),
+        ],
+    )
+    def test_base_set_name_with_the_wrong_arity_rejected(self, name, qubits, param):
+        with pytest.raises(ValueError, match="acts on"):
+            Gate(name, qubits, param)
+
+    def test_any_arity_for_an_opaque_name(self):
+        for qubits in [(), (0,), (0, 1), (2, 0, 1)]:
+            assert Gate("foo", qubits).arity == len(qubits)
+
 
 class TestProperties:
     def test_arity(self):

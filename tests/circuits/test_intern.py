@@ -312,7 +312,8 @@ class TestSharedBetweenThreads:
             sys.setswitchinterval(switch)
         assert sorted(outcome) == list(range(6))  # nobody raised
         assert len(table) == len(values) == len(set(table.gates)) > 64 * 8
-        assert len(table._names) == len(set(table._names)) == 42
+        # the base set's four names from the start, then one per u{k}
+        assert len(table._names) == len(set(table._names)) == 4 + 40
         for seen in outcome.values():
             for chunk, ids in seen:
                 assert table.gates_of(ids) == chunk

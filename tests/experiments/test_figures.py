@@ -66,12 +66,16 @@ class TestFigure7:
 
 class TestFigure8:
     def test_oracle_dominates(self):
+        """A point per family, each a share of a run that called the
+        oracle.  How large the share is (the paper: > 90 % at scale) is
+        two wall clocks on 0.1 s runs: ``benchmarks/test_figure8.py``
+        records it for ``check_bench_trend.py --shapes``."""
         points, text = run_figure8(families=FAMS, size_indices=(0,))
         assert "Figure 8" in text
+        assert sorted(p.family for p in points) == sorted(FAMS)
         for p in points:
-            # paper: >90% at scale; allow slack at tiny sizes (0.5 while
-            # the oracle's share was 87-93 %; 66-79 % since it got faster)
-            assert p.oracle_fraction > 0.3
+            assert 0.0 < p.oracle_fraction < 1.0
+            assert p.family in text
 
 
 class TestFigure9:

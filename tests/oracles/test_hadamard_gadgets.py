@@ -112,11 +112,12 @@ class TestSharedIndex:
             RZ(1, 0.3), X(1), H(0), H(1), CNOT(0, 1), H(0), H(1),
             RZ(1, 0.7), CNOT(1, 0),
         ]  # fmt: skip
-        seg = WorkSegment(gates)
+        seg = WorkSegment.from_gates(gates)
         index = seg.indexed()
         assert sweep_hadamard_gadgets(seg)
         assert seg.gates() == [RZ(1, 0.3), X(1), CNOT(1, 0), RZ(1, 0.7), CNOT(1, 0)]
-        assert seg.indexed()[1] is index[1]  # not rebuilt
+        assert seg.indexed()[0] is index[0]  # not rebuilt
+        assert (seg.q0[4], seg.q1[4], seg.src[4]) == (1, 0, -1)  # flipped in place
         assert sweep_cancellation(seg)
         assert seg.gates() == [RZ(1, 0.3), X(1), RZ(1, 0.7)]
         assert segments_equivalent(gates, seg.gates())

@@ -12,7 +12,8 @@ from typing import Optional
 
 from hypothesis import given, strategies as st
 
-from repro.circuits import CNOT, RZ, Gate, H, X
+from repro.circuits import CNOT, RZ, Gate, H, X, encode_segment
+from repro.circuits.intern import GateTable
 from repro.oracles import (
     NamOracle,
     cancellation_pass,
@@ -26,6 +27,9 @@ from repro.oracles.hadamard_gadgets import sweep_hadamard_gadgets
 from repro.oracles.resynth import sweep_resynthesis
 from repro.oracles.rotation_merge import sweep_rotation_merge
 from repro.oracles.rule_engine import (
+    CNOT as CNOT_CODE,
+    DEAD,
+    H as H_CODE,
     WorkSegment,
     run_sweep,
     sweep_cancellation,
@@ -209,16 +213,31 @@ SWEEPS = [
 ]
 
 
+#: The three ways a work segment is built: from gates, wire arrays, ids.
+BUILDS = {
+    "gates": WorkSegment.from_gates,
+    "wire": lambda gates: WorkSegment.from_encoded(encode_segment(gates)),
+    "ids": lambda gates: WorkSegment.from_ids(*_interned(gates)),
+}
+
+
+def _interned(gates):
+    table = GateTable()
+    return table.intern(gates), table
+
+
 class TestSharedIndex:
     """A sweep handed a segment other sweeps already indexed, tombstoned
-    and rewrote behaves exactly as on a fresh copy of its live gates."""
+    and rewrote behaves exactly as on a fresh copy of its live gates —
+    however the shared segment was built."""
 
     @given(
         gate_list_strategy(num_qubits=4, max_gates=30),
         st.lists(st.sampled_from(SWEEPS), min_size=1, max_size=6),
+        st.sampled_from(sorted(BUILDS)),
     )
-    def test_sweeps_on_one_segment_match_fresh_segments(self, gates, sweeps):
-        shared = WorkSegment(gates)
+    def test_sweeps_on_one_segment_match_fresh_segments(self, gates, sweeps, build):
+        shared = BUILDS[build](gates)
         shared.indexed()
         current = list(gates)
         for sweep in sweeps:
@@ -232,11 +251,11 @@ class TestSharedIndex:
         st.sampled_from(SWEEPS),
     )
     def test_pre_existing_tombstones_are_invisible(self, gates, dead, sweep):
-        seg = WorkSegment(gates)
-        arr = seg.indexed()[0]
+        seg = WorkSegment.from_gates(gates)
+        seg.indexed()
         for i in dead:
-            if i < len(arr):
-                arr[i] = None
+            if i < len(seg.op):
+                seg.op[i] = DEAD
         expected = run_sweep(sweep, seg.gates())
         assert (sweep(seg), seg.gates()) == (expected[1], expected[0])
 
@@ -254,11 +273,14 @@ class TestSharedIndex:
         assert segments_equivalent(free, oracle(free))
 
     def test_chain_rewrite_invalidates_and_rebuild_compacts(self):
-        seg = WorkSegment([CNOT(0, 1), CNOT(1, 2), CNOT(0, 1), H(2)])
+        seg = WorkSegment.from_gates([CNOT(0, 1), CNOT(1, 2), CNOT(0, 1), H(2)])
         before = seg.indexed()
         assert sweep_cnot_chain(seg)
-        arr, wires, pos0, pos1 = seg.indexed()
-        assert wires is not before[1]
-        assert arr == [CNOT(1, 2), CNOT(0, 2), H(2)]
+        wires, pos0, pos1 = seg.indexed()
+        assert wires is not before[0]
+        assert seg.gates() == [CNOT(1, 2), CNOT(0, 2), H(2)]
+        # compacted: three slots, the moved one marked as rewritten
+        assert seg.op == [CNOT_CODE, CNOT_CODE, H_CODE]
+        assert (seg.q0, seg.src) == ([1, 0, 2], [1, -1, 3])
         assert wires == {1: [0], 2: [0, 1, 2], 0: [1]}
         assert (pos0, pos1) == ([0, 0, 2], [0, 1, -1])

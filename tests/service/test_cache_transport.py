@@ -34,6 +34,10 @@ class SpyNamOracle(NamOracle):
         type(self).calls += 1
         return super().run_packed(encoded)
 
+    def run_ids(self, ids, table):
+        type(self).calls += 1
+        return super().run_ids(ids, table)
+
 
 @pytest.fixture(scope="module")
 def serial_reference():

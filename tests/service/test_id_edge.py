@@ -113,6 +113,10 @@ HOSTILE = {
         ERR_JOB_FAILED,
     ),
     "arity 0": (_job(_segment(["h"], [0], [0], [], [0])), ERR_JOB_FAILED),
+    "base-set name, wrong arity": (
+        _job(_segment(["h"], [0], [2], [0, 1], [0])),
+        ERR_JOB_FAILED,
+    ),
 }
 
 
@@ -142,6 +146,16 @@ class TestHostileContent:
             job = client.optimize(gates, omega=4)
         assert job.circuit.gates == popqc(gates, NamOracle(), 4).circuit.gates
         assert Gate("foo", (0, 1)) in job.circuit.gates
+
+    def test_opaque_gates_pass_through_a_served_job(self, service):
+        """t t is s, not the identity; swap h swap is h on the other
+        wire: the oracle must not rewrite either as a known gate."""
+        t, swap = Gate("t", (0,)), Gate("swap", (0, 1))
+        gates = [t, t, H(0), swap, H(1), swap, X(2), X(2)]
+        with ServiceClient(service.address) as client:
+            job = client.optimize(Circuit(gates, 3), omega=4)
+        assert job.circuit.gates == tuple(gates[:6])
+        assert job.circuit.gates == popqc(gates, NamOracle(), 4).circuit.gates
 
     def test_gates_outside_the_narrow_path_round_trip(self, service):
         want = pack_segment(encode_segment(popqc(WIDE, NamOracle(), 6).circuit.gates))
@@ -220,19 +234,31 @@ class TestByteIdentity:
 
 
 class FailsOnDemand(NamOracle):
-    """Raises on its ``fail_at``-th call from now (a class attribute:
-    the oracle's pickle, hence its cache namespace, never changes)."""
+    """Raises on its ``fail_at``-th call from now, through any entry (a
+    class attribute: the oracle's pickle, hence its cache namespace,
+    never changes)."""
 
     fail_at = None
 
-    def __call__(self, gates):
+    def _count(self):
         cls = type(self)
         if cls.fail_at is not None:
             cls.fail_at -= 1
             if cls.fail_at <= 0:
                 cls.fail_at = None
                 raise RuntimeError("oracle fell over")
+
+    def __call__(self, gates):
+        self._count()
         return super().__call__(gates)
+
+    def run_ids(self, ids, table):
+        self._count()
+        return super().run_ids(ids, table)
+
+    def run_packed(self, encoded):
+        self._count()
+        return super().run_packed(encoded)
 
 
 class TestSharedTable:

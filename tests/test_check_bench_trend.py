@@ -111,9 +111,13 @@ class TestPaperShapes:
     reading of them changes the exit status."""
 
     @staticmethod
-    def _shapes(small, large, shares):
+    def _shapes(small, large, shares, speedup=None):
         return {
             "benchmarks": [
+                {
+                    "name": "test_table2_speedup_grows_with_size",
+                    "extra_info": {"popqc_speedup_by_size": speedup or {}},
+                },
                 {"name": "test_table3", "extra_info": {}},
                 {
                     "name": "test_table3_popqc_overtakes_with_size",
@@ -145,6 +149,19 @@ class TestPaperShapes:
         assert "1.40 small -> 0.70 large (NOT as in the paper" in out
         assert "HHL oracle share 0.60 -> 0.20 by size (NOT as" in out
         assert "Shor oracle share 0.30 -> 0.40 by size (NOT as" in out  # below half
+        assert "table 2" not in out  # a record without the ratio prints no line
+
+    def test_table2_speedup_printed_never_gated(self, write, capsys):
+        cur = write("cur.json", _transport_record())
+        base = write("base.json", _transport_record())
+        for small, large, shape in [(0.36, 0.9, "as"), (1.2, 0.8, "NOT as")]:
+            speedup = {"small": small, "large": large}
+            shapes = write("s.json", self._shapes(1, 2, {}, speedup))
+            assert trend.main([cur, base, "--shapes", shapes]) == 0
+            assert (
+                f"POPQC/baseline speedup {small:.2f} small -> {large:.2f} large "
+                f"({shape} in the paper"
+            ) in capsys.readouterr().out
 
     def test_a_regression_still_fails_beside_them(self, write):
         cur = write("cur.json", _transport_record(serial=700.0))
@@ -156,5 +173,6 @@ class TestPaperShapes:
         """The two halves meet: the names the benchmarks write are the
         names this script reads."""
         bench = Path(_SCRIPT).parent
+        assert '"popqc_speedup_by_size"' in (bench / "test_table2.py").read_text()
         assert '"oac_over_popqc_time_ratio"' in (bench / "test_table3.py").read_text()
         assert '"oracle_fraction_by_size"' in (bench / "test_figure8.py").read_text()

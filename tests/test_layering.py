@@ -15,7 +15,10 @@ wire arrays -> ids -> wire arrays, and a ``decode_segment`` /
 ``encode_segment`` pair in ``_answer_job`` is a 2 x per-gate loop.
 ``repro.cli`` imports no transport registry and no thread executor
 (the wire is derived from ``--hosts``), and no package ``__all__``
-names a second path that was deleted for having no caller.
+names a second path that was deleted for having no caller.  A worker
+(``repro.parallel.worker``) imports neither ``Gate`` nor the per-gate
+codec, and only its gate-list round trip — the path of an oracle
+without a wire entry — calls into a ``GateTable``.
 """
 
 import ast
@@ -92,6 +95,31 @@ def test_the_daemon_imports_no_per_gate_codec():
         if module.rpartition(".")[2] in banned
     ]
     assert offenders == []
+
+
+def _calls(path: pathlib.Path):
+    """``(enclosing top-level function, called name)`` for every call in
+    ``path`` (the attribute name for a method call)."""
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "attr", None) or getattr(func, "id", "")
+                yield getattr(top, "name", None), name
+
+
+def test_a_worker_builds_no_gate_for_an_oracle_with_the_wire_entry():
+    worker = SRC / "parallel" / "worker.py"
+    banned = ("decode_segment", "encode_segment", "Gate")
+    imported = [
+        f"worker.py:{node.lineno} {module}"
+        for module, node, _ in _imports(worker)
+        if module.rpartition(".")[2] in banned
+    ]
+    assert imported == []
+    table = {"thread_table", "gates_of", "ids_from_encoded", "intern", "encoded"}
+    callers = {fn for fn, name in _calls(worker) if name in table}
+    assert callers == {"_oracle_encoded_result"}
 
 
 def test_the_scan_sees_what_it_should():
