@@ -36,7 +36,8 @@ them.
 The remaining parallel-transport numbers are recorded for the
 trajectory but not gated (2-vCPU shared runners make them races); a
 record's ``dispatch`` section — where a default ``ProcessMap`` ran its
-rounds and the per-width cost table it learned — is printed beside them.
+rounds, the per-width cost table it learned and the width classes in
+which the pool came out cheaper than inline — is printed beside them.
 
 Usage::
 
@@ -90,6 +91,17 @@ def print_shapes(record: dict) -> None:
                 + " -> ".join(f"{share:.2f}" for share in shares)
                 + f" by size ({shape} in the paper: most of the time, rising)"
             )
+
+
+def pool_wins(dispatch: dict) -> list[str]:
+    """The width classes of a ``dispatch`` record whose learned pool
+    cost per gate is below its inline cost (both sides measured)."""
+    return [
+        width
+        for width, row in dispatch.get("per_class", {}).items()
+        if row.get("pool_us_per_gate", float("inf"))
+        < row.get("inline_us_per_gate", float("-inf"))
+    ]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -201,6 +213,10 @@ def main(argv: list[str] | None = None) -> int:
                 if f"{side}_rounds" in row
             )
             print(f"  width class {width:>2}: {sides}")
+        print(
+            "  pool cheaper than inline (ungated): "
+            + (", ".join(pool_wins(dispatch)) or "no width class")
+        )
     service = current.get("service", {})
     if service:
         speedup = service.get("hit_speedup_vs_oracle", 0.0)

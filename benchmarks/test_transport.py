@@ -43,9 +43,10 @@ from repro.circuits import (
     random_redundant_circuit,
     to_qasm,
 )
+from repro.circuits.intern import GateTable
 from repro.core import popqc
 from repro.oracles import IdentityOracle, NamOracle
-from repro.parallel import ProcessMap, local_cluster
+from repro.parallel import LazySegmentResult, ProcessMap, local_cluster
 from repro.service import SegmentCache
 from repro.sim import probe_equivalent
 
@@ -61,6 +62,11 @@ SEGMENTS = [
 ]
 
 ORACLE = NamOracle()
+
+#: ``SEGMENTS`` as a ``popqc`` round hands them to its executor: ids of
+#: one table, interned once (a driver round is always ids).
+TABLE = GateTable()
+ID_SEGMENTS = [LazySegmentResult.from_ids(TABLE.intern(seg), TABLE) for seg in SEGMENTS]
 
 
 @pytest.fixture(scope="module")
@@ -359,12 +365,14 @@ def _dispatch_record() -> dict:
     rounds of ``DISPATCH_PASSES`` passes over prefixes of the segment
     stream, and the per-class table its cost model learned on this
     host — the input a calibrated ``SimulatedParallelism`` projection
-    needs.  A timing, so recorded and printed, never gated."""
+    needs.  The rounds are id handles (``ID_SEGMENTS``), the path every
+    driver round takes: inline through ``run_ids``, pooled by id.  A
+    timing, so recorded and printed, never gated."""
     pm = ProcessMap(SMOKE_WORKERS, transport="encoded")
     try:
         for _ in range(DISPATCH_PASSES):
             for width in DISPATCH_WIDTHS:
-                pm.map_segments(ORACLE, SEGMENTS[:width])
+                pm.map_segments(ORACLE, ID_SEGMENTS[:width])
         counters = pm.counters()
         return {
             "workload": "prefixes of the segment stream, widest first, "

@@ -13,7 +13,10 @@ of one (the packed bytes of ``encode_segment`` on the gates), and
 
 A table is a *cache*: ids never reach a wire byte, a content-cache key
 or an output, so dropping one — or using another on the far side of a
-pipe — changes nothing observable.
+pipe — changes nothing observable.  The one place they cross a process
+boundary is a local pool batch, and there only as positions into a
+:class:`RowTable` — the batch's distinct rows, shipped beside them — so
+the worker needs no table and keeps none.
 
 A table may be shared between threads (a ``popqc serve`` daemon's jobs
 share one).  Rows are only ever appended: a row or a name is created
@@ -41,7 +44,7 @@ import numpy as np
 from . import encoding
 from .gate import GATE_NAMES, Gate
 
-__all__ = ["MEMO_CAP", "TABLE_CAP", "GateTable", "thread_table"]
+__all__ = ["MEMO_CAP", "TABLE_CAP", "GateTable", "RowTable", "thread_table"]
 
 #: Entries a long-lived table — a worker thread's, a daemon's — may
 #: reach before it is replaced (as a whole, between segments or jobs).
@@ -191,6 +194,17 @@ class GateTable:
         rows = self._rows[ids]
         return rows[:, 0], rows[:, 2], rows[:, 3], self._param[ids]
 
+    def qubits(self, gid: int) -> tuple[int, ...]:
+        """The qubits of row ``gid``."""
+        return self.gates[gid].qubits
+
+    def row_table(self, rows: np.ndarray) -> "RowTable":
+        """The distinct ids ``rows`` as a :class:`RowTable`, position
+        ``p`` reading row ``rows[p]`` (and an opaque row its qubits)."""
+        opaque = np.flatnonzero(self._rows[rows, 0] >= len(GATE_NAMES)).tolist()
+        qubits = {p: self.qubits(rows[p]) for p in opaque}
+        return RowTable(self._names, self._rows[rows], self._param[rows], qubits)
+
     def value_ids(self, values: Sequence[tuple]) -> list[int]:
         """The ids of gate values ``(name, qubits, param)``; a ``Gate``
         is built, and a row added, only for a value not seen before."""
@@ -283,6 +297,32 @@ class GateTable:
         value = _VALUE(gate)
         gid = self._by_value.get(value)
         return self._add(gate, value) if gid is None else gid
+
+
+class RowTable:
+    """One pool batch's distinct rows of a :class:`GateTable`, by position.
+
+    What an id entry (``run_ids``) runs against in a worker: it answers
+    :meth:`columns`, :meth:`qubits` and :attr:`names` as the table
+    would, and a rewritten value handed to :meth:`value_ids` is
+    collected in :attr:`values` as ``(name, qubits, param)`` — no
+    ``Gate`` built — at position ``len(rows) + k``.
+    """
+
+    def __init__(self, names, rows, param, opaque) -> None:
+        self.names, self._rows, self._param, self._opaque = names, rows, param, opaque
+        self.values: list[tuple] = []
+
+    columns = GateTable.columns
+
+    def qubits(self, gid: int) -> tuple[int, ...]:
+        return self._opaque[gid]
+
+    def value_ids(self, values: Sequence[tuple]) -> list[int]:
+        """Positions for rewritten values, past the gathered rows."""
+        first = len(self._rows) + len(self.values)
+        self.values.extend(values)
+        return list(range(first, first + len(values)))
 
 
 _THREAD = threading.local()

@@ -35,8 +35,8 @@ entries that give the same gates: :meth:`NamOracle.run_packed` (wire
 arrays in and out, no ``Gate`` built), which every byte worker calls,
 and :meth:`NamOracle.run_ids` (ids of a
 :class:`~repro.circuits.intern.GateTable` in and out), which every
-inline round calls.  A subclass that overrides ``__call__`` must
-override both.
+inline round calls and every local pool worker calls on its batch's
+rows.  A subclass that overrides ``__call__`` must override both.
 """
 
 from __future__ import annotations
@@ -209,10 +209,14 @@ class NamOracle:
         """Optimize a segment held as ``ids`` of ``table``; the result is
         ids of the same table (``ids`` itself when no pass changed
         anything).  A ``Gate`` is built only for a rewritten value the
-        table has not seen."""
-        if self.engine == "vector":
-            return table.intern(self(table.gates_of(ids)))
+        table has not seen — or, on the vector engine, for every gate.
+        ``table`` may also be a pool batch's
+        :class:`~repro.circuits.intern.RowTable`."""
         seg = WorkSegment.from_ids(ids, table)
+        if self.engine == "vector":
+            out = self(seg.gates())
+            values = [(gate.name, gate.qubits, gate.param) for gate in out]
+            return np.array(table.value_ids(values), dtype=ids.dtype)
         return seg.ids(table, ids) if self._run(seg) else ids
 
     def _drive(self, steps: Sequence[Callable[[], bool]]) -> bool:

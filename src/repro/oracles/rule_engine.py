@@ -155,12 +155,13 @@ class WorkSegment:
 
     @classmethod
     def from_ids(cls, ids: np.ndarray, table: GateTable) -> "WorkSegment":
-        """A segment of ``ids`` of ``table``: a gather of its rows."""
+        """A segment of ``ids`` of ``table`` (or of a pool batch's
+        :class:`~repro.circuits.intern.RowTable`): a gather of its rows."""
         name, q0, q1, param = table.columns(ids)
         opaque = {}
         if len(name) and name.max() >= OPAQUE:
             for i in np.flatnonzero(name >= OPAQUE).tolist():
-                opaque[i] = table.gates[ids[i]].qubits
+                opaque[i] = table.qubits(int(ids[i]))
         columns = (name.tolist(), q0.tolist(), q1.tolist(), param.tolist())
         return cls(*columns, table.names, opaque)
 

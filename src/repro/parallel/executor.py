@@ -14,7 +14,8 @@ to the :class:`SegmentExecutor` seam (``map_segments``, ``counters()``,
   ``O(gates)`` pickle opcodes plus a fresh copy of the oracle.
 * :class:`SerialMap`, the reference and the 1-thread configuration,
   which is also how a :class:`ProcessMap` runs a round inline: a
-  segment held as ids meets the oracle's id entry (``run_ids``).
+  segment held as ids meets the oracle's id entry (``run_ids``) — as
+  it does in a local pool worker, against the rows its batch carries.
 * anything with an order-preserving ``map`` (:class:`ParallelMap`),
   which :func:`segment_executor` puts behind the seam:
   :class:`~repro.parallel.simulated.SimulatedParallelism`, which runs
@@ -393,7 +394,8 @@ class ProcessMap:
     LazySegmentResult` handles from :meth:`map_segments`: results stay
     in the wire format until a driver actually reads their gates, so
     rejected oracle outputs are never decoded (see
-    :class:`~repro.parallel.results.DecodeStats`).
+    :class:`~repro.parallel.results.DecodeStats`) — and an id round's
+    results carry no bytes at all.
 
     Attributes
     ----------
@@ -402,10 +404,11 @@ class ProcessMap:
         pools, arenas, host connections and their counters live there
         (``wire.add_host`` / ``wire.remove_host`` on a socket fleet).
     serialization_time / last_serialization_time:
-        Parent-side encode/pack seconds, accumulated over all
-        :meth:`map_segments` calls and of the most recent one (the
-        pickle transport's serialization happens inside the pool
-        machinery and is not separable).  Cache key derivation counts:
+        Parent-side encode/pack seconds — gathering rows and positions,
+        for an id round — accumulated over all :meth:`map_segments`
+        calls and of the most recent one (the pickle transport's
+        serialization happens inside the pool machinery and is not
+        separable).  Cache key derivation counts:
         it packs the same bytes the wire would carry.  Result
         *decoding* is lazy and attributed to whoever reads the gates,
         not counted here.
@@ -429,7 +432,7 @@ class ProcessMap:
         call.
 
     :meth:`counters` reports these together with the transport's, the
-    lazy-decode counts and the cache front's.
+    lazy-decode counts (by-value results only) and the cache front's.
     """
 
     def __init__(

@@ -44,9 +44,9 @@ class DecodeStats:
     ``results_returned`` / ``result_bytes_returned`` count every
     byte-carrying result handed back by :meth:`ProcessMap.map_segments`;
     ``results_decoded`` / ``result_bytes_decoded`` count the subset
-    whose gates were ever materialized.  Results born from gate lists
-    (pickle transport, inline fallbacks) carry no decodable bytes and
-    are not counted.
+    whose gates were ever materialized.  Only by-value results count:
+    one born from gate lists (pickle transport) or from ids (inline and
+    id pool rounds) carries no bytes, so the keys stay but read 0 there.
     """
 
     __slots__ = (
@@ -80,7 +80,7 @@ class DecodeStats:
 class LazySegmentResult(Sequence):
     """A gate segment that turns into gates only on first access.
 
-    Oracle results are born in one of three states, one per transport
+    Oracle results are born in one of four states, one per transport
     situation:
 
     * :meth:`from_packed` — the flat wire format as bytes (encoded and
@@ -89,6 +89,9 @@ class LazySegmentResult(Sequence):
       EncodedSegment` (threads transport with a packed-native oracle).
     * :meth:`from_gates` — an already-decoded gate list (pickle
       transport, inline fallbacks); nothing left to skip.
+
+    * :meth:`from_ids` — ids of the driver's table (inline and id pool
+      rounds): no bytes at all, so nothing is counted or decoded.
 
     The same handle carries segments the other way: :meth:`from_ids`
     is what ``popqc`` hands ``map_segments`` — ids into its

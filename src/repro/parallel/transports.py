@@ -10,8 +10,11 @@ counters, and :data:`TRANSPORTS` is the registry ``transport=`` names
 are looked up in:
 
 * ``"encoded"`` (default) — the oracle is registered once per worker
-  process and each batch crosses the pool pipe as one contiguous blob
-  of packed segments, each way (the socket transport's
+  process.  A batch of segments held as ids, for an oracle with an id
+  entry (every ``popqc`` round of a ``NamOracle``), crosses the pool
+  pipe as positions into the batch's own distinct table rows, and its
+  answer as positions plus any rewritten values; any other batch as one
+  contiguous blob of packed segments, each way (the socket transport's
   SEGMENTS/RESULTS payloads);
 * ``"shm"`` — every round's segments are packed into one pooled
   shared-memory arena (:mod:`repro.parallel.shm`) and the pipe carries
@@ -31,7 +34,7 @@ initializer that installs the oracle, the generation token every task
 carries (so a stale worker fails loudly, :class:`StaleOracleError`)
 and the rebuild after a crashed worker.  Every transport returns
 :class:`~repro.parallel.results.LazySegmentResult` handles, so results
-stay in the wire format until a driver reads their gates.
+stay ids, or in the wire format until a driver reads their gates.
 """
 
 from __future__ import annotations
@@ -39,7 +42,10 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from typing import Callable, Optional, Protocol, Sequence
+
+import numpy as np
 
 from ..circuits.encoding import pack_segment, packed_segment_span, unpack_segment_from
 from ..circuits.gate import Gate
@@ -109,6 +115,7 @@ class Transport(Protocol):
 # tagged with the expected generation.
 
 _WORKER_ENTRY: Optional[Callable] = None
+_WORKER_ORACLE: Optional[Oracle] = None
 _WORKER_ORACLE_GEN: int = -1
 
 #: Worker-side cache of attached shared-memory arenas, keyed by name.
@@ -120,8 +127,9 @@ _WORKER_ARENA_CACHE_LIMIT = 8
 
 
 def _register_worker_oracle(oracle: Optional[Oracle], generation: int) -> None:
-    global _WORKER_ENTRY, _WORKER_ORACLE_GEN
+    global _WORKER_ENTRY, _WORKER_ORACLE, _WORKER_ORACLE_GEN
     _WORKER_ENTRY = wire_entry(oracle)
+    _WORKER_ORACLE = oracle
     _WORKER_ORACLE_GEN = generation
 
 
@@ -151,6 +159,24 @@ def _apply_registered_oracle(payload: bytes) -> bytes:
     return pack_results_payload(
         batch_id, [pack_segment(entry(seg)) for seg in segments]
     )
+
+
+def _apply_registered_oracle_ids(task: tuple) -> tuple:
+    """Worker task of the encoded transport for an id round.
+
+    ``task`` is ``(oracle generation, a RowTable, every segment's
+    positions into it back to back, the split points)``; each segment
+    goes through the oracle's id entry, as inline.  The reply is the
+    rewritten values and, per segment, ``None`` if it is unchanged, else
+    its result positions.
+    """
+    generation, rows, positions, bounds = task
+    _require_worker_oracle(generation)
+    run_ids = _WORKER_ORACLE.run_ids
+    return rows.values, [
+        None if (out := run_ids(ids, rows)) is ids else out
+        for ids in np.split(positions, bounds)
+    ]
 
 
 def _attach_worker_arena(name: str, keep: tuple[str, ...] = ()):
@@ -272,6 +298,43 @@ def _ship_by_value(
     return results, packed_at - started, seconds if warm else None
 
 
+def _ship_ids(segments, plan: Plan, generation: int, send: Callable, warm: bool):
+    """A round of segments held as ids, through the pool pipe by id.
+
+    A planned batch is one task per table its segments belong to (a
+    daemon replaces its table while older jobs finish; rows never mix):
+    its distinct ids as a :class:`~repro.circuits.intern.RowTable`, each
+    segment as positions into it.  Answers map back through the
+    parent's table, so a ``Gate`` is built only for a value new to it,
+    and an unchanged segment is answered with its input handle (whose
+    packed bytes, if a cache front keyed it, exist already).
+    """
+    started = time.perf_counter()
+    tasks, groups = [], []
+    for start, end in plan:
+        by_table: dict = {}
+        for i in range(start, end):
+            by_table.setdefault(segments[i].interned[1], []).append(i)
+        for table, members in by_table.items():
+            ids = [segments[i].interned[0] for i in members]
+            rows, positions = np.unique(np.concatenate(ids), return_inverse=True)
+            bounds = np.cumsum([len(seg) for seg in ids[:-1]], dtype=np.intp)
+            rows_table = table.row_table(rows)
+            tasks.append((generation, rows_table, positions.astype(np.int32), bounds))
+            groups.append((table, rows, members))
+    shipped = time.perf_counter()
+    replies = send(tasks)
+    seconds = time.perf_counter() - shipped
+    results = list(segments)
+    for (table, rows, members), (values, answers) in zip(groups, replies):
+        fresh = np.array(table.value_ids(values), dtype=rows.dtype)
+        lookup = np.concatenate([rows, fresh])
+        for i, out in zip(members, answers):
+            if out is not None:
+                results[i] = LazySegmentResult.from_ids(lookup[out], table)
+    return results, shipped - started, seconds if warm else None
+
+
 class WorkerPool:
     """A process pool whose workers have one oracle installed.
 
@@ -353,13 +416,22 @@ class PickleTransport(WorkerPool):
 
 
 class EncodedTransport(WorkerPool):
-    """Persistent workers, one packed blob per batch through the pipe."""
+    """Persistent workers, one task per batch through the pipe: ids and
+    their rows when it can, else one packed blob."""
 
     def run_round(self, oracle, segments, plan) -> RoundResult:
-        """One pool task per batch, a ``bytes`` object each way — one
-        pickle of one buffer, whatever the batch holds — with the reply
-        split on header reads alone, so results stay packed."""
+        """A round of segments all held as ids, for an oracle with an id
+        entry (``run_ids``), goes by id (:func:`_ship_ids`): nothing is
+        encoded, packed or unpacked.  Any other round is one pool task
+        per batch, a ``bytes`` object each way — one pickle of one
+        buffer, whatever the batch holds — with the reply split on
+        header reads alone, so results stay packed."""
         warm = self._ensure(oracle)
+        if getattr(oracle, "run_ids", None) is not None and all(
+            seg.interned is not None for seg in segments
+        ):
+            send = partial(self._run, _apply_registered_oracle_ids)
+            return _ship_ids(segments, plan, self.generation, send, warm)
 
         def send(batches):
             payloads = [payload for _, _, payload in batches]

@@ -8,19 +8,28 @@ And on the parent side of a byte transport the driver must build
 ``Gate`` objects per *distinct value*, not per gate it accepts: that is
 where the per-gate Python of the old round loop went.  A worker serving
 an oracle *with* a wire entry (``NamOracle.run_packed``) needs no table
-at all: wire arrays in, wire arrays out, no ``Gate`` built.
+at all: wire arrays in, wire arrays out, no ``Gate`` built.  An oracle
+with an id entry (``NamOracle.run_ids``) is not even handed wire
+arrays by the local pool: a batch is positions into the rows it
+carries, and neither side packs, unpacks or builds a ``Gate`` per gate.
 """
 
 import pickle
 
 import pytest
 
-from repro.circuits import decode_segment, encode_segment, pack_segment
+from repro.circuits import decode_segment, encode_segment, encoding, pack_segment
 from repro.circuits import gate as gate_module
 from repro.circuits import intern, random_redundant_circuit, to_qasm
 from repro.core import popqc
 from repro.oracles import NamOracle
-from repro.parallel import ProcessMap, WorkerHost, local_cluster, transports
+from repro.parallel import (
+    LazySegmentResult,
+    ProcessMap,
+    WorkerHost,
+    local_cluster,
+    transports,
+)
 from repro.parallel.frames import (
     FRAME_REGISTER,
     FRAME_RESULTS,
@@ -77,18 +86,23 @@ def test_tiny_table_cap_changes_no_output_byte(transport, serial, monkeypatch):
         assert len(tables) > 4  # the run's own, one per host, and replacements
 
 
-def test_parent_builds_gates_per_distinct_value(serial, monkeypatch):
-    """A default-cost ``ProcessMap`` run: the parent constructs a
-    ``Gate`` for a result value it has not seen, never per accepted gate."""
-    built = []
+class ByValueNam(NamOracle):
+    """The Nam rules without the id entry: its pooled rounds go by value."""
+
+    run_ids = None
+
+
+def _parent_side_run(oracle, monkeypatch):
+    """``popqc`` of ``CIRCUIT`` through a forced pool, spying in the
+    parent on ``Gate`` construction and on wire arrays read back as ids:
+    ``(result, gates built, tables read into, gates read)``."""
+    built, tables, gates_read = [], [], []
     real_init = gate_module.Gate.__post_init__
+    real_from_wire = intern.GateTable.ids_from_encoded
 
     def counting(self):
         built.append(self)
         real_init(self)
-
-    tables, gates_read = [], []
-    real_from_wire = intern.GateTable.ids_from_encoded
 
     def watching(self, encoded):
         tables.append(self)
@@ -97,13 +111,38 @@ def test_parent_builds_gates_per_distinct_value(serial, monkeypatch):
 
     pm = ProcessMap(2, serial_cutoff=0)
     try:
-        pm.map_segments(NamOracle(), [list(CIRCUIT.gates[:40])] * 4)  # fork first
+        pm.map_segments(oracle, [list(CIRCUIT.gates[:40])] * 4)  # fork first
         monkeypatch.setattr(gate_module.Gate, "__post_init__", counting)
         monkeypatch.setattr(intern.GateTable, "ids_from_encoded", watching)
-        got = popqc(CIRCUIT, NamOracle(), OMEGA, parmap=pm)
+        got = popqc(CIRCUIT, oracle, OMEGA, parmap=pm)
     finally:
         pm.close()
         monkeypatch.undo()
+    return got, built, tables, gates_read
+
+
+def test_parent_builds_gates_per_distinct_value(serial, monkeypatch):
+    """A default-cost ``ProcessMap`` run: the parent constructs a
+    ``Gate`` for a result value it has not seen, never per accepted gate.
+    ``NamOracle`` has an id entry, so its rounds go by id: no result
+    comes back as bytes and none is read back from wire arrays."""
+    got, built, tables, gates_read = _parent_side_run(NamOracle(), monkeypatch)
+    assert got.circuit.gates == serial.circuit.gates
+    assert got.stats.oracle_accepted > 20
+    assert gates_read == [] and tables == []
+    counters = got.stats.counters
+    assert counters["results_returned"] == counters["results_decoded"] == 0
+    assert counters["pool_dispatches"] == got.stats.rounds
+    # each construction added a row for a new value, of which there are few
+    table = got.gates.interned[1]
+    assert len(built) < len(table) < 150
+
+
+def test_parent_builds_gates_per_distinct_value_by_value(serial, monkeypatch):
+    """The same for an oracle without an id entry: its results come back
+    packed and every accepted one is read back as wire arrays, into the
+    run's one table, constructing a ``Gate`` per distinct new value."""
+    got, built, tables, gates_read = _parent_side_run(ByValueNam(), monkeypatch)
     assert got.circuit.gates == serial.circuit.gates
     # every accepted result was read back as wire arrays, into one
     # table: the run's own
@@ -115,19 +154,62 @@ def test_parent_builds_gates_per_distinct_value(serial, monkeypatch):
     assert sum(gates_read) > 10 * len(built)
 
 
+def test_an_id_round_packs_and_unpacks_nothing_in_the_parent(serial, monkeypatch):
+    """A ``NamOracle`` pool round ships ids and rows: the parent never
+    packs, unpacks, gathers wire arrays or reads them back as ids."""
+    calls = []
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(
+            owner, name, lambda *a, **k: (calls.append(name), real(*a, **k))[1]
+        )
+
+    pm = ProcessMap(2, serial_cutoff=0)
+    try:
+        pm.map_segments(NamOracle(), [list(CIRCUIT.gates[:40])] * 4)  # fork first
+        spy(encoding, "pack_segment")
+        spy(encoding, "unpack_segment_from")
+        spy(intern.GateTable, "encoded")
+        spy(intern.GateTable, "ids_from_encoded")
+        got = popqc(CIRCUIT, NamOracle(), OMEGA, parmap=pm)
+    finally:
+        pm.close()
+        monkeypatch.undo()
+    assert calls == []
+    assert got.stats.counters["pool_dispatches"] == got.stats.rounds > 0
+    assert got.circuit.gates == serial.circuit.gates
+
+
 def _packed(gates) -> bytes:
     return pack_segment(encode_segment(gates))
 
 
 def test_byte_workers_build_no_gate_for_a_wire_entry_oracle(monkeypatch):
-    """The ``encoded`` pool task and a ``WorkerHost`` answer ``NamOracle``
-    batches without constructing a ``Gate`` or adding a table row — and
-    answer exactly what the oracle does on the decoded gates."""
+    """The ``encoded`` pool tasks — by value and by id — and a
+    ``WorkerHost`` answer ``NamOracle`` batches without constructing a
+    ``Gate`` or adding a table row, and answer exactly what the oracle
+    does on the decoded gates."""
     gates = list(CIRCUIT.gates)
     segments = [encode_segment(gates[k : k + 80]) for k in range(0, 800, 80)]
     payload = pack_segments_payload(1, 7, segments)
     want = [_packed(NamOracle()(decode_segment(s))) for s in segments]
     register = pack_register_payload(pickle.dumps(NamOracle()), 1)
+    # the id round also gets a fixpoint, which must come back as its input
+    fixpoint = NamOracle()(gates[:80])
+    table = intern.GateTable()
+    handles = [
+        LazySegmentResult.from_ids(table.intern(seg), table)
+        for seg in [gates[k : k + 80] for k in range(0, 800, 80)] + [fixpoint]
+    ]
+    worker_built = []
+
+    def id_workers(tasks):  # the parent's side of the id round is not counted
+        del built[:], rows[:]
+        replies = [transports._apply_registered_oracle_ids(task) for task in tasks]
+        worker_built.extend(built + rows)
+        return replies
+
     built, rows = [], []
     real_init, real_add = gate_module.Gate.__post_init__, intern.GateTable._add
     monkeypatch.setattr(
@@ -139,8 +221,14 @@ def test_byte_workers_build_no_gate_for_a_wire_entry_oracle(monkeypatch):
     transports._register_worker_oracle(NamOracle(), 1)
     try:
         pool_reply = transports._apply_registered_oracle(payload)
+        assert built == [] and rows == []
+        by_id, _, _ = transports._ship_ids(handles, [(0, 5), (5, 11)], 1, id_workers, True)
     finally:
         transports._register_worker_oracle(None, -1)
+    assert worker_built == []
+    assert [result.packed_bytes() for result in by_id] == want + [_packed(fixpoint)]
+    assert by_id[-1] is handles[-1]
+    del built[:], rows[:]
     host = WorkerHost()
     try:
         session = host.open_session("peer")

@@ -7,6 +7,8 @@ its header.  These tests spy on the decode entry points in
 :class:`~repro.parallel.results.LazySegmentResult` routes through — to
 prove that a rejecting workload decodes *nothing*, while accepted
 rewrites still produce byte-identical circuits on every transport.
+Where no bytes cross — an ``encoded`` round for an oracle with an id
+entry returns ids — nothing is counted as returned or decoded.
 """
 
 import pytest
@@ -72,18 +74,32 @@ def test_rejected_results_never_unpacked(transport, decode_spies):
     assert list(res.circuit.gates) == list(CIRCUIT.gates)
 
 
+class ByValueNam(NamOracle):
+    """The Nam rules without the id entry: its pooled rounds go by value."""
+
+    run_ids = None
+
+
 @pytest.mark.parametrize("transport", BYTE_TRANSPORTS)
 def test_accepting_runs_decode_only_accepted(transport):
-    """A mixed workload decodes exactly the accepted results."""
-    pm = ProcessMap(2, serial_cutoff=0, transport=transport)
-    try:
-        res = popqc(CIRCUIT, NamOracle(), OMEGA, parmap=pm)
-    finally:
-        pm.close()
-    assert res.stats.results_decoded == res.stats.oracle_accepted
-    assert res.stats.results_returned >= res.stats.results_decoded
-    counters = res.stats.counters
-    assert counters["result_bytes_decoded"] <= counters["result_bytes_returned"]
+    """A mixed workload decodes exactly the accepted results that came
+    back as bytes.  On ``encoded`` an oracle with an id entry gets id
+    rounds, which return no bytes at all: nothing to decode."""
+    for oracle in (ByValueNam(), NamOracle()):
+        pm = ProcessMap(2, serial_cutoff=0, transport=transport)
+        try:
+            res = popqc(CIRCUIT, oracle, OMEGA, parmap=pm)
+        finally:
+            pm.close()
+        counters = res.stats.counters
+        assert res.stats.oracle_accepted > 0
+        if transport == "encoded" and oracle.run_ids is not None:
+            assert res.stats.results_returned == res.stats.results_decoded == 0
+            assert counters["result_bytes_returned"] == 0
+            continue
+        assert res.stats.results_decoded == res.stats.oracle_accepted
+        assert res.stats.results_returned >= res.stats.results_decoded
+        assert counters["result_bytes_decoded"] <= counters["result_bytes_returned"]
 
 
 def test_accepted_circuits_identical_across_all_transports():

@@ -18,13 +18,14 @@ one of them.
 """
 
 import functools
+import random
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.benchgen import generate
-from repro.circuits import encoding, random_redundant_circuit, to_qasm
+from repro.circuits import Circuit, Gate, encoding, random_redundant_circuit, to_qasm
 from repro.core import popqc
 from repro.oracles import IdentityOracle, NamOracle
 from repro.parallel import ProcessMap, SerialMap, local_cluster
@@ -260,11 +261,39 @@ def measured_map():
     pm.close()
 
 
+@pytest.fixture(scope="module")
+def forced_map():
+    """One pool every round above zero segments goes through."""
+    pm = ProcessMap(2, serial_cutoff=0, transport="encoded")
+    yield pm
+    pm.close()
+
+
+class ByValueNam(NamOracle):
+    """The Nam rules without the id entry: its pooled rounds go by value."""
+
+    run_ids = None
+
+
 def _drawn_circuit(which):
     if isinstance(which, str):
         return generate(which, 0, seed=0)
-    qubits, gates, seed = which
-    return random_redundant_circuit(qubits, gates, seed=seed, redundancy=0.5)
+    qubits, gates, seed, opaque = which
+    circuit = random_redundant_circuit(qubits, gates, seed=seed, redundancy=0.5)
+    if not opaque:
+        return circuit
+    # opaque gates of arity 1, 0 and 3 among the base ones: walls every
+    # rule stops at, passed through untouched
+    rng = random.Random(seed)
+    out = []
+    for gate in circuit.gates:
+        out.append(gate)
+        if rng.random() < 0.08:
+            a, b, c = rng.sample(range(qubits), 3)
+            out.append(
+                rng.choice([Gate("t", (a,)), Gate("barrier", ()), Gate("ccx", (a, b, c))])
+            )
+    return Circuit(out, qubits)
 
 
 @functools.lru_cache(maxsize=None)
@@ -274,28 +303,48 @@ def _serial_run(which, omega):
 
 _CIRCUITS = st.one_of(
     st.sampled_from(["Grover", "Shor"]),
-    st.tuples(st.integers(3, 7), st.integers(40, 400), st.integers(0, 10**6)),
+    st.tuples(
+        st.integers(3, 7), st.integers(40, 400), st.integers(0, 10**6), st.booleans()
+    ),
 )
+#: A placement pattern, or ``None``: forced pooling (``serial_cutoff=0``).
 _PATTERNS = st.one_of(
-    st.just([0]), st.just([1]), st.lists(st.integers(0, 1), min_size=2, max_size=24)
+    st.none(),
+    st.just([0]),
+    st.just([1]),
+    st.lists(st.integers(0, 1), min_size=2, max_size=24),
 )
 
 
 @settings(max_examples=25)
-@given(_CIRCUITS, _PATTERNS, st.sampled_from([8, 25]))
-@example("Grover", [0], 25)
-@example("Grover", [1], 25)
-@example("Shor", [0, 1, 1, 0, 0, 0, 1], 25)
-def test_placement_pattern_never_changes_output(measured_map, which, bits, omega):
-    """All-inline, all-pool or any mix of the two: same QASM, same
+@given(_CIRCUITS, _PATTERNS, st.sampled_from([8, 25]), st.booleans())
+@example("Grover", [0], 25, True)
+@example("Grover", [1], 25, True)
+@example("Shor", [0, 1, 1, 0, 0, 0, 1], 25, True)
+@example("Shor", [0, 1, 1, 0, 0, 0, 1], 25, False)
+@example((5, 300, 3, True), None, 8, True)
+@example((5, 300, 3, True), [1, 0], 8, False)
+def test_placement_pattern_never_changes_output(
+    measured_map, forced_map, which, bits, omega, by_id
+):
+    """All-inline, all-pool, forced pooling or any mix: same QASM, same
     rounds, same per-round dynamics as ``SerialMap``, every round above
-    the floor counted on exactly one side, and only the accepted pooled
-    results ever decoded."""
+    the floor counted on exactly one side — by id for an oracle with an
+    id entry (nothing returned as bytes, nothing decoded), by value
+    otherwise (only the accepted pooled results ever decoded)."""
     want = _serial_run(which, omega)
-    measured_map.cost_model = model = _PatternModel(bits)
-    got = popqc(_drawn_circuit(which), NamOracle(), omega, parmap=measured_map)
+    if bits is None:
+        pmap, model = forced_map, None
+    else:
+        pmap = measured_map
+        pmap.cost_model = model = _PatternModel(bits)
+    oracle = NamOracle() if by_id else ByValueNam()
+    got = popqc(_drawn_circuit(which), oracle, omega, parmap=pmap)
 
-    assert to_qasm(got.circuit) == to_qasm(want.circuit)
+    def packed(result):  # the QASM writer refuses opaque gates; bytes do not
+        return encoding.pack_segment(encoding.encode_segment(result.circuit.gates))
+
+    assert packed(got) == packed(want)
     assert got.stats.rounds == want.stats.rounds
     assert got.stats.oracle_calls == want.stats.oracle_calls
 
@@ -303,15 +352,18 @@ def test_placement_pattern_never_changes_output(measured_map, which, bits, omega
         return [(r.fingers, r.selected, r.accepted) for r in stats.per_round]
 
     assert dynamics(got.stats) == dynamics(want.stats)
-    above = [r for r in got.stats.per_round if r.selected > measured_map.serial_cutoff]
+    above = [r for r in got.stats.per_round if r.selected > pmap.serial_cutoff]
+    placed = ["pool"] * len(above) if model is None else model.placed
     counters = got.stats.counters
-    assert len(model.placed) == len(above)
-    assert counters["inline_rounds"] == model.placed.count("inline")
-    assert counters["pool_dispatches"] == model.placed.count("pool")
+    assert len(placed) == len(above)
+    assert counters["inline_rounds"] == placed.count("inline")
+    assert counters["pool_dispatches"] == placed.count("pool")
     assert counters["inline_segments"] == sum(
-        r.selected for r, side in zip(above, model.placed) if side == "inline"
+        r.selected for r, side in zip(above, placed) if side == "inline"
     )
-    assert counters["results_decoded"] == sum(
-        r.accepted for r, side in zip(above, model.placed) if side == "pool"
-    )
-    assert got.stats.transport == ("encoded" if "pool" in model.placed else "inline")
+    pooled_accepted = sum(r.accepted for r, side in zip(above, placed) if side == "pool")
+    if by_id:
+        assert counters["results_returned"] == counters["results_decoded"] == 0
+    else:
+        assert counters["results_decoded"] == pooled_accepted
+    assert got.stats.transport == ("encoded" if "pool" in placed else "inline")

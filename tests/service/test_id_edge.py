@@ -26,6 +26,7 @@ from repro.circuits.encoding import (
 )
 from repro.core import GateStore, popqc
 from repro.oracles import NamOracle
+from repro.parallel import transports
 from repro.parallel.frames import (
     ERR_BAD_FRAME,
     ERR_JOB_FAILED,
@@ -381,6 +382,46 @@ class TestSharedTable:
             "slow": _standalone_bytes(slow, 25),
             "quick": _standalone_bytes(quick, 24),
         }
+
+
+    def test_merged_fleet_rounds_span_a_table_rotation(self, monkeypatch):
+        """A process fleet ships its rounds by id, and with a table
+        replaced at nearly every admission the rounds it merges across
+        concurrent jobs hold segments of two tables: rows are gathered
+        per table, and every RESULT is still the standalone bytes."""
+        monkeypatch.setattr(intern, "TABLE_CAP", 8)  # every job fills its table
+        tables_per_round = []
+        real_ship_ids = transports._ship_ids
+
+        def watched(segments, *args):
+            tables_per_round.append(len({id(seg.interned[1]) for seg in segments}))
+            return real_ship_ids(segments, *args)
+
+        monkeypatch.setattr(transports, "_ship_ids", watched)
+        jobs = [
+            (generate(family, 0, seed=seed), 25)
+            for seed in (5, 6)
+            for family in ("Grover", "HHL", "VQE")
+        ]
+        want = {i: _standalone_bytes(*job) for i, job in enumerate(jobs)}
+        srv = OptimizationService(NamOracle(), workers=2).start()
+        got = {}
+
+        def submit(first):
+            with ServiceClient(srv.address) as client:
+                for i in range(first, len(jobs), 3):
+                    got[i] = _result_bytes(client, *jobs[i])
+
+        try:
+            clients = [threading.Thread(target=submit, args=(k,)) for k in range(3)]
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(120)
+        finally:
+            srv.stop()
+        assert got == want
+        assert max(tables_per_round) > 1
 
 
 class TestNeverBuildsAGatePerGate:
