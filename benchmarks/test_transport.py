@@ -2,7 +2,7 @@
 
 The seed ``ProcessMap`` re-pickled the oracle callable and every
 ``list[Gate]`` segment on every round.  PR 1's encoded transport
-registers the oracle once per worker (pool initializer) and ships
+registers the oracle once per worker (as each child starts) and ships
 segments as compact numpy arrays; the shm transport packs each round's
 segments into one pooled shared-memory arena with batched task
 dispatch, so the executor pipe carries only small descriptor tuples;
@@ -181,18 +181,18 @@ def _piped_bytes(transport: str) -> tuple[int, int]:
     pm = ProcessMap(2, serial_cutoff=0, transport=transport)
     try:
         pm.map_segments(echo, SEGMENTS[:4])  # spawn the pool
-        real_map = pm.wire._pool.map
+        real_run = pm.wire._pool.run
         piped = []
 
-        def spy(fn, tasks, **kwargs):
-            tasks = list(tasks)
-            replies = list(real_map(fn, tasks, **kwargs))
-            piped.append(
-                (len(tasks), sum(len(_pickle.dumps(m)) for m in tasks + replies))
-            )
+        def spy(count, message, here):
+            sent = [message(k) for k in range(count)]
+            replies = real_run(count, sent.__getitem__, here)
+            tasks = [task for _, items in sent for task in items]
+            tasks += [out for outputs in replies for out in outputs]
+            piped.append((count, sum(len(_pickle.dumps(m)) for m in tasks)))
             return replies
 
-        pm.wire._pool.map = spy
+        pm.wire._pool.run = spy
         pm.map_segments(echo, SEGMENTS)
         assert piped[0][0] == len(pm.last_batch_sizes)  # one task per batch
         return piped[0]

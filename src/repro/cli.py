@@ -57,7 +57,7 @@ def _host_list(hosts: str | None) -> list[str] | None:
 def _make_parmap(spec: str, hosts: str | None = None):
     """The executor ``--executor SPEC`` names.  How segments travel is
     not a choice: to ``popqc worker`` hosts over TCP when ``--hosts``
-    names some, else to local worker processes as packed bytes."""
+    names some, else to local worker processes, by id."""
     name, _, count = spec.partition(":")
     if count and not count.isdigit():
         _fail(f"bad worker count {count!r} in executor spec {spec!r}")
@@ -133,7 +133,9 @@ def main(argv: list[str] | None = None) -> int:
     run_flags.add_argument(
         "--executor",
         default="serial",
-        help="serial | process[:N] | simulated[:N]",
+        help="serial | process[:N] | simulated[:N]; process:N runs a pooled "
+        "round on N compute streams: this process plus N-1 forked workers "
+        "(with --hosts the hosts compute it)",
     )
     run_flags.add_argument(
         "--hosts",

@@ -9,9 +9,10 @@ to the :class:`SegmentExecutor` seam (``map_segments``, ``counters()``,
   round runs in the parent when that is measured to be cheaper, else
   it is cut into batches and handed to the
   :class:`~repro.parallel.transports.Transport` that ``transport=``
-  names.  This is the CPython analogue of Rayon handing a borrowed
-  slice to a worker: the per-round IPC cost is a few buffers, not
-  ``O(gates)`` pickle opcodes plus a fresh copy of the oracle.
+  names, the parent computing too when it measures placement.  This is
+  the CPython analogue of Rayon handing a borrowed slice to a worker:
+  the per-round IPC cost is a few buffers, not ``O(gates)`` pickle
+  opcodes plus a fresh copy of the oracle.
 * :class:`SerialMap`, the reference and the 1-thread configuration,
   which is also how a :class:`ProcessMap` runs a round inline: a
   segment held as ids meets the oracle's id entry (``run_ids``) — as
@@ -37,7 +38,7 @@ from . import shm
 from .frames import oracle_blob_digest
 from .results import DecodeStats, LazySegmentResult
 from .scheduling import RoundCostModel, batch_segments
-from .transports import TRANSPORTS, Transport
+from .transports import TRANSPORTS, Transport, WorkerPool
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -356,15 +357,15 @@ class ProcessMap:
     Parameters
     ----------
     workers:
-        Pool size; defaults to :func:`default_workers` (to the host
-        count — one dispatcher per connection — on the socket
-        transport).
+        Compute streams of a pooled round — with measured placement, the
+        caller and ``workers - 1`` children; defaults to
+        :func:`default_workers` (to the host count on the socket transport).
     serial_cutoff:
         ``None`` (default): rounds of at most 2 segments run inline and
         every wider one where the cost model predicts it cheaper.  An
         int fixes the rule — at most this many items inline, the rest
-        through the pool — and the model is never asked.  The attribute
-        is always the int floor.
+        through the pool, on children alone — and the model is never
+        asked.  The attribute is always the int floor.
     transport:
         Wire format for :meth:`map_segments`, a key of
         :data:`~repro.parallel.transports.TRANSPORTS` (that module
@@ -492,6 +493,8 @@ class ProcessMap:
             self._decode_stats,
             *((self.hosts, auth_token) if self.hosts else ()),
         )
+        if isinstance(self.wire, WorkerPool):
+            self.wire.caller_computes = self._measured
 
     @property
     def workers(self) -> int:

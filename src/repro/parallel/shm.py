@@ -164,12 +164,12 @@ class ShmArenaPool:
     def discard(self, block) -> None:
         """Unlink ``block`` instead of recycling it.
 
-        Used after a failed round: the pool may still have straggler
-        tasks writing into the arena (``ProcessPoolExecutor`` does not
-        cancel a round's other batches when one raises), so the block
-        must never be handed to a later round.  Workers' existing
-        mappings stay valid until they close, so stray writes land in
-        orphaned memory instead of a reused arena.
+        Used after a failed round.  Its outstanding replies are read (or
+        its children stopped) before the error propagates, but what it
+        left in the block is never trusted again, so the block is never
+        handed to a later round.  Workers' existing mappings stay valid
+        until they close, so a stray write lands in orphaned memory
+        instead of a reused arena.
         """
         if block in self._blocks:
             self._blocks.remove(block)

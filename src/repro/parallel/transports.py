@@ -29,20 +29,25 @@ are looked up in:
   heartbeat, reconnect-and-requeue on host failure and the
   generation-token protocol over the wire.
 
-The three pool-backed formats share :class:`WorkerPool`: the pool
-initializer that installs the oracle, the generation token every task
-carries (so a stale worker fails loudly, :class:`StaleOracleError`)
-and the rebuild after a crashed worker.  Every transport returns
-:class:`~repro.parallel.results.LazySegmentResult` handles, so results
-stay ids, or in the wire format until a driver reads their gates.
+The three pool-backed formats share :class:`WorkerPool`: children on a
+pipe each, the generation token every task carries (so a stale child
+fails loudly, :class:`StaleOracleError`), the respawn after a crash and
+the loop dealing batches to free streams, the caller maybe among them.
+Every transport returns :class:`~repro.parallel.results.LazySegmentResult`
+handles, so results stay ids, or in the wire format until a driver
+reads their gates.
 """
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+import weakref
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from functools import partial
+from multiprocessing.connection import wait
 from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
@@ -109,10 +114,9 @@ class Transport(Protocol):
 # -- worker-process side -------------------------------------------------------
 #
 # With the pool-backed transports the oracle is installed once per
-# worker process (pool initializer) together with its generation token,
-# as the per-segment callable :func:`~repro.parallel.worker.wire_entry`
-# picks for it; every subsequent task ships only segment descriptors
-# tagged with the expected generation.
+# child (:func:`_serve`) together with its generation token, as the
+# per-segment callable :func:`~repro.parallel.worker.wire_entry` picks
+# for it; every task ships only segments tagged with the generation.
 
 _WORKER_ENTRY: Optional[Callable] = None
 _WORKER_ORACLE: Optional[Oracle] = None
@@ -177,6 +181,20 @@ def _apply_registered_oracle_ids(task: tuple) -> tuple:
         None if (out := run_ids(ids, rows)) is ids else out
         for ids in np.split(positions, bounds)
     ]
+
+
+def _serve(conn, parent_end, oracle: Optional[Oracle], generation: int) -> None:
+    """A pool child: answer ``(fn, items)`` messages with ``(True, outputs)``
+    or ``(False, exception)`` until ``None`` or the parent's end closes."""
+    parent_end.close()  # the forked copy would keep EOF from ever arriving
+    _register_worker_oracle(oracle, generation)
+    with contextlib.suppress(EOFError, KeyboardInterrupt):
+        for fn, items in iter(conn.recv, None):
+            try:
+                reply = True, [fn(item) for item in items]
+            except Exception as exc:  # the task's failure, the parent's to raise
+                reply = False, exc
+            conn.send(reply)
 
 
 def _attach_worker_arena(name: str, keep: tuple[str, ...] = ()):
@@ -253,144 +271,218 @@ class _PickledOracleCall:
 # -- parent side ---------------------------------------------------------------
 
 
-def _ship_by_value(
-    segments: Sequence[LazySegmentResult],
-    plan: Plan,
-    generation: int,
-    stats: Optional[DecodeStats],
-    send: Callable[[list[tuple[int, int, bytes]]], Sequence],
-    warm: bool,
-) -> RoundResult:
-    """A round of the two transports that ship packed bytes by value
-    (``"encoded"`` through the pool pipe, ``"socket"`` over TCP).
-
-    Each planned batch becomes a ``(batch id, width, SEGMENTS
-    payload)`` triple — the payload is its segments' packed bytes, the
-    ones a cache front already took their keys from, joined behind one
-    header — ``send`` carries the triples to the workers and returns,
-    per batch, the ``(gate count, packed blob)`` pairs
-    :func:`~repro.parallel.frames.iter_results_payload` reads off its
-    RESULTS payload, and every pair becomes a lazy result.  Only the
-    ``send`` interval of a ``warm`` round is reported as worker time:
-    parent-side encoding is serialization, not task time.
-    """
-    started = time.perf_counter()
-    batches = [
-        (
-            batch_id,
-            end - start,
-            join_segments_payload(
-                generation,
-                batch_id,
-                [seg.packed_bytes() for seg in segments[start:end]],
-            ),
-        )
-        for batch_id, (start, end) in enumerate(plan)
-    ]
-    packed_at = time.perf_counter()
-    replies = send(batches)
-    seconds = time.perf_counter() - packed_at
-    results = [
-        LazySegmentResult.from_packed(blob, stats, length)
-        for reply in replies
-        for length, blob in reply
-    ]
-    return results, packed_at - started, seconds if warm else None
+def _payload(segments, generation: int, k: int, start: int, end: int) -> bytes:
+    """Batch ``k`` as one SEGMENTS payload of the packed bytes a cache
+    front already took its keys from."""
+    packed = [seg.packed_bytes() for seg in segments[start:end]]
+    return join_segments_payload(generation, k, packed)
 
 
-def _ship_ids(segments, plan: Plan, generation: int, send: Callable, warm: bool):
-    """A round of segments held as ids, through the pool pipe by id.
+def _unpacked(pairs, stats) -> list:
+    """Lazy results of a RESULTS payload's ``(length, blob)`` pairs."""
+    return [LazySegmentResult.from_packed(blob, stats, n) for n, blob in pairs]
 
-    A planned batch is one task per table its segments belong to (a
-    daemon replaces its table while older jobs finish; rows never mix):
-    its distinct ids as a :class:`~repro.circuits.intern.RowTable`, each
-    segment as positions into it.  Answers map back through the
-    parent's table, so a ``Gate`` is built only for a value new to it,
-    and an unchanged segment is answered with its input handle (whose
-    packed bytes, if a cache front keyed it, exist already).
-    """
-    started = time.perf_counter()
-    tasks, groups = [], []
-    for start, end in plan:
+
+def _distinct_rows(ids: Sequence[np.ndarray], size: int) -> tuple:
+    """``np.unique(concatenated ids, return_inverse=True)`` (positions as
+    int32), without its sort: presence and remap arrays over ``size``."""
+    flat = np.concatenate(ids)
+    present = np.zeros(size, dtype=bool)
+    present[flat] = True
+    rows = np.flatnonzero(present)
+    remap = np.empty(size, dtype=np.int32)
+    remap[rows] = np.arange(len(rows), dtype=np.int32)
+    return rows.astype(flat.dtype, copy=False), remap[flat]
+
+
+def _ship_ids(segments, plan: Plan, generation: int) -> tuple:
+    """``task(k)`` and ``receive(k, replies)`` of a round of id segments:
+    batch ``k`` is a task per table (rows never mix, though a daemon's
+    rounds span a table rotation), its distinct ids as a ``RowTable``
+    and each segment as positions into it.  Answers map back through the
+    parent's table; an unchanged segment is answered with its input."""
+    groups: dict[int, list] = {}
+
+    def task(k: int) -> list:
+        start, end = plan[k]
         by_table: dict = {}
         for i in range(start, end):
             by_table.setdefault(segments[i].interned[1], []).append(i)
+        tasks, groups[k] = [], []
         for table, members in by_table.items():
             ids = [segments[i].interned[0] for i in members]
-            rows, positions = np.unique(np.concatenate(ids), return_inverse=True)
+            rows, positions = _distinct_rows(ids, len(table))
             bounds = np.cumsum([len(seg) for seg in ids[:-1]], dtype=np.intp)
-            rows_table = table.row_table(rows)
-            tasks.append((generation, rows_table, positions.astype(np.int32), bounds))
-            groups.append((table, rows, members))
-    shipped = time.perf_counter()
-    replies = send(tasks)
-    seconds = time.perf_counter() - shipped
-    results = list(segments)
-    for (table, rows, members), (values, answers) in zip(groups, replies):
-        fresh = np.array(table.value_ids(values), dtype=rows.dtype)
-        lookup = np.concatenate([rows, fresh])
-        for i, out in zip(members, answers):
-            if out is not None:
-                results[i] = LazySegmentResult.from_ids(lookup[out], table)
-    return results, shipped - started, seconds if warm else None
+            tasks.append((generation, table.row_table(rows), positions, bounds))
+            groups[k].append((table, rows, members))
+        return tasks
+
+    def receive(k: int, replies: list) -> list:
+        start, end = plan[k]
+        results = list(segments[start:end])
+        for (table, rows, members), (values, answers) in zip(groups.pop(k), replies):
+            fresh = np.array(table.value_ids(values), dtype=rows.dtype)
+            lookup = np.concatenate([rows, fresh])
+            for i, out in zip(members, answers):
+                if out is not None:
+                    results[i - start] = LazySegmentResult.from_ids(lookup[out], table)
+        return results
+
+    return task, receive
+
+
+def _answer_here(oracle, segments, stats) -> list:
+    """Segments answered by the caller as by a child: ids straight through
+    ``run_ids`` on their tables, else by the wire entry (``stats`` counts)."""
+    run_ids = getattr(oracle, "run_ids", None)
+    if run_ids is not None and all(seg.interned is not None for seg in segments):
+        return [
+            LazySegmentResult.from_ids(run_ids(*seg.interned), seg.interned[1])
+            for seg in segments
+        ]
+    entry = wire_entry(oracle)
+    return [LazySegmentResult.from_encoded(entry(s.encoded()), stats) for s in segments]
+
+
+def _stop_children(conns: list, procs: list) -> None:
+    """Ask every child to stop, close the pipes, reap the children."""
+    for conn in conns:
+        with contextlib.suppress(OSError):  # that child is gone already
+            conn.send(None)
+        conn.close()
+    for proc in procs:
+        proc.join()
+
+
+class _Children:
+    """``count`` children of the multiprocessing default context, each
+    serving ``(fn, items)`` messages on a pipe of its own (:func:`_serve`)."""
+
+    def __init__(self, count: int, oracle: object, generation: int):
+        context = multiprocessing.get_context()
+        self._conns, self._procs = [], []
+        for _ in range(count):
+            ours, theirs = context.Pipe()
+            proc = context.Process(
+                target=_serve, args=(theirs, ours, oracle, generation), daemon=True
+            )
+            proc.start()
+            theirs.close()
+            self._conns.append(ours)
+            self._procs.append(proc)
+        self._stop = weakref.finalize(self, _stop_children, self._conns, self._procs)
+
+    def run(self, count: int, message: Callable, here: Optional[Callable]) -> list:
+        """Replies to ``message(k)``, ``k < count``, each dealt to a free
+        child or, when none is, run as ``here(k)`` (reply ``None``).  A
+        failure is raised once the outstanding replies are read, leaving
+        none for the next round; a dead child stops all (BrokenProcessPool)."""
+        replies: list = [None] * count
+        pending, idle, busy = deque(range(count)), list(self._conns), {}
+        failure: Optional[BaseException] = None
+        try:
+            while busy or (pending and failure is None):
+                while idle and pending and failure is None:
+                    conn, k = idle.pop(), pending.popleft()
+                    conn.send(message(k))
+                    busy[conn] = k
+                mine = here is not None and pending and failure is None
+                if mine:
+                    try:
+                        here(pending.popleft())
+                    except Exception as exc:
+                        failure = exc
+                for conn in wait(list(busy), 0 if mine else None) if busy else ():
+                    k = busy.pop(conn)
+                    ok, replies[k] = conn.recv()
+                    idle.append(conn)
+                    if not ok and failure is None:
+                        failure = replies[k]
+        except BaseException as exc:  # a dead child, or interrupted mid-round
+            self.shutdown(wait=False)
+            if isinstance(exc, (EOFError, OSError)):
+                raise BrokenProcessPool("a pool child terminated abruptly") from exc
+            raise
+        if failure is not None:
+            raise failure
+        return replies
+
+    def shutdown(self, wait: bool = True) -> None:
+        """Stop the children after their current message (``wait``) or now."""
+        for proc in () if wait else self._procs:
+            proc.terminate()
+        self._stop()
 
 
 class WorkerPool:
-    """A process pool whose workers have one oracle installed.
+    """Children with one oracle installed, the base of the pool transports.
 
-    The base of the three pool-backed transports.  Swapping oracles
-    tears the pool down, bumps :attr:`generation` and rebuilds; the
-    POPQC loop uses one oracle for thousands of rounds, so the rebuild
-    is a once-per-run cost.  Every dispatched task carries the
-    generation token and workers refuse mismatches
-    (:class:`StaleOracleError`), so a pool that somehow survives with
-    the old initializer can never silently apply the old oracle.
-    """
+    A round runs on :attr:`workers` streams: that many children, or the
+    caller and one child fewer (:attr:`caller_computes`).  A new oracle
+    bumps :attr:`generation` and forks new children; tasks carry the
+    token and children refuse a mismatch (:class:`StaleOracleError`)."""
+
+    #: Whether the caller computes batches (unserialized) whenever no
+    #: child is free; a placement-measuring ProcessMap sets it.
+    caller_computes = False
 
     def __init__(self, workers: int, decode_stats: Optional[DecodeStats] = None):
         self.workers = workers
         self.generation = 0
         self._stats = decode_stats
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool: Optional[_Children] = None
         self._oracle: object = None
 
     def _ensure(self, oracle: object) -> bool:
-        """Make the pool's workers serve ``oracle``; returns whether it
-        was already warm."""
+        """Make the children serve ``oracle``; returns whether they did."""
         if self._pool is not None:
             if self._oracle is oracle:
                 return True
             self._pool.shutdown(wait=True)
         self.generation += 1
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_register_worker_oracle,
-            initargs=(oracle, self.generation),
-        )
+        count = self.workers - self.caller_computes
+        self._pool = _Children(count, oracle, self.generation)
         self._oracle = oracle
         return False
 
-    def _run(self, fn: Callable, tasks: Sequence, chunksize: int = 1) -> list:
-        """``fn`` over ``tasks`` on the (ensured) pool, in order.
+    def _round(self, oracle, segments, plan: Plan, fn, task, receive, warm: bool):
+        """Batch ``k``: ``fn`` over the items ``task(k)`` on a child, read
+        by ``receive(k, outputs)``, or :func:`_answer_here` on the caller.
+        Building tasks is serialization; broken children are dropped."""
+        out: list = [None] * len(plan)
+        serialization = 0.0
 
-        A :class:`BrokenProcessPool` is permanent for the executor that
-        raised it, so the pool is dropped before the error propagates:
-        a crashed worker is a one-round failure and the next round
-        rebuilds, instead of a dead executor.
-        """
+        def message(k: int) -> tuple:
+            nonlocal serialization
+            began = time.perf_counter()
+            items = task(k)
+            serialization += time.perf_counter() - began
+            return fn, items
+
+        def mine(k: int) -> None:
+            out[k] = _answer_here(oracle, segments[slice(*plan[k])], self._stats)
+
+        started = time.perf_counter()
         try:
-            return list(self._pool.map(fn, tasks, chunksize=chunksize))
-        except BrokenProcessPool:
-            self._pool.shutdown(wait=False)
-            self._pool = self._oracle = None
+            here = mine if self.caller_computes else None
+            replies = self._pool.run(len(out), message, here)
+        except BaseException:
+            if not self._pool._stop.alive:  # the round stopped the children
+                self._pool = self._oracle = None
             raise
+        for k, reply in enumerate(replies):
+            if reply is not None:
+                out[k] = receive(k, reply)
+        seconds = time.perf_counter() - started - serialization
+        results = [res for batch in out for res in batch]
+        return results, serialization, seconds if warm else None
 
     def counters(self) -> dict:
         """A bare pool counts nothing of its own."""
         return {}
 
     def close(self) -> None:
-        """Shut the pool down (safe to call twice)."""
+        """Stop the children (safe to call twice)."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = self._oracle = None
@@ -398,21 +490,19 @@ class WorkerPool:
 
 class PickleTransport(WorkerPool):
     """The seed behaviour: oracle and gate lists pickled on every call
-    (the copy the pool installs at start-up goes unused)."""
+    (the copy a child installs at start-up goes unused)."""
 
     def run_round(self, oracle, segments, plan) -> RoundResult:
-        """One pool map of ``oracle`` over gate lists, chunked as wide
-        as the plan's batches."""
-        warm = self._ensure(oracle)
-        started = time.perf_counter()
-        outs = self._run(
+        """One message per batch: the oracle and the batch's gate lists."""
+        return self._round(
+            oracle,
+            segments,
+            plan,
             _PickledOracleCall(oracle),
-            [seg.gates() for seg in segments],
-            plan[0][1] - plan[0][0],
+            lambda k: [seg.gates() for seg in segments[slice(*plan[k])]],
+            lambda k, outs: list(map(LazySegmentResult.from_gates, outs)),
+            self._ensure(oracle),
         )
-        results = [LazySegmentResult.from_gates(out) for out in outs]
-        elapsed = time.perf_counter() - started
-        return results, 0.0, elapsed if warm else None
 
 
 class EncodedTransport(WorkerPool):
@@ -420,30 +510,25 @@ class EncodedTransport(WorkerPool):
     their rows when it can, else one packed blob."""
 
     def run_round(self, oracle, segments, plan) -> RoundResult:
-        """A round of segments all held as ids, for an oracle with an id
-        entry (``run_ids``), goes by id (:func:`_ship_ids`): nothing is
-        encoded, packed or unpacked.  Any other round is one pool task
-        per batch, a ``bytes`` object each way — one pickle of one
-        buffer, whatever the batch holds — with the reply split on
-        header reads alone, so results stay packed."""
+        """A round of id segments, for an oracle with an id entry
+        (``run_ids``), goes by id (:func:`_ship_ids`): nothing is encoded,
+        packed or unpacked.  Any other is a ``bytes`` object per batch each
+        way — one pickle of one buffer — split on header reads alone."""
         warm = self._ensure(oracle)
-        if getattr(oracle, "run_ids", None) is not None and all(
-            seg.interned is not None for seg in segments
-        ):
-            send = partial(self._run, _apply_registered_oracle_ids)
-            return _ship_ids(segments, plan, self.generation, send, warm)
+        run_ids = getattr(oracle, "run_ids", None)
+        if run_ids is not None and all(seg.interned is not None for seg in segments):
+            task, receive = _ship_ids(segments, plan, self.generation)
+            fn = _apply_registered_oracle_ids
+        else:
+            fn = _apply_registered_oracle
 
-        def send(batches):
-            payloads = [payload for _, _, payload in batches]
-            replies = self._run(_apply_registered_oracle, payloads)
-            return [
-                iter_results_payload(reply, batch_id)
-                for (batch_id, _, _), reply in zip(batches, replies)
-            ]
+            def task(k: int) -> list:
+                return [_payload(segments, self.generation, k, *plan[k])]
 
-        return _ship_by_value(
-            segments, plan, self.generation, self._stats, send, warm
-        )
+            def receive(k: int, replies: list) -> list:
+                return _unpacked(iter_results_payload(replies[0], k), self._stats)
+
+        return self._round(oracle, segments, plan, fn, task, receive, warm)
 
 
 class ShmTransport(WorkerPool):
@@ -489,31 +574,34 @@ class ShmTransport(WorkerPool):
             ser += time.perf_counter() - t0
 
             warm = self._ensure(oracle)
-            tasks = [
-                (in_block.name, out_block.name, round_id, self.generation, start, end)
-                for start, end in plan
-            ]
-            t_map = time.perf_counter()
-            chunks = self._run(_apply_oracle_shm, tasks)
-            markers = [marker for chunk in chunks for marker in chunk]
-            pool_seconds = time.perf_counter() - t_map
 
-            # Copy each packed result out of the arena (header-sized
-            # span read + one memcpy) so the block can be recycled;
-            # decoding stays lazy and usually never happens.
-            t0 = time.perf_counter()
-            results: list[LazySegmentResult] = []
-            out_buf = out_block.buf
-            for marker, (offset, _) in zip(markers, out_regions):
-                if marker is None:
-                    length, end = packed_segment_span(out_buf, offset)
-                    payload = bytes(out_buf[offset:end])
-                else:  # overflow fallback: result came through the pipe
-                    length, payload = None, marker
-                results.append(
-                    LazySegmentResult.from_packed(payload, self._stats, length)
-                )
-            ser += time.perf_counter() - t0
+            def receive(k: int, replies: list) -> list:
+                # Copy each packed result out of the arena (header-sized
+                # span read + one memcpy) so the block can be recycled;
+                # decoding stays lazy and usually never happens.
+                results, buf = [], out_block.buf
+                for marker, (at, _) in zip(replies[0], out_regions[slice(*plan[k])]):
+                    if marker is None:
+                        length, stop = packed_segment_span(buf, at)
+                        marker = bytes(buf[at:stop])
+                    else:  # overflow fallback: result came through the pipe
+                        length = None
+                    results.append(
+                        LazySegmentResult.from_packed(marker, self._stats, length)
+                    )
+                return results
+
+            names = in_block.name, out_block.name, round_id, self.generation
+            results, packing, pool_seconds = self._round(
+                oracle,
+                segments,
+                plan,
+                _apply_oracle_shm,
+                lambda k: [(*names, *plan[k])],
+                receive,
+                warm,
+            )
+            ser += packing
             round_ok = True
         finally:
             if round_ok:
@@ -524,7 +612,7 @@ class ShmTransport(WorkerPool):
                 # the arenas: never recycle them
                 self.arenas.discard(in_block)
                 self.arenas.discard(out_block)
-        return results, ser, pool_seconds if warm else None
+        return results, ser, pool_seconds
 
     def counters(self) -> dict:
         """Arena-ring behaviour: blocks created vs. rounds served by
@@ -601,7 +689,7 @@ class SocketTransport:
     come back as packed RESULTS frames and wrap into lazy handles like
     every other transport's.  The oracle crosses the wire once per
     host per registration (generation-tagged, exactly like the
-    process-pool initializer protocol).  The one elastic transport:
+    oracle a pool child installs as it starts).  The one elastic transport:
     :meth:`add_host` / :meth:`remove_host` grow and shrink the fleet —
     and with it :attr:`workers`, the fan-out rounds are planned for —
     which is how the optimization service's autoscaler scales.
@@ -663,9 +751,16 @@ class SocketTransport:
             self.generation += 1
             self._pool.register(oracle, self.generation)
             self._oracle = oracle
-        return _ship_by_value(
-            segments, plan, self.generation, self._stats, self._pool.run_round, warm
-        )
+        started = time.perf_counter()
+        batches = [
+            (k, end - start, _payload(segments, self.generation, k, start, end))
+            for k, (start, end) in enumerate(plan)
+        ]
+        packed = time.perf_counter()
+        replies = self._pool.run_round(batches)
+        seconds = time.perf_counter() - packed
+        results = [res for pairs in replies for res in _unpacked(pairs, self._stats)]
+        return results, packed - started, seconds if warm else None
 
     def counters(self) -> dict:
         """The host pool's wire and per-host figures (zeros until the

@@ -222,7 +222,9 @@ def test_byte_workers_build_no_gate_for_a_wire_entry_oracle(monkeypatch):
     try:
         pool_reply = transports._apply_registered_oracle(payload)
         assert built == [] and rows == []
-        by_id, _, _ = transports._ship_ids(handles, [(0, 5), (5, 11)], 1, id_workers, True)
+        task, receive = transports._ship_ids(handles, [(0, 5), (5, 11)], 1)
+        tasks = [task(0), task(1)]
+        by_id = [res for k, t in enumerate(tasks) for res in receive(k, id_workers(t))]
     finally:
         transports._register_worker_oracle(None, -1)
     assert worker_built == []
