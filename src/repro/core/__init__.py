@@ -7,7 +7,7 @@ from .greedy import popqc_greedy
 from .index_tree import IndexTree
 from .naive_index import NaiveIndex
 from .layered import LayeredPopqcResult, layered_popqc, mixed_cost
-from .popqc import CostFn, OracleFn, PopqcResult, popqc
+from .popqc import CostFn, OracleFn, PopqcResult, popqc, popqc_rounds
 from .stats import OptimizationStats, RoundStats
 from .tombstone import TombstoneArray
 from .trace import RoundTrace, popqc_traced, render_trace
@@ -42,5 +42,6 @@ __all__ = [
     "mixed_cost",
     "oracle_call_bound",
     "popqc",
+    "popqc_rounds",
     "select_fingers",
 ]

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from ..circuits import Circuit, Gate, circuit_depth, gates_qubit_span, layers_asap
 from ..parallel import ParallelMap
-from .popqc import CostFn, OracleFn, PopqcResult, _Granularity, _optimize
+from .popqc import CostFn, OracleFn, PopqcResult, _Granularity, _run
 from .tombstone import TombstoneArray
 
 __all__ = ["layered_popqc", "LayeredPopqcResult", "mixed_cost"]
@@ -75,12 +75,12 @@ def layered_popqc(
     def relayer(gates: Sequence[Gate]) -> list[Layer]:
         return [tuple(layer) for layer in layers_asap(gates, num_qubits)]
 
-    return _optimize(
+    return _run(
         circuit,
         oracle,
         omega,
         _Granularity(array=TombstoneArray, to_gates=_flatten, to_items=relayer),
-        parmap=parmap,
+        parmap,
         cost_fn=cost if cost is not None else mixed_cost(),
         max_rounds=max_rounds,
     )

@@ -18,24 +18,27 @@ The output circuit is locally optimal with respect to the oracle and Ω
 oracles achieve this by running their rewrite passes to a fixpoint.
 
 This module holds the only implementation of that loop
-(:func:`_optimize`).  :func:`popqc` runs it over gates,
+(:func:`_optimize`): a step machine that yields each round's segments
+at step 4 and is sent their oracle results.  :func:`popqc` answers
+them with its executor over gates,
 :func:`repro.core.layered.layered_popqc` over ASAP layers (a
 :class:`_Granularity` says how array items become the gates the oracle
-sees, and back), and :func:`repro.core.trace.popqc_traced` listens to
-its per-round callback.  The oracle wire format is the executor's
-business (``ProcessMap(transport=...)``), not the driver's.
+sees, and back), :func:`repro.core.trace.popqc_traced` listens to its
+per-round callback, and ``popqc serve``'s one dispatcher answers many
+jobs' :func:`popqc_rounds` at once.  The oracle wire format is the
+executor's business (``ProcessMap(transport=...)``), not the driver's.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
+from collections.abc import Generator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Optional
 
 from ..circuits import Circuit, Gate
-from ..parallel import ParallelMap, SegmentExecutor, SerialMap, segment_executor
+from ..parallel import ParallelMap, SerialMap, segment_executor
 from .fingers import initial_fingers, select_fingers
 from .gate_store import GateStore
 from .index_tree import IndexTree
@@ -44,6 +47,7 @@ from .tombstone import TombstoneArray
 
 __all__ = [
     "popqc",
+    "popqc_rounds",
     "PopqcResult",
     "OracleFn",
     "CostFn",
@@ -72,6 +76,10 @@ CostFn = Callable[[Sequence[Gate]], float]
 RoundCallback = Callable[
     [int, int, int, list[int], list[int], list[tuple[int, int]]], None
 ]
+
+#: A run as a step machine: yields each round's segments, is sent their
+#: oracle results (in order), returns a :class:`PopqcResult`.
+Rounds = Generator[list[Sequence[Gate]], Sequence[Sequence[Gate]], Any]
 
 
 @dataclass
@@ -192,12 +200,12 @@ def popqc(
     PopqcResult with the optimized :class:`Circuit` (materialised on
     first read of ``.circuit``) and statistics.
     """
-    return _optimize(
+    return _run(
         circuit,
         oracle,
         omega,
         _Granularity(),
-        parmap=parmap,
+        parmap,
         cost_fn=cost if cost is not None else _gate_count_cost,
         tree_factory=tree_factory,
         max_rounds=max_rounds,
@@ -207,22 +215,73 @@ def popqc(
     )
 
 
+def popqc_rounds(
+    circuit: Circuit | Sequence[Gate],
+    omega: int,
+    *,
+    max_rounds: Optional[int] = None,
+    transport: str = "inline",
+    workers: int = 1,
+    counters: Callable[[], dict] = dict,
+) -> Rounds:
+    """:func:`popqc` as a step machine (:data:`Rounds`) for a caller
+    that answers the oracle rounds itself: same output, rounds and
+    oracle calls, whoever answers them.  ``transport`` and ``workers``
+    label the stats; ``counters`` is read as :func:`popqc` reads its
+    executor's ``counters()``."""
+    return _optimize(
+        circuit,
+        omega,
+        _Granularity(),
+        cost_fn=_gate_count_cost,
+        max_rounds=max_rounds,
+        transport=transport,
+        workers=workers,
+        counters=counters,
+    )
+
+
+def _run(circuit, oracle, omega, granularity, parmap, **options) -> PopqcResult:
+    """Drive the round machine to its result, each round one
+    ``map_segments`` call on ``parmap`` (default :class:`SerialMap`; one
+    with only the plain ``map`` is adapted, and sees real gate lists)."""
+    pmap = segment_executor(parmap if parmap is not None else SerialMap())
+    rounds = _optimize(
+        circuit,
+        omega,
+        granularity,
+        transport=pmap.transport,
+        workers=pmap.workers,
+        counters=pmap.counters,
+        **options,
+    )
+    results = None
+    while True:
+        try:
+            segments = rounds.send(results)
+        except StopIteration as done:
+            return done.value
+        results = pmap.map_segments(oracle, segments)
+
+
 def _optimize(
     circuit: Circuit | Sequence[Gate],
-    oracle: OracleFn,
     omega: int,
     granularity: _Granularity,
     *,
-    parmap: Optional[ParallelMap],
     cost_fn: CostFn,
+    transport: str,
+    workers: int,
+    counters: Callable[[], dict],
     tree_factory: Callable[[Sequence[int]], IndexTree] = IndexTree,
     max_rounds: Optional[int] = None,
     check_invariants: bool = False,
     validate_oracle: bool = False,
     validation_max_qubits: int = 12,
     on_round: Optional[RoundCallback] = None,
-) -> PopqcResult:
-    """The round loop of Algorithm 2, shared by every public driver.
+) -> Rounds:
+    """The round loop of Algorithm 2, shared by every public driver,
+    as :data:`Rounds`.
 
     Ω counts tombstone-array items (gates, or layers under a layered
     ``granularity``); ``cost_fn`` always sees gates.  ``on_round`` is
@@ -236,18 +295,14 @@ def _optimize(
     else:
         gates = circuit if isinstance(circuit, Sequence) else list(circuit)
         num_qubits = None
-    # the one executor seam: an executor with only the protocol's plain
-    # map is adapted here, once (it sees real gate lists, not the
-    # store's lazy segments)
-    pmap = segment_executor(parmap if parmap is not None else SerialMap())
 
     stats = OptimizationStats(
         initial_gates=len(gates),
         initial_cost=cost_fn(gates),
-        transport=pmap.transport,
-        workers=pmap.workers,
+        transport=transport,
+        workers=workers,
     )
-    counters_before = pmap.counters()
+    counters_before = counters()
     t_start = time.perf_counter()
 
     array = granularity.array(granularity.to_items(gates), tree_factory)
@@ -257,13 +312,12 @@ def _optimize(
         rstats = RoundStats(fingers=len(fingers))
         live_before = array.live_count
         t_round = time.perf_counter()
-        fingers, *observed = _run_round(
+        fingers, *observed = yield from _run_round(
             array,
             fingers,
-            oracle,
             omega,
             granularity,
-            pmap,
+            counters,
             cost_fn,
             rstats,
             check_invariants,
@@ -280,24 +334,24 @@ def _optimize(
     stats.final_gates = len(final_gates)
     stats.final_cost = cost_fn(final_gates)
     stats.total_time = time.perf_counter() - t_start
-    stats.record_counters(counters_before, pmap.counters())
+    stats.record_counters(counters_before, counters())
     return PopqcResult(final_gates, stats, num_qubits)
 
 
 def _run_round(
     array: GateStore | TombstoneArray,
     fingers: list[int],
-    oracle: OracleFn,
     omega: int,
     granularity: _Granularity,
-    pmap: SegmentExecutor,
+    counters: Callable[[], dict],
     cost_fn: CostFn,
     rstats: RoundStats,
     check_invariants: bool,
     validate_oracle: bool,
     validation_max_qubits: int,
-) -> tuple[list[int], list[int], list[int], list[tuple[int, int]]]:
-    """One iteration of ``optimizeSegments`` (Algorithm 3).
+) -> Generator[list[Sequence[Gate]], Sequence[Sequence[Gate]], tuple]:
+    """One iteration of ``optimizeSegments`` (Algorithm 3), yielding its
+    segments once for their oracle results.
 
     Returns the next round's sorted finger list, plus what a round
     observer wants to see: this round's finger ranks, the selected
@@ -333,15 +387,15 @@ def _run_round(
     if check_invariants:
         _assert_disjoint_slots(seg_slots)
 
-    # Parallel oracle map (the only source of parallelism, per Sec. 2.4).
-    # What it cost beyond wall time is whatever the executor counts:
-    # ``serialization_time`` on a ProcessMap, ``simulated_elapsed`` on
-    # a SimulatedParallelism.
-    before = pmap.counters()
+    # Parallel oracle map (the only source of parallelism, per Sec. 2.4),
+    # run by whoever drives this generator.  What it cost beyond wall
+    # time is whatever the executor counts: ``serialization_time`` on a
+    # ProcessMap, ``simulated_elapsed`` on a SimulatedParallelism.
+    before = counters()
     t_oracle = time.perf_counter()
-    results = pmap.map_segments(oracle, seg_gates)
+    results = yield seg_gates
     rstats.oracle_time = time.perf_counter() - t_oracle
-    after = pmap.counters()
+    after = counters()
     rstats.serialization_time = after.get("serialization_time", 0.0) - before.get(
         "serialization_time", 0.0
     )

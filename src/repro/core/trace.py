@@ -27,7 +27,7 @@ from .popqc import (
     PopqcResult,
     _gate_count_cost,
     _Granularity,
-    _optimize,
+    _run,
 )
 
 __all__ = ["RoundTrace", "popqc_traced", "render_trace"]
@@ -62,12 +62,12 @@ def popqc_traced(
     so there is one trace entry per counted round.
     """
     trace: list[RoundTrace] = []
-    result = _optimize(
+    result = _run(
         circuit,
         oracle,
         omega,
         _Granularity(),
-        parmap=parmap,
+        parmap,
         cost_fn=cost if cost is not None else _gate_count_cost,
         max_rounds=max_rounds,
         on_round=lambda *fields: trace.append(RoundTrace(*fields)),

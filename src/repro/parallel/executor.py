@@ -114,8 +114,7 @@ class ParallelMap(Protocol):
 class SegmentExecutor(Protocol):
     """What the POPQC drivers and the service need from an executor.
 
-    :class:`ProcessMap` and the service's per-job
-    :class:`~repro.service.FleetView` implement it;
+    :class:`ProcessMap` and :class:`SerialMap` implement it;
     :func:`segment_executor` adapts everything else.
     """
 
@@ -220,11 +219,11 @@ class CacheFront:
 
     One implementation of the cache protocol for everything that maps
     segments: ``ProcessMap(cache=...)`` holds one per executor, the
-    optimization service one per job
-    (:class:`~repro.service.FleetView`), so a disk store is readable
+    optimization service one per job (through
+    :class:`~repro.service.FleetScheduler`), so a disk store is readable
     by both interchangeably and the hit accounting is exact for
     whoever owns the front.  It is also the cache's only writer:
-    :meth:`run` stores what its own ``dispatch`` returned and nothing
+    :meth:`store` writes what its owner's dispatch returned and nothing
     else does, so every entry is the output of an oracle the cache's
     owner ran.
 
@@ -235,7 +234,7 @@ class CacheFront:
         oracle call that was never made.
     memo_hits:
         The hits among them that a table's id-keyed memo answered, in
-        front of the content cache (see :meth:`run`).
+        front of the content cache (see :meth:`lookup`).
     bytes_saved:
         Packed result bytes served from the cache instead of a
         transport round trip.
@@ -267,8 +266,17 @@ class CacheFront:
         return memo_ns
 
     def run(self, oracle, segments: Sequence, dispatch: Callable[[list], list]) -> list:
-        """One round through the cache; results in segment order and
-        byte-identical to an uncached round.
+        """One round through the cache: :meth:`lookup`, the misses
+        through ``dispatch`` (missing segments -> their results), then
+        :meth:`store`; byte-identical to an uncached round."""
+        results, misses = self.lookup(oracle, segments)
+        if misses:
+            self.store(results, misses, dispatch([seg for _, seg, _ in misses]))
+        return results
+
+    def lookup(self, oracle, segments: Sequence) -> tuple[list, list]:
+        """A round's results, ``None`` at each miss, and the misses as
+        ``(index, segment, key)`` for :meth:`store`.
 
         The lookup has two levels.  A segment held as ids of a table
         that carries a memo (a daemon's jobs) is first looked up *as
@@ -279,19 +287,15 @@ class CacheFront:
         namespace and asks the content cache; a content hit is a lazy
         handle over the stored packed result — converted to ids and
         memoized, once per table, when the segment had a memo to ask.
-        The misses go (in order) through ``dispatch`` — a callable
-        taking the missing segments and returning their results — and
-        their results are stored on the way out.  They travel as lazy
-        segments that keep the bytes their key was taken from, so a
-        byte transport behind ``dispatch`` does not encode them again.
+        A miss's segment keeps the bytes its key was taken from, so a
+        byte transport does not encode it again.
         """
         cache, namespace = self.cache, self.namespace(oracle)
         t0 = time.perf_counter()
-        segments = [_as_segment(seg) for seg in segments]
         results: list = [None] * len(segments)
-        miss_idx, miss_keys = [], []
+        misses: list = []
         memo_hits = memo_bytes = bytes_saved = 0
-        for i, seg in enumerate(segments):
+        for i, seg in enumerate(map(_as_segment, segments)):
             ids, table = seg.interned or (None, None)
             memo_key = None
             if table is not None and table.memo is not None:
@@ -305,8 +309,7 @@ class CacheFront:
             key = cache.key_for(seg.packed_bytes(), extra=namespace)
             hit = cache.get(key)
             if hit is None:
-                miss_idx.append(i)
-                miss_keys.append(key)
+                misses.append((i, seg, key))
                 continue
             bytes_saved += len(hit)
             result = LazySegmentResult.from_packed(hit, self._decode_stats)
@@ -317,18 +320,18 @@ class CacheFront:
             results[i] = result
         if memo_hits:
             cache.note_hits(memo_hits, memo_bytes)
-        lookup = time.perf_counter() - t0
-        if miss_idx:
-            missed = dispatch([segments[i] for i in miss_idx])
-            for i, key, res in zip(miss_idx, miss_keys, missed):
-                results[i] = res
-                cache.put(key, _as_segment(res).packed_bytes())
-        self.hits += len(segments) - len(miss_idx)
+        self.hits += len(segments) - len(misses)
         self.memo_hits += memo_hits
-        self.misses += len(miss_idx)
+        self.misses += len(misses)
         self.bytes_saved += bytes_saved + memo_bytes
-        self.lookup_seconds += lookup
-        return results
+        self.lookup_seconds += time.perf_counter() - t0
+        return results, misses
+
+    def store(self, results: list, misses: list, answers: Sequence) -> None:
+        """Put the misses' ``answers`` in ``results`` and the cache."""
+        for (i, _, key), answer in zip(misses, answers):
+            results[i] = answer
+            self.cache.put(key, _as_segment(answer).packed_bytes())
 
     def counters(self) -> dict:
         """The five counts, under the names ``counters()`` reports."""

@@ -11,13 +11,13 @@ pays the oracle twice for a segment it has already optimized.
   cache**: canonical fingerprint of a segment's packed wire bytes →
   the oracle's packed result bytes, with an in-memory LRU in front of
   an optional disk store that survives server restarts.
-* :mod:`repro.service.scheduler` — the cross-job round scheduler: each
-  job optimizes through a :class:`~repro.service.scheduler.FleetView`,
-  which fronts its rounds with the cache
+* :mod:`repro.service.scheduler` — the cross-job round scheduler:
+  each job is a POPQC round machine (:func:`repro.core.popqc_rounds`)
+  whose rounds are looked up on the job's own cache front
   (:class:`repro.parallel.CacheFront`, the front a standalone
-  ``ProcessMap(cache=)`` uses) and queues the misses; segments from
-  concurrently running jobs are merged into shared ``batch_segments``
-  rounds over the one persistent fleet.
+  ``ProcessMap(cache=)`` uses); one dispatcher merges every waiting
+  job's misses into shared ``batch_segments`` rounds over the one
+  persistent fleet and advances each answered job.
 * :mod:`repro.service.frames` — the JOB/RESULT/STATUS/BUSY payloads,
   spoken only here, on :mod:`repro.parallel.frames`' codec.
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
@@ -29,13 +29,12 @@ pays the oracle twice for a segment it has already optimized.
 from .cache import CacheStats, SegmentCache, oracle_namespace
 from .client import JobResult, ServiceClient
 from .frames import ServiceBusyError, ServiceError
-from .scheduler import FleetScheduler, FleetView
+from .scheduler import FleetScheduler
 from .server import OptimizationService, SubprocessWorker
 
 __all__ = [
     "CacheStats",
     "FleetScheduler",
-    "FleetView",
     "JobResult",
     "OptimizationService",
     "SegmentCache",

@@ -24,7 +24,7 @@ from repro.circuits.encoding import (
     encode_segment,
     pack_segment,
 )
-from repro.core import GateStore, popqc
+from repro.core import GateStore, popqc, popqc_rounds
 from repro.oracles import NamOracle
 from repro.parallel import transports
 from repro.parallel.frames import (
@@ -194,11 +194,11 @@ def job_stats(monkeypatch):
     seen = []
 
     def watched(*args, **kwargs):
-        result = popqc(*args, **kwargs)
+        result = yield from popqc_rounds(*args, **kwargs)
         seen.append(result.stats)
         return result
 
-    monkeypatch.setattr(server_module, "popqc", watched)
+    monkeypatch.setattr(server_module, "popqc_rounds", watched)
     return seen
 
 
@@ -347,17 +347,17 @@ class TestSharedTable:
         started, resume = threading.Event(), threading.Event()
         tables = {}
 
-        def watched(circuit, oracle, omega, **kwargs):
+        def watched(circuit, omega, **kwargs):
             _, table = circuit.interned
             if omega == 25:  # the slow job: parked until the quick one is done
                 started.set()
                 assert resume.wait(30)
-            result = popqc(circuit, oracle, omega, **kwargs)
+            result = yield from popqc_rounds(circuit, omega, **kwargs)
             assert result.gates.interned[1] is table
             tables[omega] = table
             return result
 
-        monkeypatch.setattr(server_module, "popqc", watched)
+        monkeypatch.setattr(server_module, "popqc_rounds", watched)
         srv = OptimizationService(NamOracle(), workers=2, transport="threads").start()
         try:
             first, got = srv._table, {}
@@ -504,11 +504,11 @@ def test_wall_seconds_runs_until_the_reply_arrays_are_ready(service, monkeypatch
             return self._gates.encoded()
 
     def popqc_slow_to_encode(*args, **kwargs):
-        result = popqc(*args, **kwargs)
+        result = yield from popqc_rounds(*args, **kwargs)
         result.gates = SlowToEncode(result.gates)
         return result
 
-    monkeypatch.setattr(server_module, "popqc", popqc_slow_to_encode)
+    monkeypatch.setattr(server_module, "popqc_rounds", popqc_slow_to_encode)
     with ServiceClient(service.address) as client:
         job = client.optimize(GOOD, omega=4)
         status = client.status()

@@ -9,7 +9,9 @@ as typed errors instead of hanging the connection.
 """
 
 import json
+import sys
 import threading
+import time
 
 import pytest
 
@@ -325,19 +327,16 @@ class TestServerLifecycle:
         sched.close()  # idempotent
 
 
-def test_fleet_view_label_and_serial_map():
-    from repro.parallel import ProcessMap
-
-    sched = FleetScheduler(ProcessMap(2, serial_cutoff=2, transport="threads"))
+def test_result_stats_label_the_fleet():
+    srv = OptimizationService(NamOracle(), workers=2, transport="threads").start()
     try:
-        view = sched.view()
-        assert view.workers == 2
-        assert view.transport == "threads"
-        res = popqc(Circuit([H(0), H(0)] * 30, 1), NamOracle(), 8, parmap=view)
-        assert res.stats.transport in ("threads", "inline")
-        assert res.circuit.num_gates == 0
+        with ServiceClient(srv.address) as client:
+            job = client.optimize(Circuit([H(0), H(0)] * 30, 1), omega=8)
     finally:
-        sched.close()
+        srv.stop()
+    assert job.stats["transport"] == "threads"
+    assert job.stats["workers"] == 2
+    assert job.circuit.num_gates == 0
 
 
 # -- multi-tenant hardening ---------------------------------------------------
@@ -503,6 +502,142 @@ class TestWeightedFairScheduler:
             srv.stop()
         assert job.circuit.gates == reference_a.circuit.gates
         assert job.stats["priority"] == 5
+
+
+class TestStepMachine:
+    def test_jobs_merged_once_stay_merged_until_one_finishes(self):
+        """The dispatcher advances every job a fleet round answered
+        before it takes the next one, so two jobs that shared a fleet
+        round share every later one until the shorter job returns —
+        even when one job's step between rounds is slow."""
+        both_queued = threading.Event()
+        fleet = RecordingFleet(first_round_gate=both_queued)
+        sched = FleetScheduler(fleet, cache=None)
+        oracle = NamOracle()
+
+        def job(qubit, rounds):
+            for _ in range(rounds):
+                results = yield [[H(qubit)]] * 3
+                assert results == [[H(qubit)]] * 3
+                time.sleep(0.005 * qubit)  # job 1's substitution takes a while
+            return qubit
+
+        got = {}
+
+        def submit(qubit, rounds):
+            got[qubit] = sched.run(job(qubit, rounds), oracle)
+
+        threads = [
+            threading.Thread(target=submit, args=(0, 5)),
+            threading.Thread(target=submit, args=(1, 9)),
+        ]
+        try:
+            for t in threads:
+                t.start()
+            for _ in range(10000):
+                if sched.pending_requests == 2:
+                    break
+                time.sleep(0.001)
+            both_queued.set()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            both_queued.set()
+            sched.close()
+        assert got == {0: 0, 1: 1}
+        carried = [{seg[0].qubits[0] for seg in r} for r in fleet.rounds]
+        assert [0 in jobs for jobs in carried].count(True) == 5
+        assert [1 in jobs for jobs in carried].count(True) == 9
+        first = carried.index({0, 1})
+        last = max(i for i, jobs in enumerate(carried) if 0 in jobs)
+        assert first < last
+        assert carried[first : last + 1] == [{0, 1}] * (last + 1 - first)
+
+    def test_many_jobs_under_fast_thread_switching(self):
+        """More jobs than cores, a small fair-share budget and a tiny
+        switch interval: every job gets exactly its own answers back,
+        every round, and the queue drains (a lost re-queue hangs a job,
+        a lost update mixes or drops answers)."""
+        fleet = RecordingFleet()
+        sched = FleetScheduler(fleet, cache=None, round_budget_segments=5)
+        oracle = NamOracle()
+
+        def job(qubit, rounds):
+            for width in range(1, rounds + 1):
+                segments = [[H(qubit)]] * (width % 4) + [[CNOT(qubit, qubit + 1)]]
+                assert (yield segments) == segments
+            return qubit
+
+        got, errors = {}, []
+
+        def submit(qubit):
+            try:
+                got[qubit] = sched.run(job(qubit, 6 + qubit), oracle, weight=qubit)
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        clients = [threading.Thread(target=submit, args=(q,)) for q in range(1, 9)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            sched.close()
+        assert not any(client.is_alive() for client in clients)
+        assert errors == [] and got == {q: q for q in range(1, 9)}
+        assert sched.pending_requests == 0
+        widths = sum(w % 4 + 1 for q in range(1, 9) for w in range(1, 7 + q))
+        assert sched.segments_dispatched == widths == sum(map(len, fleet.rounds))
+
+
+class TestStop:
+    def test_stop_answers_held_jobs_and_does_not_wait_for_them(self, monkeypatch):
+        """``stop()`` closes the scheduler before it joins the handler
+        threads: three jobs held by a shut gate are each answered with a
+        typed error, and ``stop()`` returns while the gate is still
+        shut, not after one join timeout per held job."""
+        monkeypatch.setattr(OptimizationService, "_JOIN_SECONDS", 60.0)
+        gate = threading.Event()
+        srv = OptimizationService(
+            GatedOracle(gate), workers=2, transport="threads", cache=False
+        ).start()
+        outcomes = []
+
+        def submit():
+            try:
+                with ServiceClient(srv.address, request_timeout=60.0) as client:
+                    outcomes.append(client.optimize(Circuit([H(0), H(0)] * 8, 1), 8))
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                outcomes.append(exc)
+
+        clients = [threading.Thread(target=submit) for _ in range(3)]
+        try:
+            for client in clients:
+                client.start()
+            for _ in range(4000):
+                if srv._scheduler.pending_requests == 3:
+                    break
+                time.sleep(0.005)
+            assert srv._scheduler.pending_requests == 3
+            stopper = threading.Thread(target=srv.stop)
+            stopper.start()
+            stopper.join(timeout=30)
+            assert not stopper.is_alive()
+            assert not gate.is_set()
+            for client in clients:
+                client.join(timeout=30)
+            assert not any(client.is_alive() for client in clients)
+        finally:
+            gate.set()
+            srv.stop()
+        assert len(outcomes) == 3
+        for outcome in outcomes:
+            assert isinstance(outcome, ServiceError)
+            assert "fleet scheduler closed" in str(outcome)
 
 
 class TestAdmissionControl:
