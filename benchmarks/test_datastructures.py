@@ -46,6 +46,22 @@ def test_index_tree_select(benchmark):
     assert len(out) == len(ranks)
 
 
+def test_index_tree_before_many(benchmark):
+    """The same indices as ``test_index_tree_before``, in one batched query."""
+    tree = IndexTree(_tombstoned_flags(N, 0.5))
+    idx = list(range(0, N, 97))
+    out = benchmark(tree.before_many, idx)
+    assert out.tolist() == [tree.before(i) for i in idx]
+
+
+def test_index_tree_select_many(benchmark):
+    """The same ranks as ``test_index_tree_select``, in one batched query."""
+    tree = IndexTree(_tombstoned_flags(N, 0.5))
+    ranks = list(range(0, tree.total, 97))
+    out = benchmark(tree.select_many, ranks)
+    assert out.tolist() == [tree.select(r) for r in ranks]
+
+
 def test_index_tree_substitute(benchmark):
     rng = random.Random(1)
     updates = [(rng.randrange(N), rng.random() < 0.5) for _ in range(512)]
@@ -68,6 +84,20 @@ def test_fenwick_select(benchmark):
     tree = FenwickTree(_tombstoned_flags(N, 0.5))
     ranks = list(range(0, tree.total, 97))
     benchmark(lambda: [tree.select(r) for r in ranks])
+
+
+def test_fenwick_before_many(benchmark):
+    tree = FenwickTree(_tombstoned_flags(N, 0.5))
+    idx = list(range(0, N, 97))
+    out = benchmark(tree.before_many, idx)
+    assert out.tolist() == [tree.before(i) for i in idx]
+
+
+def test_fenwick_select_many(benchmark):
+    tree = FenwickTree(_tombstoned_flags(N, 0.5))
+    ranks = list(range(0, tree.total, 97))
+    out = benchmark(tree.select_many, ranks)
+    assert out.tolist() == [tree.select(r) for r in ranks]
 
 
 def test_tombstone_segment_extraction(benchmark):

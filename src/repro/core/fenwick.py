@@ -83,6 +83,31 @@ class FenwickTree:
                 remaining -= int(bit[nxt])
         return pos  # 0-based index of the slot holding the target rank
 
+    def before_many(self, indices: Sequence[int] | np.ndarray) -> np.ndarray:
+        """:meth:`before` of every index, all in lockstep (``bit[0]`` is 0)."""
+        i = np.array(indices, dtype=np.int64)  # a copy: it is spent below
+        if i.size and (i.min() < 0 or i.max() > self._size):
+            raise IndexError(f"index out of range [0, {self._size}]")
+        acc = np.zeros(len(i), dtype=np.int64)
+        while i.any():
+            acc += self._bit[i]
+            i &= i - 1
+        return acc
+
+    def select_many(self, ranks: Sequence[int] | np.ndarray) -> np.ndarray:
+        """:meth:`select` of every rank, all lifting in lockstep."""
+        remaining = np.array(ranks, dtype=np.int64) + 1
+        if remaining.size and (remaining.min() < 1 or remaining.max() > self.total):
+            raise IndexError(f"rank out of range [0, {self.total})")
+        pos = np.zeros(len(remaining), dtype=np.int64)
+        for k in range(self._log, -1, -1):
+            nxt = pos + (1 << k)
+            step = self._bit[np.minimum(nxt, self._size)]
+            take = (nxt <= self._size) & (step < remaining)
+            pos[take] = nxt[take]
+            remaining -= step * take
+        return pos
+
     def next_live(self, index: int) -> int | None:
         """The first live slot at or after ``index`` (None past the end)."""
         if index < 0:

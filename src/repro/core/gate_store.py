@@ -4,8 +4,8 @@ Same shape as :class:`~repro.core.tombstone.TombstoneArray` (a slot
 array plus a rank/select tree, Algorithm 1's interface and bounds), but
 a slot holds the *id* of a gate in a :class:`~repro.circuits.intern.
 GateTable`, ``-1`` for a tombstone, so the round loop's data-structure
-steps are array operations: a segment is two ``select`` calls and a
-``flatnonzero`` over the id window between them, an accepted result is
+steps are array operations: a round's segments are one batched ``select``
+over their ends and a ``flatnonzero`` over each id window, an accepted result is
 a column assignment, and the tree is updated once per round.  The table
 is the one an id-backed input brings (a daemon hands every job its
 shared table that way) and otherwise the store's own, living and dying
@@ -74,19 +74,41 @@ class GateStore:
         """Array index of the live gate with the given rank."""
         return self._tree.select(rank)
 
+    def before_many(self, indices: Sequence[int]) -> list[int]:
+        """:meth:`before` of every index, from one batched tree query."""
+        return self._tree.before_many(indices).tolist()
+
+    def select_many(self, ranks: Sequence[int]) -> list[int]:
+        """:meth:`index_of` of every rank, from one batched tree query."""
+        return self._tree.select_many(ranks).tolist()
+
     def segment(
         self, rank_lo: int, rank_hi: int
     ) -> tuple[np.ndarray, LazySegmentResult]:
         """Live gates with ranks in ``[rank_lo, rank_hi)``: their array
         indices, and the gates as a lazy segment over this store's table."""
-        rank_lo = max(rank_lo, 0)
-        rank_hi = min(rank_hi, self._tree.total)
-        first, window = 0, self._ids[:0]
-        if rank_lo < rank_hi:
-            first = self._tree.select(rank_lo)
-            window = self._ids[first : self._tree.select(rank_hi - 1) + 1]
-        live = np.flatnonzero(window >= 0)
-        return live + first, LazySegmentResult.from_ids(window[live], self.table)
+        return self.segments([(rank_lo, rank_hi)])[0]
+
+    def segments(
+        self, bounds: Sequence[tuple[int, int]]
+    ) -> list[tuple[np.ndarray, LazySegmentResult]]:
+        """:meth:`segment` of every ``(rank_lo, rank_hi)``: the window
+        ends of all of them from one batched tree query, then a
+        ``flatnonzero`` over each id window."""
+        total = self._tree.total
+        spans = [(max(lo, 0), min(hi, total)) for lo, hi in bounds]
+        ranks = [r for lo, hi in spans if lo < hi for r in (lo, hi - 1)]
+        ends = iter(self.select_many(ranks))
+        out = []
+        for lo, hi in spans:
+            first, window = 0, self._ids[:0]
+            if lo < hi:
+                first = next(ends)
+                window = self._ids[first : next(ends) + 1]
+            live = np.flatnonzero(window >= 0)
+            segment = LazySegmentResult.from_ids(window[live], self.table)
+            out.append((live + first, segment))
+        return out
 
     def rewrite(self, runs: Iterable[tuple[Sequence[int], Sequence[Gate]]]) -> None:
         """Overwrite each run of slots with its replacement gates.

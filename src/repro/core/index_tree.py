@@ -8,6 +8,8 @@ supports, in O(lg n):
 * ``before(i)`` — number of live gates strictly before array index ``i``;
 * ``select(r)`` — array index of the live gate with rank ``r``;
 
+``before_many``/``select_many`` answer k of either (the paper's parallel
+rank map) in O(k lg n) work but lg n numpy steps, walking all together;
 and O(l lg n) batched weight updates for ``l`` modified slots (one
 vectorized pass per tree level), matching the cost table of Algorithm 1
 in the paper.
@@ -108,6 +110,35 @@ class IndexTree:
             else:
                 r -= int(lw)
                 pos = left + 1
+        return pos - self._cap
+
+    def before_many(self, indices: Sequence[int] | np.ndarray) -> np.ndarray:
+        """:meth:`before` of every index, as one int64 array: each level
+        of the heap is one numpy step for all queries together."""
+        index = np.asarray(indices, dtype=np.int64)
+        if index.size and (index.min() < 0 or index.max() > self._size):
+            raise IndexError(f"index out of range [0, {self._size}]")
+        whole = index == self._size  # the live total, as in before()
+        pos = np.where(whole, 0, index) + self._cap
+        acc = np.where(whole, self.total, 0)
+        for _ in range(self._cap.bit_length() - 1):
+            acc += self._w[pos - 1] * (pos & 1)  # a right child adds its left sibling
+            pos >>= 1
+        return acc
+
+    def select_many(self, ranks: Sequence[int] | np.ndarray) -> np.ndarray:
+        """:meth:`select` of every rank, as one int64 array: all queries
+        descend the heap together, one numpy step per level."""
+        rank = np.array(ranks, dtype=np.int64)  # a copy: it is spent below
+        if rank.size and (rank.min() < 0 or rank.max() >= self.total):
+            raise IndexError(f"rank out of range [0, {self.total})")
+        pos = np.ones(len(rank), dtype=np.int64)
+        for _ in range(self._cap.bit_length() - 1):
+            pos <<= 1
+            left = self._w[pos]
+            right = rank >= left
+            rank -= left * right
+            pos += right
         return pos - self._cap
 
     def next_live(self, index: int) -> int | None:

@@ -56,6 +56,14 @@ class NaiveIndex:
                 seen += 1
         raise IndexError(f"rank {rank} out of range [0, {self.total})")
 
+    def before_many(self, indices: Sequence[int] | np.ndarray) -> np.ndarray:
+        """:meth:`before` of every index, one scan each."""
+        return np.array([self.before(i) for i in indices], dtype=np.int64)
+
+    def select_many(self, ranks: Sequence[int] | np.ndarray) -> np.ndarray:
+        """:meth:`select` of every rank, one scan each."""
+        return np.array([self.select(r) for r in ranks], dtype=np.int64)
+
     def next_live(self, index: int) -> int | None:
         """The first live slot at or after ``index`` (None past the end)."""
         for i in range(max(0, index), len(self._flags)):

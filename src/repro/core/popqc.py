@@ -4,10 +4,13 @@ The driver keeps a sorted set of *fingers* (array indices into the
 tombstone array) and maintains the invariant that every Ω-segment that
 might still be optimizable contains a finger.  Each round it:
 
-1. computes each finger's live rank (``before``),
+1. computes every finger's live rank (one batched ``before_many``),
 2. selects a non-interfering subset (Algorithm 4, :mod:`.fingers`),
-3. extracts the 2Ω-segment centered on each selected finger,
-4. maps the oracle over the segments with the configured ``parmap``,
+3. extracts the 2Ω-segment centered on each selected finger (all ends
+   from one batched ``select_many``),
+4. maps the oracle over the segments with the configured ``parmap`` —
+   a ``deterministic`` one over those the run has not answered yet,
+   once each (:func:`_distinct`),
 5. accepts an oracle result iff it strictly reduces the cost function,
    writing the new gates over the segment's slots (tombstoning the
    remainder) and planting boundary fingers,
@@ -31,6 +34,7 @@ executor's business (``ProcessMap(transport=...)``), not the driver's.
 
 from __future__ import annotations
 
+import copy
 import time
 from collections.abc import Generator, Sequence
 from dataclasses import dataclass
@@ -64,6 +68,9 @@ class OracleContractViolation(RuntimeError):
     """
 
 #: An oracle maps a gate segment to an equivalent (hopefully cheaper) one.
+#: One declaring ``deterministic = True`` (``NamOracle``) promises equal
+#: outputs for equal inputs, so a :func:`popqc` run asks it once per
+#: distinct segment; without the declaration it sees every segment.
 OracleFn = Callable[[list[Gate]], list[Gate]]
 
 #: A cost maps a gate segment to a comparable number (default: length).
@@ -244,8 +251,12 @@ def popqc_rounds(
 def _run(circuit, oracle, omega, granularity, parmap, **options) -> PopqcResult:
     """Drive the round machine to its result, each round one
     ``map_segments`` call on ``parmap`` (default :class:`SerialMap`; one
-    with only the plain ``map`` is adapted, and sees real gate lists)."""
+    with only the plain ``map`` is adapted, and sees real gate lists).
+    A ``deterministic`` oracle gets a memo (:func:`_distinct`) at gate
+    granularity, unless the executor's own cache front answers repeats."""
     pmap = segment_executor(parmap if parmap is not None else SerialMap())
+    memoize = getattr(oracle, "deterministic", False) and granularity.array is GateStore
+    memo = {} if memoize and "cache_hits" not in pmap.counters() else None
     rounds = _optimize(
         circuit,
         omega,
@@ -253,6 +264,7 @@ def _run(circuit, oracle, omega, granularity, parmap, **options) -> PopqcResult:
         transport=pmap.transport,
         workers=pmap.workers,
         counters=pmap.counters,
+        memo=memo,
         **options,
     )
     results = None
@@ -262,6 +274,17 @@ def _run(circuit, oracle, omega, granularity, parmap, **options) -> PopqcResult:
         except StopIteration as done:
             return done.value
         results = pmap.map_segments(oracle, segments)
+
+
+def _distinct(segments: list, memo: dict):
+    """Step 4 with a run's ``memo`` (ids bytes → result): yield each distinct
+    segment it does not know once (nothing if none), and return every
+    segment's result as a handle of its own, so decodes count per reader."""
+    keys = [seg.interned[0].tobytes() for seg in segments]
+    asked = {key: seg for key, seg in zip(keys, segments) if key not in memo}
+    if asked:  # equal keys are equal segments: one of them is asked
+        memo.update(zip(asked, (yield list(asked.values()))))
+    return [copy.copy(memo[key]) for key in keys]
 
 
 def _optimize(
@@ -279,13 +302,15 @@ def _optimize(
     validate_oracle: bool = False,
     validation_max_qubits: int = 12,
     on_round: Optional[RoundCallback] = None,
+    memo: Optional[dict] = None,
 ) -> Rounds:
     """The round loop of Algorithm 2, shared by every public driver,
     as :data:`Rounds`.
 
     Ω counts tombstone-array items (gates, or layers under a layered
     ``granularity``); ``cost_fn`` always sees gates.  ``on_round`` is
-    called once per counted round, after its substitutions.
+    called once per counted round, after its substitutions.  A
+    ``memo``'s answers count as cache hits, its entries as misses.
     """
     if omega < 1:
         raise ValueError("omega must be positive")
@@ -323,6 +348,7 @@ def _optimize(
             check_invariants,
             validate_oracle,
             validation_max_qubits,
+            memo,
         )
         round_total = time.perf_counter() - t_round
         rstats.admin_time = max(0.0, round_total - rstats.oracle_time)
@@ -335,6 +361,10 @@ def _optimize(
     stats.final_cost = cost_fn(final_gates)
     stats.total_time = time.perf_counter() - t_start
     stats.record_counters(counters_before, counters())
+    if memo is not None:  # one entry per segment asked
+        hits = stats.oracle_calls - len(memo)
+        stats.counters.update(cache_hits=hits, cache_memo_hits=hits)
+        stats.counters["cache_misses"] = len(memo)
     return PopqcResult(final_gates, stats, num_qubits)
 
 
@@ -349,9 +379,10 @@ def _run_round(
     check_invariants: bool,
     validate_oracle: bool,
     validation_max_qubits: int,
+    memo: Optional[dict],
 ) -> Generator[list[Sequence[Gate]], Sequence[Sequence[Gate]], tuple]:
     """One iteration of ``optimizeSegments`` (Algorithm 3), yielding its
-    segments once for their oracle results.
+    segments (with a ``memo``, those it does not know) for their results.
 
     Returns the next round's sorted finger list, plus what a round
     observer wants to see: this round's finger ranks, the selected
@@ -361,9 +392,9 @@ def _run_round(
     if total_live == 0:
         return [], [], [], []
 
-    # Rank every finger.  Fingers are array indices, so sorted finger
-    # order implies sorted rank order (before() is monotone).
-    ranks = [array.before(f) for f in fingers]
+    # Rank every finger (one batched query).  Fingers are array indices,
+    # so sorted finger order implies sorted rank order (before() is monotone).
+    ranks = array.before_many(fingers)
     selected_pos, remaining_pos = select_fingers(ranks, omega)
     selected_ranks = [ranks[p] for p in selected_pos]
 
@@ -371,18 +402,14 @@ def _run_round(
         _assert_non_interfering(selected_ranks, omega)
 
     # Extract the 2Ω-segment centered on each selected finger.
-    seg_slots: list[Sequence[int]] = []
-    seg_gates: list[Sequence[Gate]] = []
     seg_bounds: list[tuple[int, int]] = []
-    kept_remaining = [fingers[p] for p in remaining_pos]
     for finger_rank in selected_ranks:
         rank = min(finger_rank, total_live)
-        lo = max(0, rank - omega)
-        hi = min(total_live, rank + omega)
-        slots, seg = array.segment(lo, hi)
-        seg_slots.append(slots)
-        seg_gates.append(granularity.to_gates(seg))
-        seg_bounds.append((lo, hi))
+        seg_bounds.append((max(0, rank - omega), min(total_live, rank + omega)))
+    kept_remaining = [fingers[p] for p in remaining_pos]
+    extracted = array.segments(seg_bounds)
+    seg_slots = [slots for slots, _ in extracted]
+    seg_gates = [granularity.to_gates(seg) for _, seg in extracted]
 
     if check_invariants:
         _assert_disjoint_slots(seg_slots)
@@ -393,7 +420,8 @@ def _run_round(
     # ProcessMap, ``simulated_elapsed`` on a SimulatedParallelism.
     before = counters()
     t_oracle = time.perf_counter()
-    results = yield seg_gates
+    asking = _distinct(seg_gates, memo) if memo is not None else None
+    results = (yield seg_gates) if asking is None else (yield from asking)
     rstats.oracle_time = time.perf_counter() - t_oracle
     after = counters()
     rstats.serialization_time = after.get("serialization_time", 0.0) - before.get(
@@ -407,6 +435,7 @@ def _run_round(
     # Accept / reject, build the batched substitution and new fingers.
     rewrites: list[tuple[Sequence[int], Sequence]] = []
     new_fingers: list[int] = []
+    right_ranks: list[int] = []
     accepted_regions: list[tuple[int, int]] = []
     for slots, seg, bounds, opt in zip(seg_slots, seg_gates, seg_bounds, results):
         if not len(slots):
@@ -426,8 +455,9 @@ def _run_round(
             if lo > 0:
                 new_fingers.append(int(slots[0]))
             if hi < total_live:
-                new_fingers.append(array.index_of(hi))
+                right_ranks.append(hi)
         # else: oracle found nothing (or result does not fit) — finger drops.
+    new_fingers += array.select_many(right_ranks)
 
     if rewrites:
         array.rewrite(rewrites)

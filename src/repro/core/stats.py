@@ -116,10 +116,10 @@ class OptimizationStats:
     #: work the acceptance test skipped by rejecting on ``len()`` alone.
     results_returned = _counter("results_returned")
     results_decoded = _counter("results_decoded")
-    #: Segment-result-cache accounting (executors with a cache front):
-    #: segments answered from the cache vs. dispatched to the oracle,
-    #: the packed result bytes the hits replayed, and the seconds spent
-    #: on fingerprints and lookups.
+    #: Segment-result-cache accounting (executors with a cache front,
+    #: or a run's memo): segments answered from the cache vs. dispatched
+    #: to the oracle, the packed result bytes the hits replayed, and the
+    #: seconds spent on fingerprints and lookups.
     cache_hits = _counter("cache_hits")
     cache_misses = _counter("cache_misses")
     cache_bytes_saved = _counter("cache_bytes_saved")
@@ -135,11 +135,12 @@ class OptimizationStats:
 
     @property
     def oracle_calls_saved(self) -> int:
-        """Oracle invocations the result cache short-circuited.
+        """Oracle invocations answered by the executor's result cache
+        or, for a ``deterministic`` oracle, by the run's own memo.
 
         ``oracle_calls`` counts *selected* segments (the paper's Fig. 7
-        quantity); with a cache, only ``oracle_calls -
-        oracle_calls_saved`` of them actually reached the oracle.
+        quantity); only ``oracle_calls - oracle_calls_saved`` of them
+        actually reached the oracle.
         """
         return self.cache_hits
 

@@ -82,6 +82,14 @@ class TombstoneArray(Generic[T]):
         """Array index of the live item with the given rank."""
         return self._tree.select(rank)
 
+    def before_many(self, indices: Sequence[int]) -> list[int]:
+        """:meth:`before` of every index, from one batched tree query."""
+        return self._tree.before_many(indices).tolist()
+
+    def select_many(self, ranks: Sequence[int]) -> list[int]:
+        """:meth:`index_of` of every rank, from one batched tree query."""
+        return self._tree.select_many(ranks).tolist()
+
     def is_live(self, index: int) -> bool:
         """Whether array slot ``index`` holds a live item."""
         return self._tree.is_live(index)
@@ -100,15 +108,25 @@ class TombstoneArray(Generic[T]):
         then a forward walk that uses ``next_live`` to hop tombstone
         runs.
         """
+        return self.segments([(rank_lo, rank_hi)])[0]
+
+    def segments(
+        self, bounds: Sequence[tuple[int, int]]
+    ) -> list[tuple[list[int], list[T]]]:
+        """:meth:`segment` of every ``(rank_lo, rank_hi)``, the first
+        slot of all of them from one batched tree query."""
         total = self._tree.total
-        rank_lo = max(rank_lo, 0)
-        rank_hi = min(rank_hi, total)
-        count = rank_hi - rank_lo
-        if count <= 0:
-            return [], []
+        spans = [(max(lo, 0), min(hi, total)) for lo, hi in bounds]
+        firsts = iter(self.select_many([lo for lo, hi in spans if lo < hi]))
+        return [
+            self._walk(next(firsts), hi - lo) if lo < hi else ([], [])
+            for lo, hi in spans
+        ]
+
+    def _walk(self, idx: int, count: int) -> tuple[list[int], list[T]]:
+        """The ``count`` live items from live slot ``idx`` on."""
         indices: list[int] = []
         items: list[T] = []
-        idx = self._tree.select(rank_lo)
         slots = self._slots
         n = len(slots)
         while count > 0:

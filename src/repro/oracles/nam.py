@@ -156,7 +156,19 @@ class NamOracle:
         different sweep order, so their outputs are equivalent (same
         unitary, both locally unimprovable) without being identical
         gate for gate.
+
+    Attributes
+    ----------
+    deterministic:
+        ``True``: the answer to a segment is a function of the segment
+        alone — same gates in, same gates out, on every entry and in
+        every process.  A ``popqc`` run relies on it to ask the oracle
+        once per distinct segment and answer repeats from what it
+        already has (see :data:`repro.core.popqc.OracleFn`).  A subclass
+        whose answer depends on anything else must set it to ``False``.
     """
+
+    deterministic = True
 
     def __init__(
         self,

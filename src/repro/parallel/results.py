@@ -245,6 +245,15 @@ class LazySegmentResult(Sequence):
         """Wire size of the result (0 for gate-list births)."""
         return self._nbytes
 
+    def __copy__(self) -> "LazySegmentResult":
+        """A handle of its own on this segment, in this one's state: a
+        copy of an unread by-value result counts its own decode."""
+        return LazySegmentResult(
+            gates=self._gates, packed=self._packed, encoded=self._encoded,
+            interned=self._interned, length=self._length, nbytes=self._nbytes,
+            stats=self._stats,
+        )
+
     # -- Sequence protocol ---------------------------------------------------
 
     def __len__(self) -> int:

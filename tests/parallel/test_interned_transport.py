@@ -92,6 +92,13 @@ class ByValueNam(NamOracle):
     run_ids = None
 
 
+class UnmemoizedNam(NamOracle):
+    """The Nam rules, undeclared deterministic: a run keeps no memo, so
+    every round reaches the executor and each one is a pool dispatch."""
+
+    deterministic = False
+
+
 def _parent_side_run(oracle, monkeypatch):
     """``popqc`` of ``CIRCUIT`` through a forced pool, spying in the
     parent on ``Gate`` construction and on wire arrays read back as ids:
@@ -126,7 +133,7 @@ def test_parent_builds_gates_per_distinct_value(serial, monkeypatch):
     ``Gate`` for a result value it has not seen, never per accepted gate.
     ``NamOracle`` has an id entry, so its rounds go by id: no result
     comes back as bytes and none is read back from wire arrays."""
-    got, built, tables, gates_read = _parent_side_run(NamOracle(), monkeypatch)
+    got, built, tables, gates_read = _parent_side_run(UnmemoizedNam(), monkeypatch)
     assert got.circuit.gates == serial.circuit.gates
     assert got.stats.oracle_accepted > 20
     assert gates_read == [] and tables == []
@@ -167,12 +174,12 @@ def test_an_id_round_packs_and_unpacks_nothing_in_the_parent(serial, monkeypatch
 
     pm = ProcessMap(2, serial_cutoff=0)
     try:
-        pm.map_segments(NamOracle(), [list(CIRCUIT.gates[:40])] * 4)  # fork first
+        pm.map_segments(UnmemoizedNam(), [list(CIRCUIT.gates[:40])] * 4)  # fork first
         spy(encoding, "pack_segment")
         spy(encoding, "unpack_segment_from")
         spy(intern.GateTable, "encoded")
         spy(intern.GateTable, "ids_from_encoded")
-        got = popqc(CIRCUIT, NamOracle(), OMEGA, parmap=pm)
+        got = popqc(CIRCUIT, UnmemoizedNam(), OMEGA, parmap=pm)
     finally:
         pm.close()
         monkeypatch.undo()

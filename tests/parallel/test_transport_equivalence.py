@@ -269,8 +269,15 @@ def forced_map():
     pm.close()
 
 
-class ByValueNam(NamOracle):
-    """The Nam rules without the id entry: its pooled rounds go by value."""
+class UnmemoizedNam(NamOracle):
+    """The Nam rules, undeclared deterministic: a run keeps no memo, so
+    every segment of every round reaches the executor's placement."""
+
+    deterministic = False
+
+
+class ByValueNam(UnmemoizedNam):
+    """The same without the id entry: its pooled rounds go by value."""
 
     run_ids = None
 
@@ -338,7 +345,7 @@ def test_placement_pattern_never_changes_output(
     else:
         pmap = measured_map
         pmap.cost_model = model = _PatternModel(bits)
-    oracle = NamOracle() if by_id else ByValueNam()
+    oracle = UnmemoizedNam() if by_id else ByValueNam()
     got = popqc(_drawn_circuit(which), oracle, omega, parmap=pmap)
 
     def packed(result):  # the QASM writer refuses opaque gates; bytes do not
