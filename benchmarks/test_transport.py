@@ -47,7 +47,8 @@ from repro.circuits.intern import GateTable
 from repro.core import popqc
 from repro.oracles import IdentityOracle, NamOracle
 from repro.parallel import LazySegmentResult, ProcessMap, local_cluster
-from repro.service import SegmentCache
+from repro.service import CacheFront, SegmentCache
+from repro.service.cache import oracle_cache_namespace
 from repro.sim import probe_equivalent
 
 OMEGA = 100
@@ -426,25 +427,35 @@ def service_results():
     segment cost of resolving a cache *hit* (fingerprint + lookup +
     lazy handle, fully warm cache) vs. re-executing the oracle, over
     the full segment stream — plus what the warm passes did (oracle
-    calls seen by a spy, results compared with the cold pass).
+    calls seen by a spy, results compared with the cold pass).  A
+    round goes through a :class:`CacheFront` as a daemon's job does:
+    lookup, the misses through ``pm.map_segments``, store.
     Measured once per bench run, shared by the acceptance assertion
     and the emitted JSON.
     """
     oracle_best = _serial_time(SEGMENTS, repeats=3)
     cache = SegmentCache()
     spy = _CountingOracle(ORACLE)
-    pm = ProcessMap(2, serial_cutoff=0, transport="threads", cache=cache)
+    front = CacheFront(cache, oracle_cache_namespace(spy))
+    pm = ProcessMap(2, serial_cutoff=0, transport="threads")
+
+    def cached_round():
+        results, misses = front.lookup(SEGMENTS)
+        if misses:
+            missed = [seg for _, seg, _ in misses]
+            front.store(results, misses, pm.map_segments(spy, missed))
+        return results
+
     try:
-        cold = pm.map_segments(spy, SEGMENTS)  # cold pass fills the cache
+        cold = cached_round()  # cold pass fills the cache
         cold_calls = spy.calls
-        before = pm.counters()
+        hits, misses = front.hits, front.misses
         best = float("inf")
         for _ in range(3):
             t0 = time.perf_counter()
-            warm = pm.map_segments(spy, SEGMENTS)
+            warm = cached_round()
             best = min(best, time.perf_counter() - t0)
-        warm_hits = pm.counters()["cache_hits"] - before["cache_hits"]
-        warm_misses = pm.counters()["cache_misses"] - before["cache_misses"]
+        warm_hits, warm_misses = front.hits - hits, front.misses - misses
         hit_rate = warm_hits / (warm_hits + warm_misses)
         identical = [r.packed_bytes() for r in warm] == [
             r.packed_bytes() for r in cold

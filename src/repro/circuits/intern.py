@@ -25,37 +25,30 @@ it, and a row's columns are filled before any map leads to its id; the
 columns grow by copy-then-swap, so a reader's array always holds every
 id that reader can know.  Reads take no lock.
 
-A table built with ``memo_cap`` also carries a **memo**, ``(oracle
-namespace, ids.tobytes()) -> (result ids, packed result length)``: what
-an oracle answered for a segment *of this table's ids*, the in-process
-shortcut in front of the content-addressed result cache
-(:class:`repro.parallel.CacheFront` probes and fills it).  It is the one
-place ids are a key, and it lives and dies with its table.
+Ids are a key in one place: a ``popqc`` run's memo of what its oracle
+answered (:func:`repro.core.popqc_rounds`), keyed by a segment's
+``ids.tobytes()``.  A run's memo dies with the run; a daemon's lives
+exactly as long as the shared table its keys are ids of.
 """
 
 from __future__ import annotations
 
 import threading
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import encoding
 from .gate import GATE_NAMES, Gate
 
-__all__ = ["MEMO_CAP", "TABLE_CAP", "GateTable", "RowTable", "thread_table"]
+__all__ = ["TABLE_CAP", "GateTable", "RowTable", "thread_table"]
 
 #: Entries a long-lived table — a worker thread's, a daemon's — may
 #: reach before it is replaced (as a whole, between segments or jobs).
 #: Table-1 circuits stay far below it; at ~500 bytes an entry it bounds
 #: a table near 4 MB.
 TABLE_CAP = 8192
-
-#: Memo entries a daemon's table holds before it stops taking more (and
-#: is replaced at the next job).  An entry is a segment's ids, its
-#: result's ids and a 16-byte namespace: ~2 KB at omega 100, so ~32 MB.
-MEMO_CAP = 16384
 
 #: Gates from which :meth:`GateTable.ids_from_encoded` groups equal wire
 #: values in numpy before probing: grouping costs ~60 us flat, a probe
@@ -82,18 +75,13 @@ class GateTable:
     by value for any other ``Gate``, by wire key (see
     :meth:`ids_from_encoded`) for a gate still in its encoded arrays.
 
-    ``memo_cap`` > 0 gives the table a memo of at most that many
-    entries (see the module docstring); ``memo`` is ``None`` otherwise.
-
     Name ids 0-3 are the base set in :data:`~repro.circuits.gate.
     GATE_NAMES` order in every table, so a row's name id is also the
     rule engine's opcode (:mod:`repro.oracles.rule_engine`).
     """
 
-    def __init__(self, memo_cap: int = 0) -> None:
-        self.memo_cap = memo_cap
-        self.memo: Optional[dict] = {} if memo_cap else None
-        self._lock = threading.RLock()  # row, name and memo-entry creation
+    def __init__(self) -> None:
+        self._lock = threading.RLock()  # row and name creation
         self.gates: list[Gate] = []
         self._by_object: dict[int, int] = {}
         self._by_value: dict[tuple, int] = {}
@@ -110,20 +98,8 @@ class GateTable:
     @property
     def full(self) -> bool:
         """Whether a long-lived owner should start a fresh table: rows
-        or names past :data:`TABLE_CAP`, or the memo at its bound."""
-        return (
-            max(len(self.gates), len(self._names)) > TABLE_CAP
-            or self.memo is not None
-            and len(self.memo) >= self.memo_cap
-        )
-
-    def remember(self, key: tuple, result_ids: np.ndarray, nbytes: int) -> None:
-        """Memoize ``result_ids`` (ids of this table, kept read-only) as
-        the answer to ``key``, unless the memo is at its bound."""
-        result_ids.flags.writeable = False
-        with self._lock:
-            if len(self.memo) < self.memo_cap:
-                self.memo[key] = (result_ids, nbytes)
+        or names past :data:`TABLE_CAP`."""
+        return max(len(self.gates), len(self._names)) > TABLE_CAP
 
     def intern(self, gates: Sequence[Gate]) -> np.ndarray:
         """The ids of ``gates``, adding a row for every unseen value."""

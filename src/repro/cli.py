@@ -221,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument(
         "--no-cache",
         action="store_true",
-        help="serve without a segment cache (every segment pays the oracle)",
+        help="serve without a segment cache or memo (every segment pays the oracle)",
     )
     p_serve.add_argument(
         "--auth-token",

@@ -161,7 +161,7 @@ def popqc(
         value, none per gate.  One already held as ids
         (:meth:`~repro.parallel.LazySegmentResult.from_ids`) is run on
         the table those ids are of — which is how a daemon's jobs share
-        one table, and its memo of earlier answers.
+        one table.
     oracle:
         The external optimizer applied to 2Ω-segments.  Must return a
         gate sequence equivalent to its input; only outputs that
@@ -230,12 +230,19 @@ def popqc_rounds(
     transport: str = "inline",
     workers: int = 1,
     counters: Callable[[], dict] = dict,
+    memo: Optional[dict] = None,
 ) -> Rounds:
     """:func:`popqc` as a step machine (:data:`Rounds`) for a caller
     that answers the oracle rounds itself: same output, rounds and
     oracle calls, whoever answers them.  ``transport`` and ``workers``
     label the stats; ``counters`` is read as :func:`popqc` reads its
-    executor's ``counters()``."""
+    executor's ``counters()``.
+
+    ``memo`` maps a segment's ``ids.tobytes()`` — ids of the table the
+    input's ids are of — to the oracle's answer (:func:`_distinct`):
+    only segments it does not know are yielded, and every answer is
+    offered to its ``update``.  A daemon passes one that outlives the
+    run; it must be paired with one table and one oracle."""
     return _optimize(
         circuit,
         omega,
@@ -245,6 +252,7 @@ def popqc_rounds(
         transport=transport,
         workers=workers,
         counters=counters,
+        memo=memo,
     )
 
 
@@ -252,11 +260,11 @@ def _run(circuit, oracle, omega, granularity, parmap, **options) -> PopqcResult:
     """Drive the round machine to its result, each round one
     ``map_segments`` call on ``parmap`` (default :class:`SerialMap`; one
     with only the plain ``map`` is adapted, and sees real gate lists).
-    A ``deterministic`` oracle gets a memo (:func:`_distinct`) at gate
-    granularity, unless the executor's own cache front answers repeats."""
+    A ``deterministic`` oracle gets a memo for the run (:func:`_distinct`)
+    at gate granularity."""
     pmap = segment_executor(parmap if parmap is not None else SerialMap())
     memoize = getattr(oracle, "deterministic", False) and granularity.array is GateStore
-    memo = {} if memoize and "cache_hits" not in pmap.counters() else None
+    memo = {} if memoize else None
     rounds = _optimize(
         circuit,
         omega,
@@ -277,14 +285,19 @@ def _run(circuit, oracle, omega, granularity, parmap, **options) -> PopqcResult:
 
 
 def _distinct(segments: list, memo: dict):
-    """Step 4 with a run's ``memo`` (ids bytes → result): yield each distinct
-    segment it does not know once (nothing if none), and return every
-    segment's result as a handle of its own, so decodes count per reader."""
+    """Step 4 with a ``memo`` (ids bytes → result): yield each distinct
+    segment it does not know once (nothing if none), offer the answers to
+    ``memo.update`` (which may keep only some), and return every
+    segment's result as a handle of its own, so decodes count per reader,
+    with how many segments were asked."""
     keys = [seg.interned[0].tobytes() for seg in segments]
-    asked = {key: seg for key, seg in zip(keys, segments) if key not in memo}
+    known = dict(zip(keys, map(memo.get, keys)))
+    asked = {key: seg for key, seg in zip(keys, segments) if known[key] is None}
     if asked:  # equal keys are equal segments: one of them is asked
-        memo.update(zip(asked, (yield list(asked.values()))))
-    return [copy.copy(memo[key]) for key in keys]
+        answers = dict(zip(asked, (yield list(asked.values()))))
+        memo.update(answers)
+        known.update(answers)
+    return [copy.copy(known[key]) for key in keys], len(asked)
 
 
 def _optimize(
@@ -310,7 +323,8 @@ def _optimize(
     Ω counts tombstone-array items (gates, or layers under a layered
     ``granularity``); ``cost_fn`` always sees gates.  ``on_round`` is
     called once per counted round, after its substitutions.  A
-    ``memo``'s answers count as cache hits, its entries as misses.
+    ``memo``'s answers count as cache (and memo) hits on top of the
+    executor's; without a cache behind it, what it asked is the misses.
     """
     if omega < 1:
         raise ValueError("omega must be positive")
@@ -332,12 +346,13 @@ def _optimize(
 
     array = granularity.array(granularity.to_items(gates), tree_factory)
     fingers = initial_fingers(len(array), omega)
+    asked = 0
 
     while fingers and (max_rounds is None or stats.rounds < max_rounds):
         rstats = RoundStats(fingers=len(fingers))
         live_before = array.live_count
         t_round = time.perf_counter()
-        fingers, *observed = yield from _run_round(
+        fingers, round_asked, *observed = yield from _run_round(
             array,
             fingers,
             omega,
@@ -350,6 +365,7 @@ def _optimize(
             validation_max_qubits,
             memo,
         )
+        asked += round_asked
         round_total = time.perf_counter() - t_round
         rstats.admin_time = max(0.0, round_total - rstats.oracle_time)
         stats.add_round(rstats)
@@ -361,10 +377,11 @@ def _optimize(
     stats.final_cost = cost_fn(final_gates)
     stats.total_time = time.perf_counter() - t_start
     stats.record_counters(counters_before, counters())
-    if memo is not None:  # one entry per segment asked
-        hits = stats.oracle_calls - len(memo)
-        stats.counters.update(cache_hits=hits, cache_memo_hits=hits)
-        stats.counters["cache_misses"] = len(memo)
+    if memo is not None:
+        hits, counted = stats.oracle_calls - asked, stats.counters
+        counted["cache_memo_hits"] = hits
+        counted["cache_hits"] = counted.get("cache_hits", 0) + hits
+        counted.setdefault("cache_misses", asked)
     return PopqcResult(final_gates, stats, num_qubits)
 
 
@@ -384,13 +401,14 @@ def _run_round(
     """One iteration of ``optimizeSegments`` (Algorithm 3), yielding its
     segments (with a ``memo``, those it does not know) for their results.
 
-    Returns the next round's sorted finger list, plus what a round
-    observer wants to see: this round's finger ranks, the selected
-    ones among them, and the accepted ``(lo, hi)`` rank regions.
+    Returns the next round's sorted finger list and how many segments it
+    yielded, plus what a round observer wants to see: this round's
+    finger ranks, the selected ones among them, and the accepted
+    ``(lo, hi)`` rank regions.
     """
     total_live = array.live_count
     if total_live == 0:
-        return [], [], [], []
+        return [], 0, [], [], []
 
     # Rank every finger (one batched query).  Fingers are array indices,
     # so sorted finger order implies sorted rank order (before() is monotone).
@@ -420,8 +438,10 @@ def _run_round(
     # ProcessMap, ``simulated_elapsed`` on a SimulatedParallelism.
     before = counters()
     t_oracle = time.perf_counter()
-    asking = _distinct(seg_gates, memo) if memo is not None else None
-    results = (yield seg_gates) if asking is None else (yield from asking)
+    if memo is None:
+        results, asked = (yield seg_gates), len(seg_gates)
+    else:
+        results, asked = yield from _distinct(seg_gates, memo)
     rstats.oracle_time = time.perf_counter() - t_oracle
     after = counters()
     rstats.serialization_time = after.get("serialization_time", 0.0) - before.get(
@@ -464,7 +484,7 @@ def _run_round(
 
     # mergeAndDeduplicate: both lists hold array indices; keep sorted order.
     merged = sorted(set(kept_remaining) | set(new_fingers))
-    return merged, ranks, selected_ranks, accepted_regions
+    return merged, asked, ranks, selected_ranks, accepted_regions
 
 
 def _validate_oracle_output(

@@ -40,8 +40,8 @@ class RoundStats:
     admin_time: float = 0.0
     #: Parent-side segment serialization time of this round's oracle
     #: map: the round's growth of the executor's ``serialization_time``
-    #: counter (byte transports and cache fronts; 0 otherwise).  A
-    #: *subset* of ``oracle_time``, which times the whole map call.
+    #: counter (byte transports; 0 otherwise).  A *subset* of
+    #: ``oracle_time``, which times the whole map call.
     serialization_time: float = 0.0
     #: Simulated p-worker makespan of this round's oracle map: the
     #: round's growth of the ``simulated_elapsed`` counter
@@ -64,7 +64,7 @@ class OptimizationStats:
     admin_time: float = 0.0
     total_time: float = 0.0
     #: Parent-side segment serialization time summed over rounds (byte
-    #: transports and cache fronts; 0 otherwise).  A *subset* of
+    #: transports; 0 otherwise).  A *subset* of
     #: ``oracle_time``: the oracle map is timed end to end, so
     #: ``oracle_fraction`` and ``serialization_fraction`` overlap by
     #: this amount.
@@ -79,7 +79,7 @@ class OptimizationStats:
     #: depends on the executor: dispatch and lazy-decode counts on a
     #: :class:`~repro.parallel.ProcessMap`, plus its transport's
     #: (arena reuse, thread seconds, socket bytes and the per-host
-    #: ``{address: n}`` figures) and, with a result cache, the cache
+    #: ``{address: n}`` figures) and, for a served job, its cache
     #: front's; the properties below name the ones other code reads.
     counters: dict = field(default_factory=dict)
     #: Sum of per-round simulated makespans (SimulatedParallelism only).
@@ -116,8 +116,8 @@ class OptimizationStats:
     #: work the acceptance test skipped by rejecting on ``len()`` alone.
     results_returned = _counter("results_returned")
     results_decoded = _counter("results_decoded")
-    #: Segment-result-cache accounting (executors with a cache front,
-    #: or a run's memo): segments answered from the cache vs. dispatched
+    #: Segment-result-cache accounting (a run's memo, and a served
+    #: job's cache front): segments answered from either vs. dispatched
     #: to the oracle, the packed result bytes the hits replayed, and the
     #: seconds spent on fingerprints and lookups.
     cache_hits = _counter("cache_hits")
@@ -135,8 +135,9 @@ class OptimizationStats:
 
     @property
     def oracle_calls_saved(self) -> int:
-        """Oracle invocations answered by the executor's result cache
-        or, for a ``deterministic`` oracle, by the run's own memo.
+        """Oracle invocations answered by the run's memo (a
+        ``deterministic`` oracle's, or a daemon's) or a served job's
+        content cache.
 
         ``oracle_calls`` counts *selected* segments (the paper's Fig. 7
         quantity); only ``oracle_calls - oracle_calls_saved`` of them

@@ -35,19 +35,18 @@ Modules, bottom up: :mod:`~repro.parallel.frames` (the frame codec,
 worker`` daemon) and :mod:`~repro.parallel.hostpool` (its client
 registry), :mod:`~repro.parallel.transports`,
 :mod:`~repro.parallel.executor`.  Nothing here imports
-:mod:`repro.service`; the content-addressed result cache that a
-``ProcessMap(cache=...)`` fronts its rounds with (:class:`CacheFront`)
-is handed in by the caller.
+:mod:`repro.service`, and nothing here caches a result: an executor
+runs every segment it is handed (the run's memo and the daemon's
+content cache sit in front of it, in :mod:`repro.core` and
+:mod:`repro.service`).
 """
 
 from .executor import (
-    CacheFront,
     ParallelMap,
     ProcessMap,
     SegmentExecutor,
     SerialMap,
     default_workers,
-    oracle_fingerprint,
     segment_executor,
 )
 from .frames import (
@@ -76,7 +75,6 @@ __all__ = [
     "HAVE_SHM",
     "TRANSPORTS",
     "AuthenticationError",
-    "CacheFront",
     "DecodeStats",
     "FrameConnection",
     "FrameProtocolError",
@@ -101,7 +99,6 @@ __all__ = [
     "batch_segments",
     "default_workers",
     "greedy_makespan",
-    "oracle_fingerprint",
     "parse_address",
     "segment_executor",
 ]

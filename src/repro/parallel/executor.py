@@ -28,14 +28,12 @@ to the :class:`SegmentExecutor` seam (``map_segments``, ``counters()``,
 from __future__ import annotations
 
 import os
-import pickle
 import time
 import warnings
-from typing import Callable, Optional, Protocol, Sequence, TypeVar
+from typing import Callable, Protocol, Sequence, TypeVar
 
 from ..circuits.gate import Gate
 from . import shm
-from .frames import oracle_blob_digest
 from .results import DecodeStats, LazySegmentResult
 from .scheduling import RoundCostModel, batch_segments
 from .transports import TRANSPORTS, Transport, WorkerPool
@@ -44,13 +42,11 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 __all__ = [
-    "CacheFront",
     "ParallelMap",
     "SegmentExecutor",
     "SerialMap",
     "ProcessMap",
     "default_workers",
-    "oracle_fingerprint",
     "segment_executor",
 ]
 
@@ -58,38 +54,6 @@ __all__ = [
 def default_workers() -> int:
     """Worker count used when none is given (``os.cpu_count()``)."""
     return os.cpu_count() or 1
-
-
-def oracle_fingerprint(oracle: object) -> bytes:
-    """A 16-byte digest identifying ``oracle`` for cache key scoping.
-
-    Hashes the oracle's pickle bytes — the serialization the process
-    and socket transports ship to their workers — so two oracle
-    objects share a fingerprint iff a worker could not tell them
-    apart, and any configuration difference (rule set, engine,
-    thresholds) separates their cache namespaces.  Raises whatever
-    ``pickle`` raises for unpicklable oracles; cache callers go
-    through :func:`oracle_cache_namespace`, which degrades instead.
-    """
-    return oracle_blob_digest(pickle.dumps(oracle))
-
-
-def oracle_cache_namespace(oracle: object) -> bytes:
-    """Cache-scoping key material for ``oracle``, never raising.
-
-    Unpicklable oracles (lambdas, closures) are legal on the threads
-    transport and the inline fallback, so the cache front must not
-    crash on them: they get a random one-off namespace instead of a
-    content fingerprint.  Callers memoize per oracle *identity*, so
-    such an oracle still hits its own earlier entries within one
-    :class:`CacheFront` — it just never shares entries across
-    processes or restarts (which content addressing could not promise
-    for an unserializable oracle anyway).
-    """
-    try:
-        return oracle_fingerprint(oracle)
-    except Exception:  # pickle errors vary by payload; all mean "opaque"
-        return os.urandom(16)
 
 
 class ParallelMap(Protocol):
@@ -183,7 +147,7 @@ class SerialMap:
         the oracle gets the segment's gates."""
         run_ids = getattr(oracle, "run_ids", None)
         results = []
-        for seg in map(_as_segment, segments):
+        for seg in map(LazySegmentResult.of, segments):
             if run_ids is None or seg.interned is None:
                 results.append(oracle(seg.gates()))
             else:
@@ -192,7 +156,7 @@ class SerialMap:
         return results
 
     def counters(self) -> dict:
-        """Nothing is counted: no wire, no cache."""
+        """Nothing is counted: no wire."""
         return {}
 
     def close(self) -> None:
@@ -201,147 +165,6 @@ class SerialMap:
 
     def __repr__(self) -> str:  # pragma: no cover
         return "SerialMap()"
-
-
-def _as_segment(segment: Sequence[Gate]) -> LazySegmentResult:
-    """``segment`` behind the lazy-segment interface (``gates()``,
-    ``encoded()``, ``packed_bytes()``): itself if it already is one —
-    the driver's id-backed handles, an oracle result — else wrapped."""
-    if isinstance(segment, LazySegmentResult):
-        return segment
-    return LazySegmentResult.from_gates(
-        segment if isinstance(segment, list) else list(segment)
-    )
-
-
-class CacheFront:
-    """The content-addressed front of an oracle round.
-
-    One implementation of the cache protocol for everything that maps
-    segments: ``ProcessMap(cache=...)`` holds one per executor, the
-    optimization service one per job (through
-    :class:`~repro.service.FleetScheduler`), so a disk store is readable
-    by both interchangeably and the hit accounting is exact for
-    whoever owns the front.  It is also the cache's only writer:
-    :meth:`store` writes what its owner's dispatch returned and nothing
-    else does, so every entry is the output of an oracle the cache's
-    owner ran.
-
-    Attributes
-    ----------
-    hits / misses:
-        Segment lookups answered by / past the cache.  Every hit is an
-        oracle call that was never made.
-    memo_hits:
-        The hits among them that a table's id-keyed memo answered, in
-        front of the content cache (see :meth:`lookup`).
-    bytes_saved:
-        Packed result bytes served from the cache instead of a
-        transport round trip.
-    lookup_seconds:
-        Seconds spent fingerprinting and probing the cache (the price
-        of admission; compare against the oracle time the hits saved).
-    """
-
-    def __init__(self, cache, decode_stats: Optional[DecodeStats] = None):
-        self.cache = cache
-        self.hits = 0
-        self.memo_hits = 0
-        self.misses = 0
-        self.bytes_saved = 0
-        self.lookup_seconds = 0.0
-        self._decode_stats = decode_stats
-        # oracle digest memoized by identity: one pickle per oracle,
-        # not one per round.  Kept as a single (oracle, digest) tuple
-        # so a concurrent reader can never observe one oracle paired
-        # with another oracle's digest; the worst case is a recompute.
-        self._ns_memo: tuple[object, bytes] = (None, b"")
-
-    def namespace(self, oracle: object) -> bytes:
-        """Oracle-scoping key material for cache lookups (memoized)."""
-        memo_oracle, memo_ns = self._ns_memo
-        if memo_oracle is not oracle:
-            memo_ns = oracle_cache_namespace(oracle)
-            self._ns_memo = (oracle, memo_ns)
-        return memo_ns
-
-    def run(self, oracle, segments: Sequence, dispatch: Callable[[list], list]) -> list:
-        """One round through the cache: :meth:`lookup`, the misses
-        through ``dispatch`` (missing segments -> their results), then
-        :meth:`store`; byte-identical to an uncached round."""
-        results, misses = self.lookup(oracle, segments)
-        if misses:
-            self.store(results, misses, dispatch([seg for _, seg, _ in misses]))
-        return results
-
-    def lookup(self, oracle, segments: Sequence) -> tuple[list, list]:
-        """A round's results, ``None`` at each miss, and the misses as
-        ``(index, segment, key)`` for :meth:`store`.
-
-        The lookup has two levels.  A segment held as ids of a table
-        that carries a memo (a daemon's jobs) is first looked up *as
-        ids*: a memo hit is one ``tobytes()`` and one dict probe, and
-        its result is ids of the same table, so the driver's rewrite is
-        a column assignment.  Everything else derives the segment's key
-        from its canonical packed bytes scoped by the oracle's
-        namespace and asks the content cache; a content hit is a lazy
-        handle over the stored packed result — converted to ids and
-        memoized, once per table, when the segment had a memo to ask.
-        A miss's segment keeps the bytes its key was taken from, so a
-        byte transport does not encode it again.
-        """
-        cache, namespace = self.cache, self.namespace(oracle)
-        t0 = time.perf_counter()
-        results: list = [None] * len(segments)
-        misses: list = []
-        memo_hits = memo_bytes = bytes_saved = 0
-        for i, seg in enumerate(map(_as_segment, segments)):
-            ids, table = seg.interned or (None, None)
-            memo_key = None
-            if table is not None and table.memo is not None:
-                memo_key = (namespace, ids.tobytes())
-                known = table.memo.get(memo_key)
-                if known is not None:
-                    results[i] = LazySegmentResult.from_ids(known[0], table)
-                    memo_hits += 1
-                    memo_bytes += known[1]
-                    continue
-            key = cache.key_for(seg.packed_bytes(), extra=namespace)
-            hit = cache.get(key)
-            if hit is None:
-                misses.append((i, seg, key))
-                continue
-            bytes_saved += len(hit)
-            result = LazySegmentResult.from_packed(hit, self._decode_stats)
-            if memo_key is not None:  # second sight: packed -> ids, once per table
-                hit_ids = table.ids_from_encoded(result.encoded())
-                table.remember(memo_key, hit_ids, len(hit))
-                result = LazySegmentResult.from_ids(hit_ids, table)
-            results[i] = result
-        if memo_hits:
-            cache.note_hits(memo_hits, memo_bytes)
-        self.hits += len(segments) - len(misses)
-        self.memo_hits += memo_hits
-        self.misses += len(misses)
-        self.bytes_saved += bytes_saved + memo_bytes
-        self.lookup_seconds += time.perf_counter() - t0
-        return results, misses
-
-    def store(self, results: list, misses: list, answers: Sequence) -> None:
-        """Put the misses' ``answers`` in ``results`` and the cache."""
-        for (i, _, key), answer in zip(misses, answers):
-            results[i] = answer
-            self.cache.put(key, _as_segment(answer).packed_bytes())
-
-    def counters(self) -> dict:
-        """The five counts, under the names ``counters()`` reports."""
-        return {
-            "cache_hits": self.hits,
-            "cache_memo_hits": self.memo_hits,
-            "cache_misses": self.misses,
-            "cache_bytes_saved": self.bytes_saved,
-            "cache_lookup_seconds": self.lookup_seconds,
-        }
 
 
 class ProcessMap:
@@ -381,16 +204,6 @@ class ProcessMap:
         Worker host addresses (``"host:port"``) for the socket
         transport; required for (and only valid with)
         ``transport="socket"``.
-    cache:
-        Optional content-addressed segment result cache
-        (:class:`repro.service.cache.SegmentCache`).  When set,
-        :meth:`map_segments` runs every round through a
-        :class:`CacheFront`: known segments are answered without
-        touching the oracle or the transport, only the misses are
-        dispatched, and their packed results are stored — so a repeated
-        segment costs one hash and one lookup instead of an oracle
-        call, on every transport identically (and one dict probe when
-        the segment is ids of a memo-carrying table).
     auth_token:
         Shared secret presented to the socket transport's worker hosts.
 
@@ -412,10 +225,8 @@ class ProcessMap:
         for an id round — accumulated over all :meth:`map_segments`
         calls and of the most recent one (the pickle transport's
         serialization happens inside the pool machinery and is not
-        separable).  Cache key derivation counts:
-        it packs the same bytes the wire would carry.  Result
-        *decoding* is lazy and attributed to whoever reads the gates,
-        not counted here.
+        separable).  Result *decoding* is lazy and attributed to
+        whoever reads the gates, not counted here.
     cost_model:
         The :class:`~repro.parallel.scheduling.RoundCostModel` every
         timed round feeds; also the per-segment time estimate behind
@@ -435,8 +246,8 @@ class ProcessMap:
         Batch widths of the most recent planned :meth:`map_segments`
         call.
 
-    :meth:`counters` reports these together with the transport's, the
-    lazy-decode counts (by-value results only) and the cache front's.
+    :meth:`counters` reports these together with the transport's and
+    the lazy-decode counts (by-value results only).
     """
 
     def __init__(
@@ -445,7 +256,6 @@ class ProcessMap:
         serial_cutoff: int | None = None,
         transport: str = "encoded",
         hosts: Sequence[str] | None = None,
-        cache: object | None = None,
         auth_token: str | None = None,
     ):
         if transport not in TRANSPORTS:
@@ -477,7 +287,6 @@ class ProcessMap:
         self._measured = serial_cutoff is None
         self.cost_model = RoundCostModel()
         self.transport = transport
-        self.cache = cache
         self.serialization_time = 0.0
         self.last_serialization_time = 0.0
         self.pool_dispatches = 0
@@ -487,9 +296,6 @@ class ProcessMap:
         self.segments_batched = 0
         self.last_batch_sizes: list[int] = []
         self._decode_stats = DecodeStats()
-        self._front = (
-            CacheFront(cache, self._decode_stats) if cache is not None else None
-        )
         # cluster parallelism is one dispatcher per host
         self.wire: Transport = TRANSPORTS[transport](
             workers or len(self.hosts) or default_workers(),
@@ -521,42 +327,21 @@ class ProcessMap:
     ) -> list:
         """Apply ``oracle`` to every segment, preserving order.
 
+        The round runs in the parent — at or below the cutoff, or where
+        the cost model says so — or its batches are planned and handed
+        to the transport; either way it is timed and the model told.
         Pool-backed calls return
         :class:`~repro.parallel.results.LazySegmentResult` handles that
-        decode only when read.  With a result ``cache`` configured,
-        known segments are answered from it and only the misses reach
-        the transport; the result contents are byte-identical either
-        way.
+        decode only when read.
 
         Segments are any ``Sequence[Gate]``.  The driver's id-backed
         lazy segments (:meth:`LazySegmentResult.from_ids`) reach a byte
         transport without a ``Gate`` being looked up; plain gate lists
         are wrapped in the same interface here, once.
         """
-        segments = [_as_segment(seg) for seg in segments]
+        segments = [LazySegmentResult.of(seg) for seg in segments]
         self.last_serialization_time = 0.0
         self.last_batch_sizes = []
-        if self._front is None:
-            return self._dispatch(oracle, segments)
-        looked_up = self._front.lookup_seconds
-        results = self._front.run(
-            oracle, segments, lambda missed: self._dispatch(oracle, missed)
-        )
-        self._note_serialization(self._front.lookup_seconds - looked_up)
-        return results
-
-    def _note_serialization(self, seconds: float) -> None:
-        self.last_serialization_time += seconds
-        self.serialization_time += seconds
-
-    def _dispatch(
-        self,
-        oracle: Callable[[list[Gate]], list[Gate]],
-        segments: Sequence[LazySegmentResult],
-    ) -> list:
-        """Run the round in the parent — at or below the cutoff, or
-        where the cost model says so — or plan its batches and hand them
-        to the transport; either way, time it and tell the model."""
         n = len(segments)
         gates = sum(map(len, segments))
         model = self.cost_model
@@ -578,15 +363,15 @@ class ProcessMap:
         results, serialization, pool_seconds = self.wire.run_round(
             oracle, segments, plan
         )
-        self._note_serialization(serialization)
+        self.last_serialization_time = serialization
+        self.serialization_time += serialization
         if pool_seconds is not None:  # a cold pool's spawn is not a round's cost
             model.observe("pool", n, gates, time.perf_counter() - started)
         return results
 
     def counters(self) -> dict:
         """Every counter of this executor in one mapping: dispatch and
-        serialization, lazy decode, the transport's own and — with a
-        ``cache`` — the cache front's."""
+        serialization, lazy decode and the transport's own."""
         return {
             "pool_dispatches": self.pool_dispatches,
             "inline_rounds": self.inline_rounds,
@@ -596,7 +381,6 @@ class ProcessMap:
             "serialization_time": self.serialization_time,
             **self._decode_stats.counters(),
             **self.wire.counters(),
-            **(self._front.counters() if self._front is not None else {}),
         }
 
     def close(self) -> None:

@@ -44,15 +44,14 @@ Frame layout (all integers little-endian)::
 
 JOB, RESULT, STATUS and BUSY have their numbers in the table below and
 their payloads in :mod:`repro.service.frames`, the only package that
-speaks them.  No frame reads or writes a cache: a result cache belongs
-to the process that runs the driver, and only that process's own
-oracle dispatches fill it.
+speaks them.  No frame reads or writes a cache: the result cache
+belongs to the ``popqc serve`` daemon, and only its own oracle
+dispatches fill it.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import hmac
 import pickle
 import socket
@@ -96,7 +95,6 @@ __all__ = [
     "error_frame",
     "iter_results_payload",
     "join_segments_payload",
-    "oracle_blob_digest",
     "pack_frame",
     "pack_register_ok_payload",
     "pack_register_payload",
@@ -285,12 +283,6 @@ def parse_address(spec: str) -> tuple[str, int]:
 
 
 # -- payload codecs ------------------------------------------------------------
-
-
-def oracle_blob_digest(oracle_blob: bytes) -> bytes:
-    """The 16-byte cache namespace of a pickled oracle: what scopes its
-    cache keys on the driver."""
-    return hashlib.blake2b(oracle_blob, digest_size=16).digest()
 
 
 def pack_register_payload(oracle_blob: bytes, generation: int) -> bytes:

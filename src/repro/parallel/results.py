@@ -180,6 +180,15 @@ class LazySegmentResult(Sequence):
         """Wrap a segment held as ``ids`` into ``table``."""
         return cls(interned=(ids, table), length=len(ids))
 
+    @classmethod
+    def of(cls, segment: Sequence[Gate]) -> "LazySegmentResult":
+        """``segment`` behind this interface: itself if it already is a
+        handle — the driver's id-backed segments, an oracle result —
+        else its gates wrapped (:meth:`from_gates`)."""
+        if isinstance(segment, cls):
+            return segment
+        return cls.from_gates(segment if isinstance(segment, list) else list(segment))
+
     # -- lazy decode ---------------------------------------------------------
 
     def _arrays(self) -> encoding.EncodedSegment:

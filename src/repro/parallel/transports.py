@@ -2,9 +2,9 @@
 
 :class:`~repro.parallel.ProcessMap` decides *whether* a round leaves
 the parent (the inline floor, and above it the measured
-:class:`~repro.parallel.scheduling.RoundCostModel`), *how it is cut*
-(the :func:`~repro.parallel.scheduling.batch_segments` plan) and what
-is cached; a :class:`Transport` decides *how the bytes travel*.  Each wire
+:class:`~repro.parallel.scheduling.RoundCostModel`) and *how it is
+cut* (the :func:`~repro.parallel.scheduling.batch_segments` plan); a
+:class:`Transport` decides *how the bytes travel*.  Each wire
 format is one small class that owns its own state and its own
 counters, and :data:`TRANSPORTS` is the registry ``transport=`` names
 are looked up in:
@@ -675,9 +675,11 @@ class ThreadsTransport:
         }
 
     def close(self) -> None:
-        """Shut the thread pool down (safe to call twice)."""
+        """Shut the thread pool down (safe to call twice) without waiting
+        for calls in flight: a thread cannot be stopped, and a daemon's
+        ``stop()`` must not wait on an oracle that never returns."""
         if self._pool is not None:
-            self._pool.shutdown(wait=True)
+            self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
 
 

@@ -8,7 +8,8 @@ tagged with a different generation are refused with a typed error,
 never silently served) and answers batched ``SEGMENTS`` frames with
 batched ``RESULTS`` frames.  A worker host runs the oracle, full stop:
 it holds no cache and asks none — a segment only reaches it after the
-driver's own cache front (:class:`~repro.parallel.CacheFront`) missed.
+run's memo and, in a daemon, the content cache in front of the fleet
+(:class:`~repro.service.cache.CacheFront`) missed.
 
 What a worker runs per segment is chosen when an oracle is registered
 (:func:`wire_entry`): its wire entry (``NamOracle.run_packed``, no

@@ -10,14 +10,14 @@ pays the oracle twice for a segment it has already optimized.
 * :mod:`repro.service.cache` — a content-addressed **segment result
   cache**: canonical fingerprint of a segment's packed wire bytes →
   the oracle's packed result bytes, with an in-memory LRU in front of
-  an optional disk store that survives server restarts.
+  an optional disk store that survives server restarts, read and
+  written only through a job's :class:`CacheFront`.
 * :mod:`repro.service.scheduler` — the cross-job round scheduler:
-  each job is a POPQC round machine (:func:`repro.core.popqc_rounds`)
-  whose rounds are looked up on the job's own cache front
-  (:class:`repro.parallel.CacheFront`, the front a standalone
-  ``ProcessMap(cache=)`` uses); one dispatcher merges every waiting
-  job's misses into shared ``batch_segments`` rounds over the one
-  persistent fleet and advances each answered job.
+  each job is a POPQC round machine (:func:`repro.core.popqc_rounds`,
+  with the daemon's memo) whose rounds are looked up on the job's own
+  cache front; one dispatcher merges every waiting job's misses into
+  shared ``batch_segments`` rounds over the one persistent fleet and
+  advances each answered job.
 * :mod:`repro.service.frames` — the JOB/RESULT/STATUS/BUSY payloads,
   spoken only here, on :mod:`repro.parallel.frames`' codec.
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
@@ -26,13 +26,14 @@ pays the oracle twice for a segment it has already optimized.
   :class:`repro.parallel.FrameConnection`).
 """
 
-from .cache import CacheStats, SegmentCache, oracle_namespace
+from .cache import CacheFront, CacheStats, SegmentCache, oracle_namespace
 from .client import JobResult, ServiceClient
 from .frames import ServiceBusyError, ServiceError
 from .scheduler import FleetScheduler
 from .server import OptimizationService, SubprocessWorker
 
 __all__ = [
+    "CacheFront",
     "CacheStats",
     "FleetScheduler",
     "JobResult",

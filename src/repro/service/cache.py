@@ -35,44 +35,70 @@ Values are packed result bytes, so a cache hit feeds straight into
 :meth:`repro.parallel.results.LazySegmentResult.from_packed` — the
 same lazy handle an oracle round would have produced, byte for byte.
 
-This cache is the only level that is shared: on disk (several drivers
-on one ``disk_dir``) and across a daemon's gate-table generations.  It
-is not on the wire — its owner is the process that runs the driver, and
-entries are written only by that process's cache front, from oracle
-results it dispatched itself.  In front of it, inside one process, a
-:class:`~repro.circuits.intern.GateTable` may carry an id-keyed memo
-of what this cache answered
-(:meth:`repro.parallel.CacheFront.run`); a lookup the memo answers
-never gets here and is counted here all the same
-(:meth:`SegmentCache.note_hits`), so ``stats`` describe the segments
-asked about, not the level that knew.
+The cache has one owner, the ``popqc serve`` daemon, and one reader
+and writer, :class:`CacheFront` (one per job): it asks the cache about
+the segments a job's memo passed on and stores what the daemon's fleet
+answered for the misses, so every entry is the output of an oracle the
+daemon ran.  It is the only level that is shared: on disk (several
+daemons on one ``disk_dir``) and across a daemon's memo generations.
+It is not on the wire.  A segment the daemon's memo answers never gets
+here and is counted here all the same (:meth:`SegmentCache.note_hits`),
+so ``stats`` describe the segments asked about, not the level that knew.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import os
+import pickle
 import struct
 import threading
+import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..circuits.encoding import segment_fingerprint
-from ..parallel import oracle_fingerprint
+from ..parallel import LazySegmentResult
 
-__all__ = ["CacheStats", "SegmentCache", "oracle_namespace"]
+__all__ = ["CacheFront", "CacheStats", "SegmentCache", "oracle_namespace"]
 
 #: On-disk entry header: magic + payload length.  The length makes
 #: truncation detectable without trusting the filesystem's size alone.
 _DISK_HEADER = struct.Struct("<4sQ")
 _DISK_MAGIC = b"PQCS"
 
-#: A 16-byte digest identifying an oracle for cache scoping — the
-#: service-layer name for :func:`repro.parallel.
-#: oracle_fingerprint` (two oracles share a namespace iff they pickle
-#: identically, i.e. would behave identically on a transport worker).
-oracle_namespace = oracle_fingerprint
+
+def oracle_namespace(oracle: object) -> bytes:
+    """A 16-byte digest identifying ``oracle`` for cache key scoping.
+
+    Hashes the oracle's pickle bytes — the serialization the process
+    and socket transports ship to their workers — so two oracle
+    objects share a namespace iff a worker could not tell them apart,
+    and any configuration difference (rule set, engine, thresholds)
+    separates their entries.  Raises whatever ``pickle`` raises for
+    unpicklable oracles; :func:`oracle_cache_namespace` degrades
+    instead.
+    """
+    return hashlib.blake2b(pickle.dumps(oracle), digest_size=16).digest()
+
+
+def oracle_cache_namespace(oracle: object) -> bytes:
+    """Cache-scoping key material for ``oracle``, never raising.
+
+    Unpicklable oracles (lambdas, closures) are legal on the threads
+    transport, so the cache front must not crash on them: they get a
+    random one-off namespace instead of a content fingerprint.  The
+    scheduler derives it once per oracle for its lifetime, so such an
+    oracle still hits its own earlier entries in one daemon — it just
+    never shares entries across processes or restarts (which content
+    addressing could not promise for an unserializable oracle anyway).
+    """
+    try:
+        return oracle_namespace(oracle)
+    except Exception:  # pickle errors vary by payload; all mean "opaque"
+        return os.urandom(16)
 
 
 class CacheStats:
@@ -193,9 +219,9 @@ class SegmentCache:
     def key_for(self, packed, extra: bytes = b"") -> str:
         """The cache key of one canonically packed segment.
 
-        ``extra`` is key material mixed into the hash — the executor's
-        cache hook passes the digest (:func:`oracle_namespace`) of the
-        oracle currently being mapped, so entries of different oracles
+        ``extra`` is key material mixed into the hash — a
+        :class:`CacheFront` passes the digest (:func:`oracle_namespace`)
+        of the oracle its job runs, so entries of different oracles
         share both levels and one oracle's results are never served to
         another.
         """
@@ -228,13 +254,11 @@ class SegmentCache:
             self._install(key, value)
         return value
 
-    def note_hits(self, hits: int, nbytes: int) -> None:
-        """Count ``hits`` lookups (``nbytes`` of packed results) that a
-        :class:`~repro.circuits.intern.GateTable` memo answered in front
+    def note_hits(self, hits: int) -> None:
+        """Count ``hits`` lookups that a daemon's memo answered in front
         of this cache: a hit is a hit wherever it was resolved."""
         with self._lock:
             self.stats.hits += hits
-            self.stats.bytes_saved += nbytes
 
     def put(self, key: str, value: bytes) -> None:
         """Store packed result bytes under ``key`` in both levels."""
@@ -380,3 +404,75 @@ class SegmentCache:
             f"SegmentCache(entries={len(self._memory)}, "
             f"bytes={self._memory_bytes}, disk={disk})"
         )
+
+
+class CacheFront:
+    """The content-addressed front of one served job's oracle rounds.
+
+    The daemon's scheduler builds one per job, scoped by the namespace
+    of the job's oracle: :meth:`lookup` answers the segments the cache
+    knows and :meth:`store` puts the fleet's answers to the rest in it.
+    It is the cache's only writer, and the hit accounting is exact for
+    the job that owns it.
+
+    Attributes
+    ----------
+    hits / misses:
+        Segment lookups answered by / past the cache.  Every hit is an
+        oracle call that was never made.
+    bytes_saved:
+        Packed result bytes served from the cache instead of a
+        transport round trip.
+    lookup_seconds:
+        Seconds spent fingerprinting and probing the cache (the price
+        of admission; compare against the oracle time the hits saved).
+    """
+
+    def __init__(self, cache: SegmentCache, namespace: bytes):
+        self.cache = cache
+        self.namespace = namespace
+        self.hits = 0
+        self.misses = 0
+        self.bytes_saved = 0
+        self.lookup_seconds = 0.0
+
+    def lookup(self, segments: Sequence) -> tuple[list, list]:
+        """A round's results, ``None`` at each miss, and the misses as
+        ``(index, segment, key)`` for :meth:`store`.
+
+        A segment's key is its canonical packed bytes hashed under the
+        front's namespace; a hit is a lazy handle over the stored packed
+        result.  A miss's segment keeps the bytes its key was taken
+        from, so a byte transport does not encode it again.
+        """
+        cache, namespace = self.cache, self.namespace
+        t0 = time.perf_counter()
+        results: list = [None] * len(segments)
+        misses: list = []
+        for i, seg in enumerate(map(LazySegmentResult.of, segments)):
+            key = cache.key_for(seg.packed_bytes(), extra=namespace)
+            hit = cache.get(key)
+            if hit is None:
+                misses.append((i, seg, key))
+            else:
+                self.bytes_saved += len(hit)
+                results[i] = LazySegmentResult.from_packed(hit)
+        self.hits += len(segments) - len(misses)
+        self.misses += len(misses)
+        self.lookup_seconds += time.perf_counter() - t0
+        return results, misses
+
+    def store(self, results: list, misses: list, answers: Sequence) -> None:
+        """Put the misses' ``answers`` in ``results`` and the cache."""
+        for (i, _, key), answer in zip(misses, answers):
+            results[i] = answer
+            self.cache.put(key, LazySegmentResult.of(answer).packed_bytes())
+
+    def counters(self) -> dict:
+        """The four counts, under the names a run's stats report."""
+        return {
+            "cache_hits": self.hits,
+            "cache_misses": self.misses,
+            "cache_bytes_saved": self.bytes_saved,
+            "cache_lookup_seconds": self.lookup_seconds,
+        }

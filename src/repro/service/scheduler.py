@@ -6,13 +6,14 @@ warm :class:`~repro.parallel.ProcessMap` fleet — the expensive thing
 exists to amortize — and one loop multiplexes the jobs onto it.  A job
 is a *step machine* (:func:`repro.core.popqc_rounds`: a generator that
 yields each round's segments and is sent their results), its
-:class:`~repro.parallel.CacheFront` and its priority weight.
+:class:`~repro.service.cache.CacheFront` and its priority weight.
 
 * The handler thread that admitted the job primes it — store build,
   first extraction, cache lookup — then waits once, for the whole job.
-  Every round is looked up on the job's front first (the daemon's
-  table memo, then the shared content cache); a round whose every
-  segment hits is answered on the spot and never enters the queue.
+  The daemon's memo answers what it knows inside the machine, which
+  yields only the rest; those are looked up on the job's front (the
+  shared content cache), and a round whose every segment hits is
+  answered on the spot and never enters the queue.
 * A round with misses queues the job.  The one dispatcher thread
   merges every waiting job's misses into **one** ``fleet.map_segments``
   call (split across workers as one big round would be), stores each
@@ -36,8 +37,8 @@ from typing import Optional, Sequence
 
 from ..circuits.gate import Gate
 from ..core import OracleFn
-from ..parallel import CacheFront, segment_executor
-from .cache import SegmentCache
+from ..parallel import segment_executor
+from .cache import CacheFront, SegmentCache, oracle_cache_namespace
 
 __all__ = ["FleetScheduler"]
 
@@ -73,7 +74,7 @@ class _Job:
             if self.front is None:  # no cache: no lookups, no "misses"
                 self.round, self.segments = [], list(segments)
             else:
-                self.round, self.misses = self.front.lookup(self.oracle, segments)
+                self.round, self.misses = self.front.lookup(segments)
                 self.segments = [seg for _, seg, _ in self.misses]
             if self.segments:
                 self.next_index, self.results = 0, [None] * len(self.segments)
@@ -100,8 +101,8 @@ class FleetScheduler:
     ----------
     fleet:
         The persistent executor (one that only has ``map`` is adapted,
-        as ``popqc`` does), without a cache of its own: each job's
-        front fronts it, so hits are attributed per job.
+        as ``popqc`` does); each job's front fronts it, so hits are
+        attributed per job.
     cache:
         Optional :class:`~repro.service.cache.SegmentCache` behind
         every job's :meth:`front`.
@@ -131,6 +132,9 @@ class FleetScheduler:
         self.round_budget_segments = round_budget_segments
         self.rounds_dispatched = self.requests_merged = self.segments_dispatched = 0
         self._pending: list[_Job] = []
+        #: id(oracle) -> (oracle, its namespace), derived once per oracle
+        #: (an unpicklable one's is random) and kept alive with it.
+        self._namespaces: dict[int, tuple[object, bytes]] = {}
         self._wake = threading.Condition(threading.Lock())
         self._closing = False
         self._thread = threading.Thread(
@@ -138,9 +142,17 @@ class FleetScheduler:
         )
         self._thread.start()
 
-    def front(self) -> Optional[CacheFront]:
-        """A fresh per-job cache front (``None`` without a cache)."""
-        return CacheFront(self.cache) if self.cache is not None else None
+    def front(self, oracle: OracleFn) -> Optional[CacheFront]:
+        """A fresh cache front for one job of ``oracle`` (``None``
+        without a cache), in the namespace every job of it shares."""
+        if self.cache is None:
+            return None
+        known = self._namespaces.get(id(oracle))
+        if known is None:  # racing first jobs agree on the first one stored
+            known = self._namespaces.setdefault(
+                id(oracle), (oracle, oracle_cache_namespace(oracle))
+            )
+        return CacheFront(self.cache, known[1])
 
     @property
     def pending_requests(self) -> int:

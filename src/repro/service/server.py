@@ -20,21 +20,28 @@ per connection: it parses and admits a JOB, primes the job's round
 machine (:func:`repro.core.popqc_rounds`), waits once for the whole
 job, and replies.  *Across* connections, the one dispatcher of the
 :class:`~repro.service.scheduler.FleetScheduler` advances every job,
-merging their oracle rounds into shared fleet rounds, and the segment
-cache short-circuits any segment the service has optimized before.
-Every job's gates are ids of one daemon-wide
-:class:`~repro.circuits.intern.GateTable`, so from its second repeat a
-known segment is answered by that table's memo without being encoded,
-packed or hashed; the table and its memo are bounded and replaced as a
-whole between jobs, which no output can see.
+merging their oracle rounds into shared fleet rounds.  Two levels keep
+the oracle from answering a segment twice, both on unless the daemon
+serves without a cache:
+
+* **the memo** — every job's gates are ids of one daemon-wide
+  :class:`~repro.circuits.intern.GateTable`, and every job runs with
+  one daemon-wide memo of that table's segments
+  (``popqc_rounds(memo=...)``), filled with each answer on first
+  sight: a segment any job has met — earlier in the same job, too — is
+  answered without being encoded, packed or hashed.  Table and memo are
+  bounded and replaced together between jobs, which no output can see.
+* **the segment cache** — what the memo passes on is looked up by
+  content (:class:`~repro.service.cache.CacheFront`, one per job),
+  across memo generations and, on disk, across restarts.
+
 A job's output is byte-identical to a standalone ``popqc`` run of the
 same circuit with the same oracle and Ω.
 
 The cache has one owner and one writer path: only this process's
-cache fronts (:class:`repro.parallel.CacheFront`, one per job) read or
-fill it, with values an oracle the daemon dispatched produced — no
-frame type touches it, so no peer can put bytes where a later job will
-read them.
+cache fronts read or fill it, with values an oracle the daemon
+dispatched produced — no frame type touches it, so no peer can put
+bytes where a later job will read them.
 
 **Autoscaling** (``--min-workers/--max-workers/--scale-window``,
 socket fleets only): a background thread reads the scheduler's
@@ -61,7 +68,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..circuits.intern import MEMO_CAP, GateTable
+from ..circuits.intern import GateTable
 from ..core import popqc_rounds
 from ..parallel import FrameProtocolError, FrameServer, LazySegmentResult, ProcessMap
 from ..parallel.frames import (
@@ -95,6 +102,47 @@ _WORKER_BANNER = re.compile(r"listening on (\S+)")
 
 #: Seconds a spawned worker has to print that banner.
 SPAWN_TIMEOUT_SECONDS = 30.0
+
+#: Entries a daemon's memo takes before it stops taking more (and is
+#: replaced, with its table, at the next admission).  Every dispatched
+#: answer is an entry, ~1.87 KB at omega 100 (2956 entries from two
+#: seeds' ``TABLE1_SMALL`` blocks took 5.54 MB).  The benchmark's
+#: ``serve_cold`` adds ~1500 a block, so a cap of 16384 would let a run
+#: reach ~13k entries (~25 MB), close to the 10 % ``peak_rss_mb``
+#: bound on its ~274 MB; 4096 entries is ~7.7 MB and still holds
+#: ``serve_warm``'s whole working set (~1.5k segments).
+MEMO_CAP = 4096
+
+
+class _Memo(dict):
+    """A daemon's memo: ``ids.tobytes()`` of a segment of its table ->
+    the oracle's answer (:func:`repro.core.popqc_rounds`).  Reads take
+    no lock; :meth:`update`, the one insert, takes one and stops at
+    :data:`MEMO_CAP`."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._lock = threading.Lock()
+
+    @property
+    def full(self) -> bool:
+        """Whether the memo has stopped taking entries."""
+        return len(self) >= MEMO_CAP
+
+    def update(self, answers: dict) -> None:
+        """Keep ``answers`` not known yet, up to :data:`MEMO_CAP` entries.
+
+        An answer held as ids is kept as its ids alone: the wire forms a
+        cache lookup or store derived on it (~4 KB at omega 100) are not
+        what a replay reads."""
+        with self._lock:
+            for key, answer in answers.items():
+                if len(self) >= MEMO_CAP:
+                    return
+                interned = getattr(answer, "interned", None)
+                if interned is not None:
+                    answer = LazySegmentResult.from_ids(*interned)
+                self.setdefault(key, answer)
 
 
 class SubprocessWorker:
@@ -181,10 +229,10 @@ class OptimizationService(FrameServer):
     cache:
         A :class:`~repro.service.cache.SegmentCache`, or ``None`` to
         build a default in-memory cache, or ``False`` to serve without
-        one (every segment pays the oracle).  Keys are scoped per
-        oracle by the scheduler's lookup protocol itself, so a cache
-        (or its disk store) needs no namespace of its own and is
-        interchangeable with the ``ProcessMap(cache=...)`` path.
+        one, and without a memo (every segment pays the oracle).  Keys
+        are scoped per oracle by the scheduler's fronts, so a cache (or
+        its disk store) needs no namespace of its own and can be shared
+        by daemons running different oracles.
     round_budget_segments:
         Weighted-fair quantum of one merged fleet round (see
         :class:`~repro.service.scheduler.FleetScheduler`).
@@ -324,9 +372,10 @@ class OptimizationService(FrameServer):
         self.jobs_failed = 0
         self.jobs_rejected = 0
         self.jobs_active = 0
-        #: Every job's ids are ids of this table, so a segment a job has
-        #: seen is a memo key for the next (replaced when full, at admission).
-        self._table = GateTable(MEMO_CAP)
+        #: Every job's ids are ids of this table, so a segment any job has
+        #: met is a key of this memo (both replaced when full, at admission).
+        self._table = GateTable()
+        self._memo = _Memo() if cache is not None else None
         self._peers: dict[str, dict] = {}
         self._latencies: deque[float] = deque(maxlen=256)
         self._started = time.monotonic()
@@ -520,8 +569,10 @@ class OptimizationService(FrameServer):
                 )
             self.jobs_active += 1
             peer["jobs_active"] += 1
-            if self._table.full:  # jobs in flight finish on the one they have
-                self._table = GateTable(MEMO_CAP)
+            # jobs in flight finish on the table and memo they have
+            if self._table.full or self._memo is not None and self._memo.full:
+                self._table = GateTable()
+                self._memo = _Memo() if self._memo is not None else None
             return None
 
     def _answer_job(self, payload: bytes, peer: dict) -> bytes:
@@ -548,7 +599,8 @@ class OptimizationService(FrameServer):
         refusal = self._admit_job(peer)
         if refusal is not None:
             return refusal
-        table = self._table
+        with self._lock:  # a pair: replaced together, under this lock
+            table, memo = self._table, self._memo
         t0 = time.perf_counter()
         try:
             qubits, top = encoded.qubits, np.inf if num_qubits is None else num_qubits
@@ -556,7 +608,7 @@ class OptimizationService(FrameServer):
                 raise ValueError(f"a qubit is outside the register ({num_qubits=})")
             if not np.isfinite(encoded.params).all():
                 raise ValueError("a rotation angle is not a finite number")
-            front, fleet = self._scheduler.front(), self._scheduler.fleet
+            front, fleet = self._scheduler.front(self.oracle), self._scheduler.fleet
             steps = popqc_rounds(
                 LazySegmentResult.from_ids(table.ids_from_encoded(encoded), table),
                 omega,
@@ -564,8 +616,11 @@ class OptimizationService(FrameServer):
                 transport=fleet.transport,
                 workers=fleet.workers,
                 counters=front.counters if front is not None else dict,
+                memo=memo,
             )
             result = self._scheduler.run(steps, self.oracle, front, priority)
+            if memo is not None:  # STATUS counts the memo's answers as hits
+                self.cache.note_hits(result.stats.counters["cache_memo_hits"])
             out = result.gates.encoded()
         except Exception as exc:  # noqa: BLE001 - forwarded to the client
             self._tally(peer, jobs_active=-1, jobs_failed=1)

@@ -320,19 +320,6 @@ class TestSharedBetweenThreads:
                 _same_wire(table, chunk)
                 assert table.intern(chunk).tolist() == ids.tolist()
 
-    def test_a_memo_stops_at_its_bound_and_keeps_its_arrays_read_only(self):
-        table = GateTable(memo_cap=2)
-        assert GateTable().memo is None and table.memo == {} and not table.full
-        ids = table.intern([H(0), X(1)])
-        for k in range(3):
-            table.remember((b"ns", bytes([k])), ids.copy(), 10)
-        assert sorted(table.memo) == [(b"ns", b"\x00"), (b"ns", b"\x01")]
-        assert table.full  # its owner starts a fresh one
-        kept, nbytes = table.memo[b"ns", b"\x00"]
-        assert kept.tolist() == ids.tolist() and nbytes == 10
-        with pytest.raises(ValueError):
-            kept[0] = 5
-
     def test_full_past_the_row_or_name_cap(self, monkeypatch):
         monkeypatch.setattr(intern, "TABLE_CAP", 4)
         rows, names = GateTable(), GateTable()

@@ -313,17 +313,15 @@ class TestWireFormInput:
 
 
 @pytest.fixture(scope="module")
-def cached_pool():
-    from repro.service import SegmentCache
-
-    pm = ProcessMap(2, serial_cutoff=0, cache=SegmentCache())
+def pool():
+    pm = ProcessMap(2, serial_cutoff=0)
     yield pm
     pm.close()
 
 
-#: One memo-carrying table for every example below, as a daemon's jobs
-#: share one: what an earlier example left in it must never show.
-SHARED = intern.GateTable(memo_cap=1 << 20)
+#: One table for every example below, as a daemon's jobs share one:
+#: what an earlier example left in it must never show.
+SHARED = intern.GateTable()
 
 
 def _as_ids(gates):
@@ -331,16 +329,15 @@ def _as_ids(gates):
 
 
 class TestIdBackedInput:
-    """A circuit held as ids of a shared, memo-carrying table goes in
-    like any gate sequence — on its first run (oracle calls), its second
-    (content hits, memo fills) and its third (memo hits)."""
+    """A circuit held as ids of a shared table goes in like any gate
+    sequence — run after run, on a table earlier runs have grown."""
 
     @settings(max_examples=40, deadline=None)
     @given(_redundant_gates(), st.sampled_from([4, 8, 25]))
     def test_popqc_layered_and_traced_agree_with_gate_input(
-        self, cached_pool, gates, omega
+        self, pool, gates, omega
     ):
-        for parmap in (SerialMap(), cached_pool):
+        for parmap in (SerialMap(), pool):
             want = popqc(Circuit(gates), NamOracle(), omega, parmap=parmap)
             for _ in range(3):
                 source = _as_ids(gates)
@@ -348,14 +345,12 @@ class TestIdBackedInput:
                 assert _account(got)[1:] == _account(want)[1:]
                 assert got.gates.interned[1] is SHARED
                 assert source == gates  # the input's ids are not the store's column
-            if parmap is cached_pool:
-                assert got.stats.counters["cache_memo_hits"] == got.stats.oracle_calls
         want = layered_popqc(Circuit(gates), NamOracle(), omega)
-        got = layered_popqc(_as_ids(gates), NamOracle(), omega, parmap=cached_pool)
+        got = layered_popqc(_as_ids(gates), NamOracle(), omega, parmap=pool)
         assert _account(got)[1:] == _account(want)[1:]
         want, want_trace = popqc_traced(Circuit(gates), NamOracle(), omega)
         got, got_trace = popqc_traced(
-            _as_ids(gates), NamOracle(), omega, parmap=cached_pool
+            _as_ids(gates), NamOracle(), omega, parmap=pool
         )
         assert got.circuit.gates == want.circuit.gates and got_trace == want_trace
 

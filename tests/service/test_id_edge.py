@@ -8,6 +8,7 @@ standalone ``popqc`` run, cold and warm.
 """
 
 import math
+import sys
 import threading
 import time
 
@@ -26,7 +27,7 @@ from repro.circuits.encoding import (
 )
 from repro.core import GateStore, popqc, popqc_rounds
 from repro.oracles import NamOracle
-from repro.parallel import transports
+from repro.parallel import LazySegmentResult, transports
 from repro.parallel.frames import (
     ERR_BAD_FRAME,
     ERR_JOB_FAILED,
@@ -187,51 +188,41 @@ def _standalone_bytes(circuit, omega):
     )
 
 
-@pytest.fixture
-def job_stats(monkeypatch):
-    """The ``OptimizationStats`` of every job the daemons in this
-    process finish, in order (``cache_memo_hits`` is in no frame)."""
-    seen = []
-
-    def watched(*args, **kwargs):
-        result = yield from popqc_rounds(*args, **kwargs)
-        seen.append(result.stats)
-        return result
-
-    monkeypatch.setattr(server_module, "popqc_rounds", watched)
-    return seen
-
-
 class TestByteIdentity:
     """RESULT circuit bytes are the reference encoder's on a standalone
     ``popqc`` output: all eight families, two Ω, on the first submission
-    (oracle calls), the second (content hits, which fill the shared
-    table's memo) and the third (memo hits)."""
+    to a fresh daemon (oracle calls, and memo hits for the segments the
+    job repeats), the second and the third (memo hits throughout)."""
+
+    @pytest.fixture
+    def fresh_service(self):
+        srv = OptimizationService(NamOracle(), workers=2, transport="threads")
+        yield srv.start()
+        srv.stop()
 
     @pytest.mark.parametrize("omega", [25, 100])
     @pytest.mark.parametrize("family", family_names())
     def test_result_bytes_equal_standalone_popqc(
-        self, service, job_stats, family, omega
+        self, fresh_service, job_stats, family, omega
     ):
         circuit = generate(family, 0, seed=3)
         want = _standalone_bytes(circuit, omega)
-        with ServiceClient(service.address) as client:
-            for _ in ("miss", "content hit", "memo hit"):
+        with ServiceClient(fresh_service.address) as client:
+            for _ in ("miss", "memo hit", "memo hit"):
                 assert _result_bytes(client, circuit, omega) == want
         first, second, third = job_stats
         calls = first.oracle_calls
         assert second.oracle_calls == third.oracle_calls == calls > 0
-        # a hit on the first pass is a segment the job itself repeats;
-        # only such a segment is in the memo before the second pass has
-        # met it, and a job that repeats none reads 0, 0, calls
+        # the memo takes every answer on first sight: a hit on the first
+        # pass is a segment the job itself repeats, answered by the memo,
+        # and a job that repeats none reads 0, calls, calls
         memo = [stats.counters["cache_memo_hits"] for stats in job_stats]
-        assert memo[0] <= first.cache_hits < calls
-        assert second.cache_hits == calls
-        assert first.cache_hits <= memo[1] < calls
-        assert third.cache_hits == memo[2] == calls
+        assert memo == [first.cache_hits, calls, calls]
+        assert first.cache_hits < calls
+        assert second.cache_hits == third.cache_hits == calls
         if family in ("Grover", "HHL", "VQE") and omega == 100:
-            assert memo[:2] == [0, 0] and first.cache_hits == 0
-        assert third.cache_bytes_saved == second.cache_bytes_saved > 0
+            assert first.cache_hits == 0
+        assert third.cache_bytes_saved == second.cache_bytes_saved == 0
 
 
 class FailsOnDemand(NamOracle):
@@ -267,10 +258,10 @@ class TestSharedTable:
     a bad job leaves nothing in either, and replacing them is invisible."""
 
     def test_hostile_jobs_leave_no_row_key_or_memo_entry(self, service):
-        table = service._table
+        table, memo = service._table, service._memo
 
         def state():
-            return len(table), len(table._by_key), len(table._by_value), len(table.memo)
+            return len(table), len(table._by_key), len(table._by_value), len(memo)
 
         with ServiceClient(service.address) as client:
             client.optimize(GOOD, omega=4)
@@ -325,21 +316,58 @@ class TestSharedTable:
         suite = [(generate(f, 0, seed=4), 25) for f in ("Grover", "HHL", "VQE", "Shor")]
         want = [_standalone_bytes(circuit, omega) for circuit, omega in suite]
         srv = OptimizationService(NamOracle(), workers=2, transport="threads").start()
-        generations, memo_sizes = [srv._table], []
+        generations, memo_sizes = [(srv._table, srv._memo)], []
         try:
             with ServiceClient(srv.address) as client:
                 for _ in range(4):
                     for (circuit, omega), expected in zip(suite, want):
                         assert _result_bytes(client, circuit, omega) == expected
-                        if srv._table is not generations[-1]:
-                            generations.append(srv._table)
-                        memo_sizes.append(len(generations[-1].memo))
+                        if srv._table is not generations[-1][0]:
+                            generations.append((srv._table, srv._memo))
+                        memo_sizes.append(len(generations[-1][1]))
         finally:
             srv.stop()
         assert len(generations) > 3 and srv.jobs_completed == 16
         assert max(memo_sizes) == 150  # reached, never passed
-        assert all(len(table.memo) <= 150 for table in generations)
+        assert all(len(memo) <= 150 for _, memo in generations)
         assert srv.cache.stats.hits > srv.cache.stats.misses  # still a warm stream
+
+    def test_the_memo_keeps_an_answer_as_its_ids(self):
+        """The wire forms a cache lookup or store derived on an answer
+        held as ids stay out of the memo; any other answer goes in as is."""
+        table = intern.GateTable()
+        answer = LazySegmentResult.from_ids(table.intern(GOOD), table)
+        answer.packed_bytes()
+        memo = server_module._Memo()
+        memo.update({b"ids": answer, b"gates": GOOD})
+        kept = memo[b"ids"]
+        assert kept.interned[0] is answer.interned[0] and kept.interned[1] is table
+        assert kept._packed is kept._encoded is None and kept == GOOD
+        assert memo[b"gates"] is GOOD
+
+    def test_racing_inserts_keep_the_memo_to_its_bound(self, monkeypatch):
+        """Eight threads insert past the bound, shared keys and their own,
+        switching every microsecond: the memo stops at exactly its bound."""
+        monkeypatch.setattr(server_module, "MEMO_CAP", 500)
+        memo = server_module._Memo()
+
+        def insert(t):
+            for k in range(200):
+                own = 1000 * (t + 1) + k
+                memo.update({k.to_bytes(4, "little"): t, own.to_bytes(4, "little"): t})
+
+        threads = [threading.Thread(target=insert, args=(t,)) for t in range(8)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(memo) == 500 and memo.full
 
     def test_an_in_flight_job_finishes_on_the_table_it_started_on(self, monkeypatch):
         monkeypatch.setattr(intern, "TABLE_CAP", 8)  # every job fills its table
