@@ -7,8 +7,10 @@ end-to-end effect).
 
 import random
 
+import pytest
+
 from repro.circuits import CNOT, RZ, GateTable, H, X, encode_segment
-from repro.core import FenwickTree, GateStore, IndexTree, TombstoneArray
+from repro.core import FenwickTree, GateStore, IndexTree, TombstoneArray, index_tree
 
 N = 1 << 15
 
@@ -72,6 +74,42 @@ def test_index_tree_substitute(benchmark):
         return tree.total
 
     benchmark(run)
+
+
+@pytest.mark.parametrize("path", ["walk", "levels"])
+@pytest.mark.parametrize("k", [8, 32, 128])
+@pytest.mark.parametrize("n", [9_000, 38_000])
+@pytest.mark.parametrize("op", ["before_many", "select_many", "set_live_batch"])
+def test_index_tree_batch_paths(benchmark, monkeypatch, op, n, k, path):
+    """One batch of ``k`` on each of ``IndexTree``'s two paths, on trees
+    the size of Table-1 index-1 and index-2 circuits (``set_live_batch``:
+    ``k`` slots killed, then revived — two batches).
+    ``index_tree.SCALAR_BATCH`` is the widest ``k`` at which ``walk``
+    still beats ``levels``."""
+    monkeypatch.setattr(index_tree, "SCALAR_BATCH", 1 << 30 if path == "walk" else 0)
+    tree = IndexTree(_tombstoned_flags(n, 0.7))
+    rng = random.Random(k)
+    if op == "set_live_batch":
+        slots = rng.sample(range(n), k)
+        kill, revive = [(i, False) for i in slots], [(i, True) for i in slots]
+
+        def run():
+            tree.set_live_batch(kill)
+            tree.set_live_batch(revive)
+
+    elif op == "before_many":
+        indices = sorted(rng.randrange(n + 1) for _ in range(k))
+
+        def run():
+            return tree.before_many(indices)
+
+    else:
+        ranks = sorted(rng.randrange(tree.total) for _ in range(k))
+
+        def run():
+            return tree.select_many(ranks)
+
+    benchmark.pedantic(run, rounds=40, iterations=5, warmup_rounds=1)
 
 
 def test_fenwick_before(benchmark):

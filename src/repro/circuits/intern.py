@@ -44,8 +44,9 @@ from .gate import GATE_NAMES, Gate
 
 __all__ = ["TABLE_CAP", "GateTable", "RowTable", "thread_table"]
 
-#: Entries a long-lived table — a worker thread's, a daemon's — may
-#: reach before it is replaced (as a whole, between segments or jobs).
+#: Entries a long-lived table — a worker thread's, a daemon's, a client
+#: connection's — may reach before it is replaced (as a whole, between
+#: segments or jobs).
 #: Table-1 circuits stay far below it; at ~500 bytes an entry it bounds
 #: a table near 4 MB.
 TABLE_CAP = 8192

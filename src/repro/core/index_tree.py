@@ -9,23 +9,46 @@ supports, in O(lg n):
 * ``select(r)`` — array index of the live gate with rank ``r``;
 
 ``before_many``/``select_many`` answer k of either (the paper's parallel
-rank map) in O(k lg n) work but lg n numpy steps, walking all together;
-and O(l lg n) batched weight updates for ``l`` modified slots (one
-vectorized pass per tree level), matching the cost table of Algorithm 1
-in the paper.
+rank map) in O(k lg n) work, and ``set_live_batch`` makes O(l lg n)
+weight updates for ``l`` modified slots, matching the cost table of
+Algorithm 1 in the paper.  A batch runs in one of two regimes:
 
-The tree is stored in numpy heap layout (node ``k``'s children are
-``2k`` and ``2k+1``), which makes construction a handful of vectorized
-adds and keeps the memory footprint at ~16 bytes per gate.
+* up to :data:`SCALAR_BATCH` items, each walks the heap on its own in
+  Python, at ~1.5 us a query and ~3 us an update on a 2^14-2^16-leaf
+  tree;
+* more go together, one numpy step per level of the heap for the whole
+  batch: ~45-70 us a batch, nearly flat in its width up to a few
+  hundred, because a numpy call costs ~1 us whatever it holds.
+
+The micro-benchmark ``benchmarks/test_datastructures.py::
+test_index_tree_batch_paths`` times both at k = 8, 32 and 128 on trees
+of 9k and 38k slots.  On a 2-vCPU host queries cross over at ~32-45
+items and updates at ~16-24, and most batches of a round are narrow:
+over the Table-1 index-1 suite at Omega 25 and 100, 78 % of the
+``select_many`` calls hold 32 ranks or fewer (37 % of ``before_many``'s).
+
+The tree is stored in heap layout (node ``k``'s children are ``2k`` and
+``2k+1``) in one int64 buffer, ~16 bytes per gate: an ``array('q')``
+that the walks index, and a numpy view of the same memory that the
+level steps and the construction's handful of vectorized adds use.
+Neither is a copy of the other, so a write made through one is read
+through the other.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["IndexTree"]
+__all__ = ["IndexTree", "SCALAR_BATCH"]
+
+#: Widest batch (queries, or distinct slots updated) that walks the heap
+#: one item at a time in Python; a wider one takes the numpy level steps.
+#: Between the measured crossovers of queries and updates (see above),
+#: and queries are three of a round's four batches.
+SCALAR_BATCH = 32
 
 
 class IndexTree:
@@ -37,14 +60,17 @@ class IndexTree:
         Initial liveness of each array slot (1 = gate, 0 = tombstone).
     """
 
-    __slots__ = ("_size", "_cap", "_w")
+    __slots__ = ("_size", "_cap", "_heap", "_w")
 
     def __init__(self, flags: Sequence[int] | np.ndarray):
         n = len(flags)
         cap = 1
         while cap < max(n, 1):
             cap <<= 1
-        w = np.zeros(2 * cap, dtype=np.int64)
+        # One int64 buffer: Python walks index ``_heap``, numpy steps
+        # read and write ``_w``, a view of the same memory.
+        heap = array("q", bytes(16 * cap))
+        w = np.frombuffer(heap, dtype=np.int64)
         if n:
             w[cap : cap + n] = np.asarray(flags, dtype=np.int64)
         # Build internal levels bottom-up with vectorized pairwise sums.
@@ -56,6 +82,7 @@ class IndexTree:
             lo = half
         self._size = n
         self._cap = cap
+        self._heap = heap
         self._w = w
 
     # -- queries ---------------------------------------------------------
@@ -67,12 +94,12 @@ class IndexTree:
     @property
     def total(self) -> int:
         """Number of live slots."""
-        return int(self._w[1]) if self._size else 0
+        return self._heap[1]
 
     def is_live(self, index: int) -> bool:
         """Whether slot ``index`` currently holds a gate."""
         self._check_index(index)
-        return bool(self._w[self._cap + index])
+        return bool(self._heap[self._cap + index])
 
     def before(self, index: int) -> int:
         """Count of live slots strictly before ``index``.
@@ -82,41 +109,51 @@ class IndexTree:
         """
         if index < 0 or index > self._size:
             raise IndexError(f"index {index} out of range [0, {self._size}]")
-        if index == self._size:
-            # Prefix over the whole array; also avoids walking off the
-            # heap when size == capacity.
-            return self.total
-        w = self._w
-        pos = self._cap + index
-        acc = 0
-        while pos > 1:
-            if pos & 1:
-                acc += w[pos - 1]
-            pos >>= 1
-        return int(acc)
+        return self._before(index)
 
     def select(self, rank: int) -> int:
         """Array index of the live slot with 0-based rank ``rank``."""
         if rank < 0 or rank >= self.total:
             raise IndexError(f"rank {rank} out of range [0, {self.total})")
-        w = self._w
+        return self._select(rank)
+
+    def _before(self, index: int) -> int:
+        if index == self._size:
+            # Prefix over the whole array; also avoids walking off the
+            # heap when size == capacity.
+            return self._heap[1]
+        heap = self._heap
+        pos = self._cap + index
+        acc = 0
+        while pos > 1:
+            if pos & 1:
+                acc += heap[pos - 1]
+            pos >>= 1
+        return acc
+
+    def _select(self, rank: int) -> int:
+        heap, cap = self._heap, self._cap
         pos = 1
-        r = rank
-        while pos < self._cap:
-            left = 2 * pos
-            lw = w[left]
-            if r < lw:
-                pos = left
-            else:
-                r -= int(lw)
-                pos = left + 1
-        return pos - self._cap
+        while pos < cap:
+            pos <<= 1
+            left = heap[pos]
+            if rank >= left:
+                rank -= left
+                pos += 1
+        return pos - cap
 
     def before_many(self, indices: Sequence[int] | np.ndarray) -> np.ndarray:
-        """:meth:`before` of every index, as one int64 array: each level
-        of the heap is one numpy step for all queries together."""
+        """:meth:`before` of every index, as one int64 array.
+
+        Up to :data:`SCALAR_BATCH` indices walk the heap one by one;
+        more go together, one numpy step per level of the heap."""
+        if len(indices) <= SCALAR_BATCH:
+            index = list(map(int, indices))
+            if index and (min(index) < 0 or max(index) > self._size):
+                raise IndexError(f"index out of range [0, {self._size}]")
+            return np.array(list(map(self._before, index)), dtype=np.int64)
         index = np.asarray(indices, dtype=np.int64)
-        if index.size and (index.min() < 0 or index.max() > self._size):
+        if index.min() < 0 or index.max() > self._size:
             raise IndexError(f"index out of range [0, {self._size}]")
         whole = index == self._size  # the live total, as in before()
         pos = np.where(whole, 0, index) + self._cap
@@ -127,10 +164,17 @@ class IndexTree:
         return acc
 
     def select_many(self, ranks: Sequence[int] | np.ndarray) -> np.ndarray:
-        """:meth:`select` of every rank, as one int64 array: all queries
-        descend the heap together, one numpy step per level."""
+        """:meth:`select` of every rank, as one int64 array.
+
+        Up to :data:`SCALAR_BATCH` ranks walk the heap one by one; more
+        descend it together, one numpy step per level."""
+        if len(ranks) <= SCALAR_BATCH:
+            rank = list(map(int, ranks))
+            if rank and (min(rank) < 0 or max(rank) >= self.total):
+                raise IndexError(f"rank out of range [0, {self.total})")
+            return np.array(list(map(self._select, rank)), dtype=np.int64)
         rank = np.array(ranks, dtype=np.int64)  # a copy: it is spent below
-        if rank.size and (rank.min() < 0 or rank.max() >= self.total):
+        if rank.min() < 0 or rank.max() >= self.total:
             raise IndexError(f"rank out of range [0, {self.total})")
         pos = np.ones(len(rank), dtype=np.int64)
         for _ in range(self._cap.bit_length() - 1):
@@ -161,16 +205,29 @@ class IndexTree:
         self.set_live_batch([(index, live)])
 
     def set_live_batch(self, updates: Iterable[tuple[int, bool]]) -> None:
-        """Apply many ``(index, live)`` updates, level by level.
+        """Apply many ``(index, live)`` updates.
 
         A slot named more than once ends in its last state, as if the
-        updates had run through :meth:`set_live` in order.  The deltas
-        of the slots that really change climb the heap together — one
-        ``np.add.at`` per level — so the O(l lg n) of the paper's
-        ``substitute`` is lg n array operations, not l lg n Python ones.
+        updates had run through :meth:`set_live` in order.  Up to
+        :data:`SCALAR_BATCH` distinct slots climb the heap one by one;
+        the deltas of more climb it together — one ``np.add.at`` per
+        level — so the O(l lg n) of the paper's ``substitute`` is lg n
+        array operations, not l lg n Python ones.
         """
         final = dict(updates)
         if not final:
+            return
+        if len(final) <= SCALAR_BATCH:
+            if min(final) < 0 or max(final) >= self._size:
+                raise IndexError(f"index out of range [0, {self._size})")
+            heap, cap = self._heap, self._cap
+            for index, live in final.items():
+                pos = cap + int(index)
+                delta = int(live) - heap[pos]
+                if delta:
+                    while pos:
+                        heap[pos] += delta
+                        pos >>= 1
             return
         index = np.fromiter(final, dtype=np.int64, count=len(final))
         if index.min() < 0 or index.max() >= self._size:

@@ -346,7 +346,7 @@ def _optimize(
 
     array = granularity.array(granularity.to_items(gates), tree_factory)
     fingers = initial_fingers(len(array), omega)
-    asked = 0
+    first_fingers, asked = len(fingers), 0
 
     while fingers and (max_rounds is None or stats.rounds < max_rounds):
         rstats = RoundStats(fingers=len(fingers))
@@ -377,6 +377,9 @@ def _optimize(
     stats.final_cost = cost_fn(final_gates)
     stats.total_time = time.perf_counter() - t_start
     stats.record_counters(counters_before, counters())
+    if check_invariants:
+        gate_count = cost_fn is _gate_count_cost and granularity.array is GateStore
+        _assert_call_bound(stats, first_fingers, gate_count)
     if memo is not None:
         hits, counted = stats.oracle_calls - asked, stats.counters
         counted["cache_memo_hits"] = hits
@@ -523,6 +526,27 @@ def _assert_non_interfering(selected_ranks: list[int], omega: int) -> None:
             raise AssertionError(
                 f"selected fingers interfere: ranks {a} and {b} with omega={omega}"
             )
+
+
+def _assert_call_bound(
+    stats: OptimizationStats, first_fingers: int, gate_count: bool
+) -> None:
+    """The paper's call bound, in the form the algorithm earns it: every
+    oracle call spends one selected finger, and the fingers are the
+    ``first_fingers`` initial ones plus at most two per accepted rewrite
+    (Lemma 6's boundary fingers).  Under gate-count cost every accepted
+    rewrite also removes a gate, so the calls are O(n)."""
+    calls, accepted = stats.oracle_calls, stats.oracle_accepted
+    if calls > first_fingers + 2 * accepted:
+        raise AssertionError(
+            f"{calls} oracle calls exceed {first_fingers} initial fingers "
+            f"+ 2 x {accepted} accepted rewrites"
+        )
+    removed = stats.initial_gates - stats.final_gates
+    if gate_count and accepted > removed:
+        raise AssertionError(
+            f"{accepted} accepted rewrites removed only {removed} gates"
+        )
 
 
 def _assert_disjoint_slots(seg_slots: list[Sequence[int]]) -> None:

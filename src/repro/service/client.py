@@ -100,6 +100,15 @@ class ServiceClient(FrameConnection):
     sleep honours the server's suggested retry delay when it is
     longer.  ``busy_rejections`` counts every BUSY the client has
     absorbed (retried or not), for tests and capacity dashboards.
+
+    RESULT frames decode through one :class:`~repro.circuits.intern.
+    GateTable` per connection, so a gate value the connection has
+    decoded before costs a dict probe and no new ``Gate``: results share
+    their ``Gate`` objects (which are frozen).  The table is replaced
+    before a result once it has passed :data:`~repro.circuits.intern.
+    TABLE_CAP` entries, as a daemon replaces its own.  A JOB is encoded
+    straight from its gates, never through the table: interning a
+    circuit the connection has not seen costs more than encoding it.
     """
 
     refusal_error = ServiceError
@@ -122,6 +131,7 @@ class ServiceClient(FrameConnection):
         self.busy_backoff_max_seconds = busy_backoff_max_seconds
         self.busy_rejections = 0
         self._job_tag = 0
+        self._table = GateTable()  # decodes RESULTs; see the class docstring
 
     # -- requests --------------------------------------------------------------
 
@@ -170,7 +180,9 @@ class ServiceClient(FrameConnection):
             raise FrameProtocolError(
                 f"result tag {got_tag} does not match job tag {tag}"
             )
-        table = GateTable()  # one Gate per distinct value of the result
+        if self._table.full:
+            self._table = GateTable()
+        table = self._table
         gates = table.gates_of(table.ids_from_encoded(encoded))
         return JobResult(
             circuit=Circuit(gates, num_qubits),

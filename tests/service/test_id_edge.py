@@ -452,12 +452,54 @@ class TestSharedTable:
         assert max(tables_per_round) > 1
 
 
+class TestClientTable:
+    """A client decodes every RESULT of its connection through one table:
+    a value it has seen costs no row and no ``Gate``, and a table past
+    its cap is replaced without a byte of output changing."""
+
+    def test_a_repeat_adds_no_row_and_shares_its_gates(self, service):
+        circuit = generate("HHL", 0, seed=6)
+        with ServiceClient(service.address) as client:
+            first = client.optimize(circuit, omega=25)
+            table, rows = client._table, len(client._table)
+            second = client.optimize(circuit, omega=25)
+            assert client._table is table and len(table) == rows > 0
+        assert second.circuit.gates == first.circuit.gates
+        assert second.circuit.num_qubits == first.circuit.num_qubits
+        assert all(a is b for a, b in zip(first.circuit.gates, second.circuit.gates))
+
+    def test_a_full_table_is_replaced_and_output_is_unchanged(self, monkeypatch):
+        monkeypatch.setattr(intern, "TABLE_CAP", 100)
+        suite = [
+            (generate(f, 0, seed=2), omega)
+            for f in ("Grover", "BWT", "HHL", "VQE")
+            for omega in (25, 100)
+        ]
+        want = [_standalone_bytes(circuit, omega) for circuit, omega in suite]
+        srv = OptimizationService(NamOracle(), workers=2, transport="threads").start()
+        try:
+            with ServiceClient(srv.address) as client:
+                tables = [client._table]
+                for _ in range(2):
+                    for (circuit, omega), expected in zip(suite, want):
+                        job = client.optimize(circuit, omega=omega)
+                        got = pack_segment(encode_segment(job.circuit.gates))
+                        assert got == expected
+                        if client._table is not tables[-1]:
+                            tables.append(client._table)
+        finally:
+            srv.stop()
+        assert 2 < len(tables) < 2 * len(suite)
+        assert all(table.full for table in tables[:-1])  # replaced only when full
+
+
 class TestNeverBuildsAGatePerGate:
     def test_gate_constructions_on_both_sides_of_the_socket(self, monkeypatch):
         """Grover:1 (5587 gates, 50 distinct values) cold then warm,
         through a process fleet: the daemon's threads construct a
         ``Gate`` for a value a job's table has not seen, the client for
-        a distinct value of the result — neither per gate."""
+        a distinct value of the result its connection has not decoded
+        before — neither per gate."""
         circuit = generate("Grover", 1, seed=0)
         reference = popqc(circuit, NamOracle(), 100)
         built = {"daemon": 0, "client": 0}
@@ -492,6 +534,8 @@ class TestNeverBuildsAGatePerGate:
                     assert (job.cache_hit_rate == 1.0) is (run == "warm")
                     assert built["daemon"] <= len(table) < 150, run
                     assert built["client"] <= distinct < 150, run
+                    if run == "warm":  # the connection has seen every value
+                        assert built["client"] == 0
                     assert len(circuit.gates) > 30 * len(table)
         finally:
             monkeypatch.undo()
