@@ -36,8 +36,10 @@ them.
 The remaining parallel-transport numbers are recorded for the
 trajectory but not gated (2-vCPU shared runners make them races); a
 record's ``dispatch`` section — where a default ``ProcessMap`` ran its
-rounds, the per-width cost table it learned and the width classes in
-which the pool came out cheaper than inline — is printed beside them.
+by-value rounds, the per-width cost table it learned and the width
+classes in which the pool came out cheaper than inline, beside the id
+rounds it ran as claim rounds without asking the model — is printed
+beside them.
 
 Usage::
 
@@ -201,10 +203,16 @@ def main(argv: list[str] | None = None) -> int:
     dispatch = current.get("dispatch", {})
     if dispatch:
         print(
-            f"measured dispatch (ungated): {dispatch.get('inline_rounds', 0)} "
-            f"rounds inline / {dispatch.get('pool_rounds', 0)} pooled above "
-            f"the floor of {dispatch.get('floor', 0)}"
+            f"measured dispatch of by-value rounds (ungated): "
+            f"{dispatch.get('inline_rounds', 0)} rounds inline / "
+            f"{dispatch.get('pool_rounds', 0)} pooled above the floor of "
+            f"{dispatch.get('floor', 0)}"
         )
+        if "claim_rounds" in dispatch:
+            print(
+                f"  id rounds: {dispatch['claim_rounds']} claim rounds, "
+                "never placed by the cost model"
+            )
         for width, row in dispatch.get("per_class", {}).items():
             sides = ", ".join(
                 f"{side} {row[f'{side}_us_per_gate']:.2f} us/gate x "

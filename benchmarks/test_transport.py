@@ -15,7 +15,8 @@ multi-worker cluster.  These benchmarks measure all five wire formats
 on the segment stream of a ≥20k-gate circuit, prove the transports
 byte-identical end to end, compare the two rule-engine
 implementations, record what lazy result decode skipped and where a
-default-constructed ``ProcessMap`` chose to run its rounds, and emit a
+default-constructed ``ProcessMap`` chose to run its by-value rounds
+(an id round is always a claim round), and emit a
 machine-readable ``BENCH_transport.json`` (schema v6) that CI uploads
 on every push and diffs against the committed baseline (see
 ``benchmarks/README.md``).
@@ -175,7 +176,9 @@ def test_threads_beats_pipe_transports_on_wire_time():
 
 def _piped_bytes(transport: str) -> tuple[int, int]:
     """``(pool tasks, pickled bytes)`` one identity-oracle round over
-    ``SEGMENTS`` hands the executor pipe, requests and replies."""
+    ``SEGMENTS`` hands the executor pipe, requests and replies.  These
+    are gate lists, so the round goes by value, one task per batch; an
+    id round is a claim round instead (:func:`_claimed_bytes`)."""
     import pickle as _pickle
 
     echo = IdentityOracle()
@@ -199,6 +202,44 @@ def _piped_bytes(transport: str) -> tuple[int, int]:
         return piped[0]
     finally:
         pm.close()
+
+
+def _claimed_bytes() -> tuple[int, int, int]:
+    """``(messages, children, pickled bytes)`` one ``NamOracle`` round
+    over ``ID_SEGMENTS`` hands the executor pipe: a claim round, whose
+    one message every child gets and whose replies come only from the
+    children that claimed."""
+    import pickle as _pickle
+
+    pm = ProcessMap(2, serial_cutoff=0, transport="encoded")
+    try:
+        pm.map_segments(ORACLE, ID_SEGMENTS[:4])  # spawn the pool
+        pool = pm.wire._pool
+        real_claim, sent, replied = pool.claim, [], []
+
+        def spy(round_id, count, data, here):
+            sent.append(data)
+            replies = real_claim(round_id, count, data, here)
+            replied.extend(_pickle.dumps(reply) for reply in replies)
+            return replies
+
+        pool.claim = spy
+        pm.map_segments(ORACLE, ID_SEGMENTS)
+        children = len(pool._conns)
+        piped = sum(map(len, sent)) * children + sum(map(len, replied))
+        return len(sent), children, piped
+    finally:
+        pm.close()
+
+
+def test_an_id_round_pipes_one_message_per_child():
+    """An id round is not cut into batches: the same message — distinct
+    rows and int32 positions — reaches each child once, smaller than
+    the packed stream the by-value batches carry each way."""
+    payload = sum(encoded_nbytes(seg) for seg in SEGMENTS)
+    messages, children, piped = _claimed_bytes()
+    assert messages == 1 and children == 2
+    assert piped < 2 * payload
 
 
 def test_shm_pipes_descriptors_where_encoded_pipes_blobs():
@@ -366,23 +407,33 @@ def _dispatch_record() -> dict:
     rounds of ``DISPATCH_PASSES`` passes over prefixes of the segment
     stream, and the per-class table its cost model learned on this
     host — the input a calibrated ``SimulatedParallelism`` projection
-    needs.  The rounds are id handles (``ID_SEGMENTS``), the path every
-    driver round takes: inline through ``run_ids``, pooled by id.  A
+    needs.  Only by-value rounds (``SEGMENTS``, gate lists) are placed
+    so: an id round (``ID_SEGMENTS``, the path every ``popqc`` round of
+    a ``NamOracle`` takes) above the floor is a claim round — one message
+    per child, every stream taking segments until none is left — and
+    asks the model nothing; one pass of those is counted beside.  A
     timing, so recorded and printed, never gated."""
     pm = ProcessMap(SMOKE_WORKERS, transport="encoded")
     try:
         for _ in range(DISPATCH_PASSES):
             for width in DISPATCH_WIDTHS:
-                pm.map_segments(ORACLE, ID_SEGMENTS[:width])
+                pm.map_segments(ORACLE, SEGMENTS[:width])
+        by_value = pm.counters()
+        table = pm.cost_model.table()
+        for width in DISPATCH_WIDTHS:
+            pm.map_segments(ORACLE, ID_SEGMENTS[:width])
         counters = pm.counters()
+        assert pm.cost_model.table() == table  # id rounds taught it nothing
         return {
             "workload": "prefixes of the segment stream, widest first, "
-            f"{DISPATCH_PASSES} passes, default ProcessMap",
+            f"{DISPATCH_PASSES} passes by value, then one by id, default "
+            "ProcessMap",
             "floor": pm.serial_cutoff,
             "rounds": DISPATCH_PASSES * len(DISPATCH_WIDTHS),
-            "inline_rounds": counters["inline_rounds"],
-            "pool_rounds": counters["pool_dispatches"],
-            "per_class": pm.cost_model.table(),  # JSON turns the widths into strings
+            "inline_rounds": by_value["inline_rounds"],
+            "pool_rounds": by_value["pool_dispatches"],
+            "claim_rounds": counters["pool_dispatches"] - by_value["pool_dispatches"],
+            "per_class": table,  # JSON turns the widths into strings
         }
     finally:
         pm.close()
@@ -622,11 +673,13 @@ def test_five_way_comparison_emits_bench_json(
     # skipped decode bytes
     assert lazy["bytes_skipped"] > 0
     assert lazy["results_decoded"] == 0
-    # every round above the floor ran on exactly one side, the first in
-    # the pool, and each width landed in a class of its own
+    # every by-value round above the floor ran on exactly one side, the
+    # first in the pool, and each width landed in a class of its own;
+    # every id round above it was a claim round
     assert dispatch["inline_rounds"] + dispatch["pool_rounds"] == dispatch["rounds"]
     assert dispatch["pool_rounds"] >= 1
     assert len(dispatch["per_class"]) == len(DISPATCH_WIDTHS)
+    assert dispatch["claim_rounds"] == len(DISPATCH_WIDTHS)
     # the service section must come from a fully warm cache
     assert service_results["hit_rate_after_warmup"] == 1.0
     assert service_results["cache_entries"] > 0

@@ -14,8 +14,8 @@ of one (the packed bytes of ``encode_segment`` on the gates), and
 A table is a *cache*: ids never reach a wire byte, a content-cache key
 or an output, so dropping one — or using another on the far side of a
 pipe — changes nothing observable.  The one place they cross a process
-boundary is a local pool batch, and there only as positions into a
-:class:`RowTable` — the batch's distinct rows, shipped beside them — so
+boundary is a local claim round, and there only as positions into a
+:class:`RowTable` — the round's distinct rows, shipped beside them — so
 the worker needs no table and keeps none.
 
 A table may be shared between threads (a ``popqc serve`` daemon's jobs
@@ -277,7 +277,7 @@ class GateTable:
 
 
 class RowTable:
-    """One pool batch's distinct rows of a :class:`GateTable`, by position.
+    """One claim round's distinct rows of a :class:`GateTable`, by position.
 
     What an id entry (``run_ids``) runs against in a worker: it answers
     :meth:`columns`, :meth:`qubits` and :attr:`names` as the table

@@ -56,6 +56,7 @@ def layered_popqc(
     parmap: Optional[ParallelMap] = None,
     cost: Optional[CostFn] = None,
     max_rounds: Optional[int] = None,
+    check_invariants: bool = False,
 ) -> LayeredPopqcResult:
     """POPQC at layer granularity with a gate-level cost function.
 
@@ -66,6 +67,9 @@ def layered_popqc(
     layer segments are flattened to gate lists before the oracle map
     (the oracle never sees our layering), and oracle outputs are
     re-layered before the fit test and the substitution.
+    ``check_invariants`` verifies non-interference and slot disjointness
+    every round and the finger half of the call bound at the end, as
+    :func:`~repro.core.popqc.popqc`'s does.
     """
     if isinstance(circuit, Circuit):
         num_qubits = circuit.num_qubits
@@ -83,4 +87,5 @@ def layered_popqc(
         parmap,
         cost_fn=cost if cost is not None else mixed_cost(),
         max_rounds=max_rounds,
+        check_invariants=check_invariants,
     )

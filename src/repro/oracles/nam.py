@@ -222,7 +222,7 @@ class NamOracle:
         ids of the same table (``ids`` itself when no pass changed
         anything).  A ``Gate`` is built only for a rewritten value the
         table has not seen — or, on the vector engine, for every gate.
-        ``table`` may also be a pool batch's
+        ``table`` may also be a claim round's
         :class:`~repro.circuits.intern.RowTable`."""
         seg = WorkSegment.from_ids(ids, table)
         if self.engine == "vector":

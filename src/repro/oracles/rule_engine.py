@@ -155,7 +155,7 @@ class WorkSegment:
 
     @classmethod
     def from_ids(cls, ids: np.ndarray, table: GateTable) -> "WorkSegment":
-        """A segment of ``ids`` of ``table`` (or of a pool batch's
+        """A segment of ``ids`` of ``table`` (or of a claim round's
         :class:`~repro.circuits.intern.RowTable`): a gather of its rows."""
         name, q0, q1, param = table.columns(ids)
         opaque = {}

@@ -5,13 +5,12 @@ The paper implements it with Rust/Rayon fork-join; here a driver talks
 to the :class:`SegmentExecutor` seam (``map_segments``, ``counters()``,
 ``transport``, ``workers``), results in input order:
 
-* :class:`ProcessMap` — real multicore (or multi-host) execution: a
-  round runs in the parent when that is measured to be cheaper, else
-  it is cut into batches and handed to the
-  :class:`~repro.parallel.transports.Transport` that ``transport=``
-  names, the parent computing too when it measures placement.  This is
-  the CPython analogue of Rayon handing a borrowed slice to a worker:
-  the per-round IPC cost is a few buffers, not ``O(gates)`` pickle
+* :class:`ProcessMap` — real multicore (or multi-host) execution: an
+  id round is a claim round, each stream taking the next segment as
+  Rayon's work stealing would; a by-value round runs in the parent
+  when that is measured cheaper, else is cut into batches for the
+  :class:`~repro.parallel.transports.Transport` ``transport=`` names.
+  The per-round IPC cost is a few buffers, not ``O(gates)`` pickle
   opcodes plus a fresh copy of the oracle.
 * :class:`SerialMap`, the reference and the 1-thread configuration,
   which is also how a :class:`ProcessMap` runs a round inline: a
@@ -36,7 +35,7 @@ from ..circuits.gate import Gate
 from . import shm
 from .results import DecodeStats, LazySegmentResult
 from .scheduling import RoundCostModel, batch_segments
-from .transports import TRANSPORTS, Transport, WorkerPool
+from .transports import TRANSPORTS, Transport, WorkerPool, _answer_one, _by_id
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -151,8 +150,7 @@ class SerialMap:
             if run_ids is None or seg.interned is None:
                 results.append(oracle(seg.gates()))
             else:
-                ids, table = seg.interned
-                results.append(LazySegmentResult.from_ids(run_ids(ids, table), table))
+                results.append(_answer_one(oracle, seg))
         return results
 
     def counters(self) -> dict:
@@ -171,14 +169,12 @@ class ProcessMap:
     """Process-pool segment executor for genuine multicore execution.
 
     Oracle and segments cross process boundaries, so the oracle must be
-    picklable.  A round leaves the parent only when that pays:
-    :meth:`map_segments` times every round it runs, inline or through
-    the transport, and asks a :class:`~repro.parallel.scheduling.
-    RoundCostModel` which side is cheaper for a round of that width
-    (the grain control the paper gets from Rayon's loop splitting).
-    Placement therefore depends on the clock and differs run to run;
-    the results never do — a segment's result is the same bytes
-    wherever it is computed.
+    picklable.  An id round (ids of a table, an oracle with ``run_ids``)
+    on the ``encoded`` transport is a claim round; a by-value round
+    leaves the parent only when a :class:`~repro.parallel.scheduling.
+    RoundCostModel`, fed by every such round timed, says that pays.
+    Where a segment is answered depends on the clock; its result never
+    does — it is the same bytes wherever it is computed.
 
     Parameters
     ----------
@@ -187,11 +183,12 @@ class ProcessMap:
         caller and ``workers - 1`` children; defaults to
         :func:`default_workers` (to the host count on the socket transport).
     serial_cutoff:
-        ``None`` (default): rounds of at most 2 segments run inline and
-        every wider one where the cost model predicts it cheaper.  An
-        int fixes the rule — at most this many items inline, the rest
-        through the pool, on children alone — and the model is never
-        asked.  The attribute is always the int floor.
+        ``None`` (default): rounds of at most 2 segments run inline; a
+        wider one runs on the caller and ``workers - 1`` children — an
+        id round always, a by-value round where the cost model predicts
+        it cheaper.  An int fixes the rule — at most this many items
+        inline, the rest through the pool, on children alone — and the
+        model is never asked.  The attribute is always the int floor.
     transport:
         Wire format for :meth:`map_segments`, a key of
         :data:`~repro.parallel.transports.TRANSPORTS` (that module
@@ -229,22 +226,22 @@ class ProcessMap:
         whoever reads the gates, not counted here.
     cost_model:
         The :class:`~repro.parallel.scheduling.RoundCostModel` every
-        timed round feeds; also the per-segment time estimate behind
-        the batch plan.
+        timed round but a claim round feeds; also the per-segment time
+        estimate behind the batch plan.
     pool_dispatches:
         Number of :meth:`map_segments` calls that actually crossed
-        into a pool.
+        into a pool (a claim round is one).
     inline_rounds / inline_segments:
-        :meth:`map_segments` rounds wider than ``serial_cutoff`` that
-        ran in the parent all the same, and the segments they held
-        (rounds at or below the floor count as neither).
+        By-value rounds wider than ``serial_cutoff`` that ran in the
+        parent all the same, and the segments they held.
     batch_dispatches / segments_batched:
-        Batches the round plans cut and segments they carried; their
-        ratio is the mean batch width.  A batch is one pool task on
-        every transport but ``threads``, which maps segment by segment.
+        Batches the by-value round plans cut and segments they carried
+        (a claim round adds to neither); their ratio is the mean batch
+        width.  A batch is one pool task on every transport but
+        ``threads``, which maps segment by segment.
     last_batch_sizes:
-        Batch widths of the most recent planned :meth:`map_segments`
-        call.
+        Batch widths of the most recent call's plan (none inline or
+        in a claim round).
 
     :meth:`counters` reports these together with the transport's and
     the lazy-decode counts (by-value results only).
@@ -327,9 +324,10 @@ class ProcessMap:
     ) -> list:
         """Apply ``oracle`` to every segment, preserving order.
 
-        The round runs in the parent — at or below the cutoff, or where
-        the cost model says so — or its batches are planned and handed
-        to the transport; either way it is timed and the model told.
+        The round runs in the parent at or below the cutoff; above it an
+        id round is a claim round, and a by-value round runs in the
+        parent where the cost model says so, or its batches are planned
+        and handed to the transport, timed either way for the model.
         Pool-backed calls return
         :class:`~repro.parallel.results.LazySegmentResult` handles that
         decode only when read.
@@ -346,27 +344,31 @@ class ProcessMap:
         gates = sum(map(len, segments))
         model = self.cost_model
         above = n > self.serial_cutoff
+        claim = above and hasattr(self.wire, "claim_round") and _by_id(oracle, segments)
         started = time.perf_counter()
-        if not above or (self._measured and model.choose(n) == "inline"):
+        if not above or (self._measured and not claim and model.choose(n) == "inline"):
             results = SerialMap().map_segments(oracle, segments)
             model.observe("inline", n, gates, time.perf_counter() - started)
             if above:
                 self.inline_rounds += 1
                 self.inline_segments += n
             return results
-        task_seconds = (model.estimate("inline", n) or 0.0) * gates / n
-        plan = batch_segments(n, self.workers, task_seconds)
-        self.last_batch_sizes = [end - start for start, end in plan]
         self.pool_dispatches += 1
-        self.batch_dispatches += len(plan)
-        self.segments_batched += n
-        results, serialization, pool_seconds = self.wire.run_round(
-            oracle, segments, plan
-        )
+        if claim:
+            results, serialization = self.wire.claim_round(oracle, segments)
+        else:
+            task_seconds = (model.estimate("inline", n) or 0.0) * gates / n
+            plan = batch_segments(n, self.workers, task_seconds)
+            self.last_batch_sizes = [end - start for start, end in plan]
+            self.batch_dispatches += len(plan)
+            self.segments_batched += n
+            results, serialization, pool_seconds = self.wire.run_round(
+                oracle, segments, plan
+            )
+            if pool_seconds is not None:  # a cold pool's spawn is not a round's cost
+                model.observe("pool", n, gates, time.perf_counter() - started)
         self.last_serialization_time = serialization
         self.serialization_time += serialization
-        if pool_seconds is not None:  # a cold pool's spawn is not a round's cost
-            model.observe("pool", n, gates, time.perf_counter() - started)
         return results
 
     def counters(self) -> dict:

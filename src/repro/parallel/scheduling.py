@@ -8,12 +8,13 @@ Three concerns live here:
   and — more importantly for our purposes — it models what a
   work-stealing fork-join runtime (Rayon in the paper's implementation)
   achieves on a parallel map whose iterations have heterogeneous costs.
-* **Grain control** for the real process pool, the job Rayon's adaptive
-  loop splitting does for the paper: :class:`RoundCostModel` learns what
-  a round costs in the parent and what it costs through the pool, per
-  round width, and says which is cheaper.  Where a round runs depends
-  on measured time and is not reproducible; what it returns does not.
-* **Batching** of the rounds that do go to the pool.  A batch must be
+* **Grain control** for the real process pool's by-value rounds:
+  :class:`RoundCostModel` learns what a round costs in the parent and
+  what it costs through the pool, per round width, and says which is
+  cheaper.  Where a round runs depends on measured time and is not
+  reproducible; what it returns does not.  An id round is a claim
+  round instead, each stream taking the next segment as it frees up.
+* **Batching** of the by-value rounds that do go to the pool.  A batch must be
   large enough that its dispatch overhead (pickle + pipe + wakeup) is
   amortized by useful oracle work, yet small enough that every worker
   gets several for load balancing.  :func:`adaptive_chunksize` resolves

@@ -1,21 +1,20 @@
-"""The oracle transports: how one planned round reaches the workers.
+"""The oracle transports: how one round reaches the workers.
 
 :class:`~repro.parallel.ProcessMap` decides *whether* a round leaves
-the parent (the inline floor, and above it the measured
-:class:`~repro.parallel.scheduling.RoundCostModel`) and *how it is
-cut* (the :func:`~repro.parallel.scheduling.batch_segments` plan); a
-:class:`Transport` decides *how the bytes travel*.  Each wire
-format is one small class that owns its own state and its own
-counters, and :data:`TRANSPORTS` is the registry ``transport=`` names
-are looked up in:
+the parent (the inline floor and, for a by-value round, the measured
+:class:`~repro.parallel.scheduling.RoundCostModel`) and how a by-value
+round is cut (:func:`~repro.parallel.scheduling.batch_segments`); a
+:class:`Transport` decides *how the bytes travel*.  Each wire format is
+one small class with its own state and counters, and :data:`TRANSPORTS`
+is the registry ``transport=`` names are looked up in:
 
-* ``"encoded"`` (default) — the oracle is registered once per worker
-  process.  A batch of segments held as ids, for an oracle with an id
-  entry (every ``popqc`` round of a ``NamOracle``), crosses the pool
-  pipe as positions into the batch's own distinct table rows, and its
-  answer as positions plus any rewritten values; any other batch as one
-  contiguous blob of packed segments, each way (the socket transport's
-  SEGMENTS/RESULTS payloads);
+* ``"encoded"`` (default) — the oracle is registered once per child.
+  An id round (ids of a table, an oracle with ``run_ids``: every
+  ``popqc`` round of a ``NamOracle``) is a *claim round*: one message
+  per child — the round's distinct rows and every segment's positions
+  — and each stream, the caller too when it computes, takes the next
+  segment from a shared cell until none is left.  Any other round is
+  a packed blob per batch each way (the socket transport's payloads);
 * ``"shm"`` — every round's segments are packed into one pooled
   shared-memory arena (:mod:`repro.parallel.shm`) and the pipe carries
   only ``(arena, start, end)`` descriptors;
@@ -31,8 +30,9 @@ are looked up in:
 
 The three pool-backed formats share :class:`WorkerPool`: children on a
 pipe each, the generation token every task carries (so a stale child
-fails loudly, :class:`StaleOracleError`), the respawn after a crash and
-the loop dealing batches to free streams, the caller maybe among them.
+fails loudly, :class:`StaleOracleError`), the respawn after a crash,
+the loop dealing by-value batches to free streams (the caller maybe
+among them) and the claim round.
 Every transport returns :class:`~repro.parallel.results.LazySegmentResult`
 handles, so results stay ids, or in the wire format until a driver
 reads their gates.
@@ -41,7 +41,10 @@ reads their gates.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import multiprocessing
+import os
+import pickle
 import time
 import weakref
 from collections import deque
@@ -122,6 +125,9 @@ _WORKER_ENTRY: Optional[Callable] = None
 _WORKER_ORACLE: Optional[Oracle] = None
 _WORKER_ORACLE_GEN: int = -1
 
+#: A pool child's ``(claim cell lock, cell slots, own slot, parent pid)``.
+_WORKER_CELL: Optional[tuple] = None
+
 #: Worker-side cache of attached shared-memory arenas, keyed by name.
 #: Arena blocks are reused round over round, so this normally holds the
 #: two or three blocks of the executor's ring.
@@ -165,35 +171,57 @@ def _apply_registered_oracle(payload: bytes) -> bytes:
     )
 
 
-def _apply_registered_oracle_ids(task: tuple) -> tuple:
-    """Worker task of the encoded transport for an id round.
-
-    ``task`` is ``(oracle generation, a RowTable, every segment's
-    positions into it back to back, the split points)``; each segment
-    goes through the oracle's id entry, as inline.  The reply is the
-    rewritten values and, per segment, ``None`` if it is unchanged, else
-    its result positions.
-    """
-    generation, rows, positions, bounds = task
-    _require_worker_oracle(generation)
-    run_ids = _WORKER_ORACLE.run_ids
-    return rows.values, [
-        None if (out := run_ids(ids, rows)) is ids else out
-        for ids in np.split(positions, bounds)
-    ]
+def _take(slots, round_id: int, count: int, child: Optional[int] = None) -> int:
+    """The next index of round ``round_id`` in a claim cell's ``slots``
+    (lock held), counted to ``child``; -1 once it ran out or closed."""
+    if slots[0] != round_id or slots[1] >= count:
+        return -1
+    slots[1] += 1
+    if child is not None:
+        slots[2 + child] += 1
+    return slots[1] - 1
 
 
-def _serve(conn, parent_end, oracle: Optional[Oracle], generation: int) -> None:
-    """A pool child: answer ``(fn, items)`` messages with ``(True, outputs)``
-    or ``(False, exception)`` until ``None`` or the parent's end closes."""
+def _answer_claims(task: tuple) -> tuple:
+    """Worker task of a claim round ``(round id, generation, (RowTable,
+    positions) parts, each segment's (part, start, end))``: run claimed
+    segments through ``run_ids`` until the cell runs out; reply each
+    part's new values and ``(index, None if unchanged else positions)``."""
+    round_id, generation, parts, where = task
+    lock, slots, child, parent = _WORKER_CELL
+    answers = []
+    while True:
+        while not lock.acquire(timeout=CELL_LOCK_TIMEOUT):
+            if os.getppid() != parent:  # the caller died holding the lock
+                raise EOFError("the pool's parent is gone")
+        try:
+            index = _take(slots, round_id, len(where), child)
+        finally:
+            lock.release()
+        if index < 0:
+            return [rows.values for rows, _ in parts], answers
+        _require_worker_oracle(generation)
+        part, start, end = where[index]
+        rows, positions = parts[part]
+        ids = positions[start:end]
+        out = _WORKER_ORACLE.run_ids(ids, rows)
+        answers.append((index, None if out is ids else out))
+
+
+def _serve(conn, parent_end, oracle: Optional[Oracle], generation: int, cell) -> None:
+    """A pool child: answer ``(fn, items, round id)`` messages with
+    ``(True, outputs, round id)`` or ``(False, exception, round id)``
+    until ``None`` or the parent's end closes (before a late reply too)."""
+    global _WORKER_CELL
     parent_end.close()  # the forked copy would keep EOF from ever arriving
     _register_worker_oracle(oracle, generation)
-    with contextlib.suppress(EOFError, KeyboardInterrupt):
-        for fn, items in iter(conn.recv, None):
+    _WORKER_CELL = (*cell, os.getppid())
+    with contextlib.suppress(EOFError, BrokenPipeError, KeyboardInterrupt):
+        for fn, items, round_id in iter(conn.recv, None):
             try:
-                reply = True, [fn(item) for item in items]
+                reply = True, [fn(item) for item in items], round_id
             except Exception as exc:  # the task's failure, the parent's to raise
-                reply = False, exc
+                reply = False, exc, round_id
             conn.send(reply)
 
 
@@ -295,53 +323,60 @@ def _distinct_rows(ids: Sequence[np.ndarray], size: int) -> tuple:
     return rows.astype(flat.dtype, copy=False), remap[flat]
 
 
-def _ship_ids(segments, plan: Plan, generation: int) -> tuple:
-    """``task(k)`` and ``receive(k, replies)`` of a round of id segments:
-    batch ``k`` is a task per table (rows never mix, though a daemon's
-    rounds span a table rotation), its distinct ids as a ``RowTable``
-    and each segment as positions into it.  Answers map back through the
-    parent's table; an unchanged segment is answered with its input."""
-    groups: dict[int, list] = {}
+def _by_id(oracle, segments) -> bool:
+    """Whether a round is an id round: all segments ids, and the oracle
+    with an id entry."""
+    run_ids = getattr(oracle, "run_ids", None)
+    return run_ids is not None and all(seg.interned is not None for seg in segments)
 
-    def task(k: int) -> list:
-        start, end = plan[k]
-        by_table: dict = {}
-        for i in range(start, end):
-            by_table.setdefault(segments[i].interned[1], []).append(i)
-        tasks, groups[k] = [], []
-        for table, members in by_table.items():
-            ids = [segments[i].interned[0] for i in members]
-            rows, positions = _distinct_rows(ids, len(table))
-            bounds = np.cumsum([len(seg) for seg in ids[:-1]], dtype=np.intp)
-            tasks.append((generation, table.row_table(rows), positions, bounds))
-            groups[k].append((table, rows, members))
-        return tasks
 
-    def receive(k: int, replies: list) -> list:
-        start, end = plan[k]
-        results = list(segments[start:end])
-        for (table, rows, members), (values, answers) in zip(groups.pop(k), replies):
-            fresh = np.array(table.value_ids(values), dtype=rows.dtype)
-            lookup = np.concatenate([rows, fresh])
-            for i, out in zip(members, answers):
-                if out is not None:
-                    results[i - start] = LazySegmentResult.from_ids(lookup[out], table)
-        return results
+def _claim_parts(segments) -> tuple:
+    """A claim round's parts, one per table (a daemon's round can span a
+    table rotation): distinct rows as a ``RowTable`` and positions into
+    them; each segment's ``(part, start, end)``; each part's ``(table,
+    rows)``."""
+    by_table: dict = {}
+    for i, seg in enumerate(segments):
+        by_table.setdefault(seg.interned[1], []).append(i)
+    parts, tables, where = [], [], [None] * len(segments)
+    for part, (table, members) in enumerate(by_table.items()):
+        ids = [segments[i].interned[0] for i in members]
+        rows, positions = _distinct_rows(ids, len(table))
+        ends = np.cumsum([len(seg) for seg in ids]).tolist()
+        for i, start, end in zip(members, [0] + ends, ends):
+            where[i] = (part, start, end)
+        parts.append((table.row_table(rows), positions))
+        tables.append((table, rows))
+    return parts, where, tables
 
-    return task, receive
+
+def _received(results: list, replies: list, where: list, tables: list) -> None:
+    """The children's claim replies into ``results``, as ids of the
+    parent's tables; a segment answered unchanged keeps its input."""
+    for values, answers in replies:
+        lookups = [
+            (table, np.concatenate([rows, np.array(table.value_ids(new), rows.dtype)]))
+            for (table, rows), new in zip(tables, values)
+        ]
+        for i, out in answers:
+            if out is not None:
+                table, lookup = lookups[where[i][0]]
+                results[i] = LazySegmentResult.from_ids(lookup[out], table)
 
 
 def _answer_here(oracle, segments, stats) -> list:
     """Segments answered by the caller as by a child: ids straight through
     ``run_ids`` on their tables, else by the wire entry (``stats`` counts)."""
-    run_ids = getattr(oracle, "run_ids", None)
-    if run_ids is not None and all(seg.interned is not None for seg in segments):
-        return [
-            LazySegmentResult.from_ids(run_ids(*seg.interned), seg.interned[1])
-            for seg in segments
-        ]
+    if _by_id(oracle, segments):
+        return [_answer_one(oracle, seg) for seg in segments]
     entry = wire_entry(oracle)
     return [LazySegmentResult.from_encoded(entry(s.encoded()), stats) for s in segments]
+
+
+def _answer_one(oracle, seg) -> LazySegmentResult:
+    """One id segment answered in the caller, on its own table."""
+    ids, table = seg.interned
+    return LazySegmentResult.from_ids(oracle.run_ids(ids, table), table)
 
 
 def _stop_children(conns: list, procs: list) -> None:
@@ -354,23 +389,68 @@ def _stop_children(conns: list, procs: list) -> None:
         proc.join()
 
 
+#: Seconds between a stream's checks, while it waits for the claim cell's
+#: lock, that no process died holding it.
+CELL_LOCK_TIMEOUT = 0.5
+#: Round ids, unique in the process: a reply carries its round's.
+_ROUND_IDS = itertools.count(1)
+
+
 class _Children:
     """``count`` children of the multiprocessing default context, each
-    serving ``(fn, items)`` messages on a pipe of its own (:func:`_serve`)."""
+    serving ``(fn, items, round id)`` messages on a pipe of its own
+    (:func:`_serve`), and their claim cell, ``[round id, next index,
+    claims per child]`` under one lock.  A reply of an earlier round (a
+    child woken after its claim round closed) is dropped."""
 
     def __init__(self, count: int, oracle: object, generation: int):
         context = multiprocessing.get_context()
-        self._conns, self._procs = [], []
-        for _ in range(count):
+        self._lock, self._slots = context.Lock(), context.RawArray("q", 2 + count)
+        self._conns, self._procs, self._round = [], [], 0
+        for child in range(count):
             ours, theirs = context.Pipe()
-            proc = context.Process(
-                target=_serve, args=(theirs, ours, oracle, generation), daemon=True
-            )
+            args = theirs, ours, oracle, generation, (self._lock, self._slots, child)
+            proc = context.Process(target=_serve, args=args, daemon=True)
             proc.start()
             theirs.close()
             self._conns.append(ours)
             self._procs.append(proc)
         self._stop = weakref.finalize(self, _stop_children, self._conns, self._procs)
+
+    def _begin(self, round_id: int) -> None:
+        """Make ``round_id`` current, dropping the replies waiting (each
+        child adds at most one a round, so none piles up)."""
+        self._round = round_id
+        for conn in wait(self._conns, 0) if self._conns else ():
+            self._read(conn)
+
+    def _read(self, conn) -> Optional[tuple]:
+        """``(ok, value)`` of ``conn``'s reply, ``None`` if it is stale."""
+        ok, value, round_id = conn.recv()
+        return (ok, value) if round_id == self._round else None
+
+    @contextlib.contextmanager
+    def _cell(self):
+        """The cell's slots under its lock, waited for in bounded steps:
+        a child dead while one runs out breaks the pool."""
+        while not self._lock.acquire(timeout=CELL_LOCK_TIMEOUT):
+            if not all(proc.is_alive() for proc in self._procs):
+                raise BrokenProcessPool("a pool child died holding the claim cell")
+        try:
+            yield self._slots
+        finally:
+            self._lock.release()
+
+    @contextlib.contextmanager
+    def _breaking(self):
+        """A dead child, or an interrupt, mid-round stops all."""
+        try:
+            yield
+        except BaseException as exc:
+            self.shutdown(wait=False)
+            if isinstance(exc, (EOFError, OSError)):
+                raise BrokenProcessPool("a pool child terminated abruptly") from exc
+            raise
 
     def run(self, count: int, message: Callable, here: Optional[Callable]) -> list:
         """Replies to ``message(k)``, ``k < count``, each dealt to a free
@@ -380,11 +460,12 @@ class _Children:
         replies: list = [None] * count
         pending, idle, busy = deque(range(count)), list(self._conns), {}
         failure: Optional[BaseException] = None
-        try:
+        with self._breaking():
+            self._begin(round_id := next(_ROUND_IDS))
             while busy or (pending and failure is None):
                 while idle and pending and failure is None:
                     conn, k = idle.pop(), pending.popleft()
-                    conn.send(message(k))
+                    conn.send((*message(k), round_id))
                     busy[conn] = k
                 mine = here is not None and pending and failure is None
                 if mine:
@@ -393,19 +474,59 @@ class _Children:
                     except Exception as exc:
                         failure = exc
                 for conn in wait(list(busy), 0 if mine else None) if busy else ():
+                    if (reply := self._read(conn)) is None:
+                        continue
                     k = busy.pop(conn)
-                    ok, replies[k] = conn.recv()
+                    ok, replies[k] = reply
                     idle.append(conn)
                     if not ok and failure is None:
                         failure = replies[k]
-        except BaseException as exc:  # a dead child, or interrupted mid-round
-            self.shutdown(wait=False)
-            if isinstance(exc, (EOFError, OSError)):
-                raise BrokenProcessPool("a pool child terminated abruptly") from exc
-            raise
         if failure is not None:
             raise failure
         return replies
+
+    def claim(
+        self, round_id: int, count: int, data: bytes, here: Optional[Callable]
+    ) -> list:
+        """Claim round ``round_id`` of ``count`` segments: each child gets
+        ``data`` (an :func:`_answer_claims` message), and every stream —
+        ``here(index)`` too, if given — takes indices until none is left.
+        Then the round closes and the children that claimed are awaited
+        for their ``(values, answers)``.  A failure closes it at once."""
+        replies: dict = {}
+        failure: Optional[BaseException] = None
+
+        def gather(conns: set, enough: Callable) -> None:
+            while not enough():
+                for conn in wait(list(conns - replies.keys())):
+                    if (reply := self._read(conn)) is not None:
+                        replies[conn] = reply
+
+        with self._breaking():
+            with self._cell() as slots:  # open the round
+                self._begin(round_id)
+                slots[:] = [round_id, 0] + [0] * len(self._conns)
+            for conn in self._conns:
+                conn.send_bytes(data)
+            while here is not None and failure is None:
+                with self._cell() as slots:
+                    index = _take(slots, round_id, count)
+                if index < 0:
+                    break
+                try:
+                    here(index)
+                except Exception as exc:
+                    failure = exc
+            if here is None:  # a first reply: the cell ran out, or a child failed
+                gather(set(self._conns), lambda: replies)
+            with self._cell() as slots:  # close it
+                slots[1] = count
+                owed = {conn for c, conn in enumerate(self._conns) if slots[2 + c]}
+            gather(owed, lambda: owed <= replies.keys())
+        failure = failure or next((v for ok, v in replies.values() if not ok), None)
+        if failure is not None:
+            raise failure
+        return [value[0] for _, value in replies.values()]
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop the children after their current message (``wait``) or now."""
@@ -420,10 +541,11 @@ class WorkerPool:
     A round runs on :attr:`workers` streams: that many children, or the
     caller and one child fewer (:attr:`caller_computes`).  A new oracle
     bumps :attr:`generation` and forks new children; tasks carry the
-    token and children refuse a mismatch (:class:`StaleOracleError`)."""
+    token and a child refuses a mismatch (:class:`StaleOracleError`).
+    By-value batches are dealt to free streams; an id round is claimed."""
 
-    #: Whether the caller computes batches (unserialized) whenever no
-    #: child is free; a placement-measuring ProcessMap sets it.
+    #: Whether the caller computes too (by-value batches whenever no
+    #: child is free); a placement-measuring ProcessMap sets it.
     caller_computes = False
 
     def __init__(self, workers: int, decode_stats: Optional[DecodeStats] = None):
@@ -463,19 +585,24 @@ class WorkerPool:
             out[k] = _answer_here(oracle, segments[slice(*plan[k])], self._stats)
 
         started = time.perf_counter()
-        try:
-            here = mine if self.caller_computes else None
-            replies = self._pool.run(len(out), message, here)
-        except BaseException:
-            if not self._pool._stop.alive:  # the round stopped the children
-                self._pool = self._oracle = None
-            raise
+        here = mine if self.caller_computes else None
+        replies = self._pool_call(self._pool.run, len(out), message, here)
         for k, reply in enumerate(replies):
             if reply is not None:
                 out[k] = receive(k, reply)
         seconds = time.perf_counter() - started - serialization
         results = [res for batch in out for res in batch]
         return results, serialization, seconds if warm else None
+
+    def _pool_call(self, call: Callable, *args) -> list:
+        """``call(*args)``, a round of the children's; children a failed
+        round stopped are dropped, so the next round respawns them."""
+        try:
+            return call(*args)
+        except BaseException:
+            if not self._pool._stop.alive:  # the round stopped the children
+                self._pool = self._oracle = None
+            raise
 
     def counters(self) -> dict:
         """A bare pool counts nothing of its own."""
@@ -506,29 +633,41 @@ class PickleTransport(WorkerPool):
 
 
 class EncodedTransport(WorkerPool):
-    """Persistent workers, one task per batch through the pipe: ids and
-    their rows when it can, else one packed blob."""
+    """Persistent workers: an id round is one claim round, any other
+    round one packed blob per batch through the pipe."""
 
     def run_round(self, oracle, segments, plan) -> RoundResult:
-        """A round of id segments, for an oracle with an id entry
-        (``run_ids``), goes by id (:func:`_ship_ids`): nothing is encoded,
-        packed or unpacked.  Any other is a ``bytes`` object per batch each
-        way — one pickle of one buffer — split on header reads alone."""
+        """A ``bytes`` object per batch each way — one pickle of one
+        buffer — split on header reads alone."""
         warm = self._ensure(oracle)
-        run_ids = getattr(oracle, "run_ids", None)
-        if run_ids is not None and all(seg.interned is not None for seg in segments):
-            task, receive = _ship_ids(segments, plan, self.generation)
-            fn = _apply_registered_oracle_ids
-        else:
-            fn = _apply_registered_oracle
 
-            def task(k: int) -> list:
-                return [_payload(segments, self.generation, k, *plan[k])]
+        def task(k: int) -> list:
+            return [_payload(segments, self.generation, k, *plan[k])]
 
-            def receive(k: int, replies: list) -> list:
-                return _unpacked(iter_results_payload(replies[0], k), self._stats)
+        def receive(k: int, replies: list) -> list:
+            return _unpacked(iter_results_payload(replies[0], k), self._stats)
 
-        return self._round(oracle, segments, plan, fn, task, receive, warm)
+        return self._round(
+            oracle, segments, plan, _apply_registered_oracle, task, receive, warm
+        )
+
+    def claim_round(self, oracle, segments) -> tuple[list, float]:
+        """An id round (:func:`_by_id`) as one claim round, nothing encoded
+        or packed: the results in order and the seconds spent building
+        and pickling its message."""
+        self._ensure(oracle)
+        results, began, round_id = list(segments), time.perf_counter(), next(_ROUND_IDS)
+        parts, where, tables = _claim_parts(segments)
+        task = round_id, self.generation, parts, where
+        data = pickle.dumps((_answer_claims, [task], round_id), pickle.HIGHEST_PROTOCOL)
+        serialization = time.perf_counter() - began
+
+        def here(i: int) -> None:
+            results[i] = _answer_one(oracle, segments[i])
+
+        args = round_id, len(segments), data, here if self.caller_computes else None
+        _received(results, self._pool_call(self._pool.claim, *args), where, tables)
+        return results, serialization
 
 
 class ShmTransport(WorkerPool):

@@ -54,11 +54,14 @@ def test_layered_calls_are_bounded_by_fingers(family):
     circuit = generate(family, 0, seed=0)
     layers = len(layers_asap(circuit.gates, circuit.num_qubits))
     for omega in (8, 25):
-        stats = layered_popqc(circuit, NamOracle(), omega).stats
-        assert 0 < stats.oracle_calls
-        assert stats.oracle_calls <= len(initial_fingers(layers, omega)) + 2 * (
-            stats.oracle_accepted
-        )
+        for check in (False, True):
+            stats = layered_popqc(
+                circuit, NamOracle(), omega, check_invariants=check
+            ).stats
+            assert 0 < stats.oracle_calls
+            assert stats.oracle_calls <= len(initial_fingers(layers, omega)) + 2 * (
+                stats.oracle_accepted
+            )
 
 
 def _stats(calls, accepted, initial_gates, final_gates):

@@ -14,7 +14,9 @@ arrays by the local pool: a batch is positions into the rows it
 carries, and neither side packs, unpacks or builds a ``Gate`` per gate.
 """
 
+import os
 import pickle
+import threading
 
 import pytest
 
@@ -211,11 +213,11 @@ def test_byte_workers_build_no_gate_for_a_wire_entry_oracle(monkeypatch):
     ]
     worker_built = []
 
-    def id_workers(tasks):  # the parent's side of the id round is not counted
+    def id_worker(task):  # the parent's side of the id round is not counted
         del built[:], rows[:]
-        replies = [transports._apply_registered_oracle_ids(task) for task in tasks]
+        reply = transports._answer_claims(task)
         worker_built.extend(built + rows)
-        return replies
+        return reply
 
     built, rows = [], []
     real_init, real_add = gate_module.Gate.__post_init__, intern.GateTable._add
@@ -229,9 +231,13 @@ def test_byte_workers_build_no_gate_for_a_wire_entry_oracle(monkeypatch):
     try:
         pool_reply = transports._apply_registered_oracle(payload)
         assert built == [] and rows == []
-        task, receive = transports._ship_ids(handles, [(0, 5), (5, 11)], 1)
-        tasks = [task(0), task(1)]
-        by_id = [res for k, t in enumerate(tasks) for res in receive(k, id_workers(t))]
+        # one child of a claim round, which takes every segment of round 3
+        cell = threading.Lock(), [3, 0, 0], 0, os.getppid()
+        monkeypatch.setattr(transports, "_WORKER_CELL", cell)
+        parts, where, tables = transports._claim_parts(handles)
+        by_id = list(handles)
+        reply = id_worker((3, 1, parts, where))
+        transports._received(by_id, [reply], where, tables)
     finally:
         transports._register_worker_oracle(None, -1)
     assert worker_built == []

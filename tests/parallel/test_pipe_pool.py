@@ -118,23 +118,24 @@ def test_child_killed_between_rounds_fails_one_round_then_recovers(cutoff):
 
 
 def test_caller_and_more_children_than_cores_match_serial():
-    """Four streams on a smaller host: every round the caller deals to
-    three children and takes batches itself, and the optimized circuit
-    is the serial one, round for round."""
+    """Four streams on a smaller host: every round above the floor is a
+    claim round the caller and three children take segments from, and
+    the optimized circuit is the serial one, round for round."""
     from repro.core.popqc import popqc
     from repro.parallel import SerialMap
 
     circuit = random_redundant_circuit(6, 1500, seed=3, redundancy=0.5)
     want = popqc(circuit, NamOracle(), 25, parmap=SerialMap())
     pm = ProcessMap(4)
-    pm.cost_model.choose = lambda segments: "pool"
     try:
         got = popqc(circuit, NamOracle(), 25, parmap=pm)
     finally:
         pm.close()
     assert got.circuit.gates == want.circuit.gates
     assert got.stats.rounds == want.stats.rounds
-    assert got.stats.counters["pool_dispatches"] > 0
+    counters = got.stats.counters
+    assert counters["pool_dispatches"] > 0
+    assert counters["inline_rounds"] == counters["batch_dispatches"] == 0
 
 
 # -- the pool's shape ------------------------------------------------------------
@@ -180,7 +181,7 @@ def test_measured_map_of_one_spawns_nothing(tmp_path):
         pm.close()
 
 
-# -- an id batch's distinct rows ---------------------------------------------------
+# -- a claim round's distinct rows -------------------------------------------------
 
 
 def _by_sorting(ids):
@@ -211,21 +212,22 @@ def test_distinct_rows_of_only_empty_segments():
 
 
 def test_two_table_id_round_ships_each_tables_distinct_rows():
-    """A batch over two tables is a task per table, whose rows and
-    positions are the sorting unique's of that table's segments alone."""
+    """A claim round over two tables is a part per table, whose rows and
+    positions are the sorting unique's of that table's segments alone,
+    and each segment names its part and its span of positions."""
     first, second = GateTable(), GateTable()
     gates = _segments(4)
     handles = [
         LazySegmentResult.from_ids(table.intern(seg), table)
         for seg, table in zip(gates, [first, second, first, second])
     ]
-    task, _ = transports._ship_ids(handles, [(0, 4)], 7)
-    parts = task(0)
-    assert len(parts) == 2
-    for (gen, rows_table, positions, bounds), members in zip(parts, ([0, 2], [1, 3])):
-        assert gen == 7
+    parts, where, tables = transports._claim_parts(handles)
+    assert len(parts) == 2 and [table for table, _ in tables] == [first, second]
+    for part, ((rows_table, positions), members) in enumerate(zip(parts, ([0, 2], [1, 3]))):
         ids = [handles[i].interned[0] for i in members]
         rows, want = _by_sorting(ids)
         _same([positions], [want])
         assert len(rows_table._rows) == len(rows)
-        assert bounds.tolist() == [len(ids[0])]
+        assert [where[i] for i in members] == [
+            (part, 0, len(ids[0])), (part, len(ids[0]), len(ids[0]) + len(ids[1]))
+        ]

@@ -336,9 +336,10 @@ def test_placement_pattern_never_changes_output(
 ):
     """All-inline, all-pool, forced pooling or any mix: same QASM, same
     rounds, same per-round dynamics as ``SerialMap``, every round above
-    the floor counted on exactly one side — by id for an oracle with an
-    id entry (nothing returned as bytes, nothing decoded), by value
-    otherwise (only the accepted pooled results ever decoded)."""
+    the floor counted on exactly one side — for an oracle with an id
+    entry always a claim round, whatever the pattern (nothing returned
+    as bytes, nothing decoded), by value where the pattern says (only
+    the accepted pooled results ever decoded)."""
     want = _serial_run(which, omega)
     if bits is None:
         pmap, model = forced_map, None
@@ -360,7 +361,9 @@ def test_placement_pattern_never_changes_output(
 
     assert dynamics(got.stats) == dynamics(want.stats)
     above = [r for r in got.stats.per_round if r.selected > pmap.serial_cutoff]
-    placed = ["pool"] * len(above) if model is None else model.placed
+    if by_id and model is not None:  # an id round claims; the model is not asked
+        assert model.placed == []
+    placed = ["pool"] * len(above) if model is None or by_id else model.placed
     counters = got.stats.counters
     assert len(placed) == len(above)
     assert counters["inline_rounds"] == placed.count("inline")

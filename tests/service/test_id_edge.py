@@ -413,19 +413,20 @@ class TestSharedTable:
 
 
     def test_merged_fleet_rounds_span_a_table_rotation(self, monkeypatch):
-        """A process fleet ships its rounds by id, and with a table
-        replaced at nearly every admission the rounds it merges across
-        concurrent jobs hold segments of two tables: rows are gathered
-        per table, and every RESULT is still the standalone bytes."""
+        """A process fleet runs its rounds as claim rounds by id, and with
+        a table replaced at nearly every admission the rounds it merges
+        across concurrent jobs hold segments of two tables: rows are
+        gathered per table, and every RESULT is still the standalone
+        bytes."""
         monkeypatch.setattr(intern, "TABLE_CAP", 8)  # every job fills its table
         tables_per_round = []
-        real_ship_ids = transports._ship_ids
+        real_claim_parts = transports._claim_parts
 
-        def watched(segments, *args):
+        def watched(segments):
             tables_per_round.append(len({id(seg.interned[1]) for seg in segments}))
-            return real_ship_ids(segments, *args)
+            return real_claim_parts(segments)
 
-        monkeypatch.setattr(transports, "_ship_ids", watched)
+        monkeypatch.setattr(transports, "_claim_parts", watched)
         jobs = [
             (generate(family, 0, seed=seed), 25)
             for seed in (5, 6)

@@ -91,6 +91,7 @@ class TestTransportGate:
             "floor": 2,
             "inline_rounds": 110,
             "pool_rounds": 10,
+            "claim_rounds": 6,
             "per_class": {
                 "3": {"inline_us_per_gate": 2.0, "inline_rounds": 19},
                 "7": {"inline_us_per_gate": 9.0, "inline_rounds": 1,
@@ -100,7 +101,11 @@ class TestTransportGate:
         base = write("base.json", _transport_record())
         assert trend.main([write("cur.json", record), base]) == 0
         out = capsys.readouterr().out
-        assert "110 rounds inline / 10 pooled above the floor of 2" in out
+        assert (
+            "measured dispatch of by-value rounds (ungated): 110 rounds inline "
+            "/ 10 pooled above the floor of 2\n"
+        ) in out
+        assert "  id rounds: 6 claim rounds, never placed by the cost model\n" in out
         assert "width class  3: inline 2.00 us/gate x 19\n" in out
         assert "width class  7: inline 9.00 us/gate x 1, pool 4.50 us/gate x 19" in out
         assert "pool cheaper than inline (ungated): 7\n" in out
