@@ -34,12 +34,7 @@ prints them, says whether the paper's shape showed, and never gates on
 them.
 
 The remaining parallel-transport numbers are recorded for the
-trajectory but not gated (2-vCPU shared runners make them races); a
-record's ``dispatch`` section — where a default ``ProcessMap`` ran its
-by-value rounds, the per-width cost table it learned and the width
-classes in which the pool came out cheaper than inline, beside the id
-rounds it ran as claim rounds without asking the model — is printed
-beside them.
+trajectory but not gated (2-vCPU shared runners make them races).
 
 Usage::
 
@@ -93,17 +88,6 @@ def print_shapes(record: dict) -> None:
                 + " -> ".join(f"{share:.2f}" for share in shares)
                 + f" by size ({shape} in the paper: most of the time, rising)"
             )
-
-
-def pool_wins(dispatch: dict) -> list[str]:
-    """The width classes of a ``dispatch`` record whose learned pool
-    cost per gate is below its inline cost (both sides measured)."""
-    return [
-        width
-        for width, row in dispatch.get("per_class", {}).items()
-        if row.get("pool_us_per_gate", float("inf"))
-        < row.get("inline_us_per_gate", float("-inf"))
-    ]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -199,31 +183,6 @@ def main(argv: list[str] | None = None) -> int:
             f"lazy decode (rejecting workload): "
             f"{lazy.get('bytes_skipped', 0)} bytes skipped, "
             f"skip fraction {lazy.get('decode_skip_fraction', 0.0):.2f}"
-        )
-    dispatch = current.get("dispatch", {})
-    if dispatch:
-        print(
-            f"measured dispatch of by-value rounds (ungated): "
-            f"{dispatch.get('inline_rounds', 0)} rounds inline / "
-            f"{dispatch.get('pool_rounds', 0)} pooled above the floor of "
-            f"{dispatch.get('floor', 0)}"
-        )
-        if "claim_rounds" in dispatch:
-            print(
-                f"  id rounds: {dispatch['claim_rounds']} claim rounds, "
-                "never placed by the cost model"
-            )
-        for width, row in dispatch.get("per_class", {}).items():
-            sides = ", ".join(
-                f"{side} {row[f'{side}_us_per_gate']:.2f} us/gate x "
-                f"{row[f'{side}_rounds']}"
-                for side in ("inline", "pool")
-                if f"{side}_rounds" in row
-            )
-            print(f"  width class {width:>2}: {sides}")
-        print(
-            "  pool cheaper than inline (ungated): "
-            + (", ".join(pool_wins(dispatch)) or "no width class")
         )
     service = current.get("service", {})
     if service:

@@ -4,8 +4,8 @@ The seed ``ProcessMap`` re-pickled the oracle callable and every
 ``list[Gate]`` segment on every round.  PR 1's encoded transport
 registers the oracle once per worker (as each child starts) and ships
 segments as compact numpy arrays; the shm transport packs each round's
-segments into one pooled shared-memory arena with batched task
-dispatch, so the executor pipe carries only small descriptor tuples;
+segments into one pooled shared-memory arena, so the executor pipe
+carries only the arenas' names;
 the threads transport drops pipes and arenas entirely and relies on
 the GIL-releasing vectorized rule engine
 (:mod:`repro.oracles.vector_engine`); the socket transport ships the
@@ -14,9 +14,7 @@ same packed bytes as length-prefixed frames over TCP to worker hosts
 multi-worker cluster.  These benchmarks measure all five wire formats
 on the segment stream of a ≥20k-gate circuit, prove the transports
 byte-identical end to end, compare the two rule-engine
-implementations, record what lazy result decode skipped and where a
-default-constructed ``ProcessMap`` chose to run its by-value rounds
-(an id round is always a claim round), and emit a
+implementations, record what lazy result decode skipped, and emit a
 machine-readable ``BENCH_transport.json`` (schema v6) that CI uploads
 on every push and diffs against the committed baseline (see
 ``benchmarks/README.md``).
@@ -174,46 +172,16 @@ def test_threads_beats_pipe_transports_on_wire_time():
     )
 
 
-def _piped_bytes(transport: str) -> tuple[int, int]:
-    """``(pool tasks, pickled bytes)`` one identity-oracle round over
-    ``SEGMENTS`` hands the executor pipe, requests and replies.  These
-    are gate lists, so the round goes by value, one task per batch; an
-    id round is a claim round instead (:func:`_claimed_bytes`)."""
-    import pickle as _pickle
-
-    echo = IdentityOracle()
-    pm = ProcessMap(2, serial_cutoff=0, transport=transport)
-    try:
-        pm.map_segments(echo, SEGMENTS[:4])  # spawn the pool
-        real_run = pm.wire._pool.run
-        piped = []
-
-        def spy(count, message, here):
-            sent = [message(k) for k in range(count)]
-            replies = real_run(count, sent.__getitem__, here)
-            tasks = [task for _, items in sent for task in items]
-            tasks += [out for outputs in replies for out in outputs]
-            piped.append((count, sum(len(_pickle.dumps(m)) for m in tasks)))
-            return replies
-
-        pm.wire._pool.run = spy
-        pm.map_segments(echo, SEGMENTS)
-        assert piped[0][0] == len(pm.last_batch_sizes)  # one task per batch
-        return piped[0]
-    finally:
-        pm.close()
-
-
-def _claimed_bytes() -> tuple[int, int, int]:
-    """``(messages, children, pickled bytes)`` one ``NamOracle`` round
-    over ``ID_SEGMENTS`` hands the executor pipe: a claim round, whose
-    one message every child gets and whose replies come only from the
+def _piped_bytes(transport: str, oracle, segments) -> tuple[int, int, int]:
+    """``(messages, children, pickled bytes)`` one round of ``oracle`` over
+    ``segments`` hands the executor pipe: a claim round, whose one
+    message every child gets and whose replies come only from the
     children that claimed."""
     import pickle as _pickle
 
-    pm = ProcessMap(2, serial_cutoff=0, transport="encoded")
+    pm = ProcessMap(2, serial_cutoff=0, transport=transport)
     try:
-        pm.map_segments(ORACLE, ID_SEGMENTS[:4])  # spawn the pool
+        pm.map_segments(oracle, segments[:4])  # spawn the pool
         pool = pm.wire._pool
         real_claim, sent, replied = pool.claim, [], []
 
@@ -224,7 +192,7 @@ def _claimed_bytes() -> tuple[int, int, int]:
             return replies
 
         pool.claim = spy
-        pm.map_segments(ORACLE, ID_SEGMENTS)
+        pm.map_segments(oracle, segments)
         children = len(pool._conns)
         piped = sum(map(len, sent)) * children + sum(map(len, replied))
         return len(sent), children, piped
@@ -233,11 +201,11 @@ def _claimed_bytes() -> tuple[int, int, int]:
 
 
 def test_an_id_round_pipes_one_message_per_child():
-    """An id round is not cut into batches: the same message — distinct
-    rows and int32 positions — reaches each child once, smaller than
-    the packed stream the by-value batches carry each way."""
+    """An id round's message — distinct rows and int32 positions —
+    reaches each child once, smaller than the packed stream a by-value
+    round carries each way."""
     payload = sum(encoded_nbytes(seg) for seg in SEGMENTS)
-    messages, children, piped = _claimed_bytes()
+    messages, children, piped = _piped_bytes("encoded", ORACLE, ID_SEGMENTS)
     assert messages == 1 and children == 2
     assert piped < 2 * payload
 
@@ -250,12 +218,13 @@ def test_shm_pipes_descriptors_where_encoded_pipes_blobs():
     blob per batch — the wire-time ratio is now ~0.9-1.0 and is
     recorded, not asserted (``derived.shm_wire_speedup_vs_encoded``).
     What remains true is structural and needs no stopwatch: both
-    transports send one pool task per ``batch_segments`` batch, encoded
-    moves the whole packed stream through the pipe twice, shm moves
-    descriptors and markers."""
+    transports send one claim-round message per child, encoded moves
+    the whole packed stream through the pipe twice, shm moves arena
+    names and markers."""
     payload = sum(encoded_nbytes(seg) for seg in SEGMENTS)
-    encoded_tasks, encoded_bytes = _piped_bytes("encoded")
-    shm_tasks, shm_bytes = _piped_bytes("shm")
+    echo = IdentityOracle()
+    encoded_tasks, _, encoded_bytes = _piped_bytes("encoded", echo, SEGMENTS)
+    shm_tasks, _, shm_bytes = _piped_bytes("shm", echo, SEGMENTS)
     assert encoded_tasks == shm_tasks < len(SEGMENTS) // 4
     assert encoded_bytes > 2 * payload  # there and back, plus headers
     assert shm_bytes * 100 < payload
@@ -317,17 +286,11 @@ def test_encoded_payload_is_smaller():
 
 
 def test_shm_task_messages_are_tiny():
-    """What the shm transport actually pipes per round: batched index
-    descriptors, orders of magnitude below the segment payload."""
+    """What the shm transport actually pipes per round: one task of arena
+    names per child, orders of magnitude below the segment payload."""
     import pickle as _pickle
 
-    from repro.parallel import batch_segments
-
-    batches = batch_segments(len(SEGMENTS), 4, 1e-4)
-    messages = [
-        ("psm_abcdef01", "psm_abcdef02", 1, 1, start, end)
-        for start, end in batches
-    ]
+    messages = [(1, 1, len(SEGMENTS), "psm_abcdef01", "psm_abcdef02")] * 4
     piped = sum(len(_pickle.dumps(m)) for m in messages)
     payload = sum(encoded_nbytes(seg) for seg in SEGMENTS)
     assert piped * 100 < payload
@@ -392,51 +355,6 @@ def _lazy_decode_record() -> dict:
         - counters["result_bytes_decoded"],
         "decode_skip_fraction": 1.0 - decoded / returned if returned else 0.0,
     }
-
-
-#: Round widths of the ``dispatch`` record: one class of the cost model
-#: each, from the whole 100-segment stream down to just above the floor;
-#: enough passes that every class has probed its dearer side once.
-DISPATCH_WIDTHS = (100, 48, 24, 12, 6, 3)
-DISPATCH_PASSES = 20
-
-
-def _dispatch_record() -> dict:
-    """Where a default-constructed ``ProcessMap`` (no ``serial_cutoff``:
-    rounds above the floor of 2 are placed by measured cost) sent the
-    rounds of ``DISPATCH_PASSES`` passes over prefixes of the segment
-    stream, and the per-class table its cost model learned on this
-    host — the input a calibrated ``SimulatedParallelism`` projection
-    needs.  Only by-value rounds (``SEGMENTS``, gate lists) are placed
-    so: an id round (``ID_SEGMENTS``, the path every ``popqc`` round of
-    a ``NamOracle`` takes) above the floor is a claim round — one message
-    per child, every stream taking segments until none is left — and
-    asks the model nothing; one pass of those is counted beside.  A
-    timing, so recorded and printed, never gated."""
-    pm = ProcessMap(SMOKE_WORKERS, transport="encoded")
-    try:
-        for _ in range(DISPATCH_PASSES):
-            for width in DISPATCH_WIDTHS:
-                pm.map_segments(ORACLE, SEGMENTS[:width])
-        by_value = pm.counters()
-        table = pm.cost_model.table()
-        for width in DISPATCH_WIDTHS:
-            pm.map_segments(ORACLE, ID_SEGMENTS[:width])
-        counters = pm.counters()
-        assert pm.cost_model.table() == table  # id rounds taught it nothing
-        return {
-            "workload": "prefixes of the segment stream, widest first, "
-            f"{DISPATCH_PASSES} passes by value, then one by id, default "
-            "ProcessMap",
-            "floor": pm.serial_cutoff,
-            "rounds": DISPATCH_PASSES * len(DISPATCH_WIDTHS),
-            "inline_rounds": by_value["inline_rounds"],
-            "pool_rounds": by_value["pool_dispatches"],
-            "claim_rounds": counters["pool_dispatches"] - by_value["pool_dispatches"],
-            "per_class": table,  # JSON turns the widths into strings
-        }
-    finally:
-        pm.close()
 
 
 def test_engines_agree_on_fixpoints_per_segment():
@@ -607,7 +525,6 @@ def test_five_way_comparison_emits_bench_json(
 
     engines = engine_results
     lazy = _lazy_decode_record()
-    dispatch = _dispatch_record()
 
     record = {
         "schema": "popqc-bench-transport/v6",
@@ -627,7 +544,6 @@ def test_five_way_comparison_emits_bench_json(
         "results": results,
         "oracle_engine": engines,
         "lazy_decode": lazy,
-        "dispatch": dispatch,
         "service": service_results,
         "derived": {
             "cache_hit_speedup_vs_oracle": service_results[
@@ -673,13 +589,6 @@ def test_five_way_comparison_emits_bench_json(
     # skipped decode bytes
     assert lazy["bytes_skipped"] > 0
     assert lazy["results_decoded"] == 0
-    # every by-value round above the floor ran on exactly one side, the
-    # first in the pool, and each width landed in a class of its own;
-    # every id round above it was a claim round
-    assert dispatch["inline_rounds"] + dispatch["pool_rounds"] == dispatch["rounds"]
-    assert dispatch["pool_rounds"] >= 1
-    assert len(dispatch["per_class"]) == len(DISPATCH_WIDTHS)
-    assert dispatch["claim_rounds"] == len(DISPATCH_WIDTHS)
     # the service section must come from a fully warm cache
     assert service_results["hit_rate_after_warmup"] == 1.0
     assert service_results["cache_entries"] > 0

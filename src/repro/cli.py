@@ -54,13 +54,20 @@ def _host_list(hosts: str | None) -> list[str] | None:
     return [h.strip() for h in hosts.split(",") if h.strip()] if hosts else None
 
 
+def _worker_count(text: str) -> int:
+    """A ``--workers`` value: a whole number, at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"bad worker count {text!r} (at least 1)")
+    return int(text)
+
+
 def _make_parmap(spec: str, hosts: str | None = None):
     """The executor ``--executor SPEC`` names.  How segments travel is
     not a choice: to ``popqc worker`` hosts over TCP when ``--hosts``
     names some, else to local worker processes, by id."""
     name, _, count = spec.partition(":")
-    if count and not count.isdigit():
-        _fail(f"bad worker count {count!r} in executor spec {spec!r}")
+    if count and (not count.isdigit() or int(count) < 1):
+        _fail(f"bad worker count {count!r} in executor spec {spec!r} (at least 1)")
     workers = int(count) if count else None
     if hosts is not None and name != "process":
         _fail(f"--hosts only applies to process executors, not {spec!r}")
@@ -194,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
         help="run the persistent optimization service (jobs over TCP, "
         "shared worker fleet, content-addressed segment cache)",
     )
-    p_serve.add_argument("--workers", type=int, help="fleet worker count")
+    p_serve.add_argument("--workers", type=_worker_count, help="fleet worker count")
     p_serve.add_argument(
         "--hosts",
         help="comma-separated popqc worker addresses to use as the fleet "

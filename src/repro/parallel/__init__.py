@@ -7,9 +7,9 @@ segments (paper Section 2.4).  Three executors implement it:
 experiments) and :class:`ProcessMap`, the oracle-transport executor,
 whose ``transport=`` names the :class:`Transport` class
 (:data:`TRANSPORTS`) that carries a segment to a worker —
-``"encoded"`` (default: one packed blob per batch through the pool
-pipe), ``"shm"`` (pooled shared-memory arenas), ``"threads"``,
-``"pickle"`` (the seed behaviour, a benchmark baseline) or
+``"encoded"`` (default: a round's ids and rows, or its packed bytes,
+through each child's pipe), ``"shm"`` (pooled shared-memory arenas),
+``"threads"``, ``"pickle"`` (the seed behaviour, a benchmark baseline) or
 ``"socket"`` (TCP frames to ``popqc worker`` hosts).  Every rung is
 byte-identical; :mod:`repro.parallel.transports` has the details.
 
@@ -22,11 +22,12 @@ go in as ids into the driver's gate table and come back as ids of it
 (an inline round) or in the wire format, staying there until a driver
 reads them — the acceptance test
 needs only ``len()`` (the packed header), so rejected oracle outputs
-are never decoded (:class:`DecodeStats`).  Whether a round leaves the
-parent at all is measured, not configured (:class:`RoundCostModel`:
-placement follows the clock, output never does); chunk and batch sizes
-adapt to the same measurements (:func:`adaptive_chunksize` /
-:func:`batch_segments`), and every task carries an oracle generation
+are never decoded (:class:`DecodeStats`).  A round wider than the
+executor's ``serial_cutoff`` leaves the parent; on the local pool it is
+a claim round, every stream taking the next segment as it frees up
+(which stream answers follows the clock, output never does), and on
+the socket transport it is cut into balance-only batches
+(:func:`batch_segments`).  Every message carries an oracle generation
 token so a stale worker fails loudly (:class:`StaleOracleError`).
 
 Modules, bottom up: :mod:`~repro.parallel.frames` (the frame codec,
@@ -60,12 +61,7 @@ from .frames import (
 )
 from .hostpool import SocketHostPool, WorkerUnavailableError
 from .results import DecodeStats, LazySegmentResult
-from .scheduling import (
-    RoundCostModel,
-    adaptive_chunksize,
-    batch_segments,
-    greedy_makespan,
-)
+from .scheduling import adaptive_chunksize, batch_segments, greedy_makespan
 from .shm import HAVE_SHM, ShmArenaPool, StaleArenaError
 from .simulated import SimulatedParallelism
 from .transports import TRANSPORTS, Transport
@@ -83,7 +79,6 @@ __all__ = [
     "ParallelMap",
     "ProcessMap",
     "RemoteOracleError",
-    "RoundCostModel",
     "SegmentExecutor",
     "SerialMap",
     "ShmArenaPool",

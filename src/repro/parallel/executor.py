@@ -5,17 +5,17 @@ The paper implements it with Rust/Rayon fork-join; here a driver talks
 to the :class:`SegmentExecutor` seam (``map_segments``, ``counters()``,
 ``transport``, ``workers``), results in input order:
 
-* :class:`ProcessMap` — real multicore (or multi-host) execution: an
-  id round is a claim round, each stream taking the next segment as
-  Rayon's work stealing would; a by-value round runs in the parent
-  when that is measured cheaper, else is cut into batches for the
-  :class:`~repro.parallel.transports.Transport` ``transport=`` names.
-  The per-round IPC cost is a few buffers, not ``O(gates)`` pickle
-  opcodes plus a fresh copy of the oracle.
+* :class:`ProcessMap` — real multicore (or multi-host) execution: a
+  round above the inline floor goes to the
+  :class:`~repro.parallel.transports.Transport` ``transport=`` names;
+  on the local pool that is a claim round, each stream taking the next
+  segment as Rayon's work stealing would.  The per-round IPC cost is a
+  few buffers, not ``O(gates)`` pickle opcodes plus a fresh copy of the
+  oracle.
 * :class:`SerialMap`, the reference and the 1-thread configuration,
   which is also how a :class:`ProcessMap` runs a round inline: a
   segment held as ids meets the oracle's id entry (``run_ids``) — as
-  it does in a local pool worker, against the rows its batch carries.
+  it does in a local pool worker, against the rows its round carries.
 * anything with an order-preserving ``map`` (:class:`ParallelMap`),
   which :func:`segment_executor` puts behind the seam:
   :class:`~repro.parallel.simulated.SimulatedParallelism`, which runs
@@ -27,15 +27,13 @@ to the :class:`SegmentExecutor` seam (``map_segments``, ``counters()``,
 from __future__ import annotations
 
 import os
-import time
 import warnings
 from typing import Callable, Protocol, Sequence, TypeVar
 
 from ..circuits.gate import Gate
 from . import shm
 from .results import DecodeStats, LazySegmentResult
-from .scheduling import RoundCostModel, batch_segments
-from .transports import TRANSPORTS, Transport, WorkerPool, _answer_one, _by_id
+from .transports import TRANSPORTS, Transport, WorkerPool, _answer_one
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -169,26 +167,24 @@ class ProcessMap:
     """Process-pool segment executor for genuine multicore execution.
 
     Oracle and segments cross process boundaries, so the oracle must be
-    picklable.  An id round (ids of a table, an oracle with ``run_ids``)
-    on the ``encoded`` transport is a claim round; a by-value round
-    leaves the parent only when a :class:`~repro.parallel.scheduling.
-    RoundCostModel`, fed by every such round timed, says that pays.
-    Where a segment is answered depends on the clock; its result never
-    does — it is the same bytes wherever it is computed.
+    picklable.  A round of at most ``serial_cutoff`` segments runs in
+    the parent; a wider one goes to the transport, on the local pool as
+    a claim round.  Which stream answers a segment depends on the clock;
+    its result never does — it is the same bytes wherever it is
+    computed.
 
     Parameters
     ----------
     workers:
-        Compute streams of a pooled round — with measured placement, the
-        caller and ``workers - 1`` children; defaults to
+        Compute streams of a pooled round, at least 1 — with the default
+        cutoff, the caller and ``workers - 1`` children; defaults to
         :func:`default_workers` (to the host count on the socket transport).
     serial_cutoff:
         ``None`` (default): rounds of at most 2 segments run inline; a
-        wider one runs on the caller and ``workers - 1`` children — an
-        id round always, a by-value round where the cost model predicts
-        it cheaper.  An int fixes the rule — at most this many items
-        inline, the rest through the pool, on children alone — and the
-        model is never asked.  The attribute is always the int floor.
+        wider one runs on the caller and ``workers - 1`` children.  An
+        int sets the floor — at most this many items inline, the rest
+        through the pool, on children alone.  The attribute is always
+        the int floor.
     transport:
         Wire format for :meth:`map_segments`, a key of
         :data:`~repro.parallel.transports.TRANSPORTS` (that module
@@ -218,30 +214,14 @@ class ProcessMap:
         pools, arenas, host connections and their counters live there
         (``wire.add_host`` / ``wire.remove_host`` on a socket fleet).
     serialization_time / last_serialization_time:
-        Parent-side encode/pack seconds — gathering rows and positions,
-        for an id round — accumulated over all :meth:`map_segments`
-        calls and of the most recent one (the pickle transport's
-        serialization happens inside the pool machinery and is not
-        separable).  Result *decoding* is lazy and attributed to
+        Parent-side seconds building a round's message — gathering rows
+        and positions for an id round, packing or pickling otherwise —
+        accumulated over all :meth:`map_segments` calls and of the most
+        recent one.  Result *decoding* is lazy and attributed to
         whoever reads the gates, not counted here.
-    cost_model:
-        The :class:`~repro.parallel.scheduling.RoundCostModel` every
-        timed round but a claim round feeds; also the per-segment time
-        estimate behind the batch plan.
     pool_dispatches:
-        Number of :meth:`map_segments` calls that actually crossed
-        into a pool (a claim round is one).
-    inline_rounds / inline_segments:
-        By-value rounds wider than ``serial_cutoff`` that ran in the
-        parent all the same, and the segments they held.
-    batch_dispatches / segments_batched:
-        Batches the by-value round plans cut and segments they carried
-        (a claim round adds to neither); their ratio is the mean batch
-        width.  A batch is one pool task on every transport but
-        ``threads``, which maps segment by segment.
-    last_batch_sizes:
-        Batch widths of the most recent call's plan (none inline or
-        in a claim round).
+        Number of :meth:`map_segments` calls that crossed into the
+        transport: exactly the rounds wider than ``serial_cutoff``.
 
     :meth:`counters` reports these together with the transport's and
     the lazy-decode counts (by-value results only).
@@ -255,6 +235,8 @@ class ProcessMap:
         hosts: Sequence[str] | None = None,
         auth_token: str | None = None,
     ):
+        if workers is not None and workers < 1:
+            raise ValueError(f"workers must be at least 1, got {workers}")
         if transport not in TRANSPORTS:
             raise ValueError(
                 f"unknown transport {transport!r}; expected one of "
@@ -281,17 +263,10 @@ class ProcessMap:
         #: hosts join and leave); empty on every other transport.
         self.hosts = list(hosts or ())
         self.serial_cutoff = 2 if serial_cutoff is None else serial_cutoff
-        self._measured = serial_cutoff is None
-        self.cost_model = RoundCostModel()
         self.transport = transport
         self.serialization_time = 0.0
         self.last_serialization_time = 0.0
         self.pool_dispatches = 0
-        self.inline_rounds = 0
-        self.inline_segments = 0
-        self.batch_dispatches = 0
-        self.segments_batched = 0
-        self.last_batch_sizes: list[int] = []
         self._decode_stats = DecodeStats()
         # cluster parallelism is one dispatcher per host
         self.wire: Transport = TRANSPORTS[transport](
@@ -300,11 +275,11 @@ class ProcessMap:
             *((self.hosts, auth_token) if self.hosts else ()),
         )
         if isinstance(self.wire, WorkerPool):
-            self.wire.caller_computes = self._measured
+            self.wire.caller_computes = serial_cutoff is None
 
     @property
     def workers(self) -> int:
-        """Parallelism the round plans fan out to: the transport's
+        """Parallelism a pooled round fans out to: the transport's
         worker count (a socket fleet's grows and shrinks with its
         hosts)."""
         return self.wire.workers
@@ -324,11 +299,8 @@ class ProcessMap:
     ) -> list:
         """Apply ``oracle`` to every segment, preserving order.
 
-        The round runs in the parent at or below the cutoff; above it an
-        id round is a claim round, and a by-value round runs in the
-        parent where the cost model says so, or its batches are planned
-        and handed to the transport, timed either way for the model.
-        Pool-backed calls return
+        The round runs in the parent at or below the cutoff and goes to
+        the transport above it.  Pool-backed calls return
         :class:`~repro.parallel.results.LazySegmentResult` handles that
         decode only when read.
 
@@ -339,34 +311,10 @@ class ProcessMap:
         """
         segments = [LazySegmentResult.of(seg) for seg in segments]
         self.last_serialization_time = 0.0
-        self.last_batch_sizes = []
-        n = len(segments)
-        gates = sum(map(len, segments))
-        model = self.cost_model
-        above = n > self.serial_cutoff
-        claim = above and hasattr(self.wire, "claim_round") and _by_id(oracle, segments)
-        started = time.perf_counter()
-        if not above or (self._measured and not claim and model.choose(n) == "inline"):
-            results = SerialMap().map_segments(oracle, segments)
-            model.observe("inline", n, gates, time.perf_counter() - started)
-            if above:
-                self.inline_rounds += 1
-                self.inline_segments += n
-            return results
+        if len(segments) <= self.serial_cutoff:
+            return SerialMap().map_segments(oracle, segments)
         self.pool_dispatches += 1
-        if claim:
-            results, serialization = self.wire.claim_round(oracle, segments)
-        else:
-            task_seconds = (model.estimate("inline", n) or 0.0) * gates / n
-            plan = batch_segments(n, self.workers, task_seconds)
-            self.last_batch_sizes = [end - start for start, end in plan]
-            self.batch_dispatches += len(plan)
-            self.segments_batched += n
-            results, serialization, pool_seconds = self.wire.run_round(
-                oracle, segments, plan
-            )
-            if pool_seconds is not None:  # a cold pool's spawn is not a round's cost
-                model.observe("pool", n, gates, time.perf_counter() - started)
+        results, serialization = self.wire.run_round(oracle, segments)
         self.last_serialization_time = serialization
         self.serialization_time += serialization
         return results
@@ -376,10 +324,6 @@ class ProcessMap:
         serialization, lazy decode and the transport's own."""
         return {
             "pool_dispatches": self.pool_dispatches,
-            "inline_rounds": self.inline_rounds,
-            "inline_segments": self.inline_segments,
-            "batch_dispatches": self.batch_dispatches,
-            "segments_batched": self.segments_batched,
             "serialization_time": self.serialization_time,
             **self._decode_stats.counters(),
             **self.wire.counters(),

@@ -1,38 +1,37 @@
 """The oracle transports: how one round reaches the workers.
 
 :class:`~repro.parallel.ProcessMap` decides *whether* a round leaves
-the parent (the inline floor and, for a by-value round, the measured
-:class:`~repro.parallel.scheduling.RoundCostModel`) and how a by-value
-round is cut (:func:`~repro.parallel.scheduling.batch_segments`); a
-:class:`Transport` decides *how the bytes travel*.  Each wire format is
-one small class with its own state and counters, and :data:`TRANSPORTS`
-is the registry ``transport=`` names are looked up in:
+the parent (the inline floor, ``serial_cutoff``); a :class:`Transport`
+decides *how the bytes travel*.  Each wire format is one small class
+with its own state and counters, and :data:`TRANSPORTS` is the
+registry ``transport=`` names are looked up in:
 
 * ``"encoded"`` (default) — the oracle is registered once per child.
   An id round (ids of a table, an oracle with ``run_ids``: every
-  ``popqc`` round of a ``NamOracle``) is a *claim round*: one message
-  per child — the round's distinct rows and every segment's positions
-  — and each stream, the caller too when it computes, takes the next
-  segment from a shared cell until none is left.  Any other round is
-  a packed blob per batch each way (the socket transport's payloads);
+  ``popqc`` round of a ``NamOracle``) sends the round's distinct rows
+  and every segment's positions; any other round every segment's
+  packed bytes;
 * ``"shm"`` — every round's segments are packed into one pooled
   shared-memory arena (:mod:`repro.parallel.shm`) and the pipe carries
-  only ``(arena, start, end)`` descriptors;
+  only the arenas' names; each answer goes into its reserved region;
 * ``"pickle"`` — the seed behaviour, kept as the benchmark baseline:
-  the oracle and every ``list[Gate]`` are pickled on every call;
+  the oracle and every ``list[Gate]`` are pickled on every round;
 * ``"threads"`` — no pipes, no arenas: oracle calls run on a thread
   pool over the parent's own gate lists, which pays off only when
   the oracle releases the GIL;
-* ``"socket"`` — the same packed bytes as length-prefixed frames over
-  TCP to ``popqc worker`` hosts (:mod:`repro.parallel.hostpool`), with
-  heartbeat, reconnect-and-requeue on host failure and the
-  generation-token protocol over the wire.
+* ``"socket"`` — packed bytes, cut into balance-only
+  :func:`~repro.parallel.scheduling.batch_segments` batches, as
+  length-prefixed frames over TCP to ``popqc worker`` hosts
+  (:mod:`repro.parallel.hostpool`), with heartbeat,
+  reconnect-and-requeue on host failure and the generation-token
+  protocol over the wire.
 
 The three pool-backed formats share :class:`WorkerPool`: children on a
-pipe each, the generation token every task carries (so a stale child
+pipe each, the generation token every message carries (so a stale child
 fails loudly, :class:`StaleOracleError`), the respawn after a crash,
-the loop dealing by-value batches to free streams (the caller maybe
-among them) and the claim round.
+and the claim round every pooled round is: one message per child, the
+transport's, and every stream (the caller too, when it computes) takes
+the next segment from a shared cell until none is left.
 Every transport returns :class:`~repro.parallel.results.LazySegmentResult`
 handles, so results stay ids, or in the wire format until a driver
 reads their gates.
@@ -47,7 +46,6 @@ import os
 import pickle
 import time
 import weakref
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.connection import wait
@@ -58,15 +56,10 @@ import numpy as np
 from ..circuits.encoding import pack_segment, packed_segment_span, unpack_segment_from
 from ..circuits.gate import Gate
 from . import shm
-from .frames import (
-    StaleOracleError,
-    iter_results_payload,
-    join_segments_payload,
-    pack_results_payload,
-    unpack_segments_payload,
-)
+from .frames import StaleOracleError, join_segments_payload
 from .hostpool import SocketHostPool
 from .results import DecodeStats, LazySegmentResult
+from .scheduling import batch_segments
 from .worker import wire_entry
 
 __all__ = [
@@ -82,14 +75,9 @@ __all__ = [
 
 Oracle = Callable[[list[Gate]], list[Gate]]
 
-#: One round's dispatch plan: half-open ``(start, end)`` segment ranges.
-Plan = Sequence[tuple[int, int]]
-
 #: What :meth:`Transport.run_round` returns: the lazy results in
-#: segment order, the parent-side seconds spent serializing, and the
-#: seconds the workers held the round — ``None`` when the round had to
-#: start its pool, so its duration says nothing about a round's cost.
-RoundResult = tuple[list[LazySegmentResult], float, Optional[float]]
+#: segment order and the parent-side seconds spent serializing.
+RoundResult = tuple[list[LazySegmentResult], float]
 
 
 class Transport(Protocol):
@@ -98,10 +86,9 @@ class Transport(Protocol):
     workers: int
 
     def run_round(
-        self, oracle: Oracle, segments: Sequence[LazySegmentResult], plan: Plan
+        self, oracle: Oracle, segments: Sequence[LazySegmentResult]
     ) -> RoundResult:
-        """Apply ``oracle`` to every segment, cut into tasks as ``plan``
-        says, preserving order."""
+        """Apply ``oracle`` to every segment, preserving order."""
         ...  # pragma: no cover - protocol
 
     def counters(self) -> dict:
@@ -119,7 +106,7 @@ class Transport(Protocol):
 # With the pool-backed transports the oracle is installed once per
 # child (:func:`_serve`) together with its generation token, as the
 # per-segment callable :func:`~repro.parallel.worker.wire_entry` picks
-# for it; every task ships only segments tagged with the generation.
+# for it; every message is tagged with the generation.
 
 _WORKER_ENTRY: Optional[Callable] = None
 _WORKER_ORACLE: Optional[Oracle] = None
@@ -156,21 +143,6 @@ def _require_worker_oracle(generation: int) -> Callable:
     return _WORKER_ENTRY
 
 
-def _apply_registered_oracle(payload: bytes) -> bytes:
-    """Worker task of the encoded transport: one batch, blob to blob.
-
-    ``payload`` is a SEGMENTS payload (generation token, batch id, the
-    batch's packed segments back to back); the reply is the RESULTS
-    payload of the oracle's outputs, still in the flat wire format so
-    the parent can defer (and usually skip) decoding.
-    """
-    generation, batch_id, segments = unpack_segments_payload(payload)
-    entry = _require_worker_oracle(generation)
-    return pack_results_payload(
-        batch_id, [pack_segment(entry(seg)) for seg in segments]
-    )
-
-
 def _take(slots, round_id: int, count: int, child: Optional[int] = None) -> int:
     """The next index of round ``round_id`` in a claim cell's ``slots``
     (lock held), counted to ``child``; -1 once it ran out or closed."""
@@ -182,12 +154,10 @@ def _take(slots, round_id: int, count: int, child: Optional[int] = None) -> int:
     return slots[1] - 1
 
 
-def _answer_claims(task: tuple) -> tuple:
-    """Worker task of a claim round ``(round id, generation, (RowTable,
-    positions) parts, each segment's (part, start, end))``: run claimed
-    segments through ``run_ids`` until the cell runs out; reply each
-    part's new values and ``(index, None if unchanged else positions)``."""
-    round_id, generation, parts, where = task
+def _claimed(round_id: int, generation: int, count: int, answer: Callable) -> list:
+    """``(index, answer(index))`` for every index of round ``round_id``
+    (``count`` segments) this child takes from the cell, until it runs
+    out or closes."""
     lock, slots, child, parent = _WORKER_CELL
     answers = []
     while True:
@@ -195,34 +165,51 @@ def _answer_claims(task: tuple) -> tuple:
             if os.getppid() != parent:  # the caller died holding the lock
                 raise EOFError("the pool's parent is gone")
         try:
-            index = _take(slots, round_id, len(where), child)
+            index = _take(slots, round_id, count, child)
         finally:
             lock.release()
         if index < 0:
-            return [rows.values for rows, _ in parts], answers
+            return answers
         _require_worker_oracle(generation)
+        answers.append((index, answer(index)))
+
+
+def _answer_claims(task: tuple) -> tuple:
+    """Answer step of an id round ``(round id, generation, (RowTable,
+    positions) parts, each segment's (part, start, end))``: claimed
+    segments through ``run_ids``; reply each part's new values and
+    ``(index, None if unchanged else positions)``."""
+    round_id, generation, parts, where = task
+
+    def answer(index: int):
         part, start, end = where[index]
         rows, positions = parts[part]
         ids = positions[start:end]
         out = _WORKER_ORACLE.run_ids(ids, rows)
-        answers.append((index, None if out is ids else out))
+        return None if out is ids else out
+
+    answers = _claimed(round_id, generation, len(where), answer)
+    return [rows.values for rows, _ in parts], answers
 
 
-def _serve(conn, parent_end, oracle: Optional[Oracle], generation: int, cell) -> None:
-    """A pool child: answer ``(fn, items, round id)`` messages with
-    ``(True, outputs, round id)`` or ``(False, exception, round id)``
-    until ``None`` or the parent's end closes (before a late reply too)."""
-    global _WORKER_CELL
-    parent_end.close()  # the forked copy would keep EOF from ever arriving
-    _register_worker_oracle(oracle, generation)
-    _WORKER_CELL = (*cell, os.getppid())
-    with contextlib.suppress(EOFError, BrokenPipeError, KeyboardInterrupt):
-        for fn, items, round_id in iter(conn.recv, None):
-            try:
-                reply = True, [fn(item) for item in items], round_id
-            except Exception as exc:  # the task's failure, the parent's to raise
-                reply = False, exc, round_id
-            conn.send(reply)
+def _answer_packed(task: tuple) -> list:
+    """Answer step of a by-value ``encoded`` round ``(round id,
+    generation, each segment's packed bytes)``: ``(index, packed
+    result)``, still in the flat wire format so the parent can defer
+    (and usually skip) decoding."""
+    round_id, generation, blobs = task
+
+    def answer(index: int) -> bytes:
+        return pack_segment(_WORKER_ENTRY(unpack_segment_from(blobs[index])[0]))
+
+    return _claimed(round_id, generation, len(blobs), answer)
+
+
+def _answer_pickled(task: tuple) -> list:
+    """Answer step of a ``pickle`` round ``(round id, generation, oracle,
+    gate lists)``: ``(index, the shipped oracle's gate list)``."""
+    round_id, generation, oracle, segments = task
+    return _claimed(round_id, generation, len(segments), lambda i: oracle(segments[i]))
 
 
 def _attach_worker_arena(name: str, keep: tuple[str, ...] = ()):
@@ -246,54 +233,53 @@ def _attach_worker_arena(name: str, keep: tuple[str, ...] = ()):
     return block
 
 
-def _apply_oracle_shm(
-    task: tuple[str, str, int, int, int, int],
-) -> list[bytes | None]:
-    """Run the registered oracle over one batch of arena segments.
+def _answer_in_arena(task: tuple) -> list:
+    """Answer step of an ``shm`` round ``(round id, generation, segment
+    count, input arena, result arena)``.  The arenas are attached on the
+    first claim (a child late for its round maps nothing); inputs are
+    sliced zero-copy out of the input arena, and each packed result goes
+    into the segment's reserved region of the result arena when it fits
+    (answer ``None``), else back through the pipe as bytes."""
+    round_id, generation, count, in_name, out_name = task
+    arena: list = []
 
-    ``task`` is ``(input arena, result arena, round id, oracle
-    generation, start, end)``.  Inputs are sliced zero-copy out of the
-    input arena; each encoded result is packed into the segment's
-    reserved region of the result arena when it fits (returning
-    ``None`` as an "in the arena" marker) and returned through the pipe
-    as packed bytes only on overflow.
-    """
-    in_name, out_name, round_id, generation, start, end = task
-    entry = _require_worker_oracle(generation)
-    keep = (in_name, out_name)
-    in_buf = _attach_worker_arena(in_name, keep).buf
-    out_buf = _attach_worker_arena(out_name, keep).buf
-    n = shm.check_round(in_buf, round_id, in_name)
-    shm.check_round(out_buf, round_id, out_name)
-    offsets = shm.read_input_directory(in_buf, n)
-    regions = shm.read_result_directory(out_buf, n)
-    results: list[bytes | None] = []
-    for i in range(start, end):
-        encoded, _ = unpack_segment_from(in_buf, int(offsets[i]))
-        out = pack_segment(entry(encoded))
-        offset, capacity = int(regions[i, 0]), int(regions[i, 1])
-        if len(out) <= capacity:
-            out_buf[offset : offset + len(out)] = out
-            results.append(None)
-        else:  # oracle grew the segment past the reserved slack
-            results.append(out)
-    return results
+    def answer(index: int) -> Optional[bytes]:
+        if not arena:
+            keep = in_name, out_name
+            in_buf = _attach_worker_arena(in_name, keep).buf
+            out_buf = _attach_worker_arena(out_name, keep).buf
+            shm.check_round(in_buf, round_id, in_name)
+            shm.check_round(out_buf, round_id, out_name)
+            offsets = shm.read_input_directory(in_buf, count)
+            regions = shm.read_result_directory(out_buf, count)
+            arena.extend((in_buf, out_buf, offsets, regions))
+        in_buf, out_buf, offsets, regions = arena
+        encoded, _ = unpack_segment_from(in_buf, int(offsets[index]))
+        out = pack_segment(_WORKER_ENTRY(encoded))
+        offset, capacity = int(regions[index, 0]), int(regions[index, 1])
+        if len(out) > capacity:  # oracle grew the segment past the reserved slack
+            return out
+        out_buf[offset : offset + len(out)] = out
+        return None
+
+    return _claimed(round_id, generation, count, answer)
 
 
-class _PickledOracleCall:
-    """Picklable oracle-application wrapper.
-
-    The pickle transport ships one of these with every chunk (the seed
-    behaviour, kept as the benchmark baseline).
-    """
-
-    __slots__ = ("oracle",)
-
-    def __init__(self, oracle: Oracle):
-        self.oracle = oracle
-
-    def __call__(self, segment: list[Gate]) -> list[Gate]:
-        return self.oracle(segment)
+def _serve(conn, parent_end, oracle: Optional[Oracle], generation: int, cell) -> None:
+    """A pool child: answer ``(step, task, round id)`` messages with
+    ``(True, step(task), round id)`` or ``(False, exception, round id)``
+    until ``None`` or the parent's end closes (before a late reply too)."""
+    global _WORKER_CELL
+    parent_end.close()  # the forked copy would keep EOF from ever arriving
+    _register_worker_oracle(oracle, generation)
+    _WORKER_CELL = (*cell, os.getppid())
+    with contextlib.suppress(EOFError, BrokenPipeError, KeyboardInterrupt):
+        for step, task, round_id in iter(conn.recv, None):
+            try:
+                reply = True, step(task), round_id
+            except Exception as exc:  # the task's failure, the parent's to raise
+                reply = False, exc, round_id
+            conn.send(reply)
 
 
 # -- parent side ---------------------------------------------------------------
@@ -331,7 +317,7 @@ def _by_id(oracle, segments) -> bool:
 
 
 def _claim_parts(segments) -> tuple:
-    """A claim round's parts, one per table (a daemon's round can span a
+    """An id round's parts, one per table (a daemon's round can span a
     table rotation): distinct rows as a ``RowTable`` and positions into
     them; each segment's ``(part, start, end)``; each part's ``(table,
     rows)``."""
@@ -351,7 +337,7 @@ def _claim_parts(segments) -> tuple:
 
 
 def _received(results: list, replies: list, where: list, tables: list) -> None:
-    """The children's claim replies into ``results``, as ids of the
+    """The children's id-round replies into ``results``, as ids of the
     parent's tables; a segment answered unchanged keeps its input."""
     for values, answers in replies:
         lookups = [
@@ -364,19 +350,32 @@ def _received(results: list, replies: list, where: list, tables: list) -> None:
                 results[i] = LazySegmentResult.from_ids(lookup[out], table)
 
 
-def _answer_here(oracle, segments, stats) -> list:
-    """Segments answered by the caller as by a child: ids straight through
-    ``run_ids`` on their tables, else by the wire entry (``stats`` counts)."""
-    if _by_id(oracle, segments):
-        return [_answer_one(oracle, seg) for seg in segments]
-    entry = wire_entry(oracle)
-    return [LazySegmentResult.from_encoded(entry(s.encoded()), stats) for s in segments]
+def _each(result: Callable) -> Callable:
+    """A by-value round's receive: each child answer ``(index, out)``
+    becomes ``results[index] = result(index, out)``."""
+
+    def receive(results: list, replies: list) -> None:
+        for answers in replies:
+            for i, out in answers:
+                results[i] = result(i, out)
+
+    return receive
 
 
 def _answer_one(oracle, seg) -> LazySegmentResult:
     """One id segment answered in the caller, on its own table."""
     ids, table = seg.interned
     return LazySegmentResult.from_ids(oracle.run_ids(ids, table), table)
+
+
+def _answer_here(oracle, segments, stats) -> Callable:
+    """How the caller answers segment ``i`` of a round: by id on the
+    segment's own table when it is an id round, else through the oracle's
+    wire entry (``stats`` counts the result)."""
+    if _by_id(oracle, segments):
+        return lambda i: _answer_one(oracle, segments[i])
+    entry = wire_entry(oracle)
+    return lambda i: LazySegmentResult.from_encoded(entry(segments[i].encoded()), stats)
 
 
 def _stop_children(conns: list, procs: list) -> None:
@@ -398,7 +397,7 @@ _ROUND_IDS = itertools.count(1)
 
 class _Children:
     """``count`` children of the multiprocessing default context, each
-    serving ``(fn, items, round id)`` messages on a pipe of its own
+    serving ``(step, task, round id)`` messages on a pipe of its own
     (:func:`_serve`), and their claim cell, ``[round id, next index,
     claims per child]`` under one lock.  A reply of an earlier round (a
     child woken after its claim round closed) is dropped."""
@@ -452,47 +451,14 @@ class _Children:
                 raise BrokenProcessPool("a pool child terminated abruptly") from exc
             raise
 
-    def run(self, count: int, message: Callable, here: Optional[Callable]) -> list:
-        """Replies to ``message(k)``, ``k < count``, each dealt to a free
-        child or, when none is, run as ``here(k)`` (reply ``None``).  A
-        failure is raised once the outstanding replies are read, leaving
-        none for the next round; a dead child stops all (BrokenProcessPool)."""
-        replies: list = [None] * count
-        pending, idle, busy = deque(range(count)), list(self._conns), {}
-        failure: Optional[BaseException] = None
-        with self._breaking():
-            self._begin(round_id := next(_ROUND_IDS))
-            while busy or (pending and failure is None):
-                while idle and pending and failure is None:
-                    conn, k = idle.pop(), pending.popleft()
-                    conn.send((*message(k), round_id))
-                    busy[conn] = k
-                mine = here is not None and pending and failure is None
-                if mine:
-                    try:
-                        here(pending.popleft())
-                    except Exception as exc:
-                        failure = exc
-                for conn in wait(list(busy), 0 if mine else None) if busy else ():
-                    if (reply := self._read(conn)) is None:
-                        continue
-                    k = busy.pop(conn)
-                    ok, replies[k] = reply
-                    idle.append(conn)
-                    if not ok and failure is None:
-                        failure = replies[k]
-        if failure is not None:
-            raise failure
-        return replies
-
     def claim(
         self, round_id: int, count: int, data: bytes, here: Optional[Callable]
     ) -> list:
         """Claim round ``round_id`` of ``count`` segments: each child gets
-        ``data`` (an :func:`_answer_claims` message), and every stream —
-        ``here(index)`` too, if given — takes indices until none is left.
-        Then the round closes and the children that claimed are awaited
-        for their ``(values, answers)``.  A failure closes it at once."""
+        ``data`` (a pickled ``(step, task, round id)`` message), and every
+        stream — ``here(index)`` too, if given — takes indices until none
+        is left.  Then the round closes and the children that claimed are
+        awaited for their replies.  A failure closes it at once."""
         replies: dict = {}
         failure: Optional[BaseException] = None
 
@@ -526,7 +492,7 @@ class _Children:
         failure = failure or next((v for ok, v in replies.values() if not ok), None)
         if failure is not None:
             raise failure
-        return [value[0] for _, value in replies.values()]
+        return [value for _, value in replies.values()]
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop the children after their current message (``wait``) or now."""
@@ -540,12 +506,13 @@ class WorkerPool:
 
     A round runs on :attr:`workers` streams: that many children, or the
     caller and one child fewer (:attr:`caller_computes`).  A new oracle
-    bumps :attr:`generation` and forks new children; tasks carry the
+    bumps :attr:`generation` and forks new children; messages carry the
     token and a child refuses a mismatch (:class:`StaleOracleError`).
-    By-value batches are dealt to free streams; an id round is claimed."""
+    Every round is a claim round; a subclass's :meth:`_claims` says what
+    its message holds and how the children's answers are read."""
 
-    #: Whether the caller computes too (by-value batches whenever no
-    #: child is free); a placement-measuring ProcessMap sets it.
+    #: Whether the caller computes too (a stream taking segments like a
+    #: child); a default-cutoff ProcessMap sets it.
     caller_computes = False
 
     def __init__(self, workers: int, decode_stats: Optional[DecodeStats] = None):
@@ -555,44 +522,41 @@ class WorkerPool:
         self._pool: Optional[_Children] = None
         self._oracle: object = None
 
-    def _ensure(self, oracle: object) -> bool:
-        """Make the children serve ``oracle``; returns whether they did."""
+    def _ensure(self, oracle: object) -> None:
+        """Make the children serve ``oracle``."""
         if self._pool is not None:
             if self._oracle is oracle:
-                return True
+                return
             self._pool.shutdown(wait=True)
         self.generation += 1
         count = self.workers - self.caller_computes
         self._pool = _Children(count, oracle, self.generation)
         self._oracle = oracle
-        return False
 
-    def _round(self, oracle, segments, plan: Plan, fn, task, receive, warm: bool):
-        """Batch ``k``: ``fn`` over the items ``task(k)`` on a child, read
-        by ``receive(k, outputs)``, or :func:`_answer_here` on the caller.
-        Building tasks is serialization; broken children are dropped."""
-        out: list = [None] * len(plan)
-        serialization = 0.0
+    def _claims(self, oracle, segments, round_id: int):
+        """A context yielding round ``round_id``'s ``(step, task,
+        receive)``: the children run ``step(task)``, and ``receive(results,
+        replies)`` writes their answers into ``results``."""
+        raise NotImplementedError  # pragma: no cover - each transport has one
 
-        def message(k: int) -> tuple:
-            nonlocal serialization
-            began = time.perf_counter()
-            items = task(k)
-            serialization += time.perf_counter() - began
-            return fn, items
+    def run_round(self, oracle, segments) -> RoundResult:
+        """One claim round: every child gets the same message, pickled
+        once (building it is serialization), and every stream takes the
+        next segment until none is left.  The caller answers by id where
+        it can, else through the oracle's wire entry."""
+        self._ensure(oracle)
+        began, round_id = time.perf_counter(), next(_ROUND_IDS)
+        results, answer = list(segments), _answer_here(oracle, segments, self._stats)
 
-        def mine(k: int) -> None:
-            out[k] = _answer_here(oracle, segments[slice(*plan[k])], self._stats)
+        def here(i: int) -> None:
+            results[i] = answer(i)
 
-        started = time.perf_counter()
-        here = mine if self.caller_computes else None
-        replies = self._pool_call(self._pool.run, len(out), message, here)
-        for k, reply in enumerate(replies):
-            if reply is not None:
-                out[k] = receive(k, reply)
-        seconds = time.perf_counter() - started - serialization
-        results = [res for batch in out for res in batch]
-        return results, serialization, seconds if warm else None
+        with self._claims(oracle, segments, round_id) as (step, task, receive):
+            data = pickle.dumps((step, task, round_id), pickle.HIGHEST_PROTOCOL)
+            serialization = time.perf_counter() - began
+            args = round_id, len(segments), data, here if self.caller_computes else None
+            receive(results, self._pool_call(self._pool.claim, *args))
+        return results, serialization
 
     def _pool_call(self, call: Callable, *args) -> list:
         """``call(*args)``, a round of the children's; children a failed
@@ -616,67 +580,47 @@ class WorkerPool:
 
 
 class PickleTransport(WorkerPool):
-    """The seed behaviour: oracle and gate lists pickled on every call
-    (the copy a child installs at start-up goes unused)."""
+    """The seed behaviour: the oracle and the gate lists pickled into
+    every round's message (the copy a child installs at start-up goes
+    unused)."""
 
-    def run_round(self, oracle, segments, plan) -> RoundResult:
-        """One message per batch: the oracle and the batch's gate lists."""
-        return self._round(
-            oracle,
-            segments,
-            plan,
-            _PickledOracleCall(oracle),
-            lambda k: [seg.gates() for seg in segments[slice(*plan[k])]],
-            lambda k, outs: list(map(LazySegmentResult.from_gates, outs)),
-            self._ensure(oracle),
-        )
+    @contextlib.contextmanager
+    def _claims(self, oracle, segments, round_id: int):
+        """The oracle and every gate list; gate lists back."""
+        task = round_id, self.generation, oracle, [seg.gates() for seg in segments]
+        receive = _each(lambda _, out: LazySegmentResult.from_gates(out))
+        yield _answer_pickled, task, receive
 
 
 class EncodedTransport(WorkerPool):
-    """Persistent workers: an id round is one claim round, any other
-    round one packed blob per batch through the pipe."""
+    """Persistent workers: an id round's message is its distinct rows
+    and positions, nothing encoded or packed; any other round's every
+    segment's packed bytes."""
 
-    def run_round(self, oracle, segments, plan) -> RoundResult:
-        """A ``bytes`` object per batch each way — one pickle of one
-        buffer — split on header reads alone."""
-        warm = self._ensure(oracle)
+    @contextlib.contextmanager
+    def _claims(self, oracle, segments, round_id: int):
+        """Rows and positions for an id round (:func:`_by_id`), else the
+        packed bytes a cache front already took its keys from."""
+        if _by_id(oracle, segments):
+            parts, where, tables = _claim_parts(segments)
 
-        def task(k: int) -> list:
-            return [_payload(segments, self.generation, k, *plan[k])]
+            def receive(results: list, replies: list) -> None:
+                _received(results, replies, where, tables)
 
-        def receive(k: int, replies: list) -> list:
-            return _unpacked(iter_results_payload(replies[0], k), self._stats)
-
-        return self._round(
-            oracle, segments, plan, _apply_registered_oracle, task, receive, warm
-        )
-
-    def claim_round(self, oracle, segments) -> tuple[list, float]:
-        """An id round (:func:`_by_id`) as one claim round, nothing encoded
-        or packed: the results in order and the seconds spent building
-        and pickling its message."""
-        self._ensure(oracle)
-        results, began, round_id = list(segments), time.perf_counter(), next(_ROUND_IDS)
-        parts, where, tables = _claim_parts(segments)
-        task = round_id, self.generation, parts, where
-        data = pickle.dumps((_answer_claims, [task], round_id), pickle.HIGHEST_PROTOCOL)
-        serialization = time.perf_counter() - began
-
-        def here(i: int) -> None:
-            results[i] = _answer_one(oracle, segments[i])
-
-        args = round_id, len(segments), data, here if self.caller_computes else None
-        _received(results, self._pool_call(self._pool.claim, *args), where, tables)
-        return results, serialization
+            yield _answer_claims, (round_id, self.generation, parts, where), receive
+        else:
+            blobs = [seg.packed_bytes() for seg in segments]
+            stats = self._stats
+            receive = _each(lambda _, out: LazySegmentResult.from_packed(out, stats))
+            yield _answer_packed, (round_id, self.generation, blobs), receive
 
 
 class ShmTransport(WorkerPool):
     """Zero-copy rounds through a ring of shared-memory arenas.
 
     Segments are packed into one pooled input arena, results come back
-    through a result arena with parent-reserved regions, and the pool
-    dispatch is one task per batch — the pipe carries only small
-    descriptor tuples.  :attr:`arenas` is the ring
+    through a result arena with parent-reserved regions, and the pipe
+    carries only the arenas' names.  :attr:`arenas` is the ring
     (:class:`~repro.parallel.shm.ShmArenaPool`); ``arenas.ring_bytes``
     is its current capacity.
     """
@@ -684,17 +628,15 @@ class ShmTransport(WorkerPool):
     def __init__(self, workers: int, decode_stats: Optional[DecodeStats] = None):
         super().__init__(workers, decode_stats)
         self.arenas = shm.ShmArenaPool()
-        self._round_id = 0
 
-    def run_round(self, oracle, segments, plan) -> RoundResult:
-        """One round through a freshly acquired arena pair."""
-        t0 = time.perf_counter()
+    @contextlib.contextmanager
+    def _claims(self, oracle, segments, round_id: int):
+        """A freshly acquired arena pair, recycled after a clean round
+        and never after a failed one (a straggler may still write)."""
         encoded = [seg.encoded() for seg in segments]
         sizes = shm.packed_sizes(encoded)
-        ser = time.perf_counter() - t0
-
         in_offsets, in_total = shm.input_arena_layout(sizes)
-        out_regions, out_total = shm.result_arena_layout(sizes)
+        regions, out_total = shm.result_arena_layout(sizes)
         in_block = self.arenas.acquire(in_total)
         try:
             out_block = self.arenas.acquire(out_total)
@@ -703,55 +645,31 @@ class ShmTransport(WorkerPool):
             # /dev/shm): hand the first block back before propagating
             self.arenas.release(in_block)
             raise
-        self._round_id += 1
-        round_id = self._round_id
-        round_ok = False
+        blocks = in_block, out_block
         try:
-            t0 = time.perf_counter()
             shm.write_input_arena(in_block.buf, round_id, encoded, in_offsets)
-            shm.write_result_directory(out_block.buf, round_id, out_regions)
-            ser += time.perf_counter() - t0
+            shm.write_result_directory(out_block.buf, round_id, regions)
 
-            warm = self._ensure(oracle)
-
-            def receive(k: int, replies: list) -> list:
-                # Copy each packed result out of the arena (header-sized
+            def result(i: int, marker: Optional[bytes]) -> LazySegmentResult:
+                # Copy a packed result out of the arena (header-sized
                 # span read + one memcpy) so the block can be recycled;
                 # decoding stays lazy and usually never happens.
-                results, buf = [], out_block.buf
-                for marker, (at, _) in zip(replies[0], out_regions[slice(*plan[k])]):
-                    if marker is None:
-                        length, stop = packed_segment_span(buf, at)
-                        marker = bytes(buf[at:stop])
-                    else:  # overflow fallback: result came through the pipe
-                        length = None
-                    results.append(
-                        LazySegmentResult.from_packed(marker, self._stats, length)
-                    )
-                return results
+                length = None  # an overflow came through the pipe whole
+                if marker is None:
+                    at = int(regions[i][0])
+                    length, stop = packed_segment_span(out_block.buf, at)
+                    marker = bytes(out_block.buf[at:stop])
+                return LazySegmentResult.from_packed(marker, self._stats, length)
 
-            names = in_block.name, out_block.name, round_id, self.generation
-            results, packing, pool_seconds = self._round(
-                oracle,
-                segments,
-                plan,
-                _apply_oracle_shm,
-                lambda k: [(*names, *plan[k])],
-                receive,
-                warm,
-            )
-            ser += packing
-            round_ok = True
-        finally:
-            if round_ok:
-                self.arenas.release(in_block)
-                self.arenas.release(out_block)
-            else:
-                # a failed round may leave straggler tasks writing into
-                # the arenas: never recycle them
-                self.arenas.discard(in_block)
-                self.arenas.discard(out_block)
-        return results, ser, pool_seconds
+            names = in_block.name, out_block.name
+            task = round_id, self.generation, len(segments), *names
+            yield _answer_in_arena, task, _each(result)
+        except BaseException:
+            for block in blocks:
+                self.arenas.discard(block)
+            raise
+        for block in blocks:
+            self.arenas.release(block)
 
     def counters(self) -> dict:
         """Arena-ring behaviour: blocks created vs. rounds served by
@@ -771,14 +689,14 @@ class ThreadsTransport:
     """Oracle calls on a shared thread pool: no pipes, no arenas.
 
     Workers share the parent's address space, so nothing is serialized
-    and the oracle needs no registration or generation token; the
-    plan's batch widths are ignored — one pool task per segment, on
-    the gate lists directly: encoding inputs just to win lazy result
-    decode costs more than it saves here, unlike the process
-    transports, where the bytes must exist anyway.  Per-task durations
-    are summed against pool wall seconds (``thread_task_seconds`` /
-    ``thread_wall_seconds``): their ratio estimates effective thread
-    concurrency, i.e. how much GIL the oracle released.
+    and the oracle needs no registration or generation token: one pool
+    task per segment, on the gate lists directly — encoding inputs just
+    to win lazy result decode costs more than it saves here, unlike the
+    process transports, where the bytes must exist anyway.  Per-task
+    durations are summed against pool wall seconds
+    (``thread_task_seconds`` / ``thread_wall_seconds``): their ratio
+    estimates effective thread concurrency, i.e. how much GIL the
+    oracle released.
     """
 
     def __init__(self, workers: int, decode_stats: Optional[DecodeStats] = None):
@@ -787,10 +705,9 @@ class ThreadsTransport:
         self.wall_seconds = 0.0
         self._pool: Optional[ThreadPoolExecutor] = None
 
-    def run_round(self, oracle, segments, plan) -> RoundResult:
+    def run_round(self, oracle, segments) -> RoundResult:
         """One pool task per segment, each timed."""
-        warm = self._pool is not None
-        if not warm:
+        if self._pool is None:
             self._pool = ThreadPoolExecutor(max_workers=self.workers)
         t_round = time.perf_counter()
 
@@ -801,10 +718,9 @@ class ThreadsTransport:
 
         outs = list(self._pool.map(task, [seg.gates() for seg in segments]))
         results = [LazySegmentResult.from_gates(out) for out, _ in outs]
-        wall = time.perf_counter() - t_round
-        self.wall_seconds += wall
+        self.wall_seconds += time.perf_counter() - t_round
         self.task_seconds += sum(seconds for _, seconds in outs)
-        return results, 0.0, wall if warm else None
+        return results, 0.0
 
     def counters(self) -> dict:
         """Summed per-task oracle seconds vs. pool wall seconds."""
@@ -825,15 +741,18 @@ class ThreadsTransport:
 class SocketTransport:
     """Packed batches as frames over TCP to ``popqc worker`` hosts.
 
-    Batches are round-robined across the connected hosts by
-    :meth:`~repro.parallel.hostpool.SocketHostPool.run_round`; results
-    come back as packed RESULTS frames and wrap into lazy handles like
-    every other transport's.  The oracle crosses the wire once per
-    host per registration (generation-tagged, exactly like the
-    oracle a pool child installs as it starts).  The one elastic transport:
-    :meth:`add_host` / :meth:`remove_host` grow and shrink the fleet —
-    and with it :attr:`workers`, the fan-out rounds are planned for —
-    which is how the optimization service's autoscaler scales.
+    A round is cut into balance-only batches
+    (:func:`~repro.parallel.scheduling.batch_segments`, a few per
+    host), which
+    :meth:`~repro.parallel.hostpool.SocketHostPool.run_round` spreads
+    over the connected hosts; results come back as packed RESULTS
+    frames and wrap into lazy handles like every other transport's.
+    The oracle crosses the wire once per host per registration
+    (generation-tagged, exactly like the oracle a pool child installs
+    as it starts).  The one elastic transport: :meth:`add_host` /
+    :meth:`remove_host` grow and shrink the fleet — and with it
+    :attr:`workers`, the fan-out rounds are cut for — which is how the
+    optimization service's autoscaler scales.
     """
 
     _IDLE_COUNTERS = {
@@ -881,12 +800,11 @@ class SocketTransport:
         if self._pool is not None:
             self._pool.remove_host(address)
 
-    def run_round(self, oracle, segments, plan) -> RoundResult:
+    def run_round(self, oracle, segments) -> RoundResult:
         """One round of SEGMENTS frames across the live hosts."""
         if self._pool is None:
             self._pool = SocketHostPool(self.hosts, auth_token=self.auth_token)
-        warm = self._oracle is oracle
-        if warm:
+        if self._oracle is oracle:
             self._pool.ensure_ready()
         else:
             self.generation += 1
@@ -895,13 +813,14 @@ class SocketTransport:
         started = time.perf_counter()
         batches = [
             (k, end - start, _payload(segments, self.generation, k, start, end))
-            for k, (start, end) in enumerate(plan)
+            for k, (start, end) in enumerate(
+                batch_segments(len(segments), self.workers, 0.0)
+            )
         ]
         packed = time.perf_counter()
         replies = self._pool.run_round(batches)
-        seconds = time.perf_counter() - packed
         results = [res for pairs in replies for res in _unpacked(pairs, self._stats)]
-        return results, packed - started, seconds if warm else None
+        return results, packed - started
 
     def counters(self) -> dict:
         """The host pool's wire and per-host figures (zeros until the

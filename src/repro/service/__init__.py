@@ -16,7 +16,7 @@ pays the oracle twice for a segment it has already optimized.
   each job is a POPQC round machine (:func:`repro.core.popqc_rounds`,
   with the daemon's memo) whose rounds are looked up on the job's own
   cache front; one dispatcher merges every waiting job's misses into
-  shared ``batch_segments`` rounds over the one persistent fleet and
+  shared rounds of the one persistent fleet's ``map_segments`` and
   advances each answered job.
 * :mod:`repro.service.frames` — the JOB/RESULT/STATUS/BUSY payloads,
   spoken only here, on :mod:`repro.parallel.frames`' codec.

@@ -126,18 +126,26 @@ def test_a_duplicate_in_a_round_keeps_the_accounting_exact(transport):
     oracle = NamOracle() if transport == "pickle" else ByValueNam()
     want = popqc(TWICE, NamOracle(), 20)
     pm = ProcessMap(2, serial_cutoff=0, transport=transport)
+    run_round, dispatched = pm.wire.run_round, []
+
+    def counted(oracle, segments):
+        dispatched.append(len(segments))
+        return run_round(oracle, segments)
+
+    pm.wire.run_round = counted
     try:
         first = popqc(TWICE, oracle, 20, parmap=pm, max_rounds=1).stats
+        assert first.cache_hits > 0  # an empty memo: the hits are in-round
+        assert sum(dispatched) == first.cache_misses
+        del dispatched[:]
         got = popqc(TWICE, oracle, 20, parmap=pm)
     finally:
         pm.close()
-    assert first.cache_hits > 0  # an empty memo: the hits are in-round
-    assert first.counters["segments_batched"] == first.cache_misses
     stats = got.stats
     assert _packed(got) == _packed(want)
     assert (stats.rounds, stats.oracle_calls) == (want.stats.rounds, want.stats.oracle_calls)
     assert stats.cache_hits + stats.cache_misses == stats.oracle_calls
-    assert stats.counters["segments_batched"] == stats.cache_misses
+    assert sum(dispatched) == stats.cache_misses
     if transport == "pickle":  # gate lists come back: no bytes to decode
         assert stats.results_returned == stats.results_decoded == 0
     else:

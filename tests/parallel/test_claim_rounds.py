@@ -1,15 +1,18 @@
-"""Claim rounds: how the local pool runs an id round.
+"""Claim rounds: how the local pool runs every round above its floor.
 
-A round whose segments are all ids of a table, for an oracle with an
-id entry, is one message per child — the round's distinct rows and
-every segment's positions — and every compute stream (each child, and
-the caller when it computes) takes the next unclaimed segment from one
-shared cell until none is left.  The caller waits only for the children
-that claimed; a child that wakes after its round closed replies empty,
-and that reply is dropped by a later round.  Which stream answers a
-segment is timing; what the round returns is not.
+A pooled round is one message per child — for an id round (segments
+all ids of a table, an oracle with an id entry) the round's distinct
+rows and every segment's positions; by value, the transport's packed
+bytes, gate lists or arena names — and every compute stream (each
+child, and the caller when it computes) takes the next unclaimed
+segment from one shared cell until none is left.  The caller waits
+only for the children that claimed; a child that wakes after its round
+closed replies empty, and that reply is dropped by a later round.
+Which stream answers a segment is timing; what the round returns is
+not.
 """
 
+import itertools
 import multiprocessing
 import os
 import signal
@@ -19,7 +22,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro.benchgen import family_names, generate
-from repro.circuits import CNOT, RZ, H, X, random_redundant_circuit
+from repro.circuits import CNOT, RZ, H, X, decode_segment, random_redundant_circuit
 from repro.circuits.intern import GateTable
 from repro.core import popqc
 from repro.oracles import NamOracle
@@ -70,11 +73,34 @@ class SegmentLog(Unmemoized):
         super().__init__()
         self.path = str(path)
 
-    def run_ids(self, ids, table):
-        angle = float(table.columns(ids)[3][4])
+    def _note(self, angle):
         with open(self.path, "a") as log:
-            log.write(f"{os.getpid()} {angle!r}\n")
+            log.write(f"{os.getpid()} {float(angle)!r}\n")
+
+    def run_ids(self, ids, table):
+        self._note(table.columns(ids)[3][4])
         return super().run_ids(ids, table)
+
+
+class ByValueNam(NamOracle):
+    """Nam's rules without the id entry: a pooled round goes by value."""
+
+    run_ids = None
+
+
+class ByValueLog(SegmentLog):
+    """:class:`SegmentLog` by value: the gate-list entry (``pickle``
+    children) and the wire entry (every other stream) log instead."""
+
+    run_ids = None
+
+    def __call__(self, gates):
+        self._note(gates[4].param)
+        return super().__call__(gates)
+
+    def run_packed(self, encoded):
+        self._note(decode_segment(encoded)[4].param)
+        return super().run_packed(encoded)
 
 
 def _log(path) -> list:
@@ -115,10 +141,12 @@ def pools():
     """One ``ProcessMap`` per shape, shared by the byte-identity runs."""
     made = {}
 
-    def get(workers, cutoff):
-        if (workers, cutoff) not in made:
-            made[workers, cutoff] = ProcessMap(workers, serial_cutoff=cutoff)
-        return made[workers, cutoff]
+    def get(workers, cutoff, transport):
+        if (workers, cutoff, transport) not in made:
+            made[workers, cutoff, transport] = ProcessMap(
+                workers, serial_cutoff=cutoff, transport=transport
+            )
+        return made[workers, cutoff, transport]
 
     yield get
     for pm in made.values():
@@ -128,33 +156,42 @@ def pools():
 @pytest.mark.parametrize("omega", [25, 100])
 @pytest.mark.parametrize("family", family_names())
 @pytest.mark.parametrize("cutoff", [None, 0])
-@pytest.mark.parametrize("workers", [2, 3, 4])
-def test_claim_rounds_match_serial_map(pools, workers, cutoff, family, omega):
+@pytest.mark.parametrize(
+    "workers,transport,oracle",
+    [pytest.param(n, "encoded", NamOracle, id=str(n)) for n in (2, 3, 4)]
+    + [
+        pytest.param(2, transport, ByValueNam, id=f"2-{transport}-by-value")
+        for transport in ("encoded", "pickle", "shm")
+    ],
+)
+def test_claim_rounds_match_serial_map(
+    pools, workers, transport, oracle, cutoff, family, omega
+):
     circuit = generate(family, 0, seed=0)
     want = popqc(circuit, NamOracle(), omega, parmap=SerialMap())
-    pm = pools(workers, cutoff)
-    before = pm.counters()
-    got = popqc(circuit, NamOracle(), omega, parmap=pm)
+    pm = pools(workers, cutoff, transport)
+    got = popqc(circuit, oracle(), omega, parmap=pm)
     assert got.circuit.gates == want.circuit.gates
     assert got.stats.rounds == want.stats.rounds
     assert got.stats.oracle_calls == want.stats.oracle_calls
     counters = got.stats.counters
-    # id rounds above the floor are all claim rounds: no batch, no
-    # inline placement, nothing returned as bytes
     assert counters["pool_dispatches"] > 0
-    assert counters["inline_rounds"] == counters["batch_dispatches"] == 0
-    assert counters["results_returned"] == 0
-    assert pm.counters()["segments_batched"] == before["segments_batched"]
+    if oracle is NamOracle:  # an id round returns no bytes
+        assert counters["results_returned"] == 0
+    else:  # by value, only accepted results are ever decoded
+        assert counters["results_decoded"] <= got.stats.oracle_accepted
 
 
 def test_every_segment_is_answered_once_across_the_streams(tmp_path):
     """Four streams on a smaller host, round after round: a claim lost
     or taken twice would answer some segment twice or never."""
     log = tmp_path / "answers"
-    oracle = SegmentLog(log)
     before = _children()
-    for cutoff in (None, 0):
-        pm = ProcessMap(4, serial_cutoff=cutoff)
+    shapes = [(SegmentLog, "encoded")]
+    shapes += [(ByValueLog, transport) for transport in ("encoded", "pickle", "shm")]
+    for (logger, transport), cutoff in itertools.product(shapes, (None, 0)):
+        oracle = logger(log)
+        pm = ProcessMap(4, serial_cutoff=cutoff, transport=transport)
         try:
             for shift in range(0, 300, 60):
                 log.write_text("")
@@ -166,7 +203,7 @@ def test_every_segment_is_answered_once_across_the_streams(tmp_path):
                 assert _gates(got) == _gates(want)
             if cutoff == 0:  # the caller never computes
                 assert os.getpid() not in {pid for pid, _ in _log(log)}
-            assert pm.pool_dispatches == 5 and pm.last_batch_sizes == []
+            assert pm.pool_dispatches == 5
         finally:
             pm.close()
     assert _children() - before == set()
@@ -311,13 +348,14 @@ def test_a_child_stops_when_its_parent_died_holding_the_cell_lock(monkeypatch):
 
 def test_a_stale_generation_fails_the_round():
     """A message tagged for another oracle generation than the children
-    serve: the first child that claims refuses it, and the round raises."""
-    pm = ProcessMap(2, serial_cutoff=0)
-    try:
-        oracle = Unmemoized()
-        pm.map_segments(oracle, _id_segments())
-        pm.wire.generation += 1
-        with pytest.raises(StaleOracleError, match="generation"):
-            pm.map_segments(oracle, _id_segments(shift=9))
-    finally:
-        pm.close()
+    serve: the first child that claims refuses it, and the round raises,
+    by id or by value."""
+    for oracle in (Unmemoized(), ByValueNam()):
+        pm = ProcessMap(2, serial_cutoff=0)
+        try:
+            pm.map_segments(oracle, _id_segments())
+            pm.wire.generation += 1
+            with pytest.raises(StaleOracleError, match="generation"):
+                pm.map_segments(oracle, _id_segments(shift=9))
+        finally:
+            pm.close()

@@ -215,8 +215,7 @@ class TestProcessMapSocket:
         assert counters["socket_reconnects"] == 0
         assert sum(counters["socket_host_segments"].values()) > 0
         assert all(s >= 0 for s in counters["socket_host_seconds"].values())
-        assert counters["batch_dispatches"] > 0
-        assert counters["segments_batched"] >= counters["batch_dispatches"]
+        assert counters["pool_dispatches"] > 0
 
     def test_heartbeat_pings_idle_connections_between_rounds(self):
         """With a zero heartbeat interval every idle connection is

@@ -30,15 +30,23 @@ class TestProcessMap:
         # the actual POPQC use case: a NamOracle crossing process bounds
         from repro.circuits import H
         from repro.oracles import NamOracle
-        from repro.parallel.transports import _PickledOracleCall
+        from repro.parallel.transports import _answer_pickled
 
-        task = _PickledOracleCall(NamOracle())
-        clone = pickle.loads(pickle.dumps(task))
-        assert clone([H(0), H(0)]) == []
+        # a pickle-transport round's message: the oracle and the gate lists
+        message = _answer_pickled, (1, 1, NamOracle(), [[H(0), H(0)]]), 1
+        step, (_, _, oracle, segments), _ = pickle.loads(pickle.dumps(message))
+        assert step is _answer_pickled and oracle(segments[0]) == []
 
     def test_unknown_transport_rejected(self):
         with pytest.raises(ValueError):
             ProcessMap(2, transport="grpc")
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_worker_rejected(self, workers):
+        """Refused at construction, not by the first wide round's claim
+        cell (``-1``) or read as every core (``0``)."""
+        with pytest.raises(ValueError, match=f"at least 1, got {workers}"):
+            ProcessMap(workers, serial_cutoff=0)
 
 
 class TestMapSegments:
@@ -122,33 +130,35 @@ class TestMapSegments:
         # receiving a task tagged for generation 2 (the failure mode the
         # token exists to catch: without it the worker would silently
         # apply the stale oracle)
-        from repro.circuits import encode_segment
+        import os
+        import threading
+
+        from repro.circuits import encode_segment, pack_segment
         from repro.circuits.encoding import unpack_segment_from
         from repro.oracles import IdentityOracle
         from repro.parallel import StaleOracleError
         from repro.parallel import transports as executor_mod
-        from repro.parallel.frames import iter_results_payload, pack_segments_payload
 
         executor_mod._register_worker_oracle(IdentityOracle(), 1)
         try:
             encoded = encode_segment(self._segments(1)[0])
-            # one batch blob in, one blob back, results still in the
+            blob = pack_segment(encoded)
+            # one child of a by-value claim round, taking both segments:
+            # packed bytes in, packed bytes back, results still in the
             # flat wire format (lazy decode)
-            reply = executor_mod._apply_registered_oracle(
-                pack_segments_payload(1, 7, [encoded, encoded])
-            )
-            assert isinstance(reply, bytes)
-            blobs = [blob for _, blob in iter_results_payload(reply, 7)]
-            assert len(blobs) == 2
-            for blob in blobs:
-                roundtripped, _ = unpack_segment_from(blob)
+            executor_mod._WORKER_CELL = threading.Lock(), [7, 0, 0], 0, os.getppid()
+            answers = executor_mod._answer_packed((7, 1, [blob, blob]))
+            assert [index for index, _ in answers] == [0, 1]
+            for _, reply in answers:
+                assert isinstance(reply, bytes)
+                roundtripped, _ = unpack_segment_from(reply)
                 assert roundtripped == encoded
+            executor_mod._WORKER_CELL = threading.Lock(), [8, 0, 0], 0, os.getppid()
             with pytest.raises(StaleOracleError, match="generation 2"):
-                executor_mod._apply_registered_oracle(
-                    pack_segments_payload(2, 0, [encoded])
-                )
+                executor_mod._answer_packed((8, 2, [blob]))
         finally:
             executor_mod._register_worker_oracle(None, -1)
+            executor_mod._WORKER_CELL = None
 
     def test_serialization_time_tracked(self):
         from repro.oracles import NamOracle

@@ -36,9 +36,9 @@ from repro.parallel.frames import (
     FRAME_REGISTER,
     FRAME_RESULTS,
     FRAME_SEGMENTS,
-    iter_results_payload,
     pack_frame,
     pack_register_payload,
+    pack_results_payload,
     pack_segments_payload,
 )
 
@@ -195,8 +195,8 @@ def _packed(gates) -> bytes:
 
 
 def test_byte_workers_build_no_gate_for_a_wire_entry_oracle(monkeypatch):
-    """The ``encoded`` pool tasks — by value and by id — and a
-    ``WorkerHost`` answer ``NamOracle`` batches without constructing a
+    """The ``encoded`` pool's answer steps — by value and by id — and a
+    ``WorkerHost`` answer ``NamOracle`` segments without constructing a
     ``Gate`` or adding a table row, and answer exactly what the oracle
     does on the decoded gates."""
     gates = list(CIRCUIT.gates)
@@ -229,11 +229,14 @@ def test_byte_workers_build_no_gate_for_a_wire_entry_oracle(monkeypatch):
     )
     transports._register_worker_oracle(NamOracle(), 1)
     try:
-        pool_reply = transports._apply_registered_oracle(payload)
-        assert built == [] and rows == []
-        # one child of a claim round, which takes every segment of round 3
-        cell = threading.Lock(), [3, 0, 0], 0, os.getppid()
+        # one child of a by-value claim round, which takes every segment
+        # of round 2, then of an id round, round 3
+        cell = threading.Lock(), [2, 0, 0], 0, os.getppid()
         monkeypatch.setattr(transports, "_WORKER_CELL", cell)
+        blobs = [pack_segment(seg) for seg in segments]
+        pool_reply = [blob for _, blob in transports._answer_packed((2, 1, blobs))]
+        assert built == [] and rows == []
+        cell[1][:] = [3, 0, 0]
         parts, where, tables = transports._claim_parts(handles)
         by_id = list(handles)
         reply = id_worker((3, 1, parts, where))
@@ -252,5 +255,5 @@ def test_byte_workers_build_no_gate_for_a_wire_entry_oracle(monkeypatch):
     finally:
         host.stop()
     assert built == [] and rows == []
-    assert [blob for _, blob in iter_results_payload(pool_reply, 7)] == want
-    assert host_reply == pack_frame(FRAME_RESULTS, pool_reply)
+    assert pool_reply == want
+    assert host_reply == pack_frame(FRAME_RESULTS, pack_results_payload(7, want))

@@ -10,11 +10,11 @@ accounting.  The socket transport additionally gets the lazy-decode
 spy pin of ``tests/parallel/test_lazy_decode.py``: results crossing a
 TCP wire must stay packed until a rewrite is actually accepted.
 
-Above its floor a default ``ProcessMap`` places each round by measured
-time, so which rounds cross the wire differs run to run; the property
-at the end of this file replaces the clock with drawn placement
-patterns and requires the same bytes and the same dynamics under every
-one of them.
+Above its floor a ``ProcessMap`` runs every round as a claim round, so
+which stream answers which segment differs run to run; the property at
+the end of this file draws claim patterns — the caller claims every
+segment, none, or a share decided by the clock — and requires the same
+bytes and the same dynamics under every one of them.
 """
 
 import functools
@@ -129,7 +129,7 @@ def test_socket_transport_recorded_in_stats(socket_hosts):
     # ... including per-host throughput over the cluster
     for r in results:
         assert sum(r.stats.counters["socket_host_segments"].values()) > 0
-    assert all(r.stats.counters["batch_dispatches"] > 0 for r in results)
+    assert all(r.stats.counters["pool_dispatches"] > 0 for r in results)
 
 
 def test_socket_results_stay_lazy(socket_hosts, monkeypatch):
@@ -178,10 +178,9 @@ def test_shm_transport_recorded_in_stats():
     pm = ProcessMap(2, serial_cutoff=0, transport="shm")
     results = _run_suite(pm)
     assert all(r.stats.transport == "shm" for r in results)
-    # batched dispatch + arena accounting flow into the run stats
+    # dispatch + arena accounting flow into the run stats
     counters = [r.stats.counters for r in results]
-    assert all(c["batch_dispatches"] > 0 for c in counters)
-    assert all(c["segments_batched"] / c["batch_dispatches"] >= 1.0 for c in counters)
+    assert all(c["pool_dispatches"] > 0 for c in counters)
     assert all(c["arena_allocations"] + c["arena_reuses"] > 0 for c in counters)
     # the second and third runs recycle the first run's arena ring
     last = counters[-1]
@@ -230,48 +229,28 @@ def test_inline_fallback_reported_when_nothing_dispatched():
     assert res.stats.serialization_time == 0.0
 
 
-# -- placement never changes output --------------------------------------------
-
-
-class _PatternModel:
-    """Stands in for the executor's cost model: the i-th round it is
-    asked about goes where bit ``i`` (cyclically) of ``bits`` says."""
-
-    def __init__(self, bits):
-        self.bits = bits
-        self.placed = []
-
-    def choose(self, segments):
-        side = "pool" if self.bits[len(self.placed) % len(self.bits)] else "inline"
-        self.placed.append(side)
-        return side
-
-    def observe(self, where, segments, gates, seconds):
-        pass
-
-    def estimate(self, where, segments):
-        return None
+# -- the claim pattern never changes output ------------------------------------
 
 
 @pytest.fixture(scope="module")
-def measured_map():
-    """One default-cutoff pool for every example (its workers stay up)."""
-    pm = ProcessMap(2, transport="encoded")
-    yield pm
-    pm.close()
-
-
-@pytest.fixture(scope="module")
-def forced_map():
-    """One pool every round above zero segments goes through."""
-    pm = ProcessMap(2, serial_cutoff=0, transport="encoded")
-    yield pm
-    pm.close()
+def claim_maps():
+    """One pool per claim pattern, shared by every example (its workers
+    stay up): the caller is the only stream (``"all"``), the caller
+    never computes (``"none"``), or the caller and a child race for
+    every segment (``"mixed"``)."""
+    maps = {
+        "all": ProcessMap(1, transport="encoded"),
+        "none": ProcessMap(2, serial_cutoff=0, transport="encoded"),
+        "mixed": ProcessMap(2, transport="encoded"),
+    }
+    yield maps
+    for pm in maps.values():
+        pm.close()
 
 
 class UnmemoizedNam(NamOracle):
     """The Nam rules, undeclared deterministic: a run keeps no memo, so
-    every segment of every round reaches the executor's placement."""
+    every segment of every round reaches the executor."""
 
     deterministic = False
 
@@ -314,38 +293,26 @@ _CIRCUITS = st.one_of(
         st.integers(3, 7), st.integers(40, 400), st.integers(0, 10**6), st.booleans()
     ),
 )
-#: A placement pattern, or ``None``: forced pooling (``serial_cutoff=0``).
-_PATTERNS = st.one_of(
-    st.none(),
-    st.just([0]),
-    st.just([1]),
-    st.lists(st.integers(0, 1), min_size=2, max_size=24),
-)
+_PATTERNS = st.sampled_from(["all", "none", "mixed"])
 
 
 @settings(max_examples=25)
 @given(_CIRCUITS, _PATTERNS, st.sampled_from([8, 25]), st.booleans())
-@example("Grover", [0], 25, True)
-@example("Grover", [1], 25, True)
-@example("Shor", [0, 1, 1, 0, 0, 0, 1], 25, True)
-@example("Shor", [0, 1, 1, 0, 0, 0, 1], 25, False)
-@example((5, 300, 3, True), None, 8, True)
-@example((5, 300, 3, True), [1, 0], 8, False)
+@example("Grover", "all", 25, True)
+@example("Grover", "none", 25, True)
+@example("Shor", "mixed", 25, True)
+@example("Shor", "mixed", 25, False)
+@example((5, 300, 3, True), "none", 8, False)
+@example((5, 300, 3, True), "all", 8, False)
 def test_placement_pattern_never_changes_output(
-    measured_map, forced_map, which, bits, omega, by_id
+    claim_maps, which, pattern, omega, by_id
 ):
-    """All-inline, all-pool, forced pooling or any mix: same QASM, same
-    rounds, same per-round dynamics as ``SerialMap``, every round above
-    the floor counted on exactly one side — for an oracle with an id
-    entry always a claim round, whatever the pattern (nothing returned
-    as bytes, nothing decoded), by value where the pattern says (only
-    the accepted pooled results ever decoded)."""
+    """Caller claims all, none or a timed share: same QASM, same rounds,
+    same per-round dynamics as ``SerialMap``, every round above the
+    floor one dispatch — by id nothing returned as bytes, nothing
+    decoded; by value only the accepted pooled results ever decoded."""
     want = _serial_run(which, omega)
-    if bits is None:
-        pmap, model = forced_map, None
-    else:
-        pmap = measured_map
-        pmap.cost_model = model = _PatternModel(bits)
+    pmap = claim_maps[pattern]
     oracle = UnmemoizedNam() if by_id else ByValueNam()
     got = popqc(_drawn_circuit(which), oracle, omega, parmap=pmap)
 
@@ -361,19 +328,10 @@ def test_placement_pattern_never_changes_output(
 
     assert dynamics(got.stats) == dynamics(want.stats)
     above = [r for r in got.stats.per_round if r.selected > pmap.serial_cutoff]
-    if by_id and model is not None:  # an id round claims; the model is not asked
-        assert model.placed == []
-    placed = ["pool"] * len(above) if model is None or by_id else model.placed
     counters = got.stats.counters
-    assert len(placed) == len(above)
-    assert counters["inline_rounds"] == placed.count("inline")
-    assert counters["pool_dispatches"] == placed.count("pool")
-    assert counters["inline_segments"] == sum(
-        r.selected for r, side in zip(above, placed) if side == "inline"
-    )
-    pooled_accepted = sum(r.accepted for r, side in zip(above, placed) if side == "pool")
+    assert counters["pool_dispatches"] == len(above)
     if by_id:
         assert counters["results_returned"] == counters["results_decoded"] == 0
     else:
-        assert counters["results_decoded"] == pooled_accepted
-    assert got.stats.transport == ("encoded" if "pool" in placed else "inline")
+        assert counters["results_decoded"] == sum(r.accepted for r in above)
+    assert got.stats.transport == ("encoded" if above else "inline")

@@ -18,7 +18,6 @@ from repro.parallel import (
     DecodeStats,
     LazySegmentResult,
     ProcessMap,
-    batch_segments,
     local_cluster,
 )
 
@@ -64,7 +63,6 @@ def test_transport_conformance(name, cluster, monkeypatch):
     oracle = NamOracle()
     want = [oracle(list(seg)) for seg in SEGMENTS]
     segments = [LazySegmentResult.from_gates(list(seg)) for seg in SEGMENTS]
-    plan = batch_segments(len(segments), 2, 0.0)
     stats = DecodeStats()
     make = TRANSPORTS[name]
     wire = make(2, stats, list(cluster)) if name == "socket" else make(2, stats)
@@ -73,11 +71,8 @@ def test_transport_conformance(name, cluster, monkeypatch):
         keys = set(wire.counters())  # fixed at construction ...
         seen = wire.counters()
         for _ in range(3):
-            results, serialization, pool_seconds = wire.run_round(
-                oracle, segments, plan
-            )
+            results, serialization = wire.run_round(oracle, segments)
             assert serialization >= 0.0
-            assert pool_seconds is None or pool_seconds >= 0.0
             # lazy: the acceptance test's len() decodes nothing
             assert [len(res) for res in results] == [len(out) for out in want]
             assert decodes == [] and stats.results_decoded == 0
@@ -88,7 +83,7 @@ def test_transport_conformance(name, cluster, monkeypatch):
         assert [list(res) for res in results] == want
         wire.close()
         wire.close()  # safe to call twice
-        again, _, _ = wire.run_round(oracle, segments, plan)  # and to reuse after
+        again, _ = wire.run_round(oracle, segments)  # and to reuse after
         assert [list(res) for res in again] == want
         assert set(wire.counters()) == keys
     finally:

@@ -85,52 +85,6 @@ class TestTransportGate:
         assert trend.main([write("ok.json", with_service(3.5)), base]) == 0
         assert trend.main([write("slow.json", with_service(2.5)), base]) == 1
 
-    def test_dispatch_section_is_printed_never_gated(self, write, capsys):
-        record = _transport_record()
-        record["dispatch"] = {
-            "floor": 2,
-            "inline_rounds": 110,
-            "pool_rounds": 10,
-            "claim_rounds": 6,
-            "per_class": {
-                "3": {"inline_us_per_gate": 2.0, "inline_rounds": 19},
-                "7": {"inline_us_per_gate": 9.0, "inline_rounds": 1,
-                      "pool_us_per_gate": 4.5, "pool_rounds": 19},
-            },
-        }
-        base = write("base.json", _transport_record())
-        assert trend.main([write("cur.json", record), base]) == 0
-        out = capsys.readouterr().out
-        assert (
-            "measured dispatch of by-value rounds (ungated): 110 rounds inline "
-            "/ 10 pooled above the floor of 2\n"
-        ) in out
-        assert "  id rounds: 6 claim rounds, never placed by the cost model\n" in out
-        assert "width class  3: inline 2.00 us/gate x 19\n" in out
-        assert "width class  7: inline 9.00 us/gate x 1, pool 4.50 us/gate x 19" in out
-        assert "pool cheaper than inline (ungated): 7\n" in out
-
-    def test_dispatch_names_the_width_classes_the_pool_wins(self, write, capsys):
-        record = _transport_record()
-        record["dispatch"] = {
-            "per_class": {
-                "3": {"inline_us_per_gate": 2.0, "inline_rounds": 19},
-                "6": {"inline_us_per_gate": 3.0, "inline_rounds": 9,
-                      "pool_us_per_gate": 3.5, "pool_rounds": 1},
-                "12": {"inline_us_per_gate": 4.0, "inline_rounds": 1,
-                       "pool_us_per_gate": 2.5, "pool_rounds": 19},
-                "24": {"inline_us_per_gate": 4.0, "inline_rounds": 1,
-                       "pool_us_per_gate": 2.0, "pool_rounds": 19},
-            },
-        }
-        assert trend.pool_wins(record["dispatch"]) == ["12", "24"]
-        base = write("base.json", _transport_record())
-        assert trend.main([write("cur.json", record), base]) == 0
-        assert "pool cheaper than inline (ungated): 12, 24\n" in capsys.readouterr().out
-        del record["dispatch"]["per_class"]["12"], record["dispatch"]["per_class"]["24"]
-        assert trend.main([write("cur.json", record), base]) == 0
-        assert "pool cheaper than inline (ungated): no width class" in capsys.readouterr().out
-
 
 class TestPaperShapes:
     """Table 3's and Figure 8's wall-clock ratios left tier-1 for

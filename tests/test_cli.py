@@ -85,6 +85,13 @@ class TestOptimizeCommand:
             assert refused.value.code == 2
             assert repr(spec) in _one_line(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("spec", ["process:0", "simulated:0"])
+    def test_zero_workers_is_a_usage_error(self, qasm_file, capsys, spec):
+        with pytest.raises(SystemExit) as refused:
+            main(["optimize", qasm_file, "--executor", spec])
+        assert refused.value.code == 2
+        assert "bad worker count '0'" in _one_line(capsys.readouterr().err)
+
     def test_process_executor_with_transport(self, qasm_file, capsys, monkeypatch):
         from repro.parallel import ProcessMap
 
@@ -108,6 +115,15 @@ class TestOptimizeCommand:
         with pytest.raises(SystemExit) as refused:
             main([command, *positional[command], *flag])
         assert refused.value.code == 2
+
+    @pytest.mark.parametrize("count", ["-1", "0"])
+    def test_serve_refuses_fewer_than_one_worker(self, count, capsys):
+        """Refused before any socket is bound: ``-1`` used to fail every
+        job, ``0`` to mean every core."""
+        with pytest.raises(SystemExit) as refused:
+            main(["serve", "--bind", "127.0.0.1:0", "--workers", count])
+        assert refused.value.code == 2
+        assert f"bad worker count {count!r}" in capsys.readouterr().err
 
     def test_hosts_refused_for_non_process_executor(self, qasm_file, capsys):
         with pytest.raises(SystemExit) as refused:
