@@ -180,14 +180,6 @@ def main(argv: list[str] | None = None) -> int:
         help="serve oracle segments over TCP (what a driver's --hosts names)",
     )
     p_worker.add_argument(
-        "--capacity",
-        type=int,
-        default=1,
-        help="advertised batch capacity (usually the host's core count); "
-        "drivers weight their round-robin by it, so a --capacity 4 host "
-        "draws 4x the batches of a --capacity 1 host",
-    )
-    p_worker.add_argument(
         "--auth-token",
         default=os.environ.get("POPQC_AUTH_TOKEN"),
         help="shared secret demanded of every driver connection (AUTH "
@@ -341,12 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "worker":
         _stop_on_sigterm()
         host, port = parse_address(args.bind)
-        worker = WorkerHost(
-            host,
-            port,
-            capacity=args.capacity,
-            auth_token=args.auth_token,
-        )
+        worker = WorkerHost(host, port, auth_token=args.auth_token)
         try:  # from the banner on, a SIGTERM still gets the summary
             print(f"popqc worker listening on {worker.address}", flush=True)
             worker.serve_forever()

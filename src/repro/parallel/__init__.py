@@ -27,7 +27,8 @@ executor's ``serial_cutoff`` leaves the parent; on the local pool it is
 a claim round, every stream taking the next segment as it frees up
 (which stream answers follows the clock, output never does), and on
 the socket transport it is cut into balance-only batches
-(:func:`batch_segments`).  Every message carries an oracle generation
+(:func:`batch_segments`) that every host's dispatcher claims the same
+way, one at a time.  Every message carries an oracle generation
 token so a stale worker fails loudly (:class:`StaleOracleError`).
 
 Modules, bottom up: :mod:`~repro.parallel.frames` (the frame codec,
@@ -61,7 +62,7 @@ from .frames import (
 )
 from .hostpool import SocketHostPool, WorkerUnavailableError
 from .results import DecodeStats, LazySegmentResult
-from .scheduling import adaptive_chunksize, batch_segments, greedy_makespan
+from .scheduling import batch_segments, greedy_makespan
 from .shm import HAVE_SHM, ShmArenaPool, StaleArenaError
 from .simulated import SimulatedParallelism
 from .transports import TRANSPORTS, Transport
@@ -90,7 +91,6 @@ __all__ = [
     "WorkerHost",
     "WorkerUnavailableError",
     "local_cluster",
-    "adaptive_chunksize",
     "batch_segments",
     "default_workers",
     "greedy_makespan",

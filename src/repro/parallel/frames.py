@@ -33,7 +33,7 @@ Frame layout (all integers little-endian)::
 
     frame      <4sBxxxQ: magic b"PQCF", frame type, payload nbytes
     REGISTER   <Q generation> + pickled oracle
-    REGISTER_OK<QQ: generation, capacity>
+    REGISTER_OK<Q generation>
     SEGMENTS   <QQQ: generation, batch id, count> + count packed segments
     RESULTS    <QQ: batch id, count> + count packed segments
     ERROR      <B kind> + utf-8 message
@@ -153,7 +153,6 @@ PRE_AUTH_FRAME_BYTES = 4096
 _SEGMENTS_HEADER = struct.Struct("<QQQ")  # generation, batch id, count
 _RESULTS_HEADER = struct.Struct("<QQ")  # batch id, count
 _REGISTER_HEADER = struct.Struct("<Q")  # generation
-_REGISTER_OK_HEADER = struct.Struct("<QQ")  # generation, capacity
 _ERROR_HEADER = struct.Struct("<B")  # error kind
 
 #: Error kinds carried by ERROR frames.
@@ -296,17 +295,17 @@ def unpack_register_payload(payload: bytes) -> tuple[int, object]:
     return generation, pickle.loads(payload[_REGISTER_HEADER.size :])
 
 
-def pack_register_ok_payload(generation: int, capacity: int) -> bytes:
-    """REGISTER_OK payload: the echoed generation + the host's capacity."""
-    return _REGISTER_OK_HEADER.pack(generation, capacity)
+def pack_register_ok_payload(generation: int) -> bytes:
+    """REGISTER_OK payload: the echoed generation."""
+    return _REGISTER_HEADER.pack(generation)
 
 
-def unpack_register_ok_payload(payload: bytes) -> tuple[int, int]:
-    """(generation, capacity) from a REGISTER_OK payload; pre-capacity
-    workers, whose reply has no capacity field, read as capacity 1."""
-    if len(payload) >= _REGISTER_OK_HEADER.size:
-        return _REGISTER_OK_HEADER.unpack_from(payload, 0)
-    return _REGISTER_HEADER.unpack_from(payload, 0)[0], 1
+def unpack_register_ok_payload(payload: bytes) -> int:
+    """The generation a REGISTER_OK payload echoes: its first 8 bytes
+    (an older worker's reply carries 8 more, which are ignored)."""
+    if len(payload) < _REGISTER_HEADER.size:
+        raise FrameProtocolError("REGISTER_OK payload shorter than its header")
+    return _REGISTER_HEADER.unpack_from(payload, 0)[0]
 
 
 def pack_segments_payload(
@@ -397,6 +396,8 @@ def error_frame(kind: int, message: str) -> bytes:
 
 def unpack_error_payload(payload: bytes) -> tuple[int, str]:
     """(kind, message) from an ERROR payload."""
+    if len(payload) < _ERROR_HEADER.size:
+        raise FrameProtocolError("ERROR payload shorter than its header")
     (kind,) = _ERROR_HEADER.unpack_from(payload, 0)
     return kind, payload[_ERROR_HEADER.size :].decode("utf-8", "replace")
 

@@ -2,9 +2,9 @@
 
 :class:`SocketHostPool` is what ``ProcessMap(transport="socket")``
 dispatches a round through — one :class:`HostConnection` (and one
-dispatcher thread) per ``popqc worker`` host, with capacity-weighted
-dealing, work stealing, heartbeats and reconnect-and-requeue, so a
-killed worker costs latency, never correctness.  Results come back as
+dispatcher thread) per ``popqc worker`` host, claiming the round's
+batches from one queue, with heartbeats and reconnect-and-requeue, so
+a killed worker costs latency, never correctness.  Results come back as
 flat packed segments and flow into
 :class:`~repro.parallel.results.LazySegmentResult` unchanged, so lazy
 decode and byte-identical equivalence hold on the socket transport
@@ -13,7 +13,6 @@ exactly as on the other four.
 
 from __future__ import annotations
 
-import logging
 import pickle
 import threading
 import time
@@ -36,8 +35,6 @@ from .frames import (
 
 __all__ = ["HostConnection", "SocketHostPool", "WorkerUnavailableError"]
 
-_log = logging.getLogger(__name__)
-
 
 class WorkerUnavailableError(RuntimeError):
     """No worker host could be reached (or every host died mid-round
@@ -52,20 +49,15 @@ class HostConnection(FrameConnection):
     parallel).  Byte counters feed the executor's wire statistics.
     """
 
-    #: Batches this host advertises it can serve at once (from the
-    #: REGISTER reply; 1 until a registration succeeds).
-    capacity = 1
-
     def register(self, oracle_blob: bytes, generation: int) -> None:
-        """Install a pickled oracle + generation on the worker; the
-        reply carries the host's advertised :attr:`capacity`."""
+        """Install a pickled oracle + generation on the worker, which
+        echoes the generation back."""
         _, reply = self.request(
             FRAME_REGISTER,
             pack_register_payload(oracle_blob, generation),
             FRAME_REGISTER_OK,
         )
-        echoed, capacity = unpack_register_ok_payload(reply)
-        self.capacity = max(1, capacity)
+        echoed = unpack_register_ok_payload(reply)
         if echoed != generation:
             raise FrameProtocolError(
                 f"worker acknowledged generation {echoed}, expected {generation}"
@@ -81,21 +73,15 @@ class HostConnection(FrameConnection):
 class SocketHostPool:
     """Client-side registry of worker hosts with failover dispatch.
 
-    ``run_round`` splits the round's batches into **per-host queues**
-    by capacity-weighted round-robin (a host advertising 4x the
-    capacity is dealt roughly 4x the batches), then drains them with
-    one dispatcher thread per connected host.  Each dispatcher takes
-    up to its host's advertised ``capacity`` batches per trip (capped
-    at a fair share of everything still queued, so a big host never
-    hoards the tail while smaller live hosts idle) — and when its own
-    queue runs dry it **steals** from the tail of the deepest peer
-    queue instead of idling, so a mis-sized initial split or a slow
-    host costs tail latency, not throughput.  A host failing mid-batch
-    has its untried batches requeued *to its own queue* — the peers
-    steal them, which is the same path whether the host died holding
-    dealt work or stolen work — and is reconnected (and re-registered
-    with the current oracle) so it can rejoin; when no host remains
-    the round raises :class:`WorkerUnavailableError`.
+    ``run_round`` puts the round's batches in **one queue** and drains
+    it with one dispatcher thread per connected host: whenever its host
+    is free, a dispatcher claims the next batch, so a fast host serves
+    more of the round than a slow one and no host idles while a batch
+    waits.  A host failing mid-batch puts that batch back at the head
+    of the queue, where the next free dispatcher claims it, and is
+    reconnected (and re-registered with the current oracle) so it can
+    rejoin; when no host remains the round raises
+    :class:`WorkerUnavailableError`.
     Remote stale-generation refusals surface as
     :class:`~repro.parallel.StaleOracleError` and oracle exceptions as
     :class:`~repro.parallel.RemoteOracleError` — both abort the round instead of being
@@ -104,9 +90,10 @@ class SocketHostPool:
     The pool is **elastic**: :meth:`add_host` and :meth:`remove_host`
     adjust the registry between (or during) rounds, which is how the
     optimization service's autoscaler grows and shrinks the fleet.
-    Removing a host closes its connection, so a round in flight on it
-    drains through the ordinary requeue-and-steal path — retirement
-    costs latency, never a round.
+    Removing a host closes its connection, so a batch in flight on it
+    goes back to the head of the queue like any failed host's, and the
+    retired host is not reconnected — retirement costs latency, never a
+    round.
 
     Attributes
     ----------
@@ -114,9 +101,6 @@ class SocketHostPool:
         Successful reconnect-and-re-register cycles after a failure.
     heartbeats:
         Heartbeat pings sent by :meth:`ensure_ready`.
-    steals:
-        Batches taken from a peer's queue by a dispatcher whose own
-        queue ran dry.
     host_segments / host_seconds:
         Per-address totals of segments served and wall seconds spent
         serving them (the per-host throughput statistic).
@@ -135,7 +119,6 @@ class SocketHostPool:
         self.heartbeat_seconds = heartbeat_seconds
         self.reconnects = 0
         self.heartbeats = 0
-        self.steals = 0
         self.host_segments: dict[str, int] = {addr: 0 for addr in hosts}
         self.host_seconds: dict[str, float] = {addr: 0.0 for addr in hosts}
         self._connect_timeout = connect_timeout
@@ -166,11 +149,6 @@ class SocketHostPool:
         return [conn.address for conn in self._snapshot()]
 
     @property
-    def host_capacity(self) -> dict[str, int]:
-        """Advertised capacity per host address (1 until registered)."""
-        return {conn.address: conn.capacity for conn in self._snapshot()}
-
-    @property
     def bytes_sent(self) -> int:
         """Total frame bytes sent to every host the pool ever had (a
         connection counts across its reconnects)."""
@@ -187,13 +165,12 @@ class SocketHostPool:
 
     def counters(self) -> dict:
         """The pool's monotone counters, as the socket transport
-        reports them: wire bytes, reconnects, steals and the per-host
-        segment and second totals."""
+        reports them: wire bytes, reconnects and the per-host segment
+        and second totals."""
         return {
             "socket_bytes_sent": self.bytes_sent,
             "socket_bytes_received": self.bytes_received,
             "socket_reconnects": self.reconnects,
-            "socket_steals": self.steals,
             "socket_host_segments": dict(self.host_segments),
             "socket_host_seconds": dict(self.host_seconds),
         }
@@ -211,7 +188,7 @@ class SocketHostPool:
         The new host joins with the same timeouts and auth token as
         the rest of the pool and — when an oracle is installed — goes
         through the ordinary connect-and-register handshake at once,
-        so the next round can deal batches to it.  Returns whether the
+        so the next round's dispatchers include it.  Returns whether the
         host was reachable (an unreachable host stays in the registry
         and is retried by :meth:`ensure_ready`, exactly like a
         configured host that was down at startup).
@@ -227,8 +204,8 @@ class SocketHostPool:
         """Retire one host with ``address`` from the pool (scale-down).
 
         Closes its connection, so a dispatcher mid-batch on it
-        observes the ordinary host failure and requeues through the
-        steal path — no round is lost to a retirement.  Per-host
+        observes the ordinary host failure and puts the batch back at
+        the head of the queue — no round is lost to a retirement.  Per-host
         statistics for the address are kept.  Returns whether a host
         was removed.
         """
@@ -306,25 +283,6 @@ class SocketHostPool:
 
     # -- round dispatch --------------------------------------------------------
 
-    @staticmethod
-    def _safe_capacity(conn: HostConnection) -> int:
-        """The host's advertised capacity, floored at 1.
-
-        A host advertising capacity 0 (a buggy or hostile peer — the
-        stock :class:`WorkerHost` refuses to be configured that way)
-        must not zero out the weighted deal or starve its dispatcher;
-        it is treated as capacity 1 and logged once per observation.
-        """
-        capacity = conn.capacity
-        if capacity < 1:
-            _log.warning(
-                "host %s advertises capacity %d; treating it as 1",
-                conn.address,
-                capacity,
-            )
-            return 1
-        return capacity
-
     def run_round(
         self, batches: Sequence[tuple[int, int, bytes]]
     ) -> list[list[tuple[int, bytes]]]:
@@ -332,125 +290,79 @@ class SocketHostPool:
         ``(gate count, packed blob)`` results, in batch order.
 
         ``batches`` holds ``(batch id, segment count, SEGMENTS
-        payload)`` triples.  Each live host is dealt a
-        capacity-weighted share into its own queue and drains it with
-        one dispatcher thread; a dispatcher whose queue runs dry
-        steals from the deepest peer queue.  Failures requeue to the
-        failing host's queue, where the peers steal them (see the
-        class docstring).
+        payload)`` triples, queued in order; each live host's
+        dispatcher claims the next one whenever its host is free (see
+        the class docstring for failures).
         """
         live = [conn for conn in self._snapshot() if conn.connected]
+        queue = deque(batches)
         results: dict[int, list[tuple[int, bytes]]] = {}
         fatal: list[BaseException] = []
         in_flight = [0]
         cond = threading.Condition()
 
-        # capacity-weighted deal: host i appears capacity_i times in
-        # the cycle, so a capacity-4 host is dealt 4x the batches of a
-        # capacity-1 neighbour before any stealing happens
-        queues: dict[int, deque[tuple[int, int, bytes]]] = {
-            id(conn): deque() for conn in live
-        }
-        if live:
-            cycle: list[int] = []
-            for conn in live:
-                cycle.extend([id(conn)] * self._safe_capacity(conn))
-            for i, item in enumerate(batches):
-                queues[cycle[i % len(cycle)]].append(item)
+        def claim() -> Optional[tuple[int, int, bytes]]:
+            """The next batch, or ``None`` once the round is over."""
+            with cond:
+                # an empty queue is not the end of the round: a batch
+                # in flight on a dying host may come back to it
+                while not fatal and not queue and in_flight[0]:
+                    cond.wait()
+                if fatal or not queue:
+                    return None
+                in_flight[0] += 1
+                return queue.popleft()
 
-        def take_items(
-            conn: HostConnection, my_queue: deque
-        ) -> list[tuple[int, int, bytes]]:
-            # caller holds cond
-            alive = sum(1 for c in live if c.connected) or 1
-            pending = sum(len(q) for q in queues.values())
-            fair = -(-pending // alive)
-            take = max(1, min(self._safe_capacity(conn), fair))
-            items = []
-            while my_queue and len(items) < take:
-                items.append(my_queue.popleft())
-            if not items:
-                # own queue ran dry: steal from the deepest peer queue,
-                # from the tail — the end its owner would reach last
-                victims = [
-                    q for q in queues.values() if q is not my_queue and q
-                ]
-                if victims:
-                    victim = max(victims, key=len)
-                    while victim and len(items) < take:
-                        items.append(victim.pop())
-                    items.reverse()  # preserve the victim's batch order
-                    self.steals += len(items)
-            return items
+        def settle(requeue=None, error=None) -> None:
+            """Close one claim: put its batch back, or record an error."""
+            with cond:
+                if requeue is not None:
+                    queue.appendleft(requeue)
+                if error is not None:
+                    fatal.append(error)
+                in_flight[0] -= 1
+                cond.notify_all()
 
         def dispatch(conn: HostConnection) -> None:
-            my_queue = queues[id(conn)]
-            while True:
-                with cond:
-                    # empty queues are not the end of the round: a
-                    # batch in flight on a dying host may be requeued,
-                    # and this thread must be there to steal it
-                    while (
-                        not fatal
-                        and not any(queues.values())
-                        and in_flight[0]
-                    ):
-                        cond.wait(timeout=0.1)
-                    if fatal or not any(queues.values()):
-                        return
-                    items = take_items(conn, my_queue)
-                    if not items:
-                        continue
-                    in_flight[0] += len(items)
-                for taken, item in enumerate(items):
-                    batch_id, nsegs, payload = item
-                    t0 = time.perf_counter()
+            while (item := claim()) is not None:
+                batch_id, nsegs, payload = item
+                t0 = time.perf_counter()
+                try:
+                    blobs = conn.run_batch(batch_id, payload)
+                except CONNECTION_FAILURES:
+                    settle(requeue=item)
+                    conn.close()
+                    if conn not in self._snapshot():
+                        return  # retired by remove_host: never reconnect it
                     try:
-                        blobs = conn.run_batch(batch_id, payload)
-                    except CONNECTION_FAILURES:
-                        with cond:
-                            # requeue the in-flight batch and the
-                            # untried remainder to this host's own
-                            # queue; the survivors steal from it
-                            for untried in reversed(items[taken:]):
-                                my_queue.appendleft(untried)
-                            in_flight[0] -= len(items) - taken
-                            cond.notify_all()
-                        conn.close()
-                        try:
-                            rejoined = self._connect_and_register(
-                                conn, count_reconnect=True
-                            )
-                        except AuthenticationError as exc:
-                            # the host now refuses our token: that is
-                            # a configuration failure, not a flaky
-                            # network — fail the round loudly instead
-                            # of silently draining without this host
-                            with cond:
-                                fatal.append(exc)
-                                cond.notify_all()
-                            return
-                        if not rejoined:
-                            return  # host is gone; survivors steal
-                        break  # rejoined: back to the queues
-                    except BaseException as exc:  # stale oracle / remote error
+                        if not self._connect_and_register(
+                            conn, count_reconnect=True
+                        ):
+                            return  # host is gone; the others claim on
+                    except AuthenticationError as exc:
+                        # the host now refuses our token: that is a
+                        # configuration failure, not a flaky network —
+                        # fail the round loudly instead of silently
+                        # draining without this host
                         with cond:
                             fatal.append(exc)
-                            in_flight[0] -= len(items) - taken
                             cond.notify_all()
                         return
-                    elapsed = time.perf_counter() - t0
-                    with cond:
-                        results[batch_id] = blobs
-                        host_address = conn.address
-                        self.host_segments[host_address] = (
-                            self.host_segments.get(host_address, 0) + nsegs
-                        )
-                        self.host_seconds[host_address] = (
-                            self.host_seconds.get(host_address, 0.0) + elapsed
-                        )
-                        in_flight[0] -= 1
-                        cond.notify_all()
+                    continue
+                except BaseException as exc:  # stale oracle / remote error
+                    settle(error=exc)
+                    return
+                elapsed = time.perf_counter() - t0
+                with cond:
+                    results[batch_id] = blobs
+                    address = conn.address
+                    self.host_segments[address] = (
+                        self.host_segments.get(address, 0) + nsegs
+                    )
+                    self.host_seconds[address] = (
+                        self.host_seconds.get(address, 0.0) + elapsed
+                    )
+                settle()
 
         threads = [
             threading.Thread(target=dispatch, args=(conn,), daemon=True)

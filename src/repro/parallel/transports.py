@@ -22,7 +22,8 @@ registry ``transport=`` names are looked up in:
 * ``"socket"`` — packed bytes, cut into balance-only
   :func:`~repro.parallel.scheduling.batch_segments` batches, as
   length-prefixed frames over TCP to ``popqc worker`` hosts
-  (:mod:`repro.parallel.hostpool`), with heartbeat,
+  (:mod:`repro.parallel.hostpool`), each host claiming the next batch
+  as it frees up, with heartbeat,
   reconnect-and-requeue on host failure and the generation-token
   protocol over the wire.
 
@@ -743,10 +744,10 @@ class SocketTransport:
 
     A round is cut into balance-only batches
     (:func:`~repro.parallel.scheduling.batch_segments`, a few per
-    host), which
-    :meth:`~repro.parallel.hostpool.SocketHostPool.run_round` spreads
-    over the connected hosts; results come back as packed RESULTS
-    frames and wrap into lazy handles like every other transport's.
+    host), which the connected hosts claim one at a time from
+    :meth:`~repro.parallel.hostpool.SocketHostPool.run_round`'s queue;
+    results come back as packed RESULTS frames and wrap into lazy
+    handles like every other transport's.
     The oracle crosses the wire once per host per registration
     (generation-tagged, exactly like the oracle a pool child installs
     as it starts).  The one elastic transport: :meth:`add_host` /
@@ -759,7 +760,6 @@ class SocketTransport:
         "socket_bytes_sent": 0,
         "socket_bytes_received": 0,
         "socket_reconnects": 0,
-        "socket_steals": 0,
         "socket_host_segments": {},
         "socket_host_seconds": {},
     }
@@ -783,7 +783,7 @@ class SocketTransport:
     def add_host(self, address: str) -> None:
         """Add a worker host: it joins the configured list (and the
         live pool, if one is built) and widens the fan-out, so the next
-        round deals work to it."""
+        round's batches are cut for it too."""
         self.hosts.append(address)
         self.workers += 1
         if self._pool is not None:
@@ -791,8 +791,8 @@ class SocketTransport:
 
     def remove_host(self, address: str) -> None:
         """Retire one worker host from the list and the live pool
-        (closing its connection, so a round in flight drains through
-        the requeue-and-steal path).  The fan-out never drops below one
+        (closing its connection, so a batch in flight on it goes back
+        to the head of the round's queue).  The fan-out never drops below one
         worker."""
         if address in self.hosts:
             self.hosts.remove(address)
@@ -814,7 +814,7 @@ class SocketTransport:
         batches = [
             (k, end - start, _payload(segments, self.generation, k, start, end))
             for k, (start, end) in enumerate(
-                batch_segments(len(segments), self.workers, 0.0)
+                batch_segments(len(segments), self.workers)
             )
         ]
         packed = time.perf_counter()

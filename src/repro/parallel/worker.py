@@ -25,7 +25,7 @@ from __future__ import annotations
 import contextlib
 from functools import partial
 from types import SimpleNamespace
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 from ..circuits.encoding import EncodedSegment, pack_segment
 from ..circuits.intern import thread_table
@@ -90,12 +90,9 @@ class WorkerHost(FrameServer):
     idle timeout and byte counters are
     :class:`~repro.parallel.frames.FrameServer`'s.
 
-    ``capacity`` advertises how many batches this host comfortably
-    serves at once (its core count, typically — ``popqc worker
-    --capacity``).  It is reported to every client in the REGISTER
-    reply, and :class:`~repro.parallel.hostpool.SocketHostPool` weights
-    its round-robin by it, so a 16-core host in a heterogeneous cluster
-    draws 4x the batches of a 4-core one instead of an equal share.
+    A connection's batches are answered one at a time, so one client
+    has at most one batch in flight per host; a machine with several
+    cores runs one ``popqc worker`` per core.
 
     Attributes
     ----------
@@ -107,14 +104,10 @@ class WorkerHost(FrameServer):
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        capacity: int = 1,
         auth_token: Optional[str] = None,
         idle_timeout_seconds: Optional[float] = 600.0,
     ):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
         super().__init__(host, port, auth_token, idle_timeout_seconds)
-        self.capacity = capacity
         self.segments_served = 0
         self.batches_served = 0
 
@@ -138,9 +131,7 @@ class WorkerHost(FrameServer):
             # the previous registration stays in force
             return error_frame(ERR_BAD_FRAME, f"bad REGISTER payload: {exc!r}")
         session.generation, session.entry = generation, wire_entry(oracle)
-        return pack_frame(
-            FRAME_REGISTER_OK, pack_register_ok_payload(generation, self.capacity)
-        )
+        return pack_frame(FRAME_REGISTER_OK, pack_register_ok_payload(generation))
 
     def _answer_segments(self, payload: bytes, session: SimpleNamespace) -> bytes:
         """The reply frame for one SEGMENTS request."""
@@ -170,32 +161,18 @@ class WorkerHost(FrameServer):
 
 @contextlib.contextmanager
 def local_cluster(
-    num_hosts: int = 2,
-    capacities: Optional[Sequence[int]] = None,
-    auth_token: Optional[str] = None,
+    num_hosts: int = 2, auth_token: Optional[str] = None
 ) -> Iterator[list[str]]:
     """Start ``num_hosts`` in-process :class:`WorkerHost` servers.
 
     Yields their ``host:port`` addresses and stops them on exit.
-    ``capacities`` optionally assigns a per-host capacity
-    advertisement (default 1 each, the homogeneous cluster); its
-    length must match ``num_hosts``.  ``auth_token`` starts every host
-    demanding the shared token (clients must pass the same one).  This
-    is the localhost cluster fixture the equivalence suite and the
-    transport benchmark run against; CI's ``dist-smoke`` job exercises
-    the same protocol against real ``popqc worker`` processes.
+    ``auth_token`` starts every host demanding the shared token
+    (clients must pass the same one).  This is the localhost cluster
+    fixture the equivalence suite and the transport benchmark run
+    against; CI's ``dist-smoke`` job exercises the same protocol
+    against real ``popqc worker`` processes.
     """
-    if capacities is not None and len(capacities) != num_hosts:
-        raise ValueError(
-            f"capacities has {len(capacities)} entries for {num_hosts} hosts"
-        )
-    hosts = [
-        WorkerHost(
-            capacity=capacities[i] if capacities else 1,
-            auth_token=auth_token,
-        ).start()
-        for i in range(num_hosts)
-    ]
+    hosts = [WorkerHost(auth_token=auth_token).start() for _ in range(num_hosts)]
     try:
         yield [host.address for host in hosts]
     finally:

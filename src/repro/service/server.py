@@ -46,9 +46,9 @@ bytes where a later job will read them.
 **Autoscaling** (``--min-workers/--max-workers/--scale-window``,
 socket fleets only): a background thread reads the scheduler's
 queued-segment backlog and spawns or retires local ``popqc worker``
-subprocesses through the ordinary REGISTER/capacity handshake;
-retiring drains through the pool's reconnect-and-requeue path, so
-scale-down never loses a round.
+subprocesses through the ordinary REGISTER handshake; retiring puts
+a batch in flight on the retired host back at the head of the round's
+queue, so scale-down never loses a round.
 """
 
 from __future__ import annotations
@@ -351,8 +351,9 @@ class OptimizationService(FrameServer):
             all_hosts += [worker.address for worker in self._spawned]
             fleet = ProcessMap(
                 workers,
-                # fixed, not measured: measured placement cut the daemon's
-                # peak RSS by 10 % but made serve_cold 4-8 % slower
+                # rounds of <= 2 segments run inline; a wider round runs
+                # on `workers` children, the dispatcher thread computing
+                # none of it
                 serial_cutoff=2,
                 transport=transport,
                 hosts=all_hosts if transport == "socket" else hosts,
@@ -434,8 +435,8 @@ class OptimizationService(FrameServer):
         """Retire the youngest spawned worker (never below ``min_workers``).
 
         The host is removed from the pool first — closing its
-        connection, so any batch in flight on it requeues through the
-        work-stealing path — and the subprocess is stopped after.
+        connection, so a batch in flight on it goes back to the head of
+        the round's queue — and the subprocess is stopped after.
         Returns the retired address, or ``None`` at the floor.
         """
         with self._scale_lock:

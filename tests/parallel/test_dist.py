@@ -15,6 +15,8 @@ import pickle
 import re
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -318,94 +320,6 @@ class TestWorkerSubprocess:
         assert got.stats.transport == "socket"
 
 
-class TestCapacityAdvertisement:
-    """Worker-host capacity: advertised in REGISTER_OK, weighted drain."""
-
-    def test_register_reply_carries_capacity(self):
-        host = WorkerHost(capacity=4).start()
-        try:
-            conn = HostConnection(host.address)
-            conn.connect()
-            try:
-                assert conn.capacity == 1  # until a registration succeeds
-                conn.register(pickle.dumps(IdentityOracle()), 1)
-                assert conn.capacity == 4
-            finally:
-                conn.close()
-        finally:
-            host.stop()
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError, match="capacity"):
-            WorkerHost(capacity=0)
-
-    def test_pool_exposes_host_capacity(self):
-        with local_cluster(2, capacities=[3, 1]) as hosts:
-            pool = SocketHostPool(hosts)
-            try:
-                assert pool.host_capacity == {hosts[0]: 1, hosts[1]: 1}
-                pool.register(IdentityOracle(), 1)
-                assert pool.host_capacity == {hosts[0]: 3, hosts[1]: 1}
-            finally:
-                pool.close()
-
-    def test_weighted_round_is_complete_and_ordered(self):
-        """A heterogeneous cluster still returns every batch's results
-        in request order (the weighted drain changes who serves a
-        batch, never what comes back)."""
-        with local_cluster(2, capacities=[4, 1]) as hosts:
-            pool = SocketHostPool(hosts)
-            try:
-                pool.register(IdentityOracle(), 1)
-                encoded = [encode_segment(seg) for seg in _segments(12)]
-                batches = [
-                    (i, 1, pack_segments_payload(1, i, [encoded[i]]))
-                    for i in range(12)
-                ]
-                results = pool.run_round(batches)
-                assert [len(blobs) for blobs in results] == [1] * 12
-                assert sum(pool.host_segments.values()) == 12
-            finally:
-                pool.close()
-
-    def test_sole_capacity_host_takes_whole_round_in_one_trip(self):
-        """With one host of capacity >= the batch count, the drain
-        takes the entire round in a single queue trip."""
-        with local_cluster(1, capacities=[8]) as hosts:
-            pool = SocketHostPool(hosts)
-            try:
-                pool.register(IdentityOracle(), 1)
-                encoded = [encode_segment(seg) for seg in _segments(6)]
-                batches = [
-                    (i, 1, pack_segments_payload(1, i, [encoded[i]]))
-                    for i in range(6)
-                ]
-                results = pool.run_round(batches)
-                assert len(results) == 6
-                assert pool.host_segments[hosts[0]] == 6
-            finally:
-                pool.close()
-
-    def test_capacity_reported_in_popqc_stats(self):
-        """The run's stats name every host that served it; a host's
-        advertised capacity is a gauge of the live transport."""
-        circuit = random_redundant_circuit(5, 300, seed=103, redundancy=0.6)
-        with local_cluster(2, capacities=[2, 1]) as hosts:
-            pm = ProcessMap(serial_cutoff=0, transport="socket", hosts=hosts)
-            try:
-                res = popqc(circuit, NamOracle(), 16, parmap=pm)
-                capacities = pm.wire._pool.host_capacity
-            finally:
-                pm.close()
-        assert set(res.stats.counters["socket_host_segments"]) == set(hosts)
-        assert capacities == {hosts[0]: 2, hosts[1]: 1}
-
-    def test_capacities_length_must_match(self):
-        with pytest.raises(ValueError, match="capacities"):
-            with local_cluster(3, capacities=[2]):
-                pass  # pragma: no cover - must raise before yielding
-
-
 class TestWorkerAuth:
     """The shared token through the client registry and the executor
     (the AUTH gate itself is pinned for both daemons in
@@ -462,33 +376,43 @@ def _single_segment_batches(count):
     ]
 
 
-class TestWorkStealing:
-    def test_dry_dispatcher_steals_from_deep_peer(self):
-        """A capacity-1 host that drains its small dealt share must
-        steal from the capacity-6 host's deep queue instead of idling —
-        and the round still returns complete, in order."""
-        with local_cluster(2, capacities=[6, 1]) as hosts:
-            pool = SocketHostPool(hosts)
-            try:
-                pool.register(SleepyIdentityOracle(0.01), 1)
-                results = pool.run_round(_single_segment_batches(18))
-                assert [len(blobs) for blobs in results] == [1] * 18
-                assert sum(pool.host_segments.values()) == 18
-                assert pool.steals >= 1
-                # the shallow host ended up serving more than its deal
-                assert pool.host_segments[hosts[1]] > 0
-            finally:
-                pool.close()
+class SlowHost(WorkerHost):
+    """A worker host that sleeps before answering each batch."""
 
-    def test_single_host_round_has_nothing_to_steal(self):
-        with local_cluster(1, capacities=[4]) as hosts:
-            pool = SocketHostPool(hosts)
-            try:
-                pool.register(IdentityOracle(), 1)
-                assert len(pool.run_round(_single_segment_batches(8))) == 8
-                assert pool.steals == 0
-            finally:
-                pool.close()
+    def __init__(self, delay):
+        super().__init__()
+        self.delay = delay
+
+    def _answer_segments(self, payload, session):
+        time.sleep(self.delay)
+        return super()._answer_segments(payload, session)
+
+
+class TestClaimDrain:
+    def test_fast_host_claims_more_of_the_round(self):
+        """Each dispatcher claims the next batch when its host is free:
+        a host 10x slower serves fewer batches, and the round still
+        comes back complete and in batch order."""
+        fast, slow = WorkerHost().start(), SlowHost(0.05).start()
+        pool = SocketHostPool([fast.address, slow.address])
+        try:
+            pool.register(IdentityOracle(), 1)
+            encoded = [encode_segment([X(0)] * (i + 1)) for i in range(16)]
+            batches = [
+                (i, 1, pack_segments_payload(1, i, [encoded[i]]))
+                for i in range(16)
+            ]
+            results = pool.run_round(batches)
+            assert [[n for n, _ in blobs] for blobs in results] == [
+                [i + 1] for i in range(16)
+            ]
+            served = pool.host_segments
+            assert served[fast.address] + served[slow.address] == 16
+            assert served[fast.address] > served[slow.address]
+        finally:
+            pool.close()
+            fast.stop()
+            slow.stop()
 
 
 class TestElasticMembership:
@@ -502,7 +426,7 @@ class TestElasticMembership:
                 results = pool.run_round(_single_segment_batches(12))
                 assert len(results) == 12
                 assert sum(pool.host_segments.values()) == 12
-                # the joined host was dealt (or stole) real work
+                # the joined host claimed real work
                 assert pool.host_segments[hosts[1]] > 0
             finally:
                 pool.close()
@@ -519,6 +443,26 @@ class TestElasticMembership:
             finally:
                 pool.close()
 
+    def test_remove_host_mid_round_hands_its_batch_to_the_others(self):
+        """A host retired while it holds a batch is closed for good:
+        the batch goes back to the queue, the other host claims it and
+        the rest, and the retired connection is never reopened."""
+        with local_cluster(2) as hosts:
+            pool = SocketHostPool(hosts)
+            try:
+                pool.register(SleepyIdentityOracle(0.03), 1)
+                (retired,) = [c for c in pool._snapshot() if c.address == hosts[1]]
+                timer = threading.Timer(0.08, pool.remove_host, args=(hosts[1],))
+                timer.start()
+                results = pool.run_round(_single_segment_batches(16))
+                timer.join()
+                assert [len(blobs) for blobs in results] == [1] * 16
+                assert not retired.connected
+                assert pool.reconnects == 0
+                assert pool.host_segments[hosts[0]] > pool.host_segments[hosts[1]]
+            finally:
+                pool.close()
+
     def test_remove_host_retires_it_from_dispatch(self):
         with local_cluster(2) as hosts:
             pool = SocketHostPool(hosts)
@@ -530,32 +474,5 @@ class TestElasticMembership:
                 assert len(results) == 6
                 assert pool.host_segments[hosts[1]] == 0
                 assert pool.remove_host(hosts[1]) is False
-            finally:
-                pool.close()
-
-
-class TestCapacityZeroAdvertisement:
-    def test_zero_capacity_peer_is_treated_as_one(self, caplog):
-        """A peer advertising capacity 0 (hostile or buggy — the stock
-        WorkerHost refuses the configuration) must neither divide the
-        weighted deal by zero nor starve its dispatcher."""
-        import logging
-
-        with local_cluster(2) as hosts:
-            pool = SocketHostPool(hosts)
-            try:
-                pool.register(IdentityOracle(), 1)
-                for conn in pool._snapshot():
-                    if conn.address == hosts[1]:
-                        conn.capacity = 0
-                with caplog.at_level(
-                    logging.WARNING, logger="repro.parallel.hostpool"
-                ):
-                    results = pool.run_round(_single_segment_batches(8))
-                assert [len(blobs) for blobs in results] == [1] * 8
-                assert any(
-                    "advertises capacity 0" in record.getMessage()
-                    for record in caplog.records
-                )
             finally:
                 pool.close()

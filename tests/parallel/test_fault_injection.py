@@ -457,56 +457,58 @@ def test_torn_busy_payload_is_a_typed_protocol_error():
 # -- socket transport: elastic fleet faults ------------------------------------
 
 
-def test_host_killed_mid_steal_drains_through_survivor():
-    """Killing the capacity-6 host that holds most of the round must
-    requeue its batches where the capacity-1 survivor *steals* them —
-    the round completes and the steal counter proves the path ran."""
+def test_host_killed_mid_round_leaves_the_rest_to_the_survivor():
+    """Killing one of two hosts mid-round puts its batch back at the
+    head of the queue, and the survivor claims that and every batch
+    after it: the round completes, in batch order."""
     from repro.circuits.encoding import encode_segment
     from repro.parallel import SocketHostPool
     from repro.parallel.frames import pack_segments_payload
 
-    deep = WorkerHost(capacity=6).start()
-    survivor = WorkerHost(capacity=1).start()
-    pool = SocketHostPool([deep.address, survivor.address])
+    doomed, survivor = WorkerHost().start(), WorkerHost().start()
+    pool = SocketHostPool([doomed.address, survivor.address])
     try:
         pool.register(SlowIdentityOracle(0.03), 1)
-        encoded = [encode_segment(seg) for seg in _segments(16)]
+        encoded = [encode_segment([X(0)] * (i + 1)) for i in range(16)]
         batches = [
             (i, 1, pack_segments_payload(1, i, [encoded[i]]))
             for i in range(16)
         ]
-        killer = threading.Timer(0.08, deep.stop)
+        killer = threading.Timer(0.08, doomed.stop)
         killer.start()
         results = pool.run_round(batches)
         killer.join()
-        assert [len(blobs) for blobs in results] == [1] * 16
-        assert pool.steals >= 1
+        assert [[n for n, _ in blobs] for blobs in results] == [
+            [i + 1] for i in range(16)
+        ]
+        assert survivor.segments_served > doomed.segments_served
+        assert survivor.segments_served + doomed.segments_served >= 16
     finally:
         pool.close()
-        deep.stop()
+        doomed.stop()
         survivor.stop()
 
 
-def test_host_killed_mid_steal_is_byte_identical_through_the_executor():
-    """The same fault through ProcessMap: the skewed fleet loses its
-    deep host mid-round and the result must still be byte-identical."""
+def test_host_killed_mid_round_is_byte_identical_through_the_executor():
+    """The same fault through ProcessMap: one host dies mid-round, the
+    survivor claims the rest, and the result is byte-identical."""
     oracle = SlowIdentityOracle()
-    segments = _segments(20)
+    segments = [[X(0)] * (i + 1) + [H(1)] for i in range(20)]
     want = [list(seg) for seg in segments]
-    deep = WorkerHost(capacity=6).start()
-    survivor = WorkerHost(capacity=1).start()
+    doomed, survivor = WorkerHost().start(), WorkerHost().start()
     pm = ProcessMap(
         serial_cutoff=0,
         transport="socket",
-        hosts=[deep.address, survivor.address],
+        hosts=[doomed.address, survivor.address],
     )
     try:
-        killer = threading.Timer(0.08, deep.stop)
+        killer = threading.Timer(0.08, doomed.stop)
         killer.start()
         got = pm.map_segments(oracle, segments)
         killer.join()
         assert [list(res) for res in got] == want
+        assert survivor.segments_served > doomed.segments_served
     finally:
         pm.close()
-        deep.stop()
+        doomed.stop()
         survivor.stop()

@@ -14,7 +14,9 @@ nightly workflow re-runs it at the raised example budget.
 of the 14 types, built at the commit before the codec was split into
 :mod:`repro.parallel.frames` and :mod:`repro.service.frames`, must be
 produced and parsed unchanged — an older ``popqc worker`` or ``popqc
-serve`` still interoperates.
+serve`` still interoperates.  REGISTER_OK is the one frame that has
+changed since: it dropped its second field, and the client still reads
+an older worker's longer reply.
 """
 
 import socket
@@ -213,15 +215,16 @@ class TestRecvFrame:
 
 
 #: One frame of every type, as hex, built by the commit that preceded
-#: the split of ``repro/parallel/dist.py`` (PR 17, 1368a6e) from the
-#: inputs ``TestGoldenFrames._build`` repeats.
+#: the split of ``repro/parallel/dist.py`` (1368a6e) from the inputs
+#: ``TestGoldenFrames._build`` repeats — except REGISTER_OK, whose
+#: payload is now the 8-byte generation alone.
 GOLDEN_FRAMES = {
     "REGISTER": (
         "50514346010000001c0000000000000007000000000000008002580500000070"
         "6f70716371004b078671012e"
     ),
     "REGISTER_OK": (
-        "5051434602000000100000000000000007000000000000000400000000000000"
+        "505143460200000008000000000000000700000000000000"
     ),
     "SEGMENTS": (
         "5051434603000000a80000000000000007000000000000000300000000000000"
@@ -302,7 +305,7 @@ class TestGoldenFrames:
                 f.FRAME_REGISTER, f.pack_register_payload(self.BLOB, 7)
             ),
             "REGISTER_OK": pack_frame(
-                f.FRAME_REGISTER_OK, f.pack_register_ok_payload(7, 4)
+                f.FRAME_REGISTER_OK, f.pack_register_ok_payload(7)
             ),
             "SEGMENTS": pack_frame(
                 f.FRAME_SEGMENTS, f.pack_segments_payload(7, 3, [seg, seg])
@@ -350,7 +353,7 @@ class TestGoldenFrames:
             assert frame_type == number == getattr(f, f"FRAME_{name}")
         assert reader.pending_bytes == 0
         assert f.unpack_register_payload(parsed["REGISTER"]) == (7, ("popqc", 7))
-        assert f.unpack_register_ok_payload(parsed["REGISTER_OK"]) == (7, 4)
+        assert f.unpack_register_ok_payload(parsed["REGISTER_OK"]) == 7
         assert f.unpack_segments_payload(parsed["SEGMENTS"]) == (7, 3, [seg, seg])
         assert list(f.iter_results_payload(parsed["RESULTS"], 3)) == [
             (3, packed), (3, packed)
@@ -369,3 +372,28 @@ class TestGoldenFrames:
         assert sf.unpack_busy_payload(parsed["BUSY"]) == (
             sf.BUSY_QUEUE_FULL, 0.25, "queue full"
         )
+
+
+class TestTornHandshakePayloads:
+    """A short handshake payload is a typed protocol error, so a
+    garbled peer goes down the connection-failure path."""
+
+    def test_empty_error_payload(self):
+        from repro.parallel.frames import raise_remote_error, unpack_error_payload
+
+        with pytest.raises(FrameProtocolError, match="ERROR payload"):
+            unpack_error_payload(b"")
+        with pytest.raises(FrameProtocolError, match="ERROR payload"):
+            raise_remote_error(b"")
+
+    @pytest.mark.parametrize("size", [0, 1, 7])
+    def test_short_register_ok_payload(self, size):
+        from repro.parallel.frames import unpack_register_ok_payload
+
+        with pytest.raises(FrameProtocolError, match="REGISTER_OK payload"):
+            unpack_register_ok_payload(bytes(size))
+
+    def test_legacy_register_ok_payload_reads_its_generation(self):
+        from repro.parallel.frames import unpack_register_ok_payload
+
+        assert unpack_register_ok_payload(struct.pack("<QQ", 7, 4)) == 7

@@ -9,7 +9,7 @@ from repro.circuits import CNOT, H
 from repro.parallel import (
     LazySegmentResult,
     ProcessMap,
-    adaptive_chunksize,
+    batch_segments,
     greedy_makespan,
 )
 
@@ -73,87 +73,30 @@ class TestBounds:
         )
 
 
-class TestAdaptiveChunksize:
-    def test_unknown_task_time_uses_balance_chunk(self):
-        # seed policy: ~4 chunks per worker
-        assert adaptive_chunksize(160, 4, 0.0) == 10
-
-    def test_long_tasks_keep_small_chunks(self):
-        # 100ms oracle calls amortize dispatch on their own
-        assert adaptive_chunksize(160, 4, 0.1) == 10
-
-    def test_short_tasks_get_bigger_chunks(self):
-        # microsecond tasks must be batched to amortize IPC
-        small = adaptive_chunksize(1000, 4, 1e-6)
-        assert small > adaptive_chunksize(1000, 4, 1e-2)
-
-    def test_never_exceeds_items_per_worker(self):
-        # batching must not idle workers
-        for est in (0.0, 1e-6, 1e-3, 1.0):
-            assert adaptive_chunksize(8, 4, est) <= 2
-
-    def test_at_least_one(self):
-        assert adaptive_chunksize(0, 4, 0.0) == 1
-        assert adaptive_chunksize(1, 8, 1.0) == 1
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            adaptive_chunksize(10, 0, 0.0)
-
-    @given(
-        st.integers(0, 5000),
-        st.integers(1, 64),
-        st.floats(0.0, 10.0, allow_nan=False),
-    )
-    def test_always_positive_and_bounded(self, items, workers, est):
-        chunk = adaptive_chunksize(items, workers, est)
-        assert chunk >= 1
-        if items > 0:
-            assert chunk <= -(-items // workers) or chunk == 1
-
-
 class TestBatchSegments:
     def test_empty(self):
-        from repro.parallel import batch_segments
+        assert batch_segments(0, 4) == []
 
-        assert batch_segments(0, 4, 0.0) == []
-
-    @given(st.integers(1, 500), WORKERS, st.floats(0.0, 1.0, allow_nan=False))
-    def test_partition_covers_range_contiguously(self, n, workers, est):
-        from repro.parallel import batch_segments
-
-        batches = batch_segments(n, workers, est)
+    @given(st.integers(1, 500), WORKERS)
+    def test_partition_covers_range_contiguously(self, n, workers):
+        batches = batch_segments(n, workers)
         assert batches[0][0] == 0
         assert batches[-1][1] == n
         for (_, prev_end), (start, end) in zip(batches, batches[1:]):
             assert start == prev_end
             assert end > start
 
-    @given(st.integers(1, 500), WORKERS)
-    def test_widths_match_adaptive_chunksize(self, n, workers):
-        from repro.parallel import batch_segments
-
-        est = 1e-5
-        width = adaptive_chunksize(n, workers, est)
-        batches = batch_segments(n, workers, est)
-        assert all(end - start == width for start, end in batches[:-1])
-        assert batches[-1][1] - batches[-1][0] <= width
-
-    def test_cheap_segments_coalesce(self):
-        from repro.parallel import batch_segments
-
-        # 100 sub-50us segments at 4 workers: dispatch count drops by
-        # ~an order of magnitude vs one task per segment
-        batches = batch_segments(100, 4, 5e-5)
-        assert len(batches) <= 10
-
-    def test_expensive_segments_stay_spread(self):
-        from repro.parallel import batch_segments
-
-        # 100ms oracle calls amortize dispatch on their own; keep
-        # chunks_per_worker batches per worker for balance
-        batches = batch_segments(100, 4, 0.1)
-        assert len(batches) >= 10
+    def test_widths_are_balance_only(self):
+        """ceil(n / (4 * workers)) wide: about four batches a worker,
+        whatever the segments cost."""
+        grid = [
+            (1, 1, 1), (1, 8, 1), (8, 4, 1), (16, 1, 4), (17, 1, 5),
+            (100, 3, 9), (160, 4, 10), (161, 4, 11), (500, 16, 8),
+        ]
+        for n, workers, width in grid:
+            batches = batch_segments(n, workers)
+            assert all(end - start == width for start, end in batches[:-1])
+            assert 0 < batches[-1][1] - batches[-1][0] <= width
 
 
 class _FakeWire:

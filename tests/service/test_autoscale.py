@@ -38,7 +38,7 @@ class InProcessWorker:
     instances: list = []
 
     def __init__(self, auth_token=None):
-        self.host = WorkerHost(capacity=1, auth_token=auth_token).start()
+        self.host = WorkerHost(auth_token=auth_token).start()
         self.address = self.host.address
         self.stopped = False
         type(self).instances.append(self)

@@ -19,7 +19,7 @@ FLAGS = {
     "optimize": {"-h", "--help", "--omega", "--executor", "--hosts", "-o", "--output"},
     "bench": {"-h", "--help", "--omega", "--executor", "--hosts", "--size",
               "--baseline"},
-    "worker": {"-h", "--help", "--bind", "--capacity", "--auth-token"},
+    "worker": {"-h", "--help", "--bind", "--auth-token"},
     "serve": {"-h", "--help", "--bind", "--workers", "--hosts", "--cache-dir",
               "--cache-entries", "--cache-disk-bytes", "--no-cache", "--auth-token",
               "--max-active-jobs", "--max-jobs-per-peer", "--max-pending-rounds",
@@ -115,6 +115,14 @@ class TestOptimizeCommand:
         with pytest.raises(SystemExit) as refused:
             main([command, *positional[command], *flag])
         assert refused.value.code == 2
+
+    def test_worker_capacity_flag_is_gone(self, capsys):
+        """Refused before any socket is bound: a host serves one batch
+        of a connection at a time, so there is nothing to advertise."""
+        with pytest.raises(SystemExit) as refused:
+            main(["worker", "--bind", "127.0.0.1:0", "--capacity", "4"])
+        assert refused.value.code == 2
+        assert "--capacity" in capsys.readouterr().err
 
     @pytest.mark.parametrize("count", ["-1", "0"])
     def test_serve_refuses_fewer_than_one_worker(self, count, capsys):

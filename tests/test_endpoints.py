@@ -31,7 +31,6 @@ from repro.parallel.frames import (
     MAX_FRAME_BYTES,
     PRE_AUTH_FRAME_BYTES,
     pack_register_payload,
-    unpack_register_ok_payload,
 )
 from repro.service import OptimizationService
 from repro.service.frames import pack_job_payload, unpack_result_payload
@@ -54,8 +53,8 @@ ENDPOINTS = {
             pack_register_payload(pickle.dumps(IdentityOracle()), 1),
             FRAME_REGISTER_OK,
         ),
-        # generation 1 acknowledged, capacity 1 advertised
-        lambda reply: unpack_register_ok_payload(reply) == (1, 1),
+        # generation 1 acknowledged, in the reply's 8 golden bytes
+        lambda reply: reply == bytes.fromhex("0100000000000000"),
     ),
     "service": (
         _service,
