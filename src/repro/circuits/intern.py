@@ -13,17 +13,22 @@ of one (the packed bytes of ``encode_segment`` on the gates), and
 
 A table is a *cache*: ids never reach a wire byte, a content-cache key
 or an output, so dropping one — or using another on the far side of a
-pipe — changes nothing observable.  The one place they cross a process
-boundary is a local claim round, and there only as positions into a
-:class:`RowTable` — the round's distinct rows, shipped beside them — so
-the worker needs no table and keeps none.
+pipe — changes nothing observable.  A content-cache key of an id
+segment (:meth:`GateTable.content_key`) hashes its rows' *value*
+digests, filled in the first time a key is asked for, so two tables
+give equal content equal keys whatever ids they chose.  The one place
+ids cross a process boundary is a local claim round, and there only as
+positions into a :class:`RowTable` — the round's distinct rows, shipped
+beside them — so the worker needs no table and keeps none.
 
 A table may be shared between threads (a ``popqc serve`` daemon's jobs
 share one).  Rows are only ever appended: a row or a name is created
 under the table's lock, with the not-there-yet check repeated inside
 it, and a row's columns are filled before any map leads to its id; the
 columns grow by copy-then-swap, so a reader's array always holds every
-id that reader can know.  Reads take no lock.
+id that reader can know.  Row digests are filled under the lock too,
+and published (array first, then the count of filled rows) only after
+the fill.  Reads take no lock.
 
 Ids are a key in one place: a ``popqc`` run's memo of what its oracle
 answered (:func:`repro.core.popqc_rounds`), keyed by a segment's
@@ -33,6 +38,7 @@ exactly as long as the shared table its keys are ids of.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from operator import attrgetter
 from typing import Sequence
@@ -58,6 +64,15 @@ GROUP_FROM = 1024
 
 #: What makes two gates the same gate: the by-value key of a table row.
 _VALUE = attrgetter("name", "qubits", "param")
+
+
+def _digest(gate: Gate) -> bytes:
+    """A 128-bit digest of ``gate``'s value, independent of any table:
+    the param by its exact bits, so one ulp apart is another value."""
+    name, qubits, param = _VALUE(gate)
+    exact = None if param is None else float(param).hex()
+    value = (name, tuple(map(int, qubits)), exact)
+    return hashlib.blake2b(repr(value).encode(), digest_size=16).digest()
 
 
 def _narrow(arity: np.ndarray) -> bool:
@@ -92,6 +107,9 @@ class GateTable:
         #: per id: name id, arity, first two qubits, has-param; and the param
         self._rows = np.empty((64, 5), dtype=np.int32)
         self._param = np.empty(64, dtype=np.float64)
+        #: per id below ``_digested``: a digest of the row's value
+        self._digests = np.empty((0, 16), dtype=np.uint8)
+        self._digested = 0
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -218,6 +236,27 @@ class GateTable:
             rows[:, 4].astype(bool),
             self._param[ids],
         )
+
+    def content_key(self, ids: np.ndarray, namespace: bytes = b"") -> str:
+        """The content key of the segment ``ids`` under ``namespace``: a
+        keyed blake2b over its rows' value digests, so equal gate lists
+        get equal keys from any table."""
+        if self._digested < len(self.gates):
+            self._fill_digests()
+        return encoding.segment_fingerprint(self._digests[ids], namespace=namespace)
+
+    def _fill_digests(self) -> None:
+        """Digest every row added since the last fill, then publish."""
+        with self._lock:
+            done, n = self._digested, len(self.gates)
+            digests = self._digests
+            if n > len(digests):
+                digests = np.empty((max(n, 2 * len(digests)), 16), dtype=np.uint8)
+                digests[:done] = self._digests[:done]
+            fresh = b"".join(map(_digest, self.gates[done:n]))
+            digests[done:n] = np.frombuffer(fresh, dtype=np.uint8).reshape(-1, 16)
+            self._digests = digests
+            self._digested = n
 
     def ids_from_encoded(self, encoded: encoding.EncodedSegment) -> np.ndarray:
         """The ids of ``decode_segment(encoded)``, one dict probe per gate

@@ -202,7 +202,8 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument(
         "--cache-dir",
         help="directory of the persistent segment-result cache "
-        "(shared across restarts; omit for a memory-only cache)",
+        "(shared across restarts; omit for a memory-only cache; a "
+        "store written by an older popqc is not read)",
     )
     p_serve.add_argument(
         "--cache-entries",

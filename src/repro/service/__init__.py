@@ -8,10 +8,11 @@ concurrent optimization *jobs* over one warm worker fleet, and never
 pays the oracle twice for a segment it has already optimized.
 
 * :mod:`repro.service.cache` — a content-addressed **segment result
-  cache**: canonical fingerprint of a segment's packed wire bytes →
-  the oracle's packed result bytes, with an in-memory LRU in front of
-  an optional disk store that survives server restarts, read and
-  written only through a job's :class:`CacheFront`.
+  cache**: a fingerprint of a segment's content (its rows' value
+  digests, or its packed wire bytes) → the oracle's answer (kept as
+  ids in memory, packed on disk), with an in-memory LRU in front of an
+  optional disk store that survives server restarts, read and written
+  only through a job's :class:`CacheFront`.
 * :mod:`repro.service.scheduler` — the cross-job round scheduler:
   each job is a POPQC round machine (:func:`repro.core.popqc_rounds`,
   with the daemon's memo) whose rounds are looked up on the job's own

@@ -4,20 +4,32 @@ Real optimization workloads — parameter sweeps, iterative compilation,
 benchmark suites — are full of *repeated* segments: the same 2Ω-gate
 window shows up in job after job (and round after round, once a region
 of the circuit has converged).  The oracle is a pure function of the
-segment, so re-running it on bytes it has already answered is pure
-waste.  This module makes the answer addressable by content:
+segment, so re-running it on a segment it has already answered is pure
+waste.  This module makes the answer addressable by content.
 
-    key    = blake2b(packed segment bytes, keyed by an oracle digest)
-    value  = the oracle's result in the same packed wire format
+**The key** is a 128-bit blake2b keyed by an oracle digest
+(:func:`oracle_namespace`), so entries written under one oracle are
+unreachable under any other: a cache can even be shared on disk between
+servers running different rule sets without cross-talk.  What it
+hashes depends on how the segment is held:
 
-The key derivation (:func:`repro.circuits.encoding.segment_fingerprint`)
-hashes the segment's *canonical packed bytes* — the exact bytes every
-transport already produces — so the cache key costs one hash over a
-buffer that exists anyway, and two segments share an entry iff they
-would be byte-identical on the wire.  The oracle digest
-(:func:`oracle_namespace`) keys the hash, so entries written under one
-oracle are unreachable under any other: a cache can even be shared on
-disk between servers running different rule sets without cross-talk.
+* a segment held as ids of a :class:`~repro.circuits.intern.GateTable`
+  (every segment of a served job) hashes its rows' value digests
+  (:meth:`GateTable.content_key`), so equal gate lists get equal keys
+  from any table, and nothing is packed to take one;
+* any other segment hashes its canonical packed bytes
+  (:func:`repro.circuits.encoding.segment_fingerprint`).
+
+**The value** is the oracle's answer.  The memory level holds an answer
+held as ids as those ids plus their table, so a hit from the same table
+is :meth:`~repro.parallel.results.LazySegmentResult.from_ids` with
+nothing decoded or packed; a hit from another table (the daemon
+replaced its table) is translated into the asking table and the entry
+moves onto it, so a retired table is released once its last entry has
+moved or gone.  Any other answer is held as packed result bytes, and a
+hit is a lazy handle over them.  ``max_bytes`` charges an id entry its
+ids' bytes and each table entries keep alive :data:`TABLE_ROW_BYTES` a
+row, once.
 
 Storage is two-level:
 
@@ -26,14 +38,13 @@ Storage is two-level:
 * an optional **disk store** (one file per entry, written atomically
   via rename) that survives server restarts and can be shared by
   several servers, bounded by ``max_disk_bytes`` with oldest-first
-  pruning (unbounded only when no bound is configured).  A truncated
-  or corrupt entry — a crashed writer, a torn disk — reads as a
-  *miss*, never an exception, and the bad file is removed so it
-  cannot poison later lookups.
-
-Values are packed result bytes, so a cache hit feeds straight into
-:meth:`repro.parallel.results.LazySegmentResult.from_packed` — the
-same lazy handle an oracle round would have produced, byte for byte.
+  pruning (unbounded only when no bound is configured).  An entry there
+  is always packed result bytes, packed when it is written; a disk hit
+  is a lazy handle over them.  A truncated or corrupt entry — a crashed
+  writer, a torn disk — reads as a *miss*, never an exception, and the
+  bad file is removed so it cannot poison later lookups.  Keys of id
+  segments were packed-bytes keys in older releases, so a store written
+  by an older daemon is not read: its entries are misses.
 
 The cache has one owner, the ``popqc serve`` daemon, and one reader
 and writer, :class:`CacheFront` (one per job): it asks the cache about
@@ -57,9 +68,10 @@ import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from ..circuits.encoding import segment_fingerprint
+from ..circuits.intern import GateTable
 from ..parallel import LazySegmentResult
 
 __all__ = ["CacheFront", "CacheStats", "SegmentCache", "oracle_namespace"]
@@ -68,6 +80,19 @@ __all__ = ["CacheFront", "CacheStats", "SegmentCache", "oracle_namespace"]
 #: truncation detectable without trusting the filesystem's size alone.
 _DISK_HEADER = struct.Struct("<4sQ")
 _DISK_MAGIC = b"PQCS"
+
+#: Bytes ``max_bytes`` charges per row of a table that id entries keep
+#: alive: its columns, its ``Gate`` and its map entries (about what
+#: :data:`~repro.circuits.intern.TABLE_CAP` assumes).
+TABLE_ROW_BYTES = 500
+
+#: A memory-level value: packed result bytes, or ``(ids, table)``.
+_Value = Union[bytes, tuple]
+
+
+def _held(value: _Value) -> int:
+    """The bytes an entry holds of its own (a table is charged apart)."""
+    return len(value) if isinstance(value, bytes) else value[0].nbytes
 
 
 def oracle_namespace(oracle: object) -> bytes:
@@ -106,9 +131,9 @@ class CacheStats:
 
     ``hits`` counts lookups answered from memory or disk;
     ``disk_hits`` is the subset that had to be read back from the disk
-    store.  ``bytes_saved`` sums the packed result bytes served from
-    the cache — wire bytes (and oracle work) that were never paid
-    again.  ``corrupt_entries`` counts disk entries dropped because
+    store.  ``bytes_saved`` sums the bytes each hit entry held (packed
+    result bytes, or an id entry's ids), for oracle work that was never
+    paid again.  ``corrupt_entries`` counts disk entries dropped because
     they failed validation; ``disk_evictions`` counts entries pruned
     oldest-first to keep the disk store under its byte bound.
     """
@@ -161,14 +186,15 @@ class CacheStats:
 
 
 class SegmentCache:
-    """Two-level (memory LRU + optional disk) packed-result cache.
+    """Two-level (memory LRU + optional disk) segment-result cache.
 
     Parameters
     ----------
     max_entries / max_bytes:
         Bounds on the in-memory level; the least recently used entries
-        are evicted when either is exceeded.  Entries evicted from
-        memory remain readable from disk.
+        are evicted when either is exceeded.  ``max_bytes`` counts the
+        bytes entries hold and, once each, the tables id entries keep
+        alive.  Entries evicted from memory remain readable from disk.
     disk_dir:
         Directory of the persistent level (created if missing).
         ``None`` keeps the cache memory-only.
@@ -201,8 +227,10 @@ class SegmentCache:
         self.max_disk_bytes = max_disk_bytes
         self.stats = CacheStats()
         self._lock = threading.Lock()
-        self._memory: OrderedDict[str, bytes] = OrderedDict()
+        self._memory: OrderedDict[str, _Value] = OrderedDict()
         self._memory_bytes = 0
+        #: each table id entries keep alive -> [its entries, bytes charged]
+        self._tables: dict[GateTable, list[int]] = {}
         self._disk: Optional[Path] = None
         self._disk_bytes = 0
         if disk_dir is not None:
@@ -230,7 +258,36 @@ class SegmentCache:
     # -- lookup / store --------------------------------------------------------
 
     def get(self, key: str) -> Optional[bytes]:
-        """The packed result bytes for ``key``, or ``None`` on a miss.
+        """The packed result bytes for ``key``, or ``None`` on a miss
+        (an id entry is packed to answer)."""
+        value = self._lookup(key)
+        if value is None or isinstance(value, bytes):
+            return value
+        return LazySegmentResult.from_ids(*value).packed_bytes()
+
+    def answer(
+        self, key: str, table: Optional[GateTable] = None
+    ) -> Optional[LazySegmentResult]:
+        """The answer stored under ``key`` as a lazy handle, or ``None``.
+
+        An id entry on another table than ``table`` (when one is given)
+        is translated into it, and the entry moves onto it.
+        """
+        value = self._lookup(key)
+        if value is None:
+            return None
+        if isinstance(value, bytes):
+            return LazySegmentResult.from_packed(value)
+        ids, held = value
+        if table is not None and held is not table:
+            ids, held = table.intern(held.gates_of(ids)), table
+            with self._lock:
+                if self._memory.get(key) is value:
+                    self._install(key, (ids, held))
+        return LazySegmentResult.from_ids(ids, held)
+
+    def _lookup(self, key: str) -> Optional[_Value]:
+        """The value stored under ``key``, or ``None``, counted.
 
         Memory hits refresh LRU recency; disk hits are promoted into
         the memory level.  A corrupt disk entry is deleted and reported
@@ -241,17 +298,17 @@ class SegmentCache:
             if value is not None:
                 self._memory.move_to_end(key)
                 self.stats.hits += 1
+                self.stats.bytes_saved += _held(value)
+        if value is None:
+            value = self._disk_read(key)
+            with self._lock:
+                if value is None:
+                    self.stats.misses += 1
+                    return None
+                self.stats.hits += 1
+                self.stats.disk_hits += 1
                 self.stats.bytes_saved += len(value)
-                return value
-        value = self._disk_read(key)
-        with self._lock:
-            if value is None:
-                self.stats.misses += 1
-                return None
-            self.stats.hits += 1
-            self.stats.disk_hits += 1
-            self.stats.bytes_saved += len(value)
-            self._install(key, value)
+                self._install(key, value)
         return value
 
     def note_hits(self, hits: int) -> None:
@@ -260,13 +317,17 @@ class SegmentCache:
         with self._lock:
             self.stats.hits += hits
 
-    def put(self, key: str, value: bytes) -> None:
-        """Store packed result bytes under ``key`` in both levels."""
-        value = bytes(value)
+    def put(self, key: str, value) -> None:
+        """Store an answer under ``key`` in both levels: packed bytes, or
+        a result handle — kept in memory as its ids when it has them,
+        packed only for the disk."""
+        handle = isinstance(value, LazySegmentResult)
+        kept = (value.interned or value.packed_bytes()) if handle else bytes(value)
         with self._lock:
             self.stats.stores += 1
-            self._install(key, value)
-        self._disk_write(key, value)
+            self._install(key, kept)
+        if self._disk is not None:
+            self._disk_write(key, value.packed_bytes() if handle else kept)
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -280,23 +341,41 @@ class SegmentCache:
         """Drop the in-memory level (the disk store is untouched)."""
         with self._lock:
             self._memory.clear()
+            self._tables.clear()
             self._memory_bytes = 0
 
     # -- memory level ----------------------------------------------------------
 
-    def _install(self, key: str, value: bytes) -> None:
+    def _install(self, key: str, value: _Value) -> None:
         """Insert/refresh ``key`` in memory and evict past the bounds."""
         old = self._memory.pop(key, None)
         if old is not None:
-            self._memory_bytes -= len(old)
+            self._release(old)
         self._memory[key] = value
-        self._memory_bytes += len(value)
+        self._memory_bytes += _held(value)
+        if not isinstance(value, bytes):  # charge its table, now its size
+            held = self._tables.setdefault(value[1], [0, 0])
+            charge = len(value[1]) * TABLE_ROW_BYTES
+            held[0] += 1
+            self._memory_bytes += charge - held[1]
+            held[1] = charge
         while len(self._memory) > self.max_entries or (
             self._memory_bytes > self.max_bytes and len(self._memory) > 1
         ):
             _, evicted = self._memory.popitem(last=False)
-            self._memory_bytes -= len(evicted)
+            self._release(evicted)
             self.stats.evictions += 1
+
+    def _release(self, value: _Value) -> None:
+        """Uncharge an entry gone from memory, and its table with its
+        last entry."""
+        self._memory_bytes -= _held(value)
+        if not isinstance(value, bytes):
+            held = self._tables[value[1]]
+            held[0] -= 1
+            if not held[0]:
+                self._memory_bytes -= held[1]
+                del self._tables[value[1]]
 
     # -- disk level ------------------------------------------------------------
 
@@ -421,8 +500,7 @@ class CacheFront:
         Segment lookups answered by / past the cache.  Every hit is an
         oracle call that was never made.
     bytes_saved:
-        Packed result bytes served from the cache instead of a
-        transport round trip.
+        Bytes the hit entries held (see :class:`CacheStats`).
     lookup_seconds:
         Seconds spent fingerprinting and probing the cache (the price
         of admission; compare against the oracle time the hits saved).
@@ -440,23 +518,27 @@ class CacheFront:
         """A round's results, ``None`` at each miss, and the misses as
         ``(index, segment, key)`` for :meth:`store`.
 
-        A segment's key is its canonical packed bytes hashed under the
-        front's namespace; a hit is a lazy handle over the stored packed
-        result.  A miss's segment keeps the bytes its key was taken
-        from, so a byte transport does not encode it again.
+        A segment held as ids is keyed by its rows' digests, and a hit
+        comes back as ids of its table; any other segment is keyed by its
+        canonical packed bytes, which a miss keeps, so a byte transport
+        does not encode it again.
         """
         cache, namespace = self.cache, self.namespace
         t0 = time.perf_counter()
         results: list = [None] * len(segments)
         misses: list = []
         for i, seg in enumerate(map(LazySegmentResult.of, segments)):
-            key = cache.key_for(seg.packed_bytes(), extra=namespace)
-            hit = cache.get(key)
+            if seg.interned is None:
+                table, key = None, cache.key_for(seg.packed_bytes(), extra=namespace)
+            else:
+                ids, table = seg.interned
+                key = table.content_key(ids, namespace)
+            hit = cache.answer(key, table)
             if hit is None:
                 misses.append((i, seg, key))
             else:
-                self.bytes_saved += len(hit)
-                results[i] = LazySegmentResult.from_packed(hit)
+                self.bytes_saved += _held(hit.interned or hit.packed_bytes())
+                results[i] = hit
         self.hits += len(segments) - len(misses)
         self.misses += len(misses)
         self.lookup_seconds += time.perf_counter() - t0
@@ -466,7 +548,7 @@ class CacheFront:
         """Put the misses' ``answers`` in ``results`` and the cache."""
         for (i, _, key), answer in zip(misses, answers):
             results[i] = answer
-            self.cache.put(key, LazySegmentResult.of(answer).packed_bytes())
+            self.cache.put(key, LazySegmentResult.of(answer))
 
     def counters(self) -> dict:
         """The four counts, under the names a run's stats report."""

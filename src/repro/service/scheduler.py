@@ -265,37 +265,43 @@ class FleetScheduler:
     def _dispatch_loop(self) -> None:
         """Dispatcher thread: allocate, run, scatter, advance the
         answered jobs, repeat until closed."""
-        while True:
-            parts = self._take_round()
-            if not parts:
-                return
-            merged = [seg for job, i, n in parts for seg in job.segments[i : i + n]]
-            involved = list(dict.fromkeys(job for job, _, _ in parts))
-            try:
-                flat = self.fleet.map_segments(parts[0][0].oracle, merged)
-            except BaseException as exc:  # noqa: BLE001 - forwarded per job
-                with self._wake:  # a job close() failed is no longer here
-                    failed = [job for job in involved if job in self._pending]
-                    self._pending = [j for j in self._pending if j not in failed]
-                for job in failed:
-                    job.finish(exc)
-                continue
-            pos = 0
-            for job, start, count in parts:
-                job.results[start : start + count] = flat[pos : pos + count]
-                pos += count
-            with self._wake:
-                self.rounds_dispatched += 1
-                self.requests_merged += len(involved)
-                self.segments_dispatched += len(merged)
-                answered = [
-                    job
-                    for job in involved
-                    if job.remaining == 0 and job in self._pending
-                ]
-                self._pending = [j for j in self._pending if j not in answered]
-            for job in answered:
-                self._advance(job)
+        while self._dispatch(self._take_round()):
+            pass
+
+    def _dispatch(self, parts: list) -> bool:
+        """Run one merged round and advance its answered jobs; False for
+        no round (closing).  A frame of its own, so no job outlives its
+        round here while the dispatcher waits for the next one."""
+        if not parts:
+            return False
+        merged = [seg for job, i, n in parts for seg in job.segments[i : i + n]]
+        involved = list(dict.fromkeys(job for job, _, _ in parts))
+        try:
+            flat = self.fleet.map_segments(parts[0][0].oracle, merged)
+        except BaseException as exc:  # noqa: BLE001 - forwarded per job
+            with self._wake:  # a job close() failed is no longer here
+                failed = [job for job in involved if job in self._pending]
+                self._pending = [j for j in self._pending if j not in failed]
+            for job in failed:
+                job.finish(exc)
+            return True
+        pos = 0
+        for job, start, count in parts:
+            job.results[start : start + count] = flat[pos : pos + count]
+            pos += count
+        with self._wake:
+            self.rounds_dispatched += 1
+            self.requests_merged += len(involved)
+            self.segments_dispatched += len(merged)
+            answered = [
+                job
+                for job in involved
+                if job.remaining == 0 and job in self._pending
+            ]
+            self._pending = [j for j in self._pending if j not in answered]
+        for job in answered:
+            self._advance(job)
+        return True
 
     def _advance(self, job: _Job) -> None:
         """Step an answered job on: back in the queue with its next

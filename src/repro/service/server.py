@@ -33,7 +33,9 @@ serves without a cache:
   bounded and replaced together between jobs, which no output can see.
 * **the segment cache** — what the memo passes on is looked up by
   content (:class:`~repro.service.cache.CacheFront`, one per job),
-  across memo generations and, on disk, across restarts.
+  across memo generations and, on disk, across restarts.  Its key
+  hashes the rows' value digests, and it keeps an answer as ids of its
+  table, so only a write to ``--cache-dir`` packs anything.
 
 A job's output is byte-identical to a standalone ``popqc`` run of the
 same circuit with the same oracle and Ω.
@@ -132,9 +134,8 @@ class _Memo(dict):
     def update(self, answers: dict) -> None:
         """Keep ``answers`` not known yet, up to :data:`MEMO_CAP` entries.
 
-        An answer held as ids is kept as its ids alone: the wire forms a
-        cache lookup or store derived on it (~4 KB at omega 100) are not
-        what a replay reads."""
+        An answer held as ids is kept as its ids alone: the packed bytes
+        a disk store derived on it are not what a replay reads."""
         with self._lock:
             for key, answer in answers.items():
                 if len(self) >= MEMO_CAP:

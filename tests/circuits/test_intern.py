@@ -241,6 +241,48 @@ class TestIdsFromEncoded:
             GateTable().ids_from_encoded(broken)
 
 
+class TestContentKeys:
+    """An id segment's content key hashes its rows' value digests: the
+    gates decide it, not the table, the ids or the order rows came in."""
+
+    GATES = [H(0), CNOT(0, 1), RZ(1, 0.3), Gate("ccx", (0, 1, 2)), X(2)]
+
+    @staticmethod
+    def _key(gates, namespace=b"ns"):
+        table = GateTable()
+        return table.content_key(table.intern(gates), namespace)
+
+    @given(any_gates, any_gates, any_gates)
+    def test_equal_keys_iff_equal_gates_whatever_the_table_saw(self, seen, a, b):
+        table = GateTable()
+        table.intern(seen)
+        assert (table.content_key(table.intern(a)) == self._key(b, b"")) is (a == b)
+
+    def test_tables_that_chose_other_ids_agree(self):
+        forward, backward = GateTable(), GateTable()
+        forward.intern(self.GATES)
+        backward.intern(self.GATES[::-1])
+        ids, other = forward.intern(self.GATES), backward.intern(self.GATES)
+        assert ids.tolist() != other.tolist()
+        key = forward.content_key(ids, b"ns")
+        assert backward.content_key(other, b"ns") == key == self._key(self.GATES)
+        assert self._key(self.GATES, b"other oracle") != key
+
+    @pytest.mark.parametrize(
+        "index, changed",
+        [
+            (1, CNOT(1, 0)),  # qubits swapped
+            (2, RZ(1, math.nextafter(0.3, 1.0))),  # one ulp apart
+            (3, Gate("ccz", (0, 1, 2))),  # another opaque name
+        ],
+    )
+    def test_one_value_changed_changes_the_key(self, index, changed):
+        other = list(self.GATES)
+        other[index] = changed
+        assert other != self.GATES
+        assert self._key(other) != self._key(self.GATES)
+
+
 class TestThreadTable:
     def test_replaced_as_a_whole_once_over_the_cap(self, monkeypatch):
         monkeypatch.setattr(intern, "TABLE_CAP", 8)
@@ -319,6 +361,60 @@ class TestSharedBetweenThreads:
                 assert table.gates_of(ids) == chunk
                 _same_wire(table, chunk)
                 assert table.intern(chunk).tolist() == ids.tolist()
+
+    @pytest.mark.parametrize("attempt", range(8))  # a race needs its chances
+    def test_hammer_content_keys_while_others_intern(self, attempt):
+        """Three threads intern new values (the digests' array doubles
+        several times under them) while three ask for content keys of
+        what they have seen interned; every key is the one a table of
+        its own gives the same gates."""
+        import sys
+        import threading
+
+        values = [RZ(q, 0.001 * k) for k in range(1, 201) for q in range(3)]
+        values += [Gate(f"u{k}", (k % 4,)) for k in range(40)]
+        chunks = [values[lo : lo + 20] for lo in range(0, len(values), 20)]
+        want = [TestContentKeys._key(chunk) for chunk in chunks]
+        table = GateTable()
+        start, done = threading.Barrier(6), threading.Event()
+        interned: list = []  # (chunk index, ids), appended once interned
+        wrong = []
+
+        def intern_chunks(t):
+            start.wait()
+            for c in range(t, len(chunks), 3):
+                ids = table.intern(chunks[c])
+                interned.append((c, ids))
+                if table.content_key(ids, b"ns") != want[c]:
+                    wrong.append(c)
+
+        def ask_keys(t):
+            start.wait()
+            while not done.is_set():
+                for c, ids in list(interned[t::3]):
+                    if table.content_key(ids, b"ns") != want[c]:
+                        wrong.append(c)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=intern_chunks if t < 3 else ask_keys, args=(t,))
+                for t in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads[:3]:
+                thread.join()
+            done.set()
+            for thread in threads[3:]:
+                thread.join()
+        finally:
+            sys.setswitchinterval(switch)
+        assert wrong == [] and len(table) == len(values) > 64 * 8
+        assert [table.content_key(ids, b"ns") for _, ids in sorted(interned)] == [
+            want[c] for c in range(len(chunks))
+        ]
 
     def test_full_past_the_row_or_name_cap(self, monkeypatch):
         monkeypatch.setattr(intern, "TABLE_CAP", 4)

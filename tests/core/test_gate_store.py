@@ -124,6 +124,21 @@ def pool():
     pm.close()
 
 
+def test_a_batch_run_fills_no_row_digest(monkeypatch):
+    """Row digests are for content keys, which only a served job's cache
+    asks for: a ``popqc`` run over a fresh store computes none."""
+    fills = []
+    monkeypatch.setattr(intern.GateTable, "_fill_digests", lambda t: fills.append(t))
+    circuit = random_redundant_circuit(6, 400, seed=5, redundancy=0.5)
+    pool = ProcessMap(2)
+    try:
+        for parmap in (SerialMap(), pool):
+            popqc(circuit, NamOracle(), 25, parmap=parmap)
+    finally:
+        pool.close()
+    assert fills == []
+
+
 class TestDriverStillSeesGates:
     def test_plain_map_gets_real_lists(self, reference):
         oracle = _Spy(NamOracle())

@@ -5,7 +5,9 @@ segments, stable across pack/unpack round trips, oracle-scoped), and
 the storage levels are exercised directly: LRU eviction by entry count
 and byte volume, disk persistence across instances, and corruption of
 disk entries (truncation, foreign bytes, bad magic) reading as a miss
-— never an exception — with the bad file removed.
+— never an exception — with the bad file removed.  Answers held as ids
+stay ids in memory, move to the table that asks, and are packed only
+for the disk.
 """
 
 import os
@@ -15,16 +17,20 @@ import threading
 import pytest
 from hypothesis import given, settings
 
-from repro.circuits import CNOT, H, X
+from repro.circuits import CNOT, RZ, H, X
 from repro.circuits.encoding import (
     encode_segment,
+    pack_segment,
     pack_segment_into,
     packed_segment_nbytes,
     segment_fingerprint,
     unpack_segment_from,
 )
+from repro.circuits.intern import GateTable
 from repro.oracles import IdentityOracle, NamOracle
-from repro.service import SegmentCache, oracle_namespace
+from repro.parallel import LazySegmentResult
+from repro.service import CacheFront, SegmentCache, oracle_namespace
+from repro.service.cache import TABLE_ROW_BYTES
 
 from ..conftest import gate_list_strategy
 
@@ -133,6 +139,69 @@ class TestMemoryLevel:
         cache.put("k", b"bb")
         assert cache.memory_bytes == 2
         assert len(cache) == 1
+
+
+class TestIdEntries:
+    """An answer held as ids stays ids in memory: a hit on its table is
+    those ids, a hit from another table is translated and moves the
+    entry there, and the bytes bound charges ids plus each table once."""
+
+    ANSWER = [H(0), CNOT(0, 1), RZ(1, 0.5)]
+
+    def _stored(self, cache, table):
+        ids = table.intern(self.ANSWER)
+        cache.put("k", LazySegmentResult.from_ids(ids, table))
+        return ids
+
+    def test_a_hit_on_the_same_table_is_its_ids(self):
+        cache, table = SegmentCache(), GateTable()
+        ids = self._stored(cache, table)
+        hit = cache.answer("k", table)
+        assert hit.interned[1] is table and hit.interned[0] is ids
+        assert cache.stats.bytes_saved == ids.nbytes
+        assert cache.memory_bytes == ids.nbytes + len(table) * TABLE_ROW_BYTES
+        # the byte API packs an id entry to answer
+        assert cache.get("k") == pack_segment(encode_segment(self.ANSWER))
+
+    def test_a_hit_from_another_table_moves_the_entry_there(self):
+        cache, old, new = SegmentCache(), GateTable(), GateTable()
+        new.intern([X(3), X(4)])  # other ids for the same values
+        self._stored(cache, old)
+        hit = cache.answer("k", new)
+        assert hit.interned[1] is new and hit == self.ANSWER
+        assert cache.answer("k", new).interned[1] is new
+        # the old table is no longer charged: only the new one is
+        assert cache.memory_bytes == hit.interned[0].nbytes + len(new) * TABLE_ROW_BYTES
+        cache.put("k", b"bytes")  # the last id entry gone: no table charged
+        assert cache.memory_bytes == len(b"bytes")
+
+    def test_tables_count_against_the_bytes_bound(self):
+        table = GateTable()
+        table.intern([RZ(0, 0.01 * k) for k in range(1, 11)])
+        cache = SegmentCache(max_bytes=10 * TABLE_ROW_BYTES)
+        self._stored(cache, table)
+        cache.put("b", b"x")  # ids + 13 rows past the bound: k evicted
+        assert cache.get("k") is None and cache.memory_bytes == 1
+
+    def test_the_disk_gets_packed_bytes(self, tmp_path):
+        self._stored(SegmentCache(disk_dir=tmp_path), GateTable())
+        reborn = SegmentCache(disk_dir=tmp_path)
+        hit = reborn.answer("k", GateTable())
+        assert hit.interned is None and not hit.decoded and hit == self.ANSWER
+
+    def test_a_front_keys_ids_by_content_and_answers_ids(self):
+        gates = [H(0), H(0), X(1)]
+        table = GateTable()
+        ids = table.intern(gates)
+        segment = LazySegmentResult.from_ids(ids, table)
+        front = CacheFront(SegmentCache(), b"ns")
+        results, misses = front.lookup([segment])
+        assert [key for *_, key in misses] == [table.content_key(ids, b"ns")]
+        answer = LazySegmentResult.from_ids(table.intern(gates[2:]), table)
+        front.store(results, misses, [answer])
+        (hit,), missed = front.lookup([segment])
+        assert missed == [] and hit.interned[1] is table and hit == gates[2:]
+        assert front.bytes_saved == hit.interned[0].nbytes
 
 
 class TestDiskLevel:

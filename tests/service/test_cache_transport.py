@@ -10,6 +10,9 @@ memo's and the cache's STATUS agree.
 """
 
 import contextlib
+import gc
+import time
+import weakref
 
 import pytest
 
@@ -246,6 +249,31 @@ def test_memo_hits_count_where_content_hits_count(job_stats):
     assert cache.stats.bytes_saved == sum(
         stats["cache_bytes_saved"] for stats in (first, second, third)
     )
+
+
+def test_a_table_rotation_is_answered_by_the_cache(job_stats, monkeypatch):
+    """Past the table cap the daemon starts a fresh table and memo at
+    the next admission: the repeat's every segment the new memo does not
+    answer is a content hit, translated from the retired table into the
+    new one, with the first job's bytes — and once every entry has moved,
+    nothing keeps the retired table alive."""
+    monkeypatch.setattr(intern, "TABLE_CAP", 8)
+    with _daemon(NamOracle(), SegmentCache()) as (srv, client):
+        first = client.optimize(CIRCUIT, omega=OMEGA)
+        retired = weakref.ref(srv._table)
+        second = client.optimize(CIRCUIT, omega=OMEGA)
+        assert srv._table is not retired()
+        # the dispatcher may still be returning from job 1's last round
+        deadline = time.monotonic() + 5.0
+        gc.collect()
+        while retired() is not None:
+            assert time.monotonic() < deadline, "the retired table is still held"
+            time.sleep(0.01)
+            gc.collect()
+    counters = job_stats[1].counters
+    memo = counters["cache_memo_hits"]
+    assert counters["cache_hits"] - memo == second.stats["oracle_calls"] - memo > 0
+    assert _packed(second.circuit.gates) == _packed(first.circuit.gates)
 
 
 def test_two_oracles_never_answer_each_other_from_the_cache():
