@@ -193,7 +193,13 @@ def main(argv: list[str] | None = None) -> int:
         help="run the persistent optimization service (jobs over TCP, "
         "shared worker fleet, content-addressed segment cache)",
     )
-    p_serve.add_argument("--workers", type=_worker_count, help="fleet worker count")
+    p_serve.add_argument(
+        "--workers",
+        type=_worker_count,
+        metavar="N",
+        help="compute streams of a fleet round: the dispatcher plus N-1 forked "
+        "workers (with --hosts or --min/--max-workers the hosts compute it)",
+    )
     p_serve.add_argument(
         "--hosts",
         help="comma-separated popqc worker addresses to use as the fleet "

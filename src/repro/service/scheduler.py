@@ -16,7 +16,9 @@ yields each round's segments and is sent their results), its
   answered on the spot and never enters the queue.
 * A round with misses queues the job.  The one dispatcher thread
   merges every waiting job's misses into **one** ``fleet.map_segments``
-  call (split across workers as one big round would be), stores each
+  call (claimed as one big round would be; on a local pool the
+  dispatcher is one of the fleet's ``workers`` streams and computes a
+  share of every wide round beside ``workers - 1`` children), stores each
   answered job's misses on its front and advances its machine to its
   next round with misses, or to its result, before the next fleet
   round.  So jobs a fleet round carries together stay together.

@@ -226,7 +226,9 @@ class OptimizationService(FrameServer):
         (:attr:`address` reports the bound one).
     workers / transport / hosts:
         Fleet shape, passed to :class:`~repro.parallel.ProcessMap`
-        (``hosts`` for ``transport="socket"``).
+        (``hosts`` for ``transport="socket"``) with its default cutoff:
+        on a local pool, ``workers`` compute streams are the dispatcher
+        thread plus ``workers - 1`` forked children.
     cache:
         A :class:`~repro.service.cache.SegmentCache`, or ``None`` to
         build a default in-memory cache, or ``False`` to serve without
@@ -350,12 +352,11 @@ class OptimizationService(FrameServer):
                 self._spawned.append(self._worker_spawner())
             all_hosts = list(hosts) if hosts else []
             all_hosts += [worker.address for worker in self._spawned]
+            # the default pool rule: rounds of <= 2 segments run inline,
+            # a wider local round on the dispatcher thread and
+            # `workers - 1` children
             fleet = ProcessMap(
                 workers,
-                # rounds of <= 2 segments run inline; a wider round runs
-                # on `workers` children, the dispatcher thread computing
-                # none of it
-                serial_cutoff=2,
                 transport=transport,
                 hosts=all_hosts if transport == "socket" else hosts,
                 auth_token=auth_token if transport == "socket" else None,
